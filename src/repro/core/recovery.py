@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Generator
 
 from ..faults.registry import fault_point, touch
-from ..types import entry_size
 from .controller import KvaccelController
 
 __all__ = ["recover_after_crash", "RecoveryReport"]
@@ -59,9 +58,7 @@ def recover_after_crash(controller: KvaccelController,
     tel = env.telemetry
     for i in range(0, len(entries), merge_batch):
         chunk = entries[i:i + merge_batch]
-        chunk_bytes = sum(entry_size(e) for e in chunk)
-        nbytes += chunk_bytes
-        yield from controller.main.write_entries(chunk)
+        nbytes += yield from controller.main.write_entries(chunk)
         if tel is not None:
             tel.add("recovery.entries", len(chunk))
         if env.faults is not None or env.journal is not None:

@@ -26,7 +26,6 @@ from typing import Generator
 from ..faults.registry import fault_point, touch
 from ..resil.errors import DeviceError
 from ..sim import Environment, Interrupt
-from ..types import entry_size
 from .controller import KvaccelController
 from .detector import WriteStallDetector
 
@@ -174,9 +173,8 @@ class RollbackManager:
             tel = self.env.telemetry
             for i in range(0, len(entries), batch):
                 chunk = entries[i:i + batch]
-                chunk_bytes = sum(entry_size(e) for e in chunk)
+                chunk_bytes = yield from controller.main.write_entries(chunk)
                 nbytes += chunk_bytes
-                yield from controller.main.write_entries(chunk)
                 if tel is not None:
                     # Per-batch so progress lands in the bucket it happened
                     # in — the rollback-convergence rule watches this.
@@ -198,7 +196,10 @@ class RollbackManager:
                 tr.end(_sp, args={"entries": len(entries), "bytes": nbytes})
                 _sp = None
         finally:
-            if _sp is not None:   # aborted mid-flight (e.g. injected crash)
+            # Aborted mid-flight (e.g. injected crash).  A rollback still
+            # running at the horizon is closed by the tracer's end-of-run
+            # sweep first and reaches here only at generator teardown.
+            if _sp is not None and not _sp.closed:
                 tr.end(_sp, args={"aborted": True})
             self.in_progress = False
             self.controller.rollback_in_progress = False

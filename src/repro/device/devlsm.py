@@ -130,7 +130,7 @@ class DevLsm:
         self._memtable: dict[bytes, Entry] = {}
         self._memtable_bytes = 0
         self.runs: list[Run] = []          # newest first
-        self._next_lpn = self._region.lpn_start
+        self._lpns_allocated = 0           # since the last reset
         self.flush_count = 0
         self.compaction_count = 0
         tel = env.telemetry
@@ -182,9 +182,10 @@ class DevLsm:
     def put(self, entry: Entry) -> Generator:
         """Insert a PUT or DELETE entry (blocking process generator)."""
         cfg = self.config
+        nbytes = entry_size(entry)
         tr = self.env.tracer
         _sp = (tr.begin("devlsm", "devlsm.put", actor="devlsm",
-                        args={"bytes": entry_size(entry)})
+                        args={"bytes": nbytes})
                if tr is not None else None)
         self.arm.charge(cfg.arm_op_cost, tag="devlsm.put")
         key = entry[0]
@@ -192,7 +193,7 @@ class DevLsm:
         if old is not None:
             self._memtable_bytes -= entry_size(old)
         self._memtable[key] = entry
-        self._memtable_bytes += entry_size(entry)
+        self._memtable_bytes += nbytes
         if self.env.faults is not None or self.env.journal is not None:
             touch(self.env, "devlsm.put.applied")
         if self._memtable_bytes >= cfg.memtable_bytes:
@@ -217,8 +218,8 @@ class DevLsm:
         # lose power, and its DRAM must not forget entries a half-finished
         # flush had merely staged.
         snapshot = list(self._memtable.items())
+        nbytes = self._memtable_bytes   # the snapshot is the whole memtable
         entries = sorted((e for _k, e in snapshot), key=_sort_key)
-        nbytes = sum(entry_size(e) for e in entries)
         run = Run(entries=entries, smallest=entries[0][0],
                   largest=entries[-1][0], nbytes=nbytes)
         # Map pages in the KV region and charge NAND program + ARM copy.
@@ -230,10 +231,13 @@ class DevLsm:
         # Commit point: install the run, then retire exactly the flushed
         # entries (a concurrent put may have replaced one mid-flush).
         self.runs.insert(0, run)
+        retired = nbytes
         for key, entry in snapshot:
             if self._memtable.get(key) is entry:
                 del self._memtable[key]
-                self._memtable_bytes -= entry_size(entry)
+            else:   # replaced mid-flush: put() already released its bytes
+                retired -= entry_size(entry)
+        self._memtable_bytes -= retired
         self.flush_count += 1
         if self.env.faults is not None or self.env.journal is not None:
             yield from fault_point(self.env, "devlsm.flush.complete")
@@ -244,10 +248,11 @@ class DevLsm:
             yield from self._compact()
 
     def _alloc_lpn(self) -> int:
-        lpn = self._next_lpn
-        nxt = lpn + 1
-        end = self._region.lpn_start + self._region.lpn_count
-        self._next_lpn = self._region.lpn_start if nxt >= end else nxt
+        """Next KV-region LPN, sequential from the region start and
+        wrapping at its end."""
+        region = self._region
+        lpn = region.lpn_start + self._lpns_allocated % region.lpn_count
+        self._lpns_allocated += 1
         return lpn
 
     def _compact(self) -> Generator:
@@ -377,11 +382,13 @@ class DevLsm:
         self._memtable = {}
         self._memtable_bytes = 0
         self.runs = []
+        # Trim exactly the LPNs handed out since the last reset, ascending:
+        # a prefix of the region, or all of it once allocation wrapped.
         start = self._region.lpn_start
-        for lpn in range(start, start + self._region.lpn_count):
-            if self.ftl.is_mapped(lpn):
-                self.ftl.trim(lpn)
-        self._next_lpn = start
+        used = min(self._lpns_allocated, self._region.lpn_count)
+        for lpn in range(start, start + used):
+            self.ftl.trim(lpn)
+        self._lpns_allocated = 0
 
 
 def _binary_search_run(entries: list, key: bytes) -> Optional[Entry]:

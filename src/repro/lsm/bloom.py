@@ -4,23 +4,32 @@ Standard double-hashing construction (Kirsch-Mitzenmacher): ``k`` probe
 positions derived from two independent 64-bit hashes of the key.  RocksDB
 builds one filter per SST; a negative probe lets reads skip the file's data
 blocks entirely, which is what keeps point-read I/O bounded as levels grow.
+
+The filter's size is a function of the key count alone, so an SSTable can
+report its file footprint without hashing a key; it fills the bit array in
+one :meth:`BloomFilter.add_all` pass the first time a read probes it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
+from hashlib import blake2b
 from typing import Iterable
 
 __all__ = ["BloomFilter"]
 
+_from_bytes = int.from_bytes
 
-def _hash128(key: bytes) -> tuple[int, int]:
-    digest = hashlib.blake2b(key, digest_size=16).digest()
-    return (
-        int.from_bytes(digest[:8], "little"),
-        int.from_bytes(digest[8:], "little") | 1,  # odd => good stride
-    )
+
+def _probe_walk(key: bytes, n: int) -> tuple[int, int]:
+    """(first bit, stride) of a key's probes over ``n`` bits.
+
+    Probe ``i`` is bit ``(h1 + i * h2) mod n``; walking it as
+    ``pos += h2 mod n`` keeps the loop in small-int arithmetic.
+    """
+    digest = blake2b(key, digest_size=16).digest()
+    return (_from_bytes(digest[:8], "little") % n,
+            (_from_bytes(digest[8:], "little") | 1) % n)  # odd => good stride
 
 
 class BloomFilter:
@@ -34,29 +43,34 @@ class BloomFilter:
         self.num_bits = max(64, num_keys * bits_per_key)
         # optimal k = bits/key * ln2, clamped to [1, 30] like RocksDB
         self.k = max(1, min(30, int(round(bits_per_key * math.log(2)))))
-        self._bits = 0  # big int as bit array: compact and fast in Python
+        self._bits = bytearray((self.num_bits + 7) // 8)
         self.num_added = 0
 
     def add(self, key: bytes) -> None:
-        h1, h2 = _hash128(key)
-        bits = self._bits
-        n = self.num_bits
-        for i in range(self.k):
-            bits |= 1 << ((h1 + i * h2) % n)
-        self._bits = bits
-        self.num_added += 1
+        self.add_all((key,))
 
     def add_all(self, keys: Iterable[bytes]) -> None:
-        for k in keys:
-            self.add(k)
+        bits, n, probes = self._bits, self.num_bits, range(self.k)
+        added = 0
+        for key in keys:
+            pos, step = _probe_walk(key, n)
+            for _ in probes:
+                bits[pos >> 3] |= 1 << (pos & 7)
+                pos += step
+                if pos >= n:
+                    pos -= n
+            added += 1
+        self.num_added += added
 
     def may_contain(self, key: bytes) -> bool:
-        h1, h2 = _hash128(key)
-        bits = self._bits
-        n = self.num_bits
-        for i in range(self.k):
-            if not (bits >> ((h1 + i * h2) % n)) & 1:
+        bits, n = self._bits, self.num_bits
+        pos, step = _probe_walk(key, n)
+        for _ in range(self.k):
+            if not bits[pos >> 3] >> (pos & 7) & 1:
                 return False
+            pos += step
+            if pos >= n:
+                pos -= n
         return True
 
     @property

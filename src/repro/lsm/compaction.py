@@ -46,7 +46,7 @@ class CompactionJob:
 
     @property
     def input_bytes(self) -> int:
-        return sum(f.file_bytes for f in self.all_inputs)
+        return sum(meta.file_bytes for meta in self.all_inputs)
 
     @property
     def is_l0(self) -> bool:
@@ -125,19 +125,22 @@ def merge_for_compaction(job: CompactionJob, num_levels: int) -> list:
 
 
 def split_into_files(entries: list, target_bytes: int) -> list:
-    """Partition merged output into SST-sized chunks."""
+    """Partition merged output into SST-sized chunks.
+
+    Returns ``(entries, sizes)`` per output file; ``sizes`` are the
+    per-entry :func:`entry_size` s, computed here once and handed to the
+    :class:`SSTable` built from the chunk.
+    """
     if target_bytes <= 0:
         raise ValueError("target_bytes must be positive")
-    out: list[list] = []
-    cur: list = []
-    cur_bytes = 0
-    for e in entries:
-        sz = entry_size(e)
-        if cur and cur_bytes + sz > target_bytes:
-            out.append(cur)
-            cur, cur_bytes = [], 0
-        cur.append(e)
+    sizes = list(map(entry_size, entries))
+    out: list[tuple[list, list]] = []
+    start = cur_bytes = 0
+    for i, sz in enumerate(sizes):
+        if cur_bytes and cur_bytes + sz > target_bytes:
+            out.append((entries[start:i], sizes[start:i]))
+            start, cur_bytes = i, 0
         cur_bytes += sz
-    if cur:
-        out.append(cur)
+    if entries:
+        out.append((entries[start:], sizes[start:]))
     return out

@@ -22,7 +22,7 @@ from ..device.cpu import CpuModel
 from ..faults.registry import fault_point, touch
 from ..resil.errors import DeviceError
 from ..sim import Environment, Event, Interrupt, Store
-from ..types import KIND_DELETE, KIND_PUT, Entry, entry_size, make_entry, value_size
+from ..types import KIND_DELETE, KIND_PUT, Entry, entry_size, make_entry
 from .compaction import CompactionJob, CompactionPicker, merge_for_compaction, split_into_files
 from .fs import FileSystem, FsError, PageCache
 from .iterator import merging_iterator
@@ -252,10 +252,11 @@ class DbImpl:
 
     def write_entries(self, entries: list) -> Generator:
         """Raw internal-entry write (rollback merges use this to preserve
-        original sequence numbers and tombstones)."""
+        original sequence numbers and tombstones).  Returns the batch's
+        summed :func:`entry_size`, which the write path computes anyway."""
         for e in entries:
             self.note_external_seq(e[1])
-        yield from self._write_entries(entries)
+        return (yield from self._write_entries(entries))
 
     def _write_entries(self, entries: list) -> Generator:
         if self._closed:
@@ -263,7 +264,7 @@ class DbImpl:
         if self.background_error is not None:
             raise self.background_error
         opt = self.options
-        nbytes = sum(entry_size(e) for e in entries)
+        nbytes = sum(map(entry_size, entries))
         tr = self.env.tracer
         _sp = (tr.begin("write", "write",
                         args={"entries": len(entries), "bytes": nbytes})
@@ -303,6 +304,7 @@ class DbImpl:
                     lp.leave()
         if _sp is not None:
             tr.end(_sp, args={"held": held})
+        return nbytes
 
     def _switch_memtable(self) -> Generator:
         """Seal the active memtable and queue it for flush.
@@ -394,7 +396,8 @@ class DbImpl:
             yield from fault_point(self.env, "db.flush.start")
         entries = mem.entries()
         if entries:
-            nbytes = sum(entry_size(e) for e in entries)
+            # A sealed memtable's byte count is its entries' summed size.
+            nbytes = mem.approximate_bytes
             yield from self.host_cpu.consume(nbytes * opt.cpu.flush_per_byte,
                                              tag=f"{self.name}.flush")
             number = self.versions.new_file_number()
@@ -510,7 +513,7 @@ class DbImpl:
         output_groups = split_into_files(merged, opt.target_file_size_base)
 
         input_bytes = job.input_bytes
-        output_bytes = sum(sum(entry_size(e) for e in g) for g in output_groups)
+        output_bytes = sum(sum(sizes) for _group, sizes in output_groups)
         self.stats.compaction_bytes_read += input_bytes
         self.stats.compaction_bytes_written += output_bytes
         tel = self.env.telemetry
@@ -550,10 +553,11 @@ class DbImpl:
 
         # Phase 2: build and write the output files.
         added: list[FileMetadata] = []
-        for group in output_groups:
+        for group, sizes in output_groups:
             number = self.versions.new_file_number()
             table = SSTable(number, group, block_size=opt.block_size,
-                            bloom_bits_per_key=opt.bloom_bits_per_key)
+                            bloom_bits_per_key=opt.bloom_bits_per_key,
+                            sizes=sizes)
             meta = FileMetadata(number=number, level=job.output_level,
                                 table=table)
             added.append(meta)
@@ -669,7 +673,7 @@ class DbImpl:
         for m, _seg in reversed(self.imm):
             sources.append(m.iter_from(start_key))
         v = self.versions.current
-        for meta in sorted(v.level_files(0), key=lambda f: -f.number):
+        for meta in v.l0_newest_first:
             if meta.largest >= start_key:
                 sources.append(wrap_sst(meta))
         for level in range(1, v.num_levels):

@@ -41,6 +41,8 @@ class MemTable:
 
     @property
     def approximate_bytes(self) -> int:
+        """Exactly the summed ``entry_size`` of ``entries()``; flush
+        charges CPU from it instead of re-sizing the sealed entries."""
         raise NotImplementedError
 
     def entries(self) -> list:

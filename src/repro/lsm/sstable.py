@@ -10,7 +10,10 @@ charge the device model.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter, lt
 from typing import Iterator, Optional, Sequence
 
 from ..types import Entry, entry_size
@@ -18,6 +21,8 @@ from .bloom import BloomFilter
 from .codec import decode_block, encode_block
 
 __all__ = ["SSTable", "ProbeResult"]
+
+_key = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -33,42 +38,54 @@ class SSTable:
     """Immutable sorted table."""
 
     def __init__(self, file_number: int, entries: Sequence[Entry],
-                 block_size: int = 16 * 1024, bloom_bits_per_key: int = 10):
+                 block_size: int = 16 * 1024, bloom_bits_per_key: int = 10,
+                 sizes: Optional[Sequence[int]] = None):
+        """``sizes`` are the entries' :func:`entry_size` s when the caller
+        already holds them (compaction sizes its output once to cut files)."""
         if not entries:
             raise ValueError("SSTable cannot be empty")
         self.file_number = file_number
         self.entries = list(entries)
-        for a, b in zip(self.entries, self.entries[1:]):
-            if a[0] >= b[0]:
-                raise ValueError("entries must be sorted and key-unique")
+        keys = [e[0] for e in self.entries]
+        if not all(map(lt, keys, islice(keys, 1, None))):
+            raise ValueError("entries must be sorted and key-unique")
         self.block_size = block_size
-        self.smallest = self.entries[0][0]
-        self.largest = self.entries[-1][0]
+        self.smallest = keys[0]
+        self.largest = keys[-1]
 
-        # Partition into blocks by byte budget.
-        self._block_starts: list[int] = []   # entry index where block begins
-        self._block_first_keys: list[bytes] = []
+        # Size every entry once, then partition into blocks by byte budget.
+        if sizes is None:
+            sizes = list(map(entry_size, self.entries))
+        self._block_starts: list[int] = [0]  # entry index where block begins
         self._block_bytes: list[int] = []
         cur = 0
-        for i, e in enumerate(self.entries):
-            sz = entry_size(e)
-            if not self._block_starts or cur + sz > block_size and cur > 0:
+        for i, sz in enumerate(sizes):
+            if cur and cur + sz > block_size:
                 self._block_starts.append(i)
-                self._block_first_keys.append(e[0])
-                self._block_bytes.append(0)
+                self._block_bytes.append(cur)
                 cur = 0
-            self._block_bytes[-1] += sz
             cur += sz
+        self._block_bytes.append(cur)
+        self._block_first_keys = [keys[i] for i in self._block_starts]
 
         self.data_bytes = sum(self._block_bytes)
-        self.bloom = BloomFilter(len(self.entries), bloom_bits_per_key)
-        for e in self.entries:
-            self.bloom.add(e[0])
+        # The filter's size depends on the key count alone; its bits are
+        # filled on first use (see ``bloom``), so a table no read ever
+        # probes hashes no keys.
+        self._bloom = BloomFilter(len(keys), bloom_bits_per_key)
         # File footprint: data + filter + index approximation.
-        self.file_bytes = (self.data_bytes + self.bloom.size_bytes
+        self.file_bytes = (self.data_bytes + self._bloom.size_bytes
                            + 24 * len(self._block_starts) + 128)
 
     # -- introspection ----------------------------------------------------
+    @property
+    def bloom(self) -> BloomFilter:
+        """The per-file filter; its bit array materialises on first access."""
+        bloom = self._bloom
+        if not bloom.num_added:
+            bloom.add_all(e[0] for e in self.entries)
+        return bloom
+
     @property
     def num_entries(self) -> int:
         return len(self.entries)
@@ -83,14 +100,7 @@ class SSTable:
     # -- reads -----------------------------------------------------------
     def _block_for(self, key: bytes) -> int:
         """Index of the block that could hold ``key`` (-1 if before all)."""
-        lo, hi = 0, len(self._block_first_keys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._block_first_keys[mid] <= key:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo - 1
+        return bisect_right(self._block_first_keys, key) - 1
 
     def probe(self, key: bytes) -> ProbeResult:
         """Point lookup with cost accounting.
@@ -108,27 +118,14 @@ class SSTable:
         start = self._block_starts[b]
         end = (self._block_starts[b + 1] if b + 1 < len(self._block_starts)
                else len(self.entries))
-        lo, hi = start, end
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.entries[mid][0] < key:
-                lo = mid + 1
-            else:
-                hi = mid
+        lo = bisect_left(self.entries, key, start, end, key=_key)
         if lo < end and self.entries[lo][0] == key:
             return ProbeResult(self.entries[lo], cost)
         return ProbeResult(None, cost)
 
     def lower_bound(self, key: bytes) -> int:
         """Entry index of the first key >= ``key``."""
-        lo, hi = 0, len(self.entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.entries[mid][0] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        return bisect_left(self.entries, key, key=_key)
 
     def iter_from(self, key: Optional[bytes] = None) -> Iterator[Entry]:
         start = 0 if key is None else self.lower_bound(key)
@@ -136,14 +133,7 @@ class SSTable:
 
     def block_of_entry(self, idx: int) -> int:
         """Block index containing entry ``idx`` (for scan I/O accounting)."""
-        lo, hi = 0, len(self._block_starts)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._block_starts[mid] <= idx:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo - 1
+        return bisect_right(self._block_starts, idx) - 1
 
     def block_bytes(self, block_idx: int) -> int:
         return self._block_bytes[block_idx]

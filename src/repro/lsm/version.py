@@ -12,13 +12,17 @@ paper's taxonomy).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Generator, Optional
 
 from .options import LsmOptions
 from .sstable import SSTable
 
 __all__ = ["FileMetadata", "VersionEdit", "Version", "VersionSet"]
+
+_largest = attrgetter("largest")
 
 
 @dataclass
@@ -30,17 +34,12 @@ class FileMetadata:
     table: SSTable
     being_compacted: bool = False
 
-    @property
-    def smallest(self) -> bytes:
-        return self.table.smallest
-
-    @property
-    def largest(self) -> bytes:
-        return self.table.largest
-
-    @property
-    def file_bytes(self) -> int:
-        return self.table.file_bytes
+    def __post_init__(self) -> None:
+        # Plain attributes, not property hops: pickers and reads touch
+        # these once per file per query.
+        self.smallest: bytes = self.table.smallest
+        self.largest: bytes = self.table.largest
+        self.file_bytes: int = self.table.file_bytes
 
 
 @dataclass
@@ -57,21 +56,72 @@ class VersionEdit:
 
 
 class Version:
-    """Immutable level structure."""
+    """Immutable level structure.
+
+    Everything the write-stall machinery asks per write is install-time
+    state: per-level byte totals are carried from the parent version by
+    :meth:`apply` (old - removed + added), the newest-first L0 order is
+    fixed once, and the score/target/debt summary is computed at most once
+    per value of the option fields it reads.
+    """
 
     def __init__(self, num_levels: int,
-                 levels: Optional[list] = None):
+                 levels: Optional[list] = None,
+                 level_bytes: Optional[list] = None):
         self.num_levels = num_levels
         self.levels: list[list[FileMetadata]] = (
             levels if levels is not None else [[] for _ in range(num_levels)]
         )
+        self._level_bytes: list[int] = (
+            level_bytes if level_bytes is not None
+            else [sum(meta.file_bytes for meta in lvl) for lvl in self.levels]
+        )
+        # L0 files may overlap; newer file numbers hold newer data.
+        self.l0_newest_first: list[FileMetadata] = sorted(
+            self.levels[0], key=lambda f: -f.number)
+        self._summary: Optional[tuple] = None
 
-    def clone(self) -> "Version":
-        return Version(self.num_levels, [list(lvl) for lvl in self.levels])
+    def apply(self, edit: VersionEdit) -> "Version":
+        """The version ``edit`` produces: the one place an edit is applied,
+        for live installs and manifest replay alike.
+
+        Costs O(files of the levels the edit touches); untouched levels
+        are shared with this version.  Raises if an L1+ level would hold
+        overlapping files.
+        """
+        levels = list(self.levels)
+        level_bytes = list(self._level_bytes)
+        removed = set(edit.removed)
+        for level in {lvl for lvl, _number in removed}:
+            kept = []
+            for f in levels[level]:
+                if (level, f.number) in removed:
+                    level_bytes[level] -= f.file_bytes
+                else:
+                    kept.append(f)
+            levels[level] = kept
+        grown = {meta.level for meta in edit.added}
+        for level in grown:
+            levels[level] = list(levels[level])
+        for meta in edit.added:
+            levels[meta.level].append(meta)
+            level_bytes[meta.level] += meta.file_bytes
+        for level in grown:
+            if level == 0:
+                continue
+            files = levels[level]
+            files.sort(key=lambda f: f.smallest)
+            # L1+ must stay sorted and non-overlapping (LSM invariant).
+            for a, b in zip(files, files[1:]):
+                if a.largest >= b.smallest:
+                    raise AssertionError(
+                        f"overlap at L{level}: #{a.number}[..{a.largest!r}] "
+                        f"vs #{b.number}[{b.smallest!r}..]")
+        return Version(self.num_levels, levels, level_bytes)
 
     # -- queries ------------------------------------------------------------
     def level_bytes(self, level: int) -> int:
-        return sum(f.file_bytes for f in self.levels[level])
+        return self._level_bytes[level]
 
     def level_files(self, level: int) -> list:
         return self.levels[level]
@@ -81,7 +131,7 @@ class Version:
         return len(self.levels[0])
 
     def total_bytes(self) -> int:
-        return sum(self.level_bytes(l) for l in range(self.num_levels))
+        return sum(self._level_bytes)
 
     def total_files(self) -> int:
         return sum(len(l) for l in self.levels)
@@ -98,22 +148,56 @@ class Version:
         number order (newer numbers are newer data).  L1+ are disjoint, so
         at most one file per level matters.
         """
-        for f in sorted(self.levels[0], key=lambda f: -f.number):
+        for f in self.l0_newest_first:
             if f.smallest <= key <= f.largest:
                 yield f
         for level in range(1, self.num_levels):
             files = self.levels[level]
-            lo, hi = 0, len(files)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if files[mid].largest < key:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            if lo < len(files) and files[lo].smallest <= key <= files[lo].largest:
+            lo = bisect_left(files, key, key=_largest)
+            if lo < len(files) and files[lo].smallest <= key:
                 yield files[lo]
 
     # -- stall statistics -----------------------------------------------------
+    def _summarize(self, options: LsmOptions) -> tuple:
+        """``(key, targets, scores, best, debt)`` under ``options``.
+
+        Memoized on the three option fields the statistics read; the ADOC
+        tuner mutates other fields of the same object mid-run.
+        """
+        base = options.max_bytes_for_level_base
+        multiplier = options.max_bytes_for_level_multiplier
+        trigger = options.level0_file_num_compaction_trigger
+        key = (base, multiplier, trigger)
+        summary = self._summary
+        if summary is not None and summary[0] == key:
+            return summary
+        n = self.num_levels
+        level_bytes = self._level_bytes
+        targets = [0.0] * n
+        bottom = max((l for l in range(1, n) if self.levels[l]), default=1)
+        targets[bottom] = max(float(level_bytes[bottom]), float(base))
+        floor = base / multiplier
+        for level in range(bottom - 1, 0, -1):
+            targets[level] = max(targets[level + 1] / multiplier, floor)
+        for level in range(bottom + 1, n):
+            targets[level] = max(targets[level - 1] * multiplier, float(base))
+
+        scores = [len(self.levels[0]) / trigger]
+        scores += [level_bytes[l] / targets[l] for l in range(1, n)]
+        best_level, best_score = -1, 0.0
+        for level in range(n - 1):
+            if scores[level] > best_score:
+                best_level, best_score = level, scores[level]
+
+        debt = level_bytes[0] if len(self.levels[0]) >= trigger else 0
+        for level in range(1, n - 1):
+            excess = level_bytes[level] - targets[level]
+            if excess > 0:
+                debt += int(excess)
+        summary = self._summary = (key, targets, scores,
+                                   (best_level, best_score), debt)
+        return summary
+
     def level_targets(self, options: LsmOptions) -> list:
         """Dynamic level size targets (RocksDB's
         ``level_compaction_dynamic_level_bytes``, default since v8).
@@ -124,38 +208,15 @@ class Version:
         scores stay balanced as the tree deepens instead of letting a
         statically-undersized L1 monopolize the picker.
         """
-        n = self.num_levels
-        targets = [0.0] * n
-        nonempty = [l for l in range(1, n) if self.levels[l]]
-        bottom = max(nonempty) if nonempty else 1
-        targets[bottom] = max(float(self.level_bytes(bottom)),
-                              float(options.max_bytes_for_level_base))
-        floor = options.max_bytes_for_level_base / options.max_bytes_for_level_multiplier
-        for level in range(bottom - 1, 0, -1):
-            targets[level] = max(targets[level + 1]
-                                 / options.max_bytes_for_level_multiplier,
-                                 floor)
-        for level in range(bottom + 1, n):
-            targets[level] = max(targets[level - 1]
-                                 * options.max_bytes_for_level_multiplier,
-                                 float(options.max_bytes_for_level_base))
-        return targets
+        return list(self._summarize(options)[1])
 
     def compaction_score(self, options: LsmOptions, level: int) -> float:
         """RocksDB-style score: >= 1.0 means the level needs compaction."""
-        if level == 0:
-            return self.l0_count / options.level0_file_num_compaction_trigger
-        targets = self.level_targets(options)
-        return self.level_bytes(level) / targets[level]
+        return self._summarize(options)[2][level]
 
     def best_compaction_level(self, options: LsmOptions) -> tuple[int, float]:
         """(level, score) of the most urgent compaction candidate."""
-        best_level, best_score = -1, 0.0
-        for level in range(self.num_levels - 1):
-            score = self.compaction_score(options, level)
-            if score > best_score:
-                best_level, best_score = level, score
-        return best_level, best_score
+        return self._summarize(options)[3]
 
     def pending_compaction_bytes(self, options: LsmOptions) -> int:
         """Estimated bytes that must be rewritten to bring scores under 1.
@@ -164,17 +225,7 @@ class Version:
         must move down (and be merged with overlap, counted once here), and
         all L0 bytes beyond the compaction trigger are debt.
         """
-        debt = 0
-        l0_bytes = self.level_bytes(0)
-        trigger = options.level0_file_num_compaction_trigger
-        if self.l0_count >= trigger:
-            debt += l0_bytes
-        targets = self.level_targets(options)
-        for level in range(1, self.num_levels - 1):
-            excess = self.level_bytes(level) - targets[level]
-            if excess > 0:
-                debt += int(excess)
-        return debt
+        return self._summarize(options)[4]
 
 
 class VersionSet:
@@ -201,36 +252,20 @@ class VersionSet:
     def log_and_apply(self, edit: VersionEdit) -> Generator:
         """Persist the edit and atomically install the new version.
 
-        Manifest I/O happens *before* the in-memory mutation: the clone ->
-        mutate -> install sequence contains no yields, so concurrent flush
-        and compaction installs cannot lose each other's updates.
+        Manifest I/O happens *before* the in-memory install, which contains
+        no yields, so concurrent flush and compaction installs cannot lose
+        each other's updates.
         """
         if self._manifest is not None:
             yield from self.fs.append(self._manifest, edit.encoded_size())
-        new = self.current.clone()
-        removed = set(edit.removed)
-        for level in range(new.num_levels):
-            new.levels[level] = [
-                f for f in new.levels[level] if (level, f.number) not in removed
-            ]
-        for meta in edit.added:
-            new.levels[meta.level].append(meta)
-        for level in range(1, new.num_levels):
-            new.levels[level].sort(key=lambda f: f.smallest)
-        self._validate(new)
-        self.current = new
-        self.edit_count += 1
-        self.manifest_journal.append(edit)
+        self.apply(edit)
 
     def apply(self, edit: VersionEdit) -> None:
-        """Install an edit without manifest I/O (test/bootstrap helper)."""
-        manifest, self._manifest = self._manifest, None
-        try:
-            gen = self.log_and_apply(edit)
-            for _ in gen:  # no manifest -> no yields; loop never iterates
-                raise AssertionError("unexpected I/O in apply()")
-        finally:
-            self._manifest = manifest
+        """Install an edit in memory, without manifest I/O (the second half
+        of :meth:`log_and_apply`; tests and bootstrap call it directly)."""
+        self.current = self.current.apply(edit)
+        self.edit_count += 1
+        self.manifest_journal.append(edit)
 
     def rebuild_from_journal(self) -> Version:
         """Replay the manifest journal from scratch (crash recovery).
@@ -240,32 +275,10 @@ class VersionSet:
         """
         replayed = Version(self.options.num_levels)
         for edit in self.manifest_journal:
-            removed = set(edit.removed)
-            for level in range(replayed.num_levels):
-                replayed.levels[level] = [
-                    f for f in replayed.levels[level]
-                    if (level, f.number) not in removed
-                ]
-            for meta in edit.added:
-                replayed.levels[meta.level].append(meta)
-            for level in range(1, replayed.num_levels):
-                replayed.levels[level].sort(key=lambda f: f.smallest)
-        self._validate(replayed)
+            replayed = replayed.apply(edit)
         got = [[f.number for f in lvl] for lvl in replayed.levels]
         want = [[f.number for f in lvl] for lvl in self.current.levels]
         if got != want:
             raise AssertionError(
                 f"manifest replay diverged: {got} != {want}")
         return replayed
-
-    @staticmethod
-    def _validate(version: Version) -> None:
-        """L1+ must stay sorted and non-overlapping (LSM invariant)."""
-        for level in range(1, version.num_levels):
-            files = version.levels[level]
-            for a, b in zip(files, files[1:]):
-                if a.largest >= b.smallest:
-                    raise AssertionError(
-                        f"overlap at L{level}: #{a.number}[..{a.largest!r}] vs "
-                        f"#{b.number}[{b.smallest!r}..]"
-                    )

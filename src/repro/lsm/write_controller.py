@@ -98,8 +98,8 @@ class WriteController:
             tel.rate("wc.slowdowns")
 
     # -- state machine -----------------------------------------------------
-    def _conditions(self) -> tuple[str, str]:
-        imm, l0, pending, mem_full = self.stats_fn()
+    def _conditions(self, stats: tuple) -> tuple[str, str]:
+        imm, l0, pending, mem_full = stats
         opt = self.options
         # RocksDB semantics: with N write buffers, one stays active and the
         # writer keeps filling it while up to N-1 immutables flush in the
@@ -117,7 +117,7 @@ class WriteController:
             return WriteState.DELAYED, StallReason.PENDING_BYTES
         return WriteState.NORMAL, StallReason.NONE
 
-    def _adapt_delay_rate(self) -> None:
+    def _adapt_delay_rate(self, stats: tuple) -> None:
         """Multiplicative rate control while DELAYED (RocksDB-style).
 
         Deliberately asymmetric: the rate backs off fast while the backlog
@@ -126,7 +126,7 @@ class WriteController:
         condition actually clears, which is why the paper observes long
         windows pinned near the 2 Kops/s floor (Fig 2 c/d).
         """
-        imm, l0, pending, _full = self.stats_fn()
+        _imm, l0, pending, _full = stats
         backlog = (l0, pending)
         if self._last_backlog is not None:
             old_rate = self.current_delay_rate
@@ -145,12 +145,13 @@ class WriteController:
 
     def refresh(self) -> None:
         """Re-evaluate conditions; called after any LSM state change."""
-        new_state, new_reason = self._conditions()
+        stats = self.stats_fn()   # evaluated once per refresh
+        new_state, new_reason = self._conditions(stats)
         old_state = self.state
         if new_state == old_state:
             self.reason = new_reason
             if new_state == WriteState.DELAYED:
-                self._adapt_delay_rate()
+                self._adapt_delay_rate(stats)
             return
         now = self.env.now
         tr = self.env.tracer
@@ -186,7 +187,7 @@ class WriteController:
                 self.stall_reason_counts.get(new_reason, 0) + 1)
             self._clear_event = self.env.event()
             if tr is not None:
-                imm, l0, pending, _full = self.stats_fn()
+                imm, l0, pending, _full = stats
                 pressure = {"reason": new_reason, "l0": l0, "imm": imm,
                             "pending_bytes": pending}
                 tr.instant("stall", "stall.enter", actor="write_controller",

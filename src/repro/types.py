@@ -81,10 +81,15 @@ def entry_size(entry: Entry) -> int:
     """On-media footprint of an entry: key + value + fixed metadata.
 
     The 8-byte overhead approximates RocksDB's internal key suffix
-    (sequence + type packed in 8 bytes).
+    (sequence + type packed in 8 bytes).  Sized inline (the hottest call
+    in a cell); agrees with :func:`value_size` for every ``Value``.
     """
-    key, _seq, _kind, value = entry
-    return len(key) + value_size(value) + 8
+    value = entry[3]
+    if type(value) is ValueRef:
+        return len(entry[0]) + value.size + 8
+    if value is None:
+        return len(entry[0]) + 8
+    return len(entry[0]) + len(value) + 8
 
 
 def encode_key(n: int, width: int = 4) -> bytes:

@@ -164,6 +164,53 @@ def test_reset_clears_everything():
     assert run(env, dl.get(encode_key(1))) is None
 
 
+def _full_range_reset(ftl):
+    """The walk ``reset`` used to do: probe every LPN of the KV region."""
+    region = ftl.region("kv")
+    for lpn in range(region.lpn_start, region.lpn_start + region.lpn_count):
+        if ftl.is_mapped(lpn):
+            ftl.trim(lpn)
+
+
+def _ftl_maps(ftl):
+    return dict(ftl._l2p), dict(ftl._p2l), ftl.state_digest()
+
+
+@pytest.mark.parametrize("rounds, puts", [(1, 40), (3, 25), (2, 400)])
+def test_reset_leaves_ftl_as_the_full_range_walk_does(rounds, puts):
+    """``reset`` trims only the LPNs it handed out; the FTL must end up
+    exactly as after probing the whole region — also once ``_alloc_lpn``
+    has wrapped past the region's end (the 400-put round: 16-page KV
+    blocks, ~110 KV LPNs, one page per flushed run)."""
+    def build():
+        env = Environment()
+        g = NandGeometry(channels=1, ways=1, blocks_per_way=16,
+                         pages_per_block=16, page_size=4096)
+        ftl = Ftl(g, split_fraction=0.5)
+        dl = DevLsm(env, ftl, NandArray(env, g, peak_bandwidth=100 * MiB),
+                    CpuModel(env, cores=1, name="arm"),
+                    config=DevLsmConfig(memtable_bytes=128))
+        return env, dl
+
+    (env_a, a), (env_b, b) = build(), build()
+    kv_lpns = a.ftl.region("kv").lpn_count
+    a.ftl.write(3)                       # block-region page: never trimmed
+    b.ftl.write(3)
+    for r in range(rounds):
+        for i in range(puts):
+            put(env_a, a, i, r * puts + i, b"w" * 40)
+            put(env_b, b, i, r * puts + i, b"w" * 40)
+        assert _ftl_maps(a.ftl) == _ftl_maps(b.ftl)
+        wrapped = a._lpns_allocated > kv_lpns
+        assert wrapped == (puts == 400)
+        a.reset()
+        _full_range_reset(b.ftl)
+        b.reset()                        # nothing left for it to trim
+        assert _ftl_maps(a.ftl) == _ftl_maps(b.ftl)
+        assert a.ftl.mapped_pages("kv") == 0 and a.ftl.is_mapped(3)
+        assert a._lpns_allocated == 0    # next run starts at the region start
+
+
 def test_device_compaction_merges_runs():
     env = Environment()
     dl = make_devlsm(env, memtable_bytes=128, compaction_enabled=True,

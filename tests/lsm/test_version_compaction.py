@@ -211,11 +211,13 @@ class TestMergeAndSplit:
 
     def test_split_into_files_respects_target(self):
         entries = [make_entry(encode_key(i), i, b"v" * 100) for i in range(100)]
+        from repro.types import entry_size
         groups = split_into_files(entries, target_bytes=1000)
-        assert sum(len(g) for g in groups) == 100
-        for g in groups[:-1]:
-            from repro.types import entry_size
-            assert sum(entry_size(e) for e in g) <= 1000 + 120
+        assert [e for g, _sizes in groups for e in g] == entries
+        for g, sizes in groups:
+            assert sizes == [entry_size(e) for e in g]
+        for _g, sizes in groups[:-1]:
+            assert sum(sizes) <= 1000 + 120
 
     def test_split_empty(self):
         assert split_into_files([], 100) == []
