@@ -15,8 +15,8 @@ but a failed golden check used to be a giant diff of final series.  Two
 journals of the "same" run turn that into *"first divergent event at
 t=…, process=…, site=…"*:
 
-* **events** — the kernel's ``_run_journaled`` loop records one entry
-  per dispatched event;
+* **events** — :meth:`Journal.observe`, an observer of the kernel's
+  dispatch loop, records one entry per dispatched event;
 * **sites** — the ``fault_point``/``touch`` chokepoint in
   ``repro.faults.registry`` records every named site visit (with or
   without a FaultRegistry installed), so divergence reports can name the
@@ -41,6 +41,8 @@ import os
 from collections import deque
 from pathlib import Path
 from typing import Callable, Optional
+
+from ..sim.core import Process
 
 __all__ = [
     "Journal",
@@ -117,17 +119,18 @@ class Journal:
         self.site_count = 0
         self.checkpoint_count = 0
         self._idx = 0
-        # First checkpoint boundary; the kernel loop compares the popped
-        # event's timestamp against this before dispatching it.
+        # First checkpoint boundary; ``observe`` compares each popped
+        # event's timestamp against this before the event dispatches.
         self._next_ckpt = self.period
         self._sources: list[tuple[str, Callable[[], dict]]] = []
         self._env = None
 
     # -- wiring ------------------------------------------------------------
     def install(self, env) -> "Journal":
-        """Attach to an Environment; the kernel finds us via
-        ``env.journal`` and switches to its journaled dispatch loop."""
+        """Attach to an Environment: site probes find us via
+        ``env.journal``, the dispatch loop via its observer slot."""
         env.journal = self
+        env.add_observer(self.observe)
         self._env = env
         return self
 
@@ -141,6 +144,26 @@ class Journal:
         self._sources.append((name, fn))
 
     # -- recording (called from the kernel / fault probes) ------------------
+    def observe(self, when: float, event) -> None:
+        """The dispatch loop's observer: one record per executed event,
+        named after the first process it resumes, preceded by a digest
+        checkpoint whenever the event crosses the next boundary — before
+        it dispatches, so the digest captures layer state as of the
+        boundary itself."""
+        if when >= self._next_ckpt:
+            self._checkpoint(when)
+        proc = event._proc
+        if proc is not None:
+            name = proc.name
+        else:
+            name = ""
+            for cb in event.callbacks:
+                owner = getattr(cb, "__self__", None)
+                if type(owner) is Process:
+                    name = owner.name
+                    break
+        self.record_event(when, name, type(event).__name__)
+
     def _append(self, record: tuple) -> None:
         if self.ring is not None and len(self.records) == self.ring:
             self.dropped += 1
@@ -165,7 +188,7 @@ class Journal:
         self._append((SITE, idx, t, proc, site))
 
     def _checkpoint(self, t: float) -> None:
-        """Take a digest checkpoint; called by the kernel when the popped
+        """Take a digest checkpoint; called by ``observe`` when the popped
         event's timestamp crosses the next boundary (and manually via
         :meth:`checkpoint_now`).  Records carry the *boundary* time, so
         two runs checkpoint at identical labels while their trajectories

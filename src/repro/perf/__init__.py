@@ -37,7 +37,7 @@ from ..sim import Environment, Resource, install_kernel_profiler
 __all__ = [
     "PERF_SCHEMA", "PERF_VERSION", "KERNEL_BENCHES", "BenchResult",
     "bench_timeout_chain", "bench_event_ping_pong", "bench_process_spawn",
-    "bench_resource_handoff", "bench_calendar_scale", "bench_macro_burst",
+    "bench_resource_handoff", "bench_macro_burst",
     "run_kernel_benches", "bench_suite_cells",
     "build_perf_doc", "load_perf_doc", "compare_perf", "default_baseline_path",
     "profile_kernel_bench", "profile_mini_cell", "profile_smoke_cell",
@@ -45,11 +45,11 @@ __all__ = [
 ]
 
 PERF_SCHEMA = "repro-perf-baseline"
-# v3: adds the calendar-queue flood (``calendar_scale``) and macro-event
-# (``macro_burst``) benches alongside the four v1 patterns.  The four v1
-# numbers in the pinned baseline are carried over verbatim so speedups
-# keep being measured against the pre-fast-path kernel.
-PERF_VERSION = 3
+# v4: the four v1 patterns plus the macro-event bench (``macro_burst``);
+# v3 also carried a 16K-timer flood for a scheduler that no longer exists.
+# The four v1 numbers in the pinned baseline are carried over verbatim so
+# speedups keep being measured against the pre-fast-path kernel.
+PERF_VERSION = 4
 
 # Committed pre-change numbers live next to the figure benchmarks.
 _REPO_ROOT = Path(__file__).resolve().parents[3]
@@ -185,36 +185,6 @@ def bench_resource_handoff(workers: int = 16, rounds: int = 1500,
     return _timed("resource_handoff", build, profile=profile)
 
 
-def bench_calendar_scale(procs: int = 16384, iters: int = 12,
-                         profile: bool = False) -> BenchResult:
-    """A timer flood big enough to engage the calendar queue.
-
-    ``procs`` concurrent loopers keep the pending population above the
-    scheduler's heap->calendar upgrade threshold, which is where bucketed
-    O(1) scheduling beats the C binary heap's O(log n) sift.  Delays are
-    spread over three decades so entries land across many buckets (and
-    some in the far-future overflow heap), exercising refill, resize and
-    bucket-page turning rather than a single hot bucket.
-    """
-    def build() -> Environment:
-        env = Environment()
-
-        def looper(delay: float):
-            for _ in range(iters):
-                yield env.timeout(delay)
-
-        for i in range(procs):
-            # Deterministic spread: ~3 decades of delays, no two procs
-            # phase-locked (the +i*1e-7 term breaks timestamp ties).
-            d = 0.05 * (1 + (i % 97)) + (i % 11) * 1e-3 + i * 1e-7
-            if i % 1024 == 0:
-                d += 120.0          # a few far-future entries per page
-            env.process(looper(d), name=f"cal{i}")
-        return env
-
-    return _timed("calendar_scale", build, profile=profile)
-
-
 def bench_macro_burst(rounds: int = 400, chunks: int = 64,
                       profile: bool = False) -> BenchResult:
     """Channel-burst DMA: macro events coalescing per-chunk transfers.
@@ -250,7 +220,6 @@ KERNEL_BENCHES: dict[str, Callable[[], BenchResult]] = {
     "event_ping_pong": bench_event_ping_pong,
     "process_spawn": bench_process_spawn,
     "resource_handoff": bench_resource_handoff,
-    "calendar_scale": bench_calendar_scale,
     "macro_burst": bench_macro_burst,
 }
 
@@ -410,7 +379,7 @@ def format_kernel_profile(prof: dict, top: int = 12) -> str:
 
     Event classes sorted by estimated wall-ns (from the coarse
     ``sample_every`` timing), then process resume counts, then the heap /
-    timeout-pool / resource counters.
+    timeout-pool / resource counters and the pending-event population.
     """
     lines = []
     est = prof.get("estimated_wall_ns_by_class", {})
@@ -440,8 +409,7 @@ def format_kernel_profile(prof: dict, top: int = 12) -> str:
     treq = prof.get("timeout_requests", 0)
     lines.append(f"  timeout pool         {prof.get('timeout_pool_hits', 0):>10,d} "
                  f"hits / {treq:,d} requests "
-                 f"({prof.get('timeout_pool_hit_rate', 0.0):.1%} hit rate), "
-                 f"{prof.get('pool_recycled', 0):,d} recycled")
+                 f"({prof.get('timeout_pool_hit_rate', 0.0):.1%} hit rate)")
     rreq = prof.get("resource_requests", 0)
     if rreq:
         lines.append(f"  resource requests    {rreq:>10,d} "
@@ -451,25 +419,9 @@ def format_kernel_profile(prof: dict, top: int = 12) -> str:
                  f"(sampled 1/{prof.get('sample_every', 0)})")
     q = prof.get("queue") or {}
     if q:
-        lines.append("")
-        forced = (f" (forced: {q['forced']})"
-                  if q.get("forced") not in (None, "", "auto") else "")
-        locked = " [heap-locked]" if q.get("heap_mode_locked") else ""
-        lines.append(f"  queue discipline     {q.get('mode', '?'):>10s}"
-                     f"{forced}{locked}")
-        lines.append(f"    pending            {q.get('pending', 0):>10,d} "
-                     f"(now-lane {q.get('now_pending', 0):,d}, "
-                     f"far {q.get('far_pending', 0):,d})")
-        lines.append(f"    bucket width       {q.get('width', 0.0):>10.3g} s "
-                     f"x {q.get('bucket_count', 0):,d} buckets, "
-                     f"avg occupancy {q.get('avg_bucket_occupancy', 0.0):.1f}")
-        lines.append(f"    refills/insorts    {q.get('refills', 0):>10,d} "
-                     f"/ {q.get('insorts', 0):,d}, "
-                     f"far pushed {q.get('far_pushed', 0):,d}")
-        lines.append(f"    mode changes       {q.get('upgrades', 0):>10,d} up "
-                     f"/ {q.get('downgrades', 0):,d} down "
-                     f"/ {q.get('resizes', 0):,d} resizes, "
-                     f"fallback rate {q.get('fallback_rate', 0.0):.1%}")
+        lines.append(f"  pending events       {q.get('pending', 0):>10,d} "
+                     f"(now-lane {q.get('now_pending', 0):,d}), "
+                     f"peak {q.get('peak_pending', 0):,d}")
     m = prof.get("macro") or {}
     # The coalesce line prints even with no bursts: "1.0x (no bursts)"
     # tells the reader macro events never engaged in this run.

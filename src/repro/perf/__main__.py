@@ -50,7 +50,7 @@ def _profile_main(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.perf profile",
         description="Wall-clock self-profile of the DES kernel: events by "
-                    "class, resume counts, queue discipline, macro-event "
+                    "class, resume counts, peak pending events, macro-event "
                     "coalescing, heap and timeout-pool traffic.")
     parser.add_argument("target", choices=targets,
                         help="microbenchmark to profile, 'mini' for a real "

@@ -1,6 +1,5 @@
 """Discrete-event simulation kernel (SimPy-like, dependency-free)."""
 
-from .calqueue import CalendarQueue
 from .core import (
     AllOf,
     AnyOf,
@@ -15,6 +14,7 @@ from .core import (
     install_kernel_profiler,
     uninstall_kernel_profiler,
 )
+from .eventqueue import EventQueue
 from .resources import Container, PriorityResource, Request, Resource, Store
 from .samplers import PeriodicSampler, RateMeter
 
@@ -34,7 +34,7 @@ __all__ = [
     "Store",
     "PeriodicSampler",
     "RateMeter",
-    "CalendarQueue",
+    "EventQueue",
     "KernelProfile",
     "MacroStats",
     "install_kernel_profiler",

@@ -57,21 +57,6 @@ def test_fig11_cell_matches_golden_trajectory():
     _check_fields(produced, json.loads(GOLDEN.read_text()))
 
 
-def test_fig11_cell_matches_golden_with_calendar_queue_forced(monkeypatch):
-    """Queue-discipline independence: REPRO_SCHED=cal routes every push
-    through the calendar queue's buckets/insort machinery from the first
-    event, and the trajectory must stay bit-identical — the scheduler is
-    a different *data structure*, never a different *order*.  (Auto mode
-    rarely upgrades in a mini cell — its pending population sits well
-    below the crossover — so this forced run is what actually exercises
-    the calendar path against the golden.)"""
-    monkeypatch.setenv("REPRO_SCHED", "cal")
-    result = run_workload(RunSpec("kvaccel", "A", 1, rollback="disabled"),
-                          mini_profile(256))
-    produced = json.loads(json.dumps(result.to_json()))
-    _check_fields(produced, json.loads(GOLDEN.read_text()))
-
-
 def test_fig11_journal_enabled_run_matches_golden_trajectory():
     """The flight recorder is purely passive: a journal-ENABLED run must
     reproduce the pinned golden bit-identically, and its per-layer digest

@@ -13,6 +13,7 @@ import pytest
 from repro.perf import (
     HEADLINE_BENCH,
     KERNEL_BENCHES,
+    PERF_VERSION,
     BenchResult,
     build_perf_doc,
     compare_perf,
@@ -77,7 +78,11 @@ class TestDocs:
         path = default_baseline_path()
         assert path.exists()
         doc = load_perf_doc(path)
-        assert HEADLINE_BENCH in doc["benches"]
+        assert doc["version"] == PERF_VERSION
+        # One pinned row per registered bench: the --fail-below gate skips
+        # benches the baseline lacks, so a stale row or a missing one
+        # silently narrows it.
+        assert set(doc["benches"]) == set(KERNEL_BENCHES)
         assert doc["benches"][HEADLINE_BENCH]["events_per_sec"] > 0
 
 

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.sim import Environment, Event, Interrupt, SimulationError
+from repro.obs import Journal
+from repro.sim import (
+    Environment,
+    Event,
+    Interrupt,
+    SimulationError,
+    install_kernel_profiler,
+)
 
 
 def test_timeout_advances_clock():
@@ -80,6 +87,40 @@ def test_run_until_event_returns_value():
     p = env.process(proc())
     assert env.run(until=p) == 42
     assert env.now == 2
+
+
+@pytest.mark.parametrize("plane", ["plain", "journaled", "profiled"])
+def test_run_until_processed_event_returns_at_once(plane):
+    # The event already fired: return its value (or raise its failure)
+    # without dispatching anything — a perpetual daemon must not turn the
+    # call into an endless drain.
+    env = Environment()
+    if plane == "journaled":
+        Journal().install(env)
+    elif plane == "profiled":
+        install_kernel_profiler(env)
+
+    def ticker():
+        while env.now < 50:         # bounded so a regression fails, not hangs
+            yield env.timeout(1)
+
+    def short(fail):
+        yield env.timeout(0.5)
+        if fail:
+            raise RuntimeError("boom")
+        return "early"
+
+    env.process(ticker())
+    ok, bad = env.process(short(False)), env.process(short(True))
+    bad.defuse()
+    env.run(until=0.75)
+    assert ok.processed and bad.processed
+    scheduled = env.events_scheduled
+    assert env.run(until=ok) == "early"
+    with pytest.raises(RuntimeError, match="boom"):
+        env.run(until=bad)
+    assert env.now == 0.75
+    assert env.events_scheduled == scheduled
 
 
 def test_process_join():

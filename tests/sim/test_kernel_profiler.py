@@ -1,9 +1,9 @@
 """DES kernel self-profiler: counters, install/uninstall, equivalence.
 
-The profiled run loop (``Environment._run_profiled``) is a separate
-dispatch path from the inlined fast loops, so the tests pin both the
-counter semantics and — critically — that profiling never changes *what*
-the simulation computes, only observes how it runs.
+The profiler is an observer of ``Environment.run``'s dispatch loop (and of
+``step()``), so the tests pin both the counter semantics and — critically
+— that profiling never changes *what* the simulation computes, only
+observes how it runs.
 """
 
 import pytest
@@ -45,7 +45,6 @@ def test_counters_on_timeout_chain():
     # later request must hit it.
     assert d["timeout_pool_hits"] > 0
     assert 0.9 <= d["timeout_pool_hit_rate"] <= 1.0
-    assert d["pool_recycled"] > 0
     assert d["wall_ns"] > 0
     assert sum(d["resumes_by_process"].values()) >= 400
     assert set(d["resumes_by_process"]) == {f"loop{i}" for i in range(4)}
@@ -101,7 +100,28 @@ def test_resource_counters():
     assert d["resource_queued"] == 2      # two waited behind the holder
 
 
-def test_install_uninstall_restores_timeout():
+def test_queue_population_counters():
+    env = _timeout_chain_env(procs=4, iters=10)
+    prof = install_kernel_profiler(env)
+    env.run(until=5.5)
+    q = prof.to_dict()["queue"]
+    assert set(q) == {"pending", "now_pending", "peak_pending"}
+    assert q["pending"] == 4                     # one Timeout per looper
+    assert q["now_pending"] == 0
+    # All four boot events were pending when the first one dispatched.
+    assert q["peak_pending"] == 4
+
+
+def test_stepped_events_reach_the_same_observer():
+    env = _timeout_chain_env(procs=2, iters=3)
+    prof = install_kernel_profiler(env)
+    while env.peek() != float("inf"):
+        env.step()
+    assert prof.heap_pops == env.events_scheduled
+    assert prof.events_by_class["Timeout"] == 6
+
+
+def test_install_uninstall_restores_methods():
     env = Environment()
     plain_timeout = env.timeout
     install_kernel_profiler(env)
@@ -110,7 +130,8 @@ def test_install_uninstall_restores_timeout():
         install_kernel_profiler(env)             # double install refused
     uninstall_kernel_profiler(env)
     assert env.kernel_profiler is None
-    assert "timeout" not in env.__dict__         # class method restored
+    assert env._observer is None
+    assert not {"timeout", "run"} & set(env.__dict__)   # methods restored
 
 
 def test_profile_bench_entry_point_and_table():
@@ -122,6 +143,7 @@ def test_profile_bench_entry_point_and_table():
     table = format_kernel_profile(d)
     assert "Timeout" in table
     assert "timeout pool" in table
+    assert f"peak {d['queue']['peak_pending']:,d}" in table
     with pytest.raises(ValueError):
         profile_kernel_bench("no_such_bench")
 

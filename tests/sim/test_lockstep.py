@@ -1,13 +1,16 @@
-"""Lockstep equivalence of the kernel's four dispatch loops.
+"""Lockstep equivalence of the kernel's dispatch loop and ``step()``.
 
-``Environment.run`` has three compiled-in variants (the inlined fast
-loop, the profiled loop, the journaled loop) plus the cold ``step()``
-path.  All four must execute the *same events in the same order* on the
-same workload — the fast paths are allowed to change how fast the
+``Environment.run`` is one inlined loop that serves three stop conditions
+(drain, deadline, stop event) and an optional observer slot (journal,
+kernel profiler, or both); ``step()`` is the cold reference dispatch.
+Every combination must execute the *same events in the same order* on
+the same workload — the fast path is allowed to change how fast the
 simulator runs, never what it computes.  The journal's per-event records
-give an exact event-stream fingerprint; a workload-level trace covers
-the plain loop (which cannot journal).
+give an exact event-stream fingerprint; a workload-level trace covers the
+unobserved loop (which cannot journal).
 """
+
+import pytest
 
 from repro.obs import Journal
 from repro.sim import (
@@ -83,70 +86,78 @@ def build_workload(env: Environment, trace: list):
     env.process(scheduled())
 
 
+DEADLINE = 1.7            # mid-run, between two events
+OBSERVERS = ["none", "journal", "profiler", "journal+profiler"]
+MODES = ["drain", "deadline", "stop-event"]
+
+
 def _journal_events(journal):
     return [rec for rec in journal.records if rec[0] == "event"]
 
 
-def _run_plain():
+def _build(observers: str):
     env, trace = Environment(), []
     build_workload(env, trace)
-    env.run()
-    return env, trace, None
+    # The stop event: a process that ends mid-run, while tickers, the
+    # sleeper and the schedule_at waiter are all still pending.
+    stop = env.process(_stopper(env))
+    jr = Journal(period=0.5).install(env) if "journal" in observers else None
+    if "profiler" in observers:
+        install_kernel_profiler(env)
+    return env, trace, jr, stop
 
 
-def _run_profiled():
-    env, trace = Environment(), []
-    build_workload(env, trace)
-    jr = Journal(period=0.5).install(env)
-    install_kernel_profiler(env)
-    env.run()
+def _stopper(env):
+    yield env.timeout(DEADLINE)
+    return "stopped"
+
+
+def _run_loop(observers: str, mode: str):
+    env, trace, jr, stop = _build(observers)
+    if mode == "drain":
+        assert env.run() is None
+    elif mode == "deadline":
+        assert env.run(until=DEADLINE) is None
+    else:
+        assert env.run(until=stop) == "stopped"
     return env, trace, jr
 
 
-def _run_journaled():
-    env, trace = Environment(), []
-    build_workload(env, trace)
-    jr = Journal(period=0.5).install(env)
-    env.run()
-    return env, trace, jr
-
-
-def _run_stepped():
-    env, trace = Environment(), []
-    build_workload(env, trace)
-    jr = Journal(period=0.5).install(env)
+def _run_stepped(mode: str):
+    """The reference: ``step()`` under an explicit stop condition."""
+    env, trace, jr, stop = _build("journal")
     while len(env._queue):
+        if mode == "deadline" and env.peek() >= DEADLINE:
+            env._now = DEADLINE
+            break
+        if mode == "stop-event" and stop.processed:
+            break
         env.step()
     return env, trace, jr
 
 
-def test_all_four_loops_execute_identical_event_sequences():
-    runs = {name: fn() for name, fn in [
-        ("plain", _run_plain), ("profiled", _run_profiled),
-        ("journaled", _run_journaled), ("stepped", _run_stepped)]}
-
-    ref_env, ref_trace, _ = runs["plain"]
-    for name, (env, trace, _jr) in runs.items():
-        assert trace == ref_trace, f"{name} diverged from the plain loop"
-        assert env.now == ref_env.now, name
-        assert env.events_scheduled == ref_env.events_scheduled, name
-
-    # Event-by-event: the three journal-capable loops must produce the
-    # exact same (idx, t, proc, class) stream.
-    ref_events = _journal_events(runs["journaled"][2])
-    assert ref_events, "journal recorded no events"
-    for name in ("profiled", "stepped"):
-        assert _journal_events(runs[name][2]) == ref_events, name
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("observers", OBSERVERS)
+def test_loop_matches_step_reference(observers, mode):
+    ref_env, ref_trace, ref_jr = _run_stepped(mode)
+    env, trace, jr = _run_loop(observers, mode)
+    assert trace == ref_trace
+    assert env.now == ref_env.now
+    assert env.events_scheduled == ref_env.events_scheduled
+    assert len(env._queue) == len(ref_env._queue)
+    if jr is not None:
+        # Event-by-event: the exact same (idx, t, proc, class) stream,
+        # and the same digest checkpoints between them.
+        assert _journal_events(ref_jr), "journal recorded no events"
+        assert list(jr.records) == list(ref_jr.records)
 
 
-def test_lockstep_holds_under_forced_calendar_mode(monkeypatch):
-    ref = _run_journaled()
-    monkeypatch.setenv("REPRO_SCHED", "cal")
-    forced = {name: fn() for name, fn in [
-        ("journaled", _run_journaled), ("profiled", _run_profiled),
-        ("stepped", _run_stepped), ("plain", _run_plain)]}
-    for name, (env, trace, jr) in forced.items():
-        assert trace == ref[1], f"forced-cal {name} diverged"
-        assert env.now == ref[0].now
-        if jr is not None:
-            assert _journal_events(jr) == _journal_events(ref[2]), name
+def test_stop_conditions_leave_work_pending():
+    # Guards the matrix above against a vacuous pass: the deadline and the
+    # stop event really do cut the run short of the drain.
+    drained = _run_loop("none", "drain")[0]
+    assert len(drained._queue) == 0
+    for mode in ("deadline", "stop-event"):
+        env = _run_loop("none", mode)[0]
+        assert len(env._queue) > 0
+        assert env.now < drained.now

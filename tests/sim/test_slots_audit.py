@@ -1,6 +1,6 @@
 """Audit: every hot kernel class is fully ``__slots__``-ed.
 
-Event recycling and the inlined dispatch loops bank on instances having
+Event recycling and the inlined dispatch loop bank on instances having
 no ``__dict__`` — a single slotless class in the hierarchy silently
 re-grows per-instance dicts, costs ~56 bytes and a dict allocation per
 event, and defeats the freelists' refcount checks.  This audit fails the
@@ -10,7 +10,7 @@ moment anyone adds an unslotted attribute or base class.
 import pytest
 
 from repro.sim import core, resources
-from repro.sim.calqueue import CalendarQueue
+from repro.sim.eventqueue import EventQueue
 
 HOT_CLASSES = [
     core.Event,
@@ -24,7 +24,7 @@ HOT_CLASSES = [
     core.Environment,
     resources.Request,
     resources.PriorityRequest,
-    CalendarQueue,
+    EventQueue,
 ]
 
 
@@ -45,7 +45,7 @@ def test_environment_hot_attributes_live_in_slots():
     # kernel-hot attributes must stay in slots, not fall into it.
     env = core.Environment()
     for attr in ("_now", "_queue", "_seq", "_timeout_pool", "_event_pool",
-                 "_presume_pool", "_active_process"):
+                 "_presume_pool", "_active_process", "_observer"):
         assert attr not in env.__dict__, f"{attr} fell out of __slots__"
         assert hasattr(env, attr)
 
@@ -57,7 +57,7 @@ def test_hot_class_instances_have_no_dict(cls):
     env = core.Environment()
     if cls is core.MacroStats:
         obj = env.macro
-    elif cls is CalendarQueue:
+    elif cls is EventQueue:
         obj = env._queue
     elif cls is core.Timeout:
         obj = env.timeout(1.0)
