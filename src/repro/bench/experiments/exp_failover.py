@@ -27,10 +27,10 @@ import json
 from ...cluster import (
     INDEX_SHIP,
     REPLAY,
-    chaos_seed,
     failover_sweep,
     run_failover_scenario,
 )
+from ...faults import fault_seed
 from ..report import fmt, shape_check, table
 from .common import resolve_profile
 
@@ -55,7 +55,7 @@ def run(profile=None, quick: bool = False, options=None,
     profile = resolve_profile(profile, quick)
     occurrences = range(1, 5) if quick else range(1, 9)
     ops = 40 if quick else 80
-    seed = chaos_seed()
+    seed = fault_seed()
 
     reports = []
     for mode in (REPLAY, INDEX_SHIP):

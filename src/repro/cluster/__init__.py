@@ -8,7 +8,7 @@ partial failure) is asked on.  See MODEL.md's "Cluster clock" note for
 the determinism contract.
 """
 
-from .chaos import ShardScopedPlan, arm_shard, chaos_seed
+from .chaos import ShardScopedPlan, arm_shard
 from .cluster import (
     ClusterCpuView,
     ClusterDb,
@@ -63,7 +63,6 @@ __all__ = [
     "KEY_SKEWS",
     "ShardScopedPlan",
     "arm_shard",
-    "chaos_seed",
     "ReplicationConfig",
     "ReplicaGroup",
     "BackupReplica",

@@ -20,38 +20,17 @@ one kind of shard work (``op="wl"`` matches ``shard2.wl*`` but not
 ``shard2.put_batch`` — or the shard's replication daemons, which is what
 keeps a primary-kill fault from also crashing the replica group's link).
 
-Cluster chaos seeding matches the single-node fault harness:
-:func:`chaos_seed` resolves ``REPRO_FAULT_SEED`` from the environment
-first, so any cluster chaos run is pin-able without code changes.
+Cluster chaos runs are seeded like the single-node fault harness:
+through :func:`repro.faults.fault_seed`, which honors
+``REPRO_FAULT_SEED``.
 """
 
 from __future__ import annotations
 
-import os
-
 from ..faults.plan import FaultPlan
-from ..faults.registry import DEFAULT_SEED
 from ..sim import Environment
 
-__all__ = ["ShardScopedPlan", "arm_shard", "chaos_seed"]
-
-
-def chaos_seed(default: int = None) -> int:
-    """The seed cluster chaos scenarios run under.
-
-    Resolution order mirrors the single-node harness: an explicit
-    ``REPRO_FAULT_SEED`` (any int literal Python accepts, e.g. ``0x2A``)
-    wins, then the caller's ``default``, then the registry's
-    ``DEFAULT_SEED`` — so exported reproduction recipes pin cluster runs
-    exactly like single-node ones.
-    """
-    raw = os.environ.get("REPRO_FAULT_SEED")
-    if raw:
-        try:
-            return int(raw, 0)
-        except ValueError:
-            pass
-    return DEFAULT_SEED if default is None else default
+__all__ = ["ShardScopedPlan", "arm_shard"]
 
 
 class ShardScopedPlan(FaultPlan):

@@ -24,15 +24,16 @@ Shard-scoped processes are named ``shard<N>.<op>`` — the hook
 :class:`~repro.cluster.chaos.ShardScopedPlan` uses to aim fault
 injection at exactly one shard of the fleet.
 
-Fault tolerance (ISSUE 10) is strictly opt-in: pass a
-:class:`~repro.cluster.replica.ReplicationConfig` plus per-shard backup
-stacks and every slot becomes a :class:`~repro.cluster.replica.ReplicaGroup`
-with deterministic failover; call :meth:`ClusterDb.rebalance` and the
-router is atomically repointed while a migration driver moves the
-affected keys.  Without either, every data-plane call takes the original
-code path unchanged — the replication/resharding guard is one pure-Python
-truth test, so unreplicated trajectories stay bit-identical to the
-pre-replica tree (the gating contract the golden tests pin).
+There is one data path.  Every shard-directed op passes one admission gate
+(:meth:`ClusterDb._gated`), ``put_batch`` and ``scan`` each have one
+fan-out, and the optional machinery hangs off it behind ``None`` tests:
+a :class:`~repro.cluster.replica.ReplicationConfig` plus per-shard backup
+stacks make every slot a :class:`~repro.cluster.replica.ReplicaGroup`
+(the gate then refuses during a failover and acks to the group);
+:meth:`ClusterDb.rebalance` atomically repoints the router while a
+migration driver moves the affected keys.  With neither, those tests are
+all the path pays — no event, no RNG draw — which
+``tests/cluster/test_cluster_golden.py`` pins event for event.
 """
 
 from __future__ import annotations
@@ -342,125 +343,88 @@ class ClusterDb:
         self.health = None
         self._register_telemetry()
 
-    @property
-    def _plain(self) -> bool:
-        """True on the original, unreplicated, non-migrating fast path."""
-        return not self.groups and self._migration is None
-
     # -- data plane ---------------------------------------------------------
     def put(self, key: bytes, value) -> Generator:
-        if self._plain:
-            sh = self.shards[self.router.route(key)]
-            sh.write_ops += 1
-            self._tel_add(sh, "write_ops", 1)
-            yield from sh.db.put(key, value)
-            return
-        yield from self._write_one(key, value)
+        return self._write_one(key, value)
 
     def delete(self, key: bytes) -> Generator:
-        if self._plain:
-            sh = self.shards[self.router.route(key)]
-            sh.write_ops += 1
-            self._tel_add(sh, "write_ops", 1)
-            yield from sh.db.delete(key)
-            return
-        yield from self._write_one(key, None)
+        return self._write_one(key, None)
 
     def get(self, key: bytes) -> Generator:
-        if self._plain:
-            sh = self.shards[self.router.route(key)]
-            sh.read_ops += 1
-            self._tel_add(sh, "read_ops", 1)
-            value = yield from sh.db.get(key)
-            return value
-        value = yield from self._read_one(key)
-        return value
+        return self._read_one(key)
 
-    # -- replicated / migrating data plane ----------------------------------
+    def _admit(self, sid: int) -> Optional[ReplicaGroup]:
+        """Refuse while shard ``sid``'s replica group is failing over."""
+        grp = self.groups.get(sid)
+        if grp is not None and not grp.accepting():
+            raise FailoverInProgress(sid, grp.epoch)
+        return grp
+
+    def _gated(self, sid: int, op, acked=None) -> Generator:
+        """The admission gate every shard-directed op passes: admit, run
+        ``op(db)`` on the slot's current stack, ack ``acked``
+        (``[(key, value|None), ...]``) to the replica group, and ride
+        ``FailoverInProgress`` backoff onto the promoted backup."""
+        def attempt() -> Generator:
+            grp = self._admit(sid)
+            # Re-read the slot per attempt: promotion swaps its .db.
+            result = yield from op(self.shards[sid].db)
+            if grp is not None and acked is not None:
+                grp.on_ack(acked)
+            return result
+
+        return self._retrying(attempt, f"cluster.shard{sid}")
+
+    def _retrying(self, attempt, site: str) -> Generator:
+        """``attempt()``, under the failover retry budget when replicated."""
+        if self._retry is None:
+            return attempt()
+        return self._retry.call(attempt, site=site)
+
     def _shard_write(self, sid: int, items) -> Generator:
         """Apply ``[(key, value|None), ...]`` to shard ``sid`` as
-        individual ops, through the failover admission gate; ack to the
-        replica group only once every item has been applied."""
-        grp = self.groups.get(sid)
-
-        def attempt() -> Generator:
-            if grp is not None and not grp.accepting():
-                raise FailoverInProgress(sid, grp.epoch)
-            sh = self.shards[sid]          # re-read: promotion swaps .db
+        individual ops; acked to the replica group only once every item
+        has been applied."""
+        def apply(db) -> Generator:
             for k, v in items:
                 if v is None:
-                    yield from sh.db.delete(k)
+                    yield from db.delete(k)
                 else:
-                    yield from sh.db.put(k, v)
-            if grp is not None:
-                grp.on_ack(items)
+                    yield from db.put(k, v)
 
-        if self._retry is not None:
-            yield from self._retry.call(attempt, site=f"cluster.shard{sid}")
-        else:
-            yield from attempt()
+        return self._gated(sid, apply, items)
 
-    def _batch_write(self, sid: int, sub: list) -> Generator:
-        """Group-commit ``sub`` on shard ``sid`` (the replicated analogue
-        of the fast path's ``sh.db.put_batch``)."""
-        grp = self.groups.get(sid)
+    def _count(self, sh: ClusterShard, which: str, n: int) -> None:
+        """Facade-side op accounting (also feeds hot-shard detection)."""
+        setattr(sh, which, getattr(sh, which) + n)
+        tel = self.env.telemetry
+        if tel is not None:
+            tel.add(f"cluster.{sh.name}.{which}", n)
 
-        def attempt() -> Generator:
-            if grp is not None and not grp.accepting():
-                raise FailoverInProgress(sid, grp.epoch)
-            yield from self.shards[sid].db.put_batch(sub)
-            if grp is not None:
-                grp.on_ack(sub)
-
-        if self._retry is not None:
-            yield from self._retry.call(attempt, site=f"cluster.shard{sid}")
-        else:
-            yield from attempt()
-
-    def _shard_read(self, sid: int, key: bytes) -> Generator:
-        grp = self.groups.get(sid)
-
-        def attempt() -> Generator:
-            if grp is not None and not grp.accepting():
-                raise FailoverInProgress(sid, grp.epoch)
-            value = yield from self.shards[sid].db.get(key)
-            return value
-
-        if self._retry is not None:
-            value = yield from self._retry.call(
-                attempt, site=f"cluster.shard{sid}")
-        else:
-            value = yield from attempt()
-        return value
-
-    def _await_installs(self, keys) -> Generator:
-        """Block while any of ``keys`` sits behind the migration's
-        per-key install barrier (see :mod:`repro.cluster.reshard`)."""
+    def _fence_writes(self, pairs) -> Generator:
+        """During a migration, mark ``pairs`` fresh and block while any of
+        their keys sits behind the per-key install barrier (see
+        :mod:`repro.cluster.reshard`)."""
         mig = self._migration
         if mig is None:
             return
-        for k in list(keys):
+        for k, v in pairs:
+            mig.note_write(k, v)
+        for k, _v in pairs:
             while (self._migration is mig and not mig.done
                    and k in mig.installing):
                 yield self.env.timeout(5e-4)
 
     def _write_one(self, key: bytes, value) -> Generator:
-        mig = self._migration
-        if mig is not None:
-            mig.note_write(key, value)
-            yield from self._await_installs((key,))
+        yield from self._fence_writes(((key, value),))
         sid = self.router.route(key)
-        sh = self.shards[sid]
-        sh.write_ops += 1
-        self._tel_add(sh, "write_ops", 1)
+        self._count(self.shards[sid], "write_ops", 1)
         yield from self._shard_write(sid, ((key, value),))
 
     def _read_one(self, key: bytes) -> Generator:
         sid = self.router.route(key)
-        sh = self.shards[sid]
-        sh.read_ops += 1
-        self._tel_add(sh, "read_ops", 1)
-        value = yield from self._shard_read(sid, key)
+        self._count(self.shards[sid], "read_ops", 1)
+        value = yield from self._gated(sid, lambda db: db.get(key))
         mig = self._migration
         if value is None and mig is not None and mig.forward_read(key):
             # Dual-read: the copy may not have landed on the new owner
@@ -468,11 +432,19 @@ class ClusterDb:
             touch(self.env, "reshard.forward.read")
             old_sid = mig.old_router.route(key)
             if old_sid != sid:
-                osh = self.shards[old_sid]
-                osh.read_ops += 1
-                self._tel_add(osh, "read_ops", 1)
-                value = yield from self._shard_read(old_sid, key)
+                self._count(self.shards[old_sid], "read_ops", 1)
+                value = yield from self._gated(old_sid,
+                                               lambda db: db.get(key))
         return value
+
+    def _spawn(self, sh: ClusterShard, gen: Generator, kind: str,
+               count: int):
+        """Run ``gen`` as the shard-named process fault scoping and the
+        interleaving contract key on; with a lineage profiler installed
+        the process also records its own per-shard op."""
+        if self.env.lineage is not None:
+            gen = self._shard_op(sh.sid, gen, kind, count)
+        return self.env.process(gen, name=shard_process_name(sh.sid, kind))
 
     def put_batch(self, pairs: list) -> Generator:
         """Group-commit a batch across its owning shards.
@@ -482,76 +454,22 @@ class ClusterDb:
         as one named process per owning shard — spawned in ascending shard
         id order — and join on AllOf, so sub-batches are serviced
         concurrently in simulated time and the facade returns when the
-        slowest shard acks (the cluster-level group-commit latency).
+        slowest shard acks (the cluster-level group-commit latency).  A
+        batch with one owner still runs in a shard-named process, so fault
+        scoping and interleaving match the fan-out.
         """
-        if self._plain:
-            single = self._single
-            if single is not None:
-                single.write_ops += len(pairs)
-                self._tel_add(single, "write_ops", len(pairs))
-                yield from single.db.put_batch(pairs)
-                return
-            parts = self.router.split_batch(pairs)
-            if len(parts) == 1:
-                # One owning shard: still isolate the work in a shard-named
-                # process so fault scoping and interleaving match the general
-                # fan-out path.
-                sid, sub = parts[0]
-                sh = self.shards[sid]
-                sh.write_ops += len(sub)
-                self._tel_add(sh, "write_ops", len(sub))
-                gen = sh.db.put_batch(sub)
-                if self.env.lineage is not None:
-                    gen = self._shard_op(sid, gen, "put_batch", len(sub))
-                yield self.env.process(
-                    gen, name=shard_process_name(sid, "put_batch"))
-                return
-            procs = []
-            for sid, sub in parts:           # ascending sid: spec order
-                sh = self.shards[sid]
-                sh.write_ops += len(sub)
-                self._tel_add(sh, "write_ops", len(sub))
-                gen = sh.db.put_batch(sub)
-                if self.env.lineage is not None:
-                    gen = self._shard_op(sid, gen, "put_batch", len(sub))
-                procs.append(self.env.process(
-                    gen, name=shard_process_name(sid, "put_batch")))
-            yield self.env.all_of(procs)
-            return
-        mig = self._migration
-        if mig is not None:
-            for k, v in pairs:
-                mig.note_write(k, v)
-            yield from self._await_installs(k for k, _ in pairs)
-        single = self._single
-        if single is not None:
-            single.write_ops += len(pairs)
-            self._tel_add(single, "write_ops", len(pairs))
-            yield from self._batch_write(0, pairs)
-            return
-        parts = self.router.split_batch(pairs)
-        if len(parts) == 1:
-            sid, sub = parts[0]
-            sh = self.shards[sid]
-            sh.write_ops += len(sub)
-            self._tel_add(sh, "write_ops", len(sub))
-            gen = self._batch_write(sid, sub)
-            if self.env.lineage is not None:
-                gen = self._shard_op(sid, gen, "put_batch", len(sub))
-            yield self.env.process(gen,
-                                   name=shard_process_name(sid, "put_batch"))
+        yield from self._fence_writes(pairs)
+        if self._single is not None:
+            self._count(self._single, "write_ops", len(pairs))
+            yield from self._gated(0, lambda db: db.put_batch(pairs), pairs)
             return
         procs = []
-        for sid, sub in parts:               # ascending sid: spec order
+        for sid, sub in self.router.split_batch(pairs):  # ascending sid
             sh = self.shards[sid]
-            sh.write_ops += len(sub)
-            self._tel_add(sh, "write_ops", len(sub))
-            gen = self._batch_write(sid, sub)
-            if self.env.lineage is not None:
-                gen = self._shard_op(sid, gen, "put_batch", len(sub))
-            procs.append(self.env.process(
-                gen, name=shard_process_name(sid, "put_batch")))
-        yield self.env.all_of(procs)
+            self._count(sh, "write_ops", len(sub))
+            gen = self._gated(sid, lambda db, sub=sub: db.put_batch(sub), sub)
+            procs.append(self._spawn(sh, gen, "put_batch", len(sub)))
+        yield procs[0] if len(procs) == 1 else self.env.all_of(procs)
 
     def _shard_op(self, sid: int, gen: Generator, kind: str,
                   count: int) -> Generator:
@@ -577,85 +495,41 @@ class ClusterDb:
         ``[start_key, ...)`` are visited; a hash router scatters keys, so
         every shard is.  Shard scans run as concurrent named processes
         (ascending sid) and the merge is by key — each key lives on
-        exactly one shard, so the merged stream has no duplicates.
+        exactly one shard, so the merged stream has no duplicates; during
+        a migration a moved key may transiently exist on both its old and
+        new shard, and the merge prefers the owner's copy.  Each attempt
+        is admission-gated on the *targeted* replica groups only.
         """
-        if self._plain:
-            single = self._single
-            if single is not None:
-                single.read_ops += 1
-                self._tel_add(single, "read_ops", 1)
-                out = yield from single.db.scan(start_key, count)
-                return out
-            start = int.from_bytes(start_key, "big")
-            targets = []
-            for sh in self.shards:
-                ranges = getattr(self.router, "ranges", None)
-                if ranges is not None:
-                    lo, hi = self.router.ranges()[sh.sid]
-                    last = sh.sid == len(self.shards) - 1
-                    if not last and hi <= start:
-                        continue        # entirely below the scan start
-                targets.append(sh)
-            lineage_on = self.env.lineage is not None
-            procs = [self.env.process(
-                (self._shard_op(sh.sid, sh.db.scan(start_key, count),
-                                "scan", count or 0)
-                 if lineage_on else sh.db.scan(start_key, count)),
-                name=shard_process_name(sh.sid, "scan"))
-                     for sh in targets]
-            for sh in targets:
-                sh.read_ops += 1
-                self._tel_add(sh, "read_ops", 1)
-            results = yield self.env.all_of(procs)
-            rows = heapq.merge(*(results[p] for p in procs))
-            return list(rows)[:count] if count is not None else list(rows)
-        if self._retry is not None:
-            out = yield from self._retry.call(
-                lambda: self._scan_once(start_key, count),
-                site="cluster.scan")
-        else:
-            out = yield from self._scan_once(start_key, count)
-        return out
+        return self._retrying(lambda: self._scan_once(start_key, count),
+                              "cluster.scan")
+
+    def _scan_targets(self, start_key: bytes) -> list:
+        ranges = getattr(self.router, "ranges", None)
+        if ranges is None:
+            return self.shards
+        # A shard whose range ends at or below the scan start holds
+        # nothing to return; the last shard also owns [key_space, inf).
+        start = int.from_bytes(start_key, "big")
+        return [sh for sh, (_lo, hi) in zip(self.shards, ranges())
+                if hi > start or sh is self.shards[-1]]
 
     def _scan_once(self, start_key: bytes, count: int) -> Generator:
-        """One scan attempt on the replicated/migrating path: admission-
-        gated on every targeted replica group, and — during a migration —
-        merged with an ownership-preferring dedupe (a moved key may
-        transiently exist on both its old and new shard)."""
-        for sid, grp in self.groups.items():
-            if not grp.accepting():
-                raise FailoverInProgress(sid, grp.epoch)
+        """One scan attempt: admit on every targeted shard, fan out, merge."""
         single = self._single
-        if single is not None:
-            single.read_ops += 1
-            self._tel_add(single, "read_ops", 1)
-            out = yield from single.db.scan(start_key, count)
-            return out
-        start = int.from_bytes(start_key, "big")
-        targets = []
-        for sh in self.shards:
-            ranges = getattr(self.router, "ranges", None)
-            if ranges is not None:
-                lo, hi = self.router.ranges()[sh.sid]
-                last = sh.sid == len(self.shards) - 1
-                if not last and hi <= start:
-                    continue
-            targets.append(sh)
-        lineage_on = self.env.lineage is not None
-        procs = [self.env.process(
-            (self._shard_op(sh.sid, sh.db.scan(start_key, count),
-                            "scan", count or 0)
-             if lineage_on else sh.db.scan(start_key, count)),
-            name=shard_process_name(sh.sid, "scan"))
-                 for sh in targets]
+        targets = ([single] if single is not None
+                   else self._scan_targets(start_key))
         for sh in targets:
-            sh.read_ops += 1
-            self._tel_add(sh, "read_ops", 1)
+            self._admit(sh.sid)
+        for sh in targets:
+            self._count(sh, "read_ops", 1)
+        if single is not None:
+            return (yield from single.db.scan(start_key, count))
+        procs = [self._spawn(sh, sh.db.scan(start_key, count), "scan",
+                             count or 0) for sh in targets]
         results = yield self.env.all_of(procs)
         mig = self._migration
         if mig is None:
-            rows = heapq.merge(*(results[p] for p in procs))
-            return list(rows)[:count] if count is not None else list(rows)
+            return list(heapq.merge(*(results[p] for p in procs)))[:count]
         best: dict = {}
         for sh, p in zip(targets, procs):
             for k, v in results[p]:
@@ -664,8 +538,7 @@ class ClusterDb:
                     continue        # stale pre-rebalance copy of a fresh key
                 if k not in best or sh.sid == owner:
                     best[k] = v
-        rows = sorted(best.items())
-        return rows[:count] if count is not None else rows
+        return sorted(best.items())[:count]
 
     # -- live resharding ------------------------------------------------------
     def rebalance(self, seed: Optional[int] = None,
@@ -861,11 +734,6 @@ class ClusterDb:
         return doc
 
     # -- telemetry -------------------------------------------------------------
-    def _tel_add(self, shard: ClusterShard, which: str, n: int) -> None:
-        tel = self.env.telemetry
-        if tel is not None:
-            tel.add(f"cluster.{shard.name}.{which}", n)
-
     def _register_telemetry(self) -> None:
         """Per-shard channels on the shared hub (no-op when disabled).
 

@@ -1,12 +1,13 @@
 """Failover / rebalance chaos scenarios and the acked-write-loss oracle.
 
 The drivers behind ``python -m repro.bench failover``, the failover test
-battery and the CI ``failover-smoke`` job.  One scenario is one
+battery and the CI ``scenario-smoke`` failover leg.  One scenario is one
 deterministic story in one DES world:
 
 1. build a replicated cluster (every shard a primary + K backups);
-2. drive a scripted client workload through the facade, recording every
-   *acknowledged* write in a shadow ``committed`` map;
+2. drive a scripted client workload through the facade with the kit's
+   :class:`~repro.faults.kit.OracleClient`, so every *acknowledged* write
+   is shadowed by a :class:`~repro.faults.oracle.DifferentialOracle`;
 3. kill the target shard's primary — either by arming a shard-scoped
    ``CRASH`` fault on a real site (``db.write.gate`` by default, so the
    host module dies mid-write exactly like the single-node crash
@@ -15,15 +16,14 @@ deterministic story in one DES world:
 4. optionally bump the router seed mid-run (live resharding) so failover
    and migration compose;
 5. settle (promotion complete, migration drained, shards quiesced) and
-   verify **every** committed key through the facade.
+   run :meth:`DifferentialOracle.verify` through the facade.
 
-The verification step is the acked-write-loss oracle the issue's
-acceptance criterion names: a key whose acknowledged value is missing is
-``lost``, one that reads back a different value is ``stale`` — a correct
-replication + catch-up protocol yields neither, at *every* crash point,
-in *both* replication modes.
+That verification is the acked-write-loss oracle: a violation whose key
+reads back nothing is ``lost``, one that reads back a different value is
+``stale`` — a correct replication + catch-up protocol yields neither, at
+*every* crash point, in *both* replication modes.
 
-Seeding honors ``REPRO_FAULT_SEED`` via :func:`~repro.cluster.chaos.chaos_seed`
+Seeding honors ``REPRO_FAULT_SEED`` via :func:`repro.faults.fault_seed`
 (same contract as the single-node harness), and ``journal_path`` records
 the full flight-recorder journal so two runs of the same scenario can be
 byte-diffed with ``python -m repro.obs diff``.
@@ -34,66 +34,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Optional
 
-from ..core import DetectorConfig, KvaccelDb
-from ..device import (
-    CpuModel,
-    DevLsmConfig,
-    HybridSsd,
-    HybridSsdConfig,
-    KiB,
-    MiB,
-    NandGeometry,
+from ..faults.kit import (
+    OracleClient,
+    abandon_inflight,
+    arm_crash,
+    small_stack,
 )
 from ..faults.plan import NthOccurrencePlan
-from ..faults.registry import CRASH, FaultAction, FaultRegistry
-from ..lsm import LsmOptions
+from ..faults.registry import FaultRegistry, fault_seed
 from ..obs import Journal, register_digest_sources, write_journal
 from ..sim import Environment, Interrupt
 from ..types import encode_key
-from .chaos import arm_shard, chaos_seed
+from .chaos import ShardScopedPlan
 from .cluster import ClusterDb
 from .replica import REPLAY, ReplicationConfig
 from .router import make_router
 
 __all__ = ["build_replicated_cluster", "run_failover_scenario",
            "failover_sweep", "FailoverReport"]
-
-
-def _small_options() -> LsmOptions:
-    """The crash-harness LSM geometry: small enough that a short workload
-    exercises flush + WAL grouping, deterministic across runs."""
-    return LsmOptions(
-        write_buffer_size=16 * KiB,
-        level0_file_num_compaction_trigger=2,
-        level0_slowdown_writes_trigger=6,
-        level0_stop_writes_trigger=10,
-        max_bytes_for_level_base=64 * KiB,
-        max_bytes_for_level_multiplier=4,
-        target_file_size_base=16 * KiB,
-        soft_pending_compaction_bytes_limit=256 * KiB,
-        hard_pending_compaction_bytes_limit=1 * MiB,
-        compaction_io_chunk=16 * KiB,
-        wal_group_commit_bytes=4 * KiB,
-        block_size=4 * KiB,
-    )
-
-
-def _stack(env: Environment, name: str, cpu_name: str, options,
-           detector_period: float, resilience):
-    """One small share-nothing KVACCEL stack (db, ssd, cpu)."""
-    cpu = CpuModel(env, cores=8, name=cpu_name)
-    geometry = NandGeometry(channels=2, ways=4, blocks_per_way=256,
-                            pages_per_block=32, page_size=4096)
-    ssd = HybridSsd(env, cpu, HybridSsdConfig(
-        geometry=geometry,
-        peak_nand_bandwidth=200 * MiB,
-        pcie_bandwidth=1024 * MiB,
-        devlsm=DevLsmConfig(memtable_bytes=8 * KiB),
-    ))
-    db = KvaccelDb(env, options, ssd, cpu, name=name, rollback="disabled",
-                   detector_config=DetectorConfig(period=detector_period),
-                   resilience=resilience)
-    return db, ssd, cpu
 
 
 def build_replicated_cluster(env: Environment, shards: int = 2,
@@ -110,16 +68,18 @@ def build_replicated_cluster(env: Environment, shards: int = 2,
     daemons.
     """
     replication = replication or ReplicationConfig()
-    options = options or _small_options()
+
+    def stack(name: str):
+        return small_stack(env, name, f"{name}.host", options=options,
+                           detector_period=detector_period,
+                           resilience=resilience)
+
     parts = []
     backup_stacks = []
     for sid in range(shards):
-        parts.append(_stack(env, f"shard{sid}", f"shard{sid}.host",
-                            options, detector_period, resilience))
-        backup_stacks.append([
-            _stack(env, f"shard{sid}b{j}", f"shard{sid}b{j}.host",
-                   options, detector_period, resilience)
-            for j in range(replication.backups)])
+        parts.append(stack(f"shard{sid}"))
+        backup_stacks.append([stack(f"shard{sid}b{j}")
+                              for j in range(replication.backups)])
     return ClusterDb(env, parts,
                      make_router(router, shards, key_space, seed=seed),
                      replication=replication, backups=backup_stacks)
@@ -210,7 +170,7 @@ def run_failover_scenario(
     the determinism tests inject an extra DELAY on the replication link
     through it.
     """
-    seed = chaos_seed(seed)
+    seed = fault_seed(seed)
     env = Environment()
     registry = FaultRegistry(seed).install(env)
     journal = None
@@ -229,29 +189,21 @@ def run_failover_scenario(
                             killed_shard=kill_shard, ops=ops)
     crash_ev = None
     if kill_site is not None:
-        arm_shard(registry, env, kill_shard, kill_site,
-                  NthOccurrencePlan(kill_occurrence), FaultAction(CRASH),
-                  op="wl")
-        crash_ev = registry.new_crash_event(env)
+        crash_ev = arm_crash(registry, env, kill_site, ShardScopedPlan(
+            env, kill_shard, NthOccurrencePlan(kill_occurrence), op="wl"))
     if extra_arms is not None:
         extra_arms(registry, env, cluster)
 
-    committed: dict = {}            # key -> last acked value (None = deleted)
-    state = {"acked": 0, "aborted": 0, "pending": None}
+    client = OracleClient(cluster, seed=seed)
+    oracle = client.oracle
 
     def client_op(key: bytes, value) -> Generator:
-        """One client request; records the ack, or parks the op for the
-        driver's client-retry when the crash interrupt abandons it."""
+        """One client request; when the crash interrupt abandons it, its
+        oracle op stays in flight for the driver's client-retry."""
         try:
-            if value is None:
-                yield from cluster.delete(key)
-            else:
-                yield from cluster.put(key, value)
-            committed[key] = value
-            state["acked"] += 1
+            yield from client.write(key, value)
         except Interrupt:
-            state["aborted"] += 1
-            state["pending"] = (key, value)
+            report.aborted += 1
 
     def driver() -> Generator:
         handled = crash_ev is None
@@ -292,8 +244,7 @@ def run_failover_scenario(
             # FailoverInProgress backoff onto the promoted backup).
             handled = True
             report.crashed = True
-            if p.is_alive:
-                p.interrupt("crash")
+            if abandon_inflight(p):
                 yield p
             registry.clear_arms()
             if extra_arms is not None:
@@ -303,15 +254,10 @@ def run_failover_scenario(
                 # live through detection and promotion.
                 extra_arms(registry, env, cluster)
             cluster.groups[kill_shard].kill_primary()
-            if state["pending"] is not None:
-                k2, v2 = state["pending"]
-                state["pending"] = None
-                if v2 is None:
-                    yield from cluster.delete(k2)
-                else:
-                    yield from cluster.put(k2, v2)
-                committed[k2] = v2
-                state["acked"] += 1
+            if oracle.inflight is not None:
+                (k2, v2), = oracle.inflight.items()
+                oracle.abort()
+                yield from client.write(k2, v2)
         if degrade_at_op is not None or kill_at_op is not None:
             # A scripted kill/degrade may land near the end of the op
             # loop with the workload no longer blocking on the slot —
@@ -326,25 +272,14 @@ def run_failover_scenario(
         if mig_proc is not None and not mig_proc.processed:
             yield mig_proc
 
-    def verify() -> Generator:
-        for key in sorted(committed):
-            want = committed[key]
-            got = yield from cluster.get(key)
-            if want is None:
-                if got is not None:
-                    report.stale.append(key)
-            elif got is None:
-                report.lost.append(key)
-            elif got != want:
-                report.stale.append(key)
-
     try:
         env.run(until=env.process(driver()))
-        env.run(until=env.process(verify()))
+        for v in env.run(until=env.process(
+                oracle.verify(cluster, allow_inflight=False))):
+            (report.lost if v.got is None else report.stale).append(v.key)
     except Exception as exc:      # surface per-run, keep sweeps going
         report.error = f"{type(exc).__name__}: {exc}"
-    report.acked = state["acked"]
-    report.aborted = state["aborted"]
+    report.acked = oracle.acked_ops
     for grp in cluster.groups.values():
         report.failovers += grp.failovers
         report.failover_duration = max(report.failover_duration,

@@ -1,6 +1,6 @@
 """Deterministic fault injection & crash-consistency testing for KVACCEL.
 
-Three pieces (ISSUE 1 tentpole):
+Four pieces:
 
 * :mod:`~repro.faults.registry` — named injection sites threaded through
   the device and LSM layers, armed with pluggable
@@ -8,13 +8,17 @@ Three pieces (ISSUE 1 tentpole):
 * :mod:`~repro.faults.scheduler` — the crash-point sweep (enumerate every
   reached site, crash at each, recover, verify);
 * :mod:`~repro.faults.oracle` — the differential oracle shadowing every
-  acknowledged operation.
+  acknowledged operation;
+* :mod:`~repro.faults.kit` — what the sweep, the chaos soak and the
+  failover scenarios share: the small system, the oracle-wrapped client
+  and the crash choreography.
 
 Import note: simulation modules (``repro.device``, ``repro.lsm``) import
 ``repro.faults.registry`` for the probe helpers, which executes this
 ``__init__``.  To avoid an import cycle it eagerly re-exports only the
 leaf modules (plan/registry/oracle); the harness and scheduler — which
-import the whole stack — load lazily on first attribute access.
+import the whole stack — load lazily on first attribute access, and the
+kit is only ever imported as ``repro.faults.kit``.
 """
 
 from .oracle import DifferentialOracle, Violation
@@ -39,6 +43,7 @@ from .registry import (
     InjectedFault,
     SiteHit,
     fault_point,
+    fault_seed,
     touch,
 )
 
@@ -71,6 +76,7 @@ __all__ = [
     "InjectedFault",
     "SiteHit",
     "fault_point",
+    "fault_seed",
     "touch",
     "DifferentialOracle",
     "Violation",

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .harness import KvaccelFaultHarness
-from .registry import DEFAULT_SEED
+from .registry import DEFAULT_SEED, fault_seed
 from .scheduler import sweep_crash_points
 
 
@@ -68,8 +67,7 @@ def _soak_main(argv) -> int:
                         help="fault storm flavour (default: transient)")
     parser.add_argument(
         "--seed", type=_parse_seed,
-        default=_parse_seed(os.environ.get("REPRO_FAULT_SEED",
-                                           str(DEFAULT_SEED))),
+        default=fault_seed(),
         help="workload/fault seed (default: $REPRO_FAULT_SEED or "
              f"{DEFAULT_SEED:#x})")
     parser.add_argument("--ops", type=int, default=400,
@@ -112,8 +110,7 @@ def main(argv=None) -> int:
         help="cap the number of crash runs (default: every distinct site)")
     parser.add_argument(
         "--seed", type=_parse_seed,
-        default=_parse_seed(os.environ.get("REPRO_FAULT_SEED",
-                                           str(DEFAULT_SEED))),
+        default=fault_seed(),
         help="workload/fault seed (default: $REPRO_FAULT_SEED or "
              f"{DEFAULT_SEED:#x})")
     parser.add_argument(

@@ -30,24 +30,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Optional
 
-from ..core import DetectorConfig, KvaccelDb
-from ..device import (
-    CpuModel,
-    DevLsmConfig,
-    HybridSsd,
-    HybridSsdConfig,
-    KiB,
-    MiB,
-    NandGeometry,
-)
-from ..lsm import LsmOptions
+from ..core import KvaccelDb
 from ..obs import Journal, Tracer, write_divergence_artifact
-from ..resil import DeviceError, ResilienceConfig, TRANSIENT
+from ..resil import DeviceError, TRANSIENT
 from ..sim import Environment, Interrupt
 from ..types import encode_key
-from .oracle import DifferentialOracle, Violation
+from .kit import (
+    SMALL_RESILIENCE,
+    OracleClient,
+    abandon_inflight,
+    arm_crash,
+    scripted_stack,
+)
+from .oracle import Violation
 from .plan import NthOccurrencePlan
-from .registry import CRASH, DEFAULT_SEED, FaultAction, FaultRegistry, SiteHit
+from .registry import DEFAULT_SEED, FaultRegistry, SiteHit
 
 __all__ = [
     "KvaccelFaultHarness",
@@ -115,7 +112,7 @@ class _Run:
     env: Environment
     registry: FaultRegistry
     db: KvaccelDb
-    oracle: DifferentialOracle
+    client: OracleClient
 
 
 # -- deliberately broken recovery variants (harness self-tests) -----------
@@ -189,69 +186,9 @@ class KvaccelFaultHarness:
             # Flight-recorder ring: the crash report carries the last N
             # executed events / site visits leading up to the fault.
             Journal(ring=self.journal_tail).install(env)
-        cpu = CpuModel(env, cores=8, name="host")
-        geometry = NandGeometry(channels=2, ways=4, blocks_per_way=256,
-                                pages_per_block=32, page_size=4096)
-        ssd = HybridSsd(env, cpu, HybridSsdConfig(
-            geometry=geometry,
-            peak_nand_bandwidth=200 * MiB,
-            pcie_bandwidth=1024 * MiB,
-            devlsm=DevLsmConfig(memtable_bytes=8 * KiB),
-        ))
-        options = LsmOptions(
-            write_buffer_size=16 * KiB,
-            level0_file_num_compaction_trigger=2,
-            level0_slowdown_writes_trigger=6,
-            level0_stop_writes_trigger=10,
-            max_bytes_for_level_base=64 * KiB,
-            max_bytes_for_level_multiplier=4,
-            target_file_size_base=16 * KiB,
-            soft_pending_compaction_bytes_limit=256 * KiB,
-            hard_pending_compaction_bytes_limit=1 * MiB,
-            compaction_io_chunk=16 * KiB,
-            wal_group_commit_bytes=4 * KiB,
-            block_size=4 * KiB,
-        )
-        resil_cfg = None
-        if self.resilience:
-            # Windows sized to the harness's millisecond timescale so the
-            # RECOVERING -> HEALTHY probation completes inside the script.
-            resil_cfg = ResilienceConfig(degrade_error_threshold=3,
-                                         degrade_window=0.05,
-                                         recover_probation=1e-5,
-                                         recover_min_successes=4)
-        db = KvaccelDb(env, options, ssd, cpu, rollback="disabled",
-                       detector_config=DetectorConfig(period=0.002),
-                       resilience=resil_cfg)
-        # The workload scripts stall windows itself (deterministic site
-        # sequence); the polling daemons would only add timer noise.
-        db.detector.stop()
-        db.rollback_manager.stop()
-        return _Run(env, registry, db,
-                    DifferentialOracle(seed=self.seed))
-
-    # -- oracle-wrapped operations ------------------------------------------
-    @staticmethod
-    def _put(run: _Run, key: bytes, value: bytes) -> Generator:
-        run.oracle.begin_put(key, value)
-        yield from run.db.put(key, value)
-        run.oracle.ack()
-
-    @staticmethod
-    def _delete(run: _Run, key: bytes) -> Generator:
-        run.oracle.begin_delete(key)
-        yield from run.db.delete(key)
-        run.oracle.ack()
-
-    @staticmethod
-    def _get(run: _Run, key: bytes) -> Generator:
-        got = yield from run.db.get(key)
-        run.oracle.check_read(key, got)
-
-    @staticmethod
-    def _scan(run: _Run, start: bytes, count: int) -> Generator:
-        rows = yield from run.db.scan(start, count)
-        run.oracle.check_scan(start, rows, count)
+        db = scripted_stack(
+            env, resilience=SMALL_RESILIENCE if self.resilience else None)
+        return _Run(env, registry, db, OracleClient(db, seed=self.seed))
 
     # -- the scripted workload ----------------------------------------------
     @staticmethod
@@ -262,38 +199,38 @@ class KvaccelFaultHarness:
         """Deterministic mixed workload touching every layer's sites."""
         s = self.scale
         db = run.db
+        put, delete = run.client.put, run.client.delete
+        get, scan = run.client.get, run.client.scan
         # Phase 1 — normal writes: flushes, WAL groups, compactions.
         for i in range(120 * s):
-            yield from self._put(run, encode_key(i % 48), self._value(b"a", i))
+            yield from put(encode_key(i % 48), self._value(b"a", i))
         for k in (3, 9, 15):
-            yield from self._delete(run, encode_key(k))
+            yield from delete(encode_key(k))
         for k in (0, 7, 21, 35, 47, 3):
-            yield from self._get(run, encode_key(k))
-        yield from self._scan(run, encode_key(10), 8)
+            yield from get(encode_key(k))
+        yield from scan(encode_key(10), 8)
 
         # Phase 2 — forced stall window: redirected writes + Dev-LSM reads.
         db.detector.stall_condition = True
         for i in range(40 * s):
-            yield from self._put(run, encode_key(20 + (i % 30)),
-                                 self._value(b"b", i))
+            yield from put(encode_key(20 + (i % 30)), self._value(b"b", i))
         for k in (22, 31):
-            yield from self._delete(run, encode_key(k))
+            yield from delete(encode_key(k))
         for k in (20, 25, 31, 49):
-            yield from self._get(run, encode_key(k))
+            yield from get(encode_key(k))
 
         # Phase 3 — stall clears; scripted rollback drains the Dev-LSM.
         db.detector.stall_condition = False
         yield from db.rollback_manager.rollback_once()
         for k in (20, 31, 45):
-            yield from self._get(run, encode_key(k))
+            yield from get(encode_key(k))
 
         # Phase 4 — post-rollback writes land normally again.
         for i in range(30 * s):
-            yield from self._put(run, encode_key(30 + (i % 25)),
-                                 self._value(b"c", i))
-        yield from self._scan(run, encode_key(0), 16)
+            yield from put(encode_key(30 + (i % 25)), self._value(b"c", i))
+        yield from scan(encode_key(0), 16)
         for k in (30, 40, 54):
-            yield from self._get(run, encode_key(k))
+            yield from get(encode_key(k))
 
         if db.resil is None:
             return
@@ -304,41 +241,32 @@ class KvaccelFaultHarness:
         # loop back to HEALTHY.
         db.detector.stall_condition = True
         for i in range(10 * s):    # a few redirected writes to strand
-            yield from self._put(run, encode_key(60 + (i % 10)),
-                                 self._value(b"d", i))
+            yield from put(encode_key(60 + (i % 10)), self._value(b"d", i))
         db.resil.force_degrade()
         for i in range(10 * s):    # degraded: Main-LSM despite the stall
-            yield from self._put(run, encode_key(70 + (i % 10)),
-                                 self._value(b"e", i))
+            yield from put(encode_key(70 + (i % 10)), self._value(b"e", i))
         yield from db.rollback_manager.rollback_once()   # drain -> RECOVERING
         for i in range(10 * s):    # redirected probes -> HEALTHY
-            yield from self._put(run, encode_key(60 + (i % 10)),
-                                 self._value(b"f", i))
+            yield from put(encode_key(60 + (i % 10)), self._value(b"f", i))
         db.detector.stall_condition = False
         yield from db.rollback_manager.rollback_once()
         for k in (60, 65, 70, 75):
-            yield from self._get(run, encode_key(k))
+            yield from get(encode_key(k))
 
         # Phase 6 — Main-LSM background error: writes are refused while the
         # DB is read-only, then resume() clears the latch.
         db.main.set_background_error(DeviceError(
             TRANSIENT, site="wal.sync", detail="scripted background error"))
         for i in range(3):
-            key = encode_key(80 + i)
-            value = self._value(b"g", i)
-            run.oracle.begin_put(key, value)
             try:
-                yield from db.put(key, value)
+                yield from put(encode_key(80 + i), self._value(b"g", i))
             except DeviceError:
-                run.oracle.abort()   # refused at the gate: not committed
-            else:
-                run.oracle.ack()
+                pass   # refused at the gate: the client aborted it
         db.main.resume()
         for i in range(8 * s):
-            yield from self._put(run, encode_key(80 + (i % 8)),
-                                 self._value(b"h", i))
+            yield from put(encode_key(80 + (i % 8)), self._value(b"h", i))
         for k in (80, 84):
-            yield from self._get(run, encode_key(k))
+            yield from get(encode_key(k))
 
     def _driver(self, run: _Run) -> Generator:
         try:
@@ -366,9 +294,8 @@ class KvaccelFaultHarness:
         run = self._build()
         # Sites come from a recorded trace, so they are real by
         # construction — skip catalogue validation.
-        run.registry.arm(site, NthOccurrencePlan(occurrence),
-                         FaultAction(CRASH), validate=False)
-        crash_ev = run.registry.new_crash_event(run.env)
+        crash_ev = arm_crash(run.registry, run.env, site,
+                             NthOccurrencePlan(occurrence), validate=False)
         proc = run.env.process(self._driver(run))
         report = CrashReport(site=site, occurrence=occurrence,
                              crashed=False, seed=self.seed)
@@ -380,8 +307,7 @@ class KvaccelFaultHarness:
                 report.sim_time = run.env.now
                 return report
             report.crashed = True
-            if proc.is_alive and proc._target is not None:
-                proc.interrupt("crash")
+            if abandon_inflight(proc):
                 run.env.run(until=proc)
             run.registry.clear_arms()
             if run.env.tracer is not None:
@@ -404,7 +330,7 @@ class KvaccelFaultHarness:
 
             # -- invariants ------------------------------------------------
             violations: list[Violation] = run.env.run(
-                until=run.env.process(run.oracle.verify(
+                until=run.env.process(run.client.oracle.verify(
                     run.db, allow_inflight=not _pre_persist(site))))
             # Dev-LSM and Main-LSM metadata must agree post-recovery: the
             # rebuilt (empty) table says no key is device-resident, so the

@@ -57,6 +57,7 @@ class DifferentialOracle:
         self.history: dict[bytes, set] = {}
         self.inflight: Optional[dict[bytes, Optional[bytes]]] = None
         self.acked_ops = 0
+        self.aborted_ops = 0
         self.checked_reads = 0
 
     # -- write tracking ----------------------------------------------------
@@ -86,6 +87,7 @@ class DifferentialOracle:
     def abort(self) -> None:
         """The in-flight op failed cleanly (e.g. InjectedFault surfaced to
         the caller): it is known not-committed, drop it."""
+        self.aborted_ops += 1
         self.inflight = None
 
     # -- read checking -----------------------------------------------------

@@ -33,6 +33,7 @@ value is allowed (but not required) to survive.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
@@ -51,6 +52,7 @@ __all__ = [
     "InjectedFault",
     "SiteHit",
     "FaultRegistry",
+    "fault_seed",
     "fault_point",
     "touch",
 ]
@@ -64,6 +66,26 @@ DUPLICATE = "duplicate"
 _KINDS = (FAIL, CRASH, DELAY, DROP, DUPLICATE)
 
 DEFAULT_SEED = 0xC0FFEE
+
+
+def fault_seed(default: Optional[int] = None) -> int:
+    """The fault/workload seed a run uses — the only reader of
+    ``REPRO_FAULT_SEED``.
+
+    An exported ``REPRO_FAULT_SEED`` (any int literal Python accepts, e.g.
+    ``0x2A``) wins, then the caller's ``default``, then
+    :data:`DEFAULT_SEED`, so a failure replays from the seed its message
+    printed on every entry point alike.  A malformed value raises: running
+    the default seed instead would quietly not be the run being replayed.
+    """
+    raw = os.environ.get("REPRO_FAULT_SEED")
+    if raw:
+        try:
+            return int(raw, 0)
+        except ValueError:
+            raise ValueError(f"REPRO_FAULT_SEED={raw!r} is not an integer "
+                             f"literal (e.g. 12648430 or 0xC0FFEE)") from None
+    return DEFAULT_SEED if default is None else default
 
 
 class InjectedFault(RuntimeError):

@@ -27,11 +27,11 @@ retrying those would mask them.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Optional
 
+from ..faults.registry import fault_seed
 from ..sim import Environment, Interrupt
 from .errors import DeviceError, TIMEOUT, as_device_error
 
@@ -127,20 +127,6 @@ def _derive(seed: int, name: str) -> str:
     return f"{seed}:{name}"
 
 
-def _default_seed(env: Environment) -> int:
-    reg = getattr(env, "faults", None)
-    if reg is not None:
-        return reg.seed
-    from ..faults.registry import DEFAULT_SEED
-    raw = os.environ.get("REPRO_FAULT_SEED")
-    if raw:
-        try:
-            return int(raw, 0)
-        except ValueError:
-            pass
-    return DEFAULT_SEED
-
-
 class RetryExecutor:
     """Runs command generators under a :class:`RetryPolicy`.
 
@@ -153,7 +139,10 @@ class RetryExecutor:
         self.env = env
         self.policy = policy or RetryPolicy()
         self.name = name
-        self.seed = _default_seed(env) if seed is None else seed
+        if seed is None:
+            reg = getattr(env, "faults", None)
+            seed = reg.seed if reg is not None else fault_seed()
+        self.seed = seed
         self.rng = random.Random(_derive(self.seed, name))
         self.stats = RetryStats()
 

@@ -22,9 +22,18 @@ jitter), so a failing storm reproduces exactly from the printed seed.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
+from ..device.error_model import NandErrorConfig
+from ..faults.kit import SMALL_RESILIENCE, OracleClient, scripted_stack
+from ..faults.plan import AlwaysPlan, ProbabilisticPlan
+from ..faults.registry import FAIL, FaultAction, FaultRegistry
+from ..obs import HealthMonitor, TelemetryHub, default_rules
 from ..sim import Environment
+from ..types import encode_key
+from .degrade import DEGRADED, HEALTHY
+from .errors import DeviceError
 
 __all__ = ["SoakConfig", "SoakResult", "run_soak", "SOAK_MODES"]
 
@@ -121,88 +130,7 @@ class SoakResult:
         return lines
 
 
-def _build_stack(config: SoakConfig):
-    """A small seeded KVACCEL stack with the resilience layer on."""
-    # Local imports: this module is loaded lazily from ``repro.resil`` to
-    # keep the package importable from the device layer (which only needs
-    # errors/retry) without a cycle through repro.core.
-    from ..core import DetectorConfig, KvaccelDb
-    from ..device import (
-        CpuModel,
-        DevLsmConfig,
-        HybridSsd,
-        HybridSsdConfig,
-        KiB,
-        MiB,
-        NandGeometry,
-    )
-    from ..device.error_model import NandErrorConfig
-    from ..faults.oracle import DifferentialOracle
-    from ..faults.registry import FaultRegistry
-    from ..lsm import LsmOptions
-    from ..obs import HealthMonitor, TelemetryHub, default_rules
-    from .degrade import ResilienceConfig
-
-    env = Environment()
-    registry = FaultRegistry(config.seed).install(env)
-    hub = TelemetryHub(env, period=config.sample_period).install(env)
-    # The soak runs on a compressed millisecond timescale, so the absolute
-    # retries/second threshold is recalibrated: ~10 retries per bucket
-    # marks a storm, well above what fault_rate-sized transient glitches
-    # produce and well below a flapping device.
-    monitor = HealthMonitor(hub, default_rules(
-        period=config.sample_period,
-        retry_storm_rate=10.0 / config.sample_period))
-
-    cpu = CpuModel(env, cores=8, name="host")
-    geometry = NandGeometry(channels=2, ways=4, blocks_per_way=256,
-                            pages_per_block=32, page_size=4096)
-    nand_errors = None
-    if config.mode == "transient":
-        # Wear-driven NAND error model: small base rates so a fresh device
-        # still sees program failures and ECC read-retry latency tails.
-        nand_errors = NandErrorConfig(seed=config.seed,
-                                      program_fail_base=0.002,
-                                      read_retry_base=0.02)
-    ssd = HybridSsd(env, cpu, HybridSsdConfig(
-        geometry=geometry,
-        peak_nand_bandwidth=200 * MiB,
-        pcie_bandwidth=1024 * MiB,
-        devlsm=DevLsmConfig(memtable_bytes=8 * KiB),
-        nand_errors=nand_errors,
-    ))
-    options = LsmOptions(
-        write_buffer_size=16 * KiB,
-        level0_file_num_compaction_trigger=2,
-        level0_slowdown_writes_trigger=6,
-        level0_stop_writes_trigger=10,
-        max_bytes_for_level_base=64 * KiB,
-        max_bytes_for_level_multiplier=4,
-        target_file_size_base=16 * KiB,
-        soft_pending_compaction_bytes_limit=256 * KiB,
-        hard_pending_compaction_bytes_limit=1 * MiB,
-        compaction_io_chunk=16 * KiB,
-        wal_group_commit_bytes=4 * KiB,
-        block_size=4 * KiB,
-    )
-    resil = ResilienceConfig(degrade_error_threshold=3,
-                             degrade_window=0.05,
-                             recover_probation=1e-5,
-                             recover_min_successes=4)
-    db = KvaccelDb(env, options, ssd, cpu, rollback="disabled",
-                   detector_config=DetectorConfig(period=0.002),
-                   resilience=resil)
-    # The soak scripts its own stall windows and drains (deterministic
-    # site sequence); the polling daemons would only add timer noise.
-    db.detector.stop()
-    db.rollback_manager.stop()
-    return env, registry, db, monitor, DifferentialOracle(seed=config.seed)
-
-
 def _arm_storm(registry, config: SoakConfig) -> None:
-    from ..faults.plan import AlwaysPlan, ProbabilisticPlan
-    from ..faults.registry import FAIL, FaultAction
-
     if config.mode == "transient":
         act = FaultAction(FAIL, note="transient")
         p = config.fault_rate
@@ -226,54 +154,45 @@ def _arm_storm(registry, config: SoakConfig) -> None:
 
 def run_soak(config: SoakConfig) -> SoakResult:
     """Run one seeded fault storm and check the durability invariants."""
-    import random
-
-    from .degrade import DEGRADED, HEALTHY
-    from .errors import DeviceError
-
-    env, registry, db, monitor, oracle = _build_stack(config)
+    env = Environment()
+    registry = FaultRegistry(config.seed).install(env)
+    hub = TelemetryHub(env, period=config.sample_period).install(env)
+    # The soak runs on a compressed millisecond timescale, so the absolute
+    # retries/second threshold is recalibrated: ~10 retries per bucket
+    # marks a storm, well above what fault_rate-sized transient glitches
+    # produce and well below a flapping device.
+    monitor = HealthMonitor(hub, default_rules(
+        period=config.sample_period,
+        retry_storm_rate=10.0 / config.sample_period))
+    nand_errors = None
+    if config.mode == "transient":
+        # Wear-driven NAND error model: small base rates so a fresh device
+        # still sees program failures and ECC read-retry latency tails.
+        nand_errors = NandErrorConfig(seed=config.seed,
+                                      program_fail_base=0.002,
+                                      read_retry_base=0.02)
+    db = scripted_stack(env, resilience=SMALL_RESILIENCE,
+                        nand_errors=nand_errors)
+    client = OracleClient(db, seed=config.seed)
     _arm_storm(registry, config)
     result = SoakResult(mode=config.mode, seed=config.seed)
     rng = random.Random(f"{config.seed}:soak-workload")
     value_of = lambda i: (b"s:%08d;" % i) * 32          # ~352 B per value
 
-    def put(key, value):
-        oracle.begin_put(key, value)
+    def write(op):
         try:
-            yield from db.put(key, value)
-        except DeviceError:
-            oracle.abort()                 # refused: known not-committed
-            result.aborted_ops += 1
+            yield from op
+        except DeviceError:            # refused: the client aborted it
             if db.main.background_error is not None:
-                db.main.resume()           # operator action: clear + retry later
-        else:
-            oracle.ack()
-            result.acked_ops += 1
-
-    def delete(key):
-        oracle.begin_delete(key)
-        try:
-            yield from db.delete(key)
-        except DeviceError:
-            oracle.abort()
-            result.aborted_ops += 1
-            if db.main.background_error is not None:
-                db.main.resume()
-        else:
-            oracle.ack()
-            result.acked_ops += 1
+                db.main.resume()       # operator action: clear + retry later
 
     def get(key):
         try:
-            got = yield from db.get(key)
+            yield from client.get(key)
         except DeviceError:
-            result.read_errors += 1        # e.g. uncorrectable media error
-            return
-        oracle.check_read(key, got)
+            result.read_errors += 1    # e.g. uncorrectable media error
 
     def workload():
-        from ..types import encode_key
-
         total = config.ops * config.scale
         window = max(1, total // 8)
         for i in range(total):
@@ -290,9 +209,9 @@ def run_soak(config: SoakConfig) -> SoakResult:
             roll = rng.random()
             key = encode_key(rng.randrange(config.key_space))
             if roll < 0.65:
-                yield from put(key, value_of(i))
+                yield from write(client.put(key, value_of(i)))
             elif roll < 0.75:
-                yield from delete(key)
+                yield from write(client.delete(key))
             else:
                 yield from get(key)
         # Closing stall probe: a deterministic tail of redirected writes
@@ -300,11 +219,13 @@ def run_soak(config: SoakConfig) -> SoakResult:
         # window parity the op count happened to end on.
         db.detector.stall_condition = True
         for j in range(4):
-            yield from put(encode_key(config.key_space + j),
-                           value_of(total + j))
+            yield from write(client.put(encode_key(config.key_space + j),
+                                        value_of(total + j)))
         db.detector.stall_condition = False
 
     env.run(until=env.process(workload()))
+    result.acked_ops = client.oracle.acked_ops
+    result.aborted_ops = client.oracle.aborted_ops
     result.injected_faults = len(registry.injected)
     # Storm over: disarm before the assessment phase so the drain and the
     # differential read-back measure what the storm left behind.
@@ -314,7 +235,7 @@ def run_soak(config: SoakConfig) -> SoakResult:
     env.run(until=env.process(db.main.wait_for_quiesce()))
     env.run(until=env.process(db.final_rollback()))
     result.violations = env.run(
-        until=env.process(oracle.verify(db, allow_inflight=True)))
+        until=env.process(client.oracle.verify(db, allow_inflight=True)))
 
     result.sim_time = env.now
     result.final_state = db.resil.state

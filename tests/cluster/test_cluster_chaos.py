@@ -38,8 +38,9 @@ from repro.cluster import (  # noqa: E402
     shard_process_name,
 )
 from repro.faults import FAIL, AlwaysPlan, FaultAction  # noqa: E402
+from repro.faults.kit import SMALL_RESILIENCE  # noqa: E402
 from repro.faults.oracle import DifferentialOracle  # noqa: E402
-from repro.resil import DEGRADED, HEALTHY, ResilienceConfig  # noqa: E402
+from repro.resil import DEGRADED, HEALTHY  # noqa: E402
 from repro.sim import Environment  # noqa: E402
 from repro.types import encode_key  # noqa: E402
 
@@ -48,16 +49,12 @@ FAULTY = 1
 KEY_SPACE = 1 << 16
 WRITE_SITES = ("kv.put.submit", "kv.put_batch.submit", "kv.delete.submit")
 
-RESIL = ResilienceConfig(degrade_error_threshold=3,
-                         degrade_window=0.05,
-                         recover_probation=1e-5,
-                         recover_min_successes=4)
 
 
 def _make_cluster(env, seed, with_fault):
     cluster, registry = make_cluster_system(
         env, shards=SHARDS, router="range", key_space=KEY_SPACE,
-        with_faults=True, seed=seed, resilience=RESIL)
+        with_faults=True, seed=seed, resilience=SMALL_RESILIENCE)
     scoped = []
     if with_fault:
         action = FaultAction(FAIL, note="persistent")

@@ -90,6 +90,28 @@ def test_default_retry_rides_out_the_failover_window():
     cluster.close()
 
 
+def test_scan_is_gated_only_on_the_replica_groups_it_targets():
+    """A range-routed scan that starts above a failing-over shard's range
+    never touches it: it must return at once, not ride that shard's
+    ``FailoverInProgress`` backoff (the gate used to loop over every
+    group before the targets were computed)."""
+    env = Environment()
+    cluster, _ = make_replicated_cluster(env, shards=2, router="range")
+    high = [encode_key((1 << 15) + 100 + i) for i in range(8)]
+    assert {cluster.router.route(k) for k in high} == {1}
+    run(env, cluster.put_batch([(k, b"v") for k in high]))
+    cluster.groups[0].kill_primary()
+    assert not cluster.groups[0].accepting()
+    rows = run(env, cluster.scan(high[0], len(high)))
+    assert [k for k, _ in rows] == high
+    assert cluster._retry.stats.retries == 0
+    # A scan that does reach the dead slot still waits out the promotion.
+    run(env, cluster.scan(encode_key(0), 4))
+    assert cluster._retry.stats.retries > 0
+    assert cluster.groups[0].failovers == 1
+    cluster.close()
+
+
 def test_failover_on_degraded_promotes_off_a_sick_primary():
     resil = ResilienceConfig(degrade_error_threshold=3,
                              degrade_window=0.05,

@@ -25,8 +25,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from helpers import run  # noqa: E402
 
-from repro.cluster import REPLAY, chaos_seed, run_failover_scenario  # noqa: E402
-from repro.faults import DELAY, FaultAction, NthOccurrencePlan  # noqa: E402
+from repro.cluster import REPLAY, run_failover_scenario  # noqa: E402
+from repro.faults import (  # noqa: E402
+    DELAY,
+    FaultAction,
+    NthOccurrencePlan,
+    fault_seed,
+)
 from repro.obs.journal import (  # noqa: E402
     first_divergence,
     format_divergence,
@@ -85,10 +90,18 @@ def test_bisector_names_the_replication_link(recorded):
         format_divergence(report, "clean", "delayed-link")
 
 
-def test_chaos_seed_honors_env_override(monkeypatch):
+def test_fault_seed_honors_env_override(monkeypatch):
     monkeypatch.setenv("REPRO_FAULT_SEED", "0xBEEF")
-    assert chaos_seed() == 0xBEEF
+    assert fault_seed() == 0xBEEF
     r = run_failover_scenario(REPLAY, ops=20, kill_site=None)
     assert r.seed == 0xBEEF
     monkeypatch.delenv("REPRO_FAULT_SEED")
-    assert chaos_seed(7) == 7
+    assert fault_seed(7) == 7
+
+
+def test_malformed_fault_seed_is_an_error_not_the_default_seed(monkeypatch):
+    """Replaying a printed seed with a typo must fail loudly: the cluster
+    entry point used to swallow it and run ``DEFAULT_SEED`` instead."""
+    monkeypatch.setenv("REPRO_FAULT_SEED", "0xC0FFEEZ")
+    with pytest.raises(ValueError, match="REPRO_FAULT_SEED"):
+        run_failover_scenario(REPLAY, ops=20, kill_site=None)

@@ -145,13 +145,11 @@ def test_off_by_default_gating_and_config_validation():
     env = Environment()
     plain, _ = make_cluster_system(env, shards=2)
     assert plain.groups == {}
-    assert plain._plain is True
     plain.close()
 
     env2 = Environment()
     replicated, _ = make_replicated_cluster(env2, shards=2)
     assert set(replicated.groups) == {0, 1}
-    assert replicated._plain is False
     assert all(g.accepting() for g in replicated.groups.values())
     replicated.close()
 

@@ -2,47 +2,29 @@
 
 from __future__ import annotations
 
-import os
-
 from repro.device import (
     BlockDevice,
     CpuModel,
     Ftl,
-    KiB,
     MiB,
     NandArray,
-    NandGeometry,
     PcieLink,
+)
+from repro.faults import FaultRegistry, fault_seed  # noqa: F401
+from repro.faults.kit import (  # noqa: F401  (re-exported to the tests)
+    SMALL_GEOMETRY,
+    small_options,
+    small_ssd,
+    small_stack,
 )
 from repro.lsm import DbImpl, LsmOptions
 from repro.sim import Environment
 
 
-def small_options(**kw) -> LsmOptions:
-    base = dict(
-        write_buffer_size=16 * KiB,
-        level0_file_num_compaction_trigger=2,
-        level0_slowdown_writes_trigger=6,
-        level0_stop_writes_trigger=10,
-        max_bytes_for_level_base=64 * KiB,
-        max_bytes_for_level_multiplier=4,
-        target_file_size_base=16 * KiB,
-        soft_pending_compaction_bytes_limit=256 * KiB,
-        hard_pending_compaction_bytes_limit=1 * MiB,
-        compaction_io_chunk=16 * KiB,
-        wal_group_commit_bytes=4 * KiB,
-        block_size=4 * KiB,
-    )
-    base.update(kw)
-    return LsmOptions(**base)
-
-
 def small_device(env: Environment, peak_mb: float = 200.0,
                  pcie_mb: float = 1024.0) -> BlockDevice:
-    g = NandGeometry(channels=2, ways=4, blocks_per_way=256,
-                     pages_per_block=32, page_size=4096)
-    ftl = Ftl(g, split_fraction=0.9)
-    nand = NandArray(env, g, peak_bandwidth=peak_mb * MiB)
+    ftl = Ftl(SMALL_GEOMETRY, split_fraction=0.9)
+    nand = NandArray(env, SMALL_GEOMETRY, peak_bandwidth=peak_mb * MiB)
     pcie = PcieLink(env, bandwidth=pcie_mb * MiB)
     return BlockDevice(env, ftl, nand, pcie)
 
@@ -62,77 +44,41 @@ def run(env: Environment, gen):
     return env.run(until=env.process(gen))
 
 
-def small_hybrid(env: Environment, cores: int = 8, peak_mb: float = 200.0,
-                 devlsm_memtable: int = 8 * KiB):
+def small_hybrid(env: Environment, cores: int = 8, **ssd_overrides):
     """A small HybridSsd + host CPU for KVACCEL-level tests."""
-    from repro.device import (
-        DevLsmConfig,
-        HybridSsd,
-        HybridSsdConfig,
-    )
-
     cpu = CpuModel(env, cores=cores, name="host")
-    geo = NandGeometry(channels=2, ways=4, blocks_per_way=256,
-                       pages_per_block=32, page_size=4096)
-    cfg = HybridSsdConfig(
-        geometry=geo,
-        peak_nand_bandwidth=peak_mb * MiB,
-        pcie_bandwidth=1024 * MiB,
-        devlsm=DevLsmConfig(memtable_bytes=devlsm_memtable),
-    )
-    return HybridSsd(env, cpu, cfg), cpu
+    return small_ssd(env, cpu, **ssd_overrides), cpu
 
 
 def small_kvaccel(env: Environment, options: LsmOptions | None = None,
                   rollback: str = "eager", detector_period: float = 0.002,
                   **kw):
     """A fast-detector KVACCEL stack on a small hybrid SSD."""
-    from repro.core import DetectorConfig, KvaccelDb
-
-    ssd, cpu = small_hybrid(env)
-    db = KvaccelDb(
-        env,
-        options or small_options(),
-        ssd,
-        cpu,
-        rollback=rollback,
-        detector_config=DetectorConfig(period=detector_period),
-        **kw,
-    )
-    return db, ssd, cpu
+    return small_stack(env, options=options, rollback=rollback,
+                       detector_period=detector_period, **kw)
 
 
 def make_cluster_system(env: Environment, shards: int = 2,
                         router: str = "hash", key_space: int = 1 << 16,
                         seed: int = 0, rollback: str = "disabled",
-                        with_faults: bool = False, resilience=None,
-                        detector_period: float = 0.002,
-                        options: LsmOptions | None = None, **kw):
+                        with_faults: bool = False, **kw):
     """N small share-nothing KVACCEL shards behind a ClusterDb.
 
     Shards are named ``shard<N>`` (so their daemons carry the prefix
     shard-scoped fault plans key on) and built in shard-id order — the
     same construction contract as the bench runner's cluster branch.
-    Returns ``(cluster, registry)``; ``registry`` is a seeded
-    FaultRegistry when ``with_faults=True``, else ``None``.
+    ``kw`` reaches :func:`repro.faults.small_stack` (``options=``,
+    ``resilience=``, ``detector_period=``...).  Returns
+    ``(cluster, registry)``; ``registry`` is a seeded FaultRegistry when
+    ``with_faults=True``, else ``None``.
     """
     from repro.cluster import ClusterDb, make_router
-    from repro.core import DetectorConfig, KvaccelDb
 
     registry = None
     if with_faults:
-        from repro.faults import FaultRegistry
-
         registry = FaultRegistry(fault_seed(seed)).install(env)
-    parts = []
-    for sid in range(shards):
-        ssd, cpu = small_hybrid(env)
-        db = KvaccelDb(env, options or small_options(), ssd, cpu,
-                       name=f"shard{sid}", rollback=rollback,
-                       detector_config=DetectorConfig(
-                           period=detector_period),
-                       resilience=resilience, **kw)
-        parts.append((db, ssd, cpu))
+    parts = [small_stack(env, f"shard{sid}", rollback=rollback, **kw)
+             for sid in range(shards)]
     cluster = ClusterDb(
         env, parts, make_router(router, shards, key_space, seed=seed))
     return cluster, registry
@@ -153,29 +99,12 @@ def make_replicated_cluster(env: Environment, shards: int = 2,
 
     registry = None
     if with_faults:
-        from repro.faults import FaultRegistry
-
         registry = FaultRegistry(fault_seed(seed)).install(env)
     if replication is None:
         replication = ReplicationConfig(mode=mode, backups=backups)
     cluster = build_replicated_cluster(env, shards=shards,
                                        replication=replication, **kw)
     return cluster, registry
-
-
-def fault_seed(default: int | None = None) -> int:
-    """The pinned fault/workload seed for this test run.
-
-    Override with ``REPRO_FAULT_SEED=0x...`` to replay a failure whose
-    message printed a seed.  Fault-test assertion messages embed this seed,
-    so every failure is reproducible from its own output.
-    """
-    from repro.faults import DEFAULT_SEED
-
-    env_seed = os.environ.get("REPRO_FAULT_SEED")
-    if env_seed is not None:
-        return int(env_seed, 0)
-    return DEFAULT_SEED if default is None else default
 
 
 def make_faulty_system(env: Environment, seed: int | None = None,
@@ -191,8 +120,6 @@ def make_faulty_system(env: Environment, seed: int | None = None,
         db, ssd, cpu, reg = make_faulty_system(env)
         reg.arm("nand.program", NthOccurrencePlan(3))   # FAIL on 3rd program
     """
-    from repro.faults import FaultRegistry
-
     resolved = fault_seed(seed) if seed is None else seed
     registry = FaultRegistry(resolved).install(env)
     registry.record_trace = record_trace

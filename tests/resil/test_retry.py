@@ -226,6 +226,12 @@ def test_executor_seed_from_environment_variable(monkeypatch):
     assert ex.seed == 0x1234
 
 
+def test_malformed_seed_variable_is_an_error_not_the_default_seed(monkeypatch):
+    monkeypatch.setenv("REPRO_FAULT_SEED", "not-a-seed")
+    with pytest.raises(ValueError, match="REPRO_FAULT_SEED"):
+        RetryExecutor(Environment(), name="kv")   # no registry installed
+
+
 def test_independent_streams_per_executor_name():
     env = Environment()
     a = RetryExecutor(env, seed=5, name="kv")
