@@ -86,10 +86,11 @@ def main(argv=None) -> int:
                              "ignored by experiments without one")
     parser.add_argument("--json", metavar="PATH", nargs="?",
                         const="", default=None, dest="json_out",
-                        help="write a BENCH_<exp>.json baseline per "
-                             "experiment (telemetry + health enabled); "
+                        help="write a BENCH_<exp>.json determinism pin "
+                             "per experiment (telemetry + health enabled; "
+                             "check it with 'python -m repro.obs compare'); "
                              "PATH may be a file (single experiment) or "
-                             "a directory (default: benchmarks/)")
+                             "an existing directory (default: benchmarks/)")
     parser.add_argument("--journal", metavar="PATH", default=None,
                         help="record the deterministic flight recorder per "
                              "cell (JSONL, gzip when PATH ends in .gz); "

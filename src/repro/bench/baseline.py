@@ -1,40 +1,30 @@
-"""Bench baseline store: schema-versioned ``BENCH_<exp>.json`` documents.
+"""Bench pin store: ``BENCH_<exp>.json`` determinism pins.
 
 ``python -m repro.bench <exp> --json`` summarises every cell of an
 experiment into one JSON document — throughput, tail latency, stall
-books, and the per-rule health summary from the telemetry layer — that
-``python -m repro.obs compare`` diffs against a later run.  This is the
-ROADMAP's "measurably faster" trajectory: optimisations land with a
-before/after pair of these files.
-
-The document shape is pinned by ``bench_schema.json`` (checked in next to
-this module) and validated by :func:`validate_schema`, a dependency-free
-interpreter of the JSON-Schema subset the schema uses — the container
-image has no ``jsonschema`` package, and the subset keeps us honest about
-what the schema can express.
+books, kernel events processed, and the per-rule health summary from the
+telemetry layer.  Every value is simulated, so the document is the same
+on any host; ``python -m repro.obs compare`` checks a fresh one against
+the checked-in ``benchmarks/BENCH_<exp>.json`` for exact equality (the
+reader and the schema header live in :mod:`repro.obs.compare`).  Host
+wall-clock stays out of the document: it is in ``RunResult.extra`` and
+is judged by ``benchmarks/e2e``.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
+
+from ..obs.compare import SCHEMA_NAME, SCHEMA_VERSION
 
 __all__ = ["SCHEMA_NAME", "SCHEMA_VERSION", "cell_metrics",
-           "build_baseline", "write_baseline", "load_schema",
-           "validate_schema", "default_baseline_path"]
-
-SCHEMA_NAME = "repro-bench-baseline"
-# v2 adds per-cell harness-performance fields (wall_clock_s,
-# events_processed, events_per_sec).  They are optional in the schema:
-# they vary run to run, v1 documents stay valid, and byte-identity checks
-# (serial vs --jobs N) strip them before comparing.
-SCHEMA_VERSION = 2
-_SCHEMA_PATH = Path(__file__).with_name("bench_schema.json")
+           "build_baseline", "write_baseline", "default_baseline_path"]
 
 
 def cell_metrics(result) -> dict:
-    """Flatten one RunResult into the baseline's per-cell record."""
+    """Flatten one RunResult into the pin's per-cell record."""
     out = {
         "write_throughput_ops": float(result.write_throughput_ops),
         "read_throughput_ops": float(result.read_throughput_ops),
@@ -50,12 +40,9 @@ def cell_metrics(result) -> dict:
         "read_ops": int(result.read_ops),
         "health": {k: int(v) for k, v in result.health_summary().items()},
     }
-    # Harness-performance instrumentation (absent on hand-built results).
-    extra = getattr(result, "extra", {}) or {}
-    if "wall_clock_s" in extra:
-        out["wall_clock_s"] = float(extra["wall_clock_s"])
-        out["events_processed"] = int(extra.get("events_processed", 0))
-        out["events_per_sec"] = float(extra.get("events_per_sec", 0.0))
+    # Kernel events the cell scheduled (absent on hand-built results).
+    if "events_processed" in result.extra:
+        out["events_processed"] = int(result.extra["events_processed"])
     return out
 
 
@@ -81,85 +68,6 @@ def default_baseline_path(experiment: str,
 
 
 def write_baseline(doc: dict, path: Union[str, Path]) -> Path:
-    """Validate against the checked-in schema, then write."""
-    errors = validate_schema(doc, load_schema())
-    if errors:
-        raise ValueError("baseline does not match bench_schema.json: "
-                         + "; ".join(errors[:5]))
     path = Path(path)
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def load_schema() -> dict:
-    return json.loads(_SCHEMA_PATH.read_text())
-
-
-# -- JSON-Schema subset interpreter -----------------------------------------
-
-_TYPES = {
-    "object": dict,
-    "array": list,
-    "string": str,
-    "boolean": bool,
-    "null": type(None),
-}
-
-
-def _type_ok(value, tname: str) -> bool:
-    if tname == "number":
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if tname == "integer":
-        return (isinstance(value, int) and not isinstance(value, bool)) or (
-            isinstance(value, float) and value.is_integer())
-    return isinstance(value, _TYPES[tname])
-
-
-def validate_schema(value, schema: dict, path: str = "$") -> list:
-    """Validate ``value`` against a JSON-Schema subset; returns a list of
-    error strings (empty = valid).
-
-    Supported keywords: ``type`` (str or list), ``const``, ``enum``,
-    ``minimum``/``maximum``, ``required``, ``properties``,
-    ``additionalProperties`` (bool or schema), ``items``.  Anything else
-    in the schema is ignored, so keep ``bench_schema.json`` inside this
-    subset.
-    """
-    errors: list[str] = []
-    if "const" in schema and value != schema["const"]:
-        errors.append(f"{path}: expected const {schema['const']!r}, "
-                      f"got {value!r}")
-    if "enum" in schema and value not in schema["enum"]:
-        errors.append(f"{path}: {value!r} not in enum {schema['enum']!r}")
-    if "type" in schema:
-        tnames = schema["type"]
-        if isinstance(tnames, str):
-            tnames = [tnames]
-        if not any(_type_ok(value, t) for t in tnames):
-            errors.append(f"{path}: expected type {'/'.join(tnames)}, "
-                          f"got {type(value).__name__}")
-            return errors   # deeper checks are meaningless on a type miss
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if "minimum" in schema and value < schema["minimum"]:
-            errors.append(f"{path}: {value} < minimum {schema['minimum']}")
-        if "maximum" in schema and value > schema["maximum"]:
-            errors.append(f"{path}: {value} > maximum {schema['maximum']}")
-    if isinstance(value, dict):
-        for req in schema.get("required", []):
-            if req not in value:
-                errors.append(f"{path}: missing required property {req!r}")
-        props = schema.get("properties", {})
-        addl = schema.get("additionalProperties", True)
-        for key, sub in value.items():
-            kpath = f"{path}.{key}"
-            if key in props:
-                errors.extend(validate_schema(sub, props[key], kpath))
-            elif addl is False:
-                errors.append(f"{path}: unexpected property {key!r}")
-            elif isinstance(addl, dict):
-                errors.extend(validate_schema(sub, addl, kpath))
-    if isinstance(value, list) and "items" in schema:
-        for i, item in enumerate(value):
-            errors.extend(validate_schema(item, schema["items"],
-                                          f"{path}[{i}]"))
-    return errors

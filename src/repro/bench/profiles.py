@@ -49,11 +49,6 @@ class ExperimentProfile:
     value_size: int = 4096
     key_size: int = 4
     batch_size: int = 32
-    # Driver-side event amortisation: how many logical op groups a driver
-    # issues per scheduled wakeup (1 = one group commit / one read per
-    # event, the reference trajectory; >1 trades per-second attribution
-    # resolution for fewer kernel events — see MODEL.md).
-    driver_batch: int = 1
     device_peak_bw: float = 630 * MiB
     host_cores: int = 8              # Table II: usage limited to 8 cores
     page_cache_bytes: int = 32 * 1024 * MiB   # host RAM share for page cache

@@ -38,20 +38,22 @@ from ..workload import (
 from .profiles import ExperimentProfile
 
 __all__ = ["RunSpec", "RunOptions", "run_workload", "build_system",
-           "cell_trace_path", "cell_journal_path", "PERF_EXTRA_KEYS",
+           "cell_trace_path", "cell_journal_path", "WALL_EXTRA_KEYS",
            "LIVE_EXTRA_KEYS"]
 
 SYSTEMS = ("rocksdb", "adoc", "kvaccel", "cluster")
 
-# Wall-clock instrumentation keys written into RunResult.extra by
-# run_workload.  They vary run to run, so baseline comparisons and the
-# serial-vs-parallel identity check must exclude them.
-PERF_EXTRA_KEYS = ("wall_clock_s", "events_processed", "events_per_sec")
+# Host wall-clock keys written into RunResult.extra by run_workload: the
+# only values that vary run to run, so the BENCH_<exp>.json pins and the
+# serial-vs-parallel identity check exclude them.  ``events_processed``,
+# written beside them, is deterministic and is pinned like any metric.
+WALL_EXTRA_KEYS = ("wall_clock_s", "events_per_sec")
 
 # Live objects carried in RunResult.extra for interactive callers (the
 # dashboard, analyze scripts).  They hold Environment references and are
 # not picklable — parallel workers strip them before returning.
-LIVE_EXTRA_KEYS = ("tracer", "telemetry_hub", "health_monitor", "journal")
+LIVE_EXTRA_KEYS = ("tracer", "telemetry_hub", "health_monitor",
+                   "shard_health_monitor", "journal")
 
 
 @dataclass(frozen=True)
@@ -264,9 +266,9 @@ def run_workload(
     ``health_events``.  ``sample_callback(t, sample)`` is invoked per
     closed bucket — the live dashboard's feed.
 
-    Every result carries wall-clock instrumentation in ``extra``
-    (:data:`PERF_EXTRA_KEYS`): host seconds, kernel events processed, and
-    events/sec — the harness-performance signal tracked by baselines.
+    Every result carries ``events_processed`` (kernel events, pinned by
+    the ``BENCH_<exp>.json`` documents) and the host wall-clock
+    :data:`WALL_EXTRA_KEYS` in ``extra``.
     """
     wall_t0 = time.perf_counter()
     env = Environment()
@@ -327,7 +329,6 @@ def run_workload(
         value_size=profile.value_size,
         batch_size=profile.batch_size,
         seed=spec.seed,
-        driver_batch=profile.driver_batch,
     )
 
     # Workload D preloads the store before measuring.

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..obs import MetricRegistry
 from ..sim import Environment, PeriodicSampler, RateMeter
 from .efficiency import efficiency
 from .histogram import LatencyHistogram
@@ -128,20 +127,18 @@ class RunCollector:
         self._read_sampler = PeriodicSampler(
             env, self.read_meter.take_delta, sample_period, name=f"{name}.rd")
         self._t0 = env.now
-        # Typed registry over the same instruments — snapshot() gives one
-        # uniform view, and a traced run streams counter samples into the
-        # Chrome trace as "C" events.
-        self.registry = MetricRegistry()
-        self.registry.register(f"{name}.write_ops", self.write_meter)
-        self.registry.register(f"{name}.read_ops", self.read_meter)
-        self.registry.register(f"{name}.write_latency", self.write_hist)
-        self.registry.register(f"{name}.read_latency", self.read_hist)
+        # A traced run streams both op counters into the Chrome trace as
+        # "C" events, one sample per period.
         self._trace_sampler = None
         if env.tracer is not None:
-            registry, tracer = self.registry, env.tracer
+            tracer, writes, reads = env.tracer, self.write_meter, self.read_meter
+
+            def sample() -> None:
+                tracer.counter(f"{name}.write_ops", writes.total)
+                tracer.counter(f"{name}.read_ops", reads.total)
+
             self._trace_sampler = PeriodicSampler(
-                env, lambda: registry.sample_into(tracer),
-                sample_period, name=f"{name}.trace")
+                env, sample, sample_period, name=f"{name}.trace")
 
     def attach_db_stats(self, stats) -> None:
         """Point a DbStats' latency hooks at our histograms."""

@@ -1,4 +1,4 @@
-"""Observability: sim-time tracing, typed metrics, and trace exporters.
+"""Observability: sim-time tracing, telemetry, and trace exporters.
 
 ``repro.obs`` mirrors the fault registry's installation pattern: a
 :class:`Tracer` is attached to the simulation :class:`~repro.sim.Environment`
@@ -13,8 +13,6 @@ Pieces:
   ``compaction[Lx->Ly]``, ``rollback.eager``, ``nand.program``, ...) and
   point **instants** (stall enter/exit, detector verdicts, slowdown rate
   changes, interface switches), timestamped from the DES clock;
-* :class:`MetricRegistry` — typed counters / gauges / sim-time histograms
-  that the run collector re-plugs its ad-hoc meters onto;
 * exporters — Chrome ``trace_event`` JSON (open in Perfetto or
   ``chrome://tracing``), a JSONL event stream, and a human stall
   attribution report (``python -m repro.obs report trace.json``);
@@ -24,8 +22,9 @@ Pieces:
   predicates (stall storms, zero-traffic-while-stalled, ...) emitting
   typed :class:`HealthEvent` edges;
 * telemetry exporters — Prometheus text format, CSV, terminal sparkline
-  dashboard (``python -m repro.obs dash``), and bench-baseline
-  comparison (``python -m repro.obs compare A.json B.json``);
+  dashboard (``python -m repro.obs dash``), and the exact compare of
+  ``BENCH_<exp>.json`` determinism pins (``python -m repro.obs compare
+  A.json B.json``);
 * :class:`Journal` — the deterministic flight recorder (``env.journal``,
   same no-op guard): every executed kernel event, every fault-site visit,
   periodic per-layer state digests; with the first-divergence bisector
@@ -50,7 +49,6 @@ from .export import (
 )
 from .compare import compare_baselines, format_comparison
 from .exporters import telemetry_to_csv, telemetry_to_prometheus
-from .metrics import Counter, Gauge, MetricRegistry, SimHistogram
 from .profiler import (
     DEFAULT_BANDS,
     LINEAGE_SCHEMA,
@@ -88,10 +86,6 @@ __all__ = [
     "SpanRecord",
     "InstantRecord",
     "CounterRecord",
-    "Counter",
-    "Gauge",
-    "SimHistogram",
-    "MetricRegistry",
     "chrome_trace_events",
     "to_chrome_trace",
     "write_chrome_trace",

@@ -6,10 +6,9 @@
 * ``top`` — longest spans per category;
 * ``dash`` — run one bench cell with the live telemetry dashboard
   (``--once`` for a single CI-friendly snapshot);
-* ``compare`` — diff two ``BENCH_<exp>.json`` baselines with tolerance
-  bands; exits non-zero on regressions;
-* ``baseline-validate`` — check baseline files against the checked-in
-  JSON Schema;
+* ``compare`` — exact compare of two ``BENCH_<exp>.json`` determinism
+  pins: rc 0 equal, 1 with every differing ``(cell, field)`` listed,
+  2 when either file is not a pin document;
 * ``lineage`` — percentile-conditioned latency-lineage decomposition
   from a Chrome trace recorded with the lineage profiler on
   (``--lineage`` on the bench CLI, or ``RunOptions(lineage=True)``
@@ -110,45 +109,27 @@ def _lineage_cmd(args) -> int:
 
 
 def _compare_cmd(args) -> int:
-    from .compare import (DEFAULT_METRICS, PERF_METRICS, compare_baselines,
-                          format_comparison, load_baseline, regression_count)
-    metrics = DEFAULT_METRICS + PERF_METRICS if args.perf else None
+    from .compare import compare_baselines, format_comparison, load_baseline
+    from .journal import write_divergence_artifact
     try:
         old_doc = load_baseline(args.old)
         new_doc = load_baseline(args.new)
-        findings = compare_baselines(old_doc, new_doc, metrics=metrics,
-                                     old_path=args.old, new_path=args.new)
     except (OSError, ValueError) as exc:
         print(f"compare failed: {exc}", file=sys.stderr)
         return 2
-    print(format_comparison(findings, old_path=args.old, new_path=args.new))
-    return 1 if regression_count(findings) else 0
-
-
-def _baseline_validate_cmd(args) -> int:
-    import json
-
-    from ..bench.baseline import load_schema, validate_schema
-    schema = load_schema()
-    status = 0
-    for path in args.files:
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"{path}: unreadable ({exc})", file=sys.stderr)
-            status = 1
-            continue
-        errors = validate_schema(doc, schema)
-        if errors:
-            print(f"{path}: INVALID ({len(errors)} problem(s))")
-            for e in errors[:10]:
-                print(f"  - {e}")
-            status = 1
-        else:
-            n = len(doc.get("cells", {}))
-            print(f"{path}: ok ({n} cell(s))")
-    return status
+    diffs = compare_baselines(old_doc, new_doc)
+    print(format_comparison(diffs, old_path=args.old, new_path=args.new))
+    if not diffs:
+        return 0
+    # No-op unless REPRO_DIVERGENCE_DIR is set (CI uploads the directory).
+    artifact = write_divergence_artifact(
+        f"pin_{old_doc.get('experiment')}",
+        {"divergent": True, "old": args.old, "new": args.new,
+         "differences": [{"cell": c, "field": f, "old": o, "new": n}
+                         for c, f, o, n in diffs]})
+    if artifact:
+        print(f"divergence artifact: {artifact}")
+    return 1
 
 
 def _diff_cmd(args) -> int:
@@ -189,7 +170,7 @@ def _replay_to_cmd(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Trace tooling, live dashboard, and baseline compare.")
+        description="Trace tooling, live dashboard, and pin compare.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, help_ in (("validate", "validate Chrome-trace JSON files"),
@@ -207,19 +188,11 @@ def main(argv=None) -> int:
     add_dash_args(p)
     p.set_defaults(func=run_dash)
 
-    p = sub.add_parser("compare", help="diff two BENCH_<exp>.json baselines")
-    p.add_argument("old", help="baseline JSON (the reference)")
+    p = sub.add_parser("compare",
+                       help="exact compare of two BENCH_<exp>.json pins")
+    p.add_argument("old", help="pin JSON (the reference)")
     p.add_argument("new", help="candidate JSON")
-    p.add_argument("--perf", action="store_true",
-                   help="also judge harness-performance fields (schema v2: "
-                        "wall_clock_s / events_processed / events_per_sec) "
-                        "with wide tolerance bands")
     p.set_defaults(func=_compare_cmd)
-
-    p = sub.add_parser("baseline-validate",
-                       help="validate BENCH_*.json against the schema")
-    p.add_argument("files", nargs="+", help="baseline JSON file(s)")
-    p.set_defaults(func=_baseline_validate_cmd)
 
     p = sub.add_parser("lineage",
                        help="percentile-conditioned latency-lineage tables "

@@ -1,192 +1,77 @@
-"""Bench baseline comparison with tolerance bands.
+"""Exact compare of ``BENCH_<exp>.json`` determinism pins.
 
-``python -m repro.obs compare OLD.json NEW.json`` diffs two
-``BENCH_<exp>.json`` documents (written by ``python -m repro.bench <exp>
---json``) cell by cell and reports regressions.  Simulated runs are
-deterministic, so identical code produces identical numbers and a
-self-compare is exactly zero-diff; the tolerance bands exist to absorb
-intentional model changes that move metrics within noise of the paper's
-own run-to-run variance.
-
-Higher-is-better metrics regress when NEW falls more than ``tol`` below
-OLD; lower-is-better metrics regress when NEW rises more than ``tol``
-above OLD.  An absolute slack floor keeps tiny denominators (0.2 s of
-stalls) from flagging on trivial deltas.
+``python -m repro.obs compare OLD.json NEW.json`` checks two pin
+documents (written by ``python -m repro.bench <exp> --json``) for plain
+equality.  The simulator is deterministic and the documents carry no
+host wall-clock value, so the same code produces the same document on
+any host at any ``--jobs``: a difference in any field of any cell means
+the model changed, never noise.  An intended model change regenerates
+the checked-in pin with the command that wrote it.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional
 
-__all__ = ["MetricSpec", "Finding", "compare_baselines",
-           "format_comparison", "DEFAULT_METRICS", "PERF_METRICS"]
+__all__ = ["SCHEMA_NAME", "SCHEMA_VERSION", "load_baseline",
+           "compare_baselines", "format_comparison"]
 
+SCHEMA_NAME = "repro-bench-baseline"
+# v3 drops the per-cell host wall-clock fields (wall_clock_s,
+# events_per_sec) that v2 carried: every remaining value is simulated.
+SCHEMA_VERSION = 3
 
-class MetricSpec:
-    """How one cell metric is judged."""
-
-    __slots__ = ("key", "higher_is_better", "tolerance", "abs_slack")
-
-    def __init__(self, key: str, higher_is_better: bool,
-                 tolerance: float, abs_slack: float = 0.0):
-        self.key = key
-        self.higher_is_better = higher_is_better
-        self.tolerance = tolerance        # relative band, e.g. 0.10 = 10%
-        self.abs_slack = abs_slack        # absolute band floor
-
-    def judge(self, old: float, new: float) -> Optional[str]:
-        """Return "regression" / "improvement" / None (within band)."""
-        delta = new - old
-        band = max(abs(old) * self.tolerance, self.abs_slack)
-        if abs(delta) <= band:
-            return None
-        good = delta > 0 if self.higher_is_better else delta < 0
-        return "improvement" if good else "regression"
-
-
-DEFAULT_METRICS = [
-    MetricSpec("write_throughput_ops", higher_is_better=True,
-               tolerance=0.10, abs_slack=1.0),
-    MetricSpec("read_throughput_ops", higher_is_better=True,
-               tolerance=0.10, abs_slack=1.0),
-    MetricSpec("write_p99_us", higher_is_better=False,
-               tolerance=0.25, abs_slack=5.0),
-    MetricSpec("total_stall_time", higher_is_better=False,
-               tolerance=0.20, abs_slack=0.5),
-    MetricSpec("total_delayed_time", higher_is_better=False,
-               tolerance=0.20, abs_slack=0.5),
-    MetricSpec("efficiency", higher_is_better=True,
-               tolerance=0.15, abs_slack=0.0),
-]
-
-# Harness-performance metrics (schema v2 cells, opt-in via ``--perf``):
-# wall-clock varies with host load, so the bands are wide — the check is
-# meant to catch the harness getting *structurally* slower (a kernel
-# fast-path regressing, a driver de-batching), not scheduler noise.
-# events_processed is deterministic and gets a tight band: a big jump in
-# kernel events for the same model output usually means an accidental
-# busy-poll somewhere.
-PERF_METRICS = [
-    MetricSpec("events_per_sec", higher_is_better=True,
-               tolerance=0.40, abs_slack=0.0),
-    MetricSpec("wall_clock_s", higher_is_better=False,
-               tolerance=0.50, abs_slack=1.0),
-    MetricSpec("events_processed", higher_is_better=False,
-               tolerance=0.02, abs_slack=100.0),
-]
-
-
-class Finding:
-    """One out-of-band metric move (or a structural mismatch)."""
-
-    __slots__ = ("cell", "metric", "old", "new", "kind", "note")
-
-    def __init__(self, cell: str, metric: str, old, new, kind: str,
-                 note: str = ""):
-        self.cell = cell
-        self.metric = metric
-        self.old = old
-        self.new = new
-        self.kind = kind      # "regression" | "improvement" | "structural"
-        self.note = note
-
-    def __repr__(self) -> str:
-        return (f"Finding({self.kind}: {self.cell}/{self.metric} "
-                f"{self.old} -> {self.new})")
-
-
-def _require_baseline(doc: dict, path: str) -> None:
-    if doc.get("schema") != "repro-bench-baseline":
-        raise ValueError(f"{path}: not a repro-bench-baseline document")
-
-
-def compare_baselines(old_doc: dict, new_doc: dict,
-                      metrics: Optional[list] = None,
-                      old_path: str = "old", new_path: str = "new") -> list:
-    """Compare two baseline documents; returns a list of :class:`Finding`.
-
-    Missing/added cells and health-rule firing changes are structural
-    findings (counted as regressions by the CLI: a rule newly firing means
-    the run's health changed, which a baseline bump must acknowledge).
-    """
-    _require_baseline(old_doc, old_path)
-    _require_baseline(new_doc, new_path)
-    metrics = metrics if metrics is not None else DEFAULT_METRICS
-    findings: list[Finding] = []
-    old_cells = old_doc.get("cells", {})
-    new_cells = new_doc.get("cells", {})
-    for label in sorted(set(old_cells) | set(new_cells)):
-        if label not in new_cells:
-            findings.append(Finding(label, "<cell>", "present", "missing",
-                                    "structural", "cell disappeared"))
-            continue
-        if label not in old_cells:
-            findings.append(Finding(label, "<cell>", "missing", "present",
-                                    "structural", "new cell (informational)"))
-            continue
-        old_c, new_c = old_cells[label], new_cells[label]
-        for spec in metrics:
-            if spec.key not in old_c or spec.key not in new_c:
-                continue
-            verdict = spec.judge(float(old_c[spec.key]),
-                                 float(new_c[spec.key]))
-            if verdict is not None:
-                findings.append(Finding(label, spec.key, old_c[spec.key],
-                                        new_c[spec.key], verdict))
-        old_h = old_c.get("health", {}) or {}
-        new_h = new_c.get("health", {}) or {}
-        for rule in sorted(set(old_h) | set(new_h)):
-            o, n = old_h.get(rule, 0), new_h.get(rule, 0)
-            if (o == 0) != (n == 0):
-                findings.append(Finding(
-                    label, f"health.{rule}", o, n, "structural",
-                    "health rule firing state changed"))
-    return findings
-
-
-def _fmt_val(v) -> str:
-    if isinstance(v, float):
-        return f"{v:,.2f}"
-    return str(v)
-
-
-def format_comparison(findings: list, old_path: str = "old",
-                      new_path: str = "new") -> str:
-    """Human-readable report; the CLI prints this and exits non-zero when
-    any regression or cell-loss/health structural finding exists."""
-    lines = [f"baseline compare: {old_path} -> {new_path}"]
-    regressions = [f for f in findings
-                   if f.kind == "regression"
-                   or (f.kind == "structural"
-                       and "informational" not in f.note)]
-    improvements = [f for f in findings if f.kind == "improvement"]
-    info = [f for f in findings if f not in regressions
-            and f not in improvements]
-    if not findings:
-        lines.append("  no differences outside tolerance bands")
-    for title, group in (("REGRESSIONS", regressions),
-                         ("improvements", improvements),
-                         ("informational", info)):
-        if group:
-            lines.append(f"  {title}:")
-            for f in group:
-                note = f"  ({f.note})" if f.note else ""
-                lines.append(f"    {f.cell:28s} {f.metric:24s} "
-                             f"{_fmt_val(f.old)} -> {_fmt_val(f.new)}{note}")
-    lines.append(f"  {len(regressions)} regression(s), "
-                 f"{len(improvements)} improvement(s)")
-    return "\n".join(lines)
-
-
-def regression_count(findings: list) -> int:
-    return sum(1 for f in findings
-               if f.kind == "regression"
-               or (f.kind == "structural" and "informational" not in f.note))
+_MISSING = "<missing>"
 
 
 def load_baseline(path: str) -> dict:
+    """Read a pin document; ValueError unless it carries this version's
+    header (the file is input from outside the program)."""
     with open(path) as fh:
         doc = json.load(fh)
-    _require_baseline(doc, path)
+    if (not isinstance(doc, dict) or doc.get("schema") != SCHEMA_NAME
+            or doc.get("version") != SCHEMA_VERSION
+            or not isinstance(doc.get("cells"), dict)
+            or not all(isinstance(c, dict) for c in doc["cells"].values())):
+        raise ValueError(f"{path}: not a {SCHEMA_NAME} v{SCHEMA_VERSION} "
+                         f"document")
     return doc
+
+
+def _field_diffs(where: str, old: dict, new: dict) -> list:
+    return [(where, key, old.get(key, _MISSING), new.get(key, _MISSING))
+            for key in sorted(set(old) | set(new))
+            if old.get(key, _MISSING) != new.get(key, _MISSING)]
+
+
+def compare_baselines(old_doc: dict, new_doc: dict) -> list:
+    """Every difference as ``(cell, field, old, new)``; ``[]`` means the
+    documents are equal.
+
+    Header fields report under the cell ``<document>``; a cell present on
+    one side only is one ``<cell>`` row, not one row per field.
+    """
+    old_cells, new_cells = old_doc["cells"], new_doc["cells"]
+    diffs = _field_diffs(
+        "<document>",
+        {k: v for k, v in old_doc.items() if k != "cells"},
+        {k: v for k, v in new_doc.items() if k != "cells"})
+    for label in sorted(set(old_cells) | set(new_cells)):
+        if label not in new_cells:
+            diffs.append((label, "<cell>", "present", _MISSING))
+        elif label not in old_cells:
+            diffs.append((label, "<cell>", _MISSING, "present"))
+        else:
+            diffs.extend(_field_diffs(label, old_cells[label],
+                                      new_cells[label]))
+    return diffs
+
+
+def format_comparison(diffs: list, old_path: str = "old",
+                      new_path: str = "new") -> str:
+    """Human-readable report; the CLI prints this and exits 1 on any row."""
+    lines = [f"pin compare: {old_path} -> {new_path}"]
+    for cell, key, old, new in diffs:
+        lines.append(f"  ({cell}, {key}): {old!r} -> {new!r}")
+    lines.append(f"  {len(diffs)} difference(s)" if diffs else "  equal")
+    return "\n".join(lines)

@@ -1,20 +1,17 @@
-"""Performance harness: kernel microbenchmarks and suite throughput.
+"""Performance harness: kernel microbenchmarks and kernel self-profiles.
 
-The ROADMAP's north star is a harness that runs "as fast as the hardware
-allows"; this package is how we hold ourselves to that.  It measures two
-things:
+An unguarded secondary signal.  The perf gate of record is
+``benchmarks/e2e`` (end to end, host-normalised, model-change aware);
+this package isolates the DES kernel underneath it:
 
-* **events/sec** — how fast the DES kernel steps through its heap, via
-  microbenchmarks that isolate the dominant event patterns (Timeout churn,
-  event signalling, process spawn, resource handoff);
-* **cells/min** — how fast the experiment suite completes, by timing
-  ``run_cells`` over a real experiment's specs.
+* **events/sec** microbenchmarks over the dominant event patterns
+  (Timeout churn, event signalling, process spawn, resource handoff,
+  channel bursts) — ``python -m repro.perf`` prints the table;
+* ``python -m repro.perf profile <bench|mini|paper-smoke>`` — the kernel
+  self-profiler over a microbenchmark or a real experiment cell.
 
-``python -m repro.perf`` runs the microbenchmarks, prints a table, and —
-when a pinned baseline (``benchmarks/PERF_BASELINE.json``, recorded on the
-pre-fast-path kernel) is present — reports the speedup against it.
-``--json`` writes a machine-readable document in the same shape as the
-pinned baseline so CI can archive per-commit numbers.
+Raw events/sec depends on the host, so nothing here passes or fails a
+change: compare two checkouts on one host, alternating runs.
 
 All benchmarks are *simulated-workload* benchmarks: they drive the real
 :class:`~repro.sim.Environment`, so any kernel change shows up here first.
@@ -25,38 +22,19 @@ comparable across kernel versions regardless of internal pooling.
 
 from __future__ import annotations
 
-import json
-import platform
-import sys
 import time
-from pathlib import Path
 from typing import Callable, Optional
 
 from ..sim import Environment, Resource, install_kernel_profiler
 
 __all__ = [
-    "PERF_SCHEMA", "PERF_VERSION", "KERNEL_BENCHES", "BenchResult",
+    "KERNEL_BENCHES", "BenchResult",
     "bench_timeout_chain", "bench_event_ping_pong", "bench_process_spawn",
     "bench_resource_handoff", "bench_macro_burst",
-    "run_kernel_benches", "bench_suite_cells",
-    "build_perf_doc", "load_perf_doc", "compare_perf", "default_baseline_path",
+    "run_kernel_benches",
     "profile_kernel_bench", "profile_mini_cell", "profile_smoke_cell",
     "format_kernel_profile",
 ]
-
-PERF_SCHEMA = "repro-perf-baseline"
-# v4: the four v1 patterns plus the macro-event bench (``macro_burst``);
-# v3 also carried a 16K-timer flood for a scheduler that no longer exists.
-# The four v1 numbers in the pinned baseline are carried over verbatim so
-# speedups keep being measured against the pre-fast-path kernel.
-PERF_VERSION = 4
-
-# Committed pre-change numbers live next to the figure benchmarks.
-_REPO_ROOT = Path(__file__).resolve().parents[3]
-
-
-def default_baseline_path() -> Path:
-    return _REPO_ROOT / "benchmarks" / "PERF_BASELINE.json"
 
 
 class BenchResult:
@@ -70,11 +48,6 @@ class BenchResult:
         self.wall_s = wall_s
         self.events_per_sec = events / wall_s if wall_s > 0 else 0.0
         self.profile = profile          # KernelProfile dict when profiled
-
-    def to_dict(self) -> dict:
-        return {"events": int(self.events),
-                "wall_s": float(self.wall_s),
-                "events_per_sec": float(self.events_per_sec)}
 
 
 def _timed(name: str, build: Callable[[], Environment],
@@ -223,10 +196,6 @@ KERNEL_BENCHES: dict[str, Callable[[], BenchResult]] = {
     "macro_burst": bench_macro_burst,
 }
 
-# The headline number the acceptance gate tracks: Timeout churn is what
-# real experiment cells spend their kernel time on.
-HEADLINE_BENCH = "timeout_chain"
-
 
 def run_kernel_benches(names: Optional[list] = None,
                        repeats: int = 3) -> dict:
@@ -247,68 +216,6 @@ def run_kernel_benches(names: Optional[list] = None,
             if best is None or r.wall_s < best.wall_s:
                 best = r
         out[name] = best
-    return out
-
-
-def bench_suite_cells(experiment: str, quick: bool = True,
-                      jobs: int = 1) -> dict:
-    """Time a full experiment's cells; returns cells/min and events/sec.
-
-    Uses the real experiment specs through the real runner, so driver
-    batching and ``--jobs`` parallelism show up in the number.
-    """
-    from ..bench.experiments import ALL
-    from ..bench.runner import RunOptions
-    if experiment not in ALL:
-        raise ValueError(f"unknown experiment {experiment!r}")
-    t0 = time.perf_counter()
-    out = ALL[experiment].run(quick=quick, options=RunOptions(jobs=jobs))
-    wall = time.perf_counter() - t0
-    results = out["results"]
-    events = sum(int(r.extra.get("events_processed", 0))
-                 for r in results.values())
-    return {
-        "experiment": experiment,
-        "cells": len(results),
-        "wall_s": float(wall),
-        "cells_per_min": len(results) / wall * 60.0 if wall > 0 else 0.0,
-        "events_processed": events,
-        "events_per_sec": events / wall if wall > 0 else 0.0,
-        "jobs": jobs,
-    }
-
-
-def build_perf_doc(benches: dict, suite: Optional[dict] = None) -> dict:
-    doc = {
-        "schema": PERF_SCHEMA,
-        "version": PERF_VERSION,
-        "host": {
-            "python": platform.python_version(),
-            "implementation": platform.python_implementation(),
-            "machine": platform.machine(),
-        },
-        "benches": {k: v.to_dict() for k, v in benches.items()},
-    }
-    if suite is not None:
-        doc["suite"] = suite
-    return doc
-
-
-def load_perf_doc(path) -> dict:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("schema") != PERF_SCHEMA:
-        raise ValueError(f"{path}: not a {PERF_SCHEMA} document")
-    return doc
-
-
-def compare_perf(baseline: dict, benches: dict) -> dict:
-    """Per-bench speedup of ``benches`` over a baseline document."""
-    out = {}
-    for name, res in benches.items():
-        base = baseline.get("benches", {}).get(name)
-        if not base or not base.get("events_per_sec"):
-            continue
-        out[name] = res.events_per_sec / base["events_per_sec"]
     return out
 
 

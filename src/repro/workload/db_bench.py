@@ -30,14 +30,6 @@ class DriverConfig:
     value_size: int = 4096
     batch_size: int = 32            # driver-side batching (group commit)
     seed: int = 1
-    # Event amortisation: groups issued per scheduled wakeup.  At 1 the
-    # drivers behave exactly as before (one group commit per put_batch,
-    # one read per pacing decision) — the reference trajectory.  Above 1,
-    # writers fold ``driver_batch`` groups into one put_batch call and
-    # readers take ``driver_batch`` reads per pacing decision, cutting
-    # kernel events at the cost of coarser per-second attribution (ops
-    # land in the bucket where the enlarged group completes).
-    driver_batch: int = 1
 
 
 class _DriverBase:
@@ -73,10 +65,9 @@ class FillRandomDriver(_DriverBase):
         keys = RandomKeys(cfg.key_space, cfg.key_size, seed=cfg.seed)
         t_end = self.env.now + cfg.duration
         per_entry = cfg.key_size + cfg.value_size + 8
-        group = cfg.batch_size * max(1, cfg.driver_batch)
         lp = self.env.lineage
         while self.env.now < t_end:
-            batch = self._make_batch(keys, group)
+            batch = self._make_batch(keys, cfg.batch_size)
             if lp is None:
                 yield from self.db.put_batch(batch)
             else:
@@ -117,10 +108,9 @@ class ReadWhileWritingDriver(_DriverBase):
         keys = RandomKeys(cfg.key_space, cfg.key_size, seed=cfg.seed)
         t_end = self.env.now + cfg.duration
         per_entry = cfg.key_size + cfg.value_size + 8
-        group = cfg.batch_size * max(1, cfg.driver_batch)
         lp = self.env.lineage
         while self.env.now < t_end:
-            batch = self._make_batch(keys, group)
+            batch = self._make_batch(keys, cfg.batch_size)
             if lp is None:
                 yield from self.db.put_batch(batch)
             else:
@@ -143,48 +133,22 @@ class ReadWhileWritingDriver(_DriverBase):
         # pace: reads/writes tracks read_ratio/write_ratio
         target = self.read_ratio / self.write_ratio
         lp = self.env.lineage
-        if cfg.driver_batch <= 1:
-            # Reference per-op path, unchanged: one pacing decision and at
-            # most one read per wakeup.
-            while not self._done:
-                if self.read_ops > (self.write_ops + 1) * target:
-                    yield self.env.timeout(0.001)
-                    continue
-                if lp is None:
-                    value = yield from self.db.get(keys.next_key())
-                else:
-                    ctx = lp.op_begin("get")
-                    try:
-                        value = yield from self.db.get(keys.next_key())
-                    finally:
-                        lp.op_end(ctx)
-                if value is not None:
-                    self.read_hits += 1
-                self.read_ops += 1
-                self.read_meter.add()
-            return self.read_ops
-        # Amortised path: one pacing decision covers up to driver_batch
-        # reads, and the idle backoff stretches by the same factor, so the
-        # pacing loop wakes the kernel ~driver_batch times less often.
         while not self._done:
             if self.read_ops > (self.write_ops + 1) * target:
-                yield self.env.timeout(0.001 * cfg.driver_batch)
+                yield self.env.timeout(0.001)
                 continue
-            for _ in range(cfg.driver_batch):
-                if lp is None:
+            if lp is None:
+                value = yield from self.db.get(keys.next_key())
+            else:
+                ctx = lp.op_begin("get")
+                try:
                     value = yield from self.db.get(keys.next_key())
-                else:
-                    ctx = lp.op_begin("get")
-                    try:
-                        value = yield from self.db.get(keys.next_key())
-                    finally:
-                        lp.op_end(ctx)
-                if value is not None:
-                    self.read_hits += 1
-                self.read_ops += 1
-                self.read_meter.add()
-                if self._done or self.read_ops > (self.write_ops + 1) * target:
-                    break
+                finally:
+                    lp.op_end(ctx)
+            if value is not None:
+                self.read_hits += 1
+            self.read_ops += 1
+            self.read_meter.add()
         return self.read_ops
 
 

@@ -1,5 +1,5 @@
-"""Bench baseline store + compare: schema validation, build/write round
-trip, tolerance-band judgments, and the deterministic self-compare."""
+"""Bench pin store + exact compare: document shape, write/load round
+trip, the header check on load, and the zero-tolerance comparator."""
 
 import copy
 import json
@@ -10,19 +10,15 @@ from repro.bench.baseline import (
     SCHEMA_NAME,
     SCHEMA_VERSION,
     build_baseline,
-    cell_metrics,
     default_baseline_path,
-    load_schema,
-    validate_schema,
     write_baseline,
 )
 from repro.bench.profiles import mini_profile
-from repro.bench.runner import RunSpec, run_workload
+from repro.bench.runner import WALL_EXTRA_KEYS, RunSpec, run_workload
 from repro.obs.compare import (
-    MetricSpec,
     compare_baselines,
+    format_comparison,
     load_baseline,
-    regression_count,
 )
 
 PROFILE = mini_profile(256)
@@ -30,7 +26,7 @@ PROFILE = mini_profile(256)
 
 @pytest.fixture(scope="module")
 def baseline_doc():
-    """A real two-cell baseline (the fig12-style flow, one workload)."""
+    """A real two-cell pin document (the fig12-style flow, one workload)."""
     results = {}
     for spec in [RunSpec("rocksdb", "A", 1, slowdown=False),
                  RunSpec("kvaccel", "A", 1, rollback="disabled")]:
@@ -39,18 +35,26 @@ def baseline_doc():
                           checks_passed=True, quick=True)
 
 
-def test_baseline_validates_against_schema(baseline_doc):
-    assert validate_schema(baseline_doc, load_schema()) == []
+def _load(doc, path) -> dict:
+    path.write_text(json.dumps(doc))
+    return load_baseline(str(path))
+
+
+def test_baseline_validates_against_schema(baseline_doc, tmp_path):
     assert baseline_doc["schema"] == SCHEMA_NAME
     assert baseline_doc["version"] == SCHEMA_VERSION
     assert len(baseline_doc["cells"]) == 2
+    assert _load(baseline_doc, tmp_path / "ok.json") == baseline_doc
 
 
 def test_cell_metrics_shape(baseline_doc):
-    for label, cell in baseline_doc["cells"].items():
+    for cell in baseline_doc["cells"].values():
         assert cell["duration"] > 0
         assert cell["write_throughput_ops"] > 0
+        assert cell["events_processed"] > 0
         assert isinstance(cell["health"], dict)
+        # Host wall-clock stays in RunResult.extra, never in the pin.
+        assert not set(WALL_EXTRA_KEYS) & set(cell)
     stall_cell = baseline_doc["cells"]["RocksDB(1) w/o slowdown"]
     clean_cell = baseline_doc["cells"]["KVAccel(1)"]
     assert stall_cell["health"].get("stall_storm", 0) >= 1
@@ -58,28 +62,36 @@ def test_cell_metrics_shape(baseline_doc):
 
 
 def test_schema_rejects_malformed(baseline_doc):
-    schema = load_schema()
+    # What the JSON Schema used to reject, the exact compare against a
+    # pin rejects: a missing, an extra and a mistyped field are each a row.
     bad = copy.deepcopy(baseline_doc)
-    bad["schema"] = "something-else"
-    assert any("const" in e for e in validate_schema(bad, schema))
-    bad = copy.deepcopy(baseline_doc)
-    del next(iter(bad["cells"].values()))["write_throughput_ops"]
-    assert any("write_throughput_ops" in e
-               for e in validate_schema(bad, schema))
-    bad = copy.deepcopy(baseline_doc)
-    next(iter(bad["cells"].values()))["bogus_metric"] = 1.0
-    assert any("bogus_metric" in e for e in validate_schema(bad, schema))
-    bad = copy.deepcopy(baseline_doc)
-    bad["cells"]["x"] = {"write_throughput_ops": "fast"}
-    assert validate_schema(bad, schema)
+    cell = bad["cells"]["KVAccel(1)"]
+    del cell["write_throughput_ops"]
+    cell["bogus_metric"] = 1.0
+    cell["write_ops"] = "many"
+    assert [d[:2] for d in compare_baselines(baseline_doc, bad)] == [
+        ("KVAccel(1)", "bogus_metric"), ("KVAccel(1)", "write_ops"),
+        ("KVAccel(1)", "write_throughput_ops")]
+
+
+def test_compare_rejects_non_baseline(baseline_doc, tmp_path):
+    # The header check stays on load: the file is input from outside.
+    for mutate in (lambda d: d.update(schema="something-else"),
+                   lambda d: d.update(version=SCHEMA_VERSION - 1),
+                   lambda d: d.pop("version"),
+                   lambda d: d.update(cells=[]),
+                   lambda d: d["cells"].update(x="not a cell record")):
+        bad = copy.deepcopy(baseline_doc)
+        mutate(bad)
+        with pytest.raises(ValueError, match="not a repro-bench-baseline v3"):
+            _load(bad, tmp_path / "bad.json")
+    with pytest.raises(ValueError):
+        _load([1, 2], tmp_path / "bad.json")
 
 
 def test_write_and_load_round_trip(baseline_doc, tmp_path):
     path = write_baseline(baseline_doc, tmp_path / "BENCH_figtest.json")
-    doc = load_baseline(str(path))
-    assert doc == json.loads(json.dumps(baseline_doc))
-    with pytest.raises(ValueError, match="does not match"):
-        write_baseline({"schema": "nope"}, tmp_path / "bad.json")
+    assert load_baseline(str(path)) == baseline_doc
 
 
 def test_default_baseline_path(tmp_path):
@@ -88,63 +100,46 @@ def test_default_baseline_path(tmp_path):
 
 
 def test_self_compare_is_zero_diff(baseline_doc):
-    findings = compare_baselines(baseline_doc, baseline_doc)
-    assert findings == []
-    assert regression_count(findings) == 0
+    assert compare_baselines(baseline_doc, baseline_doc) == []
+    assert "equal" in format_comparison([])
 
 
 def test_compare_flags_regression(baseline_doc):
+    # No band and no better/worse: a halved throughput, its reverse, and
+    # a single extra op are all the same verdict — the model changed.
+    old = baseline_doc["cells"]["KVAccel(1)"]["write_throughput_ops"]
     worse = copy.deepcopy(baseline_doc)
-    cell = worse["cells"]["KVAccel(1)"]
-    cell["write_throughput_ops"] *= 0.5          # -50% >> 10% band
-    findings = compare_baselines(baseline_doc, worse)
-    assert regression_count(findings) == 1
-    f = findings[0]
-    assert (f.cell, f.metric, f.kind) == \
-        ("KVAccel(1)", "write_throughput_ops", "regression")
-    # The reverse direction is an improvement, not a regression.
-    findings = compare_baselines(worse, baseline_doc)
-    assert regression_count(findings) == 0
-    assert any(f.kind == "improvement" for f in findings)
-
-
-def test_compare_within_band_is_silent(baseline_doc):
-    near = copy.deepcopy(baseline_doc)
-    cell = near["cells"]["KVAccel(1)"]
-    cell["write_throughput_ops"] *= 1.05         # within the 10% band
-    assert compare_baselines(baseline_doc, near) == []
+    worse["cells"]["KVAccel(1)"]["write_throughput_ops"] = old * 0.5
+    assert compare_baselines(baseline_doc, worse) == \
+        [("KVAccel(1)", "write_throughput_ops", old, old * 0.5)]
+    assert compare_baselines(worse, baseline_doc) == \
+        [("KVAccel(1)", "write_throughput_ops", old * 0.5, old)]
+    moved = copy.deepcopy(baseline_doc)
+    moved["cells"]["KVAccel(1)"]["write_ops"] += 1
+    diffs = compare_baselines(baseline_doc, moved)
+    assert [d[:2] for d in diffs] == [("KVAccel(1)", "write_ops")]
+    text = format_comparison(diffs, "a.json", "b.json")
+    ops = baseline_doc["cells"]["KVAccel(1)"]["write_ops"]
+    assert "a.json -> b.json" in text
+    assert f"(KVAccel(1), write_ops): {ops} -> {ops + 1}" in text
+    assert "1 difference(s)" in text
 
 
 def test_compare_structural_findings(baseline_doc):
-    # A disappearing cell is regression-counted; a new cell is not.
+    # A cell on one side only is one row, in either direction.
     missing = copy.deepcopy(baseline_doc)
     del missing["cells"]["KVAccel(1)"]
-    findings = compare_baselines(baseline_doc, missing)
-    assert regression_count(findings) == 1
-    findings = compare_baselines(missing, baseline_doc)
-    assert regression_count(findings) == 0
-    assert any("new cell" in f.note for f in findings)
-    # A health rule flipping zero -> nonzero is structural + counted.
+    assert compare_baselines(baseline_doc, missing) == \
+        [("KVAccel(1)", "<cell>", "present", "<missing>")]
+    assert compare_baselines(missing, baseline_doc) == \
+        [("KVAccel(1)", "<cell>", "<missing>", "present")]
+    # A health rule's firing count is compared like any other value.
     sick = copy.deepcopy(baseline_doc)
     sick["cells"]["KVAccel(1)"]["health"]["stall_storm"] = 3
-    findings = compare_baselines(baseline_doc, sick)
-    assert any(f.metric == "health.stall_storm" for f in findings)
-    assert regression_count(findings) >= 1
-
-
-def test_compare_rejects_non_baseline():
-    with pytest.raises(ValueError, match="not a repro-bench-baseline"):
-        compare_baselines({"schema": "x"}, {"schema": "x"})
-
-
-def test_metric_spec_judgments():
-    up = MetricSpec("x", higher_is_better=True, tolerance=0.10,
-                    abs_slack=1.0)
-    assert up.judge(100.0, 100.0) is None
-    assert up.judge(100.0, 91.0) is None          # inside the band
-    assert up.judge(100.0, 85.0) == "regression"
-    assert up.judge(100.0, 120.0) == "improvement"
-    assert up.judge(0.0, 0.5) is None             # abs_slack floor
-    down = MetricSpec("y", higher_is_better=False, tolerance=0.10)
-    assert down.judge(100.0, 120.0) == "regression"
-    assert down.judge(100.0, 80.0) == "improvement"
+    assert [d[:2] for d in compare_baselines(baseline_doc, sick)] == \
+        [("KVAccel(1)", "health")]
+    # Header fields are part of the pin.
+    failed = copy.deepcopy(baseline_doc)
+    failed["checks_passed"] = False
+    assert compare_baselines(baseline_doc, failed) == \
+        [("<document>", "checks_passed", True, False)]

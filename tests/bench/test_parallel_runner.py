@@ -3,15 +3,15 @@
 Each experiment cell is a self-contained simulation (own Environment, own
 seed), so running cells on worker processes must produce results identical
 to a serial run: same keys in the same spec order, same metrics, same
-series — only the wall-clock instrumentation in ``extra`` and the live
-objects stripped at the process boundary may differ.
+series, same kernel-event count — only the host wall-clock keys in
+``extra`` and the live objects stripped at the process boundary may differ.
 """
 
 import dataclasses
 
 from repro.bench import RunSpec, mini_profile
 from repro.bench.experiments.common import run_cells
-from repro.bench.runner import (LIVE_EXTRA_KEYS, PERF_EXTRA_KEYS, RunOptions,
+from repro.bench.runner import (LIVE_EXTRA_KEYS, WALL_EXTRA_KEYS, RunOptions,
                                 cell_trace_path)
 
 SPECS = [
@@ -21,16 +21,17 @@ SPECS = [
 ]
 
 
-def _tiny_profile():
+def _tiny_profile(duration: float = 0.6):
     # Small enough that the pair of runs stays in test-suite budget.
-    return dataclasses.replace(mini_profile(256), duration=0.6)
+    return dataclasses.replace(mini_profile(256), duration=duration)
 
 
 def _comparable(result) -> dict:
     doc = result.to_json()
+    doc["events_processed"] = result.extra["events_processed"]
     doc["extra_keys"] = sorted(
         k for k in result.extra
-        if k not in PERF_EXTRA_KEYS and k not in LIVE_EXTRA_KEYS
+        if k not in WALL_EXTRA_KEYS and k not in LIVE_EXTRA_KEYS
         and k != "trace_path")
     return doc
 
@@ -42,9 +43,24 @@ def test_jobs2_results_identical_to_serial():
     assert list(serial) == list(fanned) == [s.display for s in SPECS]
     for label in serial:
         assert _comparable(serial[label]) == _comparable(fanned[label]), label
-        # Determinism extends to the event count, not just the metrics.
-        assert (serial[label].extra["events_processed"]
-                == fanned[label].extra["events_processed"])
+
+
+def test_jobs2_cluster_cells_with_telemetry_cross_the_process_boundary():
+    """Regression: a multi-shard cluster cell with telemetry on carries the
+    facade's per-shard HealthMonitor in ``extra``; it holds generators, so
+    a worker that did not strip it died pickling its result
+    (``python -m repro.bench cluster --jobs 2``)."""
+    specs = [RunSpec("cluster", "A", 1, shards=2, seed=seed,
+                     label=f"serial-vs-jobs/cluster2-seed{seed}")
+             for seed in (1, 2)]
+    profile = _tiny_profile(duration=0.3)
+    serial = run_cells(specs, profile, RunOptions(jobs=1, telemetry=True))
+    fanned = run_cells(specs, profile, RunOptions(jobs=2, telemetry=True))
+    assert list(serial) == list(fanned) == [s.display for s in specs]
+    for label in serial:
+        assert "shard_health_monitor" in serial[label].extra
+        assert serial[label].telemetry is not None
+        assert _comparable(serial[label]) == _comparable(fanned[label]), label
 
 
 def test_workers_strip_live_objects():
@@ -52,8 +68,8 @@ def test_workers_strip_live_objects():
     for result in fanned.values():
         for key in LIVE_EXTRA_KEYS:
             assert key not in result.extra
-        # ...but keep the perf instrumentation.
-        for key in PERF_EXTRA_KEYS:
+        # ...but keep the event count and the wall-clock instrumentation.
+        for key in ("events_processed",) + WALL_EXTRA_KEYS:
             assert key in result.extra
 
 

@@ -10,6 +10,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from helpers import run, small_db, small_options  # noqa: E402
 
 from repro.lsm import SkipListMemTable  # noqa: E402
+from repro.lsm.fs import FsError  # noqa: E402
 from repro.sim import Environment  # noqa: E402
 from repro.types import KIND_DELETE, encode_key  # noqa: E402
 
@@ -131,3 +132,70 @@ def test_wait_for_quiesce_idempotent():
     run(env, db.wait_for_quiesce())
     assert db._active_compactions == 0
     assert not db.imm
+
+
+def test_get_survives_compaction_deleting_a_candidate_between_charged_reads():
+    """A lookup walks the file list of the version it started on.  When a
+    compaction installs and deletes a later candidate while an earlier
+    charged read is in flight, the in-memory table still answers (RocksDB
+    pins the version's files by refcount); only the I/O charge against the
+    deleted file is skipped (``DbImpl._get_from_ssts``'s ``except
+    FsError``)."""
+    env = Environment()
+    db, _, _ = small_db(env, small_options(
+        bloom_bits_per_key=1, level0_file_num_compaction_trigger=3))
+
+    def l0_file(keys):
+        def gen():
+            for i in keys:
+                yield from db.put(encode_key(i), b"v-%d" % i)
+            yield from db.flush_all()
+        run(env, gen())
+
+    # L0, newest first: [odd keys, even keys] — one file short of the
+    # compaction trigger, so nothing moves yet.
+    l0_file(range(0, 200, 2))
+    l0_file(range(1, 200, 2))
+    run(env, db.wait_for_quiesce())
+    newer, older = db.versions.current.l0_newest_first
+    # A key of the older file that the newer file's 1-bit/key bloom lets
+    # through: its lookup pays a charged read on `newer`, finds nothing,
+    # and goes on to `older`.
+    k = next(i for i in range(2, 198, 2)
+             if newer.table.probe(encode_key(i)).bytes_read)
+    victim = db._sst_name(older.number)
+
+    real_read, real_open = db.fs.read, db.fs.open
+    lookup = None
+    vanished = []
+
+    def slow_read(f, offset, nbytes, **kw):
+        yield from real_read(f, offset, nbytes, **kw)
+        if env.active_process is lookup:
+            # The lookup's first read stays in flight until the compaction
+            # below has deleted the next candidate.
+            while db.fs.exists(victim):
+                assert env.now < 60.0, "compaction never took the L0 files"
+                yield env.timeout(1e-3)
+
+    def recording_open(name):
+        try:
+            return real_open(name)
+        except FsError:
+            vanished.append(name)
+            raise
+
+    def third_l0_file():
+        # Reaches the trigger: L0 -> L1 merges all three files and deletes
+        # its inputs.
+        yield from db.put(encode_key(1000), b"v-1000")
+        yield from db.flush_all()
+
+    db.fs.read, db.fs.open = slow_read, recording_open
+    lookup = env.process(db.get(encode_key(k)))
+    env.process(third_l0_file())
+    assert env.run(until=lookup) == b"v-%d" % k
+    assert vanished == [victim]
+    assert db.stats.compactions == 1
+    assert older.number not in {
+        m.number for m in db.versions.current.level_files(0)}

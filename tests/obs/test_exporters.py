@@ -58,17 +58,17 @@ def test_csv(hub, tmp_path):
 
 def test_cli_compare_exit_codes(tmp_path, capsys):
     import json
-    doc = {"schema": "repro-bench-baseline", "version": 1,
+    doc = {"schema": "repro-bench-baseline", "version": 3,
            "experiment": "x", "profile": "mini256",
            "cells": {"c": {"write_throughput_ops": 100.0, "health": {}}}}
     a = tmp_path / "a.json"
     a.write_text(json.dumps(doc))
-    worse = dict(doc, cells={"c": {"write_throughput_ops": 10.0,
+    moved = dict(doc, cells={"c": {"write_throughput_ops": 10.0,
                                    "health": {}}})
     b = tmp_path / "b.json"
-    b.write_text(json.dumps(worse))
+    b.write_text(json.dumps(moved))
     assert obs_main(["compare", str(a), str(a)]) == 0
     assert obs_main(["compare", str(a), str(b)]) == 1
     assert obs_main(["compare", str(a), str(tmp_path / "missing.json")]) == 2
     out = capsys.readouterr().out
-    assert "REGRESSIONS" in out
+    assert "(c, write_throughput_ops): 100.0 -> 10.0" in out
