@@ -169,8 +169,10 @@ class Ftl:
     def write(self, lpn: int, data: Any = None) -> int:
         """Map ``lpn`` to a fresh physical page; returns the PPN."""
         region = self.region_of(lpn)
-        old = self._l2p.get(lpn, _INVALID)
         ppn = self._alloc_ppn(region)
+        # Looked up after the allocation: a GC it triggered may have moved
+        # the very page being overwritten, and that copy must be unmapped.
+        old = self._l2p.get(lpn, _INVALID)
         if old != _INVALID:
             self._p2l.pop(old, None)
             self._data.pop(old, None)
@@ -188,8 +190,44 @@ class Ftl:
         calling :meth:`write` per LPN — same allocation order, same wear
         counters, same ``state_digest`` — so batching call sites cannot
         perturb golden trajectories.
+
+        A contiguous ``range`` (what the block interface passes) resolves
+        its region once and maps each run that fits the open block in bulk;
+        :meth:`write` takes over page by page wherever it could do more
+        than map: at a block boundary (new block, GC), past the region's
+        edge, and for any other iterable.
         """
-        return [self.write(lpn) for lpn in lpns]
+        if not isinstance(lpns, range) or lpns.step != 1 or not lpns:
+            return [self.write(lpn) for lpn in lpns]
+        region = self.region_of(lpns.start)
+        edge = min(lpns.stop, region.lpn_start + region.lpn_count)
+        per_block = self.geometry.pages_per_block
+        l2p, p2l, data = self._l2p, self._p2l, self._data
+        ppns: list[int] = []
+        lpn = lpns.start
+        while lpn < edge:
+            blk = region.open_block
+            used = region.next_page_in_block
+            if blk == _INVALID or used >= per_block:
+                ppns.append(self.write(lpn))
+                lpn += 1
+                continue
+            count = min(per_block - used, edge - lpn)
+            run = range(lpn, lpn + count)
+            first = blk * per_block + used
+            new = range(first, first + count)
+            for old in [l2p[l] for l in run if l in l2p]:
+                p2l.pop(old, None)
+                data.pop(old, None)
+            l2p.update(zip(run, new))
+            p2l.update(zip(new, run))
+            region.next_page_in_block = used + count
+            self.program_counts[blk] = self.program_counts.get(blk, 0) + count
+            self.last_programmed_block = blk
+            ppns.extend(new)
+            lpn += count
+        ppns.extend(map(self.write, range(edge, lpns.stop)))
+        return ppns
 
     def read(self, lpn: int) -> Any:
         """Return the payload at ``lpn`` (None if written without payload)."""

@@ -51,19 +51,20 @@ class TrafficLedger:
         self.total_bytes += nbytes
         if nbytes == 0:
             return
+        bucket, buckets = self.bucket, self._buckets
+        first = int(t0 / bucket)
         if t1 == t0:
-            self._buckets[int(t0 / self.bucket)] = (
-                self._buckets.get(int(t0 / self.bucket), 0.0) + nbytes
-            )
+            buckets[first] = buckets.get(first, 0.0) + nbytes
             return
         rate = nbytes / (t1 - t0)
-        first = int(t0 / self.bucket)
-        last = int(math.ceil(t1 / self.bucket)) - 1
-        for b in range(first, last + 1):
-            lo = max(t0, b * self.bucket)
-            hi = min(t1, (b + 1) * self.bucket)
+        last = int(math.ceil(t1 / bucket)) - 1
+        # Most transfers end in the bucket they began in: ``(first,)``
+        # spares them the range object.
+        for b in (first,) if first == last else range(first, last + 1):
+            lo = max(t0, b * bucket)
+            hi = min(t1, (b + 1) * bucket)
             if hi > lo:
-                self._buckets[b] = self._buckets.get(b, 0.0) + rate * (hi - lo)
+                buckets[b] = buckets.get(b, 0.0) + rate * (hi - lo)
 
     def series(self, t_end: Optional[float] = None) -> tuple[list[float], list[float]]:
         """Return (times, bytes-per-bucket) from t=0 to t_end (or max seen)."""

@@ -1,6 +1,6 @@
 """Host LSM-KVS engine (the paper's Main-LSM; RocksDB-like)."""
 
-from .bloom import BloomFilter
+from .bloom import BloomFilter, key_hash
 from .codec import (
     decode_block,
     decode_entry,
@@ -27,6 +27,7 @@ from .write_controller import StallReason, WriteController, WriteState
 
 __all__ = [
     "BloomFilter",
+    "key_hash",
     "decode_block",
     "decode_entry",
     "decode_varint",

@@ -16,24 +16,28 @@ import math
 from hashlib import blake2b
 from typing import Iterable
 
-__all__ = ["BloomFilter"]
+import numpy as np
+
+__all__ = ["BloomFilter", "key_hash"]
 
 _from_bytes = int.from_bytes
 
 
-def _probe_walk(key: bytes, n: int) -> tuple[int, int]:
-    """(first bit, stride) of a key's probes over ``n`` bits.
-
-    Probe ``i`` is bit ``(h1 + i * h2) mod n``; walking it as
-    ``pos += h2 mod n`` keeps the loop in small-int arithmetic.
-    """
+def key_hash(key: bytes) -> tuple[int, int]:
+    """The two 64-bit hashes ``(h1, h2)`` every filter derives a key's
+    probes from.  They depend on the key alone, so one point lookup hashes
+    once and probes every candidate file's filter with the same pair."""
     digest = blake2b(key, digest_size=16).digest()
-    return (_from_bytes(digest[:8], "little") % n,
-            (_from_bytes(digest[8:], "little") | 1) % n)  # odd => good stride
+    return (_from_bytes(digest[:8], "little"),
+            _from_bytes(digest[8:], "little") | 1)  # odd => good stride
 
 
 class BloomFilter:
-    """Fixed-size bloom filter with configurable bits/key."""
+    """Fixed-size bloom filter with configurable bits/key.
+
+    Probe ``i`` of a key is bit ``(h1 + i * h2) mod num_bits``; a filter's
+    bits are a function of its keys alone, however they were added.
+    """
 
     def __init__(self, num_keys: int, bits_per_key: int = 10):
         if num_keys < 0:
@@ -50,21 +54,31 @@ class BloomFilter:
         self.add_all((key,))
 
     def add_all(self, keys: Iterable[bytes]) -> None:
-        bits, n, probes = self._bits, self.num_bits, range(self.k)
-        added = 0
-        for key in keys:
-            pos, step = _probe_walk(key, n)
-            for _ in probes:
-                bits[pos >> 3] |= 1 << (pos & 7)
-                pos += step
-                if pos >= n:
-                    pos -= n
-            added += 1
-        self.num_added += added
+        """Set every key's ``k`` bits: hashed key by key, placed as arrays."""
+        digests = [blake2b(key, digest_size=16).digest() for key in keys]
+        if not digests:
+            return
+        n = np.uint64(self.num_bits)
+        # One row per key: its :func:`key_hash` pair, before the ``| 1``.
+        h = np.frombuffer(b"".join(digests), dtype="<u8").reshape(-1, 2)
+        # Both terms below are < 30 * num_bits, far inside uint64.
+        first = h[:, :1] % n
+        stride = (h[:, 1:] | np.uint64(1)) % n
+        probes = (first + stride * np.arange(self.k, dtype=np.uint64)) % n
+        mask = np.zeros(len(self._bits) * 8, dtype=np.uint8)
+        mask[probes.ravel()] = 1
+        bits = np.frombuffer(self._bits, dtype=np.uint8)   # writable view
+        bits |= np.packbits(mask, bitorder="little")       # earlier adds stay
+        self.num_added += len(digests)
 
     def may_contain(self, key: bytes) -> bool:
+        return self.may_contain_hash(key_hash(key))
+
+    def may_contain_hash(self, kh: tuple[int, int]) -> bool:
+        """:meth:`may_contain` for a key whose :func:`key_hash` is ``kh``."""
         bits, n = self._bits, self.num_bits
-        pos, step = _probe_walk(key, n)
+        pos = kh[0] % n
+        step = kh[1] % n
         for _ in range(self.k):
             if not bits[pos >> 3] >> (pos & 7) & 1:
                 return False

@@ -23,6 +23,7 @@ from ..faults.registry import fault_point, touch
 from ..resil.errors import DeviceError
 from ..sim import Environment, Event, Interrupt, Store
 from ..types import KIND_DELETE, KIND_PUT, Entry, entry_size, make_entry
+from .bloom import key_hash
 from .compaction import CompactionJob, CompactionPicker, merge_for_compaction, split_into_files
 from .fs import FileSystem, FsError, PageCache
 from .iterator import merging_iterator
@@ -621,8 +622,11 @@ class DbImpl:
         return entry
 
     def _get_from_ssts(self, key: bytes) -> Generator:
+        kh = None
         for meta in self.versions.current.files_for_key(key):
-            probe = meta.table.probe(key)
+            if kh is None:      # one hash per lookup, none if no file covers
+                kh = key_hash(key)
+            probe = meta.table.probe(key, kh)
             if probe.bytes_read:
                 try:
                     f = self.fs.open(self._sst_name(meta.number))
@@ -677,7 +681,7 @@ class DbImpl:
             if meta.largest >= start_key:
                 sources.append(wrap_sst(meta))
         for level in range(1, v.num_levels):
-            files = [m for m in v.level_files(level) if m.largest >= start_key]
+            files = v.level_files_from(level, start_key)
             if files:
                 sources.append(self._level_source(files, start_key, sst_cost))
 

@@ -20,11 +20,15 @@ the shadowed entry's bytes are released).
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from ..types import Entry, entry_size
 
 __all__ = ["MemTable", "DictMemTable", "SkipListMemTable"]
+
+_key = itemgetter(0)
 
 
 class MemTable:
@@ -91,19 +95,12 @@ class DictMemTable(MemTable):
 
     def entries(self) -> list:
         if self._sorted is None:
-            self._sorted = sorted(self._map.values(), key=lambda e: e[0])
+            self._sorted = sorted(self._map.values(), key=_key)
         return self._sorted
 
     def iter_from(self, key: bytes) -> Iterator[Entry]:
         ents = self.entries()
-        lo, hi = 0, len(ents)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if ents[mid][0] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        return iter(ents[lo:])
+        return iter(ents[bisect_left(ents, key, key=_key):])
 
 
 _MAX_LEVEL = 16

@@ -11,13 +11,12 @@ charge the device model.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter, lt
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from ..types import Entry, entry_size
-from .bloom import BloomFilter
+from .bloom import BloomFilter, key_hash
 from .codec import decode_block, encode_block
 
 __all__ = ["SSTable", "ProbeResult"]
@@ -25,13 +24,17 @@ __all__ = ["SSTable", "ProbeResult"]
 _key = itemgetter(0)
 
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(NamedTuple):
     """Outcome of a point probe: the entry (if any) and the I/O it cost."""
 
     entry: Optional[Entry]
     bytes_read: int
     bloom_negative: bool = False
+
+
+# Most probes of a lookup miss without I/O; they all return one of these.
+_OUT_OF_RANGE = ProbeResult(None, 0)
+_FILTERED = ProbeResult(None, 0, bloom_negative=True)
 
 
 class SSTable:
@@ -102,18 +105,25 @@ class SSTable:
         """Index of the block that could hold ``key`` (-1 if before all)."""
         return bisect_right(self._block_first_keys, key) - 1
 
-    def probe(self, key: bytes) -> ProbeResult:
+    def probe(self, key: bytes,
+              kh: Optional[tuple[int, int]] = None) -> ProbeResult:
         """Point lookup with cost accounting.
 
         Bloom negative => zero I/O.  Otherwise one data block is read.
+        ``kh`` is ``key_hash(key)`` when the caller already holds it (a
+        lookup that probes several files hashes its key once).
         """
         if key < self.smallest or key > self.largest:
-            return ProbeResult(None, 0, bloom_negative=False)
-        if not self.bloom.may_contain(key):
-            return ProbeResult(None, 0, bloom_negative=True)
+            return _OUT_OF_RANGE
+        bloom = self._bloom
+        if not bloom.num_added:     # first probe of this table fills it
+            bloom = self.bloom
+        if not bloom.may_contain_hash(
+                kh if kh is not None else key_hash(key)):
+            return _FILTERED
         b = self._block_for(key)
         if b < 0:
-            return ProbeResult(None, 0)
+            return _OUT_OF_RANGE
         cost = self._block_bytes[b]
         start = self._block_starts[b]
         end = (self._block_starts[b + 1] if b + 1 < len(self._block_starts)

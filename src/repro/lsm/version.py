@@ -12,7 +12,7 @@ paper's taxonomy).
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Generator, Optional
@@ -22,6 +22,7 @@ from .sstable import SSTable
 
 __all__ = ["FileMetadata", "VersionEdit", "Version", "VersionSet"]
 
+_smallest = attrgetter("smallest")
 _largest = attrgetter("largest")
 
 
@@ -110,7 +111,7 @@ class Version:
             if level == 0:
                 continue
             files = levels[level]
-            files.sort(key=lambda f: f.smallest)
+            files.sort(key=_smallest)
             # L1+ must stay sorted and non-overlapping (LSM invariant).
             for a, b in zip(files, files[1:]):
                 if a.largest >= b.smallest:
@@ -138,8 +139,17 @@ class Version:
 
     def overlapping_files(self, level: int, smallest: bytes,
                           largest: bytes) -> list:
-        return [f for f in self.levels[level]
-                if f.table.overlaps(smallest, largest)]
+        files = self.levels[level]
+        if level == 0:      # L0 files overlap each other: no order to use
+            return [f for f in files if f.table.overlaps(smallest, largest)]
+        return files[bisect_left(files, smallest, key=_largest):
+                     bisect_right(files, largest, key=_smallest)]
+
+    def level_files_from(self, level: int, key: bytes) -> list:
+        """Files of sorted level ``level`` (L1+) that may hold keys >=
+        ``key``: where a scan seeking to ``key`` starts reading."""
+        files = self.levels[level]
+        return files[bisect_left(files, key, key=_largest):]
 
     def files_for_key(self, key: bytes) -> Generator:
         """Yield candidate files newest-first: L0 by recency, then L1+.

@@ -1,6 +1,8 @@
 """Tests for the disaggregated FTL."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.device import Ftl, FtlError, NandGeometry
 
@@ -134,3 +136,141 @@ def test_invalid_fractions():
         Ftl(tiny_geometry(), split_fraction=1.0)
     with pytest.raises(ValueError):
         Ftl(tiny_geometry(), op_fraction=0.9)
+
+
+# -- GC while overwriting ------------------------------------------------------
+def _check_ftl_invariants(ftl, live):
+    """Maps are inverse bijections and every live LPN reads its latest."""
+    assert {ppn: lpn for lpn, ppn in ftl._l2p.items()} == ftl._p2l
+    assert set(ftl._l2p) == set(live)
+    assert set(ftl._data) <= set(ftl._p2l)
+    for lpn, data in live.items():
+        assert ftl.read(lpn) == data
+    for name, region in ftl.regions.items():
+        assert ftl.mapped_pages(name) == sum(map(region.contains, live))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_overwrite_whose_allocation_gcs_the_overwritten_page(seed):
+    """``write`` used to look the old PPN up *before* allocating: when the
+    allocation's GC relocated that very page, the relocated copy stayed in
+    ``_p2l`` and a later GC wrote its stale PPN back over ``_l2p[lpn]``."""
+    import random
+    ftl = Ftl(tiny_geometry(blocks_per_way=16), split_fraction=0.5,
+              op_fraction=0.2)
+    rng = random.Random(seed)
+    lpns = range(ftl.total_logical_pages)     # both regions
+    live = {}
+    for i in range(600):
+        lpn = rng.choice(lpns)
+        if rng.random() < 0.1:
+            ftl.trim(lpn)
+            live.pop(lpn, None)
+        else:
+            live[lpn] = (lpn, i)
+            ftl.write(lpn, data=live[lpn])
+        _check_ftl_invariants(ftl, live)
+    assert all(s.pages_moved > 0 for s in ftl.gc_stats.values())
+
+
+# -- write_batch(range) is the per-page loop ---------------------------------
+def _ftl_state(ftl):
+    # Item lists, not dicts: GC walks ``_p2l`` in insertion order, so the
+    # order is part of the state that decides later allocations.
+    return (list(ftl._l2p.items()), list(ftl._p2l.items()),
+            sorted(ftl._data.items()), ftl.program_counts,
+            ftl.last_programmed_block, ftl.gc_stats, ftl.state_digest())
+
+
+_batch_geometry = dict(blocks_per_way=16, pages_per_block=4)
+_batch_lpns = Ftl(tiny_geometry(**_batch_geometry), split_fraction=0.5,
+                  op_fraction=0.2).total_logical_pages
+_batch_ops = st.lists(
+    st.tuples(st.sampled_from(["range", "list", "generator", "payload",
+                               "trim"]),
+              st.integers(0, _batch_lpns - 1),      # start: any block offset
+              st.integers(1, 12)),                  # 1..3x pages_per_block
+    min_size=1, max_size=60)
+
+
+def _drive_twins(ops):
+    """Apply ``ops`` to a batched FTL and to a twin fed page by page;
+    every returned PPN and all state must agree after every op."""
+    def build():
+        return Ftl(tiny_geometry(**_batch_geometry), split_fraction=0.5,
+                   op_fraction=0.2)
+
+    batched, scalar = build(), build()
+    for i, (kind, start, length) in enumerate(ops):
+        lpns = range(start, min(start + length, _batch_lpns))
+        if kind == "trim":
+            for lpn in lpns:
+                batched.trim(lpn)
+                scalar.trim(lpn)
+        elif kind == "payload":
+            for lpn in lpns:
+                assert (batched.write(lpn, data=(lpn, i))
+                        == scalar.write(lpn, data=(lpn, i)))
+        else:
+            arg = {"range": lpns, "list": list(lpns),
+                   "generator": (lpn for lpn in lpns)}[kind]
+            assert batched.write_batch(arg) == [scalar.write(lpn)
+                                                for lpn in lpns]
+        assert _ftl_state(batched) == _ftl_state(scalar)
+        assert ({ppn: lpn for lpn, ppn in batched._l2p.items()}
+                == batched._p2l)
+        assert set(batched._data) <= set(batched._p2l)
+    return batched
+
+
+@settings(max_examples=150, deadline=None)
+@given(_batch_ops)
+def test_write_batch_equals_the_scalar_loop_on_a_twin(ops):
+    """Runs of 1-3 blocks from any offset, over mapped pages, over pages
+    that carry payloads, across the disaggregation point, as a range, a
+    list or a generator."""
+    _drive_twins(ops)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_write_batch_equals_the_scalar_loop_through_gc(seed):
+    """The same twins driven long enough (52 logical pages, 64 physical)
+    that both regions collect and relocate pages mid-batch."""
+    import random
+    rng = random.Random(seed)
+    kinds = ["range"] * 6 + ["list", "generator", "payload", "trim"]
+    ftl = _drive_twins([(rng.choice(kinds), rng.randrange(_batch_lpns),
+                         rng.randint(1, 12)) for _ in range(250)])
+    assert all(s.pages_moved > 0 for s in ftl.gc_stats.values())
+
+
+def test_write_batch_crosses_blocks_regions_and_gc():
+    """The cases the property test must reach, pinned one by one."""
+    ftl = Ftl(tiny_geometry(**_batch_geometry), split_fraction=0.5,
+              op_fraction=0.2)
+    edge = ftl.disaggregation_point
+    # 2 pages, then a run that straddles two block boundaries
+    assert ftl.write_batch(range(0, 2)) == [0, 1]
+    assert ftl.write_batch(range(2, 11)) == list(range(2, 11))
+    assert ftl.program_counts == {0: 4, 1: 4, 2: 3}
+    # a payload page loses its data when a batch overwrites it
+    ppn = ftl.write(20, data=b"old")
+    ftl.write_batch(range(19, 22))
+    assert ftl.read(20) is None and ppn not in ftl._p2l
+    assert ppn not in ftl._data
+    # across the disaggregation point: each side lands in its own pool
+    ppns = ftl.write_batch(range(edge - 2, edge + 2))
+    kv_first = ftl.geometry.pages_per_block * 8     # blocks 8.. are KV's
+    assert [p >= kv_first for p in ppns] == [False, False, True, True]
+    # past the end of the logical space: the pages before it are mapped
+    end = ftl.total_logical_pages
+    with pytest.raises(FtlError):
+        ftl.write_batch(range(end - 1, end + 1))
+    assert ftl.is_mapped(end - 1)
+    # an empty range maps nothing, wherever it starts
+    assert ftl.write_batch(range(10**9, 10**9)) == []
+    # rewriting the whole block region again and again runs into GC
+    for _ in range(6):
+        ftl.write_batch(range(0, edge))
+    assert ftl.gc_stats["block"].blocks_erased > 0
+    assert ftl.mapped_pages("block") == edge

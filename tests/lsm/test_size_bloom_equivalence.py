@@ -10,6 +10,7 @@ false positives drive read I/O.
 import hashlib
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from repro.lsm import (
     DictMemTable,
     SkipListMemTable,
     SSTable,
+    key_hash,
     split_into_files,
 )
 from repro.types import (
@@ -185,3 +187,60 @@ def test_deferred_bloom_agrees_on_10k_random_probes():
     stored = {e[0] for e in entries}
     false_positives = sum(verdicts) - sum(p in stored for p in probes)
     assert 0 < false_positives < 300     # ~1% at 10 bits/key: some, not many
+
+
+@pytest.mark.parametrize("bits_per_key, k", [(1, 1), (10, 7), (43, 30)])
+@pytest.mark.parametrize("count", [0, 1, 7, 63, 64, 1000])
+def test_array_fill_sets_the_bits_of_the_per_key_reference(count, bits_per_key,
+                                                           k):
+    rng = random.Random(count * 31 + bits_per_key)
+    keys = [encode_key(x) for x in rng.sample(range(1 << 30), count)]
+    old_bits, n, old_k = old_bloom_bits(keys, count, bits_per_key)
+    bloom = BloomFilter(count, bits_per_key)
+    assert (bloom.num_bits, bloom.k, old_k) == (n, k, k)
+    bloom.add_all(key for key in keys)            # a one-shot generator
+    assert int.from_bytes(bloom._bits, "little") == old_bits
+    assert bloom.num_added == count
+    assert len(bloom._bits) == (n + 7) // 8       # same bytearray, same size
+
+    # A second batch ORs into the first (a filter sized for both).
+    more = [encode_key(x) for x in rng.sample(range(1 << 30, 1 << 31), 40)]
+    both_bits, n, _k = old_bloom_bits(keys + more, count + 40, bits_per_key)
+    bloom = BloomFilter(count + 40, bits_per_key)
+    bits = bloom._bits
+    bloom.add_all(keys)
+    bloom.add_all(iter(more))
+    assert bloom._bits is bits
+    assert int.from_bytes(bits, "little") == both_bits
+    assert bloom.num_added == count + 40
+    assert all(map(bloom.may_contain, keys + more))
+
+
+def test_probing_by_hash_is_probing_by_key():
+    rng = random.Random(5)
+    present = sorted(rng.sample(range(1 << 20), 2000))
+    entries = [make_entry(encode_key(x), i + 1, ValueRef(x, 100))
+               for i, x in enumerate(present)]
+    t = SSTable(3, entries, block_size=1024)
+    bloom = t.bloom
+    probes = [encode_key(rng.randrange(1 << 20)) for _ in range(10_000)]
+    assert ([bloom.may_contain(p) for p in probes]
+            == [bloom.may_contain_hash(key_hash(p)) for p in probes])
+    for p in probes:
+        digest = hashlib.blake2b(p, digest_size=16).digest()
+        assert key_hash(p) == (int.from_bytes(digest[:8], "little"),
+                               int.from_bytes(digest[8:], "little") | 1)
+
+    stored = {e[0] for e in entries}
+    seen = set()
+    for p in probes + [encode_key(present[0] - 1), encode_key(1 << 21)]:
+        by_key, by_hash = t.probe(p), t.probe(p, key_hash(p))
+        assert by_key.entry == by_hash.entry
+        assert by_key.bytes_read == by_hash.bytes_read
+        assert by_key.bloom_negative == by_hash.bloom_negative
+        seen.add("hit" if by_key.entry is not None
+                 else "filter-negative" if by_key.bloom_negative
+                 else "false-positive" if by_key.bytes_read
+                 else "out-of-range")
+        assert (by_key.entry is not None) == (p in stored)
+    assert seen == {"hit", "filter-negative", "false-positive", "out-of-range"}
