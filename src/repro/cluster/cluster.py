@@ -42,7 +42,6 @@ import heapq
 from typing import Generator, Optional
 
 from ..core import KvaccelDb
-from ..faults.registry import fault_point, touch
 from ..metrics import LatencyHistogram
 from ..resil import DEGRADED, HEALTHY, FailoverInProgress, RetryExecutor
 from ..sim import Environment
@@ -96,9 +95,12 @@ class ClusterShard:
         self.read_hist = LatencyHistogram()
         db.stats.write_latencies = self.write_hist
         db.stats.read_latencies = self.read_hist
-        # Facade-side op counters (also feed hot-shard detection).
+        # Facade-side op counters (also feed hot-shard detection) and the
+        # telemetry channel each publishes into, named once.
         self.write_ops = 0
         self.read_ops = 0
+        self.channels = {which: f"cluster.{self.name}.{which}"
+                         for which in ("write_ops", "read_ops")}
 
     # -- health ------------------------------------------------------------
     @property
@@ -397,9 +399,7 @@ class ClusterDb:
     def _count(self, sh: ClusterShard, which: str, n: int) -> None:
         """Facade-side op accounting (also feeds hot-shard detection)."""
         setattr(sh, which, getattr(sh, which) + n)
-        tel = self.env.telemetry
-        if tel is not None:
-            tel.add(f"cluster.{sh.name}.{which}", n)
+        self.env.probes.add(sh.channels[which], n)
 
     def _fence_writes(self, pairs) -> Generator:
         """During a migration, mark ``pairs`` fresh and block while any of
@@ -429,7 +429,7 @@ class ClusterDb:
         if value is None and mig is not None and mig.forward_read(key):
             # Dual-read: the copy may not have landed on the new owner
             # yet — fall back to the pre-rebalance owner.
-            touch(self.env, "reshard.forward.read")
+            self.env.probes.touch("reshard.forward.read")
             old_sid = mig.old_router.route(key)
             if old_sid != sid:
                 self._count(self.shards[old_sid], "read_ops", 1)
@@ -478,14 +478,12 @@ class ClusterDb:
         so the decomposition can be conditioned per shard.  Only wrapped
         while a profiler is installed — profiler-off runs spawn the exact
         original generator, preserving the pinned trajectories."""
-        lp = self.env.lineage
-        ctx = (lp.op_begin(kind, count=count, scope=f"cluster.shard{sid}")
-               if lp is not None else None)
+        p = self.env.probes
+        ctx = p.op_begin(kind, count, 0, f"cluster.shard{sid}")
         try:
             result = yield from gen
         finally:
-            if lp is not None:
-                lp.op_end(ctx)
+            p.op_end(ctx)
         return result
 
     def scan(self, start_key: bytes, count: int) -> Generator:
@@ -569,7 +567,7 @@ class ClusterDb:
         self._migration = mig
         self.router = router            # the atomic write cut-over
         self.rebalances += 1
-        touch(self.env, "reshard.start")
+        self.env.probes.touch("reshard.start")
         return self.env.process(self._migrate(mig), name="cluster.reshard")
 
     def _migrate(self, mig: Migration) -> Generator:
@@ -592,8 +590,8 @@ class ClusterDb:
                              if self.router.route(k) != src.sid]
                     for i in range(0, len(moved), cfg.batch):
                         batch = moved[i:i + cfg.batch]
-                        yield from fault_point(self.env,
-                                               "reshard.migrate.batch")
+                        yield from self.env.probes.at(
+                            "reshard.migrate.batch")
                         # Group + raise the install barrier in one
                         # synchronous block: a client write can only
                         # interleave at a yield, so every key here is
@@ -624,7 +622,7 @@ class ClusterDb:
             mig.finished_at = self.env.now
             self._moved_total += mig.moved_keys
             self._migration = None
-            touch(self.env, "reshard.complete")
+            self.env.probes.touch("reshard.complete")
 
     # -- replication hooks ----------------------------------------------------
     def _rebind_shard_stats(self, sh: ClusterShard) -> None:

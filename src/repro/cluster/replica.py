@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import Generator, Optional
 
 from ..device import BandwidthPipe, TrafficLedger
-from ..faults.registry import DROP, fault_point, touch
+from ..faults.registry import DROP
 from ..resil import RetryPolicy
 from ..sim import Environment
 
@@ -216,7 +216,7 @@ class ReplicaGroup:
         if not self.primary_alive:
             return
         self.primary_alive = False
-        touch(self.env, "repl.primary.kill")
+        self.env.probes.touch("repl.primary.kill")
         self._halt_stack(self.shard.db)
 
     @staticmethod
@@ -262,7 +262,7 @@ class ReplicaGroup:
                 yield env.timeout(cfg.poll if cfg.mode == REPLAY
                                   else self._until_next_boundary())
                 continue
-            action = yield from fault_point(env, "repl.link.send")
+            action = yield from env.probes.at("repl.link.send")
             if action is not None and action.kind == DROP:
                 # A lost replication frame: the durable log retransmits on
                 # the next poll, so a DROP costs lag, never data.
@@ -289,11 +289,11 @@ class ReplicaGroup:
                 nbytes *= cfg.ship_amplification
             yield from self.link.transfer(nbytes)
             if catchup:
-                yield from fault_point(env, "repl.catchup.batch")
+                yield from env.probes.at("repl.catchup.batch")
             else:
-                yield from fault_point(env, "repl.apply")
+                yield from env.probes.at("repl.apply")
             if cfg.mode == INDEX_SHIP:
-                touch(env, "repl.ship.install")
+                env.probes.touch("repl.ship.install")
                 from ..types import make_entry
                 main = b.db.main
                 entries = [make_entry(k, main.next_seq(), v)
@@ -337,7 +337,7 @@ class ReplicaGroup:
                 self.misses = 0
                 continue
             self.misses += 1
-            touch(env, "repl.heartbeat.miss")
+            env.probes.touch("repl.heartbeat.miss")
             if self.misses >= cfg.miss_threshold and self.backups:
                 self.state = FAILING_OVER
                 env.process(self._failover(),
@@ -346,7 +346,8 @@ class ReplicaGroup:
     def _failover(self) -> Generator:
         env = self.env
         t0 = env.now
-        touch(env, "repl.failover.start")
+        p = env.probes
+        p.touch("repl.failover.start")
         self.primary_alive = False
         self._halt_stack(self.shard.db)
         # Wait out any in-progress replicator apply so the catch-up below
@@ -354,13 +355,13 @@ class ReplicaGroup:
         while self._applying:
             yield env.timeout(self.config.poll)
         promoted = self.backups.pop(0)
-        yield from fault_point(env, "repl.catchup.start")
+        yield from p.at("repl.catchup.start")
         self.catchup_records = len(self.log) - promoted.cursor
         # In-flight facade ops that were already past the admission gate
         # may still ack into the log mid-catch-up; loop until drained.
         while promoted.cursor < len(self.log):
             yield from self._apply(promoted, len(self.log), catchup=True)
-        touch(env, "repl.promote")
+        p.touch("repl.promote")
         sh = self.shard
         self.retired.append((sh.db, sh.ssd, sh.cpu))
         sh.db, sh.ssd, sh.cpu = promoted.db, promoted.ssd, promoted.cpu
@@ -372,10 +373,8 @@ class ReplicaGroup:
         self.primary_alive = True
         self.last_failover_duration = env.now - t0
         self.state = ACTIVE
-        touch(env, "repl.failover.complete")
-        tel = env.telemetry
-        if tel is not None:
-            tel.add(f"cluster.shard{self.sid}.failovers", 1)
+        p.touch("repl.failover.complete")
+        p.add(f"cluster.shard{self.sid}.failovers", 1)
 
     # -- introspection -------------------------------------------------------
     def state_digest(self) -> dict:

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..device.kv_dev import KvDevice
-from ..faults.registry import fault_point, touch
 from ..lsm.db import DbImpl
 from ..resil.errors import DeviceError
 from ..sim import Environment
@@ -87,32 +86,28 @@ class KvaccelController:
         lives in Main-LSM.
         """
         self.resil.record_error(exc)
-        if self.env.faults is not None or self.env.journal is not None:
-            touch(self.env, "resil.fallback")
+        p = self.env.probes
+        p.touch("resil.fallback")
         for key, _seq, _value in triples:
             if not self.metadata.is_empty and self.metadata.contains(key):
                 self.metadata.remove(key)
         entries = [make_entry(k, s, v,
                               kind=KIND_DELETE if v is None else KIND_PUT)
                    for k, s, v in triples]
-        lp = self.env.lineage
-        if lp is not None:
-            lp.enter("degraded")
+        p.enter("degraded")
         try:
             yield from self.main.write_entries(entries)
         finally:
-            if lp is not None:
-                lp.leave()
+            p.leave()
         for _ in entries:
             self.resil.record_fallback()
 
     def _route(self, to: str) -> None:
         """Trace an interface switch (main<->dev) on route changes."""
         if to != self._last_route:
-            tr = self.env.tracer
-            if tr is not None and self._last_route is not None:
-                tr.instant("ctl", "ctl.switch", actor="write_controller",
-                           args={"to": to})
+            if self._last_route is not None:
+                self.env.probes.instant("ctl", "ctl.switch",
+                                        "write_controller", {"to": to})
             self._last_route = to
 
     # -- write path ----------------------------------------------------------
@@ -123,19 +118,17 @@ class KvaccelController:
         """Route a write batch; the interface choice is the detector's
         latched verdict (refreshed every 0.1 s, paper Section VI-A)."""
         self.last_write_time = self.env.now
+        p = self.env.probes
         if self._redirect_allowed():
             self._route("dev")
-            if self.env.faults is not None or self.env.journal is not None:
-                yield from fault_point(self.env, "ctl.put.redirect")
+            yield from p.at("ctl.put.redirect")
             t0 = self.env.now
             triples = []
             for key, value in pairs:
                 seq = self.main.next_seq()
                 self.metadata.insert(key)
                 triples.append((key, seq, value))
-            lp = self.env.lineage
-            if lp is not None:
-                lp.enter("redirect")
+            p.enter("redirect")
             try:
                 if self.resil is None:
                     yield from self.kv.put_batch(triples)
@@ -146,40 +139,34 @@ class KvaccelController:
                     except DeviceError as exc:
                         yield from self._fallback(triples, exc)
             finally:
-                if lp is not None:
-                    lp.leave()
+                p.leave()
             self.redirected_writes += len(triples)
-            tel = self.env.telemetry
-            if tel is not None:
-                tel.add("ctl.redirected", len(triples))
+            p.add("ctl.redirected", len(triples))
             # Redirected writes complete too — record their latency in the
             # same books as Main-LSM writes so P99 covers the whole system.
             self.main.stats.record_write_latency(self.env.now - t0,
                                                  count=len(triples))
         else:
             self._route("main")
-            if self.env.faults is not None or self.env.journal is not None:
-                yield from fault_point(self.env, "ctl.put.normal")
+            yield from p.at("ctl.put.normal")
             for key, _value in pairs:
                 if not self.metadata.is_empty and self.metadata.contains(key):
                     self.metadata.remove(key)  # Main-LSM copy becomes newest
             yield from self.main.put_batch(pairs)
             self.normal_writes += len(pairs)
-            tel = self.env.telemetry
-            if tel is not None:
-                tel.add("ctl.normal", len(pairs))
+            p.add("ctl.normal", len(pairs))
 
     def delete(self, key: bytes) -> Generator:
+        """Route a delete; keeps the same books as :meth:`put_batch`."""
         self.last_write_time = self.env.now
+        p = self.env.probes
         if self._redirect_allowed():
             self._route("dev")
-            if self.env.faults is not None or self.env.journal is not None:
-                yield from fault_point(self.env, "ctl.delete.redirect")
+            yield from p.at("ctl.delete.redirect")
+            t0 = self.env.now
             seq = self.main.next_seq()
             self.metadata.insert(key)  # tombstone lives in Dev-LSM
-            lp = self.env.lineage
-            if lp is not None:
-                lp.enter("redirect")
+            p.enter("redirect")
             try:
                 if self.resil is None:
                     yield from self.kv.delete(key, seq)
@@ -190,24 +177,24 @@ class KvaccelController:
                     except DeviceError as exc:
                         yield from self._fallback([(key, seq, None)], exc)
             finally:
-                if lp is not None:
-                    lp.leave()
+                p.leave()
             self.redirected_writes += 1
+            p.add("ctl.redirected")
+            self.main.stats.record_write_latency(self.env.now - t0)
         else:
             self._route("main")
-            if self.env.faults is not None or self.env.journal is not None:
-                yield from fault_point(self.env, "ctl.delete.normal")
+            yield from p.at("ctl.delete.normal")
             if not self.metadata.is_empty and self.metadata.contains(key):
                 self.metadata.remove(key)
             yield from self.main.delete(key)
             self.normal_writes += 1
+            p.add("ctl.normal")
 
     # -- read path -------------------------------------------------------------
     def get(self, key: bytes) -> Generator:
         """Read path steps (1)-(3) of Section V-C."""
         if not self.kv.is_empty and self.metadata.contains(key):
-            if self.env.faults is not None or self.env.journal is not None:
-                yield from fault_point(self.env, "ctl.get.dev")
+            yield from self.env.probes.at("ctl.get.dev")
             try:
                 entry = yield from self.kv.get(key)
             except DeviceError as exc:
@@ -225,8 +212,7 @@ class KvaccelController:
             if entry[2] == KIND_DELETE:
                 return None
             return entry[3]
-        if self.env.faults is not None or self.env.journal is not None:
-            yield from fault_point(self.env, "ctl.get.main")
+        yield from self.env.probes.at("ctl.get.main")
         value = yield from self.main.get(key)
         self.main_reads += 1
         return value

@@ -95,10 +95,8 @@ class WriteStallDetector:
             if self.stall_condition:
                 self.stall_condition_time += self.env.now - self._last_change
             self._last_change = self.env.now
-            tr = self.env.tracer
-            if tr is not None:
-                tr.instant("detector", "detector.verdict", actor="detector",
-                           args={"stall_condition": verdict})
+            self.env.probes.instant("detector", "detector.verdict", "detector",
+                                    {"stall_condition": verdict})
         self.stall_condition = verdict
 
     def _run(self):

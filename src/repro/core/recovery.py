@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator
 
-from ..faults.registry import fault_point, touch
 from .controller import KvaccelController
 
 __all__ = ["recover_after_crash", "RecoveryReport"]
@@ -40,35 +39,27 @@ def recover_after_crash(controller: KvaccelController,
     """
     env = controller.env
     t0 = env.now
-    tr = env.tracer
-    _sp = (tr.begin("recovery", "recovery.metadata", actor="recovery")
-           if tr is not None else None)
-    if env.faults is not None or env.journal is not None:
-        yield from fault_point(env, "recovery.start")
+    p = env.probes
+    _sp = p.begin("recovery", "recovery.metadata", "recovery")
+    yield from p.at("recovery.start")
     controller.metadata.drop()
     scanned = yield from controller.kv.bulk_scan()
-    if env.faults is not None or env.journal is not None:
-        touch(env, "recovery.scan.done")
+    p.touch("recovery.scan.done")
     entries = []
     for e in scanned:
         current = yield from controller.main.get_internal(e[0])
         if current is None or e[1] > current[1]:
             entries.append(e)
     nbytes = 0
-    tel = env.telemetry
     for i in range(0, len(entries), merge_batch):
         chunk = entries[i:i + merge_batch]
         nbytes += yield from controller.main.write_entries(chunk)
-        if tel is not None:
-            tel.add("recovery.entries", len(chunk))
-        if env.faults is not None or env.journal is not None:
-            touch(env, "recovery.merge.batch")
+        p.add("recovery.entries", len(chunk))
+        p.touch("recovery.merge.batch")
     yield from controller.kv.reset()
     controller.metadata.clear()
-    if env.faults is not None or env.journal is not None:
-        touch(env, "recovery.complete")
-    if _sp is not None:
-        tr.end(_sp, args={"entries": len(entries), "bytes": nbytes})
+    p.touch("recovery.complete")
+    p.end(_sp, {"entries": len(entries), "bytes": nbytes})
     return RecoveryReport(
         entries_recovered=len(entries),
         bytes_recovered=nbytes,

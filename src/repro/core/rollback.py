@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator
 
-from ..faults.registry import fault_point, touch
 from ..resil.errors import DeviceError
 from ..sim import Environment, Interrupt
 from .controller import KvaccelController
@@ -154,53 +153,44 @@ class RollbackManager:
         """
         self.in_progress = True
         self.controller.rollback_in_progress = True
-        tr = self.env.tracer
-        _sp = (tr.begin("rollback", f"rollback.{self.config.scheme}",
-                        args={"scheme": self.config.scheme})
-               if tr is not None else None)
+        p = self.env.probes
+        _sp = p.begin("rollback", f"rollback.{self.config.scheme}", None,
+                      {"scheme": self.config.scheme})
         try:
             t0 = self.env.now
             controller = self.controller
-            if self.env.faults is not None or self.env.journal is not None:
-                yield from fault_point(self.env, "rollback.start")
+            yield from p.at("rollback.start")
             live_keys = controller.metadata.keys_snapshot()
             entries = yield from controller.kv.bulk_scan()
             entries = [e for e in entries if e[0] in live_keys]
-            if self.env.faults is not None or self.env.journal is not None:
-                touch(self.env, "rollback.scan.done")
+            p.touch("rollback.scan.done")
             nbytes = 0
             batch = self.config.merge_batch
-            tel = self.env.telemetry
             for i in range(0, len(entries), batch):
                 chunk = entries[i:i + batch]
                 chunk_bytes = yield from controller.main.write_entries(chunk)
                 nbytes += chunk_bytes
-                if tel is not None:
-                    # Per-batch so progress lands in the bucket it happened
-                    # in — the rollback-convergence rule watches this.
-                    tel.add("rollback.entries", len(chunk))
-                    tel.add("rollback.bytes", chunk_bytes)
-                if self.env.faults is not None or self.env.journal is not None:
-                    touch(self.env, "rollback.merge.batch")
+                # Per-batch so progress lands in the bucket it happened
+                # in — the rollback-convergence rule watches this.
+                p.add("rollback.entries", len(chunk))
+                p.add("rollback.bytes", chunk_bytes)
+                p.touch("rollback.merge.batch")
             controller.metadata.clear()
-            if self.env.faults is not None or self.env.journal is not None:
-                touch(self.env, "rollback.metadata.cleared")
+            p.touch("rollback.metadata.cleared")
             yield from controller.kv.reset()
-            if self.env.faults is not None or self.env.journal is not None:
-                touch(self.env, "rollback.complete")
+            p.touch("rollback.complete")
             if self.resil is not None:
                 self.resil.note_drained()
             self.records.append(RollbackRecord(
                 start=t0, end=self.env.now, entries=len(entries), bytes=nbytes))
-            if _sp is not None:
-                tr.end(_sp, args={"entries": len(entries), "bytes": nbytes})
-                _sp = None
+            p.end(_sp, {"entries": len(entries), "bytes": nbytes})
         finally:
-            # Aborted mid-flight (e.g. injected crash).  A rollback still
-            # running at the horizon is closed by the tracer's end-of-run
-            # sweep first and reaches here only at generator teardown.
+            # Aborted mid-flight (e.g. injected crash): the span is still
+            # open.  A rollback still running at the horizon is closed by
+            # the tracer's end-of-run sweep first and reaches here only at
+            # generator teardown.
             if _sp is not None and not _sp.closed:
-                tr.end(_sp, args={"aborted": True})
+                p.end(_sp, {"aborted": True})
             self.in_progress = False
             self.controller.rollback_in_progress = False
 

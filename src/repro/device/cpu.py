@@ -47,14 +47,12 @@ class CpuModel:
         self._active += 1
         stretch = max(1.0, self._active / self.cores)
         t0 = self.env.now
-        lp = self.env.lineage
-        if lp is not None:
-            lp.enter("cpu")
+        p = self.env.probes
+        p.enter("cpu")
         try:
             yield self.env.timeout(seconds * stretch)
         finally:
-            if lp is not None:
-                lp.leave()
+            p.leave()
             self._active -= 1
             self.ledger.record(t0, self.env.now, seconds)
             self.busy_by_tag[tag] = self.busy_by_tag.get(tag, 0.0) + seconds

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, Iterable, Optional
 
-from ..faults.registry import fault_point, touch
 from ..sim import Environment
 from ..types import KIND_PUT, Entry, entry_size
 from .cpu import CpuModel
@@ -183,10 +182,8 @@ class DevLsm:
         """Insert a PUT or DELETE entry (blocking process generator)."""
         cfg = self.config
         nbytes = entry_size(entry)
-        tr = self.env.tracer
-        _sp = (tr.begin("devlsm", "devlsm.put", actor="devlsm",
-                        args={"bytes": nbytes})
-               if tr is not None else None)
+        p = self.env.probes
+        _sp = p.begin("devlsm", "devlsm.put", "devlsm", {"bytes": nbytes})
         self.arm.charge(cfg.arm_op_cost, tag="devlsm.put")
         key = entry[0]
         old = self._memtable.get(key)
@@ -194,24 +191,20 @@ class DevLsm:
             self._memtable_bytes -= entry_size(old)
         self._memtable[key] = entry
         self._memtable_bytes += nbytes
-        if self.env.faults is not None or self.env.journal is not None:
-            touch(self.env, "devlsm.put.applied")
+        p.touch("devlsm.put.applied")
         if self._memtable_bytes >= cfg.memtable_bytes:
             yield from self._flush()
-        if _sp is not None:
-            tr.end(_sp)
+        p.end(_sp)
         return None
 
     def _flush(self) -> Generator:
         """Flush the device memtable as one sorted run into KV NAND."""
         if not self._memtable:
             return
-        tr = self.env.tracer
-        _sp = (tr.begin("devlsm", "devlsm.flush", actor="devlsm",
-                        args={"bytes": self._memtable_bytes})
-               if tr is not None else None)
-        if self.env.faults is not None or self.env.journal is not None:
-            yield from fault_point(self.env, "devlsm.flush.start")
+        p = self.env.probes
+        _sp = p.begin("devlsm", "devlsm.flush", "devlsm",
+                      {"bytes": self._memtable_bytes})
+        yield from p.at("devlsm.flush.start")
         # Snapshot, don't swap: the memtable must stay intact until the run
         # is installed.  The flush runs on the calling host process, so a
         # host crash interrupts it mid-I/O — but the device itself did not
@@ -239,10 +232,8 @@ class DevLsm:
                 retired -= entry_size(entry)
         self._memtable_bytes -= retired
         self.flush_count += 1
-        if self.env.faults is not None or self.env.journal is not None:
-            yield from fault_point(self.env, "devlsm.flush.complete")
-        if _sp is not None:
-            tr.end(_sp, args={"runs": len(self.runs)})
+        yield from p.at("devlsm.flush.complete")
+        p.end(_sp, {"runs": len(self.runs)})
         if (self.config.compaction_enabled
                 and len(self.runs) >= self.config.compaction_trigger_runs):
             yield from self._compact()
@@ -260,10 +251,9 @@ class DevLsm:
         merged = self._merged_entries(include_memtable=False)
         nbytes = sum(entry_size(e) for e in merged)
         old_bytes = sum(r.nbytes for r in self.runs)
-        tr = self.env.tracer
-        _sp = (tr.begin("devlsm", "devlsm.compact", actor="devlsm",
-                        args={"runs": len(self.runs), "bytes": old_bytes})
-               if tr is not None else None)
+        p = self.env.probes
+        _sp = p.begin("devlsm", "devlsm.compact", "devlsm",
+                      {"runs": len(self.runs), "bytes": old_bytes})
         yield from self.arm.consume((old_bytes + nbytes) * self.config.arm_byte_cost,
                                     tag="devlsm.compact")
         # Channel burst: the read-back of the old runs and the program of
@@ -277,6 +267,7 @@ class DevLsm:
         else:
             self.runs = []
         self.compaction_count += 1
+        p.end(_sp)
 
     # -- read path ----------------------------------------------------------
     def get(self, key: bytes) -> Generator:
@@ -286,8 +277,7 @@ class DevLsm:
         cache (Table V's explanation).
         """
         cfg = self.config
-        if self.env.faults is not None or self.env.journal is not None:
-            yield from fault_point(self.env, "devlsm.get")
+        yield from self.env.probes.at("devlsm.get")
         self.arm.charge(cfg.arm_op_cost, tag="devlsm.get")
         hit = self._memtable.get(key)
         if hit is not None:
@@ -377,8 +367,7 @@ class DevLsm:
     # -- reset / recovery ----------------------------------------------------
     def reset(self) -> None:
         """Drop all state and trim the KV region (post-rollback step 8)."""
-        if self.env.faults is not None or self.env.journal is not None:
-            touch(self.env, "devlsm.reset")
+        self.env.probes.touch("devlsm.reset")
         self._memtable = {}
         self._memtable_bytes = 0
         self.runs = []

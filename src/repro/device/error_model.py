@@ -149,9 +149,7 @@ class NandErrorModel:
                 return 0.0, None
             self.read_retry_rounds += rounds
             extra = rounds * cfg.read_retry_latency
-            tel = self.env.telemetry
-            if tel is not None:
-                tel.add("nand.read_retries", float(rounds))
+            self.env.probes.add("nand.read_retries", float(rounds))
             if (rounds == cfg.read_retry_rounds
                     and rng.random() < cfg.uncorrectable_prob):
                 self.uncorrectable_reads += 1

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, Optional
 
-from ..faults.registry import DROP, DUPLICATE, fault_point
+from ..faults.registry import DROP, DUPLICATE
 from ..sim import Environment
 from ..types import KIND_DELETE, KIND_PUT, Entry, entry_size, make_entry, value_size
 from .cpu import CpuModel
@@ -26,6 +26,10 @@ __all__ = ["KvDevice", "KvDeviceConfig"]
 
 # NVMe command capsule + completion overhead on the wire, bytes.
 _CAPSULE_BYTES = 64 + 16
+
+# Per write verb: its submit site, span name and complete site, built once.
+_WRITE_NAMES = {verb: (f"kv.{verb}.submit", f"kv.{verb}", f"kv.{verb}.complete")
+                for verb in ("put", "put_batch", "delete")}
 
 
 @dataclass
@@ -71,44 +75,41 @@ class KvDevice:
     def _count(self, verb: str) -> None:
         self.command_counts[verb] = self.command_counts.get(verb, 0) + 1
         self.host_cpu.charge(self.config.host_submit_cost, tag="nvme_kv")
-        tel = self.env.telemetry
-        if tel is not None:
-            tel.add("kv.commands")
-
-    def _submit(self, site: str) -> Generator:
-        """Probe the per-verb submission fault site; returns the fired
-        action so the verb can honor DROP/DUPLICATE semantics."""
-        if self.env.faults is None and self.env.journal is None:
-            return None
-        action = yield from fault_point(self.env, site)
-        return action
+        self.env.probes.add("kv.commands")
 
     # -- point commands -----------------------------------------------------
+    def _write(self, verb: str, payload: int, entries: list) -> Generator:
+        """One write command — PUT, compound PUT or DELETE: ship ``payload``
+        bytes over PCIe, then insert ``entries`` into the Dev-LSM.  The
+        ``submit`` site fires before anything is device-visible and may DROP
+        the command (lost on the wire) or DUPLICATE it (the device executes
+        it twice); ``complete`` fires after the last insert."""
+        submit, span, complete = _WRITE_NAMES[verb]
+        p = self.env.probes
+        self._count(verb)
+        action = yield from p.at(submit)
+        if action is not None and action.kind == DROP:
+            self.lost_commands += 1
+            return
+        args = {"bytes": payload}
+        if verb == "put_batch":
+            args["records"] = len(entries)
+        _sp = p.begin("kv", span, None, args)
+        yield from self.pcie.transfer(payload)
+        duplicate = action is not None and action.kind == DUPLICATE
+        for _ in range(2 if duplicate else 1):
+            for entry in entries:
+                yield from self.devlsm.put(entry)
+        if duplicate:
+            self.duplicated_commands += 1
+        p.end(_sp)
+        yield from p.at(complete)
+
     def put(self, key: bytes, seq: int, value) -> Generator:
         """KV PUT: ship key+value over PCIe, insert into Dev-LSM."""
-        return self._call(lambda: self._put(key, seq, value), "kv.put")
-
-    def _put(self, key: bytes, seq: int, value) -> Generator:
-        self._count("put")
-        action = yield from self._submit("kv.put.submit")
-        if action is not None and action.kind == DROP:
-            self.lost_commands += 1        # command lost on the wire
-            return
-        payload = _CAPSULE_BYTES + len(key) + value_size(value)
-        tr = self.env.tracer
-        _sp = (tr.begin("kv", "kv.put", args={"bytes": payload})
-               if tr is not None else None)
-        yield from self.pcie.transfer(payload)
-        entry = make_entry(key, seq, value, kind=KIND_PUT)
-        for _ in range(2 if action is not None
-                       and action.kind == DUPLICATE else 1):
-            yield from self.devlsm.put(entry)
-        if action is not None and action.kind == DUPLICATE:
-            self.duplicated_commands += 1
-        if _sp is not None:
-            tr.end(_sp)
-        if self.env.faults is not None or self.env.journal is not None:
-            yield from fault_point(self.env, "kv.put.complete")
+        return self._call(lambda: self._write(
+            "put", _CAPSULE_BYTES + len(key) + value_size(value),
+            [make_entry(key, seq, value, kind=KIND_PUT)]), "kv.put")
 
     def put_batch(self, triples: list) -> Generator:
         """Batched KV PUT via a compound command (HotStorage '19 style).
@@ -117,58 +118,17 @@ class KvDevice:
         payload transfer covers the batch; the Dev-LSM still ingests each
         record (per-op ARM cost, flush when the device memtable fills).
         """
-        return self._call(lambda: self._put_batch(triples), "kv.put_batch")
-
-    def _put_batch(self, triples: list) -> Generator:
-        self._count("put_batch")
-        action = yield from self._submit("kv.put_batch.submit")
-        if action is not None and action.kind == DROP:
-            self.lost_commands += 1        # whole compound command lost
-            return
-        payload = _CAPSULE_BYTES + sum(
-            len(k) + value_size(v) for k, _s, v in triples)
-        tr = self.env.tracer
-        _sp = (tr.begin("kv", "kv.put_batch",
-                        args={"bytes": payload, "records": len(triples)})
-               if tr is not None else None)
-        yield from self.pcie.transfer(payload)
-        duplicate = action is not None and action.kind == DUPLICATE
-        for _ in range(2 if duplicate else 1):
-            for key, seq, value in triples:
-                entry = make_entry(key, seq, value, kind=KIND_PUT)
-                yield from self.devlsm.put(entry)
-        if duplicate:
-            self.duplicated_commands += 1
-        if _sp is not None:
-            tr.end(_sp)
-        if self.env.faults is not None or self.env.journal is not None:
-            yield from fault_point(self.env, "kv.put_batch.complete")
+        return self._call(lambda: self._write(
+            "put_batch",
+            _CAPSULE_BYTES + sum(len(k) + value_size(v) for k, _s, v in triples),
+            [make_entry(k, s, v, kind=KIND_PUT) for k, s, v in triples]),
+            "kv.put_batch")
 
     def delete(self, key: bytes, seq: int) -> Generator:
         """KV DELETE: a tombstone entry in the Dev-LSM."""
-        return self._call(lambda: self._delete(key, seq), "kv.delete")
-
-    def _delete(self, key: bytes, seq: int) -> Generator:
-        self._count("delete")
-        action = yield from self._submit("kv.delete.submit")
-        if action is not None and action.kind == DROP:
-            self.lost_commands += 1
-            return
-        payload = _CAPSULE_BYTES + len(key)
-        tr = self.env.tracer
-        _sp = (tr.begin("kv", "kv.delete", args={"bytes": payload})
-               if tr is not None else None)
-        yield from self.pcie.transfer(payload)
-        entry = make_entry(key, seq, None, kind=KIND_DELETE)
-        for _ in range(2 if action is not None
-                       and action.kind == DUPLICATE else 1):
-            yield from self.devlsm.put(entry)
-        if action is not None and action.kind == DUPLICATE:
-            self.duplicated_commands += 1
-        if _sp is not None:
-            tr.end(_sp)
-        if self.env.faults is not None or self.env.journal is not None:
-            yield from fault_point(self.env, "kv.delete.complete")
+        return self._call(lambda: self._write(
+            "delete", _CAPSULE_BYTES + len(key),
+            [make_entry(key, seq, None, kind=KIND_DELETE)]), "kv.delete")
 
     def get(self, key: bytes) -> Generator:
         """KV GET: returns the newest entry or None."""
@@ -176,7 +136,7 @@ class KvDevice:
 
     def _get(self, key: bytes) -> Generator:
         self._count("get")
-        yield from self._submit("kv.get.submit")
+        yield from self.env.probes.at("kv.get.submit")
         yield from self.pcie.transfer(_CAPSULE_BYTES + len(key))
         entry = yield from self.devlsm.get(key)
         if entry is not None:
@@ -228,16 +188,15 @@ class KvDevice:
 
     def _bulk_scan(self) -> Generator:
         self._count("bulk_scan")
-        yield from self._submit("kv.bulk_scan.start")
-        tr = self.env.tracer
-        _sp = (tr.begin("kv", "kv.bulk_scan") if tr is not None else None)
+        p = self.env.probes
+        yield from p.at("kv.bulk_scan.start")
+        _sp = p.begin("kv", "kv.bulk_scan")
         yield from self.pcie.transfer(_CAPSULE_BYTES)
         entries = yield from self.devlsm.bulk_scan(self.pcie)
-        if _sp is not None:
-            tr.end(_sp, args={"entries": len(entries),
-                              "bytes": sum(entry_size(e) for e in entries)})
-        if self.env.faults is not None or self.env.journal is not None:
-            yield from fault_point(self.env, "kv.bulk_scan.complete")
+        if _sp is not None:    # the byte total walks every entry
+            p.end(_sp, {"entries": len(entries),
+                        "bytes": sum(entry_size(e) for e in entries)})
+        yield from p.at("kv.bulk_scan.complete")
         return entries
 
     def reset(self) -> Generator:
@@ -246,11 +205,11 @@ class KvDevice:
 
     def _reset(self) -> Generator:
         self._count("reset")
-        yield from self._submit("kv.reset.start")
+        p = self.env.probes
+        yield from p.at("kv.reset.start")
         yield from self.pcie.transfer(_CAPSULE_BYTES)
         self.devlsm.reset()
-        if self.env.faults is not None or self.env.journal is not None:
-            yield from fault_point(self.env, "kv.reset.complete")
+        yield from p.at("kv.reset.complete")
         return None
 
     # -- introspection ----------------------------------------------------------

@@ -15,12 +15,14 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from ..faults.registry import fault_point
 from ..sim import Environment, PriorityResource, Resource
 from .geometry import MiB, NandGeometry
 from .pcie import MACRO_MAX, TrafficLedger
 
 __all__ = ["NandArray"]
+
+# The fault site and span name of each NAND operation, built once.
+_OP_NAMES = {op: f"nand.{op}" for op in ("read", "program", "erase")}
 
 
 class NandArray:
@@ -89,16 +91,14 @@ class NandArray:
         """
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
-        tr = self.env.tracer
+        dt = self.service_time(op, nbytes)
+        p = self.env.probes
+        name = _OP_NAMES[op]
         # Span actor defaults to the calling process, so NAND time nests
         # inside the flush / compaction / Dev-LSM span that issued it.
-        _sp = (tr.begin("nand", f"nand.{op}",
-                        args={"bytes": nbytes, "priority": priority})
-               if tr is not None else None)
-        if self.env.faults is not None or self.env.journal is not None:
-            # Fault sites: nand.read / nand.program / nand.erase.
-            yield from fault_point(self.env, f"nand.{op}")
-        dt = self.service_time(op, nbytes)
+        _sp = p.begin("nand", name, None,
+                      {"bytes": nbytes, "priority": priority})
+        yield from p.at(name)
         if self._res.capacity > 1 and op != "erase":
             lat = {"read": self._lat_read, "program": self._lat_program}[op]
             dt = lat + (dt - lat) * self._res.capacity
@@ -111,29 +111,23 @@ class NandArray:
             dt += extra
         req = (self._res.request(priority=priority) if self.priority_scheduling
                else self._res.request())
-        lp = self.env.lineage
         with req:
-            if lp is not None:
-                lp.enter("queue")
+            p.enter("queue")
             try:
                 yield req
             finally:
-                if lp is not None:
-                    lp.leave()
+                p.leave()
             t0 = self.env.now
-            if lp is not None:
-                lp.enter("nand")
+            p.enter("nand")
             try:
                 yield self.env.timeout(dt)
             finally:
-                if lp is not None:
-                    lp.leave()
+                p.leave()
             self.busy_time += dt
             self.ledger.record(t0, self.env.now, nbytes)
         if err is not None:
             raise err
-        if _sp is not None:
-            tr.end(_sp)
+        p.end(_sp)
 
     def io_burst(self, ops, priority: int = 0) -> Generator:
         """Serve a channel burst of NAND operations as macro events.
@@ -157,18 +151,14 @@ class NandArray:
             yield from self.io(op, nbytes, priority=priority)
             return
         env = self.env
-        tr = env.tracer
-        _sp = (tr.begin("nand", "nand.burst",
-                        args={"ops": len(ops),
-                              "bytes": sum(nb for _o, nb in ops),
-                              "priority": priority})
-               if tr is not None else None)
+        p = env.probes
+        _sp = p.begin("nand", "nand.burst", None,
+                      {"ops": len(ops), "bytes": sum(nb for _o, nb in ops),
+                       "priority": priority})
         macro = env.macro
         macro.bursts += 1
-        probes = env.faults is not None or env.journal is not None
         lanes = self._res.capacity
         lat = {"read": self._lat_read, "program": self._lat_program}
-        lp = env.lineage
         err = None
         i = 0
         n = len(ops)
@@ -179,9 +169,8 @@ class NandArray:
             for op, nbytes in group:
                 if nbytes < 0:
                     raise ValueError("nbytes must be >= 0")
-                if probes:
-                    yield from fault_point(env, f"nand.{op}")
                 dt = self.service_time(op, nbytes)
+                yield from p.at(_OP_NAMES[op])
                 if lanes > 1 and op != "erase":
                     dt = lat[op] + (dt - lat[op]) * lanes
                 if self.error_model is not None:
@@ -194,24 +183,20 @@ class NandArray:
             req = (self._res.request(priority=priority)
                    if self.priority_scheduling else self._res.request())
             with req:
-                if lp is not None:
-                    lp.enter("queue")
+                p.enter("queue")
                 try:
                     yield req
                 finally:
-                    if lp is not None:
-                        lp.leave()
+                    p.leave()
                 t0 = env.now
                 total_dt = 0.0
                 for _nb, dt in served:
                     total_dt += dt
-                if lp is not None:
-                    lp.enter("nand")
+                p.enter("nand")
                 try:
                     yield env.timeout(total_dt)
                 finally:
-                    if lp is not None:
-                        lp.leave()
+                    p.leave()
                 macro.events += 1
                 self.busy_time += total_dt
                 a = t0
@@ -221,8 +206,7 @@ class NandArray:
                     a = b
         if err is not None:
             raise err
-        if _sp is not None:
-            tr.end(_sp)
+        p.end(_sp)
 
     @property
     def queue_len(self) -> int:

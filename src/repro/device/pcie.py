@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Generator, Optional
 
-from ..faults.registry import DELAY, touch
+from ..faults.registry import DELAY
 from ..sim import Environment, Resource
 
 __all__ = ["TrafficLedger", "BandwidthPipe", "PcieLink", "MACRO_MAX"]
@@ -114,6 +114,11 @@ class BandwidthPipe:
         self.latency = latency
         self.ledger = ledger
         self.name = name
+        # Probe names, built once: the fault site / span, the burst span
+        # and the per-direction telemetry channels.
+        self._site = f"{name}.transfer"
+        self._burst_span = f"{name}.transfer_burst"
+        self._channels = {"tx": f"{name}.tx_bytes", "rx": f"{name}.rx_bytes"}
         self._res = Resource(env, capacity=max(1, lanes))
         self.busy_time = 0.0
 
@@ -129,48 +134,37 @@ class BandwidthPipe:
         """
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
-        if direction not in ("tx", "rx"):
+        if direction not in self._channels:
             raise ValueError(f"direction must be tx or rx, not {direction!r}")
-        tr = self.env.tracer
-        _sp = (tr.begin("pcie", f"{self.name}.transfer",
-                        args={"bytes": nbytes, "dir": direction})
-               if tr is not None else None)
-        injected_delay = 0.0
-        if self.env.faults is not None or self.env.journal is not None:
-            # Fault site: e.g. "pcie.transfer" (modeled transfer drop/delay).
-            # DELAY is folded into the service interval below — the slowed
-            # transfer holds the link and the ledger/busy-time/telemetry
-            # attribute its bytes across the stretched window, instead of
-            # the extra latency vanishing between samples.
-            action = touch(self.env, f"{self.name}.transfer")
-            if action is not None and action.kind == DELAY:
-                injected_delay = action.delay
-        lp = self.env.lineage
+        p = self.env.probes
+        _sp = p.begin("pcie", self._site, None,
+                      {"bytes": nbytes, "dir": direction})
+        # Fault site: e.g. "pcie.transfer" (modeled transfer drop/delay).
+        # DELAY is folded into the service interval below — the slowed
+        # transfer holds the link and the ledger/busy-time/telemetry
+        # attribute its bytes across the stretched window, instead of
+        # the extra latency vanishing between samples.
+        action = p.touch(self._site)
+        injected_delay = (action.delay if action is not None
+                          and action.kind == DELAY else 0.0)
         with self._res.request() as req:
-            if lp is not None:
-                lp.enter("queue")
+            p.enter("queue")
             try:
                 yield req
             finally:
-                if lp is not None:
-                    lp.leave()
+                p.leave()
             t0 = self.env.now
             dt = self.service_time(nbytes) + injected_delay
-            if lp is not None:
-                lp.enter("pcie")
+            p.enter("pcie")
             try:
                 yield self.env.timeout(dt)
             finally:
-                if lp is not None:
-                    lp.leave()
+                p.leave()
             self.busy_time += dt
             if self.ledger is not None:
                 self.ledger.record(t0, self.env.now, nbytes)
-            tel = self.env.telemetry
-            if tel is not None:
-                tel.add(f"{self.name}.{direction}_bytes", nbytes)
-        if _sp is not None:
-            tr.end(_sp)
+            p.add(self._channels[direction], nbytes)
+        p.end(_sp)
 
     def transfer_burst(self, sizes, direction: str = "tx") -> Generator:
         """Move a sequence of transfers as macro events (one scheduled
@@ -188,22 +182,19 @@ class BandwidthPipe:
         if len(sizes) == 1:
             yield from self.transfer(sizes[0], direction)
             return
-        if direction not in ("tx", "rx"):
+        if direction not in self._channels:
             raise ValueError(f"direction must be tx or rx, not {direction!r}")
         for nbytes in sizes:
             if nbytes < 0:
                 raise ValueError("nbytes must be >= 0")
         env = self.env
-        tr = env.tracer
-        _sp = (tr.begin("pcie", f"{self.name}.transfer_burst",
-                        args={"bytes": sum(sizes), "chunks": len(sizes),
-                              "dir": direction})
-               if tr is not None else None)
+        p = env.probes
+        _sp = p.begin("pcie", self._burst_span, None,
+                      {"bytes": sum(sizes), "chunks": len(sizes),
+                       "dir": direction})
         macro = env.macro
         macro.bursts += 1
         macro.ops += len(sizes)
-        probes = env.faults is not None or env.journal is not None
-        lp = env.lineage
         i = 0
         n = len(sizes)
         while i < n:
@@ -213,31 +204,25 @@ class BandwidthPipe:
             # and DELAY semantics as the scalar path).
             dts = []
             for nbytes in group:
-                injected = 0.0
-                if probes:
-                    action = touch(env, f"{self.name}.transfer")
-                    if action is not None and action.kind == DELAY:
-                        injected = action.delay
+                action = p.touch(self._site)
+                injected = (action.delay if action is not None
+                            and action.kind == DELAY else 0.0)
                 dts.append(self.service_time(nbytes) + injected)
             with self._res.request() as req:
-                if lp is not None:
-                    lp.enter("queue")
+                p.enter("queue")
                 try:
                     yield req
                 finally:
-                    if lp is not None:
-                        lp.leave()
+                    p.leave()
                 t0 = env.now
                 total_dt = 0.0
                 for dt in dts:
                     total_dt += dt
-                if lp is not None:
-                    lp.enter("pcie")
+                p.enter("pcie")
                 try:
                     yield env.timeout(total_dt)
                 finally:
-                    if lp is not None:
-                        lp.leave()
+                    p.leave()
                 macro.events += 1
                 self.busy_time += total_dt
                 if self.ledger is not None:
@@ -248,11 +233,8 @@ class BandwidthPipe:
                         b = a + dt
                         self.ledger.record(a, b, nbytes)
                         a = b
-                tel = env.telemetry
-                if tel is not None:
-                    tel.add(f"{self.name}.{direction}_bytes", sum(group))
-        if _sp is not None:
-            tr.end(_sp)
+                p.add(self._channels[direction], sum(group))
+        p.end(_sp)
 
     @property
     def queue_len(self) -> int:

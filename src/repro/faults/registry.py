@@ -1,15 +1,15 @@
 """Injection registry: named fault points threaded through the stack.
 
-Every durability-relevant step in the device and LSM layers calls
-:func:`fault_point` (in generator code) or :func:`touch` (in synchronous
-code) with a stable site name — ``"nand.program"``, ``"wal.flush.start"``,
-``"kv.put_batch.submit"``, ``"rollback.metadata.cleared"``...  With no
-registry installed on the :class:`~repro.sim.Environment` these probes are
-near-free no-ops, so production simulations pay one attribute read per
-site.
+Every durability-relevant step in the device and LSM layers visits a
+stable site name — ``"nand.program"``, ``"wal.flush.start"``,
+``"kv.put_batch.submit"``, ``"rollback.metadata.cleared"``... — through
+``env.probes``: ``yield from p.at(site)`` in generator code, ``p.touch(site)``
+in synchronous code.  Both verbs do nothing until a :class:`FaultRegistry`
+(or the journal) is installed, so an uninstrumented simulation pays one
+no-op call per visit.
 
-With a :class:`FaultRegistry` installed (``registry.install(env)``), each
-probe:
+``registry.install(env)`` binds the two verbs to :func:`fault_point` and
+:func:`touch` below, and from then on each visit:
 
 * counts the hit and (optionally) appends it to an ordered **trace** —
   the raw material of the crash-point scheduler;
@@ -37,6 +37,7 @@ import os
 import random
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
+from functools import partial
 from typing import Generator, Optional
 
 from ..sim import Environment, Event
@@ -156,14 +157,14 @@ class FaultRegistry:
 
     # -- wiring ------------------------------------------------------------
     def install(self, env: Environment) -> "FaultRegistry":
-        """Attach to an Environment; probes find us via ``env.faults``."""
+        """Attach to an Environment and claim its site verbs.  The journal
+        installs the same pair (each function serves either plane alone),
+        so the two may be installed in either order."""
         env.faults = self
         self._env = env
+        env.probes.touch = partial(touch, env)
+        env.probes.at = partial(fault_point, env)
         return self
-
-    @staticmethod
-    def of(env: Environment) -> Optional["FaultRegistry"]:
-        return getattr(env, "faults", None)
 
     # -- arming ------------------------------------------------------------
     def arm(self, pattern: str, plan: FaultPlan,
@@ -236,7 +237,7 @@ class FaultRegistry:
 
 
 def fault_point(env: Environment, site: str) -> Generator:
-    """Probe ``site`` from generator code: ``yield from fault_point(...)``.
+    """Probe ``site`` from generator code (``env.probes.at`` once bound).
 
     Handles ``DELAY`` inline (stretches the op); returns the action for
     site-specific kinds (``DROP``/``DUPLICATE``) or None.  ``FAIL`` raises
@@ -260,7 +261,8 @@ def fault_point(env: Environment, site: str) -> Generator:
 
 
 def touch(env: Environment, site: str) -> Optional[FaultAction]:
-    """Probe ``site`` from synchronous code (cannot honor DELAY)."""
+    """Probe ``site`` from synchronous code (``env.probes.touch`` once
+    bound; cannot honor DELAY)."""
     jr = env.journal
     if jr is not None:
         proc = env._active_process

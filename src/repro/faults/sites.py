@@ -24,10 +24,11 @@ __all__ = ["KNOWN_SITES", "DYNAMIC_SUFFIXES", "UnknownSiteError",
 KNOWN_SITES = frozenset({
     # device/nand.py — f"nand.{op}"
     "nand.read", "nand.program", "nand.erase",
-    # device/pcie.py — f"{self.name}.transfer"; the default link name is
+    # device/pcie.py — f"{name}.transfer"; the default link name is
     # "pcie", other names are covered by the dynamic suffix.
     "pcie.transfer",
-    # device/kv_dev.py
+    # device/kv_dev.py — the three write verbs' pairs are
+    # f"kv.{verb}.submit" / f"kv.{verb}.complete"
     "kv.put.submit", "kv.put.complete",
     "kv.put_batch.submit", "kv.put_batch.complete",
     "kv.delete.submit", "kv.delete.complete",

@@ -19,7 +19,6 @@ from typing import Generator, Iterable, Optional
 
 from ..device.block_dev import BlockDevice
 from ..device.cpu import CpuModel
-from ..faults.registry import fault_point, touch
 from ..resil.errors import DeviceError
 from ..sim import Environment, Event, Interrupt, Store
 from ..types import KIND_DELETE, KIND_PUT, Entry, entry_size, make_entry
@@ -193,11 +192,9 @@ class DbImpl:
         if self.background_error is not None:
             return
         self.background_error = exc
-        if self.env.faults is not None or self.env.journal is not None:
-            touch(self.env, "db.bg_error.set")
-        if self.env.tracer is not None:
-            self.env.tracer.instant("db", "bg_error",
-                                    args={"error": str(exc)})
+        p = self.env.probes
+        p.touch("db.bg_error.set")
+        p.instant("db", "bg_error", None, {"error": str(exc)})
 
     def resume(self) -> None:
         """Clear the background error (RocksDB ``Resume()``): restart the
@@ -206,10 +203,9 @@ class DbImpl:
         if self.background_error is None:
             return
         self.background_error = None
-        if self.env.faults is not None or self.env.journal is not None:
-            touch(self.env, "db.resume")
-        if self.env.tracer is not None:
-            self.env.tracer.instant("db", "resume")
+        p = self.env.probes
+        p.touch("db.resume")
+        p.instant("db", "resume")
         if not self._flush_proc.is_alive and not self._closed:
             self._flush_proc = self.env.process(self._flush_worker(),
                                                 name=f"{self.name}.flush")
@@ -266,13 +262,11 @@ class DbImpl:
             raise self.background_error
         opt = self.options
         nbytes = sum(map(entry_size, entries))
-        tr = self.env.tracer
-        _sp = (tr.begin("write", "write",
-                        args={"entries": len(entries), "bytes": nbytes})
-               if tr is not None else None)
-        if self.env.faults is not None or self.env.journal is not None:
-            # Pre-persistence: the batch exists only in the caller's hands.
-            yield from fault_point(self.env, "db.write.gate")
+        p = self.env.probes
+        _sp = p.begin("write", "write", None,
+                      {"entries": len(entries), "bytes": nbytes})
+        # Pre-persistence: the batch exists only in the caller's hands.
+        yield from p.at("db.write.gate")
         held = yield from self.write_controller.gate(nbytes)
         yield from self.host_cpu.consume(opt.cpu.put * len(entries),
                                          tag=f"{self.name}.write")
@@ -287,24 +281,17 @@ class DbImpl:
                 raise
         for e in entries:
             self.mem.add(e)
-        if self.env.faults is not None or self.env.journal is not None:
-            touch(self.env, "db.write.applied")
+        p.touch("db.write.applied")
         self.stats.user_writes += len(entries)
         self.stats.user_write_bytes += nbytes
-        tel = self.env.telemetry
-        if tel is not None:
-            tel.add("lsm.write_ops", len(entries))
+        p.add("lsm.write_ops", len(entries))
         if self.mem.approximate_bytes >= opt.write_buffer_size:
-            lp = self.env.lineage
-            if lp is not None:
-                lp.enter("memtable")
+            p.enter("memtable")
             try:
                 yield from self._switch_memtable()
             finally:
-                if lp is not None:
-                    lp.leave()
-        if _sp is not None:
-            tr.end(_sp, args={"held": held})
+                p.leave()
+        p.end(_sp, {"held": held})
         return nbytes
 
     def _switch_memtable(self) -> Generator:
@@ -339,13 +326,10 @@ class DbImpl:
         sealed = self.mem
         self.mem = self._memtable_factory()
         self.imm.append((sealed, segment))
-        if self.env.faults is not None or self.env.journal is not None:
-            touch(self.env, "db.memtable.seal")
-        if self.env.tracer is not None:
-            self.env.tracer.instant(
-                "write", "memtable.seal",
-                args={"bytes": sealed.approximate_bytes,
-                      "imm": len(self.imm)})
+        p = self.env.probes
+        p.touch("db.memtable.seal")
+        p.instant("write", "memtable.seal", None,
+                  {"bytes": sealed.approximate_bytes, "imm": len(self.imm)})
         self.write_controller.refresh()
         yield self._flush_queue.put((sealed, segment))
 
@@ -389,12 +373,9 @@ class DbImpl:
 
     def _flush_one(self, mem: MemTable, segment) -> Generator:
         opt = self.options
-        tr = self.env.tracer
-        _sp = (tr.begin("flush", "flush",
-                        args={"bytes": mem.approximate_bytes})
-               if tr is not None else None)
-        if self.env.faults is not None or self.env.journal is not None:
-            yield from fault_point(self.env, "db.flush.start")
+        p = self.env.probes
+        _sp = p.begin("flush", "flush", None, {"bytes": mem.approximate_bytes})
+        yield from p.at("db.flush.start")
         entries = mem.entries()
         if entries:
             # A sealed memtable's byte count is its entries' summed size.
@@ -415,19 +396,15 @@ class DbImpl:
             edit = VersionEdit(added=[meta], reason="flush")
             yield from self.versions.log_and_apply(edit)
             self._inflight_flush_file = None
-            if self.env.faults is not None or self.env.journal is not None:
-                touch(self.env, "db.flush.install")
+            p.touch("db.flush.install")
             self.stats.flush_bytes_written += table.file_bytes
-            tel = self.env.telemetry
-            if tel is not None:
-                tel.add("lsm.flush_bytes", table.file_bytes)
+            p.add("lsm.flush_bytes", table.file_bytes)
         # Retire the memtable + its WAL segment even if it was empty.
         self.imm = [(m, s) for (m, s) in self.imm if m is not mem]
         if self.wal is not None and segment is not None:
             self.wal.retire_segment(segment)
         self.stats.flushes += 1
-        if _sp is not None:
-            tr.end(_sp)
+        p.end(_sp)
         self.write_controller.refresh()
         self._wake_background()
 
@@ -500,16 +477,13 @@ class DbImpl:
         merging leave the link idle until the write burst.
         """
         opt = self.options
-        tr = self.env.tracer
-        _sp = (tr.begin("compaction",
-                        f"compaction[L{job.level}->L{job.output_level}]",
-                        args={"level": job.level,
-                              "output_level": job.output_level,
-                              "input_bytes": job.input_bytes,
-                              "inputs": len(job.all_inputs)})
-               if tr is not None else None)
-        if self.env.faults is not None or self.env.journal is not None:
-            yield from fault_point(self.env, "db.compact.start")
+        p = self.env.probes
+        _sp = p.begin("compaction",
+                      f"compaction[L{job.level}->L{job.output_level}]", None,
+                      {"level": job.level, "output_level": job.output_level,
+                       "input_bytes": job.input_bytes,
+                       "inputs": len(job.all_inputs)})
+        yield from p.at("db.compact.start")
         merged = merge_for_compaction(job, opt.num_levels)
         output_groups = split_into_files(merged, opt.target_file_size_base)
 
@@ -517,9 +491,7 @@ class DbImpl:
         output_bytes = sum(sum(sizes) for _group, sizes in output_groups)
         self.stats.compaction_bytes_read += input_bytes
         self.stats.compaction_bytes_written += output_bytes
-        tel = self.env.telemetry
-        if tel is not None:
-            tel.add("lsm.compaction_bytes", input_bytes + output_bytes)
+        p.add("lsm.compaction_bytes", input_bytes + output_bytes)
 
         chunk = opt.compaction_io_chunk
         par = max(1, min(opt.max_subcompactions, opt.max_background_compactions))
@@ -577,14 +549,11 @@ class DbImpl:
         )
         yield from self.versions.log_and_apply(edit)
         job.partial_outputs = []
-        if self.env.faults is not None or self.env.journal is not None:
-            touch(self.env, "db.compact.install")
+        p.touch("db.compact.install")
         for meta in job.all_inputs:
             self.fs.delete(self._sst_name(meta.number))
         self.stats.compactions += 1
-        if _sp is not None:
-            tr.end(_sp, args={"output_bytes": output_bytes,
-                              "outputs": len(added)})
+        p.end(_sp, {"output_bytes": output_bytes, "outputs": len(added)})
         self.write_controller.refresh()
         self._wake_background()
 
@@ -616,9 +585,7 @@ class DbImpl:
             entry = yield from self._get_from_ssts(key)
         self.stats.user_reads += 1
         self.stats.record_read_latency(self.env.now - t0)
-        tel = self.env.telemetry
-        if tel is not None:
-            tel.add("lsm.read_ops")
+        self.env.probes.add("lsm.read_ops")
         return entry
 
     def _get_from_ssts(self, key: bytes) -> Generator:
@@ -747,9 +714,8 @@ class DbImpl:
         if self.wal is None:
             raise RuntimeError("crash recovery requires the WAL")
         t0 = self.env.now
-        tr = self.env.tracer
-        _sp = (tr.begin("recovery", "recovery.host", actor="recovery")
-               if tr is not None else None)
+        p = self.env.probes
+        _sp = p.begin("recovery", "recovery.host", "recovery")
 
         # -- the crash ---------------------------------------------------
         lost_buffered = len(self.wal._buffered_records)
@@ -815,8 +781,7 @@ class DbImpl:
                                                 name=f"{self.name}.flush")
         self.write_controller.refresh()
         self._wake_background()
-        if _sp is not None:
-            tr.end(_sp, args={"replayed": replayed, "orphans": len(orphans)})
+        p.end(_sp, {"replayed": replayed, "orphans": len(orphans)})
         return {
             "replayed_records": replayed,
             "lost_buffered_records": lost_buffered,

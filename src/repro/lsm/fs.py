@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Generator, Optional
 
 from ..device.block_dev import BlockDevice
-from ..faults.registry import fault_point
 
 __all__ = ["FileSystem", "SimFile", "FsError", "PageCache"]
 
@@ -178,16 +177,14 @@ class FileSystem:
         off, n = self._allocate(nbytes)
         f.extents.append((off, n))
         f.size += n
-        env = self.device.env
-        if env.faults is not None or env.journal is not None:
-            # Between allocation and the device write: a crash here models
-            # a torn append (space claimed, data never made it to media).
-            yield from fault_point(env, "fs.append.alloc")
+        p = self.device.env.probes
+        # Between allocation and the device write: a crash here models
+        # a torn append (space claimed, data never made it to media).
+        yield from p.at("fs.append.alloc")
         yield from self.device.write(off, n, priority=priority)
         if self.page_cache is not None:
             self.page_cache.grow(f.name, n)
-        if env.faults is not None or env.journal is not None:
-            yield from fault_point(env, "fs.append.complete")
+        yield from p.at("fs.append.complete")
 
     def read(self, f: SimFile, offset: int, nbytes: int,
              priority: int = 0) -> Generator:
@@ -198,10 +195,9 @@ class FileSystem:
             raise FsError(
                 f"read beyond EOF: {f.name} offset={offset} n={nbytes} size={f.size}"
             )
-        if self.device.env.faults is not None or self.device.env.journal is not None:
-            # Probed before the page-cache check so cache-served reads are
-            # still injectable (modeled read failure, not media failure).
-            yield from fault_point(self.device.env, "fs.read.start")
+        # Probed before the page-cache check so cache-served reads are
+        # still injectable (modeled read failure, not media failure).
+        yield from self.device.env.probes.at("fs.read.start")
         if self.page_cache is not None and self.page_cache.contains(f.name):
             return  # served from host page cache: no device traffic
         remaining = nbytes

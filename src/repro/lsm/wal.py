@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from ..faults.registry import fault_point, touch
 from .fs import FileSystem, SimFile
 
 __all__ = ["Wal"]
@@ -57,9 +56,7 @@ class Wal:
         Any buffered tail belongs to the *old* segment and must have been
         flushed by the caller (`sync`) before switching.
         """
-        env = self.fs.device.env
-        if env.faults is not None or env.journal is not None:
-            touch(env, "wal.segment.switch")
+        self.fs.device.env.probes.touch("wal.segment.switch")
         self._segment_seq += 1
         name = f"{self.name_prefix}.{self._segment_seq:06d}"
         self._segment = self.fs.create(name)
@@ -79,17 +76,12 @@ class Wal:
             self.new_segment()
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
-        env = self.fs.device.env
-        tr = env.tracer
-        _sp = (tr.begin("wal", "wal.append", args={"bytes": nbytes})
-               if tr is not None else None)
-        lp = env.lineage
-        if lp is not None:
-            lp.enter("wal")
+        p = self.fs.device.env.probes
+        _sp = p.begin("wal", "wal.append", None, {"bytes": nbytes})
+        p.enter("wal")
         try:
-            if env.faults is not None or env.journal is not None:
-                # Pre-persistence: nothing of this record is buffered yet.
-                yield from fault_point(env, "wal.append")
+            # Pre-persistence: nothing of this record is buffered yet.
+            yield from p.at("wal.append")
             self._buffer += nbytes
             self.appended_bytes += nbytes
             if records:
@@ -97,10 +89,8 @@ class Wal:
             if self._buffer >= self.group_commit_bytes:
                 yield from self._flush()
         finally:
-            if lp is not None:
-                lp.leave()
-        if _sp is not None:
-            tr.end(_sp)
+            p.leave()
+        p.end(_sp)
 
     def sync(self) -> Generator:
         """Force the buffered tail to the device."""
@@ -112,21 +102,16 @@ class Wal:
         records, self._buffered_records = self._buffered_records, []
         self.flush_count += 1
         self.durable_bytes += nbytes
-        env = self.fs.device.env
-        tr = env.tracer
-        _sp = (tr.begin("wal", "wal.group_commit",
-                        args={"bytes": nbytes, "records": len(records)})
-               if tr is not None else None)
-        if env.faults is not None or env.journal is not None:
-            # Between buffer hand-off and media write: a crash here tears
-            # the whole commit group (none of its records become durable).
-            yield from fault_point(env, "wal.flush.start")
+        p = self.fs.device.env.probes
+        _sp = p.begin("wal", "wal.group_commit", None,
+                      {"bytes": nbytes, "records": len(records)})
+        # Between buffer hand-off and media write: a crash here tears
+        # the whole commit group (none of its records become durable).
+        yield from p.at("wal.flush.start")
         yield from self.fs.append(self._segment, nbytes)
         self._journals[self._segment.name].extend(records)
-        if env.faults is not None or env.journal is not None:
-            yield from fault_point(env, "wal.flush.complete")
-        if _sp is not None:
-            tr.end(_sp)
+        yield from p.at("wal.flush.complete")
+        p.end(_sp)
 
     def retire_segment(self, segment: SimFile) -> None:
         """Delete an old segment once its memtable reached an SST."""

@@ -136,11 +136,10 @@ class WriteController:
             elif backlog < self._last_backlog:
                 self.current_delay_rate = min(self.max_delay_rate,
                                               self.current_delay_rate * 1.05)
-            tr = self.env.tracer
-            if tr is not None and self.current_delay_rate != old_rate:
-                tr.instant("stall", "slowdown.rate", actor="write_controller",
-                           args={"rate": self.current_delay_rate,
-                                 "reason": self.reason})
+            if self.current_delay_rate != old_rate:
+                self.env.probes.instant(
+                    "stall", "slowdown.rate", "write_controller",
+                    {"rate": self.current_delay_rate, "reason": self.reason})
         self._last_backlog = backlog
 
     def refresh(self) -> None:
@@ -154,7 +153,7 @@ class WriteController:
                 self._adapt_delay_rate(stats)
             return
         now = self.env.now
-        tr = self.env.tracer
+        p = self.env.probes
         # leaving STOPPED
         if old_state == WriteState.STOPPED:
             if self._stall_start is not None:
@@ -166,12 +165,10 @@ class WriteController:
                         + now - self._stall_start)
                 self._stall_start = None
             ended_reason, self._stall_reason = self._stall_reason, None
-            if tr is not None:
-                if self._stall_span is not None:
-                    tr.end(self._stall_span)
-                    self._stall_span = None
-                tr.instant("stall", "stall.exit", actor="write_controller",
-                           args={"reason": ended_reason})
+            p.end(self._stall_span)
+            self._stall_span = None
+            p.instant("stall", "stall.exit", "write_controller",
+                      {"reason": ended_reason})
             ev, self._clear_event = self._clear_event, None
             if ev is not None:
                 ev.succeed()
@@ -179,36 +176,27 @@ class WriteController:
         if new_state == WriteState.STOPPED:
             self._stall_start = now
             self.stall_events += 1
-            tel = self.env.telemetry
-            if tel is not None:
-                tel.add("wc.stalls")
+            p.add("wc.stalls")
             self._stall_reason = new_reason
             self.stall_reason_counts[new_reason] = (
                 self.stall_reason_counts.get(new_reason, 0) + 1)
             self._clear_event = self.env.event()
-            if tr is not None:
-                imm, l0, pending, _full = stats
-                pressure = {"reason": new_reason, "l0": l0, "imm": imm,
-                            "pending_bytes": pending}
-                tr.instant("stall", "stall.enter", actor="write_controller",
-                           args=pressure)
-                self._stall_span = tr.begin(
-                    "stall", f"stall.{new_reason}", actor="write_controller",
-                    args=pressure)
+            imm, l0, pending, _full = stats
+            pressure = {"reason": new_reason, "l0": l0, "imm": imm,
+                        "pending_bytes": pending}
+            p.instant("stall", "stall.enter", "write_controller", pressure)
+            self._stall_span = p.begin("stall", f"stall.{new_reason}",
+                                       "write_controller", pressure)
         # entering DELAYED from any other state counts one slowdown instance
         if new_state == WriteState.DELAYED and self.options.slowdown_enabled:
             self.slowdown_events += 1
-            tel = self.env.telemetry
-            if tel is not None:
-                tel.add("wc.slowdowns")
+            p.add("wc.slowdowns")
             self.slowdown_reason_counts[new_reason] = (
                 self.slowdown_reason_counts.get(new_reason, 0) + 1)
             self.current_delay_rate = self.options.delayed_write_rate
             self._last_backlog = None
-            if tr is not None:
-                tr.instant("stall", "slowdown.enter", actor="write_controller",
-                           args={"reason": new_reason,
-                                 "rate": self.current_delay_rate})
+            p.instant("stall", "slowdown.enter", "write_controller",
+                      {"reason": new_reason, "rate": self.current_delay_rate})
         self.state = new_state
         self.reason = new_reason
 
@@ -221,19 +209,17 @@ class WriteController:
         """
         held = 0.0
         opt = self.options
+        p = self.env.probes
         while True:
             self.refresh()
             if self.state == WriteState.STOPPED:
                 t0 = self.env.now
                 assert self._clear_event is not None
-                lp = self.env.lineage
-                if lp is not None:
-                    lp.enter("stall")
+                p.enter("stall")
                 try:
                     yield self._clear_event
                 finally:
-                    if lp is not None:
-                        lp.leave()
+                    p.leave()
                 held += self.env.now - t0
                 continue  # conditions may have re-degraded
             if self.state == WriteState.DELAYED and opt.slowdown_enabled:
@@ -246,17 +232,14 @@ class WriteController:
                     # nap in slowdown_sleep quanta like RocksDB's 1 ms sleeps
                     t0 = now
                     remaining = wait
-                    lp = self.env.lineage
-                    if lp is not None:
-                        lp.enter("slowdown")
+                    p.enter("slowdown")
                     try:
                         while remaining > 0:
                             nap = min(opt.slowdown_sleep, remaining)
                             yield self.env.timeout(nap)
                             remaining -= nap
                     finally:
-                        if lp is not None:
-                            lp.leave()
+                        p.leave()
                     dt = self.env.now - t0
                     held += dt
                     self.total_delayed_time += dt
@@ -290,7 +273,5 @@ class WriteController:
                     self.stall_reason_time.get(self._stall_reason, 0.0)
                     + now - self._stall_start)
             self._stall_start = now
-        tr = self.env.tracer
-        if tr is not None and self._stall_span is not None:
-            tr.end(self._stall_span)
-            self._stall_span = None
+        self.env.probes.end(self._stall_span)
+        self._stall_span = None

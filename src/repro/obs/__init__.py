@@ -1,11 +1,12 @@
 """Observability: sim-time tracing, telemetry, and trace exporters.
 
-``repro.obs`` mirrors the fault registry's installation pattern: a
-:class:`Tracer` is attached to the simulation :class:`~repro.sim.Environment`
-(``tracer.install(env)``) and every probe in the stack is guarded by a plain
-``env.tracer is not None`` check — with no tracer installed the probes cost
-one attribute read and allocate nothing, so production simulations are
-bit-identical with tracing off.
+``repro.obs`` mirrors the fault registry's installation pattern: a plane
+is attached to the simulation :class:`~repro.sim.Environment` by its
+``install`` (``tracer.install(env)``), which binds the verbs it consumes on
+``env.probes`` to its own methods.  The stack calls those verbs at every
+site without testing for a plane; an unclaimed verb is a do-nothing
+function, so production simulations are bit-identical with every plane off
+and pay one no-op call per visit.
 
 Pieces:
 
@@ -17,7 +18,7 @@ Pieces:
   ``chrome://tracing``), a JSONL event stream, and a human stall
   attribution report (``python -m repro.obs report trace.json``);
 * :class:`TelemetryHub` — unified per-second time-series channels every
-  layer publishes into (``env.telemetry``, same no-op-when-off guard);
+  layer publishes into (``env.probes.add``);
 * :class:`HealthMonitor` + :func:`default_rules` — windowed SLO
   predicates (stall storms, zero-traffic-while-stalled, ...) emitting
   typed :class:`HealthEvent` edges;
@@ -25,8 +26,8 @@ Pieces:
   dashboard (``python -m repro.obs dash``), and the exact compare of
   ``BENCH_<exp>.json`` determinism pins (``python -m repro.obs compare
   A.json B.json``);
-* :class:`Journal` — the deterministic flight recorder (``env.journal``,
-  same no-op guard): every executed kernel event, every fault-site visit,
+* :class:`Journal` — the deterministic flight recorder (``env.journal``):
+  every executed kernel event, every fault-site visit,
   periodic per-layer state digests; with the first-divergence bisector
   (``python -m repro.obs diff A.jsonl.gz B.jsonl.gz``) it turns a golden
   mismatch into "first divergent event at t=…, process=…, site=…".

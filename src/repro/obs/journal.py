@@ -3,12 +3,12 @@
 The :class:`Journal` is the fourth observability plane (after tracer,
 telemetry and lineage): a black-box recorder of every executed kernel
 event — monotonic index, sim time, owning process, event class — plus
-every fault-site visit and periodic per-layer state digests.  It follows
-the same env-attribute no-op-guard pattern: ``env.journal`` stays None on
-uninstrumented runs, and an installed journal is purely *passive* — it
-never yields, never schedules events, never touches the heap — so a
-journal-ENABLED run takes the exact same simulated trajectory as a bare
-one (pinned by the golden fig11 tests).
+every fault-site visit and periodic per-layer state digests.  Like the
+other planes it is absent until installed (``env.journal`` is None, the
+site verbs on ``env.probes`` do nothing), and an installed journal is
+purely *passive* — it never yields, never schedules events, never touches
+the heap — so a journal-ENABLED run takes the exact same simulated
+trajectory as a bare one (pinned by the golden fig11 tests).
 
 Why it exists: every guarantee here rests on bit-identical determinism,
 but a failed golden check used to be a giant diff of final series.  Two
@@ -29,7 +29,7 @@ t=…, process=…, site=…"*:
 
 Exports are JSONL (optionally gzip with ``mtime=0``), so the same
 profile + seed produces *byte-identical* files — the property the
-``journal-smoke`` CI job and the determinism tests pin.
+``planes-smoke`` CI job and the determinism tests pin.
 """
 
 from __future__ import annotations
@@ -39,9 +39,11 @@ import hashlib
 import json
 import os
 from collections import deque
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
 
+from ..faults.registry import fault_point, touch
 from ..sim.core import Process
 
 __all__ = [
@@ -127,16 +129,15 @@ class Journal:
 
     # -- wiring ------------------------------------------------------------
     def install(self, env) -> "Journal":
-        """Attach to an Environment: site probes find us via
-        ``env.journal``, the dispatch loop via its observer slot."""
+        """Attach to an Environment: claim its site verbs (the same pair
+        the fault registry installs — they record here and reach the
+        registry, whichever is present) and observe the dispatch loop."""
         env.journal = self
+        env.probes.touch = partial(touch, env)
+        env.probes.at = partial(fault_point, env)
         env.add_observer(self.observe)
         self._env = env
         return self
-
-    @staticmethod
-    def of(env) -> Optional["Journal"]:
-        return getattr(env, "journal", None)
 
     def add_digest_source(self, name: str, fn: Callable[[], dict]) -> None:
         """Register a layer digest; hashed at every checkpoint in
@@ -332,7 +333,7 @@ def write_journal(journal: Journal, path: str,
 
     Gzip is written with ``mtime=0`` and no embedded filename, so two
     recordings of the same trajectory are *byte*-identical files — the
-    determinism tests and the CI journal-smoke job diff them directly.
+    determinism tests and the CI planes-smoke job diff them directly.
     """
     payload = _serialize(journal, meta)
     p = Path(path)

@@ -2,8 +2,8 @@
 
 The telemetry layer (PR 3) says *that* stalls happened; this module says
 *which ops paid for them and through which path*.  A
-:class:`LineageProfiler` hangs off ``env.lineage`` (same env-is-None
-guard as faults/tracer/telemetry — one attribute read, zero allocations
+:class:`LineageProfiler` claims the ``op_begin``/``op_end``/``enter``/
+``leave`` verbs of ``env.probes`` (do-nothing functions, zero allocations
 while off) and follows each operation from the workload driver down
 through db → write_controller → wal/memtable → controller redirect →
 kv_dev/devlsm → pcie → nand, plus the resilience layer's retry backoffs
@@ -104,9 +104,9 @@ class _OpCtx:
 class LineageProfiler:
     """Collects per-op segment decompositions from an instrumented run.
 
-    Install with ``env.lineage = LineageProfiler(env)``; drivers bracket
-    each logical op with :meth:`op_begin` / :meth:`op_end`, components
-    bracket their interesting stretches with :meth:`enter` / :meth:`leave`.
+    Install with ``LineageProfiler(env).install()``; drivers bracket each
+    logical op with :meth:`op_begin` / :meth:`op_end`, components bracket
+    their interesting stretches with :meth:`enter` / :meth:`leave`.
     Probe calls made by a process with no op in flight (background flush,
     compaction, samplers) are no-ops, so lineage naturally measures the
     *foreground* critical path.
@@ -125,7 +125,11 @@ class LineageProfiler:
         self._exemplars: list[tuple] = []   # min-heap (e2e, -op_id, rec)
 
     def install(self) -> "LineageProfiler":
+        """Attach to the Environment and claim its four lineage verbs."""
         self.env.lineage = self
+        p = self.env.probes
+        p.op_begin, p.op_end = self.op_begin, self.op_end
+        p.enter, p.leave = self.enter, self.leave
         return self
 
     # -- op bracketing -----------------------------------------------------

@@ -10,11 +10,13 @@ Install pattern (mirrors ``repro.faults`` and the :class:`Tracer`)::
 
     hub = TelemetryHub(env, period=1.0).install(env)   # env.telemetry = hub
 
-and every publisher in the stack is guarded by a plain
-``env.telemetry is not None`` check — with no hub installed a probe costs
-one attribute read and allocates nothing, so disabled runs stay
-bit-identical.  The hub itself is purely passive: its tick process only
-reads state and never perturbs the simulated trajectory.
+``install`` also binds ``env.probes.add`` to :meth:`TelemetryHub.add`, the
+one verb publishers in the stack call (unconditionally: without a hub it is
+a do-nothing function, so disabled runs stay bit-identical).  Components
+declare their gauge/deriv callbacks at construction, under the one
+``env.telemetry is not None`` test that is set-up rather than a visit.  The
+hub itself is purely passive: its tick process only reads state and never
+perturbs the simulated trajectory.
 
 Channel kinds:
 
@@ -104,14 +106,10 @@ class TelemetryHub:
 
     # -- wiring ------------------------------------------------------------
     def install(self, env) -> "TelemetryHub":
-        """Attach to an Environment; publishers find us via
-        ``env.telemetry``."""
+        """Attach to an Environment and claim its ``add`` verb."""
         env.telemetry = self
+        env.probes.add = self.add
         return self
-
-    @staticmethod
-    def of(env) -> Optional["TelemetryHub"]:
-        return getattr(env, "telemetry", None)
 
     def on_sample(self, callback: Callable[[float, dict], None]) -> None:
         """Subscribe ``callback(t, {channel: bucket_value})`` to every

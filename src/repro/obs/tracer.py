@@ -6,11 +6,13 @@ deterministic.  The tracer is purely passive: probes never yield, never
 schedule events, and never touch the event heap, so an instrumented run
 takes the exact same simulated trajectory as an uninstrumented one.
 
-Hot-path contract (mirrors ``repro.faults``): call sites guard every probe
-with ``tr = env.tracer`` / ``if tr is not None``, and build span names or
-args dictionaries only inside the guarded branch.  With no tracer
-installed the write path performs one attribute read per probe and
-allocates no objects.
+Hot-path contract: call sites never test for a tracer.  They call
+``p.begin`` / ``p.end`` / ``p.instant`` on ``p = env.probes``, which
+:meth:`Tracer.install` binds to this tracer's methods; until then each does
+nothing and returns None, so a disabled span costs two no-op calls and
+allocates no span object.  Span names are constants built once; an
+argument that would walk a collection is the one thing a site computes only
+after checking its ``begin`` returned a span.
 """
 
 from __future__ import annotations
@@ -104,14 +106,12 @@ class Tracer:
 
     # -- wiring ------------------------------------------------------------
     def install(self, env) -> "Tracer":
-        """Attach to an Environment; probes find us via ``env.tracer``."""
+        """Attach to an Environment and claim its span/instant verbs."""
         env.tracer = self
         self._env = env
+        p = env.probes
+        p.begin, p.end, p.instant = self.begin, self.end, self.instant
         return self
-
-    @staticmethod
-    def of(env) -> Optional["Tracer"]:
-        return getattr(env, "tracer", None)
 
     @property
     def now(self) -> float:
@@ -144,8 +144,13 @@ class Tracer:
         self._open.append(span)
         return span
 
-    def end(self, span: SpanRecord, args: Optional[dict] = None) -> SpanRecord:
-        """Close ``span`` at the current sim time and record it."""
+    def end(self, span: Optional[SpanRecord],
+            args: Optional[dict] = None) -> Optional[SpanRecord]:
+        """Close ``span`` at the current sim time and record it.  ``None``
+        — what ``begin`` returned to a site before this tracer was
+        installed — is ignored."""
+        if span is None:
+            return None
         if span.t1 is not None:
             raise RuntimeError(f"span already closed: {span!r}")
         span.t1 = self.now

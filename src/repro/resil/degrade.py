@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..faults.registry import touch
 from ..sim import Environment
 from .retry import RetryPolicy
 
@@ -107,9 +106,7 @@ class DegradationManager:
     def record_error(self, err: Optional[BaseException] = None) -> None:
         """A device command failed for good (post-retry)."""
         self.device_errors += 1
-        tel = self.env.telemetry
-        if tel is not None:
-            tel.add("resil.device_errors", 1.0)
+        self.env.probes.add("resil.device_errors", 1.0)
         if self.state == DEGRADED:
             return
         if self.state == RECOVERING:
@@ -141,9 +138,7 @@ class DegradationManager:
     def record_fallback(self) -> None:
         """A write intended for the Dev-LSM was served by the Main-LSM."""
         self.fallback_writes += 1
-        tel = self.env.telemetry
-        if tel is not None:
-            tel.add("resil.fallback_writes", 1.0)
+        self.env.probes.add("resil.fallback_writes", 1.0)
 
     def force_degrade(self) -> None:
         """Operator override / test hook: suspend Dev-LSM admission now."""
@@ -167,7 +162,6 @@ class DegradationManager:
             self._successes = 0
         elif state == HEALTHY:
             self._error_times = []
-        touch(self.env, f"resil.{state}.enter")
-        tr = getattr(self.env, "tracer", None)
-        if tr is not None:
-            tr.instant("resil", f"state.{state}", actor="resil")
+        p = self.env.probes
+        p.touch(f"resil.{state}.enter")
+        p.instant("resil", f"state.{state}", "resil")

@@ -172,9 +172,8 @@ class RetryExecutor:
                 if err is None:
                     raise                      # a real bug, not a device status
                 self.stats.note(err)
-                tel = env.telemetry
-                if tel is not None:
-                    tel.add("resil.device_errors", 1.0)
+                p = env.probes
+                p.add("resil.device_errors", 1.0)
                 if not err.retryable:
                     self.stats.nonretryable += 1
                     raise err from None
@@ -187,16 +186,12 @@ class RetryExecutor:
                     self.stats.deadline_exceeded += 1
                     raise err from None
                 self.stats.retries += 1
-                if tel is not None:
-                    tel.add("resil.retries", 1.0)
-                lp = env.lineage
-                if lp is not None:
-                    lp.enter("retry")
+                p.add("resil.retries", 1.0)
+                p.enter("retry")
                 try:
                     yield env.timeout(delay)
                 finally:
-                    if lp is not None:
-                        lp.leave()
+                    p.leave()
             else:
                 return result
 

@@ -8,6 +8,7 @@ from .core import (
     Interrupt,
     KernelProfile,
     MacroStats,
+    Probes,
     Process,
     SimulationError,
     Timeout,
@@ -37,6 +38,7 @@ __all__ = [
     "EventQueue",
     "KernelProfile",
     "MacroStats",
+    "Probes",
     "install_kernel_profiler",
     "uninstall_kernel_profiler",
 ]

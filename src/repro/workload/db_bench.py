@@ -65,18 +65,14 @@ class FillRandomDriver(_DriverBase):
         keys = RandomKeys(cfg.key_space, cfg.key_size, seed=cfg.seed)
         t_end = self.env.now + cfg.duration
         per_entry = cfg.key_size + cfg.value_size + 8
-        lp = self.env.lineage
+        p = self.env.probes
         while self.env.now < t_end:
             batch = self._make_batch(keys, cfg.batch_size)
-            if lp is None:
+            ctx = p.op_begin("put_batch", len(batch), len(batch) * per_entry)
+            try:
                 yield from self.db.put_batch(batch)
-            else:
-                ctx = lp.op_begin("put_batch", count=len(batch),
-                                  nbytes=len(batch) * per_entry)
-                try:
-                    yield from self.db.put_batch(batch)
-                finally:
-                    lp.op_end(ctx)
+            finally:
+                p.op_end(ctx)
             n = len(batch)
             self.write_ops += n
             self.write_meter.add(n)
@@ -108,18 +104,14 @@ class ReadWhileWritingDriver(_DriverBase):
         keys = RandomKeys(cfg.key_space, cfg.key_size, seed=cfg.seed)
         t_end = self.env.now + cfg.duration
         per_entry = cfg.key_size + cfg.value_size + 8
-        lp = self.env.lineage
+        p = self.env.probes
         while self.env.now < t_end:
             batch = self._make_batch(keys, cfg.batch_size)
-            if lp is None:
+            ctx = p.op_begin("put_batch", len(batch), len(batch) * per_entry)
+            try:
                 yield from self.db.put_batch(batch)
-            else:
-                ctx = lp.op_begin("put_batch", count=len(batch),
-                                  nbytes=len(batch) * per_entry)
-                try:
-                    yield from self.db.put_batch(batch)
-                finally:
-                    lp.op_end(ctx)
+            finally:
+                p.op_end(ctx)
             n = len(batch)
             self.write_ops += n
             self.write_meter.add(n)
@@ -132,19 +124,16 @@ class ReadWhileWritingDriver(_DriverBase):
         keys = RandomKeys(cfg.key_space, cfg.key_size, seed=cfg.seed + 7919)
         # pace: reads/writes tracks read_ratio/write_ratio
         target = self.read_ratio / self.write_ratio
-        lp = self.env.lineage
+        p = self.env.probes
         while not self._done:
             if self.read_ops > (self.write_ops + 1) * target:
                 yield self.env.timeout(0.001)
                 continue
-            if lp is None:
+            ctx = p.op_begin("get")
+            try:
                 value = yield from self.db.get(keys.next_key())
-            else:
-                ctx = lp.op_begin("get")
-                try:
-                    value = yield from self.db.get(keys.next_key())
-                finally:
-                    lp.op_end(ctx)
+            finally:
+                p.op_end(ctx)
             if value is not None:
                 self.read_hits += 1
             self.read_ops += 1
@@ -172,20 +161,16 @@ class SeekRandomDriver(_DriverBase):
         cfg = self.config
         keys = RandomKeys(cfg.key_space, cfg.key_size, seed=cfg.seed)
         t_end = self.env.now + cfg.duration
-        lp = self.env.lineage
+        p = self.env.probes
         while self.env.now < t_end:
             if self.max_seeks is not None and self.seeks >= self.max_seeks:
                 break
-            if lp is None:
+            ctx = p.op_begin("scan", self.nexts_per_seek)
+            try:
                 out = yield from self.db.scan(keys.next_key(),
                                               self.nexts_per_seek)
-            else:
-                ctx = lp.op_begin("scan", count=self.nexts_per_seek)
-                try:
-                    out = yield from self.db.scan(keys.next_key(),
-                                                  self.nexts_per_seek)
-                finally:
-                    lp.op_end(ctx)
+            finally:
+                p.op_end(ctx)
             self.seeks += 1
             got = len(out)
             self.entries_scanned += got

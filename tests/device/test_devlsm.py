@@ -12,6 +12,7 @@ from repro.device import (
     NandGeometry,
     PcieLink,
 )
+from repro.obs import Tracer
 from repro.sim import Environment
 from repro.types import KIND_DELETE, KIND_PUT, encode_key, make_entry
 
@@ -216,11 +217,17 @@ def test_reset_leaves_ftl_as_the_full_range_walk_does(rounds, puts):
 
 def test_device_compaction_merges_runs():
     env = Environment()
+    tracer = Tracer().install(env)
     dl = make_devlsm(env, memtable_bytes=128, compaction_enabled=True,
                      compaction_trigger_runs=3)
     for i in range(60):
         put(env, dl, i % 10, i, b"c" * 40)
     assert dl.compaction_count >= 1
+    # Each compaction closed its own span (it used to stay open until the
+    # end-of-run sweep, covering everything that ran after it).
+    compact = [sp for sp in tracer.spans("devlsm")
+               if sp.name == "devlsm.compact"]
+    assert len(compact) == dl.compaction_count and not tracer._open
     # After compaction correctness holds.
     for k in range(10):
         e = run(env, dl.get(encode_key(k)))

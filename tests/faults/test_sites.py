@@ -20,18 +20,21 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 # Site names produced by f-strings rather than literals, per family.
 DYNAMIC_FAMILIES = {
     "nand.read", "nand.program", "nand.erase",        # f"nand.{op}"
-    "pcie.transfer",                                  # f"{self.name}.transfer"
+    "pcie.transfer",                                  # f"{name}.transfer"
     "resil.healthy.enter", "resil.recovering.enter",  # f"resil.{state}.enter"
     "resil.degraded.enter",
+    # KvDevice._write spells the write verbs' pair once:
+    # f"kv.{verb}.submit" / f"kv.{verb}.complete"
+    "kv.put.submit", "kv.put.complete",
+    "kv.put_batch.submit", "kv.put_batch.complete",
+    "kv.delete.submit", "kv.delete.complete",
 }
 
 
 def _source_literal_sites() -> set:
-    # Direct probes plus KvDevice's _submit helper, which forwards the
-    # site name to fault_point.
-    pat = re.compile(
-        r'(?:(?:fault_point|touch)\(\s*[\w.]+\s*,|_submit\(\s*)\s*"([^"{]+)"'
-    )
+    # A site is visited as ``<probes>.touch("…")`` / ``<probes>.at("…")``,
+    # where <probes> is ``env.probes`` spelled out or a local alias of it.
+    pat = re.compile(r'\b(?:p|probes)\.(?:touch|at)\(\s*"([^"{]+)"')
     sites = set()
     for path in SRC.rglob("*.py"):
         for m in pat.finditer(path.read_text(encoding="utf-8")):
@@ -98,3 +101,50 @@ def test_no_stale_catalogue_entries():
 
 def test_dynamic_suffixes_documented():
     assert ".transfer" in DYNAMIC_SUFFIXES
+
+
+# ------------------------------------------------------- one probe idiom
+# The stack calls its verbs on ``env.probes`` unconditionally.  What may
+# still test a plane (or a span ``begin`` returned), each for its reason:
+PLANE_TESTS = {
+    # Construction-time channel/gauge declaration with callbacks (set-up,
+    # not a visit): nine ``if tel is not None:`` blocks ...
+    "lsm/write_controller.py": 1, "lsm/db.py": 1, "core/controller.py": 1,
+    "core/detector.py": 1, "device/nand.py": 1, "device/pcie.py": 1,
+    "device/devlsm.py": 1, "resil/degrade.py": 1,
+    # ... the ninth, plus rollback_once's ``finally`` closing a span an
+    # abort left open.
+    "core/rollback.py": 2,
+    # Two registration functions (``if tel is None: return``) and _spawn,
+    # which wraps the shard generator only under lineage (the wrap is an
+    # extra frame on every resume).
+    "cluster/cluster.py": 3,
+    # A span argument that walks every scanned entry.
+    "device/kv_dev.py": 1,
+    # The scenario driver owns the journal it installs (a local variable).
+    "cluster/scenario.py": 2,
+}
+STACK = ("lsm", "core", "device", "resil", "cluster", "workload", "adoc")
+
+
+def test_stack_tests_no_plane_outside_the_listed_exceptions():
+    pat = re.compile(
+        r"(?:faults|tracer|telemetry|lineage|journal) is (?:not )?None"
+        r"|\b(?:tr|tel|lp|_sp) is (?:not )?None")
+    found = {}
+    for pkg in STACK:
+        for path in sorted((SRC / pkg).rglob("*.py")):
+            n = len(pat.findall(path.read_text(encoding="utf-8")))
+            if n:
+                found[path.relative_to(SRC).as_posix()] = n
+    assert found == PLANE_TESTS
+    assert sum(found.values()) == 16
+
+
+def test_stack_reaches_sites_only_through_probes():
+    # No stack module imports or calls the registry's free functions.
+    pat = re.compile(r"\bfault_point\b|(?<![\w.])touch\(|import[^\n]*\btouch\b")
+    users = [path.relative_to(SRC).as_posix()
+             for pkg in STACK for path in sorted((SRC / pkg).rglob("*.py"))
+             if pat.search(path.read_text(encoding="utf-8"))]
+    assert users == []

@@ -146,9 +146,8 @@ def test_export_shape():
 
 def test_of_and_len():
     env = Environment()
-    assert TelemetryHub.of(env) is None
+    assert env.telemetry is None
     hub = TelemetryHub(env, period=1.0).install(env)
-    assert TelemetryHub.of(env) is hub
     assert env.telemetry is hub
     env.run(until=3.5)
     assert len(hub) == 3
