@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 from .experiments import ALL
+from .experiments.common import splice_path
 from .runner import RunOptions
 
 
@@ -29,26 +30,6 @@ def _list_experiments() -> int:
         doc = (module.__doc__ or "").strip().splitlines()[0]
         print(f"  {name:7s} {doc}")
     return 0
-
-
-def _per_experiment_trace(base: str, name: str, multi: bool) -> str:
-    """With several experiments, splice the name in so files don't collide
-    (cells of different experiments can share labels and indices)."""
-    if not multi:
-        return base
-    p = Path(base)
-    return str(p.with_name(f"{p.stem}.{name}{p.suffix or '.json'}"))
-
-
-def _per_experiment_journal(base: str, name: str, multi: bool) -> str:
-    """Journal variant of :func:`_per_experiment_trace`: handles the
-    compound ``.jsonl.gz`` suffix."""
-    if not multi:
-        return base
-    for ext in (".jsonl.gz", ".jsonl", ".json", ".gz"):
-        if base.endswith(ext):
-            return f"{base[:-len(ext)]}.{name}{ext}"
-    return f"{base}.{name}"
 
 
 def main(argv=None) -> int:
@@ -132,17 +113,20 @@ def main(argv=None) -> int:
     journals = []
     for name in names:
         print(f"\n=== {name} " + "=" * (68 - len(name)))
-        options = RunOptions(
-            jobs=args.jobs,
-            trace_path=(_per_experiment_trace(args.trace, name,
-                                              len(names) > 1)
-                        if args.trace else None),
-            telemetry=args.json_out is not None,
-            lineage=args.lineage,
-            journal_path=(_per_experiment_journal(args.journal, name,
-                                                  len(names) > 1)
-                          if args.journal else None),
-        )
+        # With several experiments, splice the name into the base paths so
+        # files don't collide (cells of different experiments can share
+        # labels and indices).
+        multi = len(names) > 1
+        trace = journal = None
+        if args.trace:
+            trace = (splice_path(args.trace, ".json", name) if multi
+                     else args.trace)
+        if args.journal:
+            journal = (splice_path(args.journal, ".jsonl.gz", name) if multi
+                       else args.journal)
+        options = RunOptions(jobs=args.jobs, trace_path=trace,
+                             telemetry=args.json_out is not None,
+                             lineage=args.lineage, journal_path=journal)
         # Experiment-specific knobs ride through only where accepted, so
         # `all --shards 1,2` doesn't trip experiments without that axis.
         kwargs = {}
@@ -210,8 +194,7 @@ def main(argv=None) -> int:
                 path = default_baseline_path(name, target)
             elif len(names) > 1:
                 # one file per experiment even when a file path was given
-                p = Path(target)
-                path = p.with_name(f"{p.stem}.{name}{p.suffix or '.json'}")
+                path = Path(splice_path(target, ".json", name))
             else:
                 path = Path(target)
             write_baseline(doc, path)

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import multiprocessing
+from pathlib import PurePath
 from typing import Optional
 
+from ...obs import Journal, Tracer, write_chrome_trace, write_journal
 from ..profiles import ExperimentProfile, active_profile, mini_profile
-from ..runner import LIVE_EXTRA_KEYS, RunOptions, RunSpec, run_workload
+from ..runner import LIVE_EXTRA_KEYS, RunOptions, run_workload
 
-__all__ = ["resolve_profile", "run_cells"]
+__all__ = ["resolve_profile", "run_cells", "splice_path"]
 
 
 def resolve_profile(profile: Optional[ExperimentProfile],
@@ -25,6 +27,45 @@ def resolve_profile(profile: Optional[ExperimentProfile],
     return active_profile()
 
 
+def splice_path(base: str, default_ext: str, *tags: str) -> str:
+    """``base`` with ``.<tag>`` for each of ``tags`` spliced in before its
+    extension (the compound ``.jsonl.gz`` counts as one), or appended
+    together with ``default_ext`` when it has none.  Characters of a tag
+    other than letters, digits, ``-`` and ``_`` become ``_``, so a cell
+    label is a safe file-name part."""
+    tag = ".".join("".join(c if c.isalnum() or c in "-_" else "_" for c in t)
+                   for t in tags)
+    ext = (".jsonl.gz" if base.endswith(".jsonl.gz")
+           else PurePath(base).suffix)
+    if not ext:
+        return f"{base}.{tag}{default_ext}"
+    return f"{base[:-len(ext)]}.{tag}{ext}"
+
+
+def _run_cell(payload):
+    """Run one cell and write its per-cell trace and journal files, named
+    from the cell's position ``idx`` in its experiment's spec order."""
+    idx, spec, profile, options = payload
+    tracer = Tracer() if options.trace_path is not None else None
+    journal = (Journal(period=profile.sample_period)
+               if options.journal_path is not None else None)
+    result = run_workload(spec, profile, tracer=tracer,
+                          telemetry=options.telemetry,
+                          lineage=options.lineage, journal=journal)
+    tags = (f"{idx + 1:02d}", spec.display)
+    if tracer is not None:
+        path = splice_path(options.trace_path, ".json", *tags)
+        write_chrome_trace(tracer, path, label=spec.display)
+        result.extra["trace_path"] = path
+    if journal is not None:
+        path = splice_path(options.journal_path, ".jsonl.gz", *tags)
+        write_journal(journal, path,
+                      meta={"cell": spec.display, "seed": spec.seed,
+                            "profile": profile.name})
+        result.extra["journal_path"] = path
+    return result
+
+
 def _cell_worker(payload):
     """Run one cell in a worker process (module-level for picklability).
 
@@ -34,11 +75,10 @@ def _cell_worker(payload):
     (``result.telemetry``, ``result.health_events``, the written trace
     file) already lives on the RunResult, so workers strip the objects.
     """
-    idx, spec, profile, options = payload
-    result = run_workload(spec, profile, options=options, cell_index=idx)
+    result = _run_cell(payload)
     for key in LIVE_EXTRA_KEYS:
         result.extra.pop(key, None)
-    return idx, result
+    return payload[0], result
 
 
 def run_cells(specs: list, profile: ExperimentProfile,
@@ -49,7 +89,8 @@ def run_cells(specs: list, profile: ExperimentProfile,
     processes.  Each cell is a self-contained simulation with its own
     Environment and seed, so the per-cell results — and therefore the
     merged dict, which is always assembled in spec order — are identical
-    to a serial run (modulo the wall-clock fields in ``extra``).
+    to a serial run (modulo the wall-clock fields in ``extra``).  Each
+    cell's trace and journal are written by the process that ran it.
     """
     if options is None:
         options = RunOptions()
@@ -64,8 +105,5 @@ def run_cells(specs: list, profile: ExperimentProfile,
         # anyway so completion order can never leak into the output.
         by_index = dict(done)
         return {spec.display: by_index[i] for i, spec in enumerate(specs)}
-    results = {}
-    for i, spec in enumerate(specs):
-        results[spec.display] = run_workload(spec, profile, options=options,
-                                             cell_index=i)
-    return results
+    return {spec.display: _run_cell(payload)
+            for spec, payload in zip(specs, payloads)}

@@ -88,7 +88,6 @@ def _paper_options() -> LsmOptions:
         delayed_write_rate=16 * MiB,           # RocksDB default; adaptive
         # floor = rate/2 = 8 MiB/s ~ 2 Kops/s at 4 KB values (Fig 2's floor)
         max_background_compactions=1,
-        max_background_flushes=1,
     )
 
 
@@ -122,7 +121,6 @@ def mini_profile(scale: int = 64) -> ExperimentProfile:
     # Batching artifacts are rates, not capacities: keep them paper-sized.
     opts.wal_group_commit_bytes = 256 * 1024
     opts.compaction_io_chunk = 2 * MiB
-    opts.compaction_readahead = 2 * MiB
 
     # ~16 GiB device at scale 64 (1 TB / 64), full channel parallelism.
     # Fixed per-op NAND latencies scale down with the capacities: I/O sizes

@@ -23,9 +23,7 @@ from ..device import CpuModel, HybridSsd
 from ..lsm import DbImpl
 from ..metrics import RunCollector, RunResult
 from ..obs import (HealthMonitor, Journal, LineageProfiler, TelemetryHub,
-                   Tracer, default_rules,
-                   register_digest_sources, write_chrome_trace,
-                   write_journal)
+                   Tracer, default_rules, register_digest_sources)
 from ..sim import Environment, install_kernel_profiler, uninstall_kernel_profiler
 from ..workload import (
     DriverConfig,
@@ -38,8 +36,7 @@ from ..workload import (
 from .profiles import ExperimentProfile
 
 __all__ = ["RunSpec", "RunOptions", "run_workload", "build_system",
-           "cell_trace_path", "cell_journal_path", "WALL_EXTRA_KEYS",
-           "LIVE_EXTRA_KEYS"]
+           "WALL_EXTRA_KEYS", "LIVE_EXTRA_KEYS"]
 
 SYSTEMS = ("rocksdb", "adoc", "kvaccel", "cluster")
 
@@ -74,43 +71,16 @@ class RunOptions:
     ``lineage``    — install a LineageProfiler per cell; the per-op
                      decomposition lands in ``result.extra["lineage"]``
                      (plain data, survives the fork boundary).
-    ``kernel_profile`` — install the DES kernel self-profiler per cell;
-                     counters land in ``result.extra["kernel_profile"]``.
     ``journal_path`` — base journal path; each cell records the flight
                      recorder and writes ``<stem>.NN.<label>.jsonl[.gz]``
                      (same deterministic cell naming as traces).
-    ``journal_window`` — ``(t0, t1)``: record only events/sites inside the
-                     suspect sim-time window (the ``replay-to`` mode;
-                     record indices stay absolute).
     """
 
     jobs: int = 1
     trace_path: Optional[str] = None
     telemetry: bool = False
     lineage: bool = False
-    kernel_profile: bool = False
     journal_path: Optional[str] = None
-    journal_window: Optional[tuple] = None
-
-
-def cell_trace_path(base: str, label: str, seq: int) -> str:
-    """Derive a per-cell trace path from the base path and cell index."""
-    safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in label)
-    stem, dot, ext = base.rpartition(".")
-    if not dot:
-        return f"{base}.{seq:02d}.{safe}.json"
-    return f"{stem}.{seq:02d}.{safe}.{ext}"
-
-
-def cell_journal_path(base: str, label: str, seq: int) -> str:
-    """Per-cell journal path; handles the compound ``.jsonl.gz`` suffix
-    (``cell_trace_path``'s single-extension split would land the cell tag
-    inside it)."""
-    safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in label)
-    for ext in (".jsonl.gz", ".jsonl", ".json", ".gz"):
-        if base.endswith(ext):
-            return f"{base[:-len(ext)]}.{seq:02d}.{safe}{ext}"
-    return f"{base}.{seq:02d}.{safe}.jsonl.gz"
 
 
 @dataclass
@@ -241,30 +211,26 @@ def run_workload(
     spec: RunSpec,
     profile: ExperimentProfile,
     tracer: Optional[Tracer] = None,
-    trace_path: Optional[str] = None,
     telemetry: bool = False,
     health_rules: Optional[list] = None,
     sample_callback=None,
-    options: Optional[RunOptions] = None,
-    cell_index: int = 0,
     lineage: bool = False,
     kernel_profile: bool = False,
     journal: Optional[Journal] = None,
 ) -> RunResult:
     """Run one experiment cell and return its RunResult.
 
-    ``tracer`` installs a caller-owned tracer on the cell's environment;
-    ``trace_path`` additionally writes a Chrome trace there.  With neither,
-    ``options.trace_path`` (if set) applies, one file per cell named from
-    ``cell_index`` (the cell's position in its experiment's spec order).
+    ``tracer`` and ``journal`` are caller-owned planes installed on the
+    cell's environment; the result carries them in ``extra`` and the
+    caller writes them out (``run_cells`` does, one file per cell).
 
-    ``telemetry=True`` (or ``options.telemetry``, or passing
-    ``health_rules``/``sample_callback``) runs a :class:`TelemetryHub` at
-    the profile's sample period alongside the workload.  ``health_rules``
-    (default: the built-in set parameterised from the profile) are
-    monitored per bucket and the RunResult carries ``telemetry`` +
-    ``health_events``.  ``sample_callback(t, sample)`` is invoked per
-    closed bucket — the live dashboard's feed.
+    ``telemetry=True`` (or passing ``health_rules``/``sample_callback``)
+    runs a :class:`TelemetryHub` at the profile's sample period alongside
+    the workload.  ``health_rules`` (default: the built-in set
+    parameterised from the profile) are monitored per bucket and the
+    RunResult carries ``telemetry`` + ``health_events``.
+    ``sample_callback(t, sample)`` is invoked per closed bucket — the live
+    dashboard's feed.
 
     Every result carries ``events_processed`` (kernel events, pinned by
     the ``BENCH_<exp>.json`` documents) and the host wall-clock
@@ -272,31 +238,13 @@ def run_workload(
     """
     wall_t0 = time.perf_counter()
     env = Environment()
-    kprof = None
-    if kernel_profile or (options is not None and options.kernel_profile):
-        kprof = install_kernel_profiler(env)
-    cell_path = trace_path
-    if (cell_path is None and tracer is None and options is not None
-            and options.trace_path is not None):
-        cell_path = cell_trace_path(options.trace_path, spec.display,
-                                    cell_index + 1)
-    if tracer is None and cell_path is not None:
-        tracer = Tracer()
+    kprof = install_kernel_profiler(env) if kernel_profile else None
     if tracer is not None:
         tracer.install(env)
-    journal_path = None
-    if (journal is None and options is not None
-            and options.journal_path is not None):
-        journal_path = cell_journal_path(options.journal_path, spec.display,
-                                         cell_index + 1)
-        journal = Journal(
-            period=profile.sample_period,
-            window=options.journal_window if options is not None else None)
     if journal is not None:
         journal.install(env)
     hub = None
-    if (telemetry or (options is not None and options.telemetry)
-            or health_rules is not None or sample_callback is not None):
+    if telemetry or health_rules is not None or sample_callback is not None:
         hub = TelemetryHub(env, period=profile.sample_period)
     monitor = None
     if hub is not None:
@@ -340,9 +288,7 @@ def run_workload(
 
     # Lineage installs after the preload so the fill phase does not
     # pollute the measured op population.
-    lineage_prof = None
-    if lineage or (options is not None and options.lineage):
-        lineage_prof = LineageProfiler(env).install()
+    lineage_prof = LineageProfiler(env).install() if lineage else None
 
     collector = RunCollector(env, spec.display,
                              sample_period=profile.sample_period)
@@ -414,19 +360,11 @@ def run_workload(
     if tracer is not None:
         tracer.close_open_spans()
         result.extra["tracer"] = tracer
-        if cell_path is not None:
-            write_chrome_trace(tracer, cell_path, label=spec.display)
-            result.extra["trace_path"] = cell_path
     if journal is not None:
         # Final checkpoint so even sub-period runs carry digest records;
         # taken after close() so shutdown transitions are in the hash.
         journal.checkpoint_now(env.now)
         result.extra["journal"] = journal
-        if journal_path is not None:
-            write_journal(journal, journal_path,
-                          meta={"cell": spec.display, "seed": spec.seed,
-                                "profile": profile.name})
-        result.extra["journal_path"] = journal_path
     if lineage_prof is not None:
         result.extra["lineage"] = lineage_prof.to_dict()
     if kprof is not None:

@@ -22,11 +22,15 @@ from ..device.kv_dev import KvDevice
 from ..lsm.db import DbImpl
 from ..resil.errors import DeviceError
 from ..sim import Environment
-from ..types import KIND_DELETE, KIND_PUT, make_entry
+from ..types import KIND_DELETE, make_entry
 from .detector import WriteStallDetector
 from .metadata import MetadataManager
 
 __all__ = ["KvaccelController"]
+
+# Per write verb: its (redirect, normal) site pair, built once.
+_SITES = {verb: (f"ctl.{verb}.redirect", f"ctl.{verb}.normal")
+          for verb in ("put", "delete")}
 
 
 class KvaccelController:
@@ -91,9 +95,7 @@ class KvaccelController:
         for key, _seq, _value in triples:
             if not self.metadata.is_empty and self.metadata.contains(key):
                 self.metadata.remove(key)
-        entries = [make_entry(k, s, v,
-                              kind=KIND_DELETE if v is None else KIND_PUT)
-                   for k, s, v in triples]
+        entries = [make_entry(k, s, v) for k, s, v in triples]
         p.enter("degraded")
         try:
             yield from self.main.write_entries(entries)
@@ -112,16 +114,29 @@ class KvaccelController:
 
     # -- write path ----------------------------------------------------------
     def put(self, key: bytes, value) -> Generator:
-        yield from self.put_batch([(key, value)])
+        return self.put_batch([(key, value)])
 
     def put_batch(self, pairs: list) -> Generator:
-        """Route a write batch; the interface choice is the detector's
-        latched verdict (refreshed every 0.1 s, paper Section VI-A)."""
+        """Route a write batch (a ``None`` value is a delete)."""
+        return self._write(pairs, _SITES["put"], self.kv.put_batch)
+
+    def delete(self, key: bytes) -> Generator:
+        """Route a delete: a tombstone on :meth:`put_batch`'s path, sent to
+        the Dev-LSM as a KV DELETE command."""
+        return self._write([(key, None)], _SITES["delete"],
+                           lambda triples: self.kv.delete(key, triples[0][1]))
+
+    def _write(self, pairs: list, sites: tuple, to_dev) -> Generator:
+        """The write path of Section V-C: while the detector's latched
+        verdict (refreshed every 0.1 s, paper Section VI-A) reports a stall,
+        ``pairs`` get Main-LSM sequence numbers and go to the Dev-LSM as
+        ``to_dev(triples)``; otherwise they go to Main-LSM."""
         self.last_write_time = self.env.now
         p = self.env.probes
+        redirect_site, normal_site = sites
         if self._redirect_allowed():
             self._route("dev")
-            yield from p.at("ctl.put.redirect")
+            yield from p.at(redirect_site)
             t0 = self.env.now
             triples = []
             for key, value in pairs:
@@ -131,10 +146,10 @@ class KvaccelController:
             p.enter("redirect")
             try:
                 if self.resil is None:
-                    yield from self.kv.put_batch(triples)
+                    yield from to_dev(triples)
                 else:
                     try:
-                        yield from self.kv.put_batch(triples)
+                        yield from to_dev(triples)
                         self.resil.record_success()
                     except DeviceError as exc:
                         yield from self._fallback(triples, exc)
@@ -148,47 +163,13 @@ class KvaccelController:
                                                  count=len(triples))
         else:
             self._route("main")
-            yield from p.at("ctl.put.normal")
+            yield from p.at(normal_site)
             for key, _value in pairs:
                 if not self.metadata.is_empty and self.metadata.contains(key):
                     self.metadata.remove(key)  # Main-LSM copy becomes newest
             yield from self.main.put_batch(pairs)
             self.normal_writes += len(pairs)
             p.add("ctl.normal", len(pairs))
-
-    def delete(self, key: bytes) -> Generator:
-        """Route a delete; keeps the same books as :meth:`put_batch`."""
-        self.last_write_time = self.env.now
-        p = self.env.probes
-        if self._redirect_allowed():
-            self._route("dev")
-            yield from p.at("ctl.delete.redirect")
-            t0 = self.env.now
-            seq = self.main.next_seq()
-            self.metadata.insert(key)  # tombstone lives in Dev-LSM
-            p.enter("redirect")
-            try:
-                if self.resil is None:
-                    yield from self.kv.delete(key, seq)
-                else:
-                    try:
-                        yield from self.kv.delete(key, seq)
-                        self.resil.record_success()
-                    except DeviceError as exc:
-                        yield from self._fallback([(key, seq, None)], exc)
-            finally:
-                p.leave()
-            self.redirected_writes += 1
-            p.add("ctl.redirected")
-            self.main.stats.record_write_latency(self.env.now - t0)
-        else:
-            self._route("main")
-            yield from p.at("ctl.delete.normal")
-            if not self.metadata.is_empty and self.metadata.contains(key):
-                self.metadata.remove(key)
-            yield from self.main.delete(key)
-            self.normal_writes += 1
-            p.add("ctl.normal")
 
     # -- read path -------------------------------------------------------------
     def get(self, key: bytes) -> Generator:

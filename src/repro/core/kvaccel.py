@@ -85,21 +85,19 @@ class KvaccelDb:
 
     # -- data plane -----------------------------------------------------------
     def put(self, key: bytes, value) -> Generator:
-        yield from self.controller.put(key, value)
+        return self.controller.put(key, value)
 
     def put_batch(self, pairs: list) -> Generator:
-        yield from self.controller.put_batch(pairs)
+        return self.controller.put_batch(pairs)
 
     def delete(self, key: bytes) -> Generator:
-        yield from self.controller.delete(key)
+        return self.controller.delete(key)
 
     def get(self, key: bytes) -> Generator:
-        value = yield from self.controller.get(key)
-        return value
+        return self.controller.get(key)
 
     def scan(self, start_key: bytes, count: int) -> Generator:
-        out = yield from range_query(self.controller, start_key, count)
-        return out
+        return range_query(self.controller, start_key, count)
 
     # -- lifecycle ---------------------------------------------------------------
     def final_rollback(self) -> Generator:

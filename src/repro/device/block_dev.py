@@ -41,10 +41,8 @@ class BlockDevice:
 
     def _call(self, factory, site: str) -> Generator:
         if self.retry is None:
-            result = yield from factory()
-        else:
-            result = yield from self.retry.call(factory, site=site)
-        return result
+            return factory()
+        return self.retry.call(factory, site=site)
 
     @property
     def capacity_bytes(self) -> int:

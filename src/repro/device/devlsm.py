@@ -22,7 +22,9 @@ PCIe — so they never contend with the host link.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Generator, Iterable, Optional
 
 from ..sim import Environment
@@ -70,6 +72,9 @@ def _sort_key(e: Entry):
     return (e[0], -e[1])
 
 
+_user_key = itemgetter(0)
+
+
 class DevIterator:
     """Snapshot iterator over the Dev-LSM (memtable + runs), newest-wins.
 
@@ -84,14 +89,7 @@ class DevIterator:
 
     def seek(self, key: bytes) -> None:
         """Position at the first entry with key >= ``key``."""
-        lo, hi = 0, len(self._entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._entries[mid][0] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        self._pos = lo
+        self._pos = bisect_left(self._entries, key, key=_user_key)
 
     def seek_to_first(self) -> None:
         self._pos = 0
@@ -382,13 +380,7 @@ class DevLsm:
 
 def _binary_search_run(entries: list, key: bytes) -> Optional[Entry]:
     """Find the newest entry for ``key`` in a sorted run."""
-    lo, hi = 0, len(entries)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if entries[mid][0] < key:
-            lo = mid + 1
-        else:
-            hi = mid
+    lo = bisect_left(entries, key, key=_user_key)
     if lo < len(entries) and entries[lo][0] == key:
         return entries[lo]  # (key, -seq) sort puts newest first
     return None

@@ -17,7 +17,7 @@ from typing import Generator, Optional
 
 from ..faults.registry import DROP, DUPLICATE
 from ..sim import Environment
-from ..types import KIND_DELETE, KIND_PUT, Entry, entry_size, make_entry, value_size
+from ..types import KIND_DELETE, Entry, entry_size, make_entry, value_size
 from .cpu import CpuModel
 from .devlsm import DevIterator, DevLsm
 from .pcie import PcieLink
@@ -65,12 +65,11 @@ class KvDevice:
         self.retry = None
 
     def _call(self, factory, site: str) -> Generator:
-        """Dispatch one command through the retry executor when present."""
+        """One command's generator, through the retry executor when
+        present."""
         if self.retry is None:
-            result = yield from factory()
-        else:
-            result = yield from self.retry.call(factory, site=site)
-        return result
+            return factory()
+        return self.retry.call(factory, site=site)
 
     def _count(self, verb: str) -> None:
         self.command_counts[verb] = self.command_counts.get(verb, 0) + 1
@@ -106,29 +105,30 @@ class KvDevice:
         yield from p.at(complete)
 
     def put(self, key: bytes, seq: int, value) -> Generator:
-        """KV PUT: ship key+value over PCIe, insert into Dev-LSM."""
+        """KV PUT: ship key+value over PCIe, insert into Dev-LSM (a
+        ``None`` value inserts a tombstone)."""
         return self._call(lambda: self._write(
             "put", _CAPSULE_BYTES + len(key) + value_size(value),
-            [make_entry(key, seq, value, kind=KIND_PUT)]), "kv.put")
+            [make_entry(key, seq, value)]), "kv.put")
 
     def put_batch(self, triples: list) -> Generator:
         """Batched KV PUT via a compound command (HotStorage '19 style).
 
-        ``triples`` is a list of (key, seq, value).  One capsule + one
+        ``triples`` is a list of (key, seq, value|None).  One capsule + one
         payload transfer covers the batch; the Dev-LSM still ingests each
         record (per-op ARM cost, flush when the device memtable fills).
         """
         return self._call(lambda: self._write(
             "put_batch",
             _CAPSULE_BYTES + sum(len(k) + value_size(v) for k, _s, v in triples),
-            [make_entry(k, s, v, kind=KIND_PUT) for k, s, v in triples]),
+            [make_entry(k, s, v) for k, s, v in triples]),
             "kv.put_batch")
 
     def delete(self, key: bytes, seq: int) -> Generator:
         """KV DELETE: a tombstone entry in the Dev-LSM."""
         return self._call(lambda: self._write(
             "delete", _CAPSULE_BYTES + len(key),
-            [make_entry(key, seq, None, kind=KIND_DELETE)]), "kv.delete")
+            [make_entry(key, seq, None)]), "kv.delete")
 
     def get(self, key: bytes) -> Generator:
         """KV GET: returns the newest entry or None."""

@@ -244,16 +244,7 @@ def fault_point(env: Environment, site: str) -> Generator:
     out of the site; ``CRASH`` latches and lets execution continue to the
     next yield.
     """
-    jr = env.journal
-    if jr is not None:
-        # Before the registry guard: site records exist with or without a
-        # FaultRegistry, so the bisector can name sites on clean runs too.
-        proc = env._active_process
-        jr.site(env._now, proc.name if proc is not None else "", site)
-    reg = env.faults
-    if reg is None:
-        return None
-    action = reg.reach(site, env.now)
+    action = touch(env, site)
     if action is not None and action.kind == DELAY and action.delay > 0:
         yield env.timeout(action.delay)
         return None
@@ -265,6 +256,8 @@ def touch(env: Environment, site: str) -> Optional[FaultAction]:
     bound; cannot honor DELAY)."""
     jr = env.journal
     if jr is not None:
+        # Before the registry guard: site records exist with or without a
+        # FaultRegistry, so the bisector can name sites on clean runs too.
         proc = env._active_process
         jr.site(env._now, proc.name if proc is not None else "", site)
     reg = env.faults

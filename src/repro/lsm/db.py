@@ -21,7 +21,7 @@ from ..device.block_dev import BlockDevice
 from ..device.cpu import CpuModel
 from ..resil.errors import DeviceError
 from ..sim import Environment, Event, Interrupt, Store
-from ..types import KIND_DELETE, KIND_PUT, Entry, entry_size, make_entry
+from ..types import KIND_DELETE, entry_size, make_entry
 from .bloom import key_hash
 from .compaction import CompactionJob, CompactionPicker, merge_for_compaction, split_into_files
 from .fs import FileSystem, FsError, PageCache
@@ -218,21 +218,16 @@ class DbImpl:
     # ------------------------------------------------------------------ write
     def put(self, key: bytes, value, seq: Optional[int] = None) -> Generator:
         """Insert one key-value pair (process generator)."""
-        yield from self.put_batch([(key, value)],
-                                  seqs=[seq] if seq is not None else None)
+        return self.put_batch([(key, value)],
+                              seqs=[seq] if seq is not None else None)
 
     def delete(self, key: bytes, seq: Optional[int] = None) -> Generator:
-        t0 = self.env.now
-        if seq is not None:
-            self.note_external_seq(seq)
-        else:
-            seq = self.next_seq()
-        yield from self._write_entries(
-            [make_entry(key, seq, None, kind=KIND_DELETE)])
-        self.stats.record_write_latency(self.env.now - t0)
+        """Write a tombstone for ``key``: a put of ``None``."""
+        return self.put(key, None, seq)
 
     def put_batch(self, pairs: list, seqs: Optional[list] = None) -> Generator:
-        """Insert many pairs as one write batch (one gate, one CPU charge).
+        """Insert many pairs as one write batch (one gate, one CPU charge);
+        a ``None`` value writes a tombstone.
 
         Latency is recorded per pair as the full batch residence time,
         matching how group-committed writers observe completion.
@@ -243,7 +238,7 @@ class DbImpl:
             seq = seqs[i] if seqs is not None else self.next_seq()
             if seqs is not None:
                 self.note_external_seq(seq)
-            entries.append(make_entry(key, seq, value, kind=KIND_PUT))
+            entries.append(make_entry(key, seq, value))
         yield from self._write_entries(entries)
         self.stats.record_write_latency(self.env.now - t0, count=len(entries))
 
@@ -348,25 +343,21 @@ class DbImpl:
                     continue
                 mem, segment = item
                 yield from self._flush_one(mem, segment)
-            except Interrupt:
-                # Crash: discard the partially written SST; the sealed
-                # memtable is volatile and its data comes back from the WAL.
+            except (Interrupt, DeviceError) as exc:
+                # Crash or flush I/O error: discard the partially written
+                # SST.  After a crash the sealed memtable is volatile and its
+                # data comes back from the WAL.  After an I/O error the
+                # memtable is parked and background-error latched; unlike an
+                # unexpected exception the worker survives, so resume() can
+                # simply re-queue the parked work.
                 f = self._inflight_flush_file
                 self._inflight_flush_file = None
                 if f is not None and self.fs.exists(f.name):
                     self.fs.delete(f.name)
-            except DeviceError as exc:
-                # Flush I/O failed: delete the partial SST, park the
-                # memtable, latch background-error.  Unlike an unexpected
-                # exception the worker survives, so resume() can simply
-                # re-queue the parked work.
-                f = self._inflight_flush_file
-                self._inflight_flush_file = None
-                if f is not None and self.fs.exists(f.name):
-                    self.fs.delete(f.name)
-                if item is not None and item is not _FLUSH_CLOSE:
-                    self._paused_flushes.append(item)
-                self.set_background_error(exc)
+                if isinstance(exc, DeviceError):
+                    if item is not None and item is not _FLUSH_CLOSE:
+                        self._paused_flushes.append(item)
+                    self.set_background_error(exc)
             except BaseException as exc:  # surface in foreground path
                 self.background_error = exc
                 raise
@@ -433,20 +424,12 @@ class DbImpl:
     def _compaction_entry(self, job: CompactionJob):
         try:
             yield from self._run_compaction(job)
-        except Interrupt:
-            # Crash: the job's work is lost.  Its created-but-uninstalled
-            # output files are orphans (RocksDB deletes those on reopen)
-            # and its inputs become pickable again.
-            for meta in job.partial_outputs:
-                name = self._sst_name(meta.number)
-                if self.fs.exists(name):
-                    self.fs.delete(name)
-            for meta in job.all_inputs:
-                meta.being_compacted = False
-        except DeviceError as exc:
-            # Compaction I/O failed: clean up as for a crash (orphan
-            # outputs deleted, inputs pickable again) and latch the
-            # background error instead of killing the job process tree.
+        except (Interrupt, DeviceError) as exc:
+            # Crash or compaction I/O error: the job's work is lost.  Its
+            # created-but-uninstalled output files are orphans (RocksDB
+            # deletes those on reopen) and its inputs become pickable
+            # again.  An I/O error also latches the background error
+            # instead of killing the job process tree.
             for meta in job.partial_outputs:
                 name = self._sst_name(meta.number)
                 if self.fs.exists(name):
@@ -454,7 +437,8 @@ class DbImpl:
             job.partial_outputs = []
             for meta in job.all_inputs:
                 meta.being_compacted = False
-            self.set_background_error(exc)
+            if isinstance(exc, DeviceError):
+                self.set_background_error(exc)
         except BaseException as exc:
             self.background_error = exc
             raise
@@ -633,12 +617,7 @@ class DbImpl:
         yield from self.host_cpu.consume(opt.cpu.seek, tag=f"{self.name}.read")
         self.stats.user_seeks += 1
 
-        sst_cost = [0]  # mutable cell shared with the wrapped sources
-
-        def wrap_sst(meta: FileMetadata):
-            for e in meta.table.iter_from(start_key):
-                sst_cost[0] += entry_size(e)
-                yield e
+        sst_cost = [0]  # mutable cell shared with the SST sources
 
         sources: list = [self.mem.iter_from(start_key)]
         for m, _seg in reversed(self.imm):
@@ -646,7 +625,7 @@ class DbImpl:
         v = self.versions.current
         for meta in v.l0_newest_first:
             if meta.largest >= start_key:
-                sources.append(wrap_sst(meta))
+                sources.append(self._level_source([meta], start_key, sst_cost))
         for level in range(1, v.num_levels):
             files = v.level_files_from(level, start_key)
             if files:
@@ -675,6 +654,9 @@ class DbImpl:
         return out
 
     def _level_source(self, files: list, start_key: bytes, cost_cell: list):
+        """Entries of key-disjoint, ascending ``files`` from ``start_key``
+        (one L0 file, or a slice of a deeper level), adding each entry's
+        size to ``cost_cell[0]``."""
         for meta in files:
             for e in meta.table.iter_from(start_key):
                 cost_cell[0] += entry_size(e)

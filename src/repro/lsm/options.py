@@ -16,11 +16,17 @@ while in the DELAYED state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..device.geometry import KiB, MiB
 
 __all__ = ["LsmOptions", "CpuCosts"]
+
+# The byte capacities ``LsmOptions.scaled`` multiplies.
+_BYTE_FIELDS = ("write_buffer_size", "max_bytes_for_level_base",
+                "target_file_size_base", "soft_pending_compaction_bytes_limit",
+                "hard_pending_compaction_bytes_limit", "compaction_io_chunk",
+                "wal_group_commit_bytes")
 
 
 @dataclass
@@ -70,13 +76,11 @@ class LsmOptions:
 
     # background work
     max_background_compactions: int = 1         # thread count (Table III)
-    max_background_flushes: int = 1
     max_subcompactions: int = 2                 # split one job across threads
                                                 # (RocksDB defaults to 1; 2 keeps
                                                 # thread scaling visible without
                                                 # erasing 4-thread stalls)
     compaction_io_chunk: int = 2 * MiB          # read-merge-write granularity
-    compaction_readahead: int = 2 * MiB
 
     # SST layout
     block_size: int = 16 * KiB
@@ -100,8 +104,8 @@ class LsmOptions:
             raise ValueError("L0 triggers must be ordered: compact <= slowdown <= stop")
         if self.soft_pending_compaction_bytes_limit > self.hard_pending_compaction_bytes_limit:
             raise ValueError("soft pending limit must be <= hard limit")
-        if self.max_background_compactions < 1 or self.max_background_flushes < 1:
-            raise ValueError("background thread counts must be >= 1")
+        if self.max_background_compactions < 1:
+            raise ValueError("max_background_compactions must be >= 1")
         if self.num_levels < 2:
             raise ValueError("num_levels must be >= 2")
         if self.delayed_write_rate <= 0:
@@ -128,29 +132,5 @@ class LsmOptions:
         def sz(x: int) -> int:
             return max(4 * KiB, int(x * factor))
 
-        return LsmOptions(
-            write_buffer_size=sz(self.write_buffer_size),
-            max_write_buffer_number=self.max_write_buffer_number,
-            level0_file_num_compaction_trigger=self.level0_file_num_compaction_trigger,
-            level0_slowdown_writes_trigger=self.level0_slowdown_writes_trigger,
-            level0_stop_writes_trigger=self.level0_stop_writes_trigger,
-            max_bytes_for_level_base=sz(self.max_bytes_for_level_base),
-            max_bytes_for_level_multiplier=self.max_bytes_for_level_multiplier,
-            num_levels=self.num_levels,
-            target_file_size_base=sz(self.target_file_size_base),
-            soft_pending_compaction_bytes_limit=sz(self.soft_pending_compaction_bytes_limit),
-            hard_pending_compaction_bytes_limit=sz(self.hard_pending_compaction_bytes_limit),
-            slowdown_enabled=self.slowdown_enabled,
-            delayed_write_rate=self.delayed_write_rate,
-            slowdown_sleep=self.slowdown_sleep,
-            max_background_compactions=self.max_background_compactions,
-            max_background_flushes=self.max_background_flushes,
-            max_subcompactions=self.max_subcompactions,
-            compaction_io_chunk=sz(self.compaction_io_chunk),
-            compaction_readahead=sz(self.compaction_readahead),
-            block_size=self.block_size,
-            bloom_bits_per_key=self.bloom_bits_per_key,
-            wal_enabled=self.wal_enabled,
-            wal_group_commit_bytes=sz(self.wal_group_commit_bytes),
-            cpu=self.cpu,
-        )
+        return replace(self, **{name: sz(getattr(self, name))
+                                for name in _BYTE_FIELDS})

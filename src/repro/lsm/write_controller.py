@@ -157,12 +157,7 @@ class WriteController:
         # leaving STOPPED
         if old_state == WriteState.STOPPED:
             if self._stall_start is not None:
-                self.stall_intervals.append((self._stall_start, now))
-                self.total_stall_time += now - self._stall_start
-                if self._stall_reason is not None:
-                    self.stall_reason_time[self._stall_reason] = (
-                        self.stall_reason_time.get(self._stall_reason, 0.0)
-                        + now - self._stall_start)
+                self._book_stall(now)
                 self._stall_start = None
             ended_reason, self._stall_reason = self._stall_reason, None
             p.end(self._stall_span)
@@ -262,16 +257,20 @@ class WriteController:
             "delayed_time": dict(self.delayed_reason_time),
         }
 
+    def _book_stall(self, now: float) -> None:
+        """Book the open stall interval ``[_stall_start, now]``."""
+        self.stall_intervals.append((self._stall_start, now))
+        self.total_stall_time += now - self._stall_start
+        if self._stall_reason is not None:
+            self.stall_reason_time[self._stall_reason] = (
+                self.stall_reason_time.get(self._stall_reason, 0.0)
+                + now - self._stall_start)
+
     def finalize(self) -> None:
         """Close an open stall interval at end of run (for reporting)."""
         if self._stall_start is not None:
             now = self.env.now
-            self.stall_intervals.append((self._stall_start, now))
-            self.total_stall_time += now - self._stall_start
-            if self._stall_reason is not None:
-                self.stall_reason_time[self._stall_reason] = (
-                    self.stall_reason_time.get(self._stall_reason, 0.0)
-                    + now - self._stall_start)
+            self._book_stall(now)
             self._stall_start = now
         self.env.probes.end(self._stall_span)
         self._stall_span = None

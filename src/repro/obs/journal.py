@@ -171,22 +171,22 @@ class Journal:
         self.records.append(record)
 
     def record_event(self, t: float, proc: str, cls: str) -> None:
-        idx = self._idx
-        self._idx = idx + 1
         self.event_count += 1
-        w = self.window
-        if w is not None and not (w[0] <= t <= w[1]):
-            return
-        self._append((EVENT, idx, t, proc, cls))
+        self._record(EVENT, t, proc, cls)
 
     def site(self, t: float, proc: str, site: str) -> None:
+        self.site_count += 1
+        self._record(SITE, t, proc, site)
+
+    def _record(self, kind: str, t: float, proc: str, tag: str) -> None:
+        """Take the next index; store the record unless ``t`` falls
+        outside the window."""
         idx = self._idx
         self._idx = idx + 1
-        self.site_count += 1
         w = self.window
         if w is not None and not (w[0] <= t <= w[1]):
             return
-        self._append((SITE, idx, t, proc, site))
+        self._append((kind, idx, t, proc, tag))
 
     def _checkpoint(self, t: float) -> None:
         """Take a digest checkpoint; called by ``observe`` when the popped
@@ -563,7 +563,8 @@ def write_divergence_artifact(name: str, report: dict,
 def replay_window(system: str, workload: str, profile, t0: float, t1: float,
                   out_path: str, seed: int = 1,
                   rollback: str = "disabled") -> dict:
-    """Re-run one cell recording only the suspect window ``[t0, t1]``.
+    """Re-run one cell recording only the suspect window ``[t0, t1]``
+    into ``out_path``.
 
     The full trajectory is re-simulated (determinism makes that exact);
     only journal *storage* is windowed, so the output stays small while
@@ -571,15 +572,15 @@ def replay_window(system: str, workload: str, profile, t0: float, t1: float,
     reported.  Returns ``{"path", "records", "events"}``.
     """
     # Imported here: repro.bench imports repro.obs at module load.
-    from ..bench.runner import RunOptions, RunSpec, run_workload
+    from ..bench.runner import RunSpec, run_workload
 
     if t1 < t0:
         raise ValueError("need t0 <= t1")
     spec = RunSpec(system, workload, 1, seed=seed, rollback=rollback)
-    result = run_workload(spec, profile,
-                          options=RunOptions(journal_path=out_path,
-                                             journal_window=(t0, t1)))
-    journal = result.extra.get("journal")
-    return {"path": result.extra.get("journal_path"),
-            "records": len(journal) if journal is not None else 0,
-            "events": journal.event_count if journal is not None else 0}
+    journal = Journal(period=profile.sample_period, window=(t0, t1))
+    run_workload(spec, profile, journal=journal)
+    path = write_journal(journal, out_path,
+                         meta={"cell": spec.display, "seed": spec.seed,
+                               "profile": profile.name})
+    return {"path": path, "records": len(journal),
+            "events": journal.event_count}

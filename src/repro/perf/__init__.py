@@ -32,7 +32,7 @@ __all__ = [
     "bench_timeout_chain", "bench_event_ping_pong", "bench_process_spawn",
     "bench_resource_handoff", "bench_macro_burst",
     "run_kernel_benches",
-    "profile_kernel_bench", "profile_mini_cell", "profile_smoke_cell",
+    "profile_kernel_bench", "profile_cell",
     "format_kernel_profile",
 ]
 
@@ -235,46 +235,25 @@ def profile_kernel_bench(name: str) -> BenchResult:
     return KERNEL_BENCHES[name](profile=True)
 
 
-def profile_mini_cell(system: str = "kvaccel", workload: str = "A",
-                      scale: int = 256) -> dict:
-    """Profile one real experiment cell (the ``mini`` target).
+def profile_cell(profile_name: str) -> dict:
+    """Profile one real experiment cell: kvaccel on workload A under the
+    named profile (``mini256``, or ``paper-smoke`` — the truncated slice of
+    the *unscaled* paper constants, which surfaces paper-capacity
+    regressions without a 600 s run).
 
-    Runs a single cell through the real runner with the kernel
-    self-profiler on and returns ``{"spec", "wall_s", "events",
-    "profile"}`` — the profile in the same dict shape the
-    microbenchmarks produce.
+    Runs the cell through the real runner with the kernel self-profiler on
+    and returns ``{"spec", "wall_s", "events", "profile"}`` — the profile
+    in the same dict shape the microbenchmarks produce.
     """
-    from ..bench.profiles import mini_profile
+    from ..bench.profiles import get_profile
     from ..bench.runner import RunSpec, run_workload
-    spec = RunSpec(system, workload, 1)
+    spec = RunSpec("kvaccel", "A", 1)
     t0 = time.perf_counter()
-    result = run_workload(spec, mini_profile(scale), kernel_profile=True)
+    result = run_workload(spec, get_profile(profile_name),
+                          kernel_profile=True)
     wall = time.perf_counter() - t0
     return {
-        "spec": f"{system}/{workload}",
-        "wall_s": float(wall),
-        "events": int(result.extra.get("events_processed", 0)),
-        "profile": result.extra["kernel_profile"],
-    }
-
-
-def profile_smoke_cell(system: str = "kvaccel", workload: str = "A") -> dict:
-    """Profile one cell under the ``paper-smoke`` profile.
-
-    Same contract as :func:`profile_mini_cell`, but the cell runs the
-    truncated ~10^6-op slice of the *unscaled* paper constants — the
-    shape CI's perf job exercises so paper-capacity regressions (big
-    memtables, deep queues, paper NAND latencies) surface without a
-    600 s run.
-    """
-    from ..bench.profiles import paper_smoke_profile
-    from ..bench.runner import RunSpec, run_workload
-    spec = RunSpec(system, workload, 1)
-    t0 = time.perf_counter()
-    result = run_workload(spec, paper_smoke_profile(), kernel_profile=True)
-    wall = time.perf_counter() - t0
-    return {
-        "spec": f"{system}/{workload} (paper-smoke)",
+        "spec": f"kvaccel/A ({profile_name})",
         "wall_s": float(wall),
         "events": int(result.extra.get("events_processed", 0)),
         "profile": result.extra["kernel_profile"],

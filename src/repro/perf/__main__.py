@@ -22,11 +22,13 @@ from pathlib import Path
 from . import (
     KERNEL_BENCHES,
     format_kernel_profile,
+    profile_cell,
     profile_kernel_bench,
-    profile_mini_cell,
-    profile_smoke_cell,
     run_kernel_benches,
 )
+
+# ``profile`` targets that run a real experiment cell: target -> profile.
+_CELL_TARGETS = {"mini": "mini256", "paper-smoke": "paper-smoke"}
 
 
 def _profile_main(argv) -> int:
@@ -36,7 +38,7 @@ def _profile_main(argv) -> int:
     mini-profile cell through the runner).  Prints the sorted hot-site
     table; ``--json`` writes the raw profile dict.
     """
-    targets = sorted(KERNEL_BENCHES) + ["mini", "paper-smoke"]
+    targets = sorted(KERNEL_BENCHES) + sorted(_CELL_TARGETS)
     parser = argparse.ArgumentParser(
         prog="python -m repro.perf profile",
         description="Wall-clock self-profile of the DES kernel: events by "
@@ -51,9 +53,8 @@ def _profile_main(argv) -> int:
                         help="write the raw kernel profile as JSON")
     args = parser.parse_args(argv)
 
-    if args.target in ("mini", "paper-smoke"):
-        out = (profile_mini_cell() if args.target == "mini"
-               else profile_smoke_cell())
+    if args.target in _CELL_TARGETS:
+        out = profile_cell(_CELL_TARGETS[args.target])
         prof = out["profile"]
         print(f"kernel profile: cell {out['spec']} "
               f"({out['events']:,d} events in {out['wall_s']:.2f}s)")

@@ -52,15 +52,9 @@ class _DriverBase:
         return [(k := keys.next_key(), value_for(k, cfg.value_size))
                 for _ in range(n)]
 
-
-class FillRandomDriver(_DriverBase):
-    """Workload A: one write thread, no write limit."""
-
-    def start(self) -> Process:
-        self.process = self.env.process(self._run(), name="fillrandom")
-        return self.process
-
-    def _run(self):
+    def _writer(self):
+        """The unthrottled write thread: random-key batches until the
+        deadline."""
         cfg = self.config
         keys = RandomKeys(cfg.key_space, cfg.key_size, seed=cfg.seed)
         t_end = self.env.now + cfg.duration
@@ -78,6 +72,14 @@ class FillRandomDriver(_DriverBase):
             self.write_meter.add(n)
             self.write_bytes += n * per_entry
         return self.write_ops
+
+
+class FillRandomDriver(_DriverBase):
+    """Workload A: one write thread, no write limit."""
+
+    def start(self) -> Process:
+        self.process = self.env.process(self._writer(), name="fillrandom")
+        return self.process
 
 
 class ReadWhileWritingDriver(_DriverBase):
@@ -91,7 +93,6 @@ class ReadWhileWritingDriver(_DriverBase):
             raise ValueError("both ratios must be positive for readwhilewriting")
         self.write_ratio = write_ratio
         self.read_ratio = read_ratio
-        self._done = False
         self.read_hits = 0
 
     def start(self) -> Process:
@@ -99,33 +100,13 @@ class ReadWhileWritingDriver(_DriverBase):
         self.process = self.env.process(self._writer(), name="rww-writer")
         return self.process
 
-    def _writer(self):
-        cfg = self.config
-        keys = RandomKeys(cfg.key_space, cfg.key_size, seed=cfg.seed)
-        t_end = self.env.now + cfg.duration
-        per_entry = cfg.key_size + cfg.value_size + 8
-        p = self.env.probes
-        while self.env.now < t_end:
-            batch = self._make_batch(keys, cfg.batch_size)
-            ctx = p.op_begin("put_batch", len(batch), len(batch) * per_entry)
-            try:
-                yield from self.db.put_batch(batch)
-            finally:
-                p.op_end(ctx)
-            n = len(batch)
-            self.write_ops += n
-            self.write_meter.add(n)
-            self.write_bytes += n * per_entry
-        self._done = True
-        return self.write_ops
-
     def _reader(self):
         cfg = self.config
         keys = RandomKeys(cfg.key_space, cfg.key_size, seed=cfg.seed + 7919)
         # pace: reads/writes tracks read_ratio/write_ratio
         target = self.read_ratio / self.write_ratio
         p = self.env.probes
-        while not self._done:
+        while self.process.is_alive:     # until the writer returns
             if self.read_ops > (self.write_ops + 1) * target:
                 yield self.env.timeout(0.001)
                 continue

@@ -10,8 +10,9 @@ D          seekrandom         1 range-query thread        Seek + 1024 Next,
                                                           after initial fill
 =========  =================  ==========================  =====================
 
-All run 4 B keys and 4 KB values; A-C run for 600 s (scaled by profile), D
-performs a fixed op count after a fill phase.
+Key and value sizes, horizons, D's Next()s per Seek and its fill volume are
+profile constants (``repro.bench.profiles``); a spec says only what kind of
+load each workload is.
 """
 
 from __future__ import annotations
@@ -27,11 +28,6 @@ class WorkloadSpec:
     kind: str                    # fillrandom | readwhilewriting | seekrandom
     write_ratio: float = 1.0     # share of ops that are writes (B: 0.9, C: 0.8)
     read_ratio: float = 0.0
-    seek_nexts: int = 0          # D: Next()s per Seek
-    duration_s: float = 600.0    # paper-scale wall time (profiles rescale)
-    fill_bytes: int = 0          # D: initial fillrandom volume (paper: 20 GB)
-    key_size: int = 4
-    value_size: int = 4096
 
     def __post_init__(self) -> None:
         if self.kind not in ("fillrandom", "readwhilewriting", "seekrandom"):
@@ -48,6 +44,5 @@ WORKLOADS: dict[str, WorkloadSpec] = {
     "C": WorkloadSpec(name="C", kind="readwhilewriting",
                       write_ratio=0.8, read_ratio=0.2),
     "D": WorkloadSpec(name="D", kind="seekrandom", write_ratio=0.0,
-                      read_ratio=1.0, seek_nexts=1024,
-                      fill_bytes=20 * 1024 ** 3),
+                      read_ratio=1.0),
 }

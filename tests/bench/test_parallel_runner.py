@@ -8,11 +8,11 @@ series, same kernel-event count — only the host wall-clock keys in
 """
 
 import dataclasses
+from pathlib import Path
 
 from repro.bench import RunSpec, mini_profile
-from repro.bench.experiments.common import run_cells
-from repro.bench.runner import (LIVE_EXTRA_KEYS, WALL_EXTRA_KEYS, RunOptions,
-                                cell_trace_path)
+from repro.bench.experiments.common import run_cells, splice_path
+from repro.bench.runner import LIVE_EXTRA_KEYS, WALL_EXTRA_KEYS, RunOptions
 
 SPECS = [
     RunSpec("rocksdb", "A", 1, slowdown=False, label="serial-vs-jobs/rocksdb"),
@@ -82,8 +82,46 @@ def test_jobs_cap_and_single_cell_stay_serial():
     assert out[SPECS[0].display].write_ops > 0
 
 
+def test_jobs2_writes_the_serial_trace_and_journal_files(tmp_path):
+    """Each cell's trace and journal are written by the process that ran
+    it, under its spec-order name: a fan-out writes the serial run's files
+    byte for byte."""
+    profile = _tiny_profile(duration=0.3)
+    written = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        out.mkdir()
+        results = run_cells(SPECS, profile, RunOptions(
+            jobs=jobs, trace_path=str(out / "t.json"),
+            journal_path=str(out / "j.jsonl.gz")))
+        written[jobs] = {
+            Path(r.extra[key]).name: Path(r.extra[key]).read_bytes()
+            for r in results.values() for key in ("trace_path",
+                                                  "journal_path")}
+    assert sorted(written[1]) == [
+        "j.01.serial-vs-jobs_rocksdb.jsonl.gz",
+        "j.02.serial-vs-jobs_kvaccel.jsonl.gz",
+        "t.01.serial-vs-jobs_rocksdb.json",
+        "t.02.serial-vs-jobs_kvaccel.json"]
+    assert written[1] == written[2]
+
+
 def test_cell_trace_path_is_per_cell_and_filesystem_safe():
-    assert cell_trace_path("out/trace.json", "fig11/kvaccel", 3) \
+    # Per-cell names (index, label) as run_cells splices them ...
+    assert splice_path("out/trace.json", ".json", "03", "fig11/kvaccel") \
         == "out/trace.03.fig11_kvaccel.json"
-    assert cell_trace_path("trace", "x", 1) == "trace.01.x.json"
-    assert cell_trace_path("t.json", "cell one!", 1) == "t.01.cell_one_.json"
+    assert splice_path("trace", ".json", "01", "x") == "trace.01.x.json"
+    assert splice_path("t.json", ".json", "01", "cell one!") \
+        == "t.01.cell_one_.json"
+    assert splice_path("j.jsonl.gz", ".jsonl.gz", "01", "KVAccel(1)") \
+        == "j.01.KVAccel_1_.jsonl.gz"
+    assert splice_path("j.jsonl", ".jsonl.gz", "02", "a.b") \
+        == "j.02.a_b.jsonl"
+    assert splice_path("j", ".jsonl.gz", "01", "x") == "j.01.x.jsonl.gz"
+    # ... per-experiment bases as `python -m repro.bench all` splices them,
+    # then the cell on top: the names stay distinct per experiment.
+    assert splice_path("out/t.json", ".json", "fig04") == "out/t.fig04.json"
+    assert splice_path("t", ".json", "fig04") == "t.fig04.json"
+    assert splice_path("j", ".jsonl.gz", "fig04") == "j.fig04.jsonl.gz"
+    assert splice_path(splice_path("j", ".jsonl.gz", "fig04"), ".jsonl.gz",
+                       "01", "x") == "j.fig04.01.x.jsonl.gz"

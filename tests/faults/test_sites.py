@@ -28,6 +28,10 @@ DYNAMIC_FAMILIES = {
     "kv.put.submit", "kv.put.complete",
     "kv.put_batch.submit", "kv.put_batch.complete",
     "kv.delete.submit", "kv.delete.complete",
+    # KvaccelController._write spells the write verbs' route pair once:
+    # f"ctl.{verb}.redirect" / f"ctl.{verb}.normal"
+    "ctl.put.redirect", "ctl.put.normal",
+    "ctl.delete.redirect", "ctl.delete.normal",
 }
 
 

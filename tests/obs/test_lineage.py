@@ -22,11 +22,13 @@ from repro.bench import RunSpec, mini_profile, run_workload
 from repro.obs import (
     DEFAULT_BANDS,
     LineageProfiler,
+    Tracer,
     check_lineage_invariant,
     exemplars_from_chrome,
     lineage_report,
     ops_from_chrome,
     percentile_bands,
+    write_chrome_trace,
 )
 from repro.obs.export import load_chrome_trace
 from repro.sim import Environment
@@ -170,9 +172,10 @@ def stall_heavy_run(tmp_path_factory):
     """Fig02-style stall-heavy cell (RocksDB without the slowdown valve),
     with both the tracer and the lineage profiler on."""
     trace = tmp_path_factory.mktemp("lineage") / "stall_trace.json"
+    tracer = Tracer()
     result = run_workload(RunSpec("rocksdb", "A", 1, slowdown=False),
-                          mini_profile(128), trace_path=str(trace),
-                          lineage=True)
+                          mini_profile(128), tracer=tracer, lineage=True)
+    write_chrome_trace(tracer, str(trace))
     return result, trace
 
 

@@ -9,6 +9,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from helpers import run, small_db, small_options  # noqa: E402
 
+from repro.bench.profiles import paper_profile  # noqa: E402
 from repro.sim import Environment  # noqa: E402
 from repro.types import ValueRef  # noqa: E402
 from repro.workload import (  # noqa: E402
@@ -80,11 +81,14 @@ class TestSpecs:
         assert WORKLOADS["A"].kind == "fillrandom"
         assert WORKLOADS["B"].write_ratio == pytest.approx(0.9)
         assert WORKLOADS["C"].read_ratio == pytest.approx(0.2)
-        assert WORKLOADS["D"].seek_nexts == 1024
-        assert WORKLOADS["D"].fill_bytes == 20 * 1024 ** 3
-        for spec in WORKLOADS.values():
-            assert spec.key_size == 4
-            assert spec.value_size == 4096
+        assert WORKLOADS["D"].kind == "seekrandom"
+        # Sizes, D's Nexts and its fill are what the runner reads: the
+        # profile's constants.
+        paper = paper_profile()
+        assert paper.seekrandom_nexts == 1024
+        assert paper.seekrandom_fill_bytes == 20 * 1024 ** 3
+        assert paper.key_size == 4
+        assert paper.value_size == 4096
 
     def test_invalid_spec(self):
         from repro.workload import WorkloadSpec
@@ -114,7 +118,7 @@ class TestDrivers:
                                      read_ratio=0.1)
         p = drv.start()
         env.run(until=p)
-        env.run(until=env.now + 0.01)  # let the reader notice _done
+        env.run(until=env.now + 0.01)  # let the reader notice the writer ended
         assert drv.write_ops > 0 and drv.read_ops > 0
         ratio = drv.read_ops / drv.write_ops
         assert ratio == pytest.approx(1 / 9, rel=0.5)
