@@ -43,8 +43,7 @@ def _run_multi_device(profile):
     env.run(until=driver.start())
     collector.stop()
     result = collector.result(driver.write_ops, 0, driver.write_bytes,
-                              write_controller=db.main.write_controller,
-                              host_cpu=cpu, pcie_ledger=setup.pcie.ledger)
+                              [(db, setup, cpu)])
     result.extra["redirected_writes"] = db.controller.redirected_writes
     db.close()
     return result

@@ -191,11 +191,9 @@ for spec in [RunSpec("rocksdb", "A", 1, slowdown=True),
     env.run(until=driver.start())
     collector.stop()
 
-    main = getattr(db, "main", db)
     redirect = ssd.devlsm.total_bytes
     result = collector.result(driver.write_ops, 0, driver.write_bytes,
-                              write_controller=main.write_controller,
-                              host_cpu=cpu, pcie_ledger=ssd.pcie.ledger)
+                              [(db, ssd, cpu)])
 
     wa = write_amplification(db, user_bytes=driver.write_bytes,
                              redirect_bytes=redirect)

@@ -67,8 +67,7 @@ for spec in [RunSpec("rocksdb", "A", 1, slowdown=True),
         f"{elapsed*1000:.0f} ms",
         f"{driver.write_ops / elapsed / 1000:.1f}",
         f"{driver.read_ops / elapsed / 1000:.1f}",
-        db.main.write_controller.stall_events if hasattr(db, "main")
-        else db.write_controller.stall_events,
+        db.write_controller.stall_events,
     ])
     db.close()
 

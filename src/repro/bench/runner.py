@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..adoc import AdocDb, AdocTunerConfig
-from ..cluster import ROUTER_POLICIES, ClusterCpuView, ClusterDb, ClusterFabric, make_router
+from ..cluster import ROUTER_POLICIES, ClusterDb, make_router
 from ..core import KvaccelDb, RollbackConfig
 from ..device import CpuModel, HybridSsd
 from ..lsm import DbImpl
@@ -158,8 +158,8 @@ def _build_cluster(env: Environment, profile: ExperimentProfile,
 
     Shards are named ``shard<N>`` (their internal daemons inherit the
     prefix — the hook shard-scoped fault plans key on) and built in shard
-    id order.  A 1-shard cluster returns the real shard's ssd/cpu so the
-    harness measures exactly the single-instance objects."""
+    id order.  A cluster has no single ssd or cpu: its hosts are
+    ``db.shards``."""
     shards = []
     for sid in range(spec.shards):
         shards.append(_build_kvaccel_shard(
@@ -167,15 +167,12 @@ def _build_cluster(env: Environment, profile: ExperimentProfile,
             cpu_name=f"shard{sid}.host" if spec.shards > 1 else "host"))
     router = make_router(spec.router, spec.shards, profile.key_space,
                          seed=spec.seed)
-    db = ClusterDb(env, shards, router)
-    if spec.shards == 1:
-        _, ssd, cpu = shards[0]
-        return db, ssd, cpu
-    return db, ClusterFabric(db.shards), ClusterCpuView(db.shards)
+    return ClusterDb(env, shards, router), None, None
 
 
 def build_system(env: Environment, profile: ExperimentProfile, spec: RunSpec):
-    """Instantiate (db, ssd, cpu) for a spec."""
+    """Instantiate (db, ssd, cpu) for a spec (``ssd``/``cpu`` are None
+    for a cluster, whose hosts are its shards)."""
     if spec.system == "cluster":
         return _build_cluster(env, profile, spec)
     if spec.system == "kvaccel":
@@ -201,10 +198,6 @@ def build_system(env: Environment, profile: ExperimentProfile, spec: RunSpec):
                         interval=profile.adoc_interval,
                         max_compaction_threads=spec.compaction_threads * 2))
     return db, ssd, cpu
-
-
-def _main_db(db):
-    return db.main if isinstance(db, KvaccelDb) else db
 
 
 def run_workload(
@@ -283,8 +276,7 @@ def run_workload(
     if wl.kind == "seekrandom" and profile.seekrandom_fill_bytes > 0:
         p = fill_database(env, db, profile.seekrandom_fill_bytes, cfg)
         env.run(until=p)
-        main = _main_db(db)
-        env.run(until=env.process(main.wait_for_quiesce()))
+        env.run(until=env.process(db.wait_for_quiesce()))
 
     # Lineage installs after the preload so the fill phase does not
     # pollute the measured op population.
@@ -292,7 +284,11 @@ def run_workload(
 
     collector = RunCollector(env, spec.display,
                              sample_period=profile.sample_period)
-    collector.attach_db_stats(db.stats)
+    # The run's hosts, shard-id order: what the collector reduces over.
+    stacks = ([(sh.db, sh.ssd, sh.cpu) for sh in db.shards]
+              if isinstance(db, ClusterDb) else [(db, ssd, cpu)])
+    for host, _ssd, _cpu in stacks:
+        collector.attach_db_stats(host.stats)
 
     if wl.kind == "fillrandom":
         driver = FillRandomDriver(env, db, cfg)
@@ -314,29 +310,20 @@ def run_workload(
     if hub is not None:
         hub.stop(flush=True)
 
-    main = _main_db(db)
-    result = collector.result(
-        write_ops=driver.write_ops,
-        read_ops=driver.read_ops,
-        write_bytes=driver.write_bytes,
-        write_controller=main.write_controller,
-        host_cpu=cpu,
-        pcie_ledger=ssd.pcie.ledger,
-    )
+    result = collector.result(driver.write_ops, driver.read_ops,
+                              driver.write_bytes, stacks)
     result.extra["snapshot"] = (db.snapshot() if hasattr(db, "snapshot")
-                                else main.property_snapshot())
+                                else db.property_snapshot())
     result.extra["spec"] = spec
     result.extra["profile"] = profile.name
     result.extra["sample_period"] = profile.sample_period
     result.extra["device_peak_bw"] = profile.device_peak_bw
-    if isinstance(db, KvaccelDb):
-        result.extra["redirected_writes"] = db.controller.redirected_writes
-        result.extra["rollbacks"] = db.rollback_manager.rollback_count
-    elif isinstance(db, ClusterDb):
+    if isinstance(stacks[0][0], KvaccelDb):
         result.extra["redirected_writes"] = sum(
-            sh.db.controller.redirected_writes for sh in db.shards)
+            host.controller.redirected_writes for host, _ssd, _cpu in stacks)
         result.extra["rollbacks"] = sum(
-            sh.db.rollback_manager.rollback_count for sh in db.shards)
+            host.rollback_manager.rollback_count for host, _ssd, _cpu in stacks)
+    if isinstance(db, ClusterDb):
         result.extra["cluster"] = db.cluster_report()
     if isinstance(driver, SeekRandomDriver):
         result.extra["seeks"] = driver.seeks

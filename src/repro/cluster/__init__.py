@@ -9,13 +9,7 @@ the determinism contract.
 """
 
 from .chaos import ShardScopedPlan, arm_shard
-from .cluster import (
-    ClusterCpuView,
-    ClusterDb,
-    ClusterFabric,
-    ClusterShard,
-    shard_process_name,
-)
+from .cluster import ClusterDb, ClusterShard, shard_process_name
 from .replica import (
     INDEX_SHIP,
     REPLAY,
@@ -48,8 +42,6 @@ from .router import (
 __all__ = [
     "ClusterDb",
     "ClusterShard",
-    "ClusterFabric",
-    "ClusterCpuView",
     "shard_process_name",
     "Router",
     "HashRouter",

@@ -6,8 +6,10 @@ daemon — all scheduled on one shared :class:`~repro.sim.Environment`, so a
 single simulated clock orders every event across the fleet.  A
 :class:`~repro.cluster.router.Router` decides key ownership; the facade
 mirrors the single-instance data plane (``put``/``put_batch``/``get``/
-``delete``/``scan``) so every existing driver — and the whole ``repro.bench``
-harness — runs against a cluster unchanged.
+``delete``/``scan``) so every existing driver runs against a cluster
+unchanged.  It does not pass for one store beyond that: a run's
+measurements come from ``shards``, one ``(db, ssd, cpu)`` stack each, which
+:class:`~repro.metrics.RunCollector` reduces over.
 
 Determinism contract (MODEL.md "Cluster clock"):
 
@@ -49,8 +51,7 @@ from .replica import ACTIVE, BackupReplica, ReplicaGroup, ReplicationConfig
 from .reshard import Migration, RebalanceConfig
 from .router import HashRouter, Router
 
-__all__ = ["ClusterDb", "ClusterShard", "ClusterFabric", "ClusterCpuView",
-           "shard_process_name"]
+__all__ = ["ClusterDb", "ClusterShard", "shard_process_name"]
 
 
 def shard_process_name(sid: int, op: str) -> str:
@@ -61,24 +62,6 @@ def shard_process_name(sid: int, op: str) -> str:
     here.
     """
     return f"shard{sid}.{op}"
-
-
-class _TeeHistogram:
-    """Fan one ``record`` stream into several histograms.
-
-    Used to keep the per-shard latency view alive while a RunCollector's
-    aggregate histogram is attached on top: recording is pure Python with
-    no Environment interaction, so teeing never perturbs a trajectory.
-    """
-
-    __slots__ = ("sinks",)
-
-    def __init__(self, *sinks):
-        self.sinks = [s for s in sinks if s is not None]
-
-    def record(self, value: float, count: int = 1) -> None:
-        for s in self.sinks:
-            s.record(value, count)
 
 
 class ClusterShard:
@@ -146,149 +129,6 @@ class ClusterShard:
         return doc
 
 
-class _ClusterStats:
-    """DbStats facade: attaching a collector's histograms tees them onto
-    every shard's stats without losing the per-shard view."""
-
-    def __init__(self, cluster: "ClusterDb"):
-        self._cluster = cluster
-        self._write_latencies = None
-        self._read_latencies = None
-
-    @property
-    def write_latencies(self):
-        return self._write_latencies
-
-    @write_latencies.setter
-    def write_latencies(self, hist) -> None:
-        self._write_latencies = hist
-        for sh in self._cluster.shards:
-            sh.db.stats.write_latencies = _TeeHistogram(sh.write_hist, hist)
-
-    @property
-    def read_latencies(self):
-        return self._read_latencies
-
-    @read_latencies.setter
-    def read_latencies(self, hist) -> None:
-        self._read_latencies = hist
-        for sh in self._cluster.shards:
-            sh.db.stats.read_latencies = _TeeHistogram(sh.read_hist, hist)
-
-    def __getattr__(self, name):
-        # Cumulative counters sum across the fleet.
-        total = 0
-        for sh in self._cluster.shards:
-            total += getattr(sh.db.stats, name)
-        return total
-
-
-class _ClusterWriteController:
-    """Aggregate view over the shards' write controllers.
-
-    RunCollector reads exactly these fields; for a 1-shard cluster every
-    value equals the underlying controller's, keeping the golden
-    trajectory pinned.
-    """
-
-    def __init__(self, cluster: "ClusterDb"):
-        self._cluster = cluster
-
-    def _wcs(self):
-        return [sh.db.write_controller for sh in self._cluster.shards]
-
-    def finalize(self) -> None:
-        for wc in self._wcs():
-            wc.finalize()
-
-    @property
-    def stall_intervals(self) -> list:
-        merged = list(heapq.merge(*(wc.stall_intervals for wc in self._wcs())))
-        return merged
-
-    @property
-    def stall_events(self) -> int:
-        return sum(wc.stall_events for wc in self._wcs())
-
-    @property
-    def slowdown_events(self) -> int:
-        return sum(wc.slowdown_events for wc in self._wcs())
-
-    @property
-    def total_stall_time(self) -> float:
-        return sum(wc.total_stall_time for wc in self._wcs())
-
-    @property
-    def total_delayed_time(self) -> float:
-        return sum(wc.total_delayed_time for wc in self._wcs())
-
-    def breakdown(self) -> dict:
-        out: dict[str, dict] = {}
-        for wc in self._wcs():
-            for section, counters in wc.breakdown().items():
-                acc = out.setdefault(section, {})
-                for reason, v in counters.items():
-                    acc[reason] = acc.get(reason, 0) + v
-        return out
-
-
-class _SummedLedger:
-    """Read-only sum of per-shard TrafficLedgers, bucket-aligned.
-
-    All shards share one ledger bucket size (they come from the same
-    profile), so summing by bucket index is exact."""
-
-    def __init__(self, ledgers: list):
-        self._ledgers = ledgers
-
-    @property
-    def total_bytes(self) -> float:
-        return sum(l.total_bytes for l in self._ledgers)
-
-    def series(self, t_end: Optional[float] = None):
-        times: list = []
-        values: list = []
-        for led in self._ledgers:
-            t, v = led.series(t_end=t_end)
-            if len(t) > len(times):
-                values.extend(0.0 for _ in range(len(t) - len(values)))
-                times = t
-            for i, x in enumerate(v):
-                values[i] += x
-        return times, values
-
-    def bytes_in(self, t0: float, t1: float) -> float:
-        return sum(l.bytes_in(t0, t1) for l in self._ledgers)
-
-
-class _PcieView:
-    def __init__(self, ledger: _SummedLedger):
-        self.ledger = ledger
-
-
-class ClusterFabric:
-    """The ``ssd``-shaped object a multi-shard run hands the harness:
-    fleet-total PCIe traffic (per-shard links summed per bucket)."""
-
-    def __init__(self, shards: list):
-        self.shards = shards
-        self.pcie = _PcieView(_SummedLedger(
-            [sh.ssd.pcie.ledger for sh in shards]))
-
-
-class ClusterCpuView:
-    """The ``cpu``-shaped harness object: mean utilisation across the
-    shard hosts (each shard has its own host CPU)."""
-
-    def __init__(self, shards: list):
-        self.shards = shards
-        self.cores = sum(sh.cpu.cores for sh in shards)
-
-    def utilization(self, t0: float, t1: float) -> float:
-        cpus = [sh.cpu for sh in self.shards]
-        return sum(c.utilization(t0, t1) for c in cpus) / len(cpus)
-
-
 class ClusterDb:
     """The sharded serving layer: one facade over N KVACCEL shards."""
 
@@ -315,8 +155,6 @@ class ClusterDb:
         self.shards = [ClusterShard(i, db, ssd, cpu)
                        for i, (db, ssd, cpu) in enumerate(shards)]
         self._single = self.shards[0] if len(self.shards) == 1 else None
-        self.stats = _ClusterStats(self)
-        self.write_controller = _ClusterWriteController(self)
         # Replica groups (empty dict = replication off; the data-plane
         # guard tests exactly this).
         self.groups: dict[int, ReplicaGroup] = {}
@@ -332,9 +170,7 @@ class ClusterDb:
                         f"backup stacks, got {len(stack_list)}")
                 reps = [BackupReplica(db, ssd, cpu)
                         for db, ssd, cpu in stack_list]
-                self.groups[sh.sid] = ReplicaGroup(
-                    env, sh, reps, replication,
-                    rebind=self._rebind_shard_stats)
+                self.groups[sh.sid] = ReplicaGroup(env, sh, reps, replication)
             self._retry = RetryExecutor(env, replication.retry,
                                         name=f"{name}.failover")
         # Live resharding state.
@@ -625,18 +461,6 @@ class ClusterDb:
             self.env.probes.touch("reshard.complete")
 
     # -- replication hooks ----------------------------------------------------
-    def _rebind_shard_stats(self, sh: ClusterShard) -> None:
-        """Post-promotion: point the slot's latency views (and any
-        collector histogram teed on top) at the promoted stack."""
-        wl = self.stats._write_latencies
-        rl = self.stats._read_latencies
-        sh.db.stats.write_latencies = (
-            _TeeHistogram(sh.write_hist, wl) if wl is not None
-            else sh.write_hist)
-        sh.db.stats.read_latencies = (
-            _TeeHistogram(sh.read_hist, rl) if rl is not None
-            else sh.read_hist)
-
     def drain_replication(self) -> Generator:
         """Apply every acked record to every backup now (test/verify
         hook; ascending shard id for determinism)."""

@@ -151,7 +151,7 @@ class ReplicaGroup:
     """Primary + K backups behind one cluster shard slot."""
 
     def __init__(self, env: Environment, shard, backups: list,
-                 config: ReplicationConfig, rebind=None):
+                 config: ReplicationConfig):
         if not backups:
             raise ValueError("a replica group needs at least one backup")
         self.env = env
@@ -171,7 +171,6 @@ class ReplicaGroup:
         self.last_failover_duration = 0.0
         self.catchup_records = 0        # lag-window size at last promotion
         self.retired: list = []         # demoted (dead) primary stacks
-        self._rebind = rebind           # cluster hook: re-attach stats sinks
         self._stopped = False
         self._applying = False          # replicator mid-apply (promotion barrier)
         # The host-to-host replication pipe.  Its per-frame fault site is
@@ -364,9 +363,12 @@ class ReplicaGroup:
         p.touch("repl.promote")
         sh = self.shard
         self.retired.append((sh.db, sh.ssd, sh.cpu))
+        # The slot's latency sinks (and any collector teed onto them)
+        # move to the promoted stack with the slot.
+        dead, live = sh.db.stats, promoted.db.stats
+        live.write_latencies = dead.write_latencies
+        live.read_latencies = dead.read_latencies
         sh.db, sh.ssd, sh.cpu = promoted.db, promoted.ssd, promoted.cpu
-        if self._rebind is not None:
-            self._rebind(sh)
         self.epoch += 1
         self.failovers += 1
         self.misses = 0

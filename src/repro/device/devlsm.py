@@ -106,7 +106,13 @@ class DevIterator:
 
 
 class DevLsm:
-    """The in-device LSM over the FTL's KV region."""
+    """The in-device LSM over (a slice of) the FTL's KV region.
+
+    ``lpns`` is the logical-page range its runs are mapped into: the whole
+    KV region for the device's own Dev-LSM, a disjoint per-tenant slice
+    for a KV namespace, so one tenant's flush or reset never touches
+    another's pages.
+    """
 
     def __init__(
         self,
@@ -114,14 +120,15 @@ class DevLsm:
         ftl: Ftl,
         nand: NandArray,
         arm: CpuModel,
+        lpns: range,
         config: Optional[DevLsmConfig] = None,
     ):
         self.env = env
         self.ftl = ftl
         self.nand = nand
         self.arm = arm
+        self.lpns = lpns
         self.config = config or DevLsmConfig()
-        self._region = ftl.region("kv")
         self.page_size = ftl.geometry.page_size
 
         self._memtable: dict[bytes, Entry] = {}
@@ -237,10 +244,10 @@ class DevLsm:
             yield from self._compact()
 
     def _alloc_lpn(self) -> int:
-        """Next KV-region LPN, sequential from the region start and
-        wrapping at its end."""
-        region = self._region
-        lpn = region.lpn_start + self._lpns_allocated % region.lpn_count
+        """Next LPN of ``lpns``, sequential from its start and wrapping at
+        its end."""
+        lpns = self.lpns
+        lpn = lpns.start + self._lpns_allocated % len(lpns)
         self._lpns_allocated += 1
         return lpn
 
@@ -370,10 +377,8 @@ class DevLsm:
         self._memtable_bytes = 0
         self.runs = []
         # Trim exactly the LPNs handed out since the last reset, ascending:
-        # a prefix of the region, or all of it once allocation wrapped.
-        start = self._region.lpn_start
-        used = min(self._lpns_allocated, self._region.lpn_count)
-        for lpn in range(start, start + used):
+        # a prefix of ``lpns``, or all of it once allocation wrapped.
+        for lpn in self.lpns[:self._lpns_allocated]:
             self.ftl.trim(lpn)
         self._lpns_allocated = 0
 

@@ -88,7 +88,9 @@ class HybridSsd:
         self.arm = CpuModel(env, cores=cfg.arm_cores, name="arm")
 
         self.block = BlockDevice(env, self.ftl, self.nand, self.pcie)
+        kv = self.ftl.region("kv")
         self.devlsm = DevLsm(env, self.ftl, self.nand, self.arm,
+                             range(kv.lpn_start, kv.lpn_start + kv.lpn_count),
                              config=cfg.devlsm)
         self.kv = KvDevice(env, self.devlsm, self.pcie, host_cpu,
                            config=cfg.kv)

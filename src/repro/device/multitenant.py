@@ -6,9 +6,10 @@ namespaces and multi-tenancy on the key-value interface are compatible
 with KVACCEL's key-value interface implementation."
 
 :class:`NamespacedKvInterface` realizes that: each KV namespace owns a
-private :class:`~repro.device.DevLsm` (its own device-DRAM memtable quota
-and runs), while all namespaces share the physical NAND array, the FTL's
-KV region, the ARM core, and the PCIe link — so tenants are *logically*
+private :class:`~repro.device.DevLsm` (its own device-DRAM memtable quota,
+runs, and a disjoint slice of the KV region's logical pages sized by its
+quota), while all namespaces share the physical NAND array, the FTL's KV
+block pool, the ARM core, and the PCIe link — so tenants are *logically*
 isolated but *physically* contended, exactly the property the paper's
 cited KV-SSD namespace work (HotStorage '21) provides.
 """
@@ -74,6 +75,20 @@ class NamespacedKvInterface:
         self._kv_capacity = (ftl.region("kv").lpn_count
                              * ftl.geometry.page_size)
 
+    def _slice(self, pages: int) -> range:
+        """The first run of ``pages`` KV-region LPNs no tenant holds."""
+        kv = self.ftl.region("kv")
+        start = kv.lpn_start
+        for held in sorted((ns.kv.devlsm.lpns
+                            for ns in self._namespaces.values()),
+                           key=lambda r: r.start):
+            if held.start - start >= pages:
+                break
+            start = held.stop
+        if start + pages > kv.lpn_start + kv.lpn_count:
+            raise ValueError(f"KV region has no free run of {pages} pages")
+        return range(start, start + pages)
+
     # -- management --------------------------------------------------------
     def create(self, name: str, quota_bytes: int,
                memtable_bytes: Optional[int] = None) -> KvNamespace:
@@ -93,7 +108,9 @@ class NamespacedKvInterface:
         cfg = self.devlsm_config
         if memtable_bytes is not None:
             cfg = replace(cfg, memtable_bytes=memtable_bytes)
-        devlsm = DevLsm(self.env, self.ftl, self.nand, self.arm, config=cfg)
+        pages = -(-quota_bytes // self.ftl.geometry.page_size)
+        devlsm = DevLsm(self.env, self.ftl, self.nand, self.arm,
+                        self._slice(pages), config=cfg)
         kv = KvDevice(self.env, devlsm, self.pcie, self.host_cpu,
                       config=self.kv_config)
         ns = KvNamespace(self._next_nsid, name, kv, quota_bytes)

@@ -4,16 +4,22 @@ One :class:`RunCollector` per experiment run wires per-second samplers onto
 a DB's counters and owns the latency histograms.  At the end of a run it
 produces a :class:`RunResult` — the object every benchmark prints and
 asserts against.
+
+A run's hosts are a list of stacks, ``[(db, ssd, cpu), ...]`` in shard-id
+order — one entry for a single store, one per shard for a cluster.  Every
+fleet field is reduced over that list here and nowhere else, so one stack
+and N go through the same formula.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Optional
 
 from ..sim import Environment, PeriodicSampler, RateMeter
 from .efficiency import efficiency
-from .histogram import LatencyHistogram
+from .histogram import LatencyHistogram, tee
 
 __all__ = ["RunCollector", "RunResult"]
 
@@ -141,9 +147,10 @@ class RunCollector:
                 env, sample, sample_period, name=f"{name}.trace")
 
     def attach_db_stats(self, stats) -> None:
-        """Point a DbStats' latency hooks at our histograms."""
-        stats.write_latencies = self.write_hist
-        stats.read_latencies = self.read_hist
+        """Add our histograms as one more sink on a DbStats' latency
+        hooks (a sink it already has keeps receiving)."""
+        stats.write_latencies = tee(stats.write_latencies, self.write_hist)
+        stats.read_latencies = tee(stats.read_latencies, self.read_hist)
 
     def stop(self) -> None:
         self._write_sampler.stop()
@@ -151,16 +158,14 @@ class RunCollector:
         if self._trace_sampler is not None:
             self._trace_sampler.stop()
 
-    def result(
-        self,
-        write_ops: int,
-        read_ops: int,
-        write_bytes: int,
-        write_controller=None,
-        host_cpu=None,
-        pcie_ledger=None,
-    ) -> RunResult:
-        duration = self.env.now - self._t0
+    def result(self, write_ops: int, read_ops: int, write_bytes: int,
+               stacks=()) -> RunResult:
+        """The run's RunResult; stall, CPU and PCIe fields are reduced over
+        ``stacks`` (``[(db, ssd, cpu), ...]``, shard-id order): counters and
+        the stall breakdown summed, stall intervals heap-merged, host CPU
+        the mean over the stacks, the PCIe series summed bucket by bucket."""
+        now = self.env.now
+        duration = now - self._t0
         res = RunResult(
             name=self.name,
             duration=duration,
@@ -173,18 +178,32 @@ class RunCollector:
             write_latency=self.write_hist.summary() if self.write_hist.total_count else None,
             read_latency=self.read_hist.summary() if self.read_hist.total_count else None,
         )
-        if write_controller is not None:
-            write_controller.finalize()
-            res.stall_intervals = list(write_controller.stall_intervals)
-            res.stall_events = write_controller.stall_events
-            res.slowdown_events = write_controller.slowdown_events
-            res.total_stall_time = write_controller.total_stall_time
-            res.total_delayed_time = write_controller.total_delayed_time
-            res.stall_breakdown = write_controller.breakdown()
-        if host_cpu is not None and duration > 0:
-            res.cpu_utilization = host_cpu.utilization(self._t0, self.env.now)
-        if pcie_ledger is not None:
-            times, series = pcie_ledger.series(t_end=self.env.now)
-            res.pcie_times = times
-            res.pcie_series = series
+        if not stacks:
+            return res
+        wcs = [db.write_controller for db, _ssd, _cpu in stacks]
+        for wc in wcs:
+            wc.finalize()
+        res.stall_intervals = list(heapq.merge(*(wc.stall_intervals
+                                                 for wc in wcs)))
+        res.stall_events = sum(wc.stall_events for wc in wcs)
+        res.slowdown_events = sum(wc.slowdown_events for wc in wcs)
+        res.total_stall_time = sum(wc.total_stall_time for wc in wcs)
+        res.total_delayed_time = sum(wc.total_delayed_time for wc in wcs)
+        for wc in wcs:
+            for section, counters in wc.breakdown().items():
+                acc = res.stall_breakdown.setdefault(section, {})
+                for reason, v in counters.items():
+                    acc[reason] = acc.get(reason, 0) + v
+        if duration > 0:
+            res.cpu_utilization = sum(cpu.utilization(self._t0, now)
+                                      for _db, _ssd, cpu in stacks) / len(stacks)
+        # Every stack's ledger has the profile's bucket, so summing by
+        # bucket index is exact.
+        for _db, ssd, _cpu in stacks:
+            times, values = ssd.pcie.ledger.series(t_end=now)
+            if len(times) > len(res.pcie_times):
+                res.pcie_series += [0.0] * (len(times) - len(res.pcie_series))
+                res.pcie_times = times
+            for i, x in enumerate(values):
+                res.pcie_series[i] += x
         return res

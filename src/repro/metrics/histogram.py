@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["LatencyHistogram"]
+__all__ = ["LatencyHistogram", "tee"]
 
 
 class LatencyHistogram:
@@ -100,3 +100,26 @@ class LatencyHistogram:
             "p99": self.percentile(99),
             "p99.9": self.percentile(99.9),
         }
+
+
+class _Tee:
+    """Fan one ``record`` stream into several histograms.
+
+    Recording is pure Python with no Environment interaction, so teeing
+    never perturbs a trajectory.
+    """
+
+    __slots__ = ("sinks",)
+
+    def __init__(self, *sinks):
+        self.sinks = sinks
+
+    def record(self, value: float, count: int = 1) -> None:
+        for s in self.sinks:
+            s.record(value, count)
+
+
+def tee(sink, hist):
+    """``sink`` with ``hist`` added as one more recipient (``hist`` alone
+    when there is no sink yet)."""
+    return hist if sink is None else _Tee(sink, hist)

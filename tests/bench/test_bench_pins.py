@@ -15,8 +15,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench import RunSpec, mini_profile, run_workload
 from repro.bench.__main__ import main as bench_main
-from repro.bench.baseline import default_baseline_path
+from repro.bench.baseline import cell_metrics, default_baseline_path
 from repro.bench.runner import WALL_EXTRA_KEYS
 from repro.obs.__main__ import main as obs_main
 from repro.obs.compare import load_baseline
@@ -38,6 +39,18 @@ def test_quick_run_reproduces_checked_in_pin(exp, tmp_path, capsys):
     rc = obs_main(["compare", str(_pin(exp)),
                    str(default_baseline_path(exp, tmp_path))])
     assert rc == 0, capsys.readouterr().out
+
+
+def test_two_shard_cluster_cell_reproduces_its_pin():
+    """The fleet fields of a multi-shard run are reductions over the shard
+    stacks (stall counters summed, host CPU averaged); one cell of the
+    cluster pin holds them to the value CI's ``bench-pins`` checks (pins
+    are recorded with telemetry on, as ``--json`` runs every cell)."""
+    result = run_workload(RunSpec("cluster", "A", 1, rollback="disabled",
+                                  shards=2), mini_profile(256),
+                          telemetry=True)
+    pin = json.loads(_pin("cluster").read_text())["cells"]["Cluster(2)"]
+    assert cell_metrics(result) == pin
 
 
 def test_all_checked_in_pins_load_without_wall_clock_keys():

@@ -26,6 +26,7 @@ from repro.cluster import (  # noqa: E402
     failover_sweep,
     run_failover_scenario,
 )
+from repro.metrics import RunCollector  # noqa: E402
 from repro.resil import (  # noqa: E402
     TRANSIENT,
     FailoverInProgress,
@@ -87,6 +88,38 @@ def test_default_retry_rides_out_the_failover_window():
     assert run(env, cluster.get(encode_key(2))) == b"after-promotion"
     # The pre-kill acked write survived via catch-up.
     assert run(env, cluster.get(encode_key(1))) == b"before"
+    cluster.close()
+
+
+def test_promotion_hands_the_latency_sinks_to_the_promoted_stack():
+    """The slot's latency sinks follow it across a promotion: writes and
+    reads to the promoted stack still land in the slot's histograms and
+    in a run collector's histograms teed on top of them."""
+    env = Environment()
+    cluster, _ = make_replicated_cluster(env, shards=1)
+    collector = RunCollector(env, "failover")
+    for sh in cluster.shards:
+        collector.attach_db_stats(sh.db.stats)
+    run(env, cluster.put(encode_key(1), b"before"))
+    grp, slot = cluster.groups[0], cluster.shards[0]
+    dead = slot.db
+    grp.kill_primary()
+
+    def promotion():
+        while grp.epoch == 0:
+            yield env.timeout(grp.config.heartbeat_period)
+
+    run(env, promotion())
+    assert slot.db is not dead
+    hists = (slot.write_hist, collector.write_hist,
+             slot.read_hist, collector.read_hist)
+    before = [h.total_count for h in hists]
+    n = 5
+    for i in range(n):
+        run(env, cluster.put(encode_key(10 + i), b"after"))
+    assert run(env, cluster.get(encode_key(10))) == b"after"
+    assert [h.total_count - c for h, c in zip(hists, before)] == [n, n, 1, 1]
+    collector.stop()
     cluster.close()
 
 

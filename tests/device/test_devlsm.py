@@ -24,7 +24,12 @@ def make_devlsm(env, memtable_bytes=4096, **cfg_kw):
     nand = NandArray(env, g, peak_bandwidth=100 * MiB)
     arm = CpuModel(env, cores=1, name="arm")
     cfg = DevLsmConfig(memtable_bytes=memtable_bytes, **cfg_kw)
-    return DevLsm(env, ftl, nand, arm, config=cfg)
+    return DevLsm(env, ftl, nand, arm, _kv_lpns(ftl), config=cfg)
+
+
+def _kv_lpns(ftl):
+    kv = ftl.region("kv")
+    return range(kv.lpn_start, kv.lpn_start + kv.lpn_count)
 
 
 def run(env, gen):
@@ -189,7 +194,7 @@ def test_reset_leaves_ftl_as_the_full_range_walk_does(rounds, puts):
                          pages_per_block=16, page_size=4096)
         ftl = Ftl(g, split_fraction=0.5)
         dl = DevLsm(env, ftl, NandArray(env, g, peak_bandwidth=100 * MiB),
-                    CpuModel(env, cores=1, name="arm"),
+                    CpuModel(env, cores=1, name="arm"), _kv_lpns(ftl),
                     config=DevLsmConfig(memtable_bytes=128))
         return env, dl
 

@@ -88,6 +88,31 @@ class TestKvNamespaces:
         with pytest.raises(KeyError):
             iface.delete(a.nsid)
 
+    def test_tenants_map_disjoint_pages(self):
+        """Each namespace flushes into its own slice of the KV region: two
+        tenants' runs occupy the sum of their pages, and deleting one
+        trims only its own."""
+        env = Environment()
+        iface, ssd = self._iface(env)
+        a = iface.create("a", quota_bytes=1 * MiB)
+        b = iface.create("b", quota_bytes=1 * MiB)
+
+        def pages(ns):
+            page = ssd.config.geometry.page_size
+            return sum(max(1, -(-r.nbytes // page))
+                       for r in ns.kv.devlsm.runs)
+
+        for ns, base in ((a, 0), (b, 10_000)):
+            for i in range(40):
+                run(env, ns.kv.put(encode_key(base + i), i + 1, b"t" * 1024))
+        assert pages(a) > 0 and pages(b) > 0
+        assert ssd.ftl.mapped_pages("kv") == pages(a) + pages(b)
+        iface.delete(a.nsid)
+        assert ssd.ftl.mapped_pages("kv") == pages(b)
+        assert run(env, b.kv.get(encode_key(10_000))) is not None
+        c = iface.create("c", quota_bytes=1 * MiB)     # reuses a's slice
+        assert not set(c.kv.devlsm.lpns) & set(b.kv.devlsm.lpns)
+
     def test_tenants_share_nand_contention(self):
         """Two tenants writing concurrently see the shared NAND queue."""
         env = Environment()

@@ -168,7 +168,11 @@ class TestRunCollector:
         assert res.write_p99_us > 0
 
     def test_result_with_cpu_and_pcie(self):
+        from types import SimpleNamespace
+
         from repro.device import CpuModel, PcieLink
+        from repro.lsm import LsmOptions
+        from repro.lsm.write_controller import WriteController
         env = Environment()
         cpu = CpuModel(env, cores=2)
         pcie = PcieLink(env, bandwidth=1000)
@@ -181,6 +185,8 @@ class TestRunCollector:
         env.process(workload())
         env.run(until=4.0)
         col.stop()
-        res = col.result(0, 0, 0, host_cpu=cpu, pcie_ledger=pcie.ledger)
+        db = SimpleNamespace(write_controller=WriteController(
+            env, LsmOptions(), lambda: None))
+        res = col.result(0, 0, 0, [(db, SimpleNamespace(pcie=pcie), cpu)])
         assert res.cpu_utilization == pytest.approx(1.0 / 8.0)
         assert sum(res.pcie_series) == pytest.approx(500)
