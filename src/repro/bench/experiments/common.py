@@ -69,9 +69,9 @@ def _run_cell(payload):
 def _cell_worker(payload):
     """Run one cell in a worker process (module-level for picklability).
 
-    Live objects (:data:`LIVE_EXTRA_KEYS`: tracer, telemetry hub, fleet and
-    per-shard health monitors, journal) hold Environment references or
-    generators and cannot cross the process boundary; the data they back
+    Live objects (:data:`LIVE_EXTRA_KEYS`: tracer, telemetry hub, health
+    monitor, journal) hold Environment references or generators and
+    cannot cross the process boundary; the data they back
     (``result.telemetry``, ``result.health_events``, the written trace
     file) already lives on the RunResult, so workers strip the objects.
     """

@@ -10,8 +10,9 @@ Paper (average elapsed time):
 Two measurements are reported here:
 
 1. the *model constants* the simulation charges (these are the paper's
-   numbers, wired into DetectorConfig / MetadataCosts), verified to be
-   exactly what the host-CPU ledger accumulates; and
+   numbers, wired into DetectorConfig and the metadata module's cost
+   constants), verified to be exactly what the host-CPU ledger
+   accumulates; and
 2. a *real microbenchmark* of our Python implementations of the same
    operations (wall-clock perf_counter), to show the operations genuinely
    are sub-microsecond-to-few-microsecond hash/stat work.
@@ -21,7 +22,8 @@ from __future__ import annotations
 
 import time
 
-from ...core import DetectorConfig, MetadataCosts, MetadataManager, WriteStallDetector
+from ...core import DetectorConfig, MetadataManager, WriteStallDetector
+from ...core.metadata import CHECK_COST, DELETE_COST, INSERT_COST
 from ...device import CpuModel
 from ...lsm import LsmOptions
 from ...sim import Environment
@@ -52,7 +54,7 @@ def run(profile=None, quick: bool = False, ops: int = 50_000,
     # --- 1. model constants, verified through the CPU ledger ----------
     env = Environment()
     cpu = CpuModel(env, cores=8)
-    md = MetadataManager(cpu, MetadataCosts())
+    md = MetadataManager(cpu)
     keys = [encode_key(i) for i in range(ops)]
     for k in keys:
         md.insert(k)
@@ -104,11 +106,11 @@ def run(profile=None, quick: bool = False, ops: int = 50_000,
 
     rows = [
         ["Detector", fmt(det_us), fmt(PAPER["detector_us"]), "-"],
-        ["Key insert", fmt(MetadataCosts().insert * 1e6),
+        ["Key insert", fmt(INSERT_COST * 1e6),
          fmt(PAPER["insert_us"]), fmt(wall["insert_us"], 3)],
-        ["Key check", fmt(MetadataCosts().check * 1e6),
+        ["Key check", fmt(CHECK_COST * 1e6),
          fmt(PAPER["check_us"]), fmt(wall["check_us"], 3)],
-        ["Key delete", fmt(MetadataCosts().delete * 1e6),
+        ["Key delete", fmt(DELETE_COST * 1e6),
          fmt(PAPER["delete_us"]), fmt(wall["delete_us"], 3)],
     ]
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..core import DetectorConfig
-from ..device import DevLsmConfig, HybridSsdConfig, KvDeviceConfig, MiB, NandGeometry
+from ..device import DevLsmConfig, HybridSsdConfig, MiB, NandGeometry
 from ..lsm import LsmOptions
 from ..resil import ResilienceConfig
 
@@ -136,7 +136,6 @@ def mini_profile(scale: int = 64) -> ExperimentProfile:
         peak_nand_bandwidth=630 * MiB,
         ledger_bucket=bucket,
         devlsm=DevLsmConfig(memtable_bytes=max(64 * 1024, int(16 * MiB * s))),
-        kv=KvDeviceConfig(),
     )
     return ExperimentProfile(
         name=f"mini{scale}",

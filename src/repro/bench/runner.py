@@ -23,7 +23,8 @@ from ..device import CpuModel, HybridSsd
 from ..lsm import DbImpl
 from ..metrics import RunCollector, RunResult
 from ..obs import (HealthMonitor, Journal, LineageProfiler, TelemetryHub,
-                   Tracer, default_rules, register_digest_sources)
+                   Tracer, cluster_shard_rules, default_rules,
+                   register_digest_sources)
 from ..sim import Environment, install_kernel_profiler, uninstall_kernel_profiler
 from ..workload import (
     DriverConfig,
@@ -49,8 +50,7 @@ WALL_EXTRA_KEYS = ("wall_clock_s", "events_per_sec")
 # Live objects carried in RunResult.extra for interactive callers (the
 # dashboard, analyze scripts).  They hold Environment references and are
 # not picklable — parallel workers strip them before returning.
-LIVE_EXTRA_KEYS = ("tracer", "telemetry_hub", "health_monitor",
-                   "shard_health_monitor", "journal")
+LIVE_EXTRA_KEYS = ("tracer", "telemetry_hub", "health_monitor", "journal")
 
 
 @dataclass(frozen=True)
@@ -245,15 +245,16 @@ def run_workload(
         if health_rules is not None:
             rules = health_rules
         else:
-            # Per-shard SLO instances (cluster_shard_rules) are no
-            # longer wired here: ClusterDb registers its own
-            # HealthMonitor on the hub at construction, and its events
-            # are merged into ``health_events`` below.
             rules = default_rules(
                 period=profile.sample_period,
                 device_peak_bw=profile.device_peak_bw,
                 delayed_write_rate=profile.options.delayed_write_rate,
                 value_size=profile.value_size)
+        # A multi-shard cluster adds per-shard SLO instances after the
+        # fleet rules (stall_storm.shardK, shard_failover.shardK, ...).
+        if spec.system == "cluster" and spec.shards > 1:
+            rules = rules + cluster_shard_rules(
+                spec.shards, period=profile.sample_period)
         monitor = HealthMonitor(hub, rules)
         if sample_callback is not None:
             hub.on_sample(sample_callback)
@@ -332,16 +333,7 @@ def run_workload(
         result.telemetry = hub.export()
         result.extra["telemetry_hub"] = hub
         if monitor is not None:
-            events = [e.to_dict() for e in monitor.events]
-            # The cluster facade runs its own per-shard monitor
-            # (stall_storm.shardK, shard_failover.shardK, ...); merge
-            # its events so callers see one timeline.  sorted() is
-            # stable, so same-t events keep fleet-then-shard order.
-            shard_monitor = getattr(db, "health", None)
-            if shard_monitor is not None:
-                events += [e.to_dict() for e in shard_monitor.events]
-                result.extra["shard_health_monitor"] = shard_monitor
-            result.health_events = sorted(events, key=lambda e: e["t"])
+            result.health_events = [e.to_dict() for e in monitor.events]
             result.extra["health_monitor"] = monitor
     db.close()
     if tracer is not None:

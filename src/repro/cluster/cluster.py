@@ -48,7 +48,7 @@ from ..metrics import LatencyHistogram
 from ..resil import DEGRADED, HEALTHY, FailoverInProgress, RetryExecutor
 from ..sim import Environment
 from .replica import ACTIVE, BackupReplica, ReplicaGroup, ReplicationConfig
-from .reshard import Migration, RebalanceConfig
+from .reshard import SCAN_CHUNK, Migration, RebalanceConfig
 from .router import HashRouter, Router
 
 __all__ = ["ClusterDb", "ClusterShard", "shard_process_name"]
@@ -178,7 +178,6 @@ class ClusterDb:
         self.rebalances = 0
         self._moved_total = 0
         self._reshard_tel = False
-        self.health = None
         self._register_telemetry()
 
     # -- data plane ---------------------------------------------------------
@@ -418,7 +417,7 @@ class ClusterDb:
             for src in self.shards:
                 start = b"\x00"
                 while True:
-                    rows = yield from src.db.scan(start, cfg.scan_chunk)
+                    rows = yield from src.db.scan(start, SCAN_CHUNK)
                     if not rows:
                         break
                     mig.scanned_keys += len(rows)
@@ -450,7 +449,7 @@ class ClusterDb:
                         yield from self._shard_write(
                             src.sid, [(k, None) for k, _ in batch])
                         mig.moved_keys += len(batch)
-                    if len(rows) < cfg.scan_chunk:
+                    if len(rows) < SCAN_CHUNK:
                         break
                     start = rows[-1][0] + b"\x00"
         finally:
@@ -600,15 +599,6 @@ class ClusterDb:
                       lambda g=grp: float(g.misses))
             tel.gauge(f"cluster.shard{sid}.failover_duration",
                       lambda g=grp: g.last_failover_duration)
-        # Per-shard health/SLO rules auto-instantiate with the cluster
-        # (ROADMAP follow-up) — tests and the bench runner no longer wire
-        # them by hand.  Rule evaluation is a pure-Python sample callback,
-        # so this never perturbs a trajectory.
-        if len(self.shards) > 1 or self.groups:
-            from ..obs.rules import HealthMonitor, cluster_shard_rules
-            self.health = HealthMonitor(
-                tel, cluster_shard_rules(len(self.shards),
-                                         period=tel.period))
 
     def _ensure_reshard_telemetry(self) -> None:
         """Register the rebalance channels on first use — a run that

@@ -247,10 +247,6 @@ class ClientPopulation:
             yield self.env.timeout(poll)
 
     # -- reporting -----------------------------------------------------------
-    @property
-    def total_inflight(self) -> int:
-        return sum(s.inflight for s in self.states)
-
     def report(self) -> dict:
         return {
             "tenants": [s.report() for s in self.states],

@@ -79,6 +79,13 @@ MiB = 1 << 20
 # lengths, CRC — same order as the device capsule header).
 _RECORD_OVERHEAD = 16
 
+# Log records per replication frame.
+APPLY_BATCH = 64
+# Host-to-host replication link bandwidth, bytes/s.
+LINK_BANDWIDTH = 256 * MiB
+# Heartbeat cadence of the failure detector (sim seconds).
+HEARTBEAT_PERIOD = 0.005
+
 
 def _record_bytes(key: bytes, value) -> int:
     return _RECORD_OVERHEAD + len(key) + (len(value) if value else 0)
@@ -106,12 +113,8 @@ class ReplicationConfig:
     # Space amplification of shipping whole immutable runs (duplicate and
     # not-yet-compacted entries ride along) vs streaming just the ops.
     ship_amplification: float = 1.4
-    apply_batch: int = 64
     poll: float = 0.002            # replicator idle/retransmit poll
-    link_bandwidth: float = 256 * MiB
-    heartbeat_period: float = 0.005
     miss_threshold: int = 2
-    failover_on_latch: bool = True      # Main-LSM read-only latch
     failover_on_degraded: bool = False  # resil DEGRADED state
     retry: RetryPolicy = field(default_factory=_default_retry)
 
@@ -120,14 +123,13 @@ class ReplicationConfig:
             raise ValueError(f"mode must be one of {_MODES}")
         if self.backups < 1:
             raise ValueError("backups must be >= 1")
-        for name in ("lag", "ship_period", "ship_amplification",
-                     "poll", "heartbeat_period", "link_bandwidth"):
-            if getattr(self, name) <= 0 and name not in ("lag",):
+        for name in ("ship_period", "ship_amplification", "poll"):
+            if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.lag < 0:
             raise ValueError("lag must be >= 0")
-        if self.apply_batch < 1 or self.miss_threshold < 1:
-            raise ValueError("apply_batch and miss_threshold must be >= 1")
+        if self.miss_threshold < 1:
+            raise ValueError("miss_threshold must be >= 1")
 
 
 class BackupReplica:
@@ -176,7 +178,7 @@ class ReplicaGroup:
         # The host-to-host replication pipe.  Its per-frame fault site is
         # the dynamic "shard<N>.repl.transfer".
         self.link = BandwidthPipe(
-            env, bandwidth=config.link_bandwidth, latency=5e-6,
+            env, bandwidth=LINK_BANDWIDTH, latency=5e-6,
             ledger=TrafficLedger(), name=f"shard{self.sid}.repl")
         self._repl_proc = env.process(
             self._replicate(), name=f"shard{self.sid}.repl")
@@ -282,7 +284,7 @@ class ReplicaGroup:
         env = self.env
         cfg = self.config
         while b.cursor < upto:
-            batch = self.log[b.cursor:min(upto, b.cursor + cfg.apply_batch)]
+            batch = self.log[b.cursor:min(upto, b.cursor + APPLY_BATCH)]
             nbytes = sum(_record_bytes(k, v) for _t, k, v in batch)
             if cfg.mode == INDEX_SHIP:
                 nbytes *= cfg.ship_amplification
@@ -319,7 +321,8 @@ class ReplicaGroup:
         if not self.primary_alive:
             return False
         db = self.shard.db
-        if cfg.failover_on_latch and db.main.background_error is not None:
+        # The Main-LSM read-only latch.
+        if db.main.background_error is not None:
             return False
         if cfg.failover_on_degraded and self.shard.degraded:
             return False
@@ -329,7 +332,7 @@ class ReplicaGroup:
         env = self.env
         cfg = self.config
         while not self._stopped:
-            yield env.timeout(cfg.heartbeat_period)
+            yield env.timeout(HEARTBEAT_PERIOD)
             if self._stopped or self.state != ACTIVE:
                 continue
             if self._beat_ok():

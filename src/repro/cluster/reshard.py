@@ -41,16 +41,19 @@ from .router import Router
 __all__ = ["RebalanceConfig", "Migration"]
 
 
+# Keys per source-shard discovery scan.
+SCAN_CHUNK = 256
+
+
 @dataclass
 class RebalanceConfig:
     """Migration driver knobs."""
 
     batch: int = 64        # moved keys per shard-to-shard copy batch
-    scan_chunk: int = 256  # keys per source-shard discovery scan
 
     def __post_init__(self) -> None:
-        if self.batch < 1 or self.scan_chunk < 1:
-            raise ValueError("batch and scan_chunk must be >= 1")
+        if self.batch < 1:
+            raise ValueError("batch must be >= 1")
 
 
 class Migration:

@@ -47,7 +47,7 @@ from ..sim import Environment, Interrupt
 from ..types import encode_key
 from .chaos import ShardScopedPlan
 from .cluster import ClusterDb
-from .replica import REPLAY, ReplicationConfig
+from .replica import HEARTBEAT_PERIOD, REPLAY, ReplicationConfig
 from .router import make_router
 
 __all__ = ["build_replicated_cluster", "run_failover_scenario",
@@ -267,7 +267,7 @@ def run_failover_scenario(
             grp = cluster.groups[kill_shard]
             deadline = env.now + 1.0
             while grp.failovers == 0 and env.now < deadline:
-                yield env.timeout(replication.heartbeat_period)
+                yield env.timeout(HEARTBEAT_PERIOD)
         yield from cluster.wait_for_quiesce()
         if mig_proc is not None and not mig_proc.processed:
             yield mig_proc

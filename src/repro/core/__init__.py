@@ -3,7 +3,7 @@
 from .controller import KvaccelController
 from .detector import DetectorConfig, WriteStallDetector
 from .kvaccel import KvaccelDb
-from .metadata import MetadataCosts, MetadataManager
+from .metadata import MetadataManager
 from .range_query import DualIterator, range_query
 from .recovery import RecoveryReport, recover_after_crash
 from .rollback import RollbackConfig, RollbackManager, RollbackRecord
@@ -13,7 +13,6 @@ __all__ = [
     "DetectorConfig",
     "WriteStallDetector",
     "KvaccelDb",
-    "MetadataCosts",
     "MetadataManager",
     "DualIterator",
     "range_query",

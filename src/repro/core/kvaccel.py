@@ -26,7 +26,7 @@ from ..resil import DegradationManager, ResilienceConfig, RetryExecutor
 from ..sim import Environment
 from .controller import KvaccelController
 from .detector import DetectorConfig, WriteStallDetector
-from .metadata import MetadataCosts, MetadataManager
+from .metadata import MetadataManager
 from .range_query import range_query
 from .recovery import RecoveryReport, recover_after_crash
 from .rollback import RollbackConfig, RollbackManager
@@ -46,8 +46,6 @@ class KvaccelDb:
         name: str = "kvaccel",
         rollback: str | RollbackConfig = "eager",
         detector_config: Optional[DetectorConfig] = None,
-        metadata_costs: Optional[MetadataCosts] = None,
-        disable_slowdown: bool = True,
         resilience: Optional[ResilienceConfig] = None,
         **db_kw,
     ):
@@ -55,7 +53,7 @@ class KvaccelDb:
         self.ssd = ssd
         self.host_cpu = host_cpu
         self.name = name
-        if disable_slowdown and options.slowdown_enabled:
+        if options.slowdown_enabled:
             import copy
             options = copy.deepcopy(options)
             options.slowdown_enabled = False
@@ -71,7 +69,7 @@ class KvaccelDb:
         self.main = DbImpl(env, options, ssd.block, host_cpu,
                            name=f"{name}.main", **db_kw)
         self.detector = WriteStallDetector(env, self.main, detector_config)
-        self.metadata = MetadataManager(host_cpu, metadata_costs)
+        self.metadata = MetadataManager(host_cpu)
         self.controller = KvaccelController(env, self.main, ssd.kv,
                                             self.detector, self.metadata,
                                             resil=self.resil)

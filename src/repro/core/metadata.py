@@ -12,43 +12,38 @@ lost and recovered by a full Dev-LSM range scan (Section VI-D).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..device.cpu import CpuModel
 
-__all__ = ["MetadataManager", "MetadataCosts"]
+__all__ = ["MetadataManager"]
 
-
-@dataclass
-class MetadataCosts:
-    insert: float = 0.45e-6
-    check: float = 0.20e-6
-    delete: float = 0.28e-6
+# Host CPU per call (s), Table VI.
+INSERT_COST = 0.45e-6
+CHECK_COST = 0.20e-6
+DELETE_COST = 0.28e-6
 
 
 class MetadataManager:
     """Host hash table: key -> present-in-Dev-LSM."""
 
-    def __init__(self, host_cpu: CpuModel, costs: MetadataCosts | None = None):
+    def __init__(self, host_cpu: CpuModel):
         self.host_cpu = host_cpu
-        self.costs = costs or MetadataCosts()
         self._keys: set[bytes] = set()
         self.inserts = 0
         self.checks = 0
         self.deletes = 0
 
     def insert(self, key: bytes) -> None:
-        self.host_cpu.charge(self.costs.insert, tag="metadata")
+        self.host_cpu.charge(INSERT_COST, tag="metadata")
         self._keys.add(key)
         self.inserts += 1
 
     def contains(self, key: bytes) -> bool:
-        self.host_cpu.charge(self.costs.check, tag="metadata")
+        self.host_cpu.charge(CHECK_COST, tag="metadata")
         self.checks += 1
         return key in self._keys
 
     def remove(self, key: bytes) -> None:
-        self.host_cpu.charge(self.costs.delete, tag="metadata")
+        self.host_cpu.charge(DELETE_COST, tag="metadata")
         self._keys.discard(key)
         self.deletes += 1
 

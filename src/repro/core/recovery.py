@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Generator
 
 from .controller import KvaccelController
+from .rollback import MERGE_BATCH
 
 __all__ = ["recover_after_crash", "RecoveryReport"]
 
@@ -27,8 +28,7 @@ class RecoveryReport:
     elapsed: float
 
 
-def recover_after_crash(controller: KvaccelController,
-                        merge_batch: int = 256) -> Generator:
+def recover_after_crash(controller: KvaccelController) -> Generator:
     """Rebuild consistency after losing the metadata table.
 
     Unlike a scheduled rollback there is no metadata snapshot to filter
@@ -51,8 +51,8 @@ def recover_after_crash(controller: KvaccelController,
         if current is None or e[1] > current[1]:
             entries.append(e)
     nbytes = 0
-    for i in range(0, len(entries), merge_batch):
-        chunk = entries[i:i + merge_batch]
+    for i in range(0, len(entries), MERGE_BATCH):
+        chunk = entries[i:i + MERGE_BATCH]
         nbytes += yield from controller.main.write_entries(chunk)
         p.add("recovery.entries", len(chunk))
         p.touch("recovery.merge.batch")

@@ -32,18 +32,21 @@ __all__ = ["RollbackManager", "RollbackConfig", "RollbackRecord"]
 
 SCHEMES = ("eager", "lazy", "disabled")
 
+# Entries per Main-LSM write batch when a rollback or a recovery merges the
+# Dev-LSM back.
+MERGE_BATCH = 256
+
 
 @dataclass
 class RollbackConfig:
     scheme: str = "eager"
     period: float = 0.1            # check cadence (same thread family as detector)
     quiet_window: float = 0.5      # lazy: require this long with no writes
-    merge_batch: int = 256         # entries per Main-LSM write batch
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
-        if self.period <= 0 or self.quiet_window < 0 or self.merge_batch < 1:
+        if self.period <= 0 or self.quiet_window < 0:
             raise ValueError("invalid rollback configuration")
 
 
@@ -165,9 +168,8 @@ class RollbackManager:
             entries = [e for e in entries if e[0] in live_keys]
             p.touch("rollback.scan.done")
             nbytes = 0
-            batch = self.config.merge_batch
-            for i in range(0, len(entries), batch):
-                chunk = entries[i:i + batch]
+            for i in range(0, len(entries), MERGE_BATCH):
+                chunk = entries[i:i + MERGE_BATCH]
                 chunk_bytes = yield from controller.main.write_entries(chunk)
                 nbytes += chunk_bytes
                 # Per-batch so progress lands in the bucket it happened

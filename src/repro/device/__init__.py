@@ -7,7 +7,7 @@ from .ftl import Ftl, FtlError, GcStats, Region
 from .geometry import GiB, KiB, MiB, NandGeometry, NandTiming
 from .hybrid import HybridSsd, HybridSsdConfig, MultiDeviceSetup, Namespace
 from .multitenant import KvNamespace, NamespacedKvInterface
-from .kv_dev import KvDevice, KvDeviceConfig
+from .kv_dev import KvDevice
 from .nand import NandArray
 from .pcie import BandwidthPipe, PcieLink, TrafficLedger
 
@@ -34,7 +34,6 @@ __all__ = [
     "KvNamespace",
     "NamespacedKvInterface",
     "KvDevice",
-    "KvDeviceConfig",
     "NandArray",
     "BandwidthPipe",
     "PcieLink",

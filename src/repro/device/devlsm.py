@@ -36,6 +36,13 @@ from .nand import NandArray
 
 __all__ = ["DevLsm", "DevLsmConfig", "Run", "DevIterator"]
 
+# ARM CPU per point op (s): one ~1 GHz Cortex-A9 core.
+ARM_OP_COST = 15e-6
+# ARM CPU per byte (~125 MB/s).
+ARM_BYTE_COST = 8e-9
+# NAND read per uncached probe.
+READ_PAGE_BYTES = 16 * KiB
+
 
 @dataclass
 class DevLsmConfig:
@@ -43,10 +50,6 @@ class DevLsmConfig:
 
     memtable_bytes: int = 16 * MiB
     dma_chunk_bytes: int = 512 * KiB          # max DMA unit on the platform
-    arm_op_cost: float = 15e-6                # ARM CPU per point op (s);
-                                              # one ~1 GHz Cortex-A9 core
-    arm_byte_cost: float = 8e-9               # ARM CPU per byte (~125 MB/s)
-    read_page_bytes: int = 16 * KiB           # NAND read per uncached probe
     read_cache_enabled: bool = False          # the paper's Dev-LSM has none;
                                               # True models the "what if"
                                               # behind Table V's bottleneck
@@ -189,7 +192,7 @@ class DevLsm:
         nbytes = entry_size(entry)
         p = self.env.probes
         _sp = p.begin("devlsm", "devlsm.put", "devlsm", {"bytes": nbytes})
-        self.arm.charge(cfg.arm_op_cost, tag="devlsm.put")
+        self.arm.charge(ARM_OP_COST, tag="devlsm.put")
         key = entry[0]
         old = self._memtable.get(key)
         if old is not None:
@@ -223,7 +226,7 @@ class DevLsm:
         # Map pages in the KV region and charge NAND program + ARM copy.
         pages = max(1, -(-nbytes // self.page_size))
         self.ftl.write_batch(self._alloc_lpn() for _ in range(pages))
-        yield from self.arm.consume(nbytes * self.config.arm_byte_cost,
+        yield from self.arm.consume(nbytes * ARM_BYTE_COST,
                                     tag="devlsm.flush")
         yield from self.nand.io("program", nbytes)
         # Commit point: install the run, then retire exactly the flushed
@@ -259,7 +262,7 @@ class DevLsm:
         p = self.env.probes
         _sp = p.begin("devlsm", "devlsm.compact", "devlsm",
                       {"runs": len(self.runs), "bytes": old_bytes})
-        yield from self.arm.consume((old_bytes + nbytes) * self.config.arm_byte_cost,
+        yield from self.arm.consume((old_bytes + nbytes) * ARM_BYTE_COST,
                                     tag="devlsm.compact")
         # Channel burst: the read-back of the old runs and the program of
         # the merged run ride one macro event (device-internal NAND, no
@@ -283,14 +286,14 @@ class DevLsm:
         """
         cfg = self.config
         yield from self.env.probes.at("devlsm.get")
-        self.arm.charge(cfg.arm_op_cost, tag="devlsm.get")
+        self.arm.charge(ARM_OP_COST, tag="devlsm.get")
         hit = self._memtable.get(key)
         if hit is not None:
             return hit
         for run in self.runs:
             if run.smallest <= key <= run.largest:
                 if not cfg.read_cache_enabled:
-                    yield from self.nand.io("read", cfg.read_page_bytes)
+                    yield from self.nand.io("read", READ_PAGE_BYTES)
                 e = _binary_search_run(run.entries, key)
                 if e is not None:
                     return e
@@ -323,11 +326,11 @@ class DevLsm:
         cost is paid per SEEK/NEXT (``iter_next_cost``) because there is no
         device read cache.
         """
-        self.arm.charge(self.config.arm_op_cost, tag="devlsm.iter")
+        self.arm.charge(ARM_OP_COST, tag="devlsm.iter")
         merged = self._merged_entries()
         if self.runs:
             yield from self.nand.io(
-                "read", self.config.read_page_bytes * len(self.runs))
+                "read", READ_PAGE_BYTES * len(self.runs))
         return DevIterator(merged)
 
     def iter_next_cost(self) -> Generator:
@@ -336,9 +339,9 @@ class DevLsm:
         Without a device read cache (the paper's hardware), every Next
         pays a NAND page read — the Table V bottleneck.
         """
-        self.arm.charge(self.config.arm_op_cost, tag="devlsm.iter")
+        self.arm.charge(ARM_OP_COST, tag="devlsm.iter")
         if not self.config.read_cache_enabled:
-            yield from self.nand.io("read", self.config.read_page_bytes)
+            yield from self.nand.io("read", READ_PAGE_BYTES)
 
     def bulk_scan(self, pcie) -> Generator:
         """Serialize the whole Dev-LSM to the host in 512 KB DMA chunks.
@@ -354,7 +357,7 @@ class DevLsm:
         run_bytes = sum(r.nbytes for r in self.runs)
         if run_bytes:
             yield from self.nand.io("read", run_bytes)
-        yield from self.arm.consume(total * self.config.arm_byte_cost,
+        yield from self.arm.consume(total * ARM_BYTE_COST,
                                     tag="devlsm.scan")
         chunk = self.config.dma_chunk_bytes
         sizes = []

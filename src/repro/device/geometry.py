@@ -20,18 +20,20 @@ KiB = 1024
 MiB = 1024 * KiB
 GiB = 1024 * MiB
 
+# ONFI channel bandwidth, bytes/s.
+CHANNEL_BW = 400 * MiB
+
 
 @dataclass(frozen=True)
 class NandTiming:
-    """Raw NAND operation latencies (seconds) and channel transfer rate."""
+    """Raw NAND operation latencies (seconds)."""
 
     t_read: float = 90e-6        # page read (tR)
     t_program: float = 700e-6    # page program (tPROG)
     t_erase: float = 5e-3        # block erase (tBERS)
-    channel_bw: float = 400 * MiB  # ONFI channel bandwidth, bytes/s
 
     def __post_init__(self) -> None:
-        for name in ("t_read", "t_program", "t_erase", "channel_bw"):
+        for name in ("t_read", "t_program", "t_erase"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -79,7 +81,7 @@ class NandGeometry:
         max(transfer-serialisation, tPROG/ways).
         """
         t = self.timing
-        xfer = self.page_size / t.channel_bw
+        xfer = self.page_size / CHANNEL_BW
         # transfers serialize on the channel; programs overlap across ways
         per_channel_rate = self.page_size / max(xfer, t.t_program / self.ways)
         return per_channel_rate * self.channels
@@ -87,24 +89,6 @@ class NandGeometry:
     @property
     def peak_read_bw(self) -> float:
         t = self.timing
-        xfer = self.page_size / t.channel_bw
+        xfer = self.page_size / CHANNEL_BW
         per_channel_rate = self.page_size / max(xfer, t.t_read / self.ways)
         return per_channel_rate * self.channels
-
-    def scaled(self, factor: float) -> "NandGeometry":
-        """Return a geometry with capacity scaled by ``factor`` (<1 shrinks).
-
-        Scaling reduces blocks per way, preserving channel/way parallelism
-        so bandwidth-vs-capacity ratios stay comparable.
-        """
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        blocks = max(4, int(self.blocks_per_way * factor))
-        return NandGeometry(
-            channels=self.channels,
-            ways=self.ways,
-            blocks_per_way=blocks,
-            pages_per_block=self.pages_per_block,
-            page_size=self.page_size,
-            timing=self.timing,
-        )

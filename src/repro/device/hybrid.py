@@ -26,7 +26,7 @@ from .devlsm import DevLsm, DevLsmConfig
 from .error_model import NandErrorConfig, NandErrorModel
 from .ftl import Ftl
 from .geometry import MiB, NandGeometry
-from .kv_dev import KvDevice, KvDeviceConfig
+from .kv_dev import KvDevice
 from .nand import NandArray
 from .pcie import PcieLink
 
@@ -38,17 +38,13 @@ class HybridSsdConfig:
     """Top-level device configuration."""
 
     geometry: NandGeometry = field(default_factory=NandGeometry)
-    split_fraction: float = 0.75          # share of logical space for block region
     peak_nand_bandwidth: float = 630 * MiB  # measured device peak (paper)
     pcie_bandwidth: float = PcieLink.GEN2_X8
-    pcie_latency: float = 5e-6
-    arm_cores: int = 1                    # one Cortex-A9 core runs Dev-LSM
     ledger_bucket: float = 1.0            # PCM-style traffic bucket (seconds)
     nand_priority_scheduling: bool = True   # latency-critical (WAL/flush)
                                             # I/O jumps background compaction
                                             # chunks, like NVMe's weighted queues
     devlsm: DevLsmConfig = field(default_factory=DevLsmConfig)
-    kv: KvDeviceConfig = field(default_factory=KvDeviceConfig)
     # None -> perfect NAND (the default; production trajectories depend
     # on it).  Set to model wear-driven program/erase failures, grown bad
     # blocks, and ECC read-retry latency tails.
@@ -76,24 +72,23 @@ class HybridSsd:
         cfg = self.config
 
         self.pcie = PcieLink(env, bandwidth=cfg.pcie_bandwidth,
-                             latency=cfg.pcie_latency,
                              bucket=cfg.ledger_bucket)
         self.nand = NandArray(env, cfg.geometry,
                               peak_bandwidth=cfg.peak_nand_bandwidth,
                               priority_scheduling=cfg.nand_priority_scheduling)
-        self.ftl = Ftl(cfg.geometry, split_fraction=cfg.split_fraction)
+        self.ftl = Ftl(cfg.geometry)
         if cfg.nand_errors is not None:
             self.nand.error_model = NandErrorModel(env, self.ftl,
                                                    cfg.nand_errors)
-        self.arm = CpuModel(env, cores=cfg.arm_cores, name="arm")
+        # One Cortex-A9 core runs the Dev-LSM.
+        self.arm = CpuModel(env, cores=1, name="arm")
 
         self.block = BlockDevice(env, self.ftl, self.nand, self.pcie)
         kv = self.ftl.region("kv")
         self.devlsm = DevLsm(env, self.ftl, self.nand, self.arm,
                              range(kv.lpn_start, kv.lpn_start + kv.lpn_count),
                              config=cfg.devlsm)
-        self.kv = KvDevice(env, self.devlsm, self.pcie, host_cpu,
-                           config=cfg.kv)
+        self.kv = KvDevice(env, self.devlsm, self.pcie, host_cpu)
 
         self._namespaces: dict[int, Namespace] = {}
         self._next_nsid = 1
@@ -154,8 +149,7 @@ class HybridSsd:
             from .multitenant import NamespacedKvInterface
             self._kv_ns = NamespacedKvInterface(
                 self.env, self.ftl, self.nand, self.arm, self.pcie,
-                host_cpu, devlsm_config=self.config.devlsm,
-                kv_config=self.config.kv)
+                host_cpu, devlsm_config=self.config.devlsm)
         return self._kv_ns
 
 

@@ -7,13 +7,12 @@ then executes inside the device (ARM core + NAND via :class:`DevLsm`).
 
 This is the "stall path" of Figure 7(a): commands bypass the host file
 system and block layer entirely — their only host-side cost is the NVMe
-submission, modelled as ``host_submit_cost`` seconds of host CPU.
+submission, modelled as :data:`HOST_SUBMIT_COST` seconds of host CPU.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Generator
 
 from ..faults.registry import DROP, DUPLICATE
 from ..sim import Environment
@@ -22,19 +21,17 @@ from .cpu import CpuModel
 from .devlsm import DevIterator, DevLsm
 from .pcie import PcieLink
 
-__all__ = ["KvDevice", "KvDeviceConfig"]
+__all__ = ["KvDevice"]
 
 # NVMe command capsule + completion overhead on the wire, bytes.
 _CAPSULE_BYTES = 64 + 16
 
+# Host CPU per NVMe-KV command (s).
+HOST_SUBMIT_COST = 1.5e-6
+
 # Per write verb: its submit site, span name and complete site, built once.
 _WRITE_NAMES = {verb: (f"kv.{verb}.submit", f"kv.{verb}", f"kv.{verb}.complete")
                 for verb in ("put", "put_batch", "delete")}
-
-
-@dataclass
-class KvDeviceConfig:
-    host_submit_cost: float = 1.5e-6   # host CPU per NVMe-KV command (s)
 
 
 class KvDevice:
@@ -46,13 +43,11 @@ class KvDevice:
         devlsm: DevLsm,
         pcie: PcieLink,
         host_cpu: CpuModel,
-        config: Optional[KvDeviceConfig] = None,
     ):
         self.env = env
         self.devlsm = devlsm
         self.pcie = pcie
         self.host_cpu = host_cpu
-        self.config = config or KvDeviceConfig()
         self.command_counts: dict[str, int] = {}
         # Fault-injection accounting: commands dropped on the wire and
         # compound commands executed twice by the device.
@@ -73,7 +68,7 @@ class KvDevice:
 
     def _count(self, verb: str) -> None:
         self.command_counts[verb] = self.command_counts.get(verb, 0) + 1
-        self.host_cpu.charge(self.config.host_submit_cost, tag="nvme_kv")
+        self.host_cpu.charge(HOST_SUBMIT_COST, tag="nvme_kv")
         self.env.probes.add("kv.commands")
 
     # -- point commands -----------------------------------------------------

@@ -23,7 +23,7 @@ from ..sim import Environment
 from .cpu import CpuModel
 from .devlsm import DevLsm, DevLsmConfig
 from .ftl import Ftl
-from .kv_dev import KvDevice, KvDeviceConfig
+from .kv_dev import KvDevice
 from .nand import NandArray
 from .pcie import PcieLink
 
@@ -60,7 +60,6 @@ class NamespacedKvInterface:
         pcie: PcieLink,
         host_cpu: CpuModel,
         devlsm_config: Optional[DevLsmConfig] = None,
-        kv_config: Optional[KvDeviceConfig] = None,
     ):
         self.env = env
         self.ftl = ftl
@@ -69,7 +68,6 @@ class NamespacedKvInterface:
         self.pcie = pcie
         self.host_cpu = host_cpu
         self.devlsm_config = devlsm_config or DevLsmConfig()
-        self.kv_config = kv_config or KvDeviceConfig()
         self._namespaces: dict[int, KvNamespace] = {}
         self._next_nsid = 1
         self._kv_capacity = (ftl.region("kv").lpn_count
@@ -111,8 +109,7 @@ class NamespacedKvInterface:
         pages = -(-quota_bytes // self.ftl.geometry.page_size)
         devlsm = DevLsm(self.env, self.ftl, self.nand, self.arm,
                         self._slice(pages), config=cfg)
-        kv = KvDevice(self.env, devlsm, self.pcie, self.host_cpu,
-                      config=self.kv_config)
+        kv = KvDevice(self.env, devlsm, self.pcie, self.host_cpu)
         ns = KvNamespace(self._next_nsid, name, kv, quota_bytes)
         self._namespaces[ns.nsid] = ns
         self._next_nsid += 1

@@ -33,7 +33,6 @@ class NandArray:
         env: Environment,
         geometry: NandGeometry,
         peak_bandwidth: Optional[float] = 630 * MiB,
-        lanes: Optional[int] = None,
         priority_scheduling: bool = False,
     ):
         self.env = env
@@ -41,19 +40,16 @@ class NandArray:
         cap = peak_bandwidth if peak_bandwidth else float("inf")
         self.read_bw = min(geometry.peak_read_bw, cap)
         self.program_bw = min(geometry.peak_program_bw, cap)
-        # Default: one FIFO lane at full array bandwidth.  The FTL stripes
-        # any single request across all channels/ways, so one sequential
-        # stream already reaches device peak; concurrency shows up as
-        # queueing, which is how a saturated SSD behaves.  Pass ``lanes`` to
-        # model per-stream channel partitioning instead.
+        # One FIFO lane at full array bandwidth.  The FTL stripes any
+        # single request across all channels/ways, so one sequential stream
+        # already reaches device peak; concurrency shows up as queueing,
+        # which is how a saturated SSD behaves.
         # ``priority_scheduling`` swaps the queue for a priority queue
         # (SILK-style: latency-critical flush/WAL I/O jumps ahead of
         # background compaction I/O).
         self.priority_scheduling = priority_scheduling
-        if priority_scheduling:
-            self._res = PriorityResource(env, capacity=lanes or 1)
-        else:
-            self._res = Resource(env, capacity=lanes or 1)
+        self._res = (PriorityResource(env) if priority_scheduling
+                     else Resource(env))
         self.ledger = TrafficLedger(bucket=1.0)
         self.busy_time = 0.0
         # Optional repro.device.error_model.NandErrorModel; None keeps the
@@ -81,10 +77,6 @@ class NandArray:
     def io(self, op: str, nbytes: float, priority: int = 0) -> Generator:
         """Perform a NAND operation (blocking process generator).
 
-        With multiple lanes, the effective per-request bandwidth is the
-        whole-array bandwidth divided by the lane count, so aggregate
-        concurrent throughput equals the array peak.
-
         ``priority`` matters only with ``priority_scheduling``: lower
         values are served first (0 = latency-critical, e.g. flush/WAL;
         higher = background, e.g. compaction).  Single operations keep this
@@ -102,9 +94,6 @@ class NandArray:
         _sp = p.begin("nand", name, None,
                       {"bytes": nbytes, "priority": priority})
         yield from p.at(name)
-        if self._res.capacity > 1 and op != "erase":
-            lat = {"read": self._lat_read, "program": self._lat_program}[op]
-            dt = lat + (dt - lat) * self._res.capacity
         err = None
         if self.error_model is not None:
             # Wear-driven failures + ECC read-retry latency tails.  The
@@ -160,8 +149,6 @@ class NandArray:
                        "priority": priority})
         macro = env.macro
         macro.bursts += 1
-        lanes = self._res.capacity
-        lat = {"read": self._lat_read, "program": self._lat_program}
         err = None
         i = 0
         n = len(ops)
@@ -174,8 +161,6 @@ class NandArray:
                     raise ValueError("nbytes must be >= 0")
                 dt = self.service_time(op, nbytes)
                 yield from p.at(_OP_NAMES[op])
-                if lanes > 1 and op != "erase":
-                    dt = lat[op] + (dt - lat[op]) * lanes
                 if self.error_model is not None:
                     extra, err = self.error_model.on_io(op, nbytes)
                     dt += extra

@@ -70,7 +70,10 @@ class TrafficLedger:
         """Return (times, bytes-per-bucket) from t=0 to t_end (or max seen)."""
         if not self._buckets and t_end is None:
             return [], []
-        last = int(math.ceil((t_end or 0) / self.bucket)) - 1 if t_end else max(self._buckets)
+        if t_end is not None:
+            last = int(math.ceil(t_end / self.bucket)) - 1
+        else:
+            last = max(self._buckets)
         if self._buckets:
             last = max(last, max(self._buckets))
         times = [(b + 1) * self.bucket for b in range(0, last + 1)]
@@ -103,7 +106,6 @@ class BandwidthPipe:
         latency: float = 0.0,
         ledger: Optional[TrafficLedger] = None,
         name: str = "pipe",
-        lanes: int = 1,
     ):
         if bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
@@ -119,7 +121,7 @@ class BandwidthPipe:
         self._site = f"{name}.transfer"
         self._burst_span = f"{name}.transfer_burst"
         self._channels = {"tx": f"{name}.tx_bytes", "rx": f"{name}.rx_bytes"}
-        self._res = Resource(env, capacity=max(1, lanes))
+        self._res = Resource(env)
         self.busy_time = 0.0
 
     def service_time(self, nbytes: float) -> float:

@@ -19,7 +19,7 @@ from .db import DbImpl, DbStats
 from .fs import FileSystem, FsError, PageCache, SimFile
 from .iterator import k_way_merge, merging_iterator
 from .memtable import DictMemTable, MemTable, SkipListMemTable
-from .options import CpuCosts, LsmOptions
+from .options import LsmOptions
 from .sstable import ProbeResult, SSTable
 from .version import FileMetadata, Version, VersionEdit, VersionSet
 from .wal import Wal
@@ -49,7 +49,6 @@ __all__ = [
     "DictMemTable",
     "MemTable",
     "SkipListMemTable",
-    "CpuCosts",
     "LsmOptions",
     "ProbeResult",
     "SSTable",

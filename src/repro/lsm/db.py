@@ -37,6 +37,22 @@ __all__ = ["DbImpl", "DbStats"]
 
 _FLUSH_CLOSE = object()
 
+# Host CPU time constants (seconds) of the cost model.  Values are in the
+# range measured for RocksDB-class engines on a modern Xeon; the paper's
+# efficiency metric depends on the ratios, not the absolute numbers.
+CPU_PUT = 4.0e-6                 # WAL encode + memtable insert per op
+CPU_GET = 5.0e-6                 # memtable/SST probe logic per op
+CPU_SEEK = 12.0e-6               # iterator seek
+CPU_NEXT = 1.0e-6                # iterator next
+CPU_FLUSH_PER_BYTE = 0.8e-9      # memtable -> SST encode (~1.2 GB/s)
+CPU_COMPACT_PER_BYTE = 1.0e-9    # merge per input byte (~1 GB/s Xeon);
+                                 # compaction is device-bound, as on the
+                                 # paper's testbed (Section VI-A)
+
+# Workers one compaction job is split across (RocksDB defaults to 1; 2
+# keeps thread scaling visible without erasing 4-thread stalls).
+MAX_SUBCOMPACTIONS = 2
+
 
 class DbStats:
     """Cumulative counters exposed to the harness."""
@@ -263,7 +279,7 @@ class DbImpl:
         # Pre-persistence: the batch exists only in the caller's hands.
         yield from p.at("db.write.gate")
         held = yield from self.write_controller.gate(nbytes)
-        yield from self.host_cpu.consume(opt.cpu.put * len(entries),
+        yield from self.host_cpu.consume(CPU_PUT * len(entries),
                                          tag=f"{self.name}.write")
         if self.wal is not None:
             try:
@@ -371,7 +387,7 @@ class DbImpl:
         if entries:
             # A sealed memtable's byte count is its entries' summed size.
             nbytes = mem.approximate_bytes
-            yield from self.host_cpu.consume(nbytes * opt.cpu.flush_per_byte,
+            yield from self.host_cpu.consume(nbytes * CPU_FLUSH_PER_BYTE,
                                              tag=f"{self.name}.flush")
             number = self.versions.new_file_number()
             table = SSTable(number, entries, block_size=opt.block_size,
@@ -451,7 +467,7 @@ class DbImpl:
     def _run_compaction(self, job: CompactionJob) -> Generator:
         """Execute one compaction: parallel read+merge, then write-out.
 
-        Phase 1 walks input chunks with ``min(max_subcompactions,
+        Phase 1 walks input chunks with ``min(MAX_SUBCOMPACTIONS,
         max_background_compactions)`` workers; each chunk's device read (a
         no-op for page-cache-hot inputs such as fresh L0 files) overlaps
         its merge CPU, mirroring RocksDB's subcompaction + readahead
@@ -478,7 +494,7 @@ class DbImpl:
         p.add("lsm.compaction_bytes", input_bytes + output_bytes)
 
         chunk = opt.compaction_io_chunk
-        par = max(1, min(opt.max_subcompactions, opt.max_background_compactions))
+        par = max(1, min(MAX_SUBCOMPACTIONS, opt.max_background_compactions))
 
         # Phase 1: read + merge input chunks with `par` workers.
         chunks: list = []
@@ -499,7 +515,7 @@ class DbImpl:
                 # the device runs priority scheduling (SILK-style)
                 read_p = self.env.process(self.fs.read(f, pos, n, priority=1))
                 cpu_p = self.env.process(self.host_cpu.consume(
-                    n * opt.cpu.compact_per_byte, tag=f"{self.name}.compact"))
+                    n * CPU_COMPACT_PER_BYTE, tag=f"{self.name}.compact"))
                 yield self.env.all_of([read_p, cpu_p])
 
         if chunks:
@@ -557,7 +573,7 @@ class DbImpl:
         user-visible value should go through :meth:`get`.
         """
         t0 = self.env.now
-        yield from self.host_cpu.consume(self.options.cpu.get,
+        yield from self.host_cpu.consume(CPU_GET,
                                          tag=f"{self.name}.read")
         entry = self.mem.get(key)
         if entry is None:
@@ -614,7 +630,7 @@ class DbImpl:
         """
         opt = self.options
         t0 = self.env.now
-        yield from self.host_cpu.consume(opt.cpu.seek, tag=f"{self.name}.read")
+        yield from self.host_cpu.consume(CPU_SEEK, tag=f"{self.name}.read")
         self.stats.user_seeks += 1
 
         sst_cost = [0]  # mutable cell shared with the SST sources
@@ -640,7 +656,7 @@ class DbImpl:
                 break
             out.append(entry)
             self.stats.user_nexts += 1
-            self.host_cpu.charge(opt.cpu.next, tag=f"{self.name}.read")
+            self.host_cpu.charge(CPU_NEXT, tag=f"{self.name}.read")
             # charge accumulated SST bytes in block-sized reads
             new_cost = sst_cost[0]
             pending_io += new_cost - cost_before
@@ -750,7 +766,7 @@ class DbImpl:
             if not records:
                 continue
             yield from self.host_cpu.consume(
-                self.options.cpu.put * len(records) * 0.5,
+                CPU_PUT * len(records) * 0.5,
                 tag=f"{self.name}.recover")
             for e in records:
                 self.mem.add(e)

@@ -105,11 +105,11 @@ class SimFile:
 class FileSystem:
     """Extent allocator + name table over one block device."""
 
-    def __init__(self, device: BlockDevice, reserve: int = 0,
+    def __init__(self, device: BlockDevice,
                  page_cache: Optional[PageCache] = None):
         self.device = device
         self._files: dict[str, SimFile] = {}
-        self._cursor = reserve          # bytes [0, reserve) left for superblock
+        self._cursor = 0
         self._free: list[tuple[int, int]] = []  # (offset, nbytes), first-fit
         self.capacity = device.capacity_bytes
         self.page_cache = page_cache

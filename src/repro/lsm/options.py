@@ -16,36 +16,17 @@ while in the DELAYED state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..device.geometry import KiB, MiB
 
-__all__ = ["LsmOptions", "CpuCosts"]
+__all__ = ["LsmOptions"]
 
 # The byte capacities ``LsmOptions.scaled`` multiplies.
 _BYTE_FIELDS = ("write_buffer_size", "max_bytes_for_level_base",
                 "target_file_size_base", "soft_pending_compaction_bytes_limit",
                 "hard_pending_compaction_bytes_limit", "compaction_io_chunk",
                 "wal_group_commit_bytes")
-
-
-@dataclass
-class CpuCosts:
-    """Host CPU time constants (seconds) for the cost model.
-
-    Values are in the range measured for RocksDB-class engines on a modern
-    Xeon; the paper's efficiency metric depends on the ratios, not the
-    absolute numbers.
-    """
-
-    put: float = 4.0e-6            # WAL encode + memtable insert per op
-    get: float = 5.0e-6            # memtable/SST probe logic per op
-    seek: float = 12.0e-6          # iterator seek
-    next: float = 1.0e-6           # iterator next
-    flush_per_byte: float = 0.8e-9     # memtable -> SST encode (~1.2 GB/s)
-    compact_per_byte: float = 1.0e-9   # merge per input byte (~1 GB/s Xeon);
-                                       # compaction is device-bound, as on the
-                                       # paper's testbed (Section VI-A)
 
 
 @dataclass
@@ -72,14 +53,9 @@ class LsmOptions:
     # write throttling
     slowdown_enabled: bool = True
     delayed_write_rate: float = 8 * MiB         # bytes/s while DELAYED
-    slowdown_sleep: float = 1e-3                # 1 ms write-thread naps (§III-A)
 
     # background work
     max_background_compactions: int = 1         # thread count (Table III)
-    max_subcompactions: int = 2                 # split one job across threads
-                                                # (RocksDB defaults to 1; 2 keeps
-                                                # thread scaling visible without
-                                                # erasing 4-thread stalls)
     compaction_io_chunk: int = 2 * MiB          # read-merge-write granularity
 
     # SST layout
@@ -89,9 +65,6 @@ class LsmOptions:
     # WAL
     wal_enabled: bool = True
     wal_group_commit_bytes: int = 256 * KiB
-
-    # CPU model
-    cpu: CpuCosts = field(default_factory=CpuCosts)
 
     def __post_init__(self) -> None:
         if self.write_buffer_size <= 0:
@@ -122,8 +95,8 @@ class LsmOptions:
     def scaled(self, factor: float) -> "LsmOptions":
         """Scale all byte capacities by ``factor`` (mini profile).
 
-        Rates (delayed_write_rate), counts (triggers, threads) and CPU
-        costs are left untouched so throughput and CPU% remain directly
+        Rates (delayed_write_rate) and counts (triggers, threads) are left
+        untouched so throughput and CPU% remain directly
         comparable to the paper while run horizons shrink.
         """
         if factor <= 0:

@@ -27,6 +27,9 @@ from .options import LsmOptions
 
 __all__ = ["WriteController", "WriteState", "StallReason"]
 
+# Write-thread nap quantum while DELAYED: RocksDB's 1 ms sleeps (§III-A).
+SLOWDOWN_SLEEP = 1e-3
+
 
 class WriteState:
     NORMAL = "normal"
@@ -224,13 +227,13 @@ class WriteController:
                 wait = self._next_allowed - now
                 self._next_allowed += nbytes / self.current_delay_rate
                 if wait > 0:
-                    # nap in slowdown_sleep quanta like RocksDB's 1 ms sleeps
+                    # nap in SLOWDOWN_SLEEP quanta
                     t0 = now
                     remaining = wait
                     p.enter("slowdown")
                     try:
                         while remaining > 0:
-                            nap = min(opt.slowdown_sleep, remaining)
+                            nap = min(SLOWDOWN_SLEEP, remaining)
                             yield self.env.timeout(nap)
                             remaining -= nap
                     finally:

@@ -11,21 +11,22 @@ import math
 
 __all__ = ["LatencyHistogram", "tee"]
 
+# The top of the bucketed range; larger values share the last bucket.
+MAX_VALUE = 1e9
+# Geometric buckets per factor of ten (~2% relative error).
+BUCKETS_PER_DECADE = 48
+
 
 class LatencyHistogram:
     """Geometric-bucket histogram over positive values."""
 
-    def __init__(self, min_value: float = 0.01, max_value: float = 1e9,
-                 buckets_per_decade: int = 48):
-        if min_value <= 0 or max_value <= min_value:
-            raise ValueError("need 0 < min_value < max_value")
-        if buckets_per_decade < 1:
-            raise ValueError("buckets_per_decade must be >= 1")
+    def __init__(self, min_value: float = 0.01):
+        if min_value <= 0 or MAX_VALUE <= min_value:
+            raise ValueError(f"need 0 < min_value < {MAX_VALUE}")
         self.min_value = min_value
-        self.max_value = max_value
-        self._ratio = 10 ** (1 / buckets_per_decade)
+        self._ratio = 10 ** (1 / BUCKETS_PER_DECADE)
         self._log_ratio = math.log(self._ratio)
-        n = int(math.ceil(math.log(max_value / min_value) / self._log_ratio)) + 2
+        n = int(math.ceil(math.log(MAX_VALUE / min_value) / self._log_ratio)) + 2
         self._counts = [0] * n
         self.total_count = 0
         self._sum = 0.0

@@ -112,10 +112,9 @@ class LineageProfiler:
     *foreground* critical path.
     """
 
-    def __init__(self, env, top_k: int = 5, keep_ops: bool = True):
+    def __init__(self, env, top_k: int = 5):
         self.env = env
         self.top_k = int(top_k)
-        self.keep_ops = keep_ops
         self.ops: list[dict] = []
         self.op_count = 0
         self.invariant_violations = 0
@@ -193,8 +192,7 @@ class LineageProfiler:
             "segs": dict(segs),
         }
         self.op_count += 1
-        if self.keep_ops:
-            self.ops.append(rec)
+        self.ops.append(rec)
         if self.top_k > 0:
             # Deterministic top-K: min-heap keyed (e2e, -op_id), so equal
             # latencies keep the earliest op id.  The heap copy carries the

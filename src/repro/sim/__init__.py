@@ -16,7 +16,7 @@ from .core import (
     uninstall_kernel_profiler,
 )
 from .eventqueue import EventQueue
-from .resources import Container, PriorityResource, Request, Resource, Store
+from .resources import PriorityResource, Request, Resource, Store
 from .samplers import PeriodicSampler, RateMeter
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "Process",
     "SimulationError",
     "Timeout",
-    "Container",
     "PriorityResource",
     "Request",
     "Resource",

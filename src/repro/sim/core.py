@@ -551,10 +551,10 @@ class Environment:
         return self._seq
 
     # -- scheduling ------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0, priority: bool = False) -> None:
+    def _schedule(self, event: Event, priority: bool = False) -> None:
         self._seq += 1
         q = self._queue
-        if delay == 0.0 and not priority:
+        if not priority:
             # Fires at exactly the current time: now lane (process
             # boot/finish, fail, immediate resumes).  See Event.succeed.
             nowq = q._nowq
@@ -566,8 +566,7 @@ class Environment:
         # priority events (interrupts) sort before same-time ordinary
         # events; the (time, priority, seq) key ranks them ahead of the
         # now lane's priority-1 entries at dequeue.
-        heappush(q._heap,
-                 (self._now + delay, 0 if priority else 1, self._seq, event))
+        heappush(q._heap, (self._now, 0, self._seq, event))
 
     def schedule_at(self, event: Event, when: float) -> None:
         """Schedule a pre-built pending event to fire at absolute time."""

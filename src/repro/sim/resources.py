@@ -1,9 +1,8 @@
 """Shared-resource primitives for the simulation kernel.
 
 These model contention: a :class:`Resource` is a counted semaphore with a
-FIFO queue (compaction-thread pools, NAND channels), a :class:`Container`
-holds a continuous level (device DRAM budget), and a :class:`Store` is a
-FIFO of Python objects (work queues between threads).
+FIFO queue (compaction-thread pools, NAND channels), and a :class:`Store`
+is a FIFO of Python objects (work queues between threads).
 
 All request/put/get operations return events, so processes simply ``yield``
 them.  Request events double as context managers so the common pattern is::
@@ -18,9 +17,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Optional
 
-from .core import Environment, Event, SimulationError
+from .core import Environment, Event
 
-__all__ = ["Resource", "Request", "Container", "Store", "PriorityResource"]
+__all__ = ["Resource", "Request", "Store", "PriorityResource"]
 
 
 class Request(Event):
@@ -159,60 +158,6 @@ class PriorityResource(Resource):
                 prof.resource_grants += 1
 
 
-class Container:
-    """A continuous quantity with blocking get/put at level bounds."""
-
-    def __init__(self, env: Environment, capacity: float, init: float = 0.0):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise ValueError("init outside [0, capacity]")
-        self.env = env
-        self.capacity = capacity
-        self._level = init
-        self._getters: Deque[tuple[Event, float]] = deque()
-        self._putters: Deque[tuple[Event, float]] = deque()
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        if amount < 0:
-            raise ValueError("amount must be >= 0")
-        ev = Event(self.env)
-        self._putters.append((ev, amount))
-        self._settle()
-        return ev
-
-    def get(self, amount: float) -> Event:
-        if amount < 0:
-            raise ValueError("amount must be >= 0")
-        ev = Event(self.env)
-        self._getters.append((ev, amount))
-        self._settle()
-        return ev
-
-    def _settle(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._putters:
-                ev, amount = self._putters[0]
-                if self._level + amount <= self.capacity:
-                    self._putters.popleft()
-                    self._level += amount
-                    ev.succeed()
-                    progress = True
-            if self._getters:
-                ev, amount = self._getters[0]
-                if self._level >= amount:
-                    self._getters.popleft()
-                    self._level -= amount
-                    ev.succeed()
-                    progress = True
-
-
 class Store:
     """FIFO object queue with blocking get."""
 
@@ -252,7 +197,3 @@ class Store:
                 ev.succeed(self.items.popleft())
                 progress = True
 
-
-def _check_env(env: Environment) -> None:
-    if not isinstance(env, Environment):
-        raise SimulationError("expected an Environment")

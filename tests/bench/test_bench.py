@@ -33,7 +33,6 @@ class TestProfiles:
         assert mini.options.write_buffer_size == paper.options.write_buffer_size // 64
         # rates unscaled
         assert mini.options.delayed_write_rate == paper.options.delayed_write_rate
-        assert mini.options.cpu.put == paper.options.cpu.put
         assert mini.ssd.peak_nand_bandwidth == paper.ssd.peak_nand_bandwidth
         # cadences scaled
         assert mini.detector.period == pytest.approx(0.1 / 64)

@@ -46,9 +46,9 @@ def test_jobs2_results_identical_to_serial():
 
 
 def test_jobs2_cluster_cells_with_telemetry_cross_the_process_boundary():
-    """Regression: a multi-shard cluster cell with telemetry on carries the
-    facade's per-shard HealthMonitor in ``extra``; it holds generators, so
-    a worker that did not strip it died pickling its result
+    """Regression: a multi-shard cluster cell with telemetry on carries a
+    HealthMonitor with the per-shard rules in ``extra``; it holds
+    generators, so a worker that did not strip it died pickling its result
     (``python -m repro.bench cluster --jobs 2``)."""
     specs = [RunSpec("cluster", "A", 1, shards=2, seed=seed,
                      label=f"serial-vs-jobs/cluster2-seed{seed}")
@@ -58,7 +58,8 @@ def test_jobs2_cluster_cells_with_telemetry_cross_the_process_boundary():
     fanned = run_cells(specs, profile, RunOptions(jobs=2, telemetry=True))
     assert list(serial) == list(fanned) == [s.display for s in specs]
     for label in serial:
-        assert "shard_health_monitor" in serial[label].extra
+        rules = serial[label].extra["health_monitor"].rules
+        assert "stall_storm.shard1" in [r.name for r in rules]
         assert serial[label].telemetry is not None
         assert _comparable(serial[label]) == _comparable(fanned[label]), label
 

@@ -26,6 +26,7 @@ from repro.cluster import (  # noqa: E402
     failover_sweep,
     run_failover_scenario,
 )
+from repro.cluster.replica import HEARTBEAT_PERIOD  # noqa: E402
 from repro.metrics import RunCollector  # noqa: E402
 from repro.resil import (  # noqa: E402
     TRANSIENT,
@@ -107,7 +108,7 @@ def test_promotion_hands_the_latency_sinks_to_the_promoted_stack():
 
     def promotion():
         while grp.epoch == 0:
-            yield env.timeout(grp.config.heartbeat_period)
+            yield env.timeout(HEARTBEAT_PERIOD)
 
     run(env, promotion())
     assert slot.db is not dead

@@ -11,7 +11,6 @@ from helpers import run, small_db, small_kvaccel, small_options  # noqa: E402
 
 from repro.core import (  # noqa: E402
     DetectorConfig,
-    MetadataCosts,
     MetadataManager,
     RollbackConfig,
     WriteStallDetector,
@@ -115,8 +114,7 @@ class TestMetadata:
     def test_cpu_charges_match_table_vi(self):
         env = Environment()
         cpu = CpuModel(env, cores=1)
-        costs = MetadataCosts(insert=0.45e-6, check=0.20e-6, delete=0.28e-6)
-        md = MetadataManager(cpu, costs)
+        md = MetadataManager(cpu)
         md.insert(b"k")
         md.contains(b"k")
         md.remove(b"k")
@@ -185,8 +183,6 @@ class TestRollbackConfig:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             RollbackConfig(period=0)
-        with pytest.raises(ValueError):
-            RollbackConfig(merge_batch=0)
 
     def test_rollback_preserves_seq_order(self):
         env = Environment()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.device import KiB, MiB, NandGeometry, NandTiming
+from repro.device.geometry import CHANNEL_BW
 
 
 def test_default_geometry_capacity():
@@ -27,21 +28,6 @@ def test_program_bw_scales_with_channels():
     assert g4.peak_program_bw == pytest.approx(4 * g1.peak_program_bw)
 
 
-def test_scaled_shrinks_capacity_not_parallelism():
-    g = NandGeometry()
-    s = g.scaled(1 / 64)
-    assert s.channels == g.channels
-    assert s.ways == g.ways
-    assert s.capacity_bytes < g.capacity_bytes
-    assert s.peak_program_bw == g.peak_program_bw
-
-
-def test_scaled_never_zero_blocks():
-    g = NandGeometry()
-    s = g.scaled(1e-9)
-    assert s.blocks_per_way >= 4
-
-
 def test_invalid_geometry_rejected():
     with pytest.raises(ValueError):
         NandGeometry(channels=0)
@@ -49,14 +35,12 @@ def test_invalid_geometry_rejected():
         NandGeometry(page_size=-1)
     with pytest.raises(ValueError):
         NandTiming(t_read=0)
-    with pytest.raises(ValueError):
-        NandGeometry().scaled(0)
 
 
 def test_timing_defaults_sane():
     t = NandTiming()
     assert t.t_read < t.t_program < t.t_erase
-    assert t.channel_bw >= 100 * MiB
+    assert CHANNEL_BW >= 100 * MiB
 
 
 def test_pages_per_way():

@@ -6,9 +6,9 @@ from repro.device import MiB, NandArray, NandGeometry
 from repro.sim import Environment
 
 
-def make_nand(env, peak=None, lanes=1, **geo):
+def make_nand(env, peak=None, **geo):
     g = NandGeometry(**geo) if geo else NandGeometry()
-    return NandArray(env, g, peak_bandwidth=peak, lanes=lanes)
+    return NandArray(env, g, peak_bandwidth=peak)
 
 
 def test_peak_clamp():
@@ -46,7 +46,7 @@ def test_unknown_op_raises():
 
 def test_io_blocks_and_ledgers():
     env = Environment()
-    nand = NandArray(env, NandGeometry(), peak_bandwidth=1 * MiB, lanes=1)
+    nand = NandArray(env, NandGeometry(), peak_bandwidth=1 * MiB)
     done = []
 
     def proc():
@@ -59,28 +59,11 @@ def test_io_blocks_and_ledgers():
     assert nand.ledger.total_bytes == MiB // 2
 
 
-def test_concurrent_lanes_aggregate_to_peak():
-    """With N lanes, N concurrent streams each run at peak/N."""
-    env = Environment()
-    nand = NandArray(env, NandGeometry(), peak_bandwidth=4 * MiB, lanes=4)
-    done = []
-
-    def proc(i):
-        yield from nand.io("program", 1 * MiB)
-        done.append(env.now)
-
-    for i in range(4):
-        env.process(proc(i))
-    env.run()
-    # 4 MiB total at 4 MiB/s aggregate -> ~1 s for all four.
-    assert max(done) == pytest.approx(1.0, rel=0.02)
-
-
 def test_priority_scheduling_reorders_queue():
     """With priority scheduling, a late flush (prio 0) overtakes queued
     compaction I/O (prio 1)."""
     env = Environment()
-    nand = NandArray(env, NandGeometry(), peak_bandwidth=1 * MiB, lanes=1,
+    nand = NandArray(env, NandGeometry(), peak_bandwidth=1 * MiB,
                      priority_scheduling=True)
     order = []
 
@@ -98,7 +81,7 @@ def test_priority_scheduling_reorders_queue():
 
 def test_fifo_ignores_priority_param():
     env = Environment()
-    nand = NandArray(env, NandGeometry(), peak_bandwidth=1 * MiB, lanes=1)
+    nand = NandArray(env, NandGeometry(), peak_bandwidth=1 * MiB)
     order = []
 
     def io(name, prio, delay):
@@ -115,7 +98,7 @@ def test_fifo_ignores_priority_param():
 
 def test_fifo_queueing_beyond_lanes():
     env = Environment()
-    nand = NandArray(env, NandGeometry(), peak_bandwidth=1 * MiB, lanes=1)
+    nand = NandArray(env, NandGeometry(), peak_bandwidth=1 * MiB)
     done = []
 
     def proc(name):

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.device import KiB, MiB
-from repro.lsm import CpuCosts, LsmOptions
+from repro.lsm import LsmOptions
+from repro.lsm.db import (CPU_COMPACT_PER_BYTE, CPU_FLUSH_PER_BYTE, CPU_NEXT,
+                          CPU_PUT, CPU_SEEK)
 
 
 def test_defaults_are_rocksdb_like():
@@ -46,11 +48,9 @@ def test_scaled_shrinks_capacities_only():
     assert s.write_buffer_size == o.write_buffer_size // 64
     assert s.max_bytes_for_level_base == o.max_bytes_for_level_base // 64
     assert s.target_file_size_base == o.target_file_size_base // 64
-    # counts, rates, cpu costs untouched
+    # counts and rates untouched
     assert s.level0_stop_writes_trigger == o.level0_stop_writes_trigger
     assert s.delayed_write_rate == o.delayed_write_rate
-    assert s.cpu is o.cpu
-    assert s.max_subcompactions == o.max_subcompactions
 
 
 def test_scaled_floors_at_4k():
@@ -65,7 +65,6 @@ def test_scaled_invalid_factor():
 
 
 def test_cpu_costs_ordering():
-    c = CpuCosts()
     # sanity of the cost model's relative magnitudes
-    assert c.next < c.put < c.seek
-    assert c.flush_per_byte <= c.compact_per_byte
+    assert CPU_NEXT < CPU_PUT < CPU_SEEK
+    assert CPU_FLUSH_PER_BYTE <= CPU_COMPACT_PER_BYTE

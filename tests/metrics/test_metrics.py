@@ -190,3 +190,18 @@ class TestRunCollector:
         res = col.result(0, 0, 0, [(db, SimpleNamespace(pcie=pcie), cpu)])
         assert res.cpu_utilization == pytest.approx(1.0 / 8.0)
         assert sum(res.pcie_series) == pytest.approx(500)
+
+    def test_result_at_time_zero_has_empty_pcie_series(self):
+        from types import SimpleNamespace
+
+        from repro.device import CpuModel, PcieLink, TrafficLedger
+        from repro.lsm import LsmOptions
+        from repro.lsm.write_controller import WriteController
+        assert TrafficLedger(1.0).series(t_end=0.0) == ([], [])
+        env = Environment()
+        db = SimpleNamespace(write_controller=WriteController(
+            env, LsmOptions(), lambda: None))
+        ssd = SimpleNamespace(pcie=PcieLink(env))
+        res = RunCollector(env, "x").result(0, 0, 0,
+                                            [(db, ssd, CpuModel(env))])
+        assert res.pcie_times == [] and res.pcie_series == []

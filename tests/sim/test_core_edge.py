@@ -152,30 +152,6 @@ def test_fail_requires_exception():
         env.event().fail("not an exception")  # type: ignore[arg-type]
 
 
-def test_container_multiple_waiters_fifo():
-    from repro.sim import Container
-    env = Environment()
-    c = Container(env, capacity=100, init=0)
-    order = []
-
-    def getter(name, amount):
-        yield c.get(amount)
-        order.append(name)
-
-    env.process(getter("first", 10))
-    env.process(getter("second", 10))
-
-    def feeder():
-        yield env.timeout(1)
-        yield c.put(10)
-        yield env.timeout(1)
-        yield c.put(10)
-
-    env.process(feeder())
-    env.run()
-    assert order == ["first", "second"]
-
-
 def test_interrupt_racing_triggered_target_no_double_resume():
     """Interrupting a process whose target timeout is already in the heap
     (triggered, same timestamp) must deliver the Interrupt exactly once and

@@ -1,9 +1,8 @@
-"""Unit tests for Resource / PriorityResource / Container / Store."""
+"""Unit tests for Resource / PriorityResource / Store."""
 
 import pytest
 
-from repro.sim import (Container, Environment, Interrupt, PriorityResource,
-                       Resource, Store)
+from repro.sim import Environment, Interrupt, PriorityResource, Resource, Store
 
 
 def test_resource_capacity_enforced():
@@ -166,57 +165,6 @@ def test_priority_resource_orders_by_priority():
     env.process(worker("high", 1, 2))  # arrives later but higher priority
     env.run()
     assert order == ["high", "low"]
-
-
-def test_container_put_get():
-    env = Environment()
-    c = Container(env, capacity=100, init=50)
-    log = []
-
-    def getter():
-        yield c.get(70)  # must wait for a put
-        log.append(("got", env.now, c.level))
-
-    def putter():
-        yield env.timeout(3)
-        yield c.put(30)
-
-    env.process(getter())
-    env.process(putter())
-    env.run()
-    assert log == [("got", 3, 10)]
-
-
-def test_container_put_blocks_at_capacity():
-    env = Environment()
-    c = Container(env, capacity=10, init=10)
-    log = []
-
-    def putter():
-        yield c.put(5)
-        log.append(env.now)
-
-    def drainer():
-        yield env.timeout(2)
-        yield c.get(6)
-
-    env.process(putter())
-    env.process(drainer())
-    env.run()
-    assert log == [2]
-
-
-def test_container_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Container(env, capacity=0)
-    with pytest.raises(ValueError):
-        Container(env, capacity=10, init=20)
-    c = Container(env, capacity=10)
-    with pytest.raises(ValueError):
-        c.put(-1)
-    with pytest.raises(ValueError):
-        c.get(-1)
 
 
 def test_store_fifo():
