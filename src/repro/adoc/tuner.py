@@ -14,7 +14,7 @@ CPU (Fig 12(c): ADOC's efficiency is the worst of the three systems).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..lsm.db import DbImpl
 from ..lsm.write_controller import WriteState

@@ -8,8 +8,6 @@ floor (~2 Kops/s) appears instead, at the cost of lower bursts.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..report import series_sparkline, shape_check
 from ..runner import RunSpec
 from .common import resolve_profile, run_cells

@@ -10,7 +10,7 @@ Paper results (600 s fillrandom):
 
 from __future__ import annotations
 
-from ..report import fmt, kops, shape_check, table
+from ..report import kops, shape_check, table
 from ..runner import RunSpec
 from .common import resolve_profile, run_cells
 

@@ -12,7 +12,7 @@ threads shifting mass from idle toward busy.
 from __future__ import annotations
 
 from ...metrics import analyze_stall_pcie, utilization_cdf
-from ..report import fmt, shape_check, table
+from ..report import shape_check, table
 from ..runner import RunSpec
 from .common import resolve_profile, run_cells
 

@@ -7,7 +7,7 @@ pairs took 1.1 s, i.e. recovery overhead is minimal.
 
 from __future__ import annotations
 
-from ...core import DetectorConfig, KvaccelDb, RollbackConfig
+from ...core import KvaccelDb, RollbackConfig
 from ...device import CpuModel, HybridSsd
 from ...sim import Environment
 from ...types import encode_key

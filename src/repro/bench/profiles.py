@@ -19,7 +19,7 @@ patient enough to run it.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from ..core import DetectorConfig
@@ -59,16 +59,6 @@ class ExperimentProfile:
     # NAND error modelling all stay off the hot path, so trajectories
     # match the pinned goldens bit-for-bit.
     resilience: Optional[ResilienceConfig] = None
-
-    def with_options(self, **changes) -> "ExperimentProfile":
-        """Copy with LsmOptions fields replaced (threads, slowdown...)."""
-        import copy
-        opts = copy.deepcopy(self.options)
-        for k, v in changes.items():
-            if not hasattr(opts, k):
-                raise AttributeError(f"LsmOptions has no field {k!r}")
-            setattr(opts, k, v)
-        return replace(self, options=opts)
 
 
 def _paper_options() -> LsmOptions:

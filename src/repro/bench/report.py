@@ -9,7 +9,7 @@ authors' Cosmos+ testbed).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 __all__ = ["table", "series_sparkline", "shape_check", "ShapeCheck",
            "kops", "fmt"]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..adoc import AdocDb, AdocTunerConfig

@@ -46,7 +46,7 @@ trajectory is identical to an unreplicated run until a failure happens.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, Optional
+from typing import Generator
 
 from ..device import BandwidthPipe, TrafficLedger
 from ..faults.registry import DROP

@@ -30,10 +30,8 @@ class DualIterator:
         self._main_buf: list = []
         self._main_pos = 0
         self._main_exhausted = False
-        self._main_next_key: Optional[bytes] = None
         self._dev_it = None
         self._dev_entry: Optional[Entry] = None
-        self._dev_exhausted = True
 
     # -- per-side cursors ------------------------------------------------
     def _refill_main(self, from_key: bytes) -> Generator:
@@ -56,9 +54,7 @@ class DualIterator:
             yield from self._refill_main(last + b"\x00")
 
     def _dev_advance(self) -> Generator:
-        entry = yield from self.controller.kv.iter_next(self._dev_it)
-        self._dev_entry = entry
-        self._dev_exhausted = entry is None
+        self._dev_entry = yield from self.controller.kv.iter_next(self._dev_it)
 
     # -- protocol ---------------------------------------------------------
     def seek(self, key: bytes) -> Generator:
@@ -67,13 +63,11 @@ class DualIterator:
         controller = self.controller
         if not controller.kv.is_empty:
             self._dev_it = yield from controller.kv.create_iterator()
-            entry = yield from controller.kv.iter_seek(self._dev_it, key)
-            self._dev_entry = entry
-            self._dev_exhausted = entry is None
+            self._dev_entry = yield from controller.kv.iter_seek(self._dev_it,
+                                                                 key)
         else:
             self._dev_it = None
             self._dev_entry = None
-            self._dev_exhausted = True
 
     def next(self) -> Generator:
         """Return the next live user entry, or None when both sides end.

@@ -200,8 +200,3 @@ class RollbackManager:
     @property
     def rollback_count(self) -> int:
         return len(self.records)
-
-    @property
-    def total_entries_rolled_back(self) -> int:
-        return sum(r.entries for r in self.records)
-

@@ -25,10 +25,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Generator, Iterable, Optional
+from typing import Generator, Optional
 
 from ..sim import Environment
-from ..types import KIND_PUT, Entry, entry_size
+from ..types import Entry, entry_size
 from .cpu import CpuModel
 from .ftl import Ftl
 from .geometry import KiB, MiB
@@ -93,9 +93,6 @@ class DevIterator:
     def seek(self, key: bytes) -> None:
         """Position at the first entry with key >= ``key``."""
         self._pos = bisect_left(self._entries, key, key=_user_key)
-
-    def seek_to_first(self) -> None:
-        self._pos = 0
 
     @property
     def valid(self) -> bool:

@@ -250,14 +250,6 @@ class Ftl:
         region = self.region(region_name)
         return sum(1 for lpn in self._l2p if region.contains(lpn))
 
-    def free_pages(self, region_name: str) -> int:
-        region = self.region(region_name)
-        g = self.geometry
-        free = len(region.free_blocks) * g.pages_per_block
-        if region.open_block != _INVALID:
-            free += g.pages_per_block - region.next_page_in_block
-        return free
-
     # -- reliability ------------------------------------------------------------
     def retire_block(self, block: int) -> None:
         """Mark ``block`` as a grown bad block: it is withdrawn from the

@@ -60,10 +60,6 @@ class NandGeometry:
         return self.channels * self.ways * self.blocks_per_way
 
     @property
-    def pages_per_way(self) -> int:
-        return self.blocks_per_way * self.pages_per_block
-
-    @property
     def total_pages(self) -> int:
         return self.total_blocks * self.pages_per_block
 

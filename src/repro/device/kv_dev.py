@@ -16,7 +16,7 @@ from typing import Generator
 
 from ..faults.registry import DROP, DUPLICATE
 from ..sim import Environment
-from ..types import KIND_DELETE, Entry, entry_size, make_entry, value_size
+from ..types import KIND_DELETE, entry_size, make_entry, value_size
 from .cpu import CpuModel
 from .devlsm import DevIterator, DevLsm
 from .pcie import PcieLink

@@ -129,7 +129,3 @@ class NamespacedKvInterface:
 
     def namespaces(self) -> list:
         return sorted(self._namespaces.values(), key=lambda n: n.nsid)
-
-    @property
-    def total_used_bytes(self) -> int:
-        return sum(ns.used_bytes for ns in self._namespaces.values())

@@ -195,7 +195,3 @@ class NandArray:
         if err is not None:
             raise err
         p.end(_sp)
-
-    @property
-    def queue_len(self) -> int:
-        return len(self._res.queue)

@@ -241,10 +241,6 @@ class BandwidthPipe:
                 p.add(self._channels[direction], sum(group))
         p.end(_sp)
 
-    @property
-    def queue_len(self) -> int:
-        return len(self._res.queue)
-
 
 class PcieLink(BandwidthPipe):
     """The host<->device PCIe link.

@@ -26,7 +26,6 @@ from .plan import (
     AlwaysPlan,
     AtTimePlan,
     FaultPlan,
-    NeverPlan,
     NthOccurrencePlan,
     ProbabilisticPlan,
     ScriptedPlan,
@@ -59,7 +58,6 @@ _LAZY = {
 
 __all__ = [
     "FaultPlan",
-    "NeverPlan",
     "AlwaysPlan",
     "NthOccurrencePlan",
     "ProbabilisticPlan",

@@ -130,8 +130,6 @@ def broken_recovery_skip_reset(db: KvaccelDb) -> Generator:
     """A recovery that merges but forgets step 8 (Dev-LSM reset): the
     two LSMs' metadata disagree afterwards — Dev-LSM still holds entries
     while the rebuilt metadata table says it holds none."""
-    from ..types import entry_size
-
     controller = db.controller
     controller.metadata.drop()
     scanned = yield from controller.kv.bulk_scan()

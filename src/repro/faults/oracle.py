@@ -28,7 +28,7 @@ it, not at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, Optional
 
 __all__ = ["DifferentialOracle", "Violation"]

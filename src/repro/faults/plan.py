@@ -19,7 +19,6 @@ from typing import Iterable, Optional
 
 __all__ = [
     "FaultPlan",
-    "NeverPlan",
     "AlwaysPlan",
     "NthOccurrencePlan",
     "ProbabilisticPlan",
@@ -38,13 +37,6 @@ class FaultPlan:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
-
-
-class NeverPlan(FaultPlan):
-    """A pure probe: never fires (useful to keep a site traced but inert)."""
-
-    def should_fire(self, occurrence: int, now: float) -> bool:
-        return False
 
 
 class AlwaysPlan(FaultPlan):

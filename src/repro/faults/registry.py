@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from functools import partial
 from typing import Generator, Optional
@@ -194,15 +194,6 @@ class FaultRegistry:
         self.crash_event = Event(env)
         self.crashed_at = None
         return self.crash_event
-
-    # -- introspection -----------------------------------------------------
-    @property
-    def distinct_sites(self) -> list[str]:
-        return sorted(self.hits)
-
-    @property
-    def total_hits(self) -> int:
-        return sum(self.hits.values())
 
     # -- the probe ---------------------------------------------------------
     def reach(self, site: str, now: float) -> Optional[FaultAction]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..types import KIND_DELETE, Entry, entry_size
+from ..types import KIND_DELETE, entry_size
 from .iterator import merging_iterator
 from .options import LsmOptions
 from .version import FileMetadata, Version
@@ -47,10 +47,6 @@ class CompactionJob:
     @property
     def input_bytes(self) -> int:
         return sum(meta.file_bytes for meta in self.all_inputs)
-
-    @property
-    def is_l0(self) -> bool:
-        return self.level == 0
 
 
 class CompactionPicker:

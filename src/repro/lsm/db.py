@@ -15,7 +15,7 @@ generators*: drive them with ``yield from`` inside a simulation process, or
 
 from __future__ import annotations
 
-from typing import Generator, Iterable, Optional
+from typing import Generator, Optional
 
 from ..device.block_dev import BlockDevice
 from ..device.cpu import CpuModel
@@ -232,16 +232,15 @@ class DbImpl:
         self._wake_background()
 
     # ------------------------------------------------------------------ write
-    def put(self, key: bytes, value, seq: Optional[int] = None) -> Generator:
+    def put(self, key: bytes, value) -> Generator:
         """Insert one key-value pair (process generator)."""
-        return self.put_batch([(key, value)],
-                              seqs=[seq] if seq is not None else None)
+        return self.put_batch([(key, value)])
 
-    def delete(self, key: bytes, seq: Optional[int] = None) -> Generator:
+    def delete(self, key: bytes) -> Generator:
         """Write a tombstone for ``key``: a put of ``None``."""
-        return self.put(key, None, seq)
+        return self.put(key, None)
 
-    def put_batch(self, pairs: list, seqs: Optional[list] = None) -> Generator:
+    def put_batch(self, pairs: list) -> Generator:
         """Insert many pairs as one write batch (one gate, one CPU charge);
         a ``None`` value writes a tombstone.
 
@@ -249,12 +248,8 @@ class DbImpl:
         matching how group-committed writers observe completion.
         """
         t0 = self.env.now
-        entries = []
-        for i, (key, value) in enumerate(pairs):
-            seq = seqs[i] if seqs is not None else self.next_seq()
-            if seqs is not None:
-                self.note_external_seq(seq)
-            entries.append(make_entry(key, seq, value))
+        entries = [make_entry(key, self.next_seq(), value)
+                   for key, value in pairs]
         yield from self._write_entries(entries)
         self.stats.record_write_latency(self.env.now - t0, count=len(entries))
 

@@ -14,7 +14,7 @@ per-item work tiny, account in batches).
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from ..types import KIND_DELETE, Entry
 

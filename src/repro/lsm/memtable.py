@@ -57,12 +57,6 @@ class MemTable:
         """Iterate entries with key >= ``key`` in ascending key order."""
         raise NotImplementedError
 
-    def range_bounds(self) -> Optional[tuple[bytes, bytes]]:
-        ents = self.entries()
-        if not ents:
-            return None
-        return ents[0][0], ents[-1][0]
-
 
 class DictMemTable(MemTable):
     """Hash-map memtable with a lazily sorted snapshot."""

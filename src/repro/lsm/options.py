@@ -84,14 +84,6 @@ class LsmOptions:
         if self.delayed_write_rate <= 0:
             raise ValueError("delayed_write_rate must be positive")
 
-    def max_bytes_for_level(self, level: int) -> int:
-        """Size target for level ``level`` (level 1 = base)."""
-        if level < 1:
-            raise ValueError("levels >= 1 have size targets")
-        return self.max_bytes_for_level_base * (
-            self.max_bytes_for_level_multiplier ** (level - 1)
-        )
-
     def scaled(self, factor: float) -> "LsmOptions":
         """Scale all byte capacities by ``factor`` (mini profile).
 

@@ -134,9 +134,6 @@ class Version:
     def total_bytes(self) -> int:
         return sum(self._level_bytes)
 
-    def total_files(self) -> int:
-        return sum(len(l) for l in self.levels)
-
     def overlapping_files(self, level: int, smallest: bytes,
                           largest: bytes) -> list:
         files = self.levels[level]

@@ -246,11 +246,6 @@ class WriteController:
             return held
 
     # -- queries -------------------------------------------------------------
-    @property
-    def is_stall_condition(self) -> bool:
-        """True when slowdown-level pressure exists (the Detector's signal)."""
-        return self.state != WriteState.NORMAL
-
     def breakdown(self) -> dict:
         """Per-StallReason accounting (RunResult.stall_breakdown)."""
         return {

@@ -89,12 +89,6 @@ class StallBreakdown:
     def longest_stall(self) -> float:
         return max((t1 - t0 for t0, t1 in self.intervals), default=0.0)
 
-    @property
-    def mean_stall(self) -> float:
-        if not self.intervals:
-            return 0.0
-        return sum(t1 - t0 for t0, t1 in self.intervals) / len(self.intervals)
-
 
 def stall_breakdown(result) -> StallBreakdown:
     """Build a StallBreakdown from a RunResult."""

@@ -18,6 +18,14 @@ import numpy as np
 __all__ = ["StallPcieStats", "analyze_stall_pcie", "utilization_cdf",
            "zero_traffic_buckets"]
 
+# A stall bucket at or below this utilisation counts as link-idle (Fig 4/5).
+ZERO_UTILIZATION = 0.005
+# A stall bucket carrying at most this many bytes counts as zero-traffic
+# (Fig 14).
+ZERO_TRAFFIC_BYTES = 1024.0
+# Sample points of the Fig 5 utilisation CDF over [0, 1].
+CDF_POINTS = 101
+
 
 @dataclass
 class StallPcieStats:
@@ -65,8 +73,7 @@ def _check_series(times: Sequence[float], traffic: Sequence[float]) -> None:
 
 def analyze_stall_pcie(times: Sequence[float], traffic: Sequence[float],
                        stall_intervals: Sequence[tuple], capacity: float,
-                       bucket: float = 1.0,
-                       zero_threshold: float = 0.005) -> StallPcieStats:
+                       bucket: float = 1.0) -> StallPcieStats:
     """Classify stall-period buckets by link utilisation.
 
     ``capacity`` is the relevant peak bandwidth in bytes per bucket-second
@@ -77,7 +84,7 @@ def analyze_stall_pcie(times: Sequence[float], traffic: Sequence[float],
     _check_series(times, traffic)
     mask = _stall_bucket_mask(times, bucket, stall_intervals)
     vals = np.asarray(traffic, dtype=float)[mask] / (capacity * bucket)
-    zero = int(np.sum(vals <= zero_threshold))
+    zero = int(np.sum(vals <= ZERO_UTILIZATION))
     hi = int(np.sum(vals >= 0.9))
     return StallPcieStats(
         stall_buckets=int(mask.sum()),
@@ -87,12 +94,11 @@ def analyze_stall_pcie(times: Sequence[float], traffic: Sequence[float],
     )
 
 
-def utilization_cdf(utilizations: Sequence[float],
-                    points: int = 101) -> tuple[list, list]:
+def utilization_cdf(utilizations: Sequence[float]) -> tuple[list, list]:
     """(x, F(x)) for utilisation in [0, 1] — the Fig 5 curve."""
-    xs = np.linspace(0.0, 1.0, points)
+    xs = np.linspace(0.0, 1.0, CDF_POINTS)
     if len(utilizations) == 0:
-        return xs.tolist(), [0.0] * points
+        return xs.tolist(), [0.0] * CDF_POINTS
     vals = np.sort(np.asarray(utilizations, dtype=float))
     cdf = np.searchsorted(vals, xs, side="right") / len(vals)
     return xs.tolist(), cdf.tolist()
@@ -100,10 +106,9 @@ def utilization_cdf(utilizations: Sequence[float],
 
 def zero_traffic_buckets(times: Sequence[float], traffic: Sequence[float],
                          stall_intervals: Sequence[tuple],
-                         bucket: float = 1.0,
-                         zero_threshold_bytes: float = 1024.0) -> int:
+                         bucket: float = 1.0) -> int:
     """Count stall-period buckets with (near-)zero link traffic."""
     _check_series(times, traffic)
     mask = _stall_bucket_mask(times, bucket, stall_intervals)
     vals = np.asarray(traffic, dtype=float)[mask]
-    return int(np.sum(vals <= zero_threshold_bytes))
+    return int(np.sum(vals <= ZERO_TRAFFIC_BYTES))

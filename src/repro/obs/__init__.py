@@ -15,15 +15,15 @@ Pieces:
   point **instants** (stall enter/exit, detector verdicts, slowdown rate
   changes, interface switches), timestamped from the DES clock;
 * exporters — Chrome ``trace_event`` JSON (open in Perfetto or
-  ``chrome://tracing``), a JSONL event stream, and a human stall
-  attribution report (``python -m repro.obs report trace.json``);
+  ``chrome://tracing``) and a human stall attribution report
+  (``python -m repro.obs report trace.json``);
 * :class:`TelemetryHub` — unified per-second time-series channels every
   layer publishes into (``env.probes.add``);
 * :class:`HealthMonitor` + :func:`default_rules` — windowed SLO
   predicates (stall storms, zero-traffic-while-stalled, ...) emitting
   typed :class:`HealthEvent` edges;
-* telemetry exporters — Prometheus text format, CSV, terminal sparkline
-  dashboard (``python -m repro.obs dash``), and the exact compare of
+* a terminal sparkline dashboard of the telemetry (``python -m repro.obs
+  dash``), and the exact compare of
   ``BENCH_<exp>.json`` determinism pins (``python -m repro.obs compare
   A.json B.json``);
 * :class:`Journal` — the deterministic flight recorder (``env.journal``):
@@ -46,10 +46,8 @@ from .export import (
     to_chrome_trace,
     validate_chrome_trace,
     write_chrome_trace,
-    write_jsonl,
 )
 from .compare import compare_baselines, format_comparison
-from .exporters import telemetry_to_csv, telemetry_to_prometheus
 from .profiler import (
     DEFAULT_BANDS,
     LINEAGE_SCHEMA,
@@ -90,7 +88,6 @@ __all__ = [
     "chrome_trace_events",
     "to_chrome_trace",
     "write_chrome_trace",
-    "write_jsonl",
     "load_chrome_trace",
     "spans_from_chrome",
     "validate_chrome_trace",
@@ -114,8 +111,6 @@ __all__ = [
     "ops_from_chrome",
     "exemplars_from_chrome",
     "check_lineage_invariant",
-    "telemetry_to_prometheus",
-    "telemetry_to_csv",
     "compare_baselines",
     "format_comparison",
     "Journal",

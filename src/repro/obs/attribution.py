@@ -11,7 +11,7 @@ absorbed through the KV interface while the main path was blocked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .tracer import SpanRecord, Tracer

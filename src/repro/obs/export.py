@@ -1,4 +1,4 @@
-"""Trace exporters: Chrome ``trace_event`` JSON and a JSONL stream.
+"""Trace exporter: Chrome ``trace_event`` JSON.
 
 Chrome format notes (the subset we emit, loadable in Perfetto and
 ``chrome://tracing``):
@@ -25,7 +25,6 @@ __all__ = [
     "chrome_trace_events",
     "to_chrome_trace",
     "write_chrome_trace",
-    "write_jsonl",
     "load_chrome_trace",
     "spans_from_chrome",
     "validate_chrome_trace",
@@ -137,27 +136,6 @@ def write_chrome_trace(tracer: Tracer, path: str,
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
     return doc
-
-
-def write_jsonl(tracer: Tracer, path: str) -> int:
-    """One JSON object per record, in emission order; returns the count."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in tracer.events:
-            if isinstance(rec, SpanRecord):
-                obj = {"type": "span", "cat": rec.cat, "name": rec.name,
-                       "actor": rec.actor, "t0": rec.t0, "t1": rec.t1,
-                       "depth": rec.depth, "args": _json_safe(rec.args)}
-            elif isinstance(rec, InstantRecord):
-                obj = {"type": "instant", "cat": rec.cat, "name": rec.name,
-                       "actor": rec.actor, "t": rec.t,
-                       "args": _json_safe(rec.args)}
-            else:
-                obj = {"type": "counter", "name": rec.name,
-                       "actor": rec.actor, "t": rec.t, "value": rec.value}
-            fh.write(json.dumps(obj) + "\n")
-            n += 1
-    return n
 
 
 def load_chrome_trace(path: str) -> dict:

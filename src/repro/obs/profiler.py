@@ -70,6 +70,8 @@ SEGMENTS = (
 # Percentile bands for the conditioned decomposition, as (lo, hi) in
 # percent of the per-op end-to-end latency distribution.
 DEFAULT_BANDS = ((0.0, 50.0), (50.0, 90.0), (90.0, 99.0), (99.0, 100.0))
+# Segment columns the lineage report shows (the heaviest; plus unattributed).
+REPORT_SEGMENTS = 8
 
 # Float-accumulation tolerance for the sum(segments) == e2e invariant,
 # relative to the op's end-to-end latency.
@@ -339,8 +341,7 @@ def _fmt_us(seconds: float) -> str:
 
 def lineage_report(ops: list[dict], title: str = "lineage",
                    exemplars: Optional[list[dict]] = None,
-                   bands: tuple = DEFAULT_BANDS,
-                   max_segments: int = 8) -> str:
+                   bands: tuple = DEFAULT_BANDS) -> str:
     """Human-readable percentile-conditioned segment table (plus exemplar
     span trees when provided)."""
     lines = [f"latency lineage — {title}"]
@@ -355,7 +356,7 @@ def lineage_report(ops: list[dict], title: str = "lineage",
     ranked_segs = _segment_rank(overall)
     # Keep the biggest contributors as columns; always show unattributed.
     by_weight = sorted(ranked_segs, key=lambda s: -overall.get(s, 0.0))
-    cols = [s for s in ranked_segs if s in set(by_weight[:max_segments])
+    cols = [s for s in ranked_segs if s in set(by_weight[:REPORT_SEGMENTS])
             or s == "unattributed"]
     total_e2e = sum(r["e2e"] for r in ops)
     lines.append(f"  ops: {len(ops)}   total e2e: "

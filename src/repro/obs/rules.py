@@ -57,11 +57,6 @@ class HealthEvent:
                 "phase": self.phase, "message": self.message,
                 "data": dict(self.data)}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "HealthEvent":
-        return cls(d["rule"], d["severity"], d["t"], d["phase"],
-                   d["message"], d.get("data"))
-
     def __repr__(self) -> str:
         return (f"HealthEvent({self.rule} {self.phase} @ {self.t:.3f} "
                 f"[{self.severity}])")

@@ -29,8 +29,8 @@ Channel kinds:
   seconds) — how a hardware counter sampled once a second behaves.
 
 Consumers: :class:`~repro.obs.rules.HealthMonitor` subscribes via
-:meth:`on_sample`; exporters render the same data as Prometheus text,
-CSV, or terminal sparklines.
+:meth:`on_sample`; ``python -m repro.obs dash`` renders the same data as
+terminal sparklines.
 """
 
 from __future__ import annotations

@@ -200,18 +200,15 @@ class Tracer:
                                                    or rec.cat == cat):
                 yield rec
 
-    def tail(self, n: Optional[int] = None, include_open: bool = True) -> list:
+    def tail(self, n: Optional[int] = None) -> list:
         """The most recent records as plain dicts, oldest first — the
         crash-tail view the fault harness attaches to its reports.
 
         Open spans (in-flight ops) are included with ``t1: None`` without
         being mutated — their owning processes may still be running and
         will close them normally later."""
-        records = list(self.events)
-        if include_open:
-            records = records + list(self._open)
         out = []
-        for rec in records:
+        for rec in [*self.events, *self._open]:
             if isinstance(rec, SpanRecord):
                 out.append({"kind": "span", "cat": rec.cat, "name": rec.name,
                             "actor": rec.actor, "t0": rec.t0, "t1": rec.t1,

@@ -15,7 +15,7 @@ them.  Request events double as context managers so the common pattern is::
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Deque
 
 from .core import Environment, Event
 
@@ -43,10 +43,6 @@ class Request(Event):
     def __exit__(self, exc_type, exc, tb) -> None:
         self.release()
 
-    def cancel(self) -> None:
-        """Withdraw a request that has not been granted yet."""
-        self.resource._cancel(self)
-
 
 class Resource:
     """Counted FIFO resource (semaphore with queue introspection)."""
@@ -58,21 +54,6 @@ class Resource:
         self._capacity = capacity
         self.users: list[Request] = []
         self.queue: Deque[Request] = deque()
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    @capacity.setter
-    def capacity(self, value: int) -> None:
-        """Grow or shrink capacity at runtime (ADOC tunes thread pools).
-
-        Shrinking never revokes granted slots; it only delays future grants.
-        """
-        if value < 1:
-            raise ValueError("capacity must be >= 1")
-        self._capacity = value
-        self._grant()
 
     @property
     def count(self) -> int:
@@ -159,41 +140,29 @@ class PriorityResource(Resource):
 
 
 class Store:
-    """FIFO object queue with blocking get."""
+    """Unbounded FIFO object queue with blocking get."""
 
-    def __init__(self, env: Environment, capacity: Optional[int] = None):
+    def __init__(self, env: Environment):
         self.env = env
-        self.capacity = capacity if capacity is not None else float("inf")
         self.items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
 
     def __len__(self) -> int:
         return len(self.items)
 
     def put(self, item: Any) -> Event:
+        self.items.append(item)
         ev = Event(self.env)
-        self._putters.append((ev, item))
-        self._settle()
+        ev.succeed()
+        self._serve()
         return ev
 
     def get(self) -> Event:
         ev = Event(self.env)
         self._getters.append(ev)
-        self._settle()
+        self._serve()
         return ev
 
-    def _settle(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            while self._putters and len(self.items) < self.capacity:
-                ev, item = self._putters.popleft()
-                self.items.append(item)
-                ev.succeed()
-                progress = True
-            while self._getters and self.items:
-                ev = self._getters.popleft()
-                ev.succeed(self.items.popleft())
-                progress = True
-
+    def _serve(self) -> None:
+        while self._getters and self.items:
+            self._getters.popleft().succeed(self.items.popleft())

@@ -11,7 +11,6 @@ from .keygen import (
     HotspotKeys,
     KeyGenerator,
     RandomKeys,
-    SequentialKeys,
     ZipfianKeys,
     value_for,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "HotspotKeys",
     "KeyGenerator",
     "RandomKeys",
-    "SequentialKeys",
     "ZipfianKeys",
     "value_for",
     "WORKLOADS",

@@ -11,11 +11,11 @@ KVACCEL, which is what makes the cross-system figures apples-to-apples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..sim import Environment, Process, RateMeter
-from ..types import entry_size, value_size
+from ..types import value_size
 from .keygen import KeyGenerator, RandomKeys, value_for
 
 __all__ = ["DriverConfig", "FillRandomDriver", "ReadWhileWritingDriver",

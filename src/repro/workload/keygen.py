@@ -13,7 +13,7 @@ from typing import Iterator
 
 from ..types import ValueRef, encode_key
 
-__all__ = ["KeyGenerator", "RandomKeys", "SequentialKeys", "ZipfianKeys",
+__all__ = ["KeyGenerator", "RandomKeys", "ZipfianKeys",
            "HotspotKeys", "value_for"]
 
 
@@ -40,19 +40,6 @@ class RandomKeys(KeyGenerator):
 
     def next_key(self) -> bytes:
         return encode_key(self._rng.randrange(self.key_space), self.key_size)
-
-
-class SequentialKeys(KeyGenerator):
-    """Monotonic keys — db_bench fillseq."""
-
-    def __init__(self, key_size: int = 4, start: int = 0):
-        self.key_size = key_size
-        self._next = start
-
-    def next_key(self) -> bytes:
-        k = encode_key(self._next, self.key_size)
-        self._next += 1
-        return k
 
 
 class ZipfianKeys(KeyGenerator):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..sim import Environment, Process, RateMeter
 from .keygen import value_for

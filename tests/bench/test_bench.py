@@ -46,14 +46,6 @@ class TestProfiles:
         assert (mini.options.max_write_buffer_number
                 == paper.options.max_write_buffer_number)
 
-    def test_with_options_copy(self):
-        p = mini_profile(64)
-        p2 = p.with_options(max_background_compactions=4)
-        assert p2.options.max_background_compactions == 4
-        assert p.options.max_background_compactions == 1
-        with pytest.raises(AttributeError):
-            p.with_options(not_a_field=1)
-
     def test_mini_validation(self):
         with pytest.raises(ValueError):
             mini_profile(0)

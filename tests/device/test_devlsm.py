@@ -106,7 +106,7 @@ def test_iterator_sorted_and_deduped():
         put(env, dl, i, i + 100, b"x" * 40)  # later seq overwrite
     it = run(env, dl.create_iterator())
     keys = []
-    it.seek_to_first()
+    it.seek(b"")
     while it.valid:
         keys.append(it.entry()[0])
         it.next()

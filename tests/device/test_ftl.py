@@ -72,11 +72,14 @@ def test_regions_use_disjoint_physical_blocks():
 
 def test_mapped_and_free_page_accounting():
     ftl = Ftl(tiny_geometry(), split_fraction=0.5)
-    before = ftl.free_pages("block")
+    region = ftl.region("block")
+    free_blocks = len(region.free_blocks)
     ftl.write(0)
     ftl.write(1)
     assert ftl.mapped_pages("block") == 2
-    assert ftl.free_pages("block") == before - 2
+    # both pages went to the one block the first write opened
+    assert len(region.free_blocks) == free_blocks - 1
+    assert region.next_page_in_block == 2
 
 
 def test_gc_reclaims_overwritten_pages():

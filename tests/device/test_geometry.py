@@ -42,7 +42,3 @@ def test_timing_defaults_sane():
     assert t.t_read < t.t_program < t.t_erase
     assert CHANNEL_BW >= 100 * MiB
 
-
-def test_pages_per_way():
-    g = NandGeometry(blocks_per_way=10, pages_per_block=20)
-    assert g.pages_per_way == 200

@@ -35,7 +35,7 @@ def test_flush_triggered_by_memtable_size():
     fill(env, db, 400)  # 400 * ~75B > 16 KiB several times over
     run(env, db.wait_for_quiesce())
     assert db.stats.flushes >= 1
-    assert db.versions.current.total_files() >= 1
+    assert sum(map(len, db.versions.current.levels)) >= 1
     # all data still visible after flushes
     for k in (0, 100, 399):
         assert run(env, db.get(encode_key(k))) is not None

@@ -12,7 +12,7 @@ from helpers import run, small_db, small_options  # noqa: E402
 from repro.lsm import SkipListMemTable  # noqa: E402
 from repro.lsm.fs import FsError  # noqa: E402
 from repro.sim import Environment  # noqa: E402
-from repro.types import KIND_DELETE, encode_key  # noqa: E402
+from repro.types import KIND_DELETE, encode_key, make_entry  # noqa: E402
 
 
 def fill(env, db, n, start=0, vlen=48):
@@ -101,7 +101,7 @@ def test_delete_with_explicit_seq():
     env = Environment()
     db, _, _ = small_db(env)
     fill(env, db, 5)
-    run(env, db.delete(encode_key(2), seq=10_000))
+    run(env, db.write_entries([make_entry(encode_key(2), 10_000, None)]))
     assert db.property_snapshot()["seq"] == 10_000
     assert run(env, db.get(encode_key(2))) is None
 

@@ -69,13 +69,6 @@ def test_iter_from(memtable):
     assert list(memtable.iter_from(encode_key(9))) == []
 
 
-def test_range_bounds(memtable):
-    assert memtable.range_bounds() is None
-    for k in (30, 10, 20):
-        memtable.add(e(k, k))
-    assert memtable.range_bounds() == (encode_key(10), encode_key(30))
-
-
 def test_tombstones_stored(memtable):
     memtable.add(make_entry(encode_key(7), 3, None))
     got = memtable.get(encode_key(7))

@@ -18,14 +18,6 @@ def test_defaults_are_rocksdb_like():
     assert o.slowdown_enabled is True
 
 
-def test_max_bytes_for_level():
-    o = LsmOptions(max_bytes_for_level_base=100, max_bytes_for_level_multiplier=10)
-    assert o.max_bytes_for_level(1) == 100
-    assert o.max_bytes_for_level(3) == 10_000
-    with pytest.raises(ValueError):
-        o.max_bytes_for_level(0)
-
-
 @pytest.mark.parametrize("bad", [
     dict(write_buffer_size=0),
     dict(max_write_buffer_number=1),

@@ -137,7 +137,7 @@ class TestPicker:
         vs.apply(VersionEdit(added=[meta(1, 0, 0, 10), meta(2, 0, 5, 15),
                                     meta(3, 1, 0, 8)]))
         job = CompactionPicker(o).pick(vs.current)
-        assert job is not None and job.is_l0
+        assert job is not None and job.level == 0
         assert {f.number for f in job.inputs_low} == {1, 2}
         assert [f.number for f in job.inputs_high] == [3]
         assert job.output_level == 1

@@ -63,14 +63,12 @@ class TestStallBreakdown:
         assert sb.stall_fraction == pytest.approx(0.3)
         assert sb.delayed_fraction == pytest.approx(0.1)
         assert sb.longest_stall == pytest.approx(2.0)
-        assert sb.mean_stall == pytest.approx(1.5)
 
     def test_empty(self):
         sb = StallBreakdown(duration=0.0, stall_events=0, stall_time=0.0,
                             delayed_time=0.0)
         assert sb.stall_fraction == 0.0
         assert sb.longest_stall == 0.0
-        assert sb.mean_stall == 0.0
 
     def test_from_run_result(self):
         r = RunResult(name="x", duration=4.0, write_ops=1, read_ops=0,

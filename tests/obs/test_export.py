@@ -1,4 +1,4 @@
-"""Chrome-trace export: JSON round-trip, schema validation, JSONL,
+"""Chrome-trace export: JSON round-trip, schema validation,
 attribution and top-span analysis."""
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.obs import (  # noqa: E402
     top_spans,
     validate_chrome_trace,
     write_chrome_trace,
-    write_jsonl,
 )
 from repro.sim import Environment  # noqa: E402
 
@@ -129,17 +128,6 @@ def test_validator_catches_corruption():
     assert validate_chrome_trace({"traceEvents": "nope"})
     assert validate_chrome_trace([]) == ["document must be a dict, got list"]
     assert validate_chrome_trace(base) == []   # the original stays valid
-
-
-def test_write_jsonl(tmp_path):
-    tr = sample_tracer()
-    path = tmp_path / "trace.jsonl"
-    n = write_jsonl(tr, str(path))
-    lines = path.read_text().splitlines()
-    assert len(lines) == n == len(tr.events)
-    objs = [json.loads(line) for line in lines]
-    kinds = {o["type"] for o in objs}
-    assert kinds == {"span", "instant", "counter"}
 
 
 def test_stall_attribution_from_tracer_and_chrome():

@@ -21,13 +21,6 @@ def test_rule_validation():
         HealthRule("x", "fatal", 1, lambda w: False)
 
 
-def test_event_round_trip():
-    ev = HealthEvent("r", "critical", 1.5, "enter", "msg", {"k": 1})
-    ev2 = HealthEvent.from_dict(ev.to_dict())
-    assert (ev2.rule, ev2.severity, ev2.t, ev2.phase, ev2.message,
-            ev2.data) == ("r", "critical", 1.5, "enter", "msg", {"k": 1})
-
-
 def test_edge_triggering_detached():
     rule = HealthRule("hot", "warning", 1, lambda w: w[-1].get("x", 0) > 5)
     mon = HealthMonitor(None, [rule])

@@ -43,58 +43,10 @@ def test_resource_fifo_grant_order():
     assert order == [0, 1, 2, 3]
 
 
-def test_resource_capacity_growth_grants_waiters():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    started = []
-
-    def worker(i):
-        with res.request() as req:
-            yield req
-            started.append((env.now, i))
-            yield env.timeout(100)
-
-    def grower():
-        yield env.timeout(5)
-        res.capacity = 3
-
-    for i in range(3):
-        env.process(worker(i))
-    env.process(grower())
-    env.run(until=50)
-    assert started == [(0, 0), (5, 1), (5, 2)]
-
-
-def test_resource_shrink_does_not_revoke():
-    env = Environment()
-    res = Resource(env, capacity=2)
-    held = []
-
-    def worker(i):
-        with res.request() as req:
-            yield req
-            held.append(i)
-            yield env.timeout(10)
-
-    env.process(worker(0))
-    env.process(worker(1))
-
-    def shrinker():
-        yield env.timeout(1)
-        res.capacity = 1
-        assert len(res.users) == 2  # both still hold slots
-
-    env.process(shrinker())
-    env.run()
-
-
 def test_resource_invalid_capacity():
     env = Environment()
     with pytest.raises(ValueError):
         Resource(env, capacity=0)
-    res = Resource(env, capacity=1)
-    with pytest.raises(ValueError):
-        res.capacity = 0
 
 
 def test_release_queued_request_cancels():
@@ -112,7 +64,7 @@ def test_release_queued_request_cancels():
     def canceller():
         yield env.timeout(1)
         req = res.request()  # queued behind holder
-        req.cancel()
+        req.release()
         assert len(res.queue) == 0
 
     env.process(canceller())
@@ -188,27 +140,6 @@ def test_store_fifo():
     assert got == [(1, 0), (2, 1), (3, 2)]
 
 
-def test_store_capacity_blocks_put():
-    env = Environment()
-    s = Store(env, capacity=1)
-    log = []
-
-    def producer():
-        yield s.put("a")
-        yield s.put("b")  # blocks until consumer takes "a"
-        log.append(env.now)
-
-    def consumer():
-        yield env.timeout(5)
-        yield s.get()
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert log == [5]
-    assert list(s.items) == ["b"]
-
-
 def test_store_len():
     env = Environment()
     s = Store(env)
@@ -218,7 +149,7 @@ def test_store_len():
 
 
 def test_interrupt_while_waiting_on_request():
-    """An Interrupt delivered while queued detaches the waiter; cancelling
+    """An Interrupt delivered while queued detaches the waiter; releasing
     the request must free the queue slot so later arrivals still get the
     resource (no leaked grant to a dead waiter)."""
     env = Environment()
@@ -237,7 +168,7 @@ def test_interrupt_while_waiting_on_request():
             yield req
             log.append("granted")
         except Interrupt:
-            req.cancel()
+            req.release()
             log.append("interrupted")
 
     def poker():

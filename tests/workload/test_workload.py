@@ -19,7 +19,6 @@ from repro.workload import (  # noqa: E402
     RandomKeys,
     ReadWhileWritingDriver,
     SeekRandomDriver,
-    SequentialKeys,
     ZipfianKeys,
     fill_database,
     value_for,
@@ -38,11 +37,6 @@ class TestKeyGen:
         a = [RandomKeys(1000, seed=5).next_key() for _ in range(10)]
         b = [RandomKeys(1000, seed=5).next_key() for _ in range(10)]
         assert a == b
-
-    def test_sequential(self):
-        g = SequentialKeys(start=7)
-        ks = [g.next_key() for _ in range(3)]
-        assert [int.from_bytes(k, "big") for k in ks] == [7, 8, 9]
 
     def test_zipfian_skew(self):
         g = ZipfianKeys(key_space=1000, theta=0.99, seed=3)
@@ -71,9 +65,9 @@ class TestKeyGen:
         assert isinstance(raw, bytes) and len(raw) == 16
 
     def test_iter_protocol(self):
-        g = SequentialKeys()
+        g = RandomKeys(1000, seed=5)
         it = iter(g)
-        assert next(it) == b"\x00\x00\x00\x00"
+        assert next(it) == RandomKeys(1000, seed=5).next_key()
 
 
 class TestSpecs:
