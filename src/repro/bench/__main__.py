@@ -32,6 +32,20 @@ def _list_experiments() -> int:
     return 0
 
 
+def _pin_path(target: str, name: str, multi: bool) -> Path:
+    """Where ``--json [target]`` writes experiment ``name``'s pin (its
+    ``LINEAGE_<exp>.json`` goes in the same directory)."""
+    from .baseline import default_baseline_path
+    if target == "":
+        return default_baseline_path(name, "benchmarks")
+    if Path(target).is_dir():
+        return default_baseline_path(name, target)
+    if multi:
+        # one file per experiment even when a file path was given
+        return Path(splice_path(target, ".json", name))
+    return Path(target)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
@@ -82,7 +96,7 @@ def main(argv=None) -> int:
                              "print a percentile-conditioned segment "
                              "decomposition per cell (with --json, also "
                              "write LINEAGE_<exp>.json next to the "
-                             "baseline)")
+                             "pin)")
     args = parser.parse_args(argv)
     if args.report and not args.trace:
         parser.error("--report requires --trace")
@@ -124,6 +138,8 @@ def main(argv=None) -> int:
         if args.journal:
             journal = (splice_path(args.journal, ".jsonl.gz", name) if multi
                        else args.journal)
+        pin = (_pin_path(args.json_out, name, multi)
+               if args.json_out is not None else None)
         options = RunOptions(jobs=args.jobs, trace_path=trace,
                              telemetry=args.json_out is not None,
                              lineage=args.lineage, journal_path=journal)
@@ -161,13 +177,10 @@ def main(argv=None) -> int:
                 print(lineage_report(lin["ops"],
                                      title=f"{name} / {label}",
                                      exemplars=lin.get("exemplars")))
-            if args.json_out is not None and lineage_cells:
+            if pin is not None and lineage_cells:
                 import json as _json
-                base = (Path(args.json_out) if args.json_out
-                        and Path(args.json_out).is_dir()
-                        else Path("benchmarks"))
-                base.mkdir(parents=True, exist_ok=True)
-                lpath = base / f"LINEAGE_{name}.json"
+                lpath = pin.parent / f"LINEAGE_{name}.json"
+                lpath.parent.mkdir(parents=True, exist_ok=True)
                 lpath.write_text(_json.dumps(
                     {"schema": "repro-lineage", "version": 1,
                      "experiment": name, "cells": lineage_cells},
@@ -178,27 +191,13 @@ def main(argv=None) -> int:
             # RunResults — nothing to baseline.
             print(f"(no per-cell results — no baseline for {name})")
         elif args.json_out is not None:
-            from .baseline import (build_baseline, default_baseline_path,
-                                   write_baseline)
+            from .baseline import build_baseline, write_baseline
             from .experiments.common import resolve_profile
             profile = resolve_profile(named_profile, args.quick)
             doc = build_baseline(name, profile.name, out["results"],
                                  checks_passed=out["check"].passed,
                                  quick=args.quick)
-            target = args.json_out
-            if target == "":
-                base = Path("benchmarks")
-                base.mkdir(parents=True, exist_ok=True)
-                path = default_baseline_path(name, base)
-            elif Path(target).is_dir():
-                path = default_baseline_path(name, target)
-            elif len(names) > 1:
-                # one file per experiment even when a file path was given
-                path = Path(splice_path(target, ".json", name))
-            else:
-                path = Path(target)
-            write_baseline(doc, path)
-            baselines.append(path)
+            baselines.append(write_baseline(doc, pin))
 
     if args.trace:
         print(f"\n{len(traces)} trace file(s) written:")

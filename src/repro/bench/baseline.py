@@ -69,5 +69,6 @@ def default_baseline_path(experiment: str,
 
 def write_baseline(doc: dict, path: Union[str, Path]) -> Path:
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path

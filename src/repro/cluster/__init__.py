@@ -1,11 +1,10 @@
-"""repro.cluster: a sharded multi-tenant serving layer over KVACCEL.
+"""repro.cluster: a sharded serving layer over KVACCEL.
 
-N independent KVACCEL shard instances in one DES world, a deterministic
-key-space router in front of them, and an open-loop client population
-driving skewed multi-tenant traffic — the substrate every cluster-level
-question (shard-count scaling, hot shards, tenant isolation under
-partial failure) is asked on.  See MODEL.md's "Cluster clock" note for
-the determinism contract.
+N independent KVACCEL shard instances in one DES world and a
+deterministic key-space router in front of them — the substrate every
+cluster-level question (shard-count scaling, replication and failover,
+resharding, shard isolation under partial failure) is asked on.  See
+MODEL.md's "Cluster clock" note for the determinism contract.
 """
 
 from .chaos import ShardScopedPlan, arm_shard
@@ -24,13 +23,6 @@ from .scenario import (
     failover_sweep,
     run_failover_scenario,
 )
-from .population import (
-    KEY_SKEWS,
-    TRAFFIC_SHAPES,
-    ClientPopulation,
-    TenantSpec,
-    TokenBucket,
-)
 from .router import (
     ROUTER_POLICIES,
     HashRouter,
@@ -48,11 +40,6 @@ __all__ = [
     "RangeRouter",
     "make_router",
     "ROUTER_POLICIES",
-    "ClientPopulation",
-    "TenantSpec",
-    "TokenBucket",
-    "TRAFFIC_SHAPES",
-    "KEY_SKEWS",
     "ShardScopedPlan",
     "arm_shard",
     "ReplicationConfig",

@@ -6,8 +6,8 @@ singleton and fault sites carry fixed names (``kv.put.submit`` fires for
 whole fleet.  :class:`ShardScopedPlan` restores isolation: it wraps an
 inner plan and consults it only when the site is reached by a process
 working on behalf of the target shard — identified by the
-``shard<N>.``-prefixed process names the cluster facade and the client
-population give every piece of shard work (see
+``shard<N>.``-prefixed process names the cluster facade gives every
+piece of shard work (see
 :func:`~repro.cluster.cluster.shard_process_name`), and which each
 shard's own KVACCEL daemons inherit from their ``shard<N>``-named db.
 

@@ -57,9 +57,8 @@ __all__ = ["ClusterDb", "ClusterShard", "shard_process_name"]
 def shard_process_name(sid: int, op: str) -> str:
     """Canonical name for a process doing shard-``sid`` work.
 
-    Fault plans scope by this prefix (``shard<N>.``), so every process the
-    cluster or population spawns on behalf of a shard must go through
-    here.
+    Fault plans scope by this prefix (``shard<N>.``), so every process
+    spawned on behalf of a shard must go through here.
     """
     return f"shard{sid}.{op}"
 

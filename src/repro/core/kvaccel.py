@@ -112,10 +112,6 @@ class KvaccelDb:
         report: RecoveryReport = yield from recover_after_crash(self.controller)
         return report
 
-    def resume(self) -> None:
-        """Clear a latched Main-LSM background error (RocksDB ``Resume``)."""
-        self.main.resume()
-
     def wait_for_quiesce(self, poll: float = 0.01) -> Generator:
         yield from self.main.wait_for_quiesce(poll)
 

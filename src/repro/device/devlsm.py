@@ -168,20 +168,6 @@ class DevLsm:
             "compactions": self.compaction_count,
         }
 
-    def key_range(self) -> Optional[tuple[bytes, bytes]]:
-        """(smallest, largest) over the whole Dev-LSM, or None if empty."""
-        if self.is_empty:
-            return None
-        smalls, larges = [], []
-        if self._memtable:
-            keys = self._memtable.keys()
-            smalls.append(min(keys))
-            larges.append(max(keys))
-        for r in self.runs:
-            smalls.append(r.smallest)
-            larges.append(r.largest)
-        return min(smalls), max(larges)
-
     # -- write path ---------------------------------------------------------
     def put(self, entry: Entry) -> Generator:
         """Insert a PUT or DELETE entry (blocking process generator)."""

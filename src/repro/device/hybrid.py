@@ -96,11 +96,6 @@ class HybridSsd:
 
     # -- geometry-facing ---------------------------------------------------
     @property
-    def disaggregation_point(self) -> int:
-        """Logical page number where the KV region begins."""
-        return self.ftl.disaggregation_point
-
-    @property
     def block_capacity_bytes(self) -> int:
         return self.block.capacity_bytes
 

@@ -24,11 +24,9 @@ kit is only ever imported as ``repro.faults.kit``.
 from .oracle import DifferentialOracle, Violation
 from .plan import (
     AlwaysPlan,
-    AtTimePlan,
     FaultPlan,
     NthOccurrencePlan,
     ProbabilisticPlan,
-    ScriptedPlan,
 )
 from .registry import (
     CRASH,
@@ -61,8 +59,6 @@ __all__ = [
     "AlwaysPlan",
     "NthOccurrencePlan",
     "ProbabilisticPlan",
-    "AtTimePlan",
-    "ScriptedPlan",
     "FAIL",
     "CRASH",
     "DELAY",

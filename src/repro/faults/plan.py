@@ -4,8 +4,8 @@ A plan is a small stateful policy consulted every time simulation code
 reaches the fault site it is armed on.  Separating "when" (the plan) from
 "what" (the :class:`~repro.faults.registry.FaultAction`) and "where" (the
 site name) lets one registry express NAND glitches (probabilistic), a
-crash-point schedule (nth-occurrence) and scripted scenarios
-(at-sim-time) with the same machinery.
+crash-point schedule (nth-occurrence) and a persistent fault (always)
+with the same machinery.
 
 Plans are stateful and single-use: arm a fresh instance per run.  All
 randomness flows through an explicit ``random.Random`` so a printed seed
@@ -15,15 +15,13 @@ reproduces a failing schedule exactly.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Optional
+from typing import Optional
 
 __all__ = [
     "FaultPlan",
     "AlwaysPlan",
     "NthOccurrencePlan",
     "ProbabilisticPlan",
-    "AtTimePlan",
-    "ScriptedPlan",
 ]
 
 
@@ -89,41 +87,3 @@ class ProbabilisticPlan(FaultPlan):
 
     def __repr__(self) -> str:
         return f"ProbabilisticPlan(p={self.p})"
-
-
-class AtTimePlan(FaultPlan):
-    """Fires on the first hit at or after simulated time ``t`` (once)."""
-
-    def __init__(self, t: float):
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        self.t = t
-        self._done = False
-
-    def should_fire(self, occurrence: int, now: float) -> bool:
-        if self._done or now < self.t:
-            return False
-        self._done = True
-        return True
-
-    def __repr__(self) -> str:
-        return f"AtTimePlan(t={self.t})"
-
-
-class ScriptedPlan(FaultPlan):
-    """Fires once per scripted simulated time, on the first hit at or
-    after each: ``ScriptedPlan([0.5, 1.2])`` injects twice."""
-
-    def __init__(self, times: Iterable[float]):
-        self._times = sorted(float(t) for t in times)
-        if any(t < 0 for t in self._times):
-            raise ValueError("times must be >= 0")
-
-    def should_fire(self, occurrence: int, now: float) -> bool:
-        if self._times and now >= self._times[0]:
-            self._times.pop(0)
-            return True
-        return False
-
-    def __repr__(self) -> str:
-        return f"ScriptedPlan(pending={self._times!r})"

@@ -45,15 +45,6 @@ class PageCache:
         self.hits = 0
         self.misses = 0
 
-    def insert(self, name: str, nbytes: int) -> None:
-        """(Re)cache a file at ``nbytes``, placing it at MRU position."""
-        if self.capacity == 0:
-            return
-        self._bytes -= self._files.pop(name, 0)
-        self._files[name] = nbytes
-        self._bytes += nbytes
-        self._evict_over_capacity(keep=name)
-
     def _evict_over_capacity(self, keep: str) -> None:
         while self._bytes > self.capacity and self._files:
             victim = next(iter(self._files))

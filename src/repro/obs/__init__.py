@@ -54,9 +54,7 @@ from .profiler import (
     SEGMENTS,
     LineageProfiler,
     check_lineage_invariant,
-    exemplars_from_chrome,
     lineage_report,
-    ops_from_chrome,
     percentile_bands,
 )
 from .journal import (
@@ -108,8 +106,6 @@ __all__ = [
     "LINEAGE_SCHEMA",
     "percentile_bands",
     "lineage_report",
-    "ops_from_chrome",
-    "exemplars_from_chrome",
     "check_lineage_invariant",
     "compare_baselines",
     "format_comparison",

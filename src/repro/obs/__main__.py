@@ -9,10 +9,6 @@
 * ``compare`` — exact compare of two ``BENCH_<exp>.json`` determinism
   pins: rc 0 equal, 1 with every differing ``(cell, field)`` listed,
   2 when either file is not a pin document;
-* ``lineage`` — percentile-conditioned latency-lineage decomposition
-  from a Chrome trace recorded with the lineage profiler on
-  (``--lineage`` on the bench CLI, or ``RunOptions(lineage=True)``
-  plus a trace path);
 * ``diff`` — first-divergence bisector over two journal recordings
   (``--journal`` on the bench CLI): first digest mismatch, first
   divergent event with context, suspect fault site; rc=1 when the
@@ -26,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .attribution import attribution_report, top_spans
 from .export import load_chrome_trace, spans_from_chrome, validate_chrome_trace
@@ -62,49 +57,6 @@ def _trace_files_cmd(args) -> int:
                 print(f"  [{cat}]")
                 for dur, name, t0 in items:
                     print(f"    {dur * 1e3:>10.3f} ms  {name:<32s} @ {t0:.3f}s")
-    return status
-
-
-def _lineage_cmd(args) -> int:
-    import json
-
-    from .profiler import (check_lineage_invariant, exemplars_from_chrome,
-                           lineage_report, ops_from_chrome, percentile_bands)
-    status = 0
-    for path in args.files:
-        try:
-            doc = load_chrome_trace(path)
-        except Exception as exc:
-            print(f"{path}: unreadable ({exc})", file=sys.stderr)
-            status = 1
-            continue
-        ops = ops_from_chrome(doc)
-        if not ops:
-            print(f"{path}: no lineage-annotated op spans (was the trace "
-                  f"recorded with the lineage profiler on?)", file=sys.stderr)
-            status = 1
-            continue
-        violations = check_lineage_invariant(ops)
-        exemplars = exemplars_from_chrome(doc, ops, top_k=args.top)
-        if args.json_out:
-            out = {
-                "schema": "repro-lineage", "version": 1, "source": path,
-                "op_count": len(ops),
-                "bands": percentile_bands(ops),
-                "exemplars": exemplars,
-                "invariant_violations": violations,
-            }
-            p = Path(args.json_out)
-            p.parent.mkdir(parents=True, exist_ok=True)
-            p.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
-            print(f"wrote {p}")
-        else:
-            print(lineage_report(ops, title=f"Latency lineage: {path}",
-                                 exemplars=exemplars))
-        if violations:
-            print(f"{path}: {len(violations)} op(s) violate the "
-                  f"segments-sum-to-e2e invariant", file=sys.stderr)
-            status = 1
     return status
 
 
@@ -193,16 +145,6 @@ def main(argv=None) -> int:
     p.add_argument("old", help="pin JSON (the reference)")
     p.add_argument("new", help="candidate JSON")
     p.set_defaults(func=_compare_cmd)
-
-    p = sub.add_parser("lineage",
-                       help="percentile-conditioned latency-lineage tables "
-                            "from a lineage-annotated Chrome trace")
-    p.add_argument("files", nargs="+", help="Chrome-trace JSON file(s)")
-    p.add_argument("--top", type=int, default=5, metavar="K",
-                   help="slowest-op exemplars to show (default 5)")
-    p.add_argument("--json", metavar="PATH", default=None, dest="json_out",
-                   help="write bands + exemplars as JSON instead of a table")
-    p.set_defaults(func=_lineage_cmd)
 
     p = sub.add_parser("diff",
                        help="first-divergence bisect of two journal "

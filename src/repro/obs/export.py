@@ -16,6 +16,7 @@ the smoke bench produces.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 from typing import Optional
 
 from .tracer import CounterRecord, InstantRecord, SpanRecord, Tracer
@@ -133,6 +134,7 @@ def write_chrome_trace(tracer: Tracer, path: str,
     """Export, self-validate, and write the trace; returns the document."""
     doc = to_chrome_trace(tracer, label=label)
     assert_valid_chrome_trace(doc)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
     return doc

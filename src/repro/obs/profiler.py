@@ -42,8 +42,6 @@ __all__ = [
     "LINEAGE_SCHEMA",
     "percentile_bands",
     "lineage_report",
-    "ops_from_chrome",
-    "exemplars_from_chrome",
     "check_lineage_invariant",
 ]
 
@@ -387,70 +385,3 @@ def lineage_report(ops: list[dict], title: str = "lineage",
                 lines.append(f"{indent}{seg}: {_fmt_us(t1 - t0)}us "
                              f"@t={t0:.6f}")
     return "\n".join(lines)
-
-
-# -- chrome-trace round trip -------------------------------------------------
-
-def ops_from_chrome(doc: dict) -> list[dict]:
-    """Rebuild op records from a Chrome trace recorded with lineage on.
-
-    ``op_end`` flattens each decomposition into json-safe span args
-    (``seg_<name>``), so the CLI can recompute the full percentile table
-    from the trace file alone."""
-    from .export import spans_from_chrome
-    ops = []
-    for span in spans_from_chrome(doc):
-        args = span.get("args") or {}
-        if span.get("cat") != "op" or "e2e" not in args:
-            continue
-        segs = {k[4:]: float(v) for k, v in args.items()
-                if k.startswith("seg_")}
-        ops.append({
-            "op_id": int(args.get("op_id", len(ops))),
-            "kind": span.get("name", "op"),
-            "scope": args.get("scope", "db"),
-            "count": int(args.get("count", 1)),
-            "nbytes": int(args.get("nbytes", 0)),
-            "t0": span["t0"],
-            "e2e": float(args["e2e"]),
-            "segs": segs,
-        })
-    return ops
-
-
-def exemplars_from_chrome(doc: dict, ops: Optional[list[dict]] = None,
-                          top_k: int = 5) -> list[dict]:
-    """Top-K slowest ops from a trace, with span trees reconstructed by
-    same-actor time containment (the trace already carries the component
-    spans recorded inside each op's window)."""
-    from .export import spans_from_chrome
-    if ops is None:
-        ops = ops_from_chrome(doc)
-    ranked = sorted(ops, key=lambda r: (-r["e2e"], r["op_id"]))[:top_k]
-    spans = spans_from_chrome(doc)
-    op_windows = {}
-    for span in spans:
-        args = span.get("args") or {}
-        if span.get("cat") == "op" and "op_id" in args:
-            op_windows[int(args["op_id"])] = span
-    out = []
-    eps = 1e-12
-    for rec in ranked:
-        window = op_windows.get(rec["op_id"])
-        children = []
-        if window is not None:
-            inside = [s for s in spans
-                      if s is not window
-                      and s.get("actor") == window.get("actor")
-                      and s["t0"] >= window["t0"] - eps
-                      and s["t1"] <= window["t1"] + eps]
-            inside.sort(key=lambda s: (s["t0"], -(s["t1"] - s["t0"])))
-            open_stack: list[dict] = []
-            for s in inside:
-                while open_stack and s["t0"] >= open_stack[-1]["t1"] - eps:
-                    open_stack.pop()
-                children.append([s["name"], s["t0"], s["t1"],
-                                 len(open_stack)])
-                open_stack.append(s)
-        out.append(dict(rec, spans=children))
-    return out

@@ -191,13 +191,6 @@ class TelemetryHub:
     def series(self, name: str) -> list[float]:
         return list(self.channels[name].values)
 
-    def names(self) -> list[str]:
-        return sorted(self.channels)
-
-    def last(self, name: str, default: float = 0.0) -> float:
-        vals = self.channels[name].values if name in self.channels else None
-        return vals[-1] if vals else default
-
     def export(self) -> dict:
         """Plain-data view: one shared time axis + every channel series."""
         return {

@@ -194,12 +194,6 @@ class Tracer:
             if isinstance(rec, SpanRecord) and (cat is None or rec.cat == cat):
                 yield rec
 
-    def instants(self, cat: Optional[str] = None) -> Iterator[InstantRecord]:
-        for rec in self.events:
-            if isinstance(rec, InstantRecord) and (cat is None
-                                                   or rec.cat == cat):
-                yield rec
-
     def tail(self, n: Optional[int] = None) -> list:
         """The most recent records as plain dicts, oldest first — the
         crash-tail view the fault harness attaches to its reports.

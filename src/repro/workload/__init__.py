@@ -8,10 +8,8 @@ from .db_bench import (
     fill_database,
 )
 from .keygen import (
-    HotspotKeys,
     KeyGenerator,
     RandomKeys,
-    ZipfianKeys,
     value_for,
 )
 from .trace import Trace, TraceOp, TraceRecorder, TraceReplayDriver
@@ -23,10 +21,8 @@ __all__ = [
     "ReadWhileWritingDriver",
     "SeekRandomDriver",
     "fill_database",
-    "HotspotKeys",
     "KeyGenerator",
     "RandomKeys",
-    "ZipfianKeys",
     "value_for",
     "WORKLOADS",
     "WorkloadSpec",

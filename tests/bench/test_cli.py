@@ -53,3 +53,43 @@ def test_failed_check_returns_nonzero(monkeypatch, capsys):
     monkeypatch.setitem(ALL, "fakeexp", fake)
     assert main(["fakeexp"]) == 1
     assert "FAILED" in capsys.readouterr().err
+
+
+def _fake_lineage_experiment(monkeypatch):
+    """Register ``fakeexp``: one hand-built cell carrying a lineage record."""
+    from repro.metrics import RunResult
+
+    class PassedCheck:
+        passed = True
+
+    op = {"op_id": 0, "kind": "put_batch", "scope": "db", "count": 1,
+          "nbytes": 100, "t0": 0.0, "e2e": 2e-6,
+          "segs": {"wal": 2e-6, "unattributed": 0.0}}
+    result = RunResult("cell", duration=1.0, write_ops=1, read_ops=0,
+                       write_bytes=100,
+                       extra={"lineage": {"ops": [op], "exemplars": []}})
+    fake = type(ALL["tab06"])("fake")
+    fake.run = lambda quick=False, options=None: {
+        "check": PassedCheck(), "results": {"cell": result}}
+    monkeypatch.setitem(ALL, "fakeexp", fake)
+
+
+def test_json_pin_creates_its_missing_directory(tmp_path, monkeypatch):
+    _fake_lineage_experiment(monkeypatch)
+    pin = tmp_path / "nodir" / "fake.json"
+    assert main(["fakeexp", "--json", str(pin)]) == 0
+    assert '"experiment": "fakeexp"' in pin.read_text()
+
+
+def test_lineage_json_lands_beside_the_pin(tmp_path, monkeypatch):
+    _fake_lineage_experiment(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pins").mkdir()
+    assert main(["fakeexp", "--lineage", "--json", "pins/fake.json"]) == 0
+    assert (tmp_path / "pins" / "fake.json").exists()
+    assert (tmp_path / "pins" / "LINEAGE_fakeexp.json").exists()
+    assert not (tmp_path / "benchmarks").exists()
+    # a directory target keeps both files in that directory
+    assert main(["fakeexp", "--lineage", "--json", "pins"]) == 0
+    assert (tmp_path / "pins" / "BENCH_fakeexp.json").exists()
+    assert not (tmp_path / "benchmarks").exists()

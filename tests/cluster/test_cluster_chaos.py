@@ -10,16 +10,16 @@ healthy device.  Two phases:
   differential oracle *per shard* tracking every op; after drain +
   final rollback, no shard may have lost or corrupted data (the faulty
   shard's failed redirects fall back to its Main-LSM).
-* **isolation** — an open-loop client population drives shard-pinned
-  tenants over the range router; the healthy shards' tenant write p99
-  must stay within tolerance of a fault-free control run with the same
-  seed, and the blast radius must be exactly shard 1 (the scoped plans'
+* **isolation** — an open-loop write load pinned to each shard's slice
+  of the range router; the healthy shards' write p99 must stay within
+  tolerance of a fault-free control run with the same seed, and the
+  blast radius must be exactly shard 1 (the scoped plans'
   ``foreign_hits`` prove healthy shards reached the sites and were
   skipped).
 
 Fault sites are reached inline in the process driving the op, so every
 op here runs in a ``shard<N>.``-named process — the same contract the
-cluster facade and population follow.
+cluster facade follows.
 
 Assertion messages embed the seed, so any failure replays exactly.
 """
@@ -29,14 +29,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from helpers import fault_seed, make_cluster_system, run  # noqa: E402
-
-from repro.cluster import (  # noqa: E402
-    ClientPopulation,
-    TenantSpec,
-    arm_shard,
-    shard_process_name,
+from helpers import (  # noqa: E402
+    fault_seed,
+    make_cluster_system,
+    run,
+    shard_pinned_load,
 )
+
+from repro.cluster import arm_shard, shard_process_name  # noqa: E402
 from repro.faults import FAIL, AlwaysPlan, FaultAction  # noqa: E402
 from repro.faults.kit import SMALL_RESILIENCE  # noqa: E402
 from repro.faults.oracle import DifferentialOracle  # noqa: E402
@@ -135,45 +135,17 @@ def test_faulty_shard_degrades_healthy_shards_keep_durability():
     cluster.close()
 
 
-def _shard_pinned_tenants():
-    """One tenant per shard: the range router owns ``[sid*span,
-    (sid+1)*span)``, and hotspot keys with the hot set filling exactly
-    that range pin all of a tenant's traffic to its shard."""
-    return [TenantSpec(name=f"t{sid}", rate=2000.0, write_fraction=1.0,
-                       skew="uniform", shape="steady")
-            for sid in range(SHARDS)]
-
-
-def _population_p99s(with_fault: bool, seed: int) -> dict:
+def _pinned_load_p99s(with_fault: bool, seed: int) -> dict:
     env = Environment()
     cluster, registry, scoped = _make_cluster(env, seed, with_fault)
-    span = KEY_SPACE // SHARDS
-    pop = ClientPopulation(env, cluster, _shard_pinned_tenants(),
-                           duration=0.2, key_space=span, seed=seed)
-    # pin tenant k to shard k by offsetting its key stream into the
-    # shard's range (ranges are [sid*span, (sid+1)*span))
-    for sid, state in enumerate(pop.states):
-        base = sid * span
-        orig = state.keys.next_key
-
-        def shifted(orig=orig, base=base):
-            k = orig()
-            return encode_key(base + int.from_bytes(k, "big"), 4)
-
-        state.keys.next_key = shifted
-
     # identical stall windows in both runs, so control and faulted differ
     # only in the injected faults
     for sh in cluster.shards:
         sh.db.detector.stall_condition = True
-    run(env, pop.run())
-    run(env, pop.drain())
-    p99s = {}
-    for sid, state in enumerate(pop.states):
-        assert state.shard_ops[sid] == state.issued, (
-            f"tenant t{sid} leaked ops off its shard: {state.shard_ops}")
-        if state.write_hist.total_count:
-            p99s[sid] = state.write_hist.summary()["p99"]
+    hists = shard_pinned_load(env, cluster, duration=0.2, rate=2000.0,
+                              seed=seed)
+    p99s = {sid: h.summary()["p99"] for sid, h in enumerate(hists)
+            if h.total_count}
     if with_fault:
         assert sum(s.scoped_occurrences for s in scoped) > 0
         assert cluster.shards[FAULTY].resil_state == DEGRADED
@@ -185,8 +157,8 @@ def _population_p99s(with_fault: bool, seed: int) -> dict:
 
 def test_tenant_isolation_healthy_shards_p99_within_tolerance():
     seed = fault_seed()
-    control = _population_p99s(with_fault=False, seed=seed)
-    faulted = _population_p99s(with_fault=True, seed=seed)
+    control = _pinned_load_p99s(with_fault=False, seed=seed)
+    faulted = _pinned_load_p99s(with_fault=True, seed=seed)
     msg = f"(seed={seed:#x})"
     for sid in (0, 2):
         assert sid in control and sid in faulted, msg

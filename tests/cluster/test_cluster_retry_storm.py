@@ -1,9 +1,9 @@
-"""Retry-storm chaos: one tenant hammers a flapping shard, siblings hold.
+"""Retry-storm chaos: one shard flaps under retries, its siblings hold.
 
 The scenario ISSUE-8 adds to the cluster battery: shard 1's Dev-LSM write
 path fails *transiently* (every second scoped hit, so each failure is
 healed by one retry and the shard never degrades into an outage), while
-a shard-pinned tenant population drives open-loop writes at every shard.
+an open-loop write load pinned to each shard drives every shard.
 Assertions:
 
 * the ``retry_storm.shard1`` health rule fires — and no other shard's
@@ -11,7 +11,7 @@ Assertions:
   telemetry channel;
 * retry traffic lands only on the faulted shard's channels (healthy
   shards' retry counters stay at zero);
-* healthy tenants' write p99 stays within tolerance of a fault-free
+* healthy shards' write p99 stays within tolerance of a fault-free
   control run with the same seed — a storming sibling must not fatten
   a healthy shard's tail.
 
@@ -23,20 +23,19 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from helpers import fault_seed, make_cluster_system, run  # noqa: E402
-
-from repro.cluster import (  # noqa: E402
-    ClientPopulation,
-    TenantSpec,
-    arm_shard,
+from helpers import (  # noqa: E402
+    fault_seed,
+    make_cluster_system,
+    shard_pinned_load,
 )
+
+from repro.cluster import arm_shard  # noqa: E402
 from repro.faults import FAIL, FaultAction, NthOccurrencePlan  # noqa: E402
 from repro.obs import cluster_shard_rules  # noqa: E402
 from repro.obs.rules import HealthMonitor  # noqa: E402
 from repro.obs.telemetry import TelemetryHub  # noqa: E402
 from repro.resil import HEALTHY, ResilienceConfig  # noqa: E402
 from repro.sim import Environment  # noqa: E402
-from repro.types import encode_key  # noqa: E402
 
 SHARDS = 3
 FAULTY = 1
@@ -85,45 +84,20 @@ def _make_storm_cluster(env, seed, with_fault):
     return cluster, registry, scoped, hub, monitor
 
 
-def _shard_pinned_tenants():
-    return [TenantSpec(name=f"t{sid}", rate=2000.0, write_fraction=1.0,
-                       skew="uniform", shape="steady")
-            for sid in range(SHARDS)]
-
-
 def _storm_run(with_fault: bool, seed: int):
     env = Environment()
     cluster, registry, scoped, hub, monitor = _make_storm_cluster(
         env, seed, with_fault)
-    span = KEY_SPACE // SHARDS
-    pop = ClientPopulation(env, cluster, _shard_pinned_tenants(),
-                           duration=0.2, key_space=span, seed=seed)
-    # pin tenant k to shard k by offsetting its key stream into the
-    # shard's range (ranges are [sid*span, (sid+1)*span))
-    for sid, state in enumerate(pop.states):
-        base = sid * span
-        orig = state.keys.next_key
-
-        def shifted(orig=orig, base=base):
-            k = orig()
-            return encode_key(base + int.from_bytes(k, "big"), 4)
-
-        state.keys.next_key = shifted
-
     # stall window on: every write redirects into the Dev-LSM path,
     # where shard FAULTY's device flaps
     for sh in cluster.shards:
         sh.db.detector.stall_condition = True
-    run(env, pop.run())
-    run(env, pop.drain())
+    hists = shard_pinned_load(env, cluster, duration=0.2, rate=2000.0,
+                              seed=seed)
     hub.flush()
 
-    p99s = {}
-    for sid, state in enumerate(pop.states):
-        assert state.shard_ops[sid] == state.issued, (
-            f"tenant t{sid} leaked ops off its shard: {state.shard_ops}")
-        if state.write_hist.total_count:
-            p99s[sid] = state.write_hist.summary()["p99"]
+    p99s = {sid: h.summary()["p99"] for sid, h in enumerate(hists)
+            if h.total_count}
     retries = {sid: hub.channels[f"cluster.shard{sid}.retries"].total
                for sid in range(SHARDS)}
     storms = {e.rule for e in monitor.events

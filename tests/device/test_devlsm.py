@@ -91,12 +91,16 @@ def test_key_range_and_empty():
     env = Environment()
     dl = make_devlsm(env, memtable_bytes=128)
     assert dl.is_empty
-    assert dl.key_range() is None
     for k in (10, 3, 99):
         put(env, dl, k, k, b"x" * 50)
-    lo, hi = dl.key_range()
-    assert lo == encode_key(3)
-    assert hi == encode_key(99)
+    assert not dl.is_empty
+    it = run(env, dl.create_iterator())
+    it.seek(b"")
+    keys = []
+    while it.valid:
+        keys.append(it.entry()[0])
+        it.next()
+    assert (keys[0], keys[-1]) == (encode_key(3), encode_key(99))
 
 
 def test_iterator_sorted_and_deduped():

@@ -119,7 +119,7 @@ class TestHybridSsd:
     def test_disaggregation_point_splits_space(self):
         env = Environment()
         ssd = small_ssd(env)
-        assert 0 < ssd.disaggregation_point < ssd.ftl.total_logical_pages
+        assert 0 < ssd.ftl.disaggregation_point < ssd.ftl.total_logical_pages
         assert ssd.block_capacity_bytes > 0
         assert ssd.kv_capacity_bytes > 0
 

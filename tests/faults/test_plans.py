@@ -7,14 +7,12 @@ import pytest
 from repro.faults import (
     FAIL,
     AlwaysPlan,
-    AtTimePlan,
     DEFAULT_SEED,
     FaultAction,
     FaultRegistry,
     InjectedFault,
     NthOccurrencePlan,
     ProbabilisticPlan,
-    ScriptedPlan,
     fault_point,
     touch,
 )
@@ -55,22 +53,6 @@ def test_probabilistic_shares_registry_rng():
     ref = ProbabilisticPlan(0.5, rng=random.Random(7))
     assert ([plan.should_fire(i, 0.0) for i in range(1, 50)]
             == [ref.should_fire(i, 0.0) for i in range(1, 50)])
-
-
-def test_at_time_fires_once_at_or_after_t():
-    plan = AtTimePlan(1.0)
-    assert not plan.should_fire(1, 0.5)
-    assert plan.should_fire(2, 1.5)
-    assert not plan.should_fire(3, 2.0)   # one-shot
-
-
-def test_scripted_plan_consumes_times_in_order():
-    plan = ScriptedPlan([0.5, 1.2])
-    assert not plan.should_fire(1, 0.1)
-    assert plan.should_fire(2, 0.6)       # consumes 0.5
-    assert not plan.should_fire(3, 0.7)
-    assert plan.should_fire(4, 1.3)       # consumes 1.2
-    assert not plan.should_fire(5, 9.9)
 
 
 def test_registry_counts_and_traces_hits():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 from repro.device import (
     BlockDevice,
     CpuModel,
@@ -18,7 +20,10 @@ from repro.faults.kit import (  # noqa: F401  (re-exported to the tests)
     small_stack,
 )
 from repro.lsm import DbImpl, LsmOptions
+from repro.metrics import LatencyHistogram
 from repro.sim import Environment
+from repro.types import encode_key
+from repro.workload import value_for
 
 
 def small_device(env: Environment, peak_mb: float = 200.0,
@@ -82,6 +87,51 @@ def make_cluster_system(env: Environment, shards: int = 2,
     cluster = ClusterDb(
         env, parts, make_router(router, shards, key_space, seed=seed))
     return cluster, registry
+
+
+def shard_pinned_load(env: Environment, cluster, duration: float,
+                      rate: float, seed: int) -> list:
+    """Open-loop, write-only load pinned to the shards of a range-routed
+    cluster: one Poisson arrival stream of ``rate`` puts/s per shard, with
+    uniform keys in that shard's router slice.  Each put is spawned, not
+    awaited, in a ``shard<N>.wl`` process (so a slow shard builds a queue
+    instead of slowing its arrivals, and shard-scoped fault plans see the
+    op as that shard's).  Runs for ``duration``, drains the in-flight puts
+    and returns one write-latency histogram (us) per shard.
+    """
+    from repro.cluster import shard_process_name
+
+    router = cluster.router
+    hists = [LatencyHistogram() for _ in range(cluster.shard_count)]
+    inflight = [0]
+
+    def put(sid, key):
+        t0 = env.now
+        yield from cluster.put(key, value_for(key, 128))
+        hists[sid].record((env.now - t0) * 1e6)
+        inflight[0] -= 1
+
+    def arrivals(sid, lo, hi):
+        rng = random.Random(f"{seed}:wl:{sid}")
+        t_end = env.now + duration
+        while True:
+            yield env.timeout(rng.expovariate(rate))
+            if env.now >= t_end:
+                return
+            key = encode_key(rng.randrange(lo, hi), 4)
+            assert router.route(key) == sid, f"put left shard {sid}: {key!r}"
+            inflight[0] += 1
+            env.process(put(sid, key), name=shard_process_name(sid, "wl"))
+
+    def drain():
+        while inflight[0]:
+            yield env.timeout(0.005)
+
+    env.run(until=env.all_of([env.process(arrivals(sid, lo, hi))
+                              for sid, (lo, hi)
+                              in enumerate(router.ranges())]))
+    run(env, drain())
+    return hists
 
 
 def make_replicated_cluster(env: Environment, shards: int = 2,

@@ -127,18 +127,18 @@ class TestPageCache:
 
     def test_eviction_by_capacity(self):
         cache = PageCache(100)
-        cache.insert("a", 60)
-        cache.insert("b", 60)  # evicts a
+        cache.grow("a", 60)
+        cache.grow("b", 60)  # evicts a
         assert not cache.contains("a")
         assert cache.contains("b")
         assert cache.used_bytes == 60
 
     def test_lru_order_on_touch(self):
         cache = PageCache(100)
-        cache.insert("a", 40)
-        cache.insert("b", 40)
+        cache.grow("a", 40)
+        cache.grow("b", 40)
         assert cache.contains("a")   # touch a -> MRU
-        cache.insert("c", 40)        # evicts b
+        cache.grow("c", 40)        # evicts b
         assert not cache.contains("b")
         assert cache.contains("a")
 
@@ -150,14 +150,14 @@ class TestPageCache:
 
     def test_evict_specific(self):
         cache = PageCache(1000)
-        cache.insert("x", 100)
+        cache.grow("x", 100)
         cache.evict("x")
         assert cache.used_bytes == 0
         assert not cache.contains("x")
 
     def test_zero_capacity_disables(self):
         cache = PageCache(0)
-        cache.insert("a", 10)
+        cache.grow("a", 10)
         assert not cache.contains("a")
 
     def test_delete_evicts_from_cache(self):

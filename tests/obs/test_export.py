@@ -108,6 +108,12 @@ def test_write_and_reload_chrome_trace(tmp_path):
     assert by_name["kv.put"]["args"]["bytes"] == 1000
 
 
+def test_write_chrome_trace_creates_its_missing_directory(tmp_path):
+    path = tmp_path / "nodir" / "trace.json"
+    write_chrome_trace(sample_tracer(), str(path))
+    assert validate_chrome_trace(load_chrome_trace(str(path))) == []
+
+
 def test_validator_catches_corruption():
     tr = sample_tracer()
     base = to_chrome_trace(tr)

@@ -43,10 +43,10 @@ from repro.obs import (  # noqa: E402
     format_divergence,
     load_journal,
     register_digest_sources,
-    replay_window,
     write_divergence_artifact,
     write_journal,
 )
+from repro.obs.__main__ import main as obs_main  # noqa: E402
 from repro.sim import Environment  # noqa: E402
 from repro.workload import DriverConfig, FillRandomDriver  # noqa: E402
 
@@ -210,9 +210,9 @@ def test_divergence_artifact_written_when_dir_set(recorded, tmp_path,
     assert write_divergence_artifact("unit_test_2", report) is None
 
 
-def test_replay_window_records_only_the_suspect_span(tmp_path):
-    # Reference run through the same harness replay_window uses (the
-    # bench runner), so the replayed trajectory is the identical one.
+def test_replay_window_records_only_the_suspect_span(tmp_path, capsys):
+    # Reference run through the same harness replay-to uses (the bench
+    # runner), so the replayed trajectory is the identical one.
     profile = mini_profile(128)
     full = run_workload(RunSpec("kvaccel", "A", 1, rollback="disabled"),
                         profile,
@@ -221,10 +221,11 @@ def test_replay_window_records_only_the_suspect_span(tmp_path):
     events = [r for r in jr.records if r[0] == "event"]
     t0, t1 = events[len(events) // 2][2], events[-1][2]
     out = str(tmp_path / "window.jsonl.gz")
-    info = replay_window("kvaccel", "A", profile, t0, t1, out)
+    assert obs_main(["replay-to", repr(t0), repr(t1), out,
+                     "--profile", "mini128"]) == 0
     # the recording lands where it was asked to
-    assert info["path"] == out
-    windowed = load_journal(info["path"])
+    assert capsys.readouterr().out.startswith(f"wrote {out}: ")
+    windowed = load_journal(out)
     body = [r for r in windowed["records"] if r[0] in ("event", "site")]
     assert body, "window covers live sim time, must have records"
     assert all(t0 <= r[2] <= t1 for r in body)

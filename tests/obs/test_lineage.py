@@ -22,15 +22,10 @@ from repro.bench import RunSpec, mini_profile, run_workload
 from repro.obs import (
     DEFAULT_BANDS,
     LineageProfiler,
-    Tracer,
     check_lineage_invariant,
-    exemplars_from_chrome,
     lineage_report,
-    ops_from_chrome,
     percentile_bands,
-    write_chrome_trace,
 )
-from repro.obs.export import load_chrome_trace
 from repro.sim import Environment
 
 GOLDEN = Path(__file__).resolve().parents[1] / "data" / "golden_fig11_cell.json"
@@ -167,20 +162,10 @@ def test_exemplar_selection_is_topk_and_ordered():
 
 # -- integration: real cells -----------------------------------------------
 
-@pytest.fixture(scope="module")
-def stall_heavy_run(tmp_path_factory):
-    """Fig02-style stall-heavy cell (RocksDB without the slowdown valve),
-    with both the tracer and the lineage profiler on."""
-    trace = tmp_path_factory.mktemp("lineage") / "stall_trace.json"
-    tracer = Tracer()
+def test_stall_heavy_invariant_and_p99_attribution():
+    # Fig02-style stall-heavy cell: RocksDB without the slowdown valve.
     result = run_workload(RunSpec("rocksdb", "A", 1, slowdown=False),
-                          mini_profile(128), tracer=tracer, lineage=True)
-    write_chrome_trace(tracer, str(trace))
-    return result, trace
-
-
-def test_stall_heavy_invariant_and_p99_attribution(stall_heavy_run):
-    result, _ = stall_heavy_run
+                          mini_profile(128), lineage=True)
     lin = result.extra["lineage"]
     assert lin["op_count"] > 100
     assert lin["invariant_violations"] == 0
@@ -194,25 +179,6 @@ def test_stall_heavy_invariant_and_p99_attribution(stall_heavy_run):
     # ... and the report renders without blowing up.
     assert "p99-p100" in lineage_report(lin["ops"],
                                         exemplars=lin["exemplars"])
-
-
-def test_chrome_trace_round_trip(stall_heavy_run):
-    result, trace = stall_heavy_run
-    lin = result.extra["lineage"]
-    doc = load_chrome_trace(str(trace))
-    ops = ops_from_chrome(doc)
-    assert len(ops) == lin["op_count"]
-    assert check_lineage_invariant(ops) == []
-    # Rebuilt records give the same tail attribution as the in-memory ones.
-    mem_tail = percentile_bands(lin["ops"])[-1]
-    tr_tail = percentile_bands(ops)[-1]
-    assert tr_tail["n"] == mem_tail["n"]
-    for seg, share in mem_tail["shares"].items():
-        assert tr_tail["shares"].get(seg, 0.0) == pytest.approx(
-            share, abs=1e-6)
-    ex = exemplars_from_chrome(doc, ops, top_k=3)
-    assert [e["op_id"] for e in ex] == [e["op_id"]
-                                        for e in lin["exemplars"][:3]]
 
 
 def test_fig11_kvaccel_tail_not_stall_bound():

@@ -1,17 +1,15 @@
 """Every function and class under ``src/`` is reached by code that is not a
-test: a word match over ``src/``, ``benchmarks/``, ``examples/`` and
-``.github/``.
+test: an identifier match over ``src/``, ``benchmarks/``, ``examples/``
+and ``.github/``.
 
-A definition counts as reached when its name appears as a word anywhere in
-that corpus outside of
-
-* its own ``def``/``class`` line (every ``def name``/``class name`` is
-  blanked, so an override does not count as a caller of its siblings);
-* comments and docstrings, which describe code but do not call it (in
-  ``.github/`` files, a ``#`` at the start of a line or after a blank
-  starts a comment);
-* ``__all__`` lists, and the re-exports of an ``__init__.py`` (its
-  imports and the ``_LAZY`` name table).
+A definition counts as reached when its name is used as an identifier
+somewhere in the Python files of that corpus: a ``Name``, an attribute
+(``obj.name``), a keyword argument (``f(name=...)``) or an import alias.
+Strings, comments and docstrings are not code, so they never count; nor
+does a ``def``/``class`` line (an override is not a caller of its
+siblings), a parameter of the same name, or the re-exports of an
+``__init__.py``.  ``.github/`` holds shell, not Python, so there a word
+outside a ``#`` comment counts.
 
 The match is by name only, so it is approximate in one direction: a dead
 method that shares its name with a live one (``get``, ``put``, ``run``)
@@ -25,9 +23,7 @@ give it a caller.
 from __future__ import annotations
 
 import ast
-import io
 import re
-import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -62,59 +58,35 @@ KEEP = {
                 "push in Event.succeed",
     "broken_recovery_skip_reset": "a planted recovery bug the crash-sweep "
                                   "tests must catch",
-    "ClientPopulation": "the open-loop tenant load of the cluster chaos and "
-                        "retry-storm tests",
+    "exist": "the NVMe-KV set's EXIST command (PAPER.md's Dev-LSM row "
+             "lists PUT/GET/EXIST/DELETE/SEEK/NEXT)",
     # Needed by a planned check or kept as a feature decision.
     "drain_replication": "the replica-consistency oracle needs quiesce",
     "over_quota": "the only reader of KvNamespace.quota_bytes",
     "kv_namespaces": "the namespaced-KV module's only constructor path",
 }
 
-_HEADER = re.compile(r"\b(?:def|class)\s+\w+")
 _HASH_COMMENT = re.compile(r"(?:^|(?<=\s))#.*$", re.MULTILINE)
 
 
-def _blank_lines(src: str, path: Path) -> set[int]:
-    """1-based lines holding docstrings, ``__all__`` and ``__init__``
-    re-exports."""
-    tree = ast.parse(src)
-    drop: set[int] = set()
-
-    def span(node: ast.AST) -> range:
-        return range(node.lineno, node.end_lineno + 1)
-
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                             ast.AsyncFunctionDef)) and node.body:
-            first = node.body[0]
-            if (isinstance(first, ast.Expr)
-                    and isinstance(first.value, ast.Constant)
-                    and isinstance(first.value.value, str)):
-                drop.update(span(first))
+def _identifiers(path: Path) -> set[str]:
+    """Names the file's code uses: ``Name`` ids, attribute names, keyword
+    names and import aliases (an ``__init__.py``'s imports are
+    re-exports, not uses)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     init = path.name == "__init__.py"
-    for node in tree.body:
-        if init and isinstance(node, (ast.Import, ast.ImportFrom)):
-            drop.update(span(node))
-        elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name)
-                and (t.id == "__all__" or init and t.id == "_LAZY")
-                for t in node.targets):
-            drop.update(span(node))
-    return drop
-
-
-def _code_text(path: Path) -> str:
-    """The file's code with comments, docstrings, re-exports and
-    ``def``/``class`` names removed."""
-    src = path.read_text(encoding="utf-8")
-    lines = src.splitlines(keepends=True)
-    for tok in tokenize.generate_tokens(io.StringIO(src).readline):
-        if tok.type == tokenize.COMMENT:
-            row, col = tok.start
-            lines[row - 1] = lines[row - 1][:col] + "\n"
-    drop = _blank_lines(src, path)
-    kept = "".join(l for i, l in enumerate(lines, 1) if i not in drop)
-    return _HEADER.sub("", kept)
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg:
+            used.add(node.arg)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and not init:
+            for alias in node.names:
+                used.update(alias.name.split("."))
+    return used
 
 
 def _definitions() -> list[tuple[str, str]]:
@@ -132,10 +104,15 @@ def _definitions() -> list[tuple[str, str]]:
 
 
 def _corpus_words() -> set[str]:
-    texts = [_code_text(p) for d in CODE_DIRS for p in sorted(d.rglob("*.py"))]
-    texts += [_HASH_COMMENT.sub("", p.read_text(encoding="utf-8"))
-              for p in sorted((ROOT / ".github").rglob("*")) if p.is_file()]
-    return set(re.findall(r"\w+", "\n".join(texts)))
+    words = set()
+    for d in CODE_DIRS:
+        for path in sorted(d.rglob("*.py")):
+            words |= _identifiers(path)
+    for path in sorted((ROOT / ".github").rglob("*")):
+        if path.is_file():
+            text = _HASH_COMMENT.sub("", path.read_text(encoding="utf-8"))
+            words.update(re.findall(r"\w+", text))
+    return words
 
 
 def test_every_definition_has_a_non_test_caller():

@@ -19,7 +19,6 @@ from repro.workload import (  # noqa: E402
     RandomKeys,
     ReadWhileWritingDriver,
     SeekRandomDriver,
-    ZipfianKeys,
     fill_database,
     value_for,
 )
@@ -38,24 +37,9 @@ class TestKeyGen:
         b = [RandomKeys(1000, seed=5).next_key() for _ in range(10)]
         assert a == b
 
-    def test_zipfian_skew(self):
-        g = ZipfianKeys(key_space=1000, theta=0.99, seed=3)
-        counts = {}
-        for _ in range(5000):
-            r = int.from_bytes(g.next_key(), "big")
-            assert 0 <= r < 1000
-            counts[r] = counts.get(r, 0) + 1
-        top = sorted(counts.values(), reverse=True)
-        # heavy skew: the hottest key dominates the median key
-        assert top[0] > 50
-
     def test_validation(self):
         with pytest.raises(ValueError):
             RandomKeys(0)
-        with pytest.raises(ValueError):
-            ZipfianKeys(0)
-        with pytest.raises(ValueError):
-            ZipfianKeys(10, theta=1.5)
 
     def test_value_for(self):
         v = value_for(b"\x00\x00\x00\x01", 4096)
