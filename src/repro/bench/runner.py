@@ -12,6 +12,8 @@ Workloads: Table IV's A-D via the db_bench drivers.
 from __future__ import annotations
 
 import copy
+import functools
+import gc
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -200,6 +202,22 @@ def build_system(env: Environment, profile: ExperimentProfile, spec: RunSpec):
     return db, ssd, cpu
 
 
+def _collector_paused(fn):
+    """Run ``fn`` with the cyclic garbage collector disabled, restoring the
+    caller's ``gc.isenabled()`` state on the way out (also on an error)."""
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+    return paused
+
+
+@_collector_paused
 def run_workload(
     spec: RunSpec,
     profile: ExperimentProfile,
@@ -228,6 +246,11 @@ def run_workload(
     Every result carries ``events_processed`` (kernel events, pinned by
     the ``BENCH_<exp>.json`` documents) and the host wall-clock
     :data:`WALL_EXTRA_KEYS` in ``extra``.
+
+    The cell runs with the cyclic garbage collector paused.  The kernel
+    makes no reference cycles, so reference counting frees everything a
+    cell drops, and the collector would only re-scan the live memtables
+    and SSTables; ``tests/sim/test_no_cycles.py`` holds that contract.
     """
     wall_t0 = time.perf_counter()
     env = Environment()

@@ -56,6 +56,11 @@ class VersionEdit:
         return 64 + 48 * len(self.added) + 16 * len(self.removed)
 
 
+def _raise_overlap(level: int, a: FileMetadata, b: FileMetadata) -> None:
+    raise AssertionError(f"overlap at L{level}: #{a.number}[..{a.largest!r}] "
+                         f"vs #{b.number}[{b.smallest!r}..]")
+
+
 class Version:
     """Immutable level structure.
 
@@ -92,32 +97,36 @@ class Version:
         """
         levels = list(self.levels)
         level_bytes = list(self._level_bytes)
-        removed = set(edit.removed)
-        for level in {lvl for lvl, _number in removed}:
+        removed: dict[int, set] = {}
+        for level, number in edit.removed:
+            removed.setdefault(level, set()).add(number)
+        for level, numbers in removed.items():
             kept = []
             for f in levels[level]:
-                if (level, f.number) in removed:
+                if f.number in numbers:
                     level_bytes[level] -= f.file_bytes
                 else:
                     kept.append(f)
             levels[level] = kept
-        grown = {meta.level for meta in edit.added}
-        for level in grown:
-            levels[level] = list(levels[level])
+        copied = set(removed)       # levels this version already owns
         for meta in edit.added:
-            levels[meta.level].append(meta)
-            level_bytes[meta.level] += meta.file_bytes
-        for level in grown:
-            if level == 0:
-                continue
+            level = meta.level
             files = levels[level]
-            files.sort(key=_smallest)
-            # L1+ must stay sorted and non-overlapping (LSM invariant).
-            for a, b in zip(files, files[1:]):
-                if a.largest >= b.smallest:
-                    raise AssertionError(
-                        f"overlap at L{level}: #{a.number}[..{a.largest!r}] "
-                        f"vs #{b.number}[{b.smallest!r}..]")
+            if level not in copied:
+                files = levels[level] = list(files)
+                copied.add(level)
+            level_bytes[level] += meta.file_bytes
+            if level == 0:
+                files.append(meta)
+                continue
+            # L1+ must stay sorted and non-overlapping (LSM invariant): a
+            # sorted insert need only check its two neighbours.
+            i = bisect_left(files, meta.smallest, key=_smallest)
+            if i and files[i - 1].largest >= meta.smallest:
+                _raise_overlap(level, files[i - 1], meta)
+            if i < len(files) and meta.largest >= files[i].smallest:
+                _raise_overlap(level, meta, files[i])
+            files.insert(i, meta)
         return Version(self.num_levels, levels, level_bytes)
 
     # -- queries ------------------------------------------------------------

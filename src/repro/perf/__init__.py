@@ -18,6 +18,13 @@ All benchmarks are *simulated-workload* benchmarks: they drive the real
 Event counts come from ``Environment.events_scheduled`` (every scheduled
 event is processed when ``run()`` drains), which makes events/sec
 comparable across kernel versions regardless of internal pooling.
+
+The benchmarks run with the cyclic garbage collector on, as the kernel
+does outside ``repro.bench.run_workload``.  The kernel makes no reference
+cycles (finished processes and released requests are freed by reference
+counting), which is what lets ``run_workload`` pause that collector for a
+cell; ``tests/sim/test_no_cycles.py`` holds the contract on the
+``process_spawn`` and ``resource_handoff`` shapes.
 """
 
 from __future__ import annotations

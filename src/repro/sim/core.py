@@ -273,6 +273,10 @@ class Process(Event):
         self._value = value
         self._state = _TRIGGERED
         self._target = None
+        # The cached bound method refers back to this process: drop it so
+        # a finished process is freed by reference counting, not left for
+        # the cyclic collector (bench runs cells with that collector off).
+        self._resume_cb = None
         self.env._schedule(self)
 
     def _resume_processed(self, next_target: Event) -> None:

@@ -72,6 +72,9 @@ class Resource:
             # Request was still queued: cancel instead.
             self._cancel(request)
             return
+        # A grant succeeds the request with itself as its value; drop
+        # that self-reference so the request dies by reference counting.
+        request._value = None
         self._grant()
 
     # -- internal -----------------------------------------------------

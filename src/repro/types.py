@@ -18,7 +18,6 @@ so functional tests can round-trip either representation.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Optional, Union
 
 __all__ = [
@@ -38,16 +37,32 @@ KIND_DELETE = 0
 KIND_PUT = 1
 
 
-@dataclass(frozen=True)
 class ValueRef:
-    """A size-preserving stand-in for a value payload."""
+    """A size-preserving stand-in for a value payload.
 
-    seed: int
-    size: int
+    A value object: equal to another ValueRef with the same fields, hashed
+    by them.  Built once per write op, so it is a slotted class with a
+    plain ``__init__`` (a frozen dataclass costs ~3x more to construct).
+    """
 
-    def __post_init__(self) -> None:
-        if self.size < 0:
+    __slots__ = ("seed", "size")
+
+    def __init__(self, seed: int, size: int):
+        if size < 0:
             raise ValueError("size must be >= 0")
+        self.seed = seed
+        self.size = size
+
+    def __eq__(self, other):
+        if other.__class__ is not ValueRef:
+            return NotImplemented
+        return self.seed == other.seed and self.size == other.size
+
+    def __hash__(self) -> int:
+        return hash((self.seed, self.size))
+
+    def __repr__(self) -> str:
+        return f"ValueRef(seed={self.seed!r}, size={self.size!r})"
 
 
 Value = Union[bytes, ValueRef, None]

@@ -43,8 +43,7 @@ class RandomKeys(KeyGenerator):
 
 def value_for(key: bytes, value_size: int, materialized: bool = False):
     """Deterministic value for a key: ValueRef by default, bytes on demand."""
-    seed = int.from_bytes(key, "big")
-    ref = ValueRef(seed=seed, size=value_size)
+    ref = ValueRef(int.from_bytes(key, "big"), value_size)
     if materialized:
         from ..types import materialize
         return materialize(ref)

@@ -7,6 +7,7 @@ the summing code ``Version`` used to run on every query; it reads only
 state by construction.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -233,3 +234,56 @@ def test_versions_built_directly_summarize_from_scratch():
         levels[level].append(FileMetadata(
             number, level, table(number, number * 16, 8, 500 * number)))
     assert_matches_recompute(Version(NUM_LEVELS, levels), opt)
+
+
+# -- Version.apply against its sort-and-scan predecessor -----------------------
+def reference_apply(version, edit):
+    """The body ``Version.apply`` ran before it inserted by bisect: drop the
+    removed files, append the added ones, re-sort each grown L1+ level and
+    scan every adjacent pair.  Returns the levels as file numbers."""
+    levels = [list(lvl) for lvl in version.levels]
+    removed = set(edit.removed)
+    for level in range(len(levels)):
+        levels[level] = [f for f in levels[level]
+                         if (level, f.number) not in removed]
+    grown = {meta.level for meta in edit.added}
+    for meta in edit.added:
+        levels[meta.level].append(meta)
+    for level in grown - {0}:
+        files = levels[level]
+        files.sort(key=lambda f: f.smallest)
+        for a, b in zip(files, files[1:]):
+            if a.largest >= b.smallest:
+                raise AssertionError(f"overlap at L{level}")
+    return [[f.number for f in lvl] for lvl in levels]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(ops, min_size=1, max_size=25))
+def test_apply_matches_sort_and_scan_reference(op_list):
+    vs = VersionSet(options())
+    for op in op_list:
+        before = vs.current
+        edit = edit_for(op, before, vs)
+        want = reference_apply(before, edit)
+        vs.apply(edit)
+        assert [[f.number for f in lvl] for lvl in vs.current.levels] == want
+
+
+def test_apply_rejects_overlap_with_either_neighbour():
+    def meta(number, lo, count):
+        return FileMetadata(number, 1, table(number, lo, count, 100))
+
+    v = Version(NUM_LEVELS).apply(VersionEdit(added=[meta(1, 0, 16),
+                                                     meta(2, 64, 16)]))
+    assert [f.number for f in v.levels[1]] == [1, 2]
+    # [8..23] starts inside #1, its left neighbour once inserted.
+    with pytest.raises(AssertionError, match="overlap at L1: #1"):
+        v.apply(VersionEdit(added=[meta(3, 8, 16)]))
+    # [40..71] runs into #2, its right neighbour once inserted.
+    with pytest.raises(AssertionError, match="overlap at L1: #3.* vs #2"):
+        v.apply(VersionEdit(added=[meta(3, 40, 32)]))
+    # Between the two, it fits.
+    ok = v.apply(VersionEdit(added=[meta(3, 32, 16)]))
+    assert [f.number for f in ok.levels[1]] == [1, 3, 2]
+    assert [f.number for f in v.levels[1]] == [1, 2]    # parent untouched

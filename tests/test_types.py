@@ -24,6 +24,15 @@ class TestValueRef:
         with pytest.raises(ValueError):
             ValueRef(seed=1, size=-1)
 
+    def test_value_semantics(self):
+        ref = ValueRef(seed=7, size=100)
+        assert ref == ValueRef(7, 100)
+        assert ref != ValueRef(7, 101) and ref != ValueRef(8, 100)
+        assert ref != (7, 100)                  # same class only
+        assert hash(ref) == hash((7, 100))
+        assert len({ref, ValueRef(7, 100)}) == 1
+        assert repr(ref) == "ValueRef(seed=7, size=100)"
+
     def test_materialize_deterministic(self):
         ref = ValueRef(seed=42, size=100)
         a, b = materialize(ref), materialize(ref)
