@@ -10,7 +10,7 @@ redirect scenario against both deployments.
 import copy
 
 from repro.bench.runner import RunSpec, build_system, run_workload
-from repro.core import KvaccelDb, RollbackConfig
+from repro.core import KvaccelDb
 from repro.device import CpuModel, MultiDeviceSetup
 from repro.metrics import RunCollector
 from repro.sim import Environment
@@ -27,8 +27,7 @@ def _run_multi_device(profile):
     opts = copy.deepcopy(profile.options)
     opts.slowdown_enabled = False
     db = KvaccelDb(env, opts, setup, cpu,
-                   rollback=RollbackConfig(scheme="disabled",
-                                           period=profile.rollback_period),
+                   rollback="disabled",
                    detector_config=copy.deepcopy(profile.detector),
                    page_cache_bytes=profile.page_cache_bytes)
     collector = RunCollector(env, "KVAccel(1) two-device",

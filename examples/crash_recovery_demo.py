@@ -51,9 +51,9 @@ def scenario():
 
     # Phase 4: crash -> the volatile metadata table is gone.
     report = yield from db.recover()
-    print(f"recovery: scanned + merged {report.entries_recovered} entries "
+    print(f"recovery: scanned + merged {report.entries} entries "
           f"in {report.elapsed*1000:.1f} simulated ms "
-          f"({report.bytes_recovered} bytes)")
+          f"({report.bytes} bytes)")
 
     yield from db.wait_for_quiesce()
 

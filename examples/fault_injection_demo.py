@@ -42,7 +42,7 @@ site = "kv.put_batch.complete"
 report = harness.crash_at(site, occurrence=10)
 print(f"\ncrash at {report.site} (occurrence {report.occurrence}) "
       f"at t={report.sim_time:.4f}s")
-print(f"  recovered entries: {report.recovery.entries_recovered}")
+print(f"  recovered entries: {report.recovery.entries}")
 print(f"  oracle violations: {len(report.violations)}  "
       f"-> {'OK' if report.ok else 'FAILED'}")
 assert report.ok

@@ -7,7 +7,7 @@ pairs took 1.1 s, i.e. recovery overhead is minimal.
 
 from __future__ import annotations
 
-from ...core import KvaccelDb, RollbackConfig
+from ...core import KvaccelDb
 from ...device import CpuModel, HybridSsd
 from ...sim import Environment
 from ...types import encode_key
@@ -28,8 +28,7 @@ def run(profile=None, quick: bool = False, pairs: int = 10_000,
     cpu = CpuModel(env, cores=profile.host_cores, name="host")
     ssd = HybridSsd(env, cpu, copy.deepcopy(profile.ssd))
     db = KvaccelDb(env, copy.deepcopy(profile.options), ssd, cpu,
-                   rollback=RollbackConfig(scheme="disabled",
-                                           period=profile.rollback_period),
+                   rollback="disabled",
                    detector_config=copy.deepcopy(profile.detector))
 
     # Force every pair through the key-value interface (as if written
@@ -66,14 +65,14 @@ def run(profile=None, quick: bool = False, pairs: int = 10_000,
 
     check = shape_check("Sec VI-D: recovery is complete and fast")
     check.expect("all pairs recovered",
-                 report.entries_recovered == pairs,
-                 f"{report.entries_recovered}/{pairs}")
+                 report.entries == pairs,
+                 f"{report.entries}/{pairs}")
     check.expect("Dev-LSM empty after recovery", ssd.kv.is_empty)
     check.expect("metadata table empty (trivially consistent)",
                  len(db.metadata) == 0)
     # Paper: 10k pairs in 1.1 s on real hardware.  Same order of magnitude:
     per_pair_paper = PAPER["seconds"] / PAPER["pairs"]
-    per_pair = report.elapsed / max(1, report.entries_recovered)
+    per_pair = report.elapsed / max(1, report.entries)
     check.expect(
         "per-pair recovery cost within 20x of the paper's 110 us",
         per_pair <= per_pair_paper * 20,
@@ -81,7 +80,7 @@ def run(profile=None, quick: bool = False, pairs: int = 10_000,
 
     print(table(
         ["pairs", "recovered", "sim seconds", "paper seconds (10k pairs)"],
-        [[pairs, report.entries_recovered, fmt(report.elapsed, 3),
+        [[pairs, report.entries, fmt(report.elapsed, 3),
           PAPER["seconds"]]],
         title="Section VI-D — metadata-loss recovery"))
     print(check.render())

@@ -42,7 +42,6 @@ class ExperimentProfile:
     options: LsmOptions              # host LSM options (scaled)
     ssd: HybridSsdConfig
     detector: DetectorConfig
-    rollback_period: float
     rollback_quiet_window: float
     adoc_interval: float
     key_space: int
@@ -93,7 +92,6 @@ def paper_profile() -> ExperimentProfile:
         ssd=HybridSsdConfig(geometry=geometry,
                             peak_nand_bandwidth=630 * MiB),
         detector=DetectorConfig(period=0.1),
-        rollback_period=0.1,
         rollback_quiet_window=1.0,
         adoc_interval=1.0,
         key_space=1 << 25,
@@ -135,7 +133,6 @@ def mini_profile(scale: int = 64) -> ExperimentProfile:
         options=opts,
         ssd=ssd,
         detector=DetectorConfig(period=0.1 / scale),
-        rollback_period=0.1 / scale,
         rollback_quiet_window=1.0 / scale,
         adoc_interval=1.0 / scale,
         key_space=1 << 22,

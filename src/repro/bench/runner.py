@@ -144,7 +144,6 @@ def _build_kvaccel_shard(env: Environment, profile: ExperimentProfile,
     opts.max_background_compactions = spec.compaction_threads
     opts.slowdown_enabled = spec.slowdown
     rb = RollbackConfig(scheme=spec.rollback,
-                        period=profile.rollback_period,
                         quiet_window=profile.rollback_quiet_window)
     db = KvaccelDb(env, opts, ssd, cpu, name=name,
                    rollback=rb,

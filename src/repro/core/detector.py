@@ -21,11 +21,13 @@ from ..sim import Environment, Interrupt
 
 __all__ = ["WriteStallDetector", "DetectorConfig"]
 
+# Host CPU per check (s), Table VI.
+CHECK_COST = 1.37e-6
+
 
 @dataclass
 class DetectorConfig:
     period: float = 0.1          # paper: refresh every 0.1 s
-    check_cpu_cost: float = 1.37e-6   # Table VI
 
 
 class WriteStallDetector:
@@ -106,8 +108,7 @@ class WriteStallDetector:
                 if self._stopped or self.db.closed:
                     return
                 self.checks += 1
-                self.db.host_cpu.charge(self.config.check_cpu_cost,
-                                        tag="detector")
+                self.db.host_cpu.charge(CHECK_COST, tag="detector")
                 self._latch(self.evaluate())
         except Interrupt:
             return

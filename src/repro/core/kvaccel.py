@@ -28,8 +28,8 @@ from .controller import KvaccelController
 from .detector import DetectorConfig, WriteStallDetector
 from .metadata import MetadataManager
 from .range_query import range_query
-from .recovery import RecoveryReport, recover_after_crash
-from .rollback import RollbackConfig, RollbackManager
+from .recovery import recover_after_crash
+from .rollback import RollbackConfig, RollbackManager, RollbackRecord
 
 __all__ = ["KvaccelDb"]
 
@@ -75,8 +75,6 @@ class KvaccelDb:
                                             resil=self.resil)
         rb_config = (rollback if isinstance(rollback, RollbackConfig)
                      else RollbackConfig(scheme=rollback))
-        if detector_config is not None:
-            rb_config.period = detector_config.period
         self.rollback_manager = RollbackManager(env, self.controller,
                                                 self.detector, rb_config,
                                                 resil=self.resil)
@@ -109,7 +107,7 @@ class KvaccelDb:
             self.main.resume()
         if self.resil is not None:
             self.resil.reset()
-        report: RecoveryReport = yield from recover_after_crash(self.controller)
+        report: RollbackRecord = yield from recover_after_crash(self.controller)
         return report
 
     def wait_for_quiesce(self, poll: float = 0.01) -> Generator:

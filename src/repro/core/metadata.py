@@ -50,10 +50,6 @@ class MetadataManager:
     def clear(self) -> None:
         self._keys.clear()
 
-    def drop(self) -> None:
-        """Simulate losing the volatile table in a crash (no CPU charge)."""
-        self._keys = set()
-
     def __len__(self) -> int:
         return len(self._keys)
 

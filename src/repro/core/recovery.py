@@ -12,20 +12,12 @@ reproduces that measurement on the simulated device.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Generator
 
 from .controller import KvaccelController
-from .rollback import MERGE_BATCH
+from .rollback import MERGE_BATCH, RollbackRecord
 
-__all__ = ["recover_after_crash", "RecoveryReport"]
-
-
-@dataclass
-class RecoveryReport:
-    entries_recovered: int
-    bytes_recovered: int
-    elapsed: float
+__all__ = ["recover_after_crash"]
 
 
 def recover_after_crash(controller: KvaccelController) -> Generator:
@@ -42,7 +34,7 @@ def recover_after_crash(controller: KvaccelController) -> Generator:
     p = env.probes
     _sp = p.begin("recovery", "recovery.metadata", "recovery")
     yield from p.at("recovery.start")
-    controller.metadata.drop()
+    controller.metadata.clear()
     scanned = yield from controller.kv.bulk_scan()
     p.touch("recovery.scan.done")
     entries = []
@@ -60,8 +52,5 @@ def recover_after_crash(controller: KvaccelController) -> Generator:
     controller.metadata.clear()
     p.touch("recovery.complete")
     p.end(_sp, {"entries": len(entries), "bytes": nbytes})
-    return RecoveryReport(
-        entries_recovered=len(entries),
-        bytes_recovered=nbytes,
-        elapsed=env.now - t0,
-    )
+    return RollbackRecord(start=t0, end=env.now, entries=len(entries),
+                          bytes=nbytes)

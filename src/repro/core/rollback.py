@@ -40,13 +40,12 @@ MERGE_BATCH = 256
 @dataclass
 class RollbackConfig:
     scheme: str = "eager"
-    period: float = 0.1            # check cadence (same thread family as detector)
     quiet_window: float = 0.5      # lazy: require this long with no writes
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
-        if self.period <= 0 or self.quiet_window < 0:
+        if self.quiet_window < 0:
             raise ValueError("invalid rollback configuration")
 
 
@@ -56,6 +55,10 @@ class RollbackRecord:
     end: float
     entries: int
     bytes: int
+
+    @property
+    def elapsed(self) -> float:
+        return self.end - self.start
 
 
 class RollbackManager:
@@ -74,13 +77,12 @@ class RollbackManager:
         # completed drain moves the state machine to RECOVERING.
         self.resil = resil
         self.records: list[RollbackRecord] = []
-        self.in_progress = False
         self._stopped = False
         self.process = env.process(self._run(), name="kvaccel-rollback")
         tel = env.telemetry
         if tel is not None:
             tel.gauge("rollback.active",
-                      lambda: 1.0 if self.in_progress else 0.0)
+                      lambda: 1.0 if controller.rollback_in_progress else 0.0)
             tel.rate("rollback.entries")
             tel.rate("rollback.bytes")
 
@@ -94,14 +96,15 @@ class RollbackManager:
         """
         self._stopped = True
         proc = self.process
-        if (proc.is_alive and not self.in_progress
+        if (proc.is_alive and not self.controller.rollback_in_progress
                 and proc._target is not None
                 and proc is not self.env.active_process):
             proc.interrupt("stopped")
 
     # -- scheduling policy ------------------------------------------------
     def _should_rollback(self) -> bool:
-        if self.in_progress or self.controller.kv.is_empty:
+        controller = self.controller
+        if controller.rollback_in_progress or controller.kv.is_empty:
             return False
         drain = self.resil is not None and self.resil.wants_drain()
         if self.detector.stall_condition and not drain:
@@ -114,14 +117,14 @@ class RollbackManager:
         if self.config.scheme == "eager":
             return True
         if self.config.scheme == "lazy":
-            quiet = self.env.now - self.controller.last_write_time
+            quiet = self.env.now - controller.last_write_time
             return quiet >= self.config.quiet_window
         return False  # disabled
 
     def _run(self):
         try:
             while not self._stopped:
-                yield self.env.timeout(self.config.period)
+                yield self.env.timeout(self.detector.config.period)
                 if self._stopped or self.controller.main.closed:
                     return
                 if self._should_rollback():
@@ -154,7 +157,6 @@ class RollbackManager:
         Main-LSM via write-path step 3-1 — and are skipped, otherwise an
         old value could shadow a newer, already-flushed one.
         """
-        self.in_progress = True
         self.controller.rollback_in_progress = True
         p = self.env.probes
         _sp = p.begin("rollback", f"rollback.{self.config.scheme}", None,
@@ -193,7 +195,6 @@ class RollbackManager:
             # generator teardown.
             if _sp is not None and not _sp.closed:
                 p.end(_sp, {"aborted": True})
-            self.in_progress = False
             self.controller.rollback_in_progress = False
 
     # -- stats --------------------------------------------------------------

@@ -78,7 +78,7 @@ class CrashReport:
     occurrence: int
     crashed: bool
     violations: list = field(default_factory=list)
-    recovery: Optional[object] = None      # RecoveryReport when crashed
+    recovery: Optional[object] = None      # RollbackRecord when crashed
     sim_time: float = 0.0
     seed: int = DEFAULT_SEED
     error: Optional[str] = None
@@ -121,7 +121,7 @@ def broken_recovery_skip_drain(db: KvaccelDb) -> Generator:
     it resets the device buffer without merging.  Every acked redirected
     write still parked in the Dev-LSM is silently lost — the harness must
     flag this as a durability violation."""
-    db.controller.metadata.drop()
+    db.controller.metadata.clear()
     yield from db.controller.kv.reset()
     return None
 
@@ -131,7 +131,7 @@ def broken_recovery_skip_reset(db: KvaccelDb) -> Generator:
     two LSMs' metadata disagree afterwards — Dev-LSM still holds entries
     while the rebuilt metadata table says it holds none."""
     controller = db.controller
-    controller.metadata.drop()
+    controller.metadata.clear()
     scanned = yield from controller.kv.bulk_scan()
     merge = []
     for e in scanned:

@@ -166,7 +166,7 @@ class TestDurability:
         db.detector.stall_condition = False
         # crash wipes the volatile index; NAND still holds the pairs
         report = run(env, db.recover())
-        assert report.entries_recovered == 100
+        assert report.entries == 100
         run(env, db.wait_for_quiesce())
         for i in (0, 50, 99):
             assert run(env, db.get(encode_key(i))) == b"durable-%d" % i

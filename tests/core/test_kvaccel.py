@@ -83,8 +83,7 @@ def test_lazy_rollback_waits_for_quiet():
     env = Environment()
     from repro.core import RollbackConfig
     db, ssd, _ = small_kvaccel(
-        env, rollback=RollbackConfig(scheme="lazy", period=0.002,
-                                     quiet_window=0.2))
+        env, rollback=RollbackConfig(scheme="lazy", quiet_window=0.2))
     fill(env, db, 4000)
     redirected = db.controller.redirected_writes
     if redirected == 0:
@@ -153,7 +152,7 @@ def test_recovery_restores_consistency():
         pytest.skip("nothing redirected")
     n_dev = ssd.kv.entry_count
     report = run(env, db.recover())
-    assert report.entries_recovered > 0
+    assert report.entries > 0
     assert report.elapsed > 0
     assert ssd.kv.is_empty
     assert len(db.metadata) == 0

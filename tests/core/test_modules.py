@@ -62,9 +62,7 @@ class TestDetector:
     def test_charges_cpu_per_check(self):
         env = Environment()
         db, _, cpu = small_db(env)
-        det = WriteStallDetector(env, db,
-                                 DetectorConfig(period=0.01,
-                                                check_cpu_cost=1.37e-6))
+        det = WriteStallDetector(env, db, DetectorConfig(period=0.01))
         env.run(until=0.1)
         assert cpu.busy_by_tag.get("detector", 0) == pytest.approx(
             det.checks * 1.37e-6)
@@ -120,17 +118,14 @@ class TestMetadata:
         md.remove(b"k")
         assert cpu.busy_by_tag["metadata"] == pytest.approx(0.93e-6)
 
-    def test_clear_and_drop(self):
+    def test_clear(self):
         env = Environment()
         md = MetadataManager(CpuModel(env, cores=1))
         for i in range(10):
             md.insert(encode_key(i))
-        snap = md.keys_snapshot()
-        assert len(snap) == 10
-        md.drop()
+        assert len(md) == 10
+        md.clear()
         assert md.is_empty
-        # snapshot is a copy, unaffected
-        assert len(snap) == 10
 
 
 class TestControllerRouting:
@@ -182,7 +177,7 @@ class TestRollbackConfig:
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
-            RollbackConfig(period=0)
+            RollbackConfig(quiet_window=-1)
 
     def test_rollback_preserves_seq_order(self):
         env = Environment()

@@ -47,7 +47,7 @@ def test_second_stall_mid_rollback_loses_nothing(scheme):
 
         # Kick off the first rollback concurrently and catch it mid-merge.
         rb = env.process(db.rollback_manager.rollback_once())
-        while not db.rollback_manager.in_progress:
+        while not db.controller.rollback_in_progress:
             yield env.timeout(0.0002)
 
         # Second stall arrives while the merge is still running.  With
@@ -55,7 +55,7 @@ def test_second_stall_mid_rollback_loses_nothing(scheme):
         # Main-LSM path — and must not be shadowed by the older values
         # the rollback is merging at the same time.
         db.detector.stall_condition = True
-        assert db.rollback_manager.in_progress
+        assert db.controller.rollback_in_progress
         for i in range(10, 40):
             yield from put(i, b"mid")
         assert ssd.kv.lost_commands == 0

@@ -83,7 +83,7 @@ def test_correct_recovery_at_same_crash_point_passes():
     assert report.crashed
     assert report.ok, report.describe()
     assert report.recovery is not None
-    assert report.recovery.entries_recovered > 0
+    assert report.recovery.entries > 0
 
 
 def test_cli_sweep_with_budget_and_summary(tmp_path, capsys):
