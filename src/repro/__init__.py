@@ -35,7 +35,6 @@ from .core import (
     RollbackConfig,
     WriteStallDetector,
     range_query,
-    recover_after_crash,
 )
 from .device import CpuModel, HybridSsd, HybridSsdConfig, NandGeometry, PcieLink
 from .lsm import DbImpl, LsmOptions
@@ -55,7 +54,6 @@ __all__ = [
     "RollbackConfig",
     "WriteStallDetector",
     "range_query",
-    "recover_after_crash",
     "CpuModel",
     "HybridSsd",
     "HybridSsdConfig",

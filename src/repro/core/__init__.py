@@ -5,7 +5,6 @@ from .detector import DetectorConfig, WriteStallDetector
 from .kvaccel import KvaccelDb
 from .metadata import MetadataManager
 from .range_query import DualIterator, range_query
-from .recovery import recover_after_crash
 from .rollback import RollbackConfig, RollbackManager, RollbackRecord
 
 __all__ = [
@@ -16,7 +15,6 @@ __all__ = [
     "MetadataManager",
     "DualIterator",
     "range_query",
-    "recover_after_crash",
     "RollbackConfig",
     "RollbackManager",
     "RollbackRecord",

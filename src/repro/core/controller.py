@@ -21,7 +21,7 @@ from typing import Generator, Optional
 from ..device.kv_dev import KvDevice
 from ..lsm.db import DbImpl
 from ..resil.errors import DeviceError
-from ..sim import Environment
+from ..sim import Environment, Event
 from ..types import KIND_DELETE, make_entry
 from .detector import WriteStallDetector
 from .metadata import MetadataManager
@@ -57,6 +57,10 @@ class KvaccelController:
         # Set by the RollbackManager while a rollback runs: redirection is
         # suspended so the Dev-LSM reset cannot drop late arrivals.
         self.rollback_in_progress = False
+        # Redirected batches between their metadata insert and their
+        # Dev-LSM ack, and the rollback waiting for them (the fence).
+        self._redirecting = 0
+        self._acked: Optional[Event] = None
         self._last_route: Optional[str] = None
         tel = env.telemetry
         if tel is not None:
@@ -112,6 +116,16 @@ class KvaccelController:
                                         "write_controller", {"to": to})
             self._last_route = to
 
+    def redirects_acked(self) -> Generator:
+        """Wait until every redirected batch that passed its metadata insert
+        has its Dev-LSM ack (or fell back to Main-LSM).  A batch whose
+        process dies leaves through the ``finally`` of :meth:`_write`, so a
+        crash never holds the wait."""
+        while self._redirecting:
+            if self._acked is None:
+                self._acked = self.env.event()
+            yield self._acked
+
     # -- write path ----------------------------------------------------------
     def put(self, key: bytes, value) -> Generator:
         return self.put_batch([(key, value)])
@@ -143,6 +157,7 @@ class KvaccelController:
                 seq = self.main.next_seq()
                 self.metadata.insert(key)
                 triples.append((key, seq, value))
+            self._redirecting += 1
             p.enter("redirect")
             try:
                 if self.resil is None:
@@ -155,6 +170,10 @@ class KvaccelController:
                         yield from self._fallback(triples, exc)
             finally:
                 p.leave()
+                self._redirecting -= 1
+                if not self._redirecting and self._acked is not None:
+                    self._acked.succeed()
+                    self._acked = None
             self.redirected_writes += len(triples)
             p.add("ctl.redirected", len(triples))
             # Redirected writes complete too — record their latency in the

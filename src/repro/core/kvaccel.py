@@ -28,8 +28,7 @@ from .controller import KvaccelController
 from .detector import DetectorConfig, WriteStallDetector
 from .metadata import MetadataManager
 from .range_query import range_query
-from .recovery import recover_after_crash
-from .rollback import RollbackConfig, RollbackManager, RollbackRecord
+from .rollback import RollbackConfig, RollbackManager
 
 __all__ = ["KvaccelDb"]
 
@@ -102,13 +101,14 @@ class KvaccelDb:
             yield from self.rollback_manager.rollback_once()
 
     def recover(self) -> Generator:
-        """Crash-recover the lost metadata table (Section VI-D)."""
+        """Crash-recover the lost metadata table (Section VI-D): a rollback
+        that rebuilds the table first; returns its ``RollbackRecord``."""
         if self.main.background_error is not None:
             self.main.resume()
         if self.resil is not None:
             self.resil.reset()
-        report: RollbackRecord = yield from recover_after_crash(self.controller)
-        return report
+        return (yield from self.rollback_manager.rollback_once(
+            after_crash=True))
 
     def wait_for_quiesce(self, poll: float = 0.01) -> Generator:
         yield from self.main.wait_for_quiesce(poll)

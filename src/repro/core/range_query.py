@@ -58,16 +58,23 @@ class DualIterator:
 
     # -- protocol ---------------------------------------------------------
     def seek(self, key: bytes) -> Generator:
-        """Position both iterators at the first entry >= ``key`` (steps 1-3)."""
-        yield from self._refill_main(key)
-        controller = self.controller
-        if not controller.kv.is_empty:
-            self._dev_it = yield from controller.kv.create_iterator()
-            self._dev_entry = yield from controller.kv.iter_seek(self._dev_it,
-                                                                 key)
-        else:
-            self._dev_it = None
-            self._dev_entry = None
+        """Position both iterators at the first entry >= ``key`` (steps 1-3).
+
+        A rollback that resets the Dev-LSM between the two positionings
+        merged entries into Main-LSM after its side was read, so neither
+        side holds them: position both again."""
+        kv = self.controller.kv
+        while True:
+            resets = kv.command_counts.get("reset", 0)
+            yield from self._refill_main(key)
+            if not kv.is_empty:
+                self._dev_it = yield from kv.create_iterator()
+                self._dev_entry = yield from kv.iter_seek(self._dev_it, key)
+            else:
+                self._dev_it = None
+                self._dev_entry = None
+            if kv.command_counts.get("reset", 0) == resets:
+                return
 
     def next(self) -> Generator:
         """Return the next live user entry, or None when both sides end.

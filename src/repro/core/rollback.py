@@ -16,6 +16,9 @@ Two scheduling schemes (paper):
   write-intensive workloads.
 * ``disabled`` — never roll back during the run (the paper's write-only
   workload A configuration, where rollback happens after the workload).
+
+Crash recovery (Section VI-D) is the same rollback after the volatile
+metadata table was lost: ``rollback_once(after_crash=True)``.
 """
 
 from __future__ import annotations
@@ -32,8 +35,7 @@ __all__ = ["RollbackManager", "RollbackConfig", "RollbackRecord"]
 
 SCHEMES = ("eager", "lazy", "disabled")
 
-# Entries per Main-LSM write batch when a rollback or a recovery merges the
-# Dev-LSM back.
+# Entries per Main-LSM write batch when a rollback merges the Dev-LSM back.
 MERGE_BATCH = 256
 
 
@@ -147,47 +149,66 @@ class RollbackManager:
             return
 
     # -- the rollback operation ---------------------------------------------
-    def rollback_once(self) -> Generator:
-        """One full rollback: bulk scan -> merge -> clear metadata -> reset.
+    def rollback_once(self, after_crash: bool = False) -> Generator:
+        """One full rollback: bulk scan -> merge -> clear metadata -> reset;
+        returns its :class:`RollbackRecord`.
 
         While a rollback runs, the controller stops redirecting (writes go
-        to Main-LSM, gated normally), so the Dev-LSM reset at step 8 cannot
-        drop late-arriving entries.  Entries whose key is no longer in the
-        metadata table are *stale* — a newer copy already landed in
-        Main-LSM via write-path step 3-1 — and are skipped, otherwise an
-        old value could shadow a newer, already-flushed one.
+        to Main-LSM, gated normally), and the scan waits until no
+        redirected batch is between its metadata insert and its Dev-LSM
+        ack, so the reset at step 8 cannot drop an acked write.  An entry
+        whose key has left the metadata table is *stale* — a newer copy
+        landed in Main-LSM via write-path step 3-1 — and is skipped.  The
+        live table decides, where Main-LSM's memtable takes the entry: a
+        normal write may land at any yield of the merge, and an older copy
+        in a newer memtable would shadow it.
+
+        ``after_crash`` is crash recovery (Section VI-D): the volatile
+        table is lost, so it is first rebuilt from the scan, marking each
+        key whose Dev-LSM copy is newer than Main-LSM's.  Recovery runs
+        before the store takes writes again, as on reopen.
         """
-        self.controller.rollback_in_progress = True
+        controller = self.controller
+        metadata = controller.metadata
+        controller.rollback_in_progress = True
+        name = "recovery" if after_crash else self.config.scheme
         p = self.env.probes
-        _sp = p.begin("rollback", f"rollback.{self.config.scheme}", None,
-                      {"scheme": self.config.scheme})
+        _sp = p.begin("rollback", f"rollback.{name}", None, {"scheme": name})
         try:
             t0 = self.env.now
-            controller = self.controller
             yield from p.at("rollback.start")
-            live_keys = controller.metadata.keys_snapshot()
+            yield from controller.redirects_acked()
             entries = yield from controller.kv.bulk_scan()
-            entries = [e for e in entries if e[0] in live_keys]
+            if after_crash:
+                metadata.clear()
+                for e in entries:
+                    current = yield from controller.main.get_internal(e[0])
+                    if current is None or e[1] > current[1]:
+                        metadata.insert(e[0])
+            entries = [e for e in entries if e[0] in metadata]
             p.touch("rollback.scan.done")
             nbytes = 0
             for i in range(0, len(entries), MERGE_BATCH):
                 chunk = entries[i:i + MERGE_BATCH]
-                chunk_bytes = yield from controller.main.write_entries(chunk)
+                chunk_bytes = yield from controller.main.write_entries(
+                    chunk, keep=metadata.__contains__)
                 nbytes += chunk_bytes
                 # Per-batch so progress lands in the bucket it happened
                 # in — the rollback-convergence rule watches this.
                 p.add("rollback.entries", len(chunk))
                 p.add("rollback.bytes", chunk_bytes)
                 p.touch("rollback.merge.batch")
-            controller.metadata.clear()
+            metadata.clear()
             p.touch("rollback.metadata.cleared")
             yield from controller.kv.reset()
             p.touch("rollback.complete")
             if self.resil is not None:
                 self.resil.note_drained()
-            self.records.append(RollbackRecord(
-                start=t0, end=self.env.now, entries=len(entries), bytes=nbytes))
+            record = RollbackRecord(start=t0, end=self.env.now,
+                                    entries=len(entries), bytes=nbytes)
+            self.records.append(record)
             p.end(_sp, {"entries": len(entries), "bytes": nbytes})
+            return record
         finally:
             # Aborted mid-flight (e.g. injected crash): the span is still
             # open.  A rollback still running at the horizon is closed by
@@ -195,7 +216,7 @@ class RollbackManager:
             # generator teardown.
             if _sp is not None and not _sp.closed:
                 p.end(_sp, {"aborted": True})
-            self.controller.rollback_in_progress = False
+            controller.rollback_in_progress = False
 
     # -- stats --------------------------------------------------------------
     @property

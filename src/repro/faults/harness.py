@@ -10,9 +10,9 @@ The harness owns everything a crash-point run needs:
 * a :class:`~repro.faults.oracle.DifferentialOracle` shadowing every
   acknowledged operation;
 * the crash choreography: run the workload until the armed fault site
-  fires, interrupt the in-flight op, run recovery
-  (:func:`~repro.core.recovery.recover_after_crash` via ``db.recover()``),
-  then verify the oracle's invariants against the recovered store.
+  fires, interrupt the in-flight op, run recovery (``db.recover()``, the
+  rollback after metadata loss), then verify the oracle's invariants
+  against the recovered store.
 
 Crash model ("metadata crash", paper Section VI-D): the KVACCEL host
 module dies — the volatile metadata table is lost and the in-flight

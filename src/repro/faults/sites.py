@@ -47,14 +47,12 @@ KNOWN_SITES = frozenset({
     "db.flush.start", "db.flush.install",
     "db.compact.start", "db.compact.install",
     "db.bg_error.set", "db.resume",
-    # core/controller.py + core/rollback.py + core/recovery.py
+    # core/controller.py + core/rollback.py
     "ctl.put.redirect", "ctl.put.normal",
     "ctl.delete.redirect", "ctl.delete.normal",
     "ctl.get.dev", "ctl.get.main",
     "rollback.start", "rollback.scan.done", "rollback.merge.batch",
     "rollback.metadata.cleared", "rollback.complete",
-    "recovery.start", "recovery.scan.done", "recovery.merge.batch",
-    "recovery.complete",
     # resil/degrade.py + core/controller.py fallback path
     "resil.healthy.enter", "resil.recovering.enter", "resil.degraded.enter",
     "resil.fallback",

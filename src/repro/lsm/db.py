@@ -253,15 +253,21 @@ class DbImpl:
         yield from self._write_entries(entries)
         self.stats.record_write_latency(self.env.now - t0, count=len(entries))
 
-    def write_entries(self, entries: list) -> Generator:
+    def write_entries(self, entries: list, keep=None) -> Generator:
         """Raw internal-entry write (rollback merges use this to preserve
-        original sequence numbers and tombstones).  Returns the batch's
-        summed :func:`entry_size`, which the write path computes anyway."""
+        original sequence numbers and tombstones).  Returns the logged
+        entries' summed :func:`entry_size`, which the write path computes
+        anyway.
+
+        ``keep(key)``, if given, decides staleness where the write lands,
+        after the gate and CPU yields: an entry it rejects just before the
+        WAL append is neither logged nor applied, and one it rejects at the
+        memtable insert (stale during the append) is not applied."""
         for e in entries:
             self.note_external_seq(e[1])
-        return (yield from self._write_entries(entries))
+        return (yield from self._write_entries(entries, keep))
 
-    def _write_entries(self, entries: list) -> Generator:
+    def _write_entries(self, entries: list, keep=None) -> Generator:
         if self._closed:
             raise RuntimeError("db closed")
         if self.background_error is not None:
@@ -276,6 +282,9 @@ class DbImpl:
         held = yield from self.write_controller.gate(nbytes)
         yield from self.host_cpu.consume(CPU_PUT * len(entries),
                                          tag=f"{self.name}.write")
+        if keep is not None:
+            entries = [e for e in entries if keep(e[0])]
+            nbytes = sum(map(entry_size, entries))
         if self.wal is not None:
             try:
                 yield from self.wal.append(nbytes, records=entries)
@@ -286,7 +295,8 @@ class DbImpl:
                 self.set_background_error(exc)
                 raise
         for e in entries:
-            self.mem.add(e)
+            if keep is None or keep(e[0]):
+                self.mem.add(e)
         p.touch("db.write.applied")
         self.stats.user_writes += len(entries)
         self.stats.user_write_bytes += nbytes

@@ -98,8 +98,8 @@ class TestConsistency:
         db.detector.stall_condition = False
         for i in range(0, 50, 2):  # half overwritten via Main-LSM
             run(env, db.put(encode_key(i), b"m"))
-        snap = db.metadata.keys_snapshot()
-        assert snap == {encode_key(i) for i in range(1, 50, 2)}
+        assert len(db.metadata) == 25
+        assert all(encode_key(i) in db.metadata for i in range(1, 50, 2))
 
 
 class TestIsolation:
