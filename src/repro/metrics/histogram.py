@@ -62,11 +62,14 @@ class LatencyHistogram:
         for i, c in enumerate(self._counts):
             seen += c
             if seen >= target:
-                # representative value: geometric midpoint of the bucket
+                # representative value: geometric midpoint of the bucket,
+                # clamped to the recorded range
                 if i == 0:
-                    return min(self.min_value, self._max)
-                lo = self.min_value * (self._ratio ** (i - 1))
-                return min(lo * math.sqrt(self._ratio), self._max)
+                    value = self.min_value
+                else:
+                    lo = self.min_value * (self._ratio ** (i - 1))
+                    value = lo * math.sqrt(self._ratio)
+                return min(max(value, self._min), self._max)
         return self._max
 
     @property

@@ -162,6 +162,7 @@ def test_histogram_percentiles_bounded_and_monotone(samples):
         h.record(v)
     assert h.total_count == len(samples)
     ps = [h.percentile(p) for p in (0, 25, 50, 75, 90, 99, 100)]
+    assert all(h.min <= p <= h.max for p in ps)
     assert all(b >= a * 0.99 for a, b in zip(ps, ps[1:]))
     assert h.percentile(100) <= max(samples) * 1.05
     assert h.min == min(samples)
