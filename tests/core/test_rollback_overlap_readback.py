@@ -70,9 +70,9 @@ def test_acked_writes_survive_a_rollback_overlapping_put_batch(rollback):
 
 def _write_k_during_the_merge(hold_point) -> tuple:
     """Redirect an old value of K, then roll back while the merge chunk
-    carrying it is held at ``hold_point(db)`` -> ``(owner, method name,
-    which calls to hold)``; meanwhile a normal write of K lands in Main-LSM
-    and its memtable flushes to an SST.  Returns K read back live and then
+    carrying it is held in the first call of the method ``hold_point(db)``
+    names as ``(owner, name)``; meanwhile a normal write of K lands in
+    Main-LSM and its memtable flushes to an SST.  Returns K read back live and then
     after a host crash (``crash_and_recover``: memtables lost, WAL
     replayed)."""
     env = Environment()
@@ -81,15 +81,14 @@ def _write_k_during_the_merge(hold_point) -> tuple:
     key = encode_key(7)
     # Larger than a WAL commit group, so the chunk's append flushes.
     old, new = ValueRef(seed=1, size=8192), ValueRef(seed=2, size=8192)
-    owner, name, hold_here = hold_point(db)
+    owner, name = hold_point(db)
     method = getattr(owner, name)
     held, release = env.event(), env.event()
 
     def holding(*args, **kw):
-        if not held.triggered and hold_here(*args):
-            setattr(owner, name, method)
-            held.succeed()
-            yield release
+        setattr(owner, name, method)
+        held.succeed()
+        yield release
         return (yield from method(*args, **kw))
 
     def scenario():
@@ -114,12 +113,12 @@ def _write_k_during_the_merge(hold_point) -> tuple:
 
 
 def _at_the_gate(db):
-    return db.main.write_controller, "gate", lambda nbytes: True
+    return db.main.write_controller, "gate"
 
 
 def _in_the_wal_flush(db):
     # The rollback's first block-device write is its chunk's WAL group.
-    return db.main.wal.fs.device, "write", lambda *args, **kw: True
+    return db.main.wal.fs.device, "write"
 
 
 def test_a_merge_entry_gone_stale_at_the_gate_is_neither_applied_nor_logged():
