@@ -9,6 +9,7 @@ redirect scenario against both deployments.
 
 import copy
 
+from repro.bench.profiles import HOST_CORES
 from repro.bench.runner import RunSpec, build_system, run_workload
 from repro.core import KvaccelDb
 from repro.device import CpuModel, MultiDeviceSetup
@@ -20,7 +21,7 @@ from repro.workload import DriverConfig, FillRandomDriver
 def _run_multi_device(profile):
     """Mirror run_workload's fillrandom path on a MultiDeviceSetup."""
     env = Environment()
-    cpu = CpuModel(env, cores=profile.host_cores, name="host")
+    cpu = CpuModel(env, cores=HOST_CORES, name="host")
     setup = MultiDeviceSetup(env, cpu,
                              copy.deepcopy(profile.ssd),
                              copy.deepcopy(profile.ssd))
@@ -34,9 +35,7 @@ def _run_multi_device(profile):
                              sample_period=profile.sample_period)
     collector.attach_db_stats(db.stats)
     cfg = DriverConfig(duration=profile.duration,
-                       key_space=profile.key_space,
-                       value_size=profile.value_size,
-                       batch_size=profile.batch_size)
+                       key_space=profile.key_space)
     driver = FillRandomDriver(env, db, cfg)
     driver.write_meter = collector.write_meter
     env.run(until=driver.start())

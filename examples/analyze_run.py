@@ -183,9 +183,7 @@ for spec in [RunSpec("rocksdb", "A", 1, slowdown=True),
                              sample_period=profile.sample_period)
     collector.attach_db_stats(db.stats)
     cfg = DriverConfig(duration=profile.duration,
-                       key_space=profile.key_space,
-                       value_size=profile.value_size,
-                       batch_size=profile.batch_size)
+                       key_space=profile.key_space)
     driver = FillRandomDriver(env, db, cfg)
     driver.write_meter = collector.write_meter
     env.run(until=driver.start())

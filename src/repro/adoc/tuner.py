@@ -23,13 +23,18 @@ from ..sim import Environment
 __all__ = ["AdocTuner", "AdocTunerConfig", "TuningAction"]
 
 
+# The write buffer can grow to this multiple of its baseline.
+MAX_BUFFER_MULTIPLIER = 4
+# Consecutive calm polls before the tuner steps down.
+CALM_STEPS_TO_DECAY = 3
+# Host CPU seconds charged per poll.
+MONITOR_CPU_COST = 5e-6
+
+
 @dataclass
 class AdocTunerConfig:
     interval: float = 1.0            # tuning period (seconds)
     max_compaction_threads: int = 8
-    max_buffer_multiplier: int = 4   # write buffer can grow to 4x baseline
-    calm_steps_to_decay: int = 3     # consecutive calm polls before stepping down
-    monitor_cpu_cost: float = 5e-6   # per poll
 
 
 @dataclass
@@ -71,9 +76,9 @@ class AdocTuner:
         if opt.max_background_compactions < cfg.max_compaction_threads:
             opt.max_background_compactions += 1
             changed = True
-        if opt.write_buffer_size < self.base_buffer * cfg.max_buffer_multiplier:
+        if opt.write_buffer_size < self.base_buffer * MAX_BUFFER_MULTIPLIER:
             opt.write_buffer_size = min(opt.write_buffer_size * 2,
-                                        self.base_buffer * cfg.max_buffer_multiplier)
+                                        self.base_buffer * MAX_BUFFER_MULTIPLIER)
             changed = True
         if changed:
             self.db._wake_background()
@@ -101,12 +106,12 @@ class AdocTuner:
             yield self.env.timeout(cfg.interval)
             if self._stopped:
                 return
-            self.db.host_cpu.charge(cfg.monitor_cpu_cost, tag="adoc-tuner")
+            self.db.host_cpu.charge(MONITOR_CPU_COST, tag="adoc-tuner")
             if self._pressure():
                 self._calm_streak = 0
                 self._escalate()
             else:
                 self._calm_streak += 1
-                if self._calm_streak >= cfg.calm_steps_to_decay:
+                if self._calm_streak >= CALM_STEPS_TO_DECAY:
                     self._calm_streak = 0
                     self._decay()

@@ -12,6 +12,8 @@ from ...device import CpuModel, HybridSsd
 from ...sim import Environment
 from ...types import encode_key
 from ...workload import value_for
+from ...workload.db_bench import BATCH_SIZE, VALUE_SIZE
+from ..profiles import HOST_CORES
 from ..report import fmt, shape_check, table
 from .common import resolve_profile
 
@@ -25,7 +27,7 @@ def run(profile=None, quick: bool = False, pairs: int = 10_000,
         pairs = min(pairs, 2_000)
     env = Environment()
     import copy
-    cpu = CpuModel(env, cores=profile.host_cores, name="host")
+    cpu = CpuModel(env, cores=HOST_CORES, name="host")
     ssd = HybridSsd(env, cpu, copy.deepcopy(profile.ssd))
     db = KvaccelDb(env, copy.deepcopy(profile.options), ssd, cpu,
                    rollback="disabled",
@@ -42,8 +44,8 @@ def run(profile=None, quick: bool = False, pairs: int = 10_000,
         batch = []
         for i in range(pairs):
             batch.append((encode_key(i), value_for(encode_key(i),
-                                                   profile.value_size)))
-            if len(batch) == profile.batch_size:
+                                                   VALUE_SIZE)))
+            if len(batch) == BATCH_SIZE:
                 yield from db.put_batch(batch)
                 batch = []
         if batch:

@@ -20,15 +20,18 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar
 
 from ..core import DetectorConfig
 from ..device import DevLsmConfig, HybridSsdConfig, MiB, NandGeometry
 from ..lsm import LsmOptions
-from ..resil import ResilienceConfig
+from ..workload.db_bench import BATCH_SIZE, KEY_SIZE, VALUE_SIZE
 
 __all__ = ["ExperimentProfile", "paper_profile", "paper_smoke_profile",
            "mini_profile", "active_profile", "get_profile"]
+
+# Table II: host CPU usage limited to 8 cores.
+HOST_CORES = 8
 
 
 @dataclass
@@ -45,19 +48,13 @@ class ExperimentProfile:
     rollback_quiet_window: float
     adoc_interval: float
     key_space: int
-    value_size: int = 4096
-    key_size: int = 4
-    batch_size: int = 32
-    device_peak_bw: float = 630 * MiB
-    host_cores: int = 8              # Table II: usage limited to 8 cores
     page_cache_bytes: int = 32 * 1024 * MiB   # host RAM share for page cache
     seekrandom_fill_bytes: int = 0
-    seekrandom_nexts: int = 1024
-    # None (the default, and what every figure profile uses) leaves the
-    # resilience stack out entirely — retries, degradation tracking and
-    # NAND error modelling all stay off the hot path, so trajectories
-    # match the pinned goldens bit-for-bit.
-    resilience: Optional[ResilienceConfig] = None
+    # The workload's sizes are the drivers' constants; benchmarks/e2e
+    # reads them from the profile.
+    key_size: ClassVar[int] = KEY_SIZE
+    value_size: ClassVar[int] = VALUE_SIZE
+    batch_size: ClassVar[int] = BATCH_SIZE
 
 
 def _paper_options() -> LsmOptions:

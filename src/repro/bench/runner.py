@@ -27,6 +27,7 @@ from ..metrics import RunCollector, RunResult
 from ..obs import (HealthMonitor, Journal, LineageProfiler, TelemetryHub,
                    Tracer, cluster_shard_rules, default_rules,
                    register_digest_sources)
+from ..obs.rules import DEVICE_PEAK_BW
 from ..sim import Environment, install_kernel_profiler, uninstall_kernel_profiler
 from ..workload import (
     DriverConfig,
@@ -36,7 +37,7 @@ from ..workload import (
     WORKLOADS,
     fill_database,
 )
-from .profiles import ExperimentProfile
+from .profiles import HOST_CORES, ExperimentProfile
 
 __all__ = ["RunSpec", "RunOptions", "run_workload", "build_system",
            "WALL_EXTRA_KEYS", "LIVE_EXTRA_KEYS"]
@@ -138,7 +139,7 @@ def _build_kvaccel_shard(env: Environment, profile: ExperimentProfile,
     shard so the construction sequence — and therefore the event-seq
     numbering — is identical by construction (the 1-shard differential
     oracle depends on this)."""
-    cpu = CpuModel(env, cores=profile.host_cores, name=cpu_name)
+    cpu = CpuModel(env, cores=HOST_CORES, name=cpu_name)
     ssd = HybridSsd(env, cpu, copy.deepcopy(profile.ssd))
     opts = copy.deepcopy(profile.options)
     opts.max_background_compactions = spec.compaction_threads
@@ -148,8 +149,7 @@ def _build_kvaccel_shard(env: Environment, profile: ExperimentProfile,
     db = KvaccelDb(env, opts, ssd, cpu, name=name,
                    rollback=rb,
                    detector_config=copy.deepcopy(profile.detector),
-                   page_cache_bytes=profile.page_cache_bytes,
-                   resilience=profile.resilience)
+                   page_cache_bytes=profile.page_cache_bytes)
     return db, ssd, cpu
 
 
@@ -179,7 +179,7 @@ def build_system(env: Environment, profile: ExperimentProfile, spec: RunSpec):
     if spec.system == "kvaccel":
         return _build_kvaccel_shard(env, profile, spec, name="kvaccel",
                                     cpu_name="host")
-    cpu = CpuModel(env, cores=profile.host_cores, name="host")
+    cpu = CpuModel(env, cores=HOST_CORES, name="host")
     ssd = HybridSsd(env, cpu, copy.deepcopy(profile.ssd))
     opts = copy.deepcopy(profile.options)
     opts.max_background_compactions = spec.compaction_threads
@@ -222,7 +222,6 @@ def run_workload(
     profile: ExperimentProfile,
     tracer: Optional[Tracer] = None,
     telemetry: bool = False,
-    health_rules: Optional[list] = None,
     sample_callback=None,
     lineage: bool = False,
     kernel_profile: bool = False,
@@ -234,11 +233,11 @@ def run_workload(
     cell's environment; the result carries them in ``extra`` and the
     caller writes them out (``run_cells`` does, one file per cell).
 
-    ``telemetry=True`` (or passing ``health_rules``/``sample_callback``)
-    runs a :class:`TelemetryHub` at the profile's sample period alongside
-    the workload.  ``health_rules`` (default: the built-in set
-    parameterised from the profile) are monitored per bucket and the
-    RunResult carries ``telemetry`` + ``health_events``.
+    ``telemetry=True`` (or passing ``sample_callback``) runs a
+    :class:`TelemetryHub` at the profile's sample period alongside the
+    workload.  The built-in health rules, parameterised from the profile,
+    are monitored per bucket and the RunResult carries ``telemetry`` +
+    ``health_events``.
     ``sample_callback(t, sample)`` is invoked per closed bucket — the live
     dashboard's feed.
 
@@ -259,19 +258,14 @@ def run_workload(
     if journal is not None:
         journal.install(env)
     hub = None
-    if telemetry or health_rules is not None or sample_callback is not None:
+    if telemetry or sample_callback is not None:
         hub = TelemetryHub(env, period=profile.sample_period)
     monitor = None
     if hub is not None:
         hub.install(env)
-        if health_rules is not None:
-            rules = health_rules
-        else:
-            rules = default_rules(
-                period=profile.sample_period,
-                device_peak_bw=profile.device_peak_bw,
-                delayed_write_rate=profile.options.delayed_write_rate,
-                value_size=profile.value_size)
+        rules = default_rules(
+            period=profile.sample_period,
+            delayed_write_rate=profile.options.delayed_write_rate)
         # A multi-shard cluster adds per-shard SLO instances after the
         # fleet rules (stall_storm.shardK, shard_failover.shardK, ...).
         if spec.system == "cluster" and spec.shards > 1:
@@ -286,14 +280,8 @@ def run_workload(
     wl = WORKLOADS[spec.workload]
     duration = spec.duration if spec.duration is not None else profile.duration
 
-    cfg = DriverConfig(
-        duration=duration,
-        key_space=profile.key_space,
-        key_size=profile.key_size,
-        value_size=profile.value_size,
-        batch_size=profile.batch_size,
-        seed=spec.seed,
-    )
+    cfg = DriverConfig(duration=duration, key_space=profile.key_space,
+                       seed=spec.seed)
 
     # Workload D preloads the store before measuring.
     if wl.kind == "seekrandom" and profile.seekrandom_fill_bytes > 0:
@@ -320,8 +308,7 @@ def run_workload(
                                         write_ratio=wl.write_ratio,
                                         read_ratio=wl.read_ratio)
     else:
-        driver = SeekRandomDriver(env, db, cfg,
-                                  nexts_per_seek=profile.seekrandom_nexts)
+        driver = SeekRandomDriver(env, db, cfg)
     # Meters shared with the collector so per-bucket series line up.
     driver.write_meter = collector.write_meter
     driver.read_meter = collector.read_meter
@@ -340,7 +327,7 @@ def run_workload(
     result.extra["spec"] = spec
     result.extra["profile"] = profile.name
     result.extra["sample_period"] = profile.sample_period
-    result.extra["device_peak_bw"] = profile.device_peak_bw
+    result.extra["device_peak_bw"] = DEVICE_PEAK_BW
     if isinstance(stacks[0][0], KvaccelDb):
         result.extra["redirected_writes"] = sum(
             host.controller.redirected_writes for host, _ssd, _cpu in stacks)

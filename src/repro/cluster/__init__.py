@@ -16,7 +16,7 @@ from .replica import (
     ReplicaGroup,
     ReplicationConfig,
 )
-from .reshard import Migration, RebalanceConfig
+from .reshard import Migration
 from .scenario import (
     FailoverReport,
     build_replicated_cluster,
@@ -48,7 +48,6 @@ __all__ = [
     "REPLAY",
     "INDEX_SHIP",
     "Migration",
-    "RebalanceConfig",
     "build_replicated_cluster",
     "run_failover_scenario",
     "failover_sweep",

@@ -48,7 +48,7 @@ from ..metrics import LatencyHistogram
 from ..resil import DEGRADED, HEALTHY, FailoverInProgress, RetryExecutor
 from ..sim import Environment
 from .replica import ACTIVE, BackupReplica, ReplicaGroup, ReplicationConfig
-from .reshard import SCAN_CHUNK, Migration, RebalanceConfig
+from .reshard import MIGRATE_BATCH, SCAN_CHUNK, Migration
 from .router import HashRouter, Router
 
 __all__ = ["ClusterDb", "ClusterShard", "shard_process_name"]
@@ -373,31 +373,22 @@ class ClusterDb:
         return sorted(best.items())[:count]
 
     # -- live resharding ------------------------------------------------------
-    def rebalance(self, seed: Optional[int] = None,
-                  router: Optional[Router] = None,
-                  config: Optional[RebalanceConfig] = None):
-        """Atomically repoint the cluster at a new placement and migrate
-        the moved keys shard-to-shard in the background.
+    def rebalance(self):
+        """Atomically repoint the cluster at a new placement — a
+        hash-router seed bump (old seed + 1) — and migrate the moved keys
+        shard-to-shard in the background.
 
-        With no arguments this is a hash-router seed bump (old seed + 1).
         Writes route by the new placement from this call on; reads
         dual-read (new owner, then old owner on a miss) until the
         returned migration process finishes.
         """
         if self._migration is not None:
             raise RuntimeError("a rebalance is already in progress")
-        if router is None:
-            if not isinstance(self.router, HashRouter):
-                raise ValueError(
-                    "seed-bump rebalance needs a HashRouter; pass an "
-                    "explicit router= for other policies")
-            if seed is None:
-                seed = self.router.seed + 1
-            router = HashRouter(self.router.shards, seed=seed)
-        if router.shards != len(self.shards):
-            raise ValueError("rebalance cannot change the shard count")
+        if not isinstance(self.router, HashRouter):
+            raise ValueError("seed-bump rebalance needs a HashRouter")
+        router = HashRouter(self.router.shards, seed=self.router.seed + 1)
         self._ensure_reshard_telemetry()
-        mig = Migration(self.env, self.router, router, config)
+        mig = Migration(self.env, self.router, router)
         self._migration = mig
         self.router = router            # the atomic write cut-over
         self.rebalances += 1
@@ -411,7 +402,6 @@ class ClusterDb:
         concurrent failover and replicate to backups); keys freshly
         written after the cut-over are never overwritten — if a fresh
         write races a copy batch, the fresh value is re-applied after."""
-        cfg = mig.config
         try:
             for src in self.shards:
                 start = b"\x00"
@@ -422,8 +412,8 @@ class ClusterDb:
                     mig.scanned_keys += len(rows)
                     moved = [(k, v) for k, v in rows
                              if self.router.route(k) != src.sid]
-                    for i in range(0, len(moved), cfg.batch):
-                        batch = moved[i:i + cfg.batch]
+                    for i in range(0, len(moved), MIGRATE_BATCH):
+                        batch = moved[i:i + MIGRATE_BATCH]
                         yield from self.env.probes.at(
                             "reshard.migrate.batch")
                         # Group + raise the install barrier in one

@@ -8,7 +8,7 @@ modes, modeled after the two designs in the FORTH RDMA index-replication
 paper (PAPERS.md):
 
 * ``replay`` — every acknowledged write streams to each backup's WAL as
-  an ordinary write, delayed by a configurable sim-time lag window.  Low
+  an ordinary write, delayed by a fixed sim-time lag window.  Low
   replication bandwidth (just the op payloads), full backup CPU (each op
   re-executes the whole write path).
 * ``index-ship`` — acknowledged writes accumulate and ship wholesale at
@@ -28,7 +28,7 @@ Failure detection is telemetry-shaped: a per-group heartbeat daemon
 checks the primary each period (process liveness, the Main-LSM read-only
 latch, optionally the DEGRADED resilience state), counts misses on the
 ``cluster.shard{k}.hb_misses`` gauge, and triggers failover after a
-configurable miss threshold.  Failover is deterministic: halt what is
+fixed miss threshold.  Failover is deterministic: halt what is
 left of the primary, replay the lag window into the first backup, then
 atomically repoint the shard slot (``ClusterShard.db/ssd/cpu`` swap) and
 return the group to ACTIVE.  While the group is not accepting, the
@@ -85,6 +85,18 @@ APPLY_BATCH = 64
 LINK_BANDWIDTH = 256 * MiB
 # Heartbeat cadence of the failure detector (sim seconds).
 HEARTBEAT_PERIOD = 0.005
+# Consecutive missed heartbeats that trigger a failover.
+MISS_THRESHOLD = 2
+# replay: a record acked at t may apply to backups from t + REPLAY_LAG.
+REPLAY_LAG = 0.005
+# index-ship: records acked before a k*SHIP_PERIOD boundary install in
+# one bulk write after that boundary.
+SHIP_PERIOD = 0.02
+# Space amplification of shipping whole immutable runs (duplicate and
+# not-yet-compacted entries ride along) vs streaming just the ops.
+SHIP_AMPLIFICATION = 1.4
+# Replicator idle/retransmit poll (sim seconds).
+POLL = 0.002
 
 
 def _record_bytes(key: bytes, value) -> int:
@@ -105,16 +117,6 @@ class ReplicationConfig:
 
     mode: str = REPLAY
     backups: int = 1
-    # replay: a record acked at t may apply to backups from t + lag.
-    lag: float = 0.005
-    # index-ship: records acked before a k*ship_period boundary install in
-    # one bulk write after that boundary.
-    ship_period: float = 0.02
-    # Space amplification of shipping whole immutable runs (duplicate and
-    # not-yet-compacted entries ride along) vs streaming just the ops.
-    ship_amplification: float = 1.4
-    poll: float = 0.002            # replicator idle/retransmit poll
-    miss_threshold: int = 2
     failover_on_degraded: bool = False  # resil DEGRADED state
     retry: RetryPolicy = field(default_factory=_default_retry)
 
@@ -123,13 +125,6 @@ class ReplicationConfig:
             raise ValueError(f"mode must be one of {_MODES}")
         if self.backups < 1:
             raise ValueError("backups must be >= 1")
-        for name in ("ship_period", "ship_amplification", "poll"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.lag < 0:
-            raise ValueError("lag must be >= 0")
-        if self.miss_threshold < 1:
-            raise ValueError("miss_threshold must be >= 1")
 
 
 class BackupReplica:
@@ -232,42 +227,40 @@ class ReplicaGroup:
     # -- replication ---------------------------------------------------------
     def _due(self) -> int:
         """Log index (exclusive) every backup may apply as of now."""
-        cfg = self.config
         now = self.env.now
         log = self.log
-        if cfg.mode == REPLAY:
-            horizon = now - cfg.lag
+        if self.config.mode == REPLAY:
+            horizon = now - REPLAY_LAG
         else:
             # Last closed ship boundary; everything acked strictly before
             # it ships in this installment.
-            horizon = (now // cfg.ship_period) * cfg.ship_period
+            horizon = (now // SHIP_PERIOD) * SHIP_PERIOD
         i = len(log)
         while i > 0 and log[i - 1][0] > horizon:
             i -= 1
         return i
 
     def _until_next_boundary(self) -> float:
-        p = self.config.ship_period
-        rem = p - (self.env.now % p)
-        return rem if rem > 1e-12 else p
+        rem = SHIP_PERIOD - (self.env.now % SHIP_PERIOD)
+        return rem if rem > 1e-12 else SHIP_PERIOD
 
     def _replicate(self) -> Generator:
         env = self.env
         cfg = self.config
         while not self._stopped:
             if self.state != ACTIVE or not self.backups:
-                yield env.timeout(cfg.poll)
+                yield env.timeout(POLL)
                 continue
             due = self._due()
             if min(b.cursor for b in self.backups) >= due:
-                yield env.timeout(cfg.poll if cfg.mode == REPLAY
+                yield env.timeout(POLL if cfg.mode == REPLAY
                                   else self._until_next_boundary())
                 continue
             action = yield from env.probes.at("repl.link.send")
             if action is not None and action.kind == DROP:
                 # A lost replication frame: the durable log retransmits on
                 # the next poll, so a DROP costs lag, never data.
-                yield env.timeout(cfg.poll)
+                yield env.timeout(POLL)
                 continue
             self._applying = True
             try:
@@ -287,7 +280,7 @@ class ReplicaGroup:
             batch = self.log[b.cursor:min(upto, b.cursor + APPLY_BATCH)]
             nbytes = sum(_record_bytes(k, v) for _t, k, v in batch)
             if cfg.mode == INDEX_SHIP:
-                nbytes *= cfg.ship_amplification
+                nbytes *= SHIP_AMPLIFICATION
             yield from self.link.transfer(nbytes)
             if catchup:
                 yield from env.probes.at("repl.catchup.batch")
@@ -330,7 +323,6 @@ class ReplicaGroup:
 
     def _heartbeat(self) -> Generator:
         env = self.env
-        cfg = self.config
         while not self._stopped:
             yield env.timeout(HEARTBEAT_PERIOD)
             if self._stopped or self.state != ACTIVE:
@@ -340,7 +332,7 @@ class ReplicaGroup:
                 continue
             self.misses += 1
             env.probes.touch("repl.heartbeat.miss")
-            if self.misses >= cfg.miss_threshold and self.backups:
+            if self.misses >= MISS_THRESHOLD and self.backups:
                 self.state = FAILING_OVER
                 env.process(self._failover(),
                             name=f"shard{self.sid}.failover")
@@ -355,7 +347,7 @@ class ReplicaGroup:
         # Wait out any in-progress replicator apply so the catch-up below
         # is the only writer advancing the promoted backup's cursor.
         while self._applying:
-            yield env.timeout(self.config.poll)
+            yield env.timeout(POLL)
         promoted = self.backups.pop(0)
         yield from p.at("repl.catchup.start")
         self.catchup_records = len(self.log) - promoted.cursor

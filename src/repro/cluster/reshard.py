@@ -34,40 +34,25 @@ to a build of the tree without this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .router import Router
 
-__all__ = ["RebalanceConfig", "Migration"]
+__all__ = ["Migration"]
 
 
 # Keys per source-shard discovery scan.
 SCAN_CHUNK = 256
-
-
-@dataclass
-class RebalanceConfig:
-    """Migration driver knobs."""
-
-    batch: int = 64        # moved keys per shard-to-shard copy batch
-
-    def __post_init__(self) -> None:
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
+# Moved keys per shard-to-shard copy batch.
+MIGRATE_BATCH = 64
 
 
 class Migration:
     """One in-flight rebalance: old placement, new placement, and the
     dual-read / fresh-write bookkeeping for the window in between."""
 
-    def __init__(self, env, old_router: Router, new_router: Router,
-                 config: RebalanceConfig = None):
-        if old_router.shards != new_router.shards:
-            raise ValueError("rebalance cannot change the shard count")
+    def __init__(self, env, old_router: Router, new_router: Router):
         self.env = env
         self.old_router = old_router
         self.new_router = new_router
-        self.config = config or RebalanceConfig()
         # Keys written through the facade after the cut-over, mapped to
         # their latest value (None = deleted): the new-owner copy is
         # authoritative, the old shard's value is stale.

@@ -1,18 +1,18 @@
 """Failover / rebalance chaos scenarios and the acked-write-loss oracle.
 
 The drivers behind ``python -m repro.bench failover``, the failover test
-battery and the CI ``scenario-smoke`` failover leg.  One scenario is one
+battery and the CI ``identity`` leg's failover sweep.  One scenario is one
 deterministic story in one DES world:
 
 1. build a replicated cluster (every shard a primary + K backups);
 2. drive a scripted client workload through the facade with the kit's
    :class:`~repro.faults.kit.OracleClient`, so every *acknowledged* write
    is shadowed by a :class:`~repro.faults.oracle.DifferentialOracle`;
-3. kill the target shard's primary — either by arming a shard-scoped
-   ``CRASH`` fault on a real site (``db.write.gate`` by default, so the
-   host module dies mid-write exactly like the single-node crash
-   harness) or programmatically at an op index — and let the replica
-   group's failure detector drive promotion;
+3. kill the target shard's primary by arming a shard-scoped ``CRASH``
+   fault on a real site (``db.write.gate`` by default, so the host module
+   dies mid-write exactly like the single-node crash harness) — or force
+   it DEGRADED — and let the replica group's failure detector drive
+   promotion;
 4. optionally bump the router seed mid-run (live resharding) so failover
    and migration compose;
 5. settle (promotion complete, migration drained, shards quiesced) and
@@ -148,10 +148,8 @@ def run_failover_scenario(
         key_range: int = 24,
         kill_site: Optional[str] = "db.write.gate",
         kill_occurrence: int = 5, kill_shard: int = 0,
-        kill_at_op: Optional[int] = None,
         degrade_at_op: Optional[int] = None,
         reshard_at_op: Optional[int] = None,
-        reshard_seed: Optional[int] = None,
         seed: Optional[int] = None,
         resilience=None,
         replication: Optional[ReplicationConfig] = None,
@@ -162,8 +160,7 @@ def run_failover_scenario(
     ``kill_site``/``kill_occurrence`` arm a shard-scoped CRASH on the
     target shard's client ops (``op="wl"`` scope, so the shard's backups
     and replication daemons are outside the blast radius);
-    ``kill_at_op`` kills programmatically instead; ``degrade_at_op``
-    forces the resilience layer DEGRADED (pair with
+    ``degrade_at_op`` forces the resilience layer DEGRADED (pair with
     ``failover_on_degraded=True`` to promote off degradation);
     ``reshard_at_op`` bumps the router seed mid-run.  ``extra_arms`` is a
     hook called as ``extra_arms(registry, env, cluster)`` after build —
@@ -219,12 +216,9 @@ def run_failover_scenario(
                     # ``failover_on_degraded`` exists to promote off.
                     db.rollback_manager.stop()
                     db.resil.force_degrade()
-            if kill_at_op == i:
-                report.crashed = True
-                cluster.groups[kill_shard].kill_primary()
             if reshard_at_op == i:
                 report.rebalanced = True
-                mig_proc = cluster.rebalance(seed=reshard_seed)
+                mig_proc = cluster.rebalance()
             if i % 9 == 8:
                 key, value = encode_key((i - 3) % key_range), None
             else:
@@ -258,8 +252,8 @@ def run_failover_scenario(
                 (k2, v2), = oracle.inflight.items()
                 oracle.abort()
                 yield from client.write(k2, v2)
-        if degrade_at_op is not None or kill_at_op is not None:
-            # A scripted kill/degrade may land near the end of the op
+        if degrade_at_op is not None:
+            # A scripted degrade may land near the end of the op
             # loop with the workload no longer blocking on the slot —
             # give the heartbeat daemon sim time to detect and promote
             # before settling (bounded so a misconfigured scenario still

@@ -42,6 +42,8 @@ ARM_OP_COST = 15e-6
 ARM_BYTE_COST = 8e-9
 # NAND read per uncached probe.
 READ_PAGE_BYTES = 16 * KiB
+# Max DMA unit on the platform: a bulk scan streams in chunks of this.
+DMA_CHUNK_BYTES = 512 * KiB
 
 
 @dataclass
@@ -49,7 +51,6 @@ class DevLsmConfig:
     """Tuning knobs for the in-device LSM."""
 
     memtable_bytes: int = 16 * MiB
-    dma_chunk_bytes: int = 512 * KiB          # max DMA unit on the platform
     read_cache_enabled: bool = False          # the paper's Dev-LSM has none;
                                               # True models the "what if"
                                               # behind Table V's bottleneck
@@ -57,8 +58,8 @@ class DevLsmConfig:
     compaction_trigger_runs: int = 8
 
     def __post_init__(self) -> None:
-        if self.memtable_bytes <= 0 or self.dma_chunk_bytes <= 0:
-            raise ValueError("sizes must be positive")
+        if self.memtable_bytes <= 0:
+            raise ValueError("memtable_bytes must be positive")
 
 
 @dataclass
@@ -342,11 +343,10 @@ class DevLsm:
             yield from self.nand.io("read", run_bytes)
         yield from self.arm.consume(total * ARM_BYTE_COST,
                                     tag="devlsm.scan")
-        chunk = self.config.dma_chunk_bytes
         sizes = []
         remaining = total
         while remaining > 0:
-            this = min(chunk, remaining)
+            this = min(DMA_CHUNK_BYTES, remaining)
             sizes.append(this)
             remaining -= this
         # Macro events: the whole chunk sequence is known up front, so the

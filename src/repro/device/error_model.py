@@ -36,38 +36,32 @@ from .ftl import Ftl
 __all__ = ["NandErrorConfig", "NandErrorModel"]
 
 
+# Each failure probability is interpolated from its base at zero wear to
+# its max at PE_CYCLE_LIMIT erases.
+PE_CYCLE_LIMIT = 3000                 # rated P/E cycles
+PROGRAM_FAIL_MAX = 0.02
+ERASE_FAIL_BASE = 0.0
+ERASE_FAIL_MAX = 0.02
+READ_RETRY_MAX = 0.5
+READ_RETRY_LATENCY = 60e-6            # seconds per extra sensing round
+READ_RETRY_ROUNDS = 3                 # max extra rounds before giving up
+UNCORRECTABLE_PROB = 0.05             # read that exhausted its rounds
+RETIRE_AFTER_PROGRAM_FAILS = 2        # consecutive fails -> grown bad
+
+
 @dataclass(frozen=True)
 class NandErrorConfig:
-    """Failure probabilities, each interpolated from ``*_base`` at zero
-    wear to ``*_max`` at ``pe_cycle_limit`` erases."""
+    """The base failure probabilities at zero wear, and the draw seed."""
 
     seed: Optional[int] = None            # default: the env's fault seed
-    pe_cycle_limit: int = 3000            # rated P/E cycles
     program_fail_base: float = 0.0
-    program_fail_max: float = 0.02
-    erase_fail_base: float = 0.0
-    erase_fail_max: float = 0.02
     read_retry_base: float = 0.0          # chance a read needs extra sensing
-    read_retry_max: float = 0.5
-    read_retry_latency: float = 60e-6     # seconds per extra sensing round
-    read_retry_rounds: int = 3            # max extra rounds before giving up
-    uncorrectable_prob: float = 0.05      # read that exhausted its rounds
-    retire_after_program_fails: int = 2   # consecutive fails -> grown bad
 
     def __post_init__(self) -> None:
-        if self.pe_cycle_limit < 1:
-            raise ValueError("pe_cycle_limit must be >= 1")
-        for name in ("program_fail_base", "program_fail_max",
-                     "erase_fail_base", "erase_fail_max",
-                     "read_retry_base", "read_retry_max",
-                     "uncorrectable_prob"):
+        for name in ("program_fail_base", "read_retry_base"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be a probability")
-        if self.read_retry_latency < 0 or self.read_retry_rounds < 0:
-            raise ValueError("read-retry parameters must be >= 0")
-        if self.retire_after_program_fails < 1:
-            raise ValueError("retire_after_program_fails must be >= 1")
 
 
 class NandErrorModel:
@@ -104,7 +98,7 @@ class NandErrorModel:
     def _wear_frac(self, block: int) -> float:
         if block < 0:
             return 0.0
-        return min(1.0, self.ftl.wear(block) / self.config.pe_cycle_limit)
+        return min(1.0, self.ftl.wear(block) / PE_CYCLE_LIMIT)
 
     def _prob(self, base: float, peak: float, block: int) -> float:
         return base + (peak - base) * self._wear_frac(block)
@@ -118,11 +112,11 @@ class NandErrorModel:
         if op == "program":
             block = self.ftl.last_programmed_block
             if rng.random() < self._prob(cfg.program_fail_base,
-                                         cfg.program_fail_max, block):
+                                         PROGRAM_FAIL_MAX, block):
                 self.program_fails += 1
                 streak = self._fail_streak.get(block, 0) + 1
                 self._fail_streak[block] = streak
-                if streak >= cfg.retire_after_program_fails and block >= 0:
+                if streak >= RETIRE_AFTER_PROGRAM_FAILS and block >= 0:
                     self._retire(block)
                 return 0.0, DeviceError(
                     TRANSIENT, site="nand.program",
@@ -132,26 +126,26 @@ class NandErrorModel:
             return 0.0, None
         if op == "erase":
             block = self.ftl.last_erased_block
-            if rng.random() < self._prob(cfg.erase_fail_base,
-                                         cfg.erase_fail_max, block):
+            if rng.random() < self._prob(ERASE_FAIL_BASE, ERASE_FAIL_MAX,
+                                         block):
                 self.erase_fails += 1
                 if block >= 0:
                     self._retire(block)
                 # Masked: the FTL loses the block, the host sees nothing.
             return 0.0, None
         if op == "read":
-            p = self._prob(cfg.read_retry_base, cfg.read_retry_max,
+            p = self._prob(cfg.read_retry_base, READ_RETRY_MAX,
                            self.ftl.last_programmed_block)
             rounds = 0
-            while rounds < cfg.read_retry_rounds and rng.random() < p:
+            while rounds < READ_RETRY_ROUNDS and rng.random() < p:
                 rounds += 1
             if rounds == 0:
                 return 0.0, None
             self.read_retry_rounds += rounds
-            extra = rounds * cfg.read_retry_latency
+            extra = rounds * READ_RETRY_LATENCY
             self.env.probes.add("nand.read_retries", float(rounds))
-            if (rounds == cfg.read_retry_rounds
-                    and rng.random() < cfg.uncorrectable_prob):
+            if (rounds == READ_RETRY_ROUNDS
+                    and rng.random() < UNCORRECTABLE_PROB):
                 self.uncorrectable_reads += 1
                 return extra, DeviceError(MEDIA, site="nand.read",
                                           detail="uncorrectable ECC error")

@@ -51,28 +51,27 @@ class Region:
         return self.lpn_start <= lpn < self.lpn_start + self.lpn_count
 
 
+# Share of the logical space (and of the physical blocks) that goes to the
+# block region; the rest is the KV region.
+SPLIT_FRACTION = 0.75
+# Share of the physical blocks kept as over-provisioning (GC headroom).
+OP_FRACTION = 0.07
+
+
 class Ftl:
     """Disaggregated page-mapping FTL over a :class:`NandGeometry`."""
 
-    def __init__(self, geometry: NandGeometry, split_fraction: float = 0.75,
-                 op_fraction: float = 0.07):
-        """``split_fraction`` of the logical space goes to the block region,
-        the rest to the KV region.  ``op_fraction`` of physical blocks are
-        over-provisioning (GC headroom)."""
-        if not 0.0 < split_fraction < 1.0:
-            raise ValueError("split_fraction must be in (0, 1)")
-        if not 0.0 <= op_fraction < 0.5:
-            raise ValueError("op_fraction must be in [0, 0.5)")
+    def __init__(self, geometry: NandGeometry):
         self.geometry = geometry
         g = geometry
-        op_blocks = max(2, int(g.total_blocks * op_fraction))
+        op_blocks = max(2, int(g.total_blocks * OP_FRACTION))
         logical_pages = (g.total_blocks - op_blocks) * g.pages_per_block
 
-        block_pages = int(logical_pages * split_fraction)
+        block_pages = int(logical_pages * SPLIT_FRACTION)
         kv_pages = logical_pages - block_pages
         self.disaggregation_point = block_pages
 
-        block_phys = int(g.total_blocks * split_fraction)
+        block_phys = int(g.total_blocks * SPLIT_FRACTION)
         all_blocks = list(range(g.total_blocks))
         self.regions: dict[str, Region] = {
             "block": Region("block", 0, block_pages,

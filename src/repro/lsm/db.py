@@ -105,15 +105,12 @@ class DbImpl:
         self.page_cache = PageCache(cache_bytes)
         self.fs = FileSystem(device, page_cache=self.page_cache)
         self.versions = VersionSet(options, self.fs)
-        self.wal: Optional[Wal] = (
-            Wal(self.fs, options.wal_group_commit_bytes, name_prefix=f"{name}.wal")
-            if options.wal_enabled else None
-        )
-        if self.wal is not None:
-            self.wal.new_segment()
+        self.wal = Wal(self.fs, options.wal_group_commit_bytes,
+                       name_prefix=f"{name}.wal")
+        self.wal.new_segment()
 
         self.mem: MemTable = memtable_factory()
-        self.imm: list[tuple[MemTable, Optional[object]]] = []  # (memtable, wal segment)
+        self.imm: list[tuple[MemTable, object]] = []  # (memtable, wal segment)
         self._seq = 0
         self.stats = DbStats()
 
@@ -285,15 +282,14 @@ class DbImpl:
         if keep is not None:
             entries = [e for e in entries if keep(e[0])]
             nbytes = sum(map(entry_size, entries))
-        if self.wal is not None:
-            try:
-                yield from self.wal.append(nbytes, records=entries)
-            except DeviceError as exc:
-                # WAL write/fsync error: the batch is NOT applied (the
-                # caller must not consider it acked) and the DB latches
-                # into read-only state.
-                self.set_background_error(exc)
-                raise
+        try:
+            yield from self.wal.append(nbytes, records=entries)
+        except DeviceError as exc:
+            # WAL write/fsync error: the batch is NOT applied (the
+            # caller must not consider it acked) and the DB latches
+            # into read-only state.
+            self.set_background_error(exc)
+            raise
         for e in entries:
             if keep is None or keep(e[0]):
                 self.mem.add(e)
@@ -330,15 +326,13 @@ class DbImpl:
                 yield self.env.timeout(1e-4)
         if self.mem is not sealing:
             return
-        segment = None
-        if self.wal is not None:
-            try:
-                yield from self.wal.sync()
-            except DeviceError as exc:
-                self.set_background_error(exc)
-                raise
-            segment = self.wal.current_segment
-            self.wal.new_segment()
+        try:
+            yield from self.wal.sync()
+        except DeviceError as exc:
+            self.set_background_error(exc)
+            raise
+        segment = self.wal.current_segment
+        self.wal.new_segment()
         sealed = self.mem
         self.mem = self._memtable_factory()
         self.imm.append((sealed, segment))
@@ -413,8 +407,7 @@ class DbImpl:
             p.add("lsm.flush_bytes", table.file_bytes)
         # Retire the memtable + its WAL segment even if it was empty.
         self.imm = [(m, s) for (m, s) in self.imm if m is not mem]
-        if self.wal is not None and segment is not None:
-            self.wal.retire_segment(segment)
+        self.wal.retire_segment(segment)
         self.stats.flushes += 1
         p.end(_sp)
         self.write_controller.refresh()
@@ -714,8 +707,6 @@ class DbImpl:
         checked by the tests: a write survives iff it reached an SST or a
         flushed WAL group.
         """
-        if self.wal is None:
-            raise RuntimeError("crash recovery requires the WAL")
         t0 = self.env.now
         p = self.env.probes
         _sp = p.begin("recovery", "recovery.host", "recovery")
@@ -834,9 +825,8 @@ class DbImpl:
         snap = self.property_snapshot()
         snap["stall_time"] = self.write_controller.total_stall_time
         snap["delayed_time"] = self.write_controller.total_delayed_time
-        if self.wal is not None:
-            snap["wal_appended"] = self.wal.appended_bytes
-            snap["wal_durable"] = self.wal.durable_bytes
+        snap["wal_appended"] = self.wal.appended_bytes
+        snap["wal_durable"] = self.wal.durable_bytes
         return snap
 
     def property_snapshot(self) -> dict:

@@ -63,7 +63,6 @@ class LsmOptions:
     bloom_bits_per_key: int = 10
 
     # WAL
-    wal_enabled: bool = True
     wal_group_commit_bytes: int = 256 * KiB
 
     def __post_init__(self) -> None:

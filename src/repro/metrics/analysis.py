@@ -57,10 +57,9 @@ def write_amplification(db, user_bytes: Optional[int] = None,
     """
     main = getattr(db, "main", db)
     user = user_bytes if user_bytes is not None else main.stats.user_write_bytes
-    wal = main.wal.durable_bytes if main.wal is not None else 0
     return WriteAmplification(
         user_bytes=user,
-        wal_bytes=wal,
+        wal_bytes=main.wal.durable_bytes,
         flush_bytes=main.stats.flush_bytes_written,
         compaction_bytes=main.stats.compaction_bytes_written,
         redirect_bytes=redirect_bytes,

@@ -25,7 +25,7 @@ Pieces:
 * a terminal sparkline dashboard of the telemetry (``python -m repro.obs
   dash``), and the exact compare of
   ``BENCH_<exp>.json`` determinism pins (``python -m repro.obs compare
-  A.json B.json``);
+  A.json B.json``; the format lives in :mod:`repro.bench.baseline`);
 * :class:`Journal` — the deterministic flight recorder (``env.journal``):
   every executed kernel event, every fault-site visit,
   periodic per-layer state digests; with the first-divergence bisector
@@ -47,7 +47,6 @@ from .export import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from .compare import compare_baselines, format_comparison
 from .profiler import (
     DEFAULT_BANDS,
     LINEAGE_SCHEMA,
@@ -107,8 +106,6 @@ __all__ = [
     "percentile_bands",
     "lineage_report",
     "check_lineage_invariant",
-    "compare_baselines",
-    "format_comparison",
     "Journal",
     "digest_state",
     "register_digest_sources",

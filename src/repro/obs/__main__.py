@@ -61,7 +61,8 @@ def _trace_files_cmd(args) -> int:
 
 
 def _compare_cmd(args) -> int:
-    from .compare import compare_baselines, format_comparison, load_baseline
+    from ..bench.baseline import (compare_baselines, format_comparison,
+                                  load_baseline)
     from .journal import write_divergence_artifact
     try:
         old_doc = load_baseline(args.old)

@@ -143,14 +143,11 @@ def run_dash(args) -> int:
                    duration=args.duration)
     rules = default_rules(
         period=profile.sample_period,
-        device_peak_bw=profile.device_peak_bw,
-        delayed_write_rate=profile.options.delayed_write_rate,
-        value_size=profile.value_size)
+        delayed_write_rate=profile.options.delayed_write_rate)
     dash = Dashboard(title=f"{spec.display} / workload {args.workload} "
                            f"({profile.name})",
                      rules=rules, refresh=args.refresh, live=not args.once)
-    result = run_workload(spec, profile, health_rules=rules,
-                          sample_callback=dash)
+    result = run_workload(spec, profile, sample_callback=dash)
     if args.once:
         sys.stdout.write(dash.render())
     print(f"\nrun complete: {result.write_ops} writes, "

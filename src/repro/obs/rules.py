@@ -30,12 +30,15 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Optional
 
+from ..workload.db_bench import VALUE_SIZE
 from .telemetry import TelemetryHub
 
 __all__ = ["HealthEvent", "HealthRule", "HealthMonitor", "default_rules",
            "cluster_shard_rules"]
 
 MiB = 1 << 20
+# The testbed device's measured peak bandwidth (Section VI-A: 630 MB/s).
+DEVICE_PEAK_BW = 630 * MiB
 
 
 class HealthEvent:
@@ -171,9 +174,7 @@ class HealthMonitor:
 
 
 def default_rules(period: float = 1.0,
-                  device_peak_bw: float = 630 * MiB,
                   delayed_write_rate: float = 16 * MiB,
-                  value_size: int = 4096,
                   retry_storm_rate: float = 200.0) -> list[HealthRule]:
     """The built-in rule set, parameterised from the run's profile.
 
@@ -191,7 +192,7 @@ def default_rules(period: float = 1.0,
 
     # "Idle" link: both directions together below 0.5% of what the device
     # could move in one bucket.
-    idle_bytes = 0.005 * device_peak_bw * period
+    idle_bytes = 0.005 * DEVICE_PEAK_BW * period
 
     def zero_traffic_while_stalled(win):
         tail = win[-2:]
@@ -218,7 +219,7 @@ def default_rules(period: float = 1.0,
     # a DELAYED-state DB that isn't sleeping writers — KVACCEL's Main-LSM
     # runs with slowdown disabled — can't trip it; redirected writes count
     # as admitted (the user saw them complete).
-    floor_ops = 0.5 * delayed_write_rate * period / max(value_size, 1)
+    floor_ops = 0.5 * delayed_write_rate * period / VALUE_SIZE
 
     def delayed_rate_floor(win):
         bad = all(_get(s, "wc.state") == DELAYED

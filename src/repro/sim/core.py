@@ -502,8 +502,8 @@ class Environment:
                  "_presume_pool", "_active_process", "_observer", "probes",
                  "__dict__")
 
-    def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+    def __init__(self):
+        self._now = 0.0
         self._queue = EventQueue()
         self._seq = 0
         self._timeout_pool: list[Timeout] = []

@@ -21,14 +21,19 @@ from .keygen import KeyGenerator, RandomKeys, value_for
 __all__ = ["DriverConfig", "FillRandomDriver", "ReadWhileWritingDriver",
            "SeekRandomDriver", "fill_database"]
 
+# Table IV: 4 B keys, 4 KB values.
+KEY_SIZE = 4
+VALUE_SIZE = 4096
+# Driver-side batching (group commit): entries per put_batch.
+BATCH_SIZE = 32
+# Workload D: Nexts after each Seek.
+NEXTS_PER_SEEK = 1024
+
 
 @dataclass
 class DriverConfig:
     duration: float                 # how long to run (sim seconds)
     key_space: int = 1 << 24
-    key_size: int = 4
-    value_size: int = 4096
-    batch_size: int = 32            # driver-side batching (group commit)
     seed: int = 1
 
 
@@ -48,20 +53,19 @@ class _DriverBase:
         raise NotImplementedError
 
     def _make_batch(self, keys: KeyGenerator, n: int) -> list:
-        cfg = self.config
-        return [(k := keys.next_key(), value_for(k, cfg.value_size))
+        return [(k := keys.next_key(), value_for(k, VALUE_SIZE))
                 for _ in range(n)]
 
     def _writer(self):
         """The unthrottled write thread: random-key batches until the
         deadline."""
         cfg = self.config
-        keys = RandomKeys(cfg.key_space, cfg.key_size, seed=cfg.seed)
+        keys = RandomKeys(cfg.key_space, KEY_SIZE, seed=cfg.seed)
         t_end = self.env.now + cfg.duration
-        per_entry = cfg.key_size + cfg.value_size + 8
+        per_entry = KEY_SIZE + VALUE_SIZE + 8
         p = self.env.probes
         while self.env.now < t_end:
-            batch = self._make_batch(keys, cfg.batch_size)
+            batch = self._make_batch(keys, BATCH_SIZE)
             ctx = p.op_begin("put_batch", len(batch), len(batch) * per_entry)
             try:
                 yield from self.db.put_batch(batch)
@@ -102,7 +106,7 @@ class ReadWhileWritingDriver(_DriverBase):
 
     def _reader(self):
         cfg = self.config
-        keys = RandomKeys(cfg.key_space, cfg.key_size, seed=cfg.seed + 7919)
+        keys = RandomKeys(cfg.key_space, KEY_SIZE, seed=cfg.seed + 7919)
         # pace: reads/writes tracks read_ratio/write_ratio
         target = self.read_ratio / self.write_ratio
         p = self.env.probes
@@ -125,12 +129,8 @@ class ReadWhileWritingDriver(_DriverBase):
 class SeekRandomDriver(_DriverBase):
     """Workload D: one range-query thread, Seek + N Next per op."""
 
-    def __init__(self, env: Environment, db, config: DriverConfig,
-                 nexts_per_seek: int = 1024,
-                 max_seeks: Optional[int] = None):
+    def __init__(self, env: Environment, db, config: DriverConfig):
         super().__init__(env, db, config)
-        self.nexts_per_seek = nexts_per_seek
-        self.max_seeks = max_seeks
         self.seeks = 0
         self.entries_scanned = 0
 
@@ -140,16 +140,13 @@ class SeekRandomDriver(_DriverBase):
 
     def _run(self):
         cfg = self.config
-        keys = RandomKeys(cfg.key_space, cfg.key_size, seed=cfg.seed)
+        keys = RandomKeys(cfg.key_space, KEY_SIZE, seed=cfg.seed)
         t_end = self.env.now + cfg.duration
         p = self.env.probes
         while self.env.now < t_end:
-            if self.max_seeks is not None and self.seeks >= self.max_seeks:
-                break
-            ctx = p.op_begin("scan", self.nexts_per_seek)
+            ctx = p.op_begin("scan", NEXTS_PER_SEEK)
             try:
-                out = yield from self.db.scan(keys.next_key(),
-                                              self.nexts_per_seek)
+                out = yield from self.db.scan(keys.next_key(), NEXTS_PER_SEEK)
             finally:
                 p.op_end(ctx)
             self.seeks += 1
@@ -168,12 +165,12 @@ def fill_database(env: Environment, db, total_bytes: int,
     Returns the loader process; run the env until it completes.
     """
     def loader():
-        keys = RandomKeys(config.key_space, config.key_size, seed=config.seed)
-        per_entry = config.key_size + config.value_size + 8
+        keys = RandomKeys(config.key_space, KEY_SIZE, seed=config.seed)
+        per_entry = KEY_SIZE + VALUE_SIZE + 8
         remaining = total_bytes
         while remaining > 0:
-            n = min(config.batch_size, max(1, remaining // per_entry))
-            batch = [(k := keys.next_key(), value_for(k, config.value_size))
+            n = min(BATCH_SIZE, max(1, remaining // per_entry))
+            batch = [(k := keys.next_key(), value_for(k, VALUE_SIZE))
                      for _ in range(n)]
             yield from db.put_batch(batch)
             remaining -= n * per_entry

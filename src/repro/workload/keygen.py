@@ -2,7 +2,7 @@
 
 Keys are fixed-width big-endian integers (4 B in the paper's Table IV) so
 integer order equals byte order.  Values are :class:`~repro.types.ValueRef`
-descriptors by default — exact sizes for every bandwidth computation
+descriptors — exact sizes for every bandwidth computation
 without materializing gigabytes of payload (DESIGN.md decision D1).
 """
 
@@ -41,10 +41,6 @@ class RandomKeys(KeyGenerator):
         return encode_key(self._rng.randrange(self.key_space), self.key_size)
 
 
-def value_for(key: bytes, value_size: int, materialized: bool = False):
-    """Deterministic value for a key: ValueRef by default, bytes on demand."""
-    ref = ValueRef(int.from_bytes(key, "big"), value_size)
-    if materialized:
-        from ..types import materialize
-        return materialize(ref)
-    return ref
+def value_for(key: bytes, value_size: int) -> ValueRef:
+    """Deterministic value descriptor for a key."""
+    return ValueRef(int.from_bytes(key, "big"), value_size)

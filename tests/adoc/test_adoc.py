@@ -10,6 +10,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from helpers import run, small_device, small_options  # noqa: E402
 
 from repro.adoc import AdocDb, AdocTunerConfig  # noqa: E402
+from repro.adoc import tuner as tuner_mod  # noqa: E402
 from repro.device import CpuModel  # noqa: E402
 from repro.sim import Environment  # noqa: E402
 from repro.types import encode_key  # noqa: E402
@@ -58,9 +59,10 @@ def test_tuner_escalates_under_pressure():
     db.close()
 
 
-def test_tuner_decays_after_calm():
+def test_tuner_decays_after_calm(monkeypatch):
+    monkeypatch.setattr(tuner_mod, "CALM_STEPS_TO_DECAY", 2)
     env = Environment()
-    tuner_cfg = AdocTunerConfig(interval=0.005, calm_steps_to_decay=2)
+    tuner_cfg = AdocTunerConfig(interval=0.005)
     db, _ = make_adoc(env, tuner=tuner_cfg)
     fill(env, db, 6000)
     run(env, db.wait_for_quiesce())
@@ -72,10 +74,10 @@ def test_tuner_decays_after_calm():
     db.close()
 
 
-def test_tuner_respects_caps():
+def test_tuner_respects_caps(monkeypatch):
+    monkeypatch.setattr(tuner_mod, "MAX_BUFFER_MULTIPLIER", 2)
     env = Environment()
-    tuner_cfg = AdocTunerConfig(interval=0.005, max_compaction_threads=3,
-                                max_buffer_multiplier=2)
+    tuner_cfg = AdocTunerConfig(interval=0.005, max_compaction_threads=3)
     db, _ = make_adoc(env, tuner=tuner_cfg)
     fill(env, db, 8000)
     assert db.options.max_background_compactions <= 3
@@ -85,7 +87,7 @@ def test_tuner_respects_caps():
 
 def test_tuner_charges_monitor_cpu():
     env = Environment()
-    tuner_cfg = AdocTunerConfig(interval=0.01, monitor_cpu_cost=5e-6)
+    tuner_cfg = AdocTunerConfig(interval=0.01)
     db, cpu = make_adoc(env, tuner=tuner_cfg)
     env.run(until=0.5)
     assert cpu.busy_by_tag.get("adoc-tuner", 0) > 0

@@ -10,16 +10,14 @@ from repro.bench.baseline import (
     SCHEMA_NAME,
     SCHEMA_VERSION,
     build_baseline,
+    compare_baselines,
     default_baseline_path,
+    format_comparison,
+    load_baseline,
     write_baseline,
 )
 from repro.bench.profiles import mini_profile
 from repro.bench.runner import WALL_EXTRA_KEYS, RunSpec, run_workload
-from repro.obs.compare import (
-    compare_baselines,
-    format_comparison,
-    load_baseline,
-)
 
 PROFILE = mini_profile(256)
 

@@ -17,10 +17,10 @@ import pytest
 
 from repro.bench import RunSpec, mini_profile, run_workload
 from repro.bench.__main__ import main as bench_main
-from repro.bench.baseline import cell_metrics, default_baseline_path
+from repro.bench.baseline import (cell_metrics, default_baseline_path,
+                                  load_baseline)
 from repro.bench.runner import WALL_EXTRA_KEYS
 from repro.obs.__main__ import main as obs_main
-from repro.obs.compare import load_baseline
 
 PINS = Path(__file__).resolve().parents[2] / "benchmarks"
 PINNED = ("cluster", "fig02", "fig03", "fig04", "fig05", "fig11", "fig12",

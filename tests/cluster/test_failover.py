@@ -49,13 +49,6 @@ def test_primary_kill_mid_run_promotes_and_loses_nothing(mode):
     assert r.acked == r.ops, r.describe()
 
 
-def test_scripted_kill_and_epoch_advances():
-    r = run_failover_scenario(REPLAY, kill_site=None, kill_at_op=12, ops=50)
-    assert r.crashed and r.failovers == 1, r.describe()
-    assert r.ok, r.describe()
-    assert r.acked == r.ops, r.describe()
-
-
 def test_rejection_is_typed_and_transient():
     """With the retry budget collapsed to one attempt, the facade's
     rejection during a failover surfaces as the typed

@@ -24,6 +24,7 @@ from repro.cluster import (  # noqa: E402
     REPLAY,
     ReplicationConfig,
 )
+from repro.cluster import replica  # noqa: E402
 from repro.sim import Environment  # noqa: E402
 from repro.types import encode_key  # noqa: E402
 
@@ -34,9 +35,11 @@ def _fill(cluster, n, stride=1, tag=b"v"):
                                tag + b"%04d" % i)
 
 
-def test_replay_respects_lag_window():
+def test_replay_respects_lag_window(monkeypatch):
+    monkeypatch.setattr(replica, "REPLAY_LAG", 0.05)
+    monkeypatch.setattr(replica, "POLL", 0.001)
     env = Environment()
-    repl = ReplicationConfig(mode=REPLAY, lag=0.05, poll=0.001)
+    repl = ReplicationConfig(mode=REPLAY)
     cluster, _ = make_replicated_cluster(env, shards=1, replication=repl)
     run(env, _fill(cluster, 8))
     grp = cluster.groups[0]
@@ -44,12 +47,12 @@ def test_replay_respects_lag_window():
     t_acked = grp.log[-1][0]
 
     # Inside the lag window nothing may have applied yet.
-    env.run(until=t_acked + repl.lag / 2)
+    env.run(until=t_acked + replica.REPLAY_LAG / 2)
     assert grp.backups[0].cursor == 0
     assert grp.replication_lag() == 8
 
     # Past the window (plus a poll) the whole log streams across.
-    env.run(until=t_acked + repl.lag + 10 * repl.poll)
+    env.run(until=t_acked + replica.REPLAY_LAG + 10 * replica.POLL)
     assert grp.backups[0].cursor == 8
     assert grp.replication_lag() == 0
     # ...as real writes on the backup stack, readable in place.
@@ -58,27 +61,29 @@ def test_replay_respects_lag_window():
     cluster.close()
 
 
-def test_index_ship_installs_at_boundaries_with_amplification():
+def test_index_ship_installs_at_boundaries_with_amplification(monkeypatch):
+    monkeypatch.setattr(replica, "POLL", 0.001)
     env = Environment()
-    repl = ReplicationConfig(mode=INDEX_SHIP, ship_period=0.02,
-                             ship_amplification=1.4, poll=0.001)
+    repl = ReplicationConfig(mode=INDEX_SHIP)
     cluster, _ = make_replicated_cluster(env, shards=1, replication=repl)
     run(env, _fill(cluster, 8))
     grp = cluster.groups[0]
     t_acked = grp.log[-1][0]
-    assert t_acked < repl.ship_period, "fill must finish inside period 0"
+    period = replica.SHIP_PERIOD
+    assert t_acked < period, "fill must finish inside period 0"
 
     # Before the first boundary closes: nothing shipped.
-    env.run(until=repl.ship_period - 1e-4)
+    env.run(until=period - 1e-4)
     assert grp.backups[0].cursor == 0
     assert grp.link.ledger.total_bytes == 0
 
     # After the boundary: the whole installment lands in bulk, and the
     # link paid the shipping amplification over the raw record bytes.
-    env.run(until=repl.ship_period + 10 * repl.poll)
+    env.run(until=period + 10 * replica.POLL)
     assert grp.backups[0].cursor == 8
     raw = sum(16 + len(k) + len(v) for _t, k, v in grp.log)
-    assert grp.link.ledger.total_bytes >= raw * repl.ship_amplification * 0.99
+    assert grp.link.ledger.total_bytes >= \
+        raw * replica.SHIP_AMPLIFICATION * 0.99
     cluster.close()
 
 
@@ -157,7 +162,3 @@ def test_off_by_default_gating_and_config_validation():
         ReplicationConfig(mode="paxos")
     with pytest.raises(ValueError):
         ReplicationConfig(backups=0)
-    with pytest.raises(ValueError):
-        ReplicationConfig(lag=-1.0)
-    with pytest.raises(ValueError):
-        ReplicationConfig(miss_threshold=0)

@@ -18,9 +18,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from helpers import make_cluster_system, run  # noqa: E402
 
 from repro.cluster import (  # noqa: E402
-    HashRouter,
-    Migration,
-    RebalanceConfig,
     REPLAY,
     run_failover_scenario,
 )
@@ -131,10 +128,6 @@ def test_rebalance_composes_with_replication():
 
 def test_rebalance_validation():
     env = Environment()
-    with pytest.raises(ValueError):
-        RebalanceConfig(batch=0)
-    with pytest.raises(ValueError):
-        Migration(env, HashRouter(2, seed=0), HashRouter(3, seed=1))
     cluster, _ = make_cluster_system(env, shards=2)
     cluster.rebalance()
     with pytest.raises(RuntimeError):

@@ -1,26 +1,33 @@
 """Tests for the in-device Dev-LSM."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.device import (
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from helpers import make_ftl  # noqa: E402
+
+from repro.device import (  # noqa: E402
     CpuModel,
     DevLsm,
     DevLsmConfig,
-    Ftl,
     MiB,
     NandArray,
     NandGeometry,
     PcieLink,
+    devlsm,
 )
-from repro.obs import Tracer
-from repro.sim import Environment
-from repro.types import KIND_DELETE, KIND_PUT, encode_key, make_entry
+from repro.obs import Tracer  # noqa: E402
+from repro.sim import Environment  # noqa: E402
+from repro.types import KIND_DELETE, KIND_PUT, encode_key, make_entry  # noqa: E402
 
 
 def make_devlsm(env, memtable_bytes=4096, **cfg_kw):
     g = NandGeometry(channels=1, ways=1, blocks_per_way=64, pages_per_block=16,
                      page_size=4096)
-    ftl = Ftl(g, split_fraction=0.5)
+    ftl = make_ftl(g, split_fraction=0.5)
     nand = NandArray(env, g, peak_bandwidth=100 * MiB)
     arm = CpuModel(env, cores=1, name="arm")
     cfg = DevLsmConfig(memtable_bytes=memtable_bytes, **cfg_kw)
@@ -149,9 +156,10 @@ def test_bulk_scan_empty():
     assert run(env, dl.bulk_scan(pcie)) == []
 
 
-def test_bulk_scan_chunks_at_dma_limit():
+def test_bulk_scan_chunks_at_dma_limit(monkeypatch):
+    monkeypatch.setattr(devlsm, "DMA_CHUNK_BYTES", 1024)
     env = Environment()
-    dl = make_devlsm(env, memtable_bytes=1 * MiB, dma_chunk_bytes=1024)
+    dl = make_devlsm(env, memtable_bytes=1 * MiB)
     pcie = PcieLink(env, bandwidth=100 * MiB)
     for i in range(100):
         put(env, dl, i, i, b"z" * 100)
@@ -196,7 +204,7 @@ def test_reset_leaves_ftl_as_the_full_range_walk_does(rounds, puts):
         env = Environment()
         g = NandGeometry(channels=1, ways=1, blocks_per_way=16,
                          pages_per_block=16, page_size=4096)
-        ftl = Ftl(g, split_fraction=0.5)
+        ftl = make_ftl(g, split_fraction=0.5)
         dl = DevLsm(env, ftl, NandArray(env, g, peak_bandwidth=100 * MiB),
                     CpuModel(env, cores=1, name="arm"), _kv_lpns(ftl),
                     config=DevLsmConfig(memtable_bytes=128))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.device import NandArray, NandGeometry
+from repro.device import NandArray, NandGeometry, error_model
 from repro.device.error_model import NandErrorConfig, NandErrorModel
 from repro.device.ftl import Ftl
 from repro.resil import MEDIA, TRANSIENT, DeviceError
@@ -17,6 +17,13 @@ class ScriptedRng:
 
     def random(self):
         return self.draws.pop(0)
+
+
+def patch(monkeypatch, **constants):
+    """Set error-model constants (``READ_RETRY_ROUNDS=2``, ...) for one
+    test."""
+    for name, value in constants.items():
+        monkeypatch.setattr(error_model, name, value)
 
 
 def make(config=None, **cfg_kw):
@@ -39,9 +46,9 @@ def run(env, gen):
 
 
 # ----------------------------------------------------------------- wear
-def test_wear_interpolates_failure_probability():
-    env, ftl, model = make(pe_cycle_limit=100,
-                           program_fail_base=0.0, program_fail_max=0.5)
+def test_wear_interpolates_failure_probability(monkeypatch):
+    patch(monkeypatch, PE_CYCLE_LIMIT=100)
+    env, ftl, model = make()
     blk = 3
     assert model._prob(0.0, 0.5, blk) == 0.0       # fresh block
     ftl.erase_counts[blk] = 50
@@ -52,8 +59,9 @@ def test_wear_interpolates_failure_probability():
 
 
 # ------------------------------------------------------------- program
-def test_program_failure_is_transient_at_nand_program():
-    env, ftl, model = make(program_fail_base=1.0, retire_after_program_fails=9)
+def test_program_failure_is_transient_at_nand_program(monkeypatch):
+    patch(monkeypatch, RETIRE_AFTER_PROGRAM_FAILS=9)
+    env, ftl, model = make(program_fail_base=1.0)
     ftl.write(0)
     _, err = model.on_io("program", 4096)
     assert isinstance(err, DeviceError)
@@ -63,7 +71,7 @@ def test_program_failure_is_transient_at_nand_program():
 
 
 def test_program_fail_streak_retires_block():
-    env, ftl, model = make(program_fail_base=1.0, retire_after_program_fails=2)
+    env, ftl, model = make(program_fail_base=1.0)
     ftl.write(0)
     blk = ftl.last_programmed_block
     model.on_io("program", 4096)
@@ -74,10 +82,9 @@ def test_program_fail_streak_retires_block():
 
 
 def test_success_resets_fail_streak():
-    env, ftl, model = make(retire_after_program_fails=2)
+    env, ftl, model = make()
     model.rng = ScriptedRng([0.0, 1.0, 0.0, 1.0])  # fail, ok, fail, ok
-    model.config = NandErrorConfig(program_fail_base=0.5,
-                                   retire_after_program_fails=2)
+    model.config = NandErrorConfig(program_fail_base=0.5)
     ftl.write(0)
     for _ in range(4):
         model.on_io("program", 4096)
@@ -96,8 +103,9 @@ def test_allocator_skips_retired_block():
 
 
 # --------------------------------------------------------------- erase
-def test_erase_failure_masked_but_retires():
-    env, ftl, model = make(erase_fail_base=1.0)
+def test_erase_failure_masked_but_retires(monkeypatch):
+    patch(monkeypatch, ERASE_FAIL_BASE=1.0)
+    env, ftl, model = make()
     ftl.last_erased_block = 5
     _, err = model.on_io("erase", 0)
     assert err is None                             # host never sees it
@@ -107,33 +115,33 @@ def test_erase_failure_masked_but_retires():
 
 
 # ---------------------------------------------------------------- read
-def test_read_retry_adds_latency_rounds():
-    env, ftl, model = make(read_retry_base=1.0, read_retry_rounds=3,
-                           read_retry_latency=60e-6, uncorrectable_prob=0.0)
+def test_read_retry_adds_latency_rounds(monkeypatch):
+    patch(monkeypatch, UNCORRECTABLE_PROB=0.0)
+    env, ftl, model = make(read_retry_base=1.0)
     extra, err = model.on_io("read", 4096)
     assert err is None
     assert extra == pytest.approx(3 * 60e-6)
     assert model.read_retry_rounds == 3
 
 
-def test_read_retry_telemetry_channel():
+def test_read_retry_telemetry_channel(monkeypatch):
     from repro.obs import TelemetryHub
 
+    patch(monkeypatch, READ_RETRY_ROUNDS=2, UNCORRECTABLE_PROB=0.0)
     env = Environment()
     hub = TelemetryHub(env, period=0.001).install(env)
     ftl = Ftl(NandGeometry(channels=1, ways=1, blocks_per_way=16,
                            pages_per_block=4, page_size=4096))
-    model = NandErrorModel(env, ftl, NandErrorConfig(
-        read_retry_base=1.0, read_retry_rounds=2, uncorrectable_prob=0.0))
+    model = NandErrorModel(env, ftl, NandErrorConfig(read_retry_base=1.0))
     model.on_io("read", 4096)
     assert "nand.read_retries" in hub.channels
 
 
-def test_exhausted_retries_can_go_uncorrectable():
-    env, ftl, model = make(read_retry_base=1.0, read_retry_rounds=2,
-                           uncorrectable_prob=1.0)
+def test_exhausted_retries_can_go_uncorrectable(monkeypatch):
+    patch(monkeypatch, READ_RETRY_ROUNDS=2, UNCORRECTABLE_PROB=1.0)
+    env, ftl, model = make(read_retry_base=1.0)
     extra, err = model.on_io("read", 4096)
-    assert extra == pytest.approx(2 * model.config.read_retry_latency)
+    assert extra == pytest.approx(2 * error_model.READ_RETRY_LATENCY)
     assert isinstance(err, DeviceError)
     assert err.kind == MEDIA
     assert err.site == "nand.read"
@@ -153,14 +161,15 @@ def test_nand_array_defaults_to_no_error_model():
     run(env, nand.io("program", 4096))             # unchanged happy path
 
 
-def test_nand_array_raises_after_service_time():
+def test_nand_array_raises_after_service_time(monkeypatch):
+    patch(monkeypatch, RETIRE_AFTER_PROGRAM_FAILS=99)
     env = Environment()
     geometry = NandGeometry(channels=1, ways=1, blocks_per_way=16,
                             pages_per_block=4, page_size=4096)
     nand = NandArray(env, geometry)
     ftl = Ftl(geometry)
     nand.error_model = NandErrorModel(env, ftl, NandErrorConfig(
-        program_fail_base=1.0, retire_after_program_fails=99))
+        program_fail_base=1.0))
     ftl.write(0)
 
     caught = []
@@ -180,23 +189,24 @@ def test_nand_array_raises_after_service_time():
     assert nand.busy_time > 0
 
 
-def test_nand_array_read_latency_tail():
+def test_nand_array_read_latency_tail(monkeypatch):
+    patch(monkeypatch, UNCORRECTABLE_PROB=0.0)
     env = Environment()
     geometry = NandGeometry(channels=1, ways=1, blocks_per_way=16,
                             pages_per_block=4, page_size=4096)
     nand = NandArray(env, geometry)
     ftl = Ftl(geometry)
-    cfg = NandErrorConfig(read_retry_base=1.0, read_retry_rounds=3,
-                          read_retry_latency=60e-6, uncorrectable_prob=0.0)
+    cfg = NandErrorConfig(read_retry_base=1.0)
     nand.error_model = NandErrorModel(env, ftl, cfg)
     run(env, nand.io("read", 4096))
     assert env.now == pytest.approx(
-        nand.service_time("read", 4096) + 3 * cfg.read_retry_latency)
+        nand.service_time("read", 4096) + 3 * error_model.READ_RETRY_LATENCY)
 
 
 # ------------------------------------------------------------- plumbing
-def test_snapshot_shape():
-    env, ftl, model = make(erase_fail_base=1.0)
+def test_snapshot_shape(monkeypatch):
+    patch(monkeypatch, ERASE_FAIL_BASE=1.0)
+    env, ftl, model = make()
     ftl.last_erased_block = 2
     model.on_io("erase", 0)
     snap = model.snapshot()
@@ -229,10 +239,6 @@ def test_seed_falls_back_to_fault_registry():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        NandErrorConfig(pe_cycle_limit=0)
-    with pytest.raises(ValueError):
         NandErrorConfig(program_fail_base=1.5)
     with pytest.raises(ValueError):
-        NandErrorConfig(read_retry_latency=-1.0)
-    with pytest.raises(ValueError):
-        NandErrorConfig(retire_after_program_fails=0)
+        NandErrorConfig(read_retry_base=-0.1)

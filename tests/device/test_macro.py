@@ -12,6 +12,7 @@ float reassociation (one summed timeout vs chained additions).
 import pytest
 
 from repro.device import MiB, NandArray, NandGeometry
+from repro.device import error_model
 from repro.device.error_model import NandErrorConfig, NandErrorModel
 from repro.device.ftl import Ftl
 from repro.device.pcie import MACRO_MAX, BandwidthPipe, TrafficLedger
@@ -187,13 +188,13 @@ def test_io_burst_coalesces_and_counts():
     assert env.macro.events == 2
 
 
-def test_io_burst_error_truncates_like_scalar():
+def test_io_burst_error_truncates_like_scalar(monkeypatch):
+    monkeypatch.setattr(error_model, "RETIRE_AFTER_PROGRAM_FAILS", 99)
     env = Environment()
     ftl = small_ftl()
     nand = NandArray(env, NandGeometry(), peak_bandwidth=100 * MiB)
     nand.error_model = NandErrorModel(
-        env, ftl, NandErrorConfig(program_fail_base=1.0,
-                                  retire_after_program_fails=99))
+        env, ftl, NandErrorConfig(program_fail_base=1.0))
     ftl.write(0)
     with pytest.raises(DeviceError):
         run(env, nand.io_burst([("read", 4096)] * 3

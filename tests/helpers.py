@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 from repro.device import (
     BlockDevice,
@@ -12,6 +13,7 @@ from repro.device import (
     NandArray,
     PcieLink,
 )
+from repro.device import ftl as ftl_module
 from repro.faults import FaultRegistry, fault_seed  # noqa: F401
 from repro.faults.kit import (  # noqa: F401  (re-exported to the tests)
     SMALL_GEOMETRY,
@@ -26,9 +28,18 @@ from repro.types import encode_key
 from repro.workload import value_for
 
 
+def make_ftl(geometry, split_fraction: float = ftl_module.SPLIT_FRACTION,
+             op_fraction: float = ftl_module.OP_FRACTION) -> Ftl:
+    """An FTL whose region split or over-provisioning differs from the
+    testbed's constants (small geometries need other shares)."""
+    with mock.patch.multiple(ftl_module, SPLIT_FRACTION=split_fraction,
+                             OP_FRACTION=op_fraction):
+        return Ftl(geometry)
+
+
 def small_device(env: Environment, peak_mb: float = 200.0,
                  pcie_mb: float = 1024.0) -> BlockDevice:
-    ftl = Ftl(SMALL_GEOMETRY, split_fraction=0.9)
+    ftl = make_ftl(SMALL_GEOMETRY, split_fraction=0.9)
     nand = NandArray(env, SMALL_GEOMETRY, peak_bandwidth=peak_mb * MiB)
     pcie = PcieLink(env, bandwidth=pcie_mb * MiB)
     return BlockDevice(env, ftl, nand, pcie)

@@ -112,7 +112,7 @@ def test_wal_group_commit_error_latches_background_error():
 
 def test_flush_error_parks_memtable_and_worker_survives():
     env = Environment()
-    reg, db, _ = faulty_db(env, wal_enabled=False)
+    reg, db, _ = faulty_db(env)
     # Seal one memtable (16 KiB buffer, 1 KiB values), then let its
     # flush hit a persistent device error.
     for i in range(20):

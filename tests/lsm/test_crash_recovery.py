@@ -3,8 +3,6 @@
 import sys
 from pathlib import Path
 
-import pytest
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from helpers import run, small_db, small_options  # noqa: E402
@@ -127,13 +125,6 @@ def test_repeated_crashes():
     run(env, db.wait_for_quiesce())
     for k in (0, 250, 599):
         assert run(env, db.get(encode_key(k))) is not None, k
-
-
-def test_recovery_without_wal_rejected():
-    env = Environment()
-    db, _, _ = small_db(env, small_options(wal_enabled=False))
-    with pytest.raises(RuntimeError):
-        run(env, db.crash_and_recover())
 
 
 def test_manifest_replay_detects_consistency():

@@ -139,14 +139,6 @@ def test_wal_written_on_put():
     assert db.wal.appended_bytes > 0
 
 
-def test_wal_disabled_option():
-    env = Environment()
-    db, _, _ = small_db(env, small_options(wal_enabled=False))
-    fill(env, db, 50)
-    assert db.wal is None
-    assert run(env, db.get(encode_key(1))) is not None
-
-
 def test_stall_books_record_under_pressure():
     env = Environment()
     # Tiny stop triggers + slow device => guaranteed stalls.

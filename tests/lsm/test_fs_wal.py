@@ -10,7 +10,7 @@ from repro.sim import Environment
 def make_fs(env, page_cache=None):
     g = NandGeometry(channels=1, ways=1, blocks_per_way=128, pages_per_block=32,
                      page_size=4096)
-    ftl = Ftl(g, split_fraction=0.75)
+    ftl = Ftl(g)
     nand = NandArray(env, g, peak_bandwidth=100 * MiB)
     pcie = PcieLink(env, bandwidth=400 * MiB)
     dev = BlockDevice(env, ftl, nand, pcie)

@@ -112,9 +112,7 @@ def _record(path: str, profile, perturb: bool = False) -> Journal:
     db, ssd, cpu = build_system(env, profile, spec)
     register_digest_sources(journal, db, ssd)
     cfg = DriverConfig(duration=profile.duration,
-                       key_space=profile.key_space,
-                       value_size=profile.value_size,
-                       batch_size=profile.batch_size)
+                       key_space=profile.key_space)
     driver = FillRandomDriver(env, db, cfg)
     env.run(until=driver.start())
     db.close()

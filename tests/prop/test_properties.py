@@ -175,10 +175,11 @@ def test_histogram_percentiles_bounded_and_monotone(samples):
 @given(st.lists(st.tuples(st.integers(0, 30), st.binary(min_size=1, max_size=4)),
                 min_size=1, max_size=300))
 def test_ftl_never_loses_live_data_and_never_double_maps(writes):
-    from repro.device import Ftl, NandGeometry
+    from helpers import make_ftl
+    from repro.device import NandGeometry
     g = NandGeometry(channels=1, ways=1, blocks_per_way=12, pages_per_block=4,
                      page_size=4096)
-    ftl = Ftl(g, split_fraction=0.5, op_fraction=0.2)
+    ftl = make_ftl(g, split_fraction=0.5, op_fraction=0.2)
     model = {}
     for lpn, data in writes:
         ftl.write(lpn, data=data)

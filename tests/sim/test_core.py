@@ -314,7 +314,8 @@ def test_schedule_at_absolute():
 
 
 def test_schedule_at_past_rejected():
-    env = Environment(initial_time=10)
+    env = Environment()
+    env.run(until=10)
     with pytest.raises(ValueError):
         env.schedule_at(env.event(), 5.0)
 
@@ -335,7 +336,8 @@ def test_step_empty_raises():
 
 
 def test_run_until_past_time_rejected():
-    env = Environment(initial_time=5)
+    env = Environment()
+    env.run(until=5)
     with pytest.raises(ValueError):
         env.run(until=1)
 

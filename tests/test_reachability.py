@@ -18,6 +18,16 @@ which is every call in this repo.  Names kept on purpose without a
 non-test caller are listed in ``KEEP`` with the reason; everything else
 this test reports is code that only its own tests reach — delete it, or
 give it a caller.
+
+The same holds for settings: a defaulted field of a dataclass under
+``src/`` that only ``tests/`` set is a setting with one value outside the
+tests, so it should be a constant.  "Set" means a keyword at a call
+(``replace()`` included), a string key of a dict literal, an attribute
+store or a ``setattr`` with a literal name.  That match is by name too: a
+field that shares its name with a setting code sets elsewhere
+(``key_size``, ``batch``) stays hidden, and only the value audit in
+``.claude/skills/verify/SKILL.md`` finds it.  Fields kept on purpose sit
+in ``SETTINGS_KEEP``.
 """
 
 from __future__ import annotations
@@ -64,6 +74,19 @@ KEEP = {
     "drain_replication": "the replica-consistency oracle needs quiesce",
     "over_quota": "the only reader of KvNamespace.quota_bytes",
     "kv_namespaces": "the namespaced-KV module's only constructor path",
+}
+
+SETTINGS_KEEP = {
+    # Safety code: error handling and fault recovery stay tunable.
+    "multiplier": "RetryPolicy: retry backoff, error handling",
+    "jitter": "RetryPolicy: retry backoff, error handling",
+    "deadline": "RetryPolicy: retry deadline, error handling",
+    "command_timeout": "RetryPolicy: per-command timeout, error handling",
+    "failover_on_degraded": "ReplicationConfig: promotes a backup off a "
+                            "DEGRADED primary, fault recovery",
+    # Not a setting: a result record's free-form payload.
+    "extra": "RunResult: per-run payload the runner fills after "
+             "construction",
 }
 
 _HASH_COMMENT = re.compile(r"(?:^|(?<=\s))#.*$", re.MULTILINE)
@@ -128,3 +151,72 @@ def test_keep_names_are_defined():
     """Every KEEP entry still names a definition under ``src/``."""
     defined = {name for name, _ in _definitions()}
     assert sorted(set(KEEP) - defined) == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        f = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(f, "id", None) == "dataclass" or \
+                getattr(f, "attr", None) == "dataclass":
+            return True
+    return False
+
+
+def _defaulted_fields() -> list[tuple[str, str]]:
+    """``(field, "Class (path:line)")`` for every dataclass field under
+    ``src/`` that has a default."""
+    out = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)):
+                continue
+            for stmt in node.body:
+                if (isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)
+                        and stmt.value is not None
+                        and "ClassVar" not in ast.unparse(stmt.annotation)):
+                    out.append((stmt.target.id, f"{node.name} "
+                                f"({path.relative_to(ROOT)}:{stmt.lineno})"))
+    return out
+
+
+def _set_names(path: Path) -> set[str]:
+    """Names the file sets: call keywords, dict-literal string keys,
+    attribute stores and ``setattr(obj, "name", ...)``."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.keyword) and node.arg:
+            names.add(node.arg)
+        elif isinstance(node, ast.Dict):
+            names.update(k.value for k in node.keys
+                         if isinstance(k, ast.Constant)
+                         and isinstance(k.value, str))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Store):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "setattr"
+              and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)):
+            names.add(node.args[1].value)
+    return names
+
+
+def test_every_setting_is_set_outside_the_tests():
+    code = set().union(*(_set_names(p) for d in CODE_DIRS
+                         for p in sorted(d.rglob("*.py"))))
+    tests = set().union(*(_set_names(p)
+                          for p in sorted((ROOT / "tests").rglob("*.py"))))
+    test_only = [f"{name} of {where}" for name, where in _defaulted_fields()
+                 if name in tests and name not in code
+                 and name not in SETTINGS_KEEP]
+    assert not test_only, (
+        "set only by tests (make it a constant, or add to SETTINGS_KEEP "
+        "with a reason):\n  " + "\n  ".join(test_only))
+
+
+def test_settings_keep_names_are_fields():
+    """Every SETTINGS_KEEP entry still names a defaulted dataclass field."""
+    fields = {name for name, _ in _defaulted_fields()}
+    assert sorted(set(SETTINGS_KEEP) - fields) == []

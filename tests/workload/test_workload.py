@@ -12,6 +12,7 @@ from helpers import run, small_db, small_options  # noqa: E402
 from repro.bench.profiles import paper_profile  # noqa: E402
 from repro.sim import Environment  # noqa: E402
 from repro.types import ValueRef  # noqa: E402
+from repro.workload import db_bench  # noqa: E402
 from repro.workload import (  # noqa: E402
     WORKLOADS,
     DriverConfig,
@@ -45,8 +46,6 @@ class TestKeyGen:
         v = value_for(b"\x00\x00\x00\x01", 4096)
         assert isinstance(v, ValueRef)
         assert v.size == 4096
-        raw = value_for(b"\x00\x00\x00\x01", 16, materialized=True)
-        assert isinstance(raw, bytes) and len(raw) == 16
 
     def test_iter_protocol(self):
         g = RandomKeys(1000, seed=5)
@@ -60,13 +59,12 @@ class TestSpecs:
         assert WORKLOADS["B"].write_ratio == pytest.approx(0.9)
         assert WORKLOADS["C"].read_ratio == pytest.approx(0.2)
         assert WORKLOADS["D"].kind == "seekrandom"
-        # Sizes, D's Nexts and its fill are what the runner reads: the
-        # profile's constants.
-        paper = paper_profile()
-        assert paper.seekrandom_nexts == 1024
-        assert paper.seekrandom_fill_bytes == 20 * 1024 ** 3
-        assert paper.key_size == 4
-        assert paper.value_size == 4096
+        # Sizes and D's Nexts are the drivers' constants, D's fill the
+        # profile's.
+        assert db_bench.NEXTS_PER_SEEK == 1024
+        assert paper_profile().seekrandom_fill_bytes == 20 * 1024 ** 3
+        assert db_bench.KEY_SIZE == 4
+        assert db_bench.VALUE_SIZE == 4096
 
     def test_invalid_spec(self):
         from repro.workload import WorkloadSpec
@@ -74,12 +72,19 @@ class TestSpecs:
             WorkloadSpec(name="X", kind="mystery")
 
 
+@pytest.fixture
+def small_values(monkeypatch):
+    """64 B values in batches of 8: drivers over a small DB."""
+    monkeypatch.setattr(db_bench, "VALUE_SIZE", 64)
+    monkeypatch.setattr(db_bench, "BATCH_SIZE", 8)
+
+
+@pytest.mark.usefixtures("small_values")
 class TestDrivers:
     def test_fillrandom_runs_for_duration(self):
         env = Environment()
         db, _, _ = small_db(env)
-        cfg = DriverConfig(duration=0.05, key_space=10_000, value_size=64,
-                           batch_size=8)
+        cfg = DriverConfig(duration=0.05, key_space=10_000)
         drv = FillRandomDriver(env, db, cfg)
         p = drv.start()
         env.run(until=p)
@@ -90,8 +95,7 @@ class TestDrivers:
     def test_readwhilewriting_ratio(self):
         env = Environment()
         db, _, _ = small_db(env)
-        cfg = DriverConfig(duration=0.1, key_space=1000, value_size=64,
-                           batch_size=8)
+        cfg = DriverConfig(duration=0.1, key_space=1000)
         drv = ReadWhileWritingDriver(env, db, cfg, write_ratio=0.9,
                                      read_ratio=0.1)
         p = drv.start()
@@ -108,25 +112,25 @@ class TestDrivers:
         with pytest.raises(ValueError):
             ReadWhileWritingDriver(env, db, cfg, write_ratio=0, read_ratio=1)
 
-    def test_seekrandom_counts_entries(self):
+    def test_seekrandom_counts_entries(self, monkeypatch):
+        monkeypatch.setattr(db_bench, "BATCH_SIZE", 16)
+        monkeypatch.setattr(db_bench, "NEXTS_PER_SEEK", 32)
         env = Environment()
         db, _, _ = small_db(env)
-        cfg = DriverConfig(duration=10.0, key_space=500, value_size=64,
-                           batch_size=16)
+        cfg = DriverConfig(duration=0.001, key_space=500)
         fill_p = fill_database(env, db, total_bytes=100_000, config=cfg)
         env.run(until=fill_p)
-        drv = SeekRandomDriver(env, db, cfg, nexts_per_seek=32, max_seeks=5)
+        drv = SeekRandomDriver(env, db, cfg)
         p = drv.start()
         env.run(until=p)
-        assert drv.seeks == 5
+        assert drv.seeks > 0
         assert drv.entries_scanned > 0
         assert drv.read_ops == drv.entries_scanned + drv.seeks
 
     def test_fill_database_loads_bytes(self):
         env = Environment()
         db, _, _ = small_db(env)
-        cfg = DriverConfig(duration=1.0, key_space=100_000, value_size=64,
-                           batch_size=16)
+        cfg = DriverConfig(duration=1.0, key_space=100_000)
         p = fill_database(env, db, total_bytes=50_000, config=cfg)
         env.run(until=p)
         assert db.stats.user_write_bytes >= 50_000
