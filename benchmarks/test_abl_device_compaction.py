@@ -17,7 +17,6 @@ from repro.bench.runner import RunSpec, run_workload
 def _with_device_compaction(profile, enabled):
     prof = copy.deepcopy(profile)
     prof.ssd.devlsm.compaction_enabled = enabled
-    prof.ssd.devlsm.compaction_trigger_runs = 8
     return prof
 
 

@@ -58,8 +58,7 @@ for spec in [RunSpec("rocksdb", "A", 1, slowdown=True),
              RunSpec("kvaccel", "A", 1, rollback="eager")]:
     env = Environment()
     db, ssd, cpu = build_system(env, profile, spec)
-    driver = TraceReplayDriver(env, db, trace,
-                               batch_size=profile.batch_size)
+    driver = TraceReplayDriver(env, db, trace)
     env.run(until=driver.start())
     elapsed = env.now
     rows.append([

@@ -20,11 +20,10 @@ from .common import resolve_profile
 PAPER = {"pairs": 10_000, "seconds": 1.1}
 
 
-def run(profile=None, quick: bool = False, pairs: int = 10_000,
+def run(profile=None, quick: bool = False,
         options=None) -> dict:  # options unused: single-env scenario
     profile = resolve_profile(profile, quick)
-    if quick:
-        pairs = min(pairs, 2_000)
+    pairs = 2_000 if quick else PAPER["pairs"]
     env = Environment()
     import copy
     cpu = CpuModel(env, cores=HOST_CORES, name="host")

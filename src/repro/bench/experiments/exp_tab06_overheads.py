@@ -45,11 +45,10 @@ def _wall_us(fn, n: int = 50_000) -> float:
     return (time.perf_counter() - t0) / n * 1e6
 
 
-def run(profile=None, quick: bool = False, ops: int = 50_000,
+def run(profile=None, quick: bool = False,
         options=None) -> dict:  # options unused: single-env microbench
     profile = resolve_profile(profile, quick)
-    if quick:
-        ops = min(ops, 10_000)
+    ops = 10_000 if quick else 50_000
 
     # --- 1. model constants, verified through the CPU ledger ----------
     env = Environment()

@@ -27,9 +27,10 @@ def fmt(value: float, digits: int = 2) -> str:
     return f"{value:.{digits}f}"
 
 
-def table(headers: Sequence[str], rows: Sequence[Sequence], title: str = "",
-          indent: str = "  ") -> str:
-    """Render a simple aligned ASCII table."""
+def table(headers: Sequence[str], rows: Sequence[Sequence],
+          title: str = "") -> str:
+    """Render a simple aligned ASCII table, indented two spaces."""
+    indent = "  "
     cells = [[str(h) for h in headers]] + [[str(c) for c in row] for row in rows]
     widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
     lines = []

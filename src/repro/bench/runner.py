@@ -318,7 +318,7 @@ def run_workload(
     env.run(until=env.now + profile.sample_period)  # flush last bucket
     collector.stop()
     if hub is not None:
-        hub.stop(flush=True)
+        hub.stop()
 
     result = collector.result(driver.write_ops, driver.read_ops,
                               driver.write_bytes, stacks)

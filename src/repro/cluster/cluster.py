@@ -44,14 +44,20 @@ import heapq
 from typing import Generator, Optional
 
 from ..core import KvaccelDb
+from ..lsm.db import QUIESCE_POLL
 from ..metrics import LatencyHistogram
 from ..resil import DEGRADED, HEALTHY, FailoverInProgress, RetryExecutor
 from ..sim import Environment
-from .replica import ACTIVE, BackupReplica, ReplicaGroup, ReplicationConfig
+from .replica import (ACTIVE, BACKUPS, BackupReplica, ReplicaGroup,
+                      ReplicationConfig)
 from .reshard import MIGRATE_BATCH, SCAN_CHUNK, Migration
 from .router import HashRouter, Router
 
 __all__ = ["ClusterDb", "ClusterShard", "shard_process_name"]
+
+# A shard is hot when its cumulative op share exceeds this multiple of the
+# fleet mean.
+HOT_SHARD_FACTOR = 2.0
 
 
 def shard_process_name(sid: int, op: str) -> str:
@@ -141,7 +147,7 @@ class ClusterDb:
         ``replication`` + ``backups`` turn every slot into a replica
         group: ``backups[sid]`` is that shard's standby stack list,
         ``[(KvaccelDb, ssd, cpu), ...]`` — same shape as a shard entry,
-        ``replication.backups`` entries each.
+        ``BACKUPS`` entries each.
         """
         if not shards:
             raise ValueError("a cluster needs at least one shard")
@@ -163,9 +169,9 @@ class ClusterDb:
                 raise ValueError(
                     "replication needs one backup-stack list per shard")
             for sh, stack_list in zip(self.shards, backups):
-                if len(stack_list) != replication.backups:
+                if len(stack_list) != BACKUPS:
                     raise ValueError(
-                        f"shard {sh.sid}: expected {replication.backups} "
+                        f"shard {sh.sid}: expected {BACKUPS} "
                         f"backup stacks, got {len(stack_list)}")
                 reps = [BackupReplica(db, ssd, cpu)
                         for db, ssd, cpu in stack_list]
@@ -456,14 +462,14 @@ class ClusterDb:
             yield from self.groups[sid].drain()
 
     # -- lifecycle -----------------------------------------------------------
-    def wait_for_quiesce(self, poll: float = 0.01) -> Generator:
+    def wait_for_quiesce(self) -> Generator:
         while self._migration is not None:
-            yield self.env.timeout(poll)
+            yield self.env.timeout(QUIESCE_POLL)
         for sid in sorted(self.groups):
             while self.groups[sid].state != ACTIVE:
-                yield self.env.timeout(poll)
+                yield self.env.timeout(QUIESCE_POLL)
         for sh in self.shards:
-            yield from sh.db.wait_for_quiesce(poll)
+            yield from sh.db.wait_for_quiesce()
 
     def final_rollback(self) -> Generator:
         for sh in self.shards:
@@ -488,16 +494,17 @@ class ClusterDb:
     def degraded_shards(self) -> int:
         return sum(1 for sh in self.shards if sh.degraded)
 
-    def hot_shard(self, factor: float = 2.0) -> int:
-        """Index of the shard whose cumulative op share exceeds ``factor``
-        times the fleet mean, or -1 when the fleet is balanced."""
+    def hot_shard(self) -> int:
+        """Index of the shard whose cumulative op share exceeds
+        ``HOT_SHARD_FACTOR`` times the fleet mean, or -1 when the fleet is
+        balanced."""
         totals = [sh.write_ops + sh.read_ops for sh in self.shards]
         fleet = sum(totals)
         if fleet == 0 or len(totals) < 2:
             return -1
         mean = fleet / len(totals)
         hottest = max(range(len(totals)), key=totals.__getitem__)
-        return hottest if totals[hottest] > factor * mean else -1
+        return hottest if totals[hottest] > HOT_SHARD_FACTOR * mean else -1
 
     def aggregate_latency(self, which: str = "write") -> Optional[dict]:
         """Fleet-wide latency summary: per-shard histograms merged."""

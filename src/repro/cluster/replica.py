@@ -2,8 +2,8 @@
 failover (ISSUE 10 tentpole).
 
 Each cluster shard slot can be backed by a :class:`ReplicaGroup` — the
-primary (the slot's live KVACCEL stack) plus K standby stacks, all
-share-nothing and all scheduled in the one DES world.  Two replication
+primary (the slot's live KVACCEL stack) plus ``BACKUPS`` standby stacks,
+all share-nothing and all scheduled in the one DES world.  Two replication
 modes, modeled after the two designs in the FORTH RDMA index-replication
 paper (PAPERS.md):
 
@@ -83,6 +83,8 @@ _RECORD_OVERHEAD = 16
 APPLY_BATCH = 64
 # Host-to-host replication link bandwidth, bytes/s.
 LINK_BANDWIDTH = 256 * MiB
+# Standby stacks per replica group.
+BACKUPS = 1
 # Heartbeat cadence of the failure detector (sim seconds).
 HEARTBEAT_PERIOD = 0.005
 # Consecutive missed heartbeats that trigger a failover.
@@ -116,15 +118,12 @@ class ReplicationConfig:
     """Knobs for one cluster's replica groups (shared by every shard)."""
 
     mode: str = REPLAY
-    backups: int = 1
     failover_on_degraded: bool = False  # resil DEGRADED state
     retry: RetryPolicy = field(default_factory=_default_retry)
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
-        if self.backups < 1:
-            raise ValueError("backups must be >= 1")
 
 
 class BackupReplica:
@@ -145,7 +144,7 @@ class BackupReplica:
 
 
 class ReplicaGroup:
-    """Primary + K backups behind one cluster shard slot."""
+    """Primary + ``BACKUPS`` backups behind one cluster shard slot."""
 
     def __init__(self, env: Environment, shard, backups: list,
                  config: ReplicationConfig):

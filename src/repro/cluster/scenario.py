@@ -4,7 +4,7 @@ The drivers behind ``python -m repro.bench failover``, the failover test
 battery and the CI ``identity`` leg's failover sweep.  One scenario is one
 deterministic story in one DES world:
 
-1. build a replicated cluster (every shard a primary + K backups);
+1. build a replicated cluster (every shard a primary + a backup);
 2. drive a scripted client workload through the facade with the kit's
    :class:`~repro.faults.kit.OracleClient`, so every *acknowledged* write
    is shadowed by a :class:`~repro.faults.oracle.DifferentialOracle`;
@@ -47,7 +47,7 @@ from ..sim import Environment, Interrupt
 from ..types import encode_key
 from .chaos import ShardScopedPlan
 from .cluster import ClusterDb
-from .replica import HEARTBEAT_PERIOD, REPLAY, ReplicationConfig
+from .replica import BACKUPS, HEARTBEAT_PERIOD, REPLAY, ReplicationConfig
 from .router import make_router
 
 __all__ = ["build_replicated_cluster", "run_failover_scenario",
@@ -59,7 +59,7 @@ def build_replicated_cluster(env: Environment, shards: int = 2,
                              router: str = "hash", key_space: int = 1 << 16,
                              seed: int = 0, detector_period: float = 0.002,
                              resilience=None, options=None) -> ClusterDb:
-    """N small shards, each with ``replication.backups`` standby stacks.
+    """N small shards, each with ``BACKUPS`` standby stacks.
 
     Primaries are named ``shard<sid>`` (their daemons inherit the prefix
     shard-scoped fault plans key on); backups are named ``shard<sid>b<j>``
@@ -79,7 +79,7 @@ def build_replicated_cluster(env: Environment, shards: int = 2,
     for sid in range(shards):
         parts.append(stack(f"shard{sid}"))
         backup_stacks.append([stack(f"shard{sid}b{j}")
-                              for j in range(replication.backups)])
+                              for j in range(BACKUPS)])
     return ClusterDb(env, parts,
                      make_router(router, shards, key_space, seed=seed),
                      replication=replication, backups=backup_stacks)
@@ -138,16 +138,21 @@ class FailoverReport:
                 f"(seed={self.seed:#x}){extra}")
 
 
+# A scenario: two shards, client keys over KEY_RANGE, kills on shard 0.
+SHARDS = 2
+KEY_RANGE = 24
+KILL_SHARD = 0
+
+
 def _value(i: int) -> bytes:
     return (b"v%06d;" % i) * 24       # ~192 B, deterministic per op index
 
 
 def run_failover_scenario(
         mode: str = REPLAY, *,
-        shards: int = 2, backups: int = 1, ops: int = 80,
-        key_range: int = 24,
+        ops: int = 80,
         kill_site: Optional[str] = "db.write.gate",
-        kill_occurrence: int = 5, kill_shard: int = 0,
+        kill_occurrence: int = 5,
         degrade_at_op: Optional[int] = None,
         reshard_at_op: Optional[int] = None,
         seed: Optional[int] = None,
@@ -157,8 +162,8 @@ def run_failover_scenario(
         journal_path: Optional[str] = None) -> FailoverReport:
     """One scenario run; see the module docstring for the story.
 
-    ``kill_site``/``kill_occurrence`` arm a shard-scoped CRASH on the
-    target shard's client ops (``op="wl"`` scope, so the shard's backups
+    ``kill_site``/``kill_occurrence`` arm a shard-scoped CRASH on shard
+    ``KILL_SHARD``'s client ops (``op="wl"`` scope, so the shard's backups
     and replication daemons are outside the blast radius);
     ``degrade_at_op`` forces the resilience layer DEGRADED (pair with
     ``failover_on_degraded=True`` to promote off degradation);
@@ -174,20 +179,20 @@ def run_failover_scenario(
     if journal_path is not None:
         journal = Journal(period=0.01).install(env)
     if replication is None:
-        replication = ReplicationConfig(mode=mode, backups=backups)
+        replication = ReplicationConfig(mode=mode)
     cluster = build_replicated_cluster(
-        env, shards=shards, replication=replication,
+        env, shards=SHARDS, replication=replication,
         resilience=resilience)
     if journal is not None:
         register_digest_sources(journal, cluster)
     report = FailoverReport(mode=replication.mode, seed=seed,
                             kill_site=kill_site,
                             kill_occurrence=kill_occurrence,
-                            killed_shard=kill_shard, ops=ops)
+                            killed_shard=KILL_SHARD, ops=ops)
     crash_ev = None
     if kill_site is not None:
         crash_ev = arm_crash(registry, env, kill_site, ShardScopedPlan(
-            env, kill_shard, NthOccurrencePlan(kill_occurrence), op="wl"))
+            env, KILL_SHARD, NthOccurrencePlan(kill_occurrence), op="wl"))
     if extra_arms is not None:
         extra_arms(registry, env, cluster)
 
@@ -207,7 +212,7 @@ def run_failover_scenario(
         mig_proc = None
         for i in range(ops):
             if degrade_at_op == i:
-                db = cluster.shards[kill_shard].db
+                db = cluster.shards[KILL_SHARD].db
                 if db.resil is not None:
                     # Wedge the drain the resilience layer would use to
                     # heal itself: with the rollback daemon stopped,
@@ -220,9 +225,9 @@ def run_failover_scenario(
                 report.rebalanced = True
                 mig_proc = cluster.rebalance()
             if i % 9 == 8:
-                key, value = encode_key((i - 3) % key_range), None
+                key, value = encode_key((i - 3) % KEY_RANGE), None
             else:
-                key, value = encode_key(i % key_range), _value(i)
+                key, value = encode_key(i % KEY_RANGE), _value(i)
             sid = cluster.router.route(key)
             p = env.process(client_op(key, value), name=f"shard{sid}.wl{i}")
             if handled:
@@ -247,7 +252,7 @@ def run_failover_scenario(
                 # recovery machinery (replication link, catch-up) stays
                 # live through detection and promotion.
                 extra_arms(registry, env, cluster)
-            cluster.groups[kill_shard].kill_primary()
+            cluster.groups[KILL_SHARD].kill_primary()
             if oracle.inflight is not None:
                 (k2, v2), = oracle.inflight.items()
                 oracle.abort()
@@ -258,7 +263,7 @@ def run_failover_scenario(
             # give the heartbeat daemon sim time to detect and promote
             # before settling (bounded so a misconfigured scenario still
             # terminates and fails its assertions instead of hanging).
-            grp = cluster.groups[kill_shard]
+            grp = cluster.groups[KILL_SHARD]
             deadline = env.now + 1.0
             while grp.failovers == 0 and env.now < deadline:
                 yield env.timeout(HEARTBEAT_PERIOD)
@@ -292,16 +297,12 @@ def run_failover_scenario(
 
 def failover_sweep(mode: str = REPLAY, *,
                    occurrences=range(1, 6),
-                   sites=("db.write.gate",),
                    seed: Optional[int] = None,
-                   ops: int = 60, **kw) -> list:
-    """The shard-scoped crash sweep: one scenario per (site, occurrence)
-    primary-kill point.  ``all(r.ok for r in reports)`` is the acceptance
-    criterion: zero acknowledged writes lost at every crash point."""
-    reports = []
-    for site in sites:
-        for occ in occurrences:
-            reports.append(run_failover_scenario(
-                mode, kill_site=site, kill_occurrence=occ,
-                seed=seed, ops=ops, **kw))
-    return reports
+                   ops: int = 60) -> list:
+    """The shard-scoped crash sweep: one scenario per occurrence of the
+    ``db.write.gate`` primary-kill point.  ``all(r.ok for r in reports)``
+    is the acceptance criterion: zero acknowledged writes lost at every
+    crash point."""
+    return [run_failover_scenario(mode, kill_occurrence=occ, seed=seed,
+                                  ops=ops)
+            for occ in occurrences]

@@ -110,8 +110,8 @@ class KvaccelDb:
         return (yield from self.rollback_manager.rollback_once(
             after_crash=True))
 
-    def wait_for_quiesce(self, poll: float = 0.01) -> Generator:
-        yield from self.main.wait_for_quiesce(poll)
+    def wait_for_quiesce(self) -> Generator:
+        yield from self.main.wait_for_quiesce()
 
     def close(self) -> None:
         self.detector.stop()

@@ -20,16 +20,14 @@ __all__ = ["BlockDevice"]
 
 
 class BlockDevice:
-    """Page-granular block device over one FTL region."""
+    """Page-granular block device over the FTL's block region."""
 
-    def __init__(self, env: Environment, ftl: Ftl, nand: NandArray, pcie: PcieLink,
-                 region: str = "block"):
+    def __init__(self, env: Environment, ftl: Ftl, nand: NandArray, pcie: PcieLink):
         self.env = env
         self.ftl = ftl
         self.nand = nand
         self.pcie = pcie
-        self.region_name = region
-        self._region = ftl.region(region)
+        self._region = ftl.region("block")
         self.page_size = ftl.geometry.page_size
         self.bytes_written = 0
         self.bytes_read = 0

@@ -44,6 +44,8 @@ ARM_BYTE_COST = 8e-9
 READ_PAGE_BYTES = 16 * KiB
 # Max DMA unit on the platform: a bulk scan streams in chunks of this.
 DMA_CHUNK_BYTES = 512 * KiB
+# Flushed runs that trigger an in-device compaction (when it is enabled).
+COMPACTION_TRIGGER_RUNS = 8
 
 
 @dataclass
@@ -55,7 +57,6 @@ class DevLsmConfig:
                                               # True models the "what if"
                                               # behind Table V's bottleneck
     compaction_enabled: bool = False          # paper disables it for wkld A
-    compaction_trigger_runs: int = 8
 
     def __post_init__(self) -> None:
         if self.memtable_bytes <= 0:
@@ -227,7 +228,7 @@ class DevLsm:
         yield from p.at("devlsm.flush.complete")
         p.end(_sp, {"runs": len(self.runs)})
         if (self.config.compaction_enabled
-                and len(self.runs) >= self.config.compaction_trigger_runs):
+                and len(self.runs) >= COMPACTION_TRIGGER_RUNS):
             yield from self._compact()
 
     def _alloc_lpn(self) -> int:

@@ -25,6 +25,8 @@ __all__ = ["TrafficLedger", "BandwidthPipe", "PcieLink", "MACRO_MAX"]
 # releasing and re-requesting their channel between groups so a burst can
 # never starve concurrent traffic for more than one group's service time.
 MACRO_MAX = 16
+# Per-transfer setup latency of the host<->device link (seconds).
+PCIE_LATENCY = 5e-6
 
 
 class TrafficLedger:
@@ -257,13 +259,12 @@ class PcieLink(BandwidthPipe):
         self,
         env: Environment,
         bandwidth: float = GEN2_X8,
-        latency: float = 5e-6,
         bucket: float = 1.0,
     ):
         super().__init__(
             env,
             bandwidth=bandwidth,
-            latency=latency,
+            latency=PCIE_LATENCY,
             ledger=TrafficLedger(bucket=bucket),
             name="pcie",
         )

@@ -53,6 +53,9 @@ CPU_COMPACT_PER_BYTE = 1.0e-9    # merge per input byte (~1 GB/s Xeon);
 # keeps thread scaling visible without erasing 4-thread stalls).
 MAX_SUBCOMPACTIONS = 2
 
+# Sim seconds between the checks of ``wait_for_quiesce``.
+QUIESCE_POLL = 0.01
+
 
 class DbStats:
     """Cumulative counters exposed to the harness."""
@@ -796,7 +799,7 @@ class DbImpl:
         if self.background_error is not None:
             raise self.background_error
 
-    def wait_for_quiesce(self, poll: float = 0.01) -> Generator:
+    def wait_for_quiesce(self) -> Generator:
         """Wait until no flush or compaction work remains."""
         while True:
             busy = (self.imm
@@ -809,7 +812,7 @@ class DbImpl:
                 # Read-only mode: the remaining work is parked until
                 # resume(), so waiting would never terminate.
                 raise self.background_error
-            yield self.env.timeout(poll)
+            yield self.env.timeout(QUIESCE_POLL)
 
     def close(self) -> None:
         self._closed = True

@@ -11,6 +11,8 @@ import math
 
 __all__ = ["LatencyHistogram", "tee"]
 
+# The bottom of the bucketed range; smaller values share the first bucket.
+MIN_VALUE = 0.01
 # The top of the bucketed range; larger values share the last bucket.
 MAX_VALUE = 1e9
 # Geometric buckets per factor of ten (~2% relative error).
@@ -20,13 +22,10 @@ BUCKETS_PER_DECADE = 48
 class LatencyHistogram:
     """Geometric-bucket histogram over positive values."""
 
-    def __init__(self, min_value: float = 0.01):
-        if min_value <= 0 or MAX_VALUE <= min_value:
-            raise ValueError(f"need 0 < min_value < {MAX_VALUE}")
-        self.min_value = min_value
+    def __init__(self):
         self._ratio = 10 ** (1 / BUCKETS_PER_DECADE)
         self._log_ratio = math.log(self._ratio)
-        n = int(math.ceil(math.log(MAX_VALUE / min_value) / self._log_ratio)) + 2
+        n = int(math.ceil(math.log(MAX_VALUE / MIN_VALUE) / self._log_ratio)) + 2
         self._counts = [0] * n
         self.total_count = 0
         self._sum = 0.0
@@ -34,9 +33,9 @@ class LatencyHistogram:
         self._max = 0.0
 
     def _bucket(self, value: float) -> int:
-        if value <= self.min_value:
+        if value <= MIN_VALUE:
             return 0
-        idx = int(math.log(value / self.min_value) / self._log_ratio) + 1
+        idx = int(math.log(value / MIN_VALUE) / self._log_ratio) + 1
         return min(idx, len(self._counts) - 1)
 
     def record(self, value: float, count: int = 1) -> None:
@@ -44,7 +43,7 @@ class LatencyHistogram:
             raise ValueError("latency cannot be negative")
         if count < 1:
             raise ValueError("count must be >= 1")
-        v = max(value, self.min_value)
+        v = max(value, MIN_VALUE)
         self._counts[self._bucket(v)] += count
         self.total_count += count
         self._sum += value * count
@@ -65,9 +64,9 @@ class LatencyHistogram:
                 # representative value: geometric midpoint of the bucket,
                 # clamped to the recorded range
                 if i == 0:
-                    value = self.min_value
+                    value = MIN_VALUE
                 else:
-                    lo = self.min_value * (self._ratio ** (i - 1))
+                    lo = MIN_VALUE * (self._ratio ** (i - 1))
                     value = lo * math.sqrt(self._ratio)
                 return min(max(value, self._min), self._max)
         return self._max
@@ -85,8 +84,6 @@ class LatencyHistogram:
         return self._max
 
     def merge(self, other: "LatencyHistogram") -> None:
-        if len(other._counts) != len(self._counts):
-            raise ValueError("histograms have different bucket layouts")
         for i, c in enumerate(other._counts):
             self._counts[i] += c
         self.total_count += other.total_count

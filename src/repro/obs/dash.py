@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import sys
 from collections import deque
-from typing import Optional
 
 from .rules import HealthMonitor, default_rules
 
@@ -37,25 +36,23 @@ _PANEL = [
 ]
 
 _CLEAR = "\x1b[2J\x1b[H"
+# Buckets of history each sparkline shows, and its width in characters.
+WINDOW = 60
+WIDTH = 60
 _STATE_NAMES = {0: "normal", 1: "DELAYED", 2: "STOPPED"}
 
 
 class Dashboard:
     """Accumulates bucket samples and renders the terminal panel."""
 
-    def __init__(self, title: str, rules: Optional[list] = None,
-                 window: int = 60, width: int = 60,
-                 refresh: int = 1, live: bool = True, out=None):
+    def __init__(self, title: str, rules: list,
+                 refresh: int = 1, live: bool = True):
         self.title = title
-        self.window = window
-        self.width = width
         self.refresh = max(1, refresh)
         self.live = live
-        self.out = out if out is not None else sys.stdout
-        self.monitor = HealthMonitor(None, rules if rules is not None
-                                     else default_rules())
+        self.monitor = HealthMonitor(None, rules)
         self.history: dict[str, deque] = {}
-        self.times: deque = deque(maxlen=window)
+        self.times: deque = deque(maxlen=WINDOW)
         self.buckets = 0
 
     # -- the runner's sample_callback -------------------------------------
@@ -64,13 +61,13 @@ class Dashboard:
         for name, value in sample.items():
             h = self.history.get(name)
             if h is None:
-                h = self.history[name] = deque(maxlen=self.window)
+                h = self.history[name] = deque(maxlen=WINDOW)
             h.append(value)
         self.monitor.observe(t, sample)
         self.buckets += 1
         if self.live and self.buckets % self.refresh == 0:
-            self.out.write(_CLEAR + self.render())
-            self.out.flush()
+            sys.stdout.write(_CLEAR + self.render())
+            sys.stdout.flush()
 
     # -- rendering ----------------------------------------------------------
     def render(self) -> str:
@@ -84,7 +81,7 @@ class Dashboard:
             if not h:
                 continue
             lines.append("  " + series_sparkline(
-                list(h), width=self.width, label=f"{label:>13s} "))
+                list(h), width=WIDTH, label=f"{label:>13s} "))
         lines.append(self._health_line())
         recent = self.monitor.events[-5:]
         if recent:

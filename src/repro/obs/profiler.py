@@ -70,6 +70,8 @@ SEGMENTS = (
 DEFAULT_BANDS = ((0.0, 50.0), (50.0, 90.0), (90.0, 99.0), (99.0, 100.0))
 # Segment columns the lineage report shows (the heaviest; plus unattributed).
 REPORT_SEGMENTS = 8
+# Slowest ops kept with their full span trees as exemplars.
+TOP_K = 5
 
 # Float-accumulation tolerance for the sum(segments) == e2e invariant,
 # relative to the op's end-to-end latency.
@@ -112,9 +114,8 @@ class LineageProfiler:
     *foreground* critical path.
     """
 
-    def __init__(self, env, top_k: int = 5):
+    def __init__(self, env):
         self.env = env
-        self.top_k = int(top_k)
         self.ops: list[dict] = []
         self.op_count = 0
         self.invariant_violations = 0
@@ -193,16 +194,15 @@ class LineageProfiler:
         }
         self.op_count += 1
         self.ops.append(rec)
-        if self.top_k > 0:
-            # Deterministic top-K: min-heap keyed (e2e, -op_id), so equal
-            # latencies keep the earliest op id.  The heap copy carries the
-            # full span tree; evicted ops drop theirs.
-            item = (e2e, -ctx.op_id,
-                    dict(rec, spans=[list(s) for s in ctx.spans]))
-            if len(self._exemplars) < self.top_k:
-                heappush(self._exemplars, item)
-            elif item[:2] > self._exemplars[0][:2]:
-                heappushpop(self._exemplars, item)
+        # Deterministic top-K: min-heap keyed (e2e, -op_id), so equal
+        # latencies keep the earliest op id.  The heap copy carries the
+        # full span tree; evicted ops drop theirs.
+        item = (e2e, -ctx.op_id,
+                dict(rec, spans=[list(s) for s in ctx.spans]))
+        if len(self._exemplars) < TOP_K:
+            heappush(self._exemplars, item)
+        elif item[:2] > self._exemplars[0][:2]:
+            heappushpop(self._exemplars, item)
         if ctx.trace_span is not None:
             args = {"e2e": e2e}
             for seg, v in segs.items():
@@ -256,7 +256,7 @@ class LineageProfiler:
             "schema": LINEAGE_SCHEMA,
             "version": LINEAGE_VERSION,
             "op_count": self.op_count,
-            "top_k": self.top_k,
+            "top_k": TOP_K,
             "ops": [dict(r, segs=dict(r["segs"])) for r in self.ops],
             "exemplars": self.exemplars(),
             "invariant_violations": self.invariant_violations,
@@ -294,8 +294,7 @@ def _segment_rank(names) -> list[str]:
     return known + unknown
 
 
-def percentile_bands(ops: list[dict],
-                     bands: tuple = DEFAULT_BANDS) -> list[dict]:
+def percentile_bands(ops: list[dict]) -> list[dict]:
     """Percentile-conditioned decomposition: ops are ranked by end-to-end
     latency and sliced into percentile bands; each band reports how its
     summed latency splits across segments ("ops in the p99 bucket spend
@@ -305,7 +304,7 @@ def percentile_bands(ops: list[dict],
     ranked = sorted(ops, key=lambda r: (r["e2e"], r["op_id"]))
     n = len(ranked)
     out = []
-    for lo, hi in bands:
+    for lo, hi in DEFAULT_BANDS:
         i0 = int(n * lo / 100.0)
         i1 = n if hi >= 100.0 else int(n * hi / 100.0)
         chunk = ranked[i0:i1]
@@ -338,15 +337,14 @@ def _fmt_us(seconds: float) -> str:
 
 
 def lineage_report(ops: list[dict], title: str = "lineage",
-                   exemplars: Optional[list[dict]] = None,
-                   bands: tuple = DEFAULT_BANDS) -> str:
+                   exemplars: Optional[list[dict]] = None) -> str:
     """Human-readable percentile-conditioned segment table (plus exemplar
     span trees when provided)."""
     lines = [f"latency lineage — {title}"]
     if not ops:
         lines.append("  (no ops recorded)")
         return "\n".join(lines)
-    rows = percentile_bands(ops, bands=bands)
+    rows = percentile_bands(ops)
     overall: dict[str, float] = {}
     for row in rows:
         for seg, v in row["seg_seconds"].items():

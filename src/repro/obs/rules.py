@@ -39,6 +39,8 @@ __all__ = ["HealthEvent", "HealthRule", "HealthMonitor", "default_rules",
 MiB = 1 << 20
 # The testbed device's measured peak bandwidth (Section VI-A: 630 MB/s).
 DEVICE_PEAK_BW = 630 * MiB
+# Device-command retries per second that count as a retry storm.
+RETRY_STORM_RATE = 200.0
 
 
 class HealthEvent:
@@ -92,8 +94,8 @@ class HealthRule:
         return f"HealthRule({self.name}, window={self.window})"
 
 
-def _get(sample: dict, name: str, default: float = 0.0) -> float:
-    return sample.get(name, default)
+def _get(sample: dict, name: str) -> float:
+    return sample.get(name, 0.0)
 
 
 class HealthMonitor:
@@ -175,7 +177,8 @@ class HealthMonitor:
 
 def default_rules(period: float = 1.0,
                   delayed_write_rate: float = 16 * MiB,
-                  retry_storm_rate: float = 200.0) -> list[HealthRule]:
+                  retry_storm_rate: float = RETRY_STORM_RATE
+                  ) -> list[HealthRule]:
     """The built-in rule set, parameterised from the run's profile.
 
     ``period`` scales byte-per-bucket thresholds; windows stay in buckets
@@ -267,8 +270,7 @@ def default_rules(period: float = 1.0,
     ]
 
 
-def cluster_shard_rules(shards: int, period: float = 1.0,
-                        retry_storm_rate: float = 200.0) -> list[HealthRule]:
+def cluster_shard_rules(shards: int, period: float = 1.0) -> list[HealthRule]:
     """Per-shard instances of the cluster-relevant rules.
 
     One ``stall_storm`` + ``degraded_mode_entered`` + ``retry_storm``
@@ -281,7 +283,7 @@ def cluster_shard_rules(shards: int, period: float = 1.0,
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
-    storm_retries = retry_storm_rate * period
+    storm_retries = RETRY_STORM_RATE * period
     rules: list[HealthRule] = []
     for k in range(shards):
         stall_ch = f"cluster.shard{k}.stall_time"

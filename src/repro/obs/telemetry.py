@@ -182,10 +182,10 @@ class TelemetryHub:
             return True
         return False
 
-    def stop(self, flush: bool = True) -> None:
+    def stop(self) -> None:
+        """Stop sampling and record the final partial bucket."""
         self._stopped = True
-        if flush:
-            self.flush()
+        self.flush()
 
     # -- reading -------------------------------------------------------------
     def series(self, name: str) -> list[float]:

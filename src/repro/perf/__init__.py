@@ -43,6 +43,15 @@ __all__ = [
     "format_kernel_profile",
 ]
 
+# Sizes of the microbenchmarks the e2e drills do not size themselves.
+PING_PONG_PAIRS = 32
+PING_PONG_ROUNDS = 4000
+SPAWNS = 30000
+BURST_ROUNDS = 400
+BURST_CHUNKS = 64
+# Rows per section of the kernel-profile table.
+PROFILE_TOP = 12
+
 
 class BenchResult:
     """One microbenchmark measurement."""
@@ -92,8 +101,7 @@ def bench_timeout_chain(procs: int = 64, iters: int = 4000,
     return _timed("timeout_chain", build, profile=profile)
 
 
-def bench_event_ping_pong(pairs: int = 32, rounds: int = 4000,
-                          profile: bool = False) -> BenchResult:
+def bench_event_ping_pong(profile: bool = False) -> BenchResult:
     """Two processes per pair signalling each other through bare Events.
 
     Exercises Event.succeed, callback dispatch, and the already-processed
@@ -104,18 +112,18 @@ def bench_event_ping_pong(pairs: int = 32, rounds: int = 4000,
         env = Environment()
 
         def ping(ev_in, ev_out):
-            for _ in range(rounds):
+            for _ in range(PING_PONG_ROUNDS):
                 yield ev_in[0]
                 ev_in[0] = env.event()
                 ev_out[0].succeed()
 
         def pong(ev_in, ev_out):
-            for _ in range(rounds):
+            for _ in range(PING_PONG_ROUNDS):
                 ev_out[0].succeed()
                 yield ev_in[0]
                 ev_in[0] = env.event()
 
-        for i in range(pairs):
+        for i in range(PING_PONG_PAIRS):
             a, b = [env.event()], [env.event()]
             env.process(ping(a, b), name=f"ping{i}")
             env.process(pong(b, a), name=f"pong{i}")
@@ -124,8 +132,7 @@ def bench_event_ping_pong(pairs: int = 32, rounds: int = 4000,
     return _timed("event_ping_pong", build, profile=profile)
 
 
-def bench_process_spawn(spawns: int = 30000,
-                        profile: bool = False) -> BenchResult:
+def bench_process_spawn(profile: bool = False) -> BenchResult:
     """Spawn/termination churn: short-lived child processes joined by a
     parent (compaction jobs and fault-sweep runs look like this)."""
     def build() -> Environment:
@@ -136,7 +143,7 @@ def bench_process_spawn(spawns: int = 30000,
             return 1
 
         def parent():
-            for _ in range(spawns):
+            for _ in range(SPAWNS):
                 yield env.process(child())
 
         env.process(parent(), name="spawner")
@@ -165,13 +172,12 @@ def bench_resource_handoff(workers: int = 16, rounds: int = 1500,
     return _timed("resource_handoff", build, profile=profile)
 
 
-def bench_macro_burst(rounds: int = 400, chunks: int = 64,
-                      profile: bool = False) -> BenchResult:
+def bench_macro_burst(profile: bool = False) -> BenchResult:
     """Channel-burst DMA: macro events coalescing per-chunk transfers.
 
-    Two concurrent scanners stream ``chunks`` fixed-size chunks per round
-    through one :class:`~repro.device.pcie.BandwidthPipe` burst call, the
-    shape of Dev-LSM bulk scans and compaction I/O.  With macro events the
+    Two concurrent scanners stream ``BURST_CHUNKS`` fixed-size chunks per
+    round through one :class:`~repro.device.pcie.BandwidthPipe` burst
+    call, the shape of Dev-LSM bulk scans and compaction I/O.  With macro events the
     kernel schedules one timeout per MACRO_MAX-chunk group instead of one
     per chunk; events/sec here measures the whole pattern (grant + burst),
     so the coalescing win shows up directly.
@@ -182,10 +188,10 @@ def bench_macro_burst(rounds: int = 400, chunks: int = 64,
         env = Environment()
         pipe = BandwidthPipe(env, 4 * 1024 ** 3, name="pcie",
                              ledger=TrafficLedger(bucket=1.0))
-        sizes = [512 * 1024] * chunks
+        sizes = [512 * 1024] * BURST_CHUNKS
 
         def scanner():
-            for _ in range(rounds):
+            for _ in range(BURST_ROUNDS):
                 yield from pipe.transfer_burst(sizes, direction="rx")
 
         env.process(scanner(), name="scan0")
@@ -267,7 +273,7 @@ def profile_cell(profile_name: str) -> dict:
     }
 
 
-def format_kernel_profile(prof: dict, top: int = 12) -> str:
+def format_kernel_profile(prof: dict) -> str:
     """The sorted hot-site table for one kernel profile dict.
 
     Event classes sorted by estimated wall-ns (from the coarse
@@ -282,7 +288,7 @@ def format_kernel_profile(prof: dict, top: int = 12) -> str:
                  f"{'est wall ms':>12s} {'share':>7s}")
     ranked = sorted(by_class.items(),
                     key=lambda kv: (-est.get(kv[0], 0.0), kv[0]))
-    for cls, n in ranked[:top]:
+    for cls, n in ranked[:PROFILE_TOP]:
         ns = est.get(cls, 0.0)
         lines.append(f"  {cls:20s} {n:>10,d} {ns / 1e6:>12.2f} "
                      f"{ns / total_ns:>6.1%}")
@@ -290,12 +296,12 @@ def format_kernel_profile(prof: dict, top: int = 12) -> str:
     if resumes:
         lines.append(f"\n  {'process (resumes)':34s} {'count':>10s}")
         hot = sorted(resumes.items(), key=lambda kv: (-kv[1], kv[0]))
-        for pname, n in hot[:top]:
+        for pname, n in hot[:PROFILE_TOP]:
             lines.append(f"  {pname:34s} {n:>10,d}")
-        if len(hot) > top:
-            rest = sum(n for _, n in hot[top:])
-            lines.append(f"  {'... %d more' % (len(hot) - top):34s} "
-                         f"{rest:>10,d}")
+        if len(hot) > PROFILE_TOP:
+            rest = sum(n for _, n in hot[PROFILE_TOP:])
+            more = f"... {len(hot) - PROFILE_TOP} more"
+            lines.append(f"  {more:34s} {rest:>10,d}")
     lines.append("")
     lines.append(f"  heap pushes/pops     {prof.get('heap_pushes', 0):>10,d} "
                  f"/ {prof.get('heap_pops', 0):,d}")

@@ -38,6 +38,10 @@ from .errors import DeviceError
 __all__ = ["SoakConfig", "SoakResult", "run_soak", "SOAK_MODES"]
 
 SOAK_MODES = ("transient", "persistent")
+# Keys the workload draws from.
+KEY_SPACE = 64
+# Telemetry bucket (sim seconds).
+SAMPLE_PERIOD = 0.002
 
 
 @dataclass(frozen=True)
@@ -49,18 +53,14 @@ class SoakConfig:
     ops: int = 400                 # workload operations (x scale)
     scale: int = 1
     fault_rate: float = 0.02       # per-hit FAIL probability (transient)
-    key_space: int = 64
-    sample_period: float = 0.002   # telemetry bucket (sim seconds)
 
     def __post_init__(self) -> None:
         if self.mode not in SOAK_MODES:
             raise ValueError(f"mode must be one of {SOAK_MODES}")
-        if self.ops < 1 or self.scale < 1 or self.key_space < 1:
-            raise ValueError("ops/scale/key_space must be >= 1")
+        if self.ops < 1 or self.scale < 1:
+            raise ValueError("ops/scale must be >= 1")
         if not 0.0 <= self.fault_rate <= 1.0:
             raise ValueError("fault_rate must be in [0, 1]")
-        if self.sample_period <= 0:
-            raise ValueError("sample_period must be positive")
 
 
 @dataclass
@@ -156,14 +156,13 @@ def run_soak(config: SoakConfig) -> SoakResult:
     """Run one seeded fault storm and check the durability invariants."""
     env = Environment()
     registry = FaultRegistry(config.seed).install(env)
-    hub = TelemetryHub(env, period=config.sample_period).install(env)
+    hub = TelemetryHub(env, period=SAMPLE_PERIOD).install(env)
     # The soak runs on a compressed millisecond timescale, so the absolute
     # retries/second threshold is recalibrated: ~10 retries per bucket
     # marks a storm, well above what fault_rate-sized transient glitches
     # produce and well below a flapping device.
     monitor = HealthMonitor(hub, default_rules(
-        period=config.sample_period,
-        retry_storm_rate=10.0 / config.sample_period))
+        period=SAMPLE_PERIOD, retry_storm_rate=10.0 / SAMPLE_PERIOD))
     nand_errors = None
     if config.mode == "transient":
         # Wear-driven NAND error model: small base rates so a fresh device
@@ -207,7 +206,7 @@ def run_soak(config: SoakConfig) -> SoakResult:
                     # RECOVERING when the state machine asked for it).
                     yield from db.rollback_manager.rollback_once()
             roll = rng.random()
-            key = encode_key(rng.randrange(config.key_space))
+            key = encode_key(rng.randrange(KEY_SPACE))
             if roll < 0.65:
                 yield from write(client.put(key, value_of(i)))
             elif roll < 0.75:
@@ -219,7 +218,7 @@ def run_soak(config: SoakConfig) -> SoakResult:
         # window parity the op count happened to end on.
         db.detector.stall_condition = True
         for j in range(4):
-            yield from write(client.put(encode_key(config.key_space + j),
+            yield from write(client.put(encode_key(KEY_SPACE + j),
                                         value_of(total + j)))
         db.detector.stall_condition = False
 

@@ -873,13 +873,17 @@ class Environment:
         return None
 
 
+# The kernel profiler times one dispatched event in this many.
+SAMPLE_EVERY = 16
+
+
 class KernelProfile:
     """Wall-clock self-profile of one Environment's event loop.
 
     An observer of the dispatch loop (:meth:`Environment.add_observer`),
     attached by :func:`install_kernel_profiler`.  All counters are exact
     except the wall-ns-per-class figures, which sample one event in
-    ``sample_every`` (timing every dispatch would perturb the very loop
+    ``SAMPLE_EVERY`` (timing every dispatch would perturb the very loop
     being measured) as the wall time from that event's notification to
     the next one's; :meth:`to_dict` scales the samples back up to
     estimated totals.
@@ -891,10 +895,9 @@ class KernelProfile:
     counters.
     """
 
-    def __init__(self, env: Environment, sample_every: int = 16):
+    def __init__(self, env: Environment):
         self._env = env
         self._seq0 = env._seq
-        self.sample_every = max(1, int(sample_every))
         self.events_by_class: dict[str, int] = {}
         self.resumes_by_process: dict[str, int] = {}
         self.sampled_wall_ns_by_class: dict[str, int] = {}
@@ -943,7 +946,7 @@ class KernelProfile:
         pending = len(self._env._queue) + 1         # + the one in hand
         if pending > self.peak_pending:
             self.peak_pending = pending
-        if self.heap_pops % self.sample_every == 0:
+        if self.heap_pops % SAMPLE_EVERY == 0:
             self._sample_cls = cls
             self._sample_t0 = perf_counter_ns()
 
@@ -977,7 +980,7 @@ class KernelProfile:
             "resource_requests": int(self.resource_requests),
             "resource_grants": int(self.resource_grants),
             "resource_queued": int(self.resource_queued),
-            "sample_every": int(self.sample_every),
+            "sample_every": SAMPLE_EVERY,
             "sampled_events_by_class": dict(self.sampled_events_by_class),
             "wall_ns": int(self.wall_ns),
             "estimated_wall_ns_by_class": {
@@ -992,8 +995,7 @@ class KernelProfile:
         }
 
 
-def install_kernel_profiler(env: Environment,
-                            sample_every: int = 16) -> KernelProfile:
+def install_kernel_profiler(env: Environment) -> KernelProfile:
     """Attach a :class:`KernelProfile` to ``env`` as a loop observer.
 
     ``env.timeout`` and ``env.run`` are shadowed with counting / timing
@@ -1003,7 +1005,7 @@ def install_kernel_profiler(env: Environment,
     """
     if env.kernel_profiler is not None:
         raise SimulationError("kernel profiler already installed")
-    prof = env.kernel_profiler = KernelProfile(env, sample_every)
+    prof = env.kernel_profiler = KernelProfile(env)
     env.add_observer(prof.observe)
     orig_timeout = env.timeout
     orig_run = env.run

@@ -56,18 +56,11 @@ class PeriodicSampler:
         self._stopped = False
         self.process: Process = env.process(self._run(), name=name or "sampler")
 
-    def stop(self, flush: bool = False) -> None:
-        """Stop sampling.  With ``flush=True`` the final partial bucket is
-        recorded at the current sim time instead of being dropped.
-
-        ``flush`` defaults to False because existing series consumers
-        (e.g. the fig11 low-decile floor metric) expect only whole-period
-        buckets; opt in where length agreement with ceil-bucketed series
-        such as ``TrafficLedger.series`` matters.
-        """
+    def stop(self) -> None:
+        """Stop sampling; the final partial bucket is dropped, because
+        series consumers (e.g. the fig11 low-decile floor metric) expect
+        only whole-period buckets.  :meth:`flush` records it instead."""
         self._stopped = True
-        if flush:
-            self.flush()
 
     def flush(self) -> bool:
         """Record the partial bucket since the last tick, if any.

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..sim import Environment, Process, RateMeter
-from ..types import value_size
 from .keygen import KeyGenerator, RandomKeys, value_for
 
 __all__ = ["DriverConfig", "FillRandomDriver", "ReadWhileWritingDriver",

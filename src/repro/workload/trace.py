@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..sim import Environment, Process, RateMeter
+from .db_bench import BATCH_SIZE
 from .keygen import value_for
 
 __all__ = ["TraceOp", "Trace", "TraceRecorder", "TraceReplayDriver"]
@@ -129,9 +130,9 @@ class TraceRecorder:
     put_batch) and forwards to the inner DB, appending to ``trace``.
     """
 
-    def __init__(self, db, env: Optional[Environment] = None):
+    def __init__(self, db):
         self.db = db
-        self.env = env or db.env
+        self.env = db.env
         self.trace = Trace()
         self._last_t: Optional[float] = None
 
@@ -176,21 +177,15 @@ class TraceRecorder:
 class TraceReplayDriver:
     """Replay a trace against a DB, with metering like the other drivers.
 
-    ``honor_think_time=False`` (default) replays back-to-back — apples to
-    apples for system comparisons; ``True`` reproduces the recorded
-    inter-arrival gaps (open-loop-ish replay).
+    Operations replay back-to-back (the recorded think times are not
+    waited out) — apples to apples for system comparisons — and puts go
+    in batches of the drivers' ``BATCH_SIZE``.
     """
 
-    def __init__(self, env: Environment, db, trace: Trace,
-                 value_size_override: Optional[int] = None,
-                 honor_think_time: bool = False,
-                 batch_size: int = 32):
+    def __init__(self, env: Environment, db, trace: Trace):
         self.env = env
         self.db = db
         self.trace = trace
-        self.value_size_override = value_size_override
-        self.honor_think_time = honor_think_time
-        self.batch_size = max(1, batch_size)
         self.write_meter = RateMeter()
         self.read_meter = RateMeter()
         self.write_ops = 0
@@ -202,19 +197,12 @@ class TraceReplayDriver:
         self.process = self.env.process(self._run(), name="trace-replay")
         return self.process
 
-    def _value(self, op: TraceOp):
-        size = (self.value_size_override if self.value_size_override
-                is not None else op.value_size)
-        return value_for(op.key, size)
-
     def _run(self):
         batch: list = []
         for op in self.trace:
-            if self.honor_think_time and op.think_us > 0:
-                yield self.env.timeout(op.think_us / 1e6)
             if op.op == "put":
-                batch.append((op.key, self._value(op)))
-                if len(batch) >= self.batch_size:
+                batch.append((op.key, value_for(op.key, op.value_size)))
+                if len(batch) >= BATCH_SIZE:
                     yield from self._flush_batch(batch)
                     batch = []
                 continue

@@ -104,7 +104,7 @@ def test_cluster_telemetry_channels_registered():
     cluster, _ = make_cluster_system(env, shards=2)
     _, gen = _fill_and_read(cluster, n=32)
     run(env, gen())
-    hub.stop(flush=True)
+    hub.stop()
     doc = hub.export()
     names = set(doc["channels"])
     for sid in range(2):

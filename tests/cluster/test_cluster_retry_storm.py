@@ -20,6 +20,7 @@ Assertion messages embed the seed, so any failure replays exactly.
 
 import sys
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
@@ -32,6 +33,7 @@ from helpers import (  # noqa: E402
 from repro.cluster import arm_shard  # noqa: E402
 from repro.faults import FAIL, FaultAction, NthOccurrencePlan  # noqa: E402
 from repro.obs import cluster_shard_rules  # noqa: E402
+from repro.obs import rules as rules_mod  # noqa: E402
 from repro.obs.rules import HealthMonitor  # noqa: E402
 from repro.obs.telemetry import TelemetryHub  # noqa: E402
 from repro.resil import HEALTHY, ResilienceConfig  # noqa: E402
@@ -66,8 +68,9 @@ def _make_storm_cluster(env, seed, with_fault):
     cluster, registry = make_cluster_system(
         env, shards=SHARDS, router="range", key_space=KEY_SPACE,
         with_faults=True, seed=seed, resilience=RESIL)
-    monitor = HealthMonitor(hub, cluster_shard_rules(
-        SHARDS, period=PERIOD, retry_storm_rate=STORM_RATE))
+    with mock.patch.object(rules_mod, "RETRY_STORM_RATE", STORM_RATE):
+        monitor = HealthMonitor(hub, cluster_shard_rules(SHARDS,
+                                                         period=PERIOD))
     scoped = []
     if with_fault:
         # Transient failure on every second scoped hit: each failure is

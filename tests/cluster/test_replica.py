@@ -160,5 +160,3 @@ def test_off_by_default_gating_and_config_validation():
 
     with pytest.raises(ValueError):
         ReplicationConfig(mode="paxos")
-    with pytest.raises(ValueError):
-        ReplicationConfig(backups=0)

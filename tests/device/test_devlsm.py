@@ -232,11 +232,11 @@ def test_reset_leaves_ftl_as_the_full_range_walk_does(rounds, puts):
         assert a._lpns_allocated == 0    # next run starts at the region start
 
 
-def test_device_compaction_merges_runs():
+def test_device_compaction_merges_runs(monkeypatch):
+    monkeypatch.setattr(devlsm, "COMPACTION_TRIGGER_RUNS", 3)
     env = Environment()
     tracer = Tracer().install(env)
-    dl = make_devlsm(env, memtable_bytes=128, compaction_enabled=True,
-                     compaction_trigger_runs=3)
+    dl = make_devlsm(env, memtable_bytes=128, compaction_enabled=True)
     for i in range(60):
         put(env, dl, i % 10, i, b"c" * 40)
     assert dl.compaction_count >= 1

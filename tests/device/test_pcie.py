@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.device import BandwidthPipe, PcieLink, TrafficLedger
+from repro.device import BandwidthPipe, PcieLink, TrafficLedger, pcie
 from repro.sim import Environment
 
 
@@ -143,9 +143,10 @@ class TestPcieLink:
         assert link.bandwidth == PcieLink.GEN2_X8
         assert link.ledger is not None
 
-    def test_link_traffic_series(self):
+    def test_link_traffic_series(self, monkeypatch):
+        monkeypatch.setattr(pcie, "PCIE_LATENCY", 0.0)
         env = Environment()
-        link = PcieLink(env, bandwidth=1000, latency=0.0)
+        link = PcieLink(env, bandwidth=1000)
 
         def proc():
             yield from link.transfer(1500)  # spans 1.5 s

@@ -6,8 +6,11 @@ the traffic ledger, and the telemetry byte channels all see the slowed
 transfer the way Intel PCM would.
 """
 
+from unittest import mock
+
 import pytest
 
+from repro.device import pcie
 from repro.device.pcie import PcieLink
 from repro.faults.plan import AlwaysPlan, NthOccurrencePlan
 from repro.faults.registry import (
@@ -23,8 +26,11 @@ NBYTES = 1 << 20
 
 
 def make_link(env, seconds_per_transfer=1.0, bucket=1.0):
-    return PcieLink(env, bandwidth=NBYTES / seconds_per_transfer,
-                    latency=0.0, bucket=bucket)
+    """A latency-free link: every transfer lasts exactly its bytes over
+    the bandwidth."""
+    with mock.patch.object(pcie, "PCIE_LATENCY", 0.0):
+        return PcieLink(env, bandwidth=NBYTES / seconds_per_transfer,
+                        bucket=bucket)
 
 
 def run_transfer(env, link, nbytes=NBYTES):

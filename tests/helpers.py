@@ -146,15 +146,15 @@ def shard_pinned_load(env: Environment, cluster, duration: float,
 
 
 def make_replicated_cluster(env: Environment, shards: int = 2,
-                            backups: int = 1, mode: str = "replay",
+                            mode: str = "replay",
                             with_faults: bool = False, seed: int = 0,
                             replication=None, **kw):
-    """A replicated cluster (primary + K backups per shard) on the small
+    """A replicated cluster (primary + backup per shard) on the small
     scenario stacks, optionally with a seeded FaultRegistry.
 
     Returns ``(cluster, registry)`` like :func:`make_cluster_system`;
     ``replication`` overrides the whole :class:`ReplicationConfig` when
-    the test needs non-default lag/ship/heartbeat knobs.
+    the test needs another retry policy or degraded-state failover.
     """
     from repro.cluster import ReplicationConfig, build_replicated_cluster
 
@@ -162,7 +162,7 @@ def make_replicated_cluster(env: Environment, shards: int = 2,
     if with_faults:
         registry = FaultRegistry(fault_seed(seed)).install(env)
     if replication is None:
-        replication = ReplicationConfig(mode=mode, backups=backups)
+        replication = ReplicationConfig(mode=mode)
     cluster = build_replicated_cluster(env, shards=shards,
                                        replication=replication, **kw)
     return cluster, registry

@@ -7,6 +7,7 @@ from repro.metrics import (
     RunCollector,
     analyze_stall_pcie,
     efficiency,
+    histogram,
     utilization_cdf,
     zero_traffic_buckets,
 )
@@ -43,8 +44,9 @@ class TestHistogram:
         assert h.percentile(50) == pytest.approx(10, rel=0.1)
         assert h.percentile(99.9) == pytest.approx(1000, rel=0.1)
 
-    def test_below_min_clamps(self):
-        h = LatencyHistogram(min_value=1.0)
+    def test_below_min_clamps(self, monkeypatch):
+        monkeypatch.setattr(histogram, "MIN_VALUE", 1.0)
+        h = LatencyHistogram()
         h.record(0.0001)
         assert h.percentile(50) <= 1.0
 
@@ -72,8 +74,6 @@ class TestHistogram:
             h.record(1, count=0)
         with pytest.raises(ValueError):
             h.percentile(101)
-        with pytest.raises(ValueError):
-            LatencyHistogram(min_value=0)
 
 
 class TestEfficiency:

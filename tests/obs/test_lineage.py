@@ -20,11 +20,11 @@ import pytest
 
 from repro.bench import RunSpec, mini_profile, run_workload
 from repro.obs import (
-    DEFAULT_BANDS,
     LineageProfiler,
     check_lineage_invariant,
     lineage_report,
     percentile_bands,
+    profiler,
 )
 from repro.sim import Environment
 
@@ -128,7 +128,7 @@ def test_percentile_bands_slicing():
             "nbytes": 0, "t0": 0.0, "e2e": float(i + 1),
             "segs": {"stall": float(i + 1), "unattributed": 0.0}}
            for i in range(100)]
-    bands = percentile_bands(ops, bands=DEFAULT_BANDS)
+    bands = percentile_bands(ops)
     assert [b["n"] for b in bands] == [50, 40, 9, 1]
     tail = bands[-1]
     assert tail["band"] == "p99-p100"
@@ -137,9 +137,10 @@ def test_percentile_bands_slicing():
     assert sum(b["n"] for b in bands) == len(ops)
 
 
-def test_exemplar_selection_is_topk_and_ordered():
+def test_exemplar_selection_is_topk_and_ordered(monkeypatch):
+    monkeypatch.setattr(profiler, "TOP_K", 3)
     env = Environment()
-    lp = LineageProfiler(env, top_k=3).install()
+    lp = LineageProfiler(env).install()
 
     def op(d):
         ctx = lp.op_begin("put_batch")

@@ -4,6 +4,7 @@ import pytest
 
 from repro.bench import RunSpec, mini_profile, run_workload
 from repro.obs import cluster_shard_rules
+from repro.obs import rules as rules_mod
 from repro.obs.rules import HealthMonitor
 
 
@@ -32,8 +33,9 @@ def test_rule_instances_per_shard():
         cluster_shard_rules(0)
 
 
-def test_retry_storm_fires_only_on_the_storming_shard():
-    mon = HealthMonitor(None, cluster_shard_rules(2, retry_storm_rate=50.0))
+def test_retry_storm_fires_only_on_the_storming_shard(monkeypatch):
+    monkeypatch.setattr(rules_mod, "RETRY_STORM_RATE", 50.0)
+    mon = HealthMonitor(None, cluster_shard_rules(2))
     # Three buckets of sustained retry pressure on shard 1 only.
     for t in range(3):
         mon.observe(float(t), {"cluster.shard1.retries": 80.0})

@@ -108,7 +108,7 @@ def test_flush_partial_bucket():
     assert hub.times == [1.0, 1.7]
     assert hub.series("ops") == [0.0, 5.0]
     assert hub.flush() is False          # idempotent at the same clock
-    hub.stop()                           # stop(flush=True) is also a no-op now
+    hub.stop()                           # stop's flush is also a no-op now
     assert hub.times == [1.0, 1.7]
 
 

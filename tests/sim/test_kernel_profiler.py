@@ -150,12 +150,12 @@ def test_profile_bench_entry_point_and_table():
 
 def test_estimated_wall_scales_samples():
     env = _timeout_chain_env(procs=2, iters=500)
-    prof = install_kernel_profiler(env, sample_every=8)
+    prof = install_kernel_profiler(env)
     env.run()
     d = prof.to_dict()
     est = d["estimated_wall_ns_by_class"]
     assert est.get("Timeout", 0) > 0
     # Estimate = sampled mean x total events; must be >= the raw sampled
-    # time since only 1/8 of events were timed.
+    # time since only 1/SAMPLE_EVERY of events were timed.
     assert est["Timeout"] >= prof.sampled_wall_ns_by_class["Timeout"]
     assert d["sampled_events_by_class"]["Timeout"] > 0

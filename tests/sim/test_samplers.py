@@ -96,15 +96,3 @@ def test_sampler_flush_before_first_tick():
     assert sampler.flush() is True
     assert sampler.times == [4.0]
     assert sampler.values == [7.0]
-
-
-def test_sampler_stop_flush_opt_in():
-    env = Environment()
-    sampler = PeriodicSampler(env, lambda: 1.0, period=1.0)
-    env.run(until=2.5)
-    sampler.stop()              # default: partial bucket dropped
-    assert sampler.times == [1.0, 2.0]
-    sampler2 = PeriodicSampler(env, lambda: 1.0, period=1.0)
-    env.run(until=4.7)
-    sampler2.stop(flush=True)   # opt-in: partial bucket kept
-    assert sampler2.times[-1] == pytest.approx(4.7)

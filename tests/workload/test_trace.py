@@ -99,7 +99,7 @@ class TestReplay:
         trace = Trace([TraceOp("put", encode_key(i), value_size=32)
                        for i in range(100)]
                       + [TraceOp("del", encode_key(7))])
-        drv = TraceReplayDriver(env, db, trace, batch_size=8)
+        drv = TraceReplayDriver(env, db, trace)
         env.run(until=drv.start())
         assert drv.write_ops == 101
         assert run(env, db.get(encode_key(3))) is not None
@@ -125,25 +125,12 @@ class TestReplay:
 
         env2 = Environment()
         db2, _, _ = small_db(env2)
-        drv = TraceReplayDriver(env2, db2, rec.trace,
-                                value_size_override=8)
+        drv = TraceReplayDriver(env2, db2, rec.trace)
         env2.run(until=drv.start())
         # same live key set on both sides
         s1 = run(env1, db1.scan(encode_key(0), 100))
         s2 = run(env2, db2.scan(encode_key(0), 100))
         assert [k for k, _ in s1] == [k for k, _ in s2]
-
-    def test_think_time_replay(self):
-        env = Environment()
-        db, _, _ = small_db(env)
-        trace = Trace([
-            TraceOp("put", encode_key(1), value_size=8, think_us=50_000),
-            TraceOp("put", encode_key(2), value_size=8, think_us=50_000),
-        ])
-        drv = TraceReplayDriver(env, db, trace, honor_think_time=True,
-                                batch_size=1)
-        env.run(until=drv.start())
-        assert env.now >= 0.1  # two 50 ms gaps honored
 
     def test_replay_counts_scans(self):
         env = Environment()
