@@ -76,9 +76,9 @@ class AdocTuner:
         if opt.max_background_compactions < cfg.max_compaction_threads:
             opt.max_background_compactions += 1
             changed = True
-        if opt.write_buffer_size < self.base_buffer * MAX_BUFFER_MULTIPLIER:
-            opt.write_buffer_size = min(opt.write_buffer_size * 2,
-                                        self.base_buffer * MAX_BUFFER_MULTIPLIER)
+        cap = self.base_buffer * MAX_BUFFER_MULTIPLIER
+        if opt.write_buffer_size < cap:
+            opt.write_buffer_size = min(opt.write_buffer_size * 2, cap)
             changed = True
         if changed:
             self.db._wake_background()

@@ -61,7 +61,6 @@ def _paper_options() -> LsmOptions:
     """Table III + RocksDB v8.3 defaults for everything unstated."""
     return LsmOptions(
         write_buffer_size=128 * MiB,           # Table III
-        max_write_buffer_number=2,
         level0_file_num_compaction_trigger=4,
         level0_slowdown_writes_trigger=20,
         level0_stop_writes_trigger=36,

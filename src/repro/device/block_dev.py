@@ -22,7 +22,8 @@ __all__ = ["BlockDevice"]
 class BlockDevice:
     """Page-granular block device over the FTL's block region."""
 
-    def __init__(self, env: Environment, ftl: Ftl, nand: NandArray, pcie: PcieLink):
+    def __init__(self, env: Environment, ftl: Ftl, nand: NandArray,
+                 pcie: PcieLink):
         self.env = env
         self.ftl = ftl
         self.nand = nand

@@ -17,6 +17,7 @@ while in the DELAYED state.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 from ..device.geometry import KiB, MiB
 
@@ -35,7 +36,10 @@ class LsmOptions:
 
     # memtable
     write_buffer_size: int = 128 * MiB          # Table III: MT size 128 MB
-    max_write_buffer_number: int = 2
+    # One active plus one immutable memtable.  This and
+    # ``bloom_bits_per_key`` are class constants every run shares, not
+    # fields.
+    max_write_buffer_number: ClassVar[int] = 2
 
     # level shape
     level0_file_num_compaction_trigger: int = 4
@@ -60,7 +64,7 @@ class LsmOptions:
 
     # SST layout
     block_size: int = 16 * KiB
-    bloom_bits_per_key: int = 10
+    bloom_bits_per_key: ClassVar[int] = 10      # RocksDB's default
 
     # WAL
     wal_group_commit_bytes: int = 256 * KiB
@@ -68,8 +72,6 @@ class LsmOptions:
     def __post_init__(self) -> None:
         if self.write_buffer_size <= 0:
             raise ValueError("write_buffer_size must be positive")
-        if self.max_write_buffer_number < 2:
-            raise ValueError("max_write_buffer_number must be >= 2")
         if not (0 < self.level0_file_num_compaction_trigger
                 <= self.level0_slowdown_writes_trigger
                 <= self.level0_stop_writes_trigger):

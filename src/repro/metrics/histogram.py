@@ -25,7 +25,8 @@ class LatencyHistogram:
     def __init__(self):
         self._ratio = 10 ** (1 / BUCKETS_PER_DECADE)
         self._log_ratio = math.log(self._ratio)
-        n = int(math.ceil(math.log(MAX_VALUE / MIN_VALUE) / self._log_ratio)) + 2
+        n = int(math.ceil(math.log(MAX_VALUE / MIN_VALUE)
+                          / self._log_ratio)) + 2
         self._counts = [0] * n
         self.total_count = 0
         self._sum = 0.0

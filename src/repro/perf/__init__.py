@@ -177,10 +177,10 @@ def bench_macro_burst(profile: bool = False) -> BenchResult:
 
     Two concurrent scanners stream ``BURST_CHUNKS`` fixed-size chunks per
     round through one :class:`~repro.device.pcie.BandwidthPipe` burst
-    call, the shape of Dev-LSM bulk scans and compaction I/O.  With macro events the
-    kernel schedules one timeout per MACRO_MAX-chunk group instead of one
-    per chunk; events/sec here measures the whole pattern (grant + burst),
-    so the coalescing win shows up directly.
+    call, the shape of Dev-LSM bulk scans and compaction I/O.  With macro
+    events the kernel schedules one timeout per MACRO_MAX-chunk group
+    instead of one per chunk; events/sec here measures the whole pattern
+    (grant + burst), so the coalescing win shows up directly.
     """
     from ..device.pcie import BandwidthPipe, TrafficLedger
 

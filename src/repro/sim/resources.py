@@ -118,14 +118,14 @@ class PriorityRequest(Request):
 
 
 class PriorityResource(Resource):
-    """Resource whose queue is served lowest-priority-value first.
+    """One-slot resource whose queue is served lowest-priority-value first.
 
     Used for flush-over-compaction I/O scheduling (SILK-style priorities
     inside our device queues).
     """
 
-    def __init__(self, env: Environment, capacity: int = 1):
-        super().__init__(env, capacity)
+    def __init__(self, env: Environment):
+        super().__init__(env, 1)
         self._order = 0
 
     def request(self, priority: int = 0) -> PriorityRequest:  # type: ignore[override]

@@ -12,6 +12,7 @@ from helpers import run, small_device, small_options  # noqa: E402
 from repro.adoc import AdocDb, AdocTunerConfig  # noqa: E402
 from repro.adoc import tuner as tuner_mod  # noqa: E402
 from repro.device import CpuModel  # noqa: E402
+from repro.lsm import LsmOptions  # noqa: E402
 from repro.sim import Environment  # noqa: E402
 from repro.types import encode_key  # noqa: E402
 
@@ -94,12 +95,12 @@ def test_tuner_charges_monitor_cpu():
     db.close()
 
 
-def test_adoc_still_uses_slowdowns():
+def test_adoc_still_uses_slowdowns(monkeypatch):
     """The paper's point: ADOC falls back to slowdown as a last resort."""
+    monkeypatch.setattr(LsmOptions, "max_write_buffer_number", 8)
     env = Environment()
     opts = small_options(
         slowdown_enabled=True,
-        max_write_buffer_number=8,
         level0_file_num_compaction_trigger=2,
         level0_slowdown_writes_trigger=3,
         level0_stop_writes_trigger=6,

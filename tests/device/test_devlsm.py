@@ -21,7 +21,8 @@ from repro.device import (  # noqa: E402
 )
 from repro.obs import Tracer  # noqa: E402
 from repro.sim import Environment  # noqa: E402
-from repro.types import KIND_DELETE, KIND_PUT, encode_key, make_entry  # noqa: E402
+from repro.types import (  # noqa: E402
+    KIND_DELETE, KIND_PUT, encode_key, make_entry)
 
 
 def make_devlsm(env, memtable_bytes=4096, **cfg_kw):

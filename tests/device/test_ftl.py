@@ -158,7 +158,7 @@ def test_overwrite_whose_allocation_gcs_the_overwritten_page(seed):
     ``_p2l`` and a later GC wrote its stale PPN back over ``_l2p[lpn]``."""
     import random
     ftl = make_ftl(tiny_geometry(blocks_per_way=16), split_fraction=0.5,
-              op_fraction=0.2)
+                   op_fraction=0.2)
     rng = random.Random(seed)
     lpns = range(ftl.total_logical_pages)     # both regions
     live = {}
@@ -185,7 +185,7 @@ def _ftl_state(ftl):
 
 _batch_geometry = dict(blocks_per_way=16, pages_per_block=4)
 _batch_lpns = make_ftl(tiny_geometry(**_batch_geometry), split_fraction=0.5,
-                  op_fraction=0.2).total_logical_pages
+                       op_fraction=0.2).total_logical_pages
 _batch_ops = st.lists(
     st.tuples(st.sampled_from(["range", "list", "generator", "payload",
                                "trim"]),
@@ -198,8 +198,8 @@ def _drive_twins(ops):
     """Apply ``ops`` to a batched FTL and to a twin fed page by page;
     every returned PPN and all state must agree after every op."""
     def build():
-        return make_ftl(tiny_geometry(**_batch_geometry), split_fraction=0.5,
-                   op_fraction=0.2)
+        return make_ftl(tiny_geometry(**_batch_geometry),
+                        split_fraction=0.5, op_fraction=0.2)
 
     batched, scalar = build(), build()
     for i, (kind, start, length) in enumerate(ops):
@@ -248,7 +248,7 @@ def test_write_batch_equals_the_scalar_loop_through_gc(seed):
 def test_write_batch_crosses_blocks_regions_and_gc():
     """The cases the property test must reach, pinned one by one."""
     ftl = make_ftl(tiny_geometry(**_batch_geometry), split_fraction=0.5,
-              op_fraction=0.2)
+                   op_fraction=0.2)
     edge = ftl.disaggregation_point
     # 2 pages, then a run that straddles two block boundaries
     assert ftl.write_batch(range(0, 2)) == [0, 1]

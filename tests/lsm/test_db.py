@@ -9,7 +9,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from helpers import run, small_db, small_options  # noqa: E402
 
-from repro.lsm import WriteState  # noqa: E402
+from repro.lsm import LsmOptions, WriteState  # noqa: E402
 from repro.sim import Environment  # noqa: E402
 from repro.types import encode_key  # noqa: E402
 
@@ -153,13 +153,14 @@ def test_stall_books_record_under_pressure():
     assert wc.stall_intervals
 
 
-def test_slowdown_reduces_stalls_but_throttles():
+def test_slowdown_reduces_stalls_but_throttles(monkeypatch):
     # L0-pressure regime: plenty of memtable headroom, tight L0 triggers,
     # so stalls are the kind the slowdown mechanism anticipates.
+    monkeypatch.setattr(LsmOptions, "max_write_buffer_number", 8)
+
     def l0_opts(sl):
         return small_options(
             slowdown_enabled=sl,
-            max_write_buffer_number=8,
             level0_file_num_compaction_trigger=2,
             level0_slowdown_writes_trigger=3,
             level0_stop_writes_trigger=5,

@@ -9,7 +9,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from helpers import run, small_db, small_options  # noqa: E402
 
-from repro.lsm import SkipListMemTable  # noqa: E402
+from repro.lsm import LsmOptions, SkipListMemTable  # noqa: E402
 from repro.lsm.fs import FsError  # noqa: E402
 from repro.sim import Environment  # noqa: E402
 from repro.types import KIND_DELETE, encode_key, make_entry  # noqa: E402
@@ -134,16 +134,18 @@ def test_wait_for_quiesce_idempotent():
     assert not db.imm
 
 
-def test_get_survives_compaction_deleting_a_candidate_between_charged_reads():
+def test_get_survives_compaction_deleting_a_candidate_between_charged_reads(
+        monkeypatch):
     """A lookup walks the file list of the version it started on.  When a
     compaction installs and deletes a later candidate while an earlier
     charged read is in flight, the in-memory table still answers (RocksDB
     pins the version's files by refcount); only the I/O charge against the
     deleted file is skipped (``DbImpl._get_from_ssts``'s ``except
     FsError``)."""
+    monkeypatch.setattr(LsmOptions, "bloom_bits_per_key", 1)
     env = Environment()
     db, _, _ = small_db(env, small_options(
-        bloom_bits_per_key=1, level0_file_num_compaction_trigger=3))
+        level0_file_num_compaction_trigger=3))
 
     def l0_file(keys):
         def gen():

@@ -20,7 +20,6 @@ def test_defaults_are_rocksdb_like():
 
 @pytest.mark.parametrize("bad", [
     dict(write_buffer_size=0),
-    dict(max_write_buffer_number=1),
     dict(level0_file_num_compaction_trigger=0),
     dict(level0_slowdown_writes_trigger=50),   # > stop trigger
     dict(soft_pending_compaction_bytes_limit=32 * 1024 * MiB,

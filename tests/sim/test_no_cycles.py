@@ -99,7 +99,7 @@ def _resource_handoff() -> Environment:
 
 def _priority_handoff() -> Environment:
     env = Environment()
-    res = PriorityResource(env, capacity=1)
+    res = PriorityResource(env)
 
     def worker(prio):
         for _ in range(50):

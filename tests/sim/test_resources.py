@@ -97,7 +97,7 @@ def test_double_release_is_noop():
 
 def test_priority_resource_orders_by_priority():
     env = Environment()
-    res = PriorityResource(env, capacity=1)
+    res = PriorityResource(env)
     order = []
 
     def holder():

@@ -70,7 +70,7 @@ def test_hot_class_instances_have_no_dict(cls):
     elif cls is resources.Request:
         obj = resources.Resource(env, capacity=1).request()
     elif cls is resources.PriorityRequest:
-        obj = resources.PriorityResource(env, capacity=1).request(priority=1)
+        obj = resources.PriorityResource(env).request(priority=1)
     elif cls is core._MultiEvent:
         obj = core._MultiEvent(env, [env.event()])
     elif cls is core._ProcessResume:
