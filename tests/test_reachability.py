@@ -25,9 +25,9 @@ tests, so it should be a constant.  "Set" means a keyword at a call
 (``replace()`` included), a string key of a dict literal, an attribute
 store or a ``setattr`` with a literal name.  That match is by name too: a
 field that shares its name with a setting code sets elsewhere
-(``key_size``, ``batch``) stays hidden, and only the value audit in
-``.claude/skills/verify/SKILL.md`` finds it.  Fields kept on purpose sit
-in ``SETTINGS_KEEP``.
+(``key_size``, ``batch``) stays hidden; only recording the values each
+setting takes over the runs outside the tests finds it.  Fields kept on
+purpose sit in ``SETTINGS_KEEP``.
 """
 
 from __future__ import annotations
