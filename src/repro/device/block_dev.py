@@ -91,5 +91,4 @@ class BlockDevice:
 
     def trim(self, offset: int, nbytes: int) -> None:
         """Discard an extent (file deletion punches holes here)."""
-        for lpn in self._pages(offset, nbytes):
-            self.ftl.trim(lpn)
+        self.ftl.trim(self._pages(offset, nbytes))

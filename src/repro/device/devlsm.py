@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Generator, Optional
+from typing import Generator, Iterator, Optional
 
 from ..sim import Environment
 from ..types import Entry, entry_size
@@ -210,7 +210,8 @@ class DevLsm:
                   largest=entries[-1][0], nbytes=nbytes)
         # Map pages in the KV region and charge NAND program + ARM copy.
         pages = max(1, -(-nbytes // self.page_size))
-        self.ftl.write_batch(self._alloc_lpn() for _ in range(pages))
+        for lpns in self._alloc_lpns(pages):
+            self.ftl.write_batch(lpns)
         yield from self.arm.consume(nbytes * ARM_BYTE_COST,
                                     tag="devlsm.flush")
         yield from self.nand.io("program", nbytes)
@@ -231,13 +232,16 @@ class DevLsm:
                 and len(self.runs) >= COMPACTION_TRIGGER_RUNS):
             yield from self._compact()
 
-    def _alloc_lpn(self) -> int:
-        """Next LPN of ``lpns``, sequential from its start and wrapping at
-        its end."""
+    def _alloc_lpns(self, pages: int) -> Iterator[range]:
+        """The next ``pages`` LPNs of ``lpns`` as contiguous ranges,
+        sequential from its start and wrapping at its end."""
         lpns = self.lpns
-        lpn = lpns.start + self._lpns_allocated % len(lpns)
-        self._lpns_allocated += 1
-        return lpn
+        while pages:
+            first = self._lpns_allocated % len(lpns)
+            run = lpns[first:first + pages]
+            self._lpns_allocated += len(run)
+            pages -= len(run)
+            yield run
 
     def _compact(self) -> Generator:
         """Merge all runs into one (device-internal, NAND + ARM only)."""
@@ -363,10 +367,9 @@ class DevLsm:
         self._memtable = {}
         self._memtable_bytes = 0
         self.runs = []
-        # Trim exactly the LPNs handed out since the last reset, ascending:
-        # a prefix of ``lpns``, or all of it once allocation wrapped.
-        for lpn in self.lpns[:self._lpns_allocated]:
-            self.ftl.trim(lpn)
+        # Trim exactly the LPNs handed out since the last reset: a prefix
+        # of ``lpns``, or all of it once allocation wrapped.
+        self.ftl.trim(self.lpns[:self._lpns_allocated])
         self._lpns_allocated = 0
 
 

@@ -6,14 +6,18 @@ key-value region (Dev-LSM).  The FTL maps each region's logical pages onto
 physical pages drawn from disjoint block pools, so "there are no issues of
 overlapping logical NAND pages between the two interfaces".
 
-This FTL is functional: it tracks logical->physical maps, page validity,
-per-region free-block pools, and performs greedy garbage collection when a
-region runs out of free blocks.  Data payloads are optional (tests use
-them; the large simulations map metadata only).
+This FTL is functional: it tracks the logical->physical map, page
+validity, per-region free-block pools, and performs greedy garbage
+collection when a region runs out of free blocks.  Mapping is page-granular,
+but the map is stored as runs: one record per run of logical pages mapped to
+contiguous physical pages, which is what SST and WAL writes program.  Data
+payloads are optional (tests use them; the large simulations map metadata
+only).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -80,9 +84,15 @@ class Ftl:
                          free_blocks=all_blocks[block_phys:]),
         }
 
-        self._l2p: dict[int, int] = {}
-        self._p2l: dict[int, int] = {}  # valid physical page -> owning lpn
-        self._data: dict[int, Any] = {}
+        # The logical->physical map as sorted, disjoint, maximal runs: run
+        # ``i`` maps LPNs ``[_starts[i], _starts[i] + _lens[i])`` onto the
+        # PPNs from ``_ppns[i]`` on.  Two runs that touch in both spaces are
+        # always one run.
+        self._starts: list[int] = []
+        self._lens: list[int] = []
+        self._ppns: list[int] = []
+        self._mapped = 0                        # pages the runs cover
+        self._data: dict[int, Any] = {}         # payloads, by LPN
         self.gc_stats = {"block": GcStats(), "kv": GcStats()}
 
         # Wear / reliability bookkeeping for the NAND error model
@@ -107,7 +117,7 @@ class Ftl:
         divergent program, erase, GC move or block retirement.
         """
         return {
-            "mapped": len(self._l2p),
+            "mapped": self._mapped,
             "programs": sum(self.program_counts.values()),
             "erases": sum(self.erase_counts.values()),
             "retired": sorted(self.retired_blocks),
@@ -135,6 +145,60 @@ class Ftl:
             return self.regions[name]
         except KeyError:
             raise FtlError(f"unknown region {name!r}") from None
+
+    # -- the run map ---------------------------------------------------------
+    def _lookup(self, lpn: int) -> int:
+        """PPN mapped at ``lpn``, or ``_INVALID``."""
+        i = bisect_right(self._starts, lpn) - 1
+        if i >= 0 and lpn - self._starts[i] < self._lens[i]:
+            return self._ppns[i] + lpn - self._starts[i]
+        return _INVALID
+
+    def _unmap(self, lo: int, hi: int) -> int:
+        """Unmap LPNs ``[lo, hi)``; returns the index a run starting at
+        ``lo`` would take."""
+        starts, lens, ppns = self._starts, self._lens, self._ppns
+        i = bisect_right(starts, lo) - 1
+        if i < 0 or starts[i] + lens[i] <= lo:
+            i += 1                      # first run that ends after lo
+        k = bisect_left(starts, hi, i)  # runs [i, k) overlap [lo, hi)
+        if i == k:
+            return i
+        head = starts[i] < lo
+        keep_s, keep_l, keep_p = [], [], []
+        if head:                        # the head of the first run stays
+            keep_s.append(starts[i])
+            keep_l.append(lo - starts[i])
+            keep_p.append(ppns[i])
+        end = starts[k - 1] + lens[k - 1]
+        if end > hi:                    # the tail of the last run stays
+            keep_s.append(hi)
+            keep_l.append(end - hi)
+            keep_p.append(ppns[k - 1] + hi - starts[k - 1])
+        self._mapped -= sum(lens[i:k]) - sum(keep_l)
+        starts[i:k] = keep_s
+        lens[i:k] = keep_l
+        ppns[i:k] = keep_p
+        return i + head
+
+    def _map(self, lpn: int, ppn: int, count: int) -> None:
+        """Map LPNs ``[lpn, lpn + count)`` onto PPNs from ``ppn`` on."""
+        i = self._unmap(lpn, lpn + count)
+        starts, lens, ppns = self._starts, self._lens, self._ppns
+        self._mapped += count
+        if i and starts[i - 1] + lens[i - 1] == lpn and (
+                ppns[i - 1] + lens[i - 1] == ppn):
+            i -= 1
+            lens[i] += count
+        else:
+            starts.insert(i, lpn)
+            lens.insert(i, count)
+            ppns.insert(i, ppn)
+        j = i + 1
+        if j < len(starts) and starts[j] == starts[i] + lens[i] and (
+                ppns[j] == ppns[i] + lens[i]):
+            lens[i] += lens[j]
+            del starts[j], lens[j], ppns[j]
 
     # -- allocation --------------------------------------------------------
     def _alloc_ppn(self, region: Region) -> int:
@@ -168,17 +232,14 @@ class Ftl:
     def write(self, lpn: int, data: Any = None) -> int:
         """Map ``lpn`` to a fresh physical page; returns the PPN."""
         region = self.region_of(lpn)
-        ppn = self._alloc_ppn(region)
-        # Looked up after the allocation: a GC it triggered may have moved
+        # Allocate before unmapping: a GC the allocation triggers may move
         # the very page being overwritten, and that copy must be unmapped.
-        old = self._l2p.get(lpn, _INVALID)
-        if old != _INVALID:
-            self._p2l.pop(old, None)
-            self._data.pop(old, None)
-        self._l2p[lpn] = ppn
-        self._p2l[ppn] = lpn
+        ppn = self._alloc_ppn(region)
+        self._map(lpn, ppn, 1)
         if data is not None:
-            self._data[ppn] = data
+            self._data[lpn] = data
+        elif self._data:
+            self._data.pop(lpn, None)
         return ppn
 
     def write_batch(self, lpns: Iterable[int]) -> list[int]:
@@ -190,18 +251,18 @@ class Ftl:
         counters, same ``state_digest`` — so batching call sites cannot
         perturb golden trajectories.
 
-        A contiguous ``range`` (what the block interface passes) resolves
-        its region once and maps each run that fits the open block in bulk;
-        :meth:`write` takes over page by page wherever it could do more
-        than map: at a block boundary (new block, GC), past the region's
-        edge, and for any other iterable.
+        A contiguous ``range`` (what the block interface and the Dev-LSM
+        pass) resolves its region once and maps each run that fits the open
+        block as one run; :meth:`write` takes over page by page wherever it
+        could do more than map: at a block boundary (new block, GC), past
+        the region's edge, and for any other iterable.
         """
         if not isinstance(lpns, range) or lpns.step != 1 or not lpns:
             return [self.write(lpn) for lpn in lpns]
         region = self.region_of(lpns.start)
         edge = min(lpns.stop, region.lpn_start + region.lpn_count)
         per_block = self.geometry.pages_per_block
-        l2p, p2l, data = self._l2p, self._p2l, self._data
+        data = self._data
         ppns: list[int] = []
         lpn = lpns.start
         while lpn < edge:
@@ -212,42 +273,43 @@ class Ftl:
                 lpn += 1
                 continue
             count = min(per_block - used, edge - lpn)
-            run = range(lpn, lpn + count)
             first = blk * per_block + used
-            new = range(first, first + count)
-            for old in [l2p[l] for l in run if l in l2p]:
-                p2l.pop(old, None)
-                data.pop(old, None)
-            l2p.update(zip(run, new))
-            p2l.update(zip(new, run))
+            self._map(lpn, first, count)
+            if data:
+                for l in range(lpn, lpn + count):
+                    data.pop(l, None)
             region.next_page_in_block = used + count
             self.program_counts[blk] = self.program_counts.get(blk, 0) + count
             self.last_programmed_block = blk
-            ppns.extend(new)
+            ppns.extend(range(first, first + count))
             lpn += count
         ppns.extend(map(self.write, range(edge, lpns.stop)))
         return ppns
 
     def read(self, lpn: int) -> Any:
         """Return the payload at ``lpn`` (None if written without payload)."""
-        ppn = self._l2p.get(lpn, _INVALID)
-        if ppn == _INVALID:
+        if self._lookup(lpn) == _INVALID:
             raise FtlError(f"LPN {lpn} unmapped")
-        return self._data.get(ppn)
+        return self._data.get(lpn)
 
     def is_mapped(self, lpn: int) -> bool:
-        return lpn in self._l2p
+        return self._lookup(lpn) != _INVALID
 
-    def trim(self, lpn: int) -> None:
-        """Unmap a logical page (discard)."""
-        ppn = self._l2p.pop(lpn, _INVALID)
-        if ppn != _INVALID:
-            self._p2l.pop(ppn, None)
-            self._data.pop(ppn, None)
+    def trim(self, lpns: range) -> None:
+        """Unmap a contiguous range of logical pages (discard); pages that
+        are not mapped are skipped."""
+        if not lpns:
+            return
+        self._unmap(lpns.start, lpns.stop)
+        if self._data:
+            for lpn in lpns:
+                self._data.pop(lpn, None)
 
     def mapped_pages(self, region_name: str) -> int:
         region = self.region(region_name)
-        return sum(1 for lpn in self._l2p if region.contains(lpn))
+        lo, hi = region.lpn_start, region.lpn_start + region.lpn_count
+        return sum(max(0, min(s + n, hi) - max(s, lo))
+                   for s, n in zip(self._starts, self._lens))
 
     # -- reliability ------------------------------------------------------------
     def retire_block(self, block: int) -> None:
@@ -271,20 +333,26 @@ class Ftl:
         return self.erase_counts.get(block, 0)
 
     # -- garbage collection ----------------------------------------------------
-    def _valid_pages_by_block(self, region: Region) -> dict[int, list[int]]:
-        g = self.geometry
-        out: dict[int, list[int]] = {b: [] for b in region.used_blocks}
-        for ppn, lpn in self._p2l.items():
-            if region.contains(lpn):
-                out.setdefault(ppn // g.pages_per_block, []).append(ppn)
+    def _valid_pages_by_block(self, region: Region) -> dict[int, list]:
+        """Valid ``(ppn, lpn)`` pages of ``region`` per block, ascending."""
+        per_block = self.geometry.pages_per_block
+        lo, hi = region.lpn_start, region.lpn_start + region.lpn_count
+        out: dict[int, list] = {b: [] for b in region.used_blocks}
+        for start, n, ppn in zip(self._starts, self._lens, self._ppns):
+            for lpn in range(max(start, lo), min(start + n, hi)):
+                p = ppn + lpn - start
+                out.setdefault(p // per_block, []).append((p, lpn))
+        for pages in out.values():
+            pages.sort()
         return out
 
     def _collect(self, region: Region) -> None:
         """Greedy GC: erase the block with the fewest valid pages.
 
-        Valid pages are copied forward.  This is metadata-only; callers
-        model GC I/O time if they care (our simulations size regions so GC
-        stays rare, matching the paper's 600 s runs on a 1 TB device).
+        Valid pages are copied forward in ascending PPN order.  This is
+        metadata-only; callers model GC I/O time if they care (our
+        simulations size regions so GC stays rare, matching the paper's
+        600 s runs on a 1 TB device).
         """
         stats = self.gc_stats[region.name]
         stats.invocations += 1
@@ -304,17 +372,10 @@ class Ftl:
         self.erase_counts[victim] = self.erase_counts.get(victim, 0) + 1
         self.last_erased_block = victim
         # Detach valid pages first so their copies cannot land on the victim.
-        moved = []
-        for ppn in valid:
-            lpn = self._p2l.pop(ppn)
-            moved.append((lpn, self._data.pop(ppn, None)))
-            self._l2p.pop(lpn, None)
+        for _ppn, lpn in valid:
+            self._unmap(lpn, lpn + 1)
         if victim not in self.retired_blocks:
             region.free_blocks.append(victim)
-        for lpn, data in moved:
-            new_ppn = self._alloc_ppn(region)
-            self._l2p[lpn] = new_ppn
-            self._p2l[new_ppn] = lpn
-            if data is not None:
-                self._data[new_ppn] = data
+        for _ppn, lpn in valid:
+            self._map(lpn, self._alloc_ppn(region), 1)
             stats.pages_moved += 1

@@ -422,21 +422,33 @@ class DbImpl:
     # ------------------------------------------------------------------ compaction
     def _compaction_scheduler(self):
         while not self._closed:
-            while self._active_compactions < self.options.max_background_compactions:
-                if self.background_error is not None:
-                    break   # read-only mode: no new background work
-                job = self.picker.pick(self.versions.current)
-                if job is None:
-                    break
-                for f in job.all_inputs:
-                    f.being_compacted = True
-                self._active_compactions += 1
-                proc = self.env.process(self._compaction_entry(job),
-                                        name=f"{self.name}.compact-L{job.level}")
-                self._inflight_compactions[proc] = job
+            while (self._active_compactions
+                   < self.options.max_background_compactions
+                   and self._start_compaction()):
+                pass
             self._bg_wake = self.env.event()
             yield self._bg_wake
             self._bg_wake = None
+
+    def _start_compaction(self) -> bool:
+        """Pick and launch one compaction; False when there is none to run.
+
+        A method of its own so that the scheduler's frame, which lives as
+        long as the DB, holds no job (and with it no input table) between
+        picks.
+        """
+        if self.background_error is not None:
+            return False    # read-only mode: no new background work
+        job = self.picker.pick(self.versions.current)
+        if job is None:
+            return False
+        for f in job.all_inputs:
+            f.being_compacted = True
+        self._active_compactions += 1
+        proc = self.env.process(self._compaction_entry(job),
+                                name=f"{self.name}.compact-L{job.level}")
+        self._inflight_compactions[proc] = job
+        return True
 
     def _compaction_entry(self, job: CompactionJob):
         try:

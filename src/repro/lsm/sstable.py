@@ -10,6 +10,7 @@ charge the device model.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from itertools import islice
 from operator import itemgetter, lt
@@ -59,17 +60,21 @@ class SSTable:
         # Size every entry once, then partition into blocks by byte budget.
         if sizes is None:
             sizes = list(map(entry_size, self.entries))
-        self._block_starts: list[int] = [0]  # entry index where block begins
-        self._block_bytes: list[int] = []
+        # Entry index where each block begins, and each block's bytes: int
+        # arrays, because 4 KB values in 4 KB blocks make one block per
+        # entry.  A block's first key is read from ``entries``.
+        starts = array("q", [0])
+        block_bytes = array("q")
         cur = 0
         for i, sz in enumerate(sizes):
             if cur and cur + sz > block_size:
-                self._block_starts.append(i)
-                self._block_bytes.append(cur)
+                starts.append(i)
+                block_bytes.append(cur)
                 cur = 0
             cur += sz
-        self._block_bytes.append(cur)
-        self._block_first_keys = [keys[i] for i in self._block_starts]
+        block_bytes.append(cur)
+        self._block_starts = starts
+        self._block_bytes = block_bytes
 
         self.data_bytes = sum(self._block_bytes)
         # The filter's size depends on the key count alone; its bits are
@@ -101,10 +106,6 @@ class SSTable:
         return not (self.largest < smallest or largest < self.smallest)
 
     # -- reads -----------------------------------------------------------
-    def _block_for(self, key: bytes) -> int:
-        """Index of the block that could hold ``key`` (-1 if before all)."""
-        return bisect_right(self._block_first_keys, key) - 1
-
     def probe(self, key: bytes,
               kh: Optional[tuple[int, int]] = None) -> ProbeResult:
         """Point lookup with cost accounting.
@@ -121,16 +122,13 @@ class SSTable:
         if not bloom.may_contain_hash(
                 kh if kh is not None else key_hash(key)):
             return _FILTERED
-        b = self._block_for(key)
-        if b < 0:
-            return _OUT_OF_RANGE
-        cost = self._block_bytes[b]
-        start = self._block_starts[b]
-        end = (self._block_starts[b + 1] if b + 1 < len(self._block_starts)
-               else len(self.entries))
-        lo = bisect_left(self.entries, key, start, end, key=_key)
-        if lo < end and self.entries[lo][0] == key:
-            return ProbeResult(self.entries[lo], cost)
+        # The last entry at or before ``key`` lies in the block that could
+        # hold it, since blocks are runs of consecutive entries.
+        entries = self.entries
+        i = bisect_right(entries, key, key=_key) - 1
+        cost = self._block_bytes[bisect_right(self._block_starts, i) - 1]
+        if entries[i][0] == key:
+            return ProbeResult(entries[i], cost)
         return ProbeResult(None, cost)
 
     def lower_bound(self, key: bytes) -> int:

@@ -15,12 +15,13 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Generator, Optional
+from typing import Generator, NamedTuple, Optional
 
 from .options import LsmOptions
 from .sstable import SSTable
 
-__all__ = ["FileMetadata", "VersionEdit", "Version", "VersionSet"]
+__all__ = ["FileMetadata", "FileRecord", "VersionEdit", "Version",
+           "VersionSet"]
 
 _smallest = attrgetter("smallest")
 _largest = attrgetter("largest")
@@ -43,11 +44,28 @@ class FileMetadata:
         self.file_bytes: int = self.table.file_bytes
 
 
+class FileRecord(NamedTuple):
+    """What a MANIFEST record holds for one file (RocksDB's
+    ``FileMetaData`` minus the table): everything :meth:`Version.apply`
+    reads, and no reference that would keep a deleted table alive."""
+
+    number: int
+    level: int
+    smallest: bytes
+    largest: bytes
+    file_bytes: int
+
+
+def _record(meta) -> FileRecord:
+    return FileRecord(meta.number, meta.level, meta.smallest, meta.largest,
+                      meta.file_bytes)
+
+
 @dataclass
 class VersionEdit:
     """A delta applied atomically: files added and files removed."""
 
-    added: list = field(default_factory=list)    # FileMetadata
+    added: list = field(default_factory=list)    # FileMetadata or FileRecord
     removed: list = field(default_factory=list)  # (level, file_number)
     reason: str = ""
 
@@ -255,9 +273,9 @@ class VersionSet:
         self._manifest = None
         if fs is not None:
             self._manifest = fs.create("MANIFEST-000001")
-        self.edit_count = 0
         # The durable edit journal (what the MANIFEST file contains); crash
         # recovery replays it to prove the version state is reconstructible.
+        # Its edits hold FileRecords, so a compacted-away table is freed.
         self.manifest_journal: list[VersionEdit] = []
 
     def new_file_number(self) -> int:
@@ -280,20 +298,22 @@ class VersionSet:
         """Install an edit in memory, without manifest I/O (the second half
         of :meth:`log_and_apply`; tests and bootstrap call it directly)."""
         self.current = self.current.apply(edit)
-        self.edit_count += 1
-        self.manifest_journal.append(edit)
+        self.manifest_journal.append(VersionEdit(
+            [_record(meta) for meta in edit.added], edit.removed,
+            edit.reason))
 
     def rebuild_from_journal(self) -> Version:
         """Replay the manifest journal from scratch (crash recovery).
 
-        Returns the reconstructed version; raises if replay diverges from
-        the in-memory current version (would indicate a lost update).
+        Returns the reconstructed version, whose files are
+        :class:`FileRecord` s; raises if replay diverges from the in-memory
+        current version in any record field (would indicate a lost update).
         """
         replayed = Version(self.options.num_levels)
         for edit in self.manifest_journal:
             replayed = replayed.apply(edit)
-        got = [[f.number for f in lvl] for lvl in replayed.levels]
-        want = [[f.number for f in lvl] for lvl in self.current.levels]
+        got = [list(lvl) for lvl in replayed.levels]
+        want = [list(map(_record, lvl)) for lvl in self.current.levels]
         if got != want:
             raise AssertionError(
                 f"manifest replay diverged: {got} != {want}")

@@ -29,6 +29,7 @@ cell; ``tests/sim/test_no_cycles.py`` holds the contract on the
 
 from __future__ import annotations
 
+import resource
 import time
 from typing import Callable, Optional
 
@@ -255,8 +256,10 @@ def profile_cell(profile_name: str) -> dict:
     regressions without a 600 s run).
 
     Runs the cell through the real runner with the kernel self-profiler on
-    and returns ``{"spec", "wall_s", "events", "profile"}`` — the profile
-    in the same dict shape the microbenchmarks produce.
+    and returns ``{"spec", "wall_s", "events", "peak_rss_mb", "profile"}``
+    — the profile in the same dict shape the microbenchmarks produce.
+    ``peak_rss_mb`` is the process's ``ru_maxrss`` after the cell: the
+    cell's own peak unless something earlier in the process used more.
     """
     from ..bench.profiles import get_profile
     from ..bench.runner import RunSpec, run_workload
@@ -269,6 +272,9 @@ def profile_cell(profile_name: str) -> dict:
         "spec": f"kvaccel/A ({profile_name})",
         "wall_s": float(wall),
         "events": int(result.extra.get("events_processed", 0)),
+        # Linux reports ru_maxrss in KiB.
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        / 1024,
         "profile": result.extra["kernel_profile"],
     }
 

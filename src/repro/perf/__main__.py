@@ -53,11 +53,15 @@ def _profile_main(argv) -> int:
                         help="write the raw kernel profile as JSON")
     args = parser.parse_args(argv)
 
+    doc = {"schema": "repro-kernel-profile", "version": 1,
+           "target": args.target}
     if args.target in _CELL_TARGETS:
         out = profile_cell(_CELL_TARGETS[args.target])
         prof = out["profile"]
+        doc["peak_rss_mb"] = out["peak_rss_mb"]
         print(f"kernel profile: cell {out['spec']} "
-              f"({out['events']:,d} events in {out['wall_s']:.2f}s)")
+              f"({out['events']:,d} events in {out['wall_s']:.2f}s, "
+              f"peak RSS {out['peak_rss_mb']:.1f} MiB)")
     else:
         r = profile_kernel_bench(args.target)
         prof = r.profile
@@ -68,8 +72,7 @@ def _profile_main(argv) -> int:
     if args.json_out:
         path = Path(args.json_out)
         path.parent.mkdir(parents=True, exist_ok=True)
-        doc = {"schema": "repro-kernel-profile", "version": 1,
-               "target": args.target, "profile": prof}
+        doc["profile"] = prof
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         print(f"\nwrote {path}")
     return 0

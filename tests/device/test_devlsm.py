@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from helpers import make_ftl  # noqa: E402
+from helpers import ftl_map, make_ftl  # noqa: E402
 
 from repro.device import (  # noqa: E402
     CpuModel,
@@ -188,17 +188,19 @@ def _full_range_reset(ftl):
     region = ftl.region("kv")
     for lpn in range(region.lpn_start, region.lpn_start + region.lpn_count):
         if ftl.is_mapped(lpn):
-            ftl.trim(lpn)
+            ftl.trim(range(lpn, lpn + 1))
 
 
 def _ftl_maps(ftl):
-    return dict(ftl._l2p), dict(ftl._p2l), ftl.state_digest()
+    mapping = ftl_map(ftl)
+    assert len(set(mapping.values())) == len(mapping)   # no PPN twice
+    return mapping, ftl.state_digest()
 
 
 @pytest.mark.parametrize("rounds, puts", [(1, 40), (3, 25), (2, 400)])
 def test_reset_leaves_ftl_as_the_full_range_walk_does(rounds, puts):
     """``reset`` trims only the LPNs it handed out; the FTL must end up
-    exactly as after probing the whole region — also once ``_alloc_lpn``
+    exactly as after probing the whole region — also once ``_alloc_lpns``
     has wrapped past the region's end (the 400-put round: 16-page KV
     blocks, ~110 KV LPNs, one page per flushed run)."""
     def build():

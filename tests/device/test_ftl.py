@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from helpers import make_ftl  # noqa: E402
+from ftl_reference import ReferenceFtl  # noqa: E402
+from helpers import ftl_map, make_ftl  # noqa: E402
 
 from repro.device import Ftl, FtlError, NandGeometry  # noqa: E402
 
@@ -61,9 +62,24 @@ def test_out_of_range_lpn_raises():
 def test_trim_unmaps():
     ftl = Ftl(tiny_geometry())
     ftl.write(5, data=b"x")
-    ftl.trim(5)
+    ftl.trim(range(5, 6))
     assert not ftl.is_mapped(5)
-    ftl.trim(5)  # idempotent
+    ftl.trim(range(5, 6))  # idempotent
+
+
+def test_trim_splits_runs_and_a_rewrite_joins_them():
+    ftl = Ftl(tiny_geometry(blocks_per_way=16))
+    ftl.write_batch(range(0, 10))             # one run over three blocks
+    assert (ftl._starts, ftl._lens, ftl._ppns) == ([0], [10], [0])
+    ftl.trim(range(3, 5))
+    assert ftl_map(ftl) == {l: l for l in [0, 1, 2, 5, 6, 7, 8, 9]}
+    assert (ftl._starts, ftl._lens, ftl._ppns) == ([0, 5], [3, 5], [0, 5])
+    ftl.trim(range(20, 20))                   # empty: nothing moves
+    ftl.trim(range(0, 3))
+    assert ftl.mapped_pages("block") == 5
+    # rewriting the tail remaps it onto fresh pages, as one run again
+    assert ftl.write_batch(range(5, 10)) == list(range(10, 15))
+    assert (ftl._starts, ftl._lens, ftl._ppns) == ([5], [5], [10])
 
 
 def test_regions_use_disjoint_physical_blocks():
@@ -141,10 +157,12 @@ def test_unknown_region_raises():
 
 # -- GC while overwriting ------------------------------------------------------
 def _check_ftl_invariants(ftl, live):
-    """Maps are inverse bijections and every live LPN reads its latest."""
-    assert {ppn: lpn for lpn, ppn in ftl._l2p.items()} == ftl._p2l
-    assert set(ftl._l2p) == set(live)
-    assert set(ftl._data) <= set(ftl._p2l)
+    """One PPN per LPN and no PPN twice (the map has an inverse), only
+    live LPNs mapped, and every live LPN reads its latest."""
+    mapping = ftl_map(ftl)
+    assert len(set(mapping.values())) == len(mapping)
+    assert set(mapping) == set(live)
+    assert set(ftl._data) <= set(mapping)
     for lpn, data in live.items():
         assert ftl.read(lpn) == data
     for name, region in ftl.regions.items():
@@ -155,81 +173,110 @@ def _check_ftl_invariants(ftl, live):
 def test_overwrite_whose_allocation_gcs_the_overwritten_page(seed):
     """``write`` used to look the old PPN up *before* allocating: when the
     allocation's GC relocated that very page, the relocated copy stayed in
-    ``_p2l`` and a later GC wrote its stale PPN back over ``_l2p[lpn]``."""
+    the reverse map and a later GC wrote its stale PPN back over the
+    LPN's mapping."""
     import random
-    ftl = make_ftl(tiny_geometry(blocks_per_way=16), split_fraction=0.5,
-                   op_fraction=0.2)
+    ftl, ref = (make_ftl(tiny_geometry(blocks_per_way=16), split_fraction=0.5,
+                         op_fraction=0.2, cls=cls)
+                for cls in (Ftl, ReferenceFtl))
     rng = random.Random(seed)
     lpns = range(ftl.total_logical_pages)     # both regions
     live = {}
     for i in range(600):
         lpn = rng.choice(lpns)
         if rng.random() < 0.1:
-            ftl.trim(lpn)
+            ftl.trim(range(lpn, lpn + 1))
+            ref.trim(range(lpn, lpn + 1))
             live.pop(lpn, None)
         else:
             live[lpn] = (lpn, i)
-            ftl.write(lpn, data=live[lpn])
+            assert ftl.write(lpn, data=live[lpn]) == ref.write(lpn, live[lpn])
         _check_ftl_invariants(ftl, live)
+        assert ftl_map(ftl) == ref.l2p
     assert all(s.pages_moved > 0 for s in ftl.gc_stats.values())
 
 
-# -- write_batch(range) is the per-page loop ---------------------------------
-def _ftl_state(ftl):
-    # Item lists, not dicts: GC walks ``_p2l`` in insertion order, so the
-    # order is part of the state that decides later allocations.
-    return (list(ftl._l2p.items()), list(ftl._p2l.items()),
-            sorted(ftl._data.items()), ftl.program_counts,
-            ftl.last_programmed_block, ftl.gc_stats, ftl.state_digest())
+# -- the run map is the page-dict reference ----------------------------------
+def _assert_same(ftl, ref, intact=True):
+    """Every answer and all state of the FTL equal the reference's.
+    ``intact``: no operation has failed part-way (a failed GC move may
+    leave a payload behind an unmapped LPN, where no read can reach it)."""
+    mapping = ftl_map(ftl)
+    assert mapping == ref.l2p
+    assert len(set(mapping.values())) == len(mapping)
+    if intact:
+        assert set(ftl._data) <= set(mapping)
+    for lpn in range(ftl.total_logical_pages):
+        assert ftl.is_mapped(lpn) == ref.is_mapped(lpn)
+        if ref.is_mapped(lpn):
+            assert ftl.read(lpn) == ref.read(lpn)
+        else:
+            with pytest.raises(FtlError):
+                ftl.read(lpn)
+    for name in ftl.regions:
+        assert ftl.mapped_pages(name) == ref.mapped_pages(name)
+    assert ftl.state_digest() == ref.state_digest()
+    assert ftl.regions == ref.regions
+    assert ftl.gc_stats == ref.gc_stats
+    assert ftl.program_counts == ref.program_counts
+    assert ftl.erase_counts == ref.erase_counts
+    assert ftl.retired_blocks == ref.retired_blocks
 
 
 _batch_geometry = dict(blocks_per_way=16, pages_per_block=4)
 _batch_lpns = make_ftl(tiny_geometry(**_batch_geometry), split_fraction=0.5,
                        op_fraction=0.2).total_logical_pages
 _batch_ops = st.lists(
-    st.tuples(st.sampled_from(["range", "list", "generator", "payload",
-                               "trim"]),
+    st.tuples(st.sampled_from(["range"] * 3 + ["list", "generator",
+                                                "payload", "trim", "retire"]),
               st.integers(0, _batch_lpns - 1),      # start: any block offset
               st.integers(1, 12)),                  # 1..3x pages_per_block
     min_size=1, max_size=60)
 
 
 def _drive_twins(ops):
-    """Apply ``ops`` to a batched FTL and to a twin fed page by page;
-    every returned PPN and all state must agree after every op."""
-    def build():
-        return make_ftl(tiny_geometry(**_batch_geometry),
-                        split_fraction=0.5, op_fraction=0.2)
-
-    batched, scalar = build(), build()
+    """Apply ``ops`` to the FTL and to the page-dict reference, whose
+    ``write_batch`` is the per-page loop; every returned PPN, every error
+    and all state must agree after every op."""
+    ftl, ref = (make_ftl(tiny_geometry(**_batch_geometry), split_fraction=0.5,
+                         op_fraction=0.2, cls=cls)
+                for cls in (Ftl, ReferenceFtl))
+    intact = True
     for i, (kind, start, length) in enumerate(ops):
         lpns = range(start, min(start + length, _batch_lpns))
         if kind == "trim":
-            for lpn in lpns:
-                batched.trim(lpn)
-                scalar.trim(lpn)
-        elif kind == "payload":
-            for lpn in lpns:
-                assert (batched.write(lpn, data=(lpn, i))
-                        == scalar.write(lpn, data=(lpn, i)))
+            ftl.trim(lpns)
+            ref.trim(lpns)
+        elif kind == "retire":
+            block = start % ftl.geometry.total_blocks
+            ftl.retire_block(block)
+            ref.retire_block(block)
         else:
-            arg = {"range": lpns, "list": list(lpns),
-                   "generator": (lpn for lpn in lpns)}[kind]
-            assert batched.write_batch(arg) == [scalar.write(lpn)
-                                                for lpn in lpns]
-        assert _ftl_state(batched) == _ftl_state(scalar)
-        assert ({ppn: lpn for lpn, ppn in batched._l2p.items()}
-                == batched._p2l)
-        assert set(batched._data) <= set(batched._p2l)
-    return batched
+            outcome = []
+            for twin in (ftl, ref):
+                try:
+                    if kind == "payload":
+                        got = [twin.write(lpn, data=(lpn, i)) for lpn in lpns]
+                    else:
+                        arg = {"range": lpns, "list": list(lpns),
+                               "generator": (lpn for lpn in lpns)}[kind]
+                        got = twin.write_batch(arg)
+                except FtlError as exc:
+                    got = str(exc)
+                outcome.append(got)
+            assert outcome[0] == outcome[1]
+            intact = intact and not isinstance(outcome[0], str)
+        _assert_same(ftl, ref, intact)
+    return ftl
 
 
 @settings(max_examples=150, deadline=None)
 @given(_batch_ops)
 def test_write_batch_equals_the_scalar_loop_on_a_twin(ops):
-    """Runs of 1-3 blocks from any offset, over mapped pages, over pages
-    that carry payloads, across the disaggregation point, as a range, a
-    list or a generator."""
+    """The reference model as the twin: runs of 1-3 blocks from any offset,
+    over mapped pages, over pages that carry payloads, across the
+    disaggregation point, as a range, a list or a generator, between
+    range trims and grown bad blocks."""
     _drive_twins(ops)
 
 
@@ -257,8 +304,8 @@ def test_write_batch_crosses_blocks_regions_and_gc():
     # a payload page loses its data when a batch overwrites it
     ppn = ftl.write(20, data=b"old")
     ftl.write_batch(range(19, 22))
-    assert ftl.read(20) is None and ppn not in ftl._p2l
-    assert ppn not in ftl._data
+    assert ftl.read(20) is None and ppn not in ftl_map(ftl).values()
+    assert 20 not in ftl._data
     # across the disaggregation point: each side lands in its own pool
     ppns = ftl.write_batch(range(edge - 2, edge + 2))
     kv_first = ftl.geometry.pages_per_block * 8     # blocks 8.. are KV's

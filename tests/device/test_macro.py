@@ -256,6 +256,6 @@ def test_ftl_write_batch_is_strictly_equivalent_to_scalar_writes():
 
 
 def test_ftl_write_batch_accepts_generators():
-    # devlsm._flush passes a generator expression of fresh LPNs.
+    # Any iterable maps page by page, a one-shot generator included.
     a, b = small_ftl(), small_ftl()
     assert a.write_batch(lpn for lpn in [0, 1, 2]) == b.write_batch([0, 1, 2])

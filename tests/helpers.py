@@ -29,12 +29,34 @@ from repro.workload import value_for
 
 
 def make_ftl(geometry, split_fraction: float = ftl_module.SPLIT_FRACTION,
-             op_fraction: float = ftl_module.OP_FRACTION) -> Ftl:
+             op_fraction: float = ftl_module.OP_FRACTION, cls=Ftl):
     """An FTL whose region split or over-provisioning differs from the
-    testbed's constants (small geometries need other shares)."""
+    testbed's constants (small geometries need other shares); ``cls`` is
+    ``Ftl`` or the reference model of ``ftl_reference``."""
     with mock.patch.multiple(ftl_module, SPLIT_FRACTION=split_fraction,
                              OP_FRACTION=op_fraction):
-        return Ftl(geometry)
+        return cls(geometry)
+
+
+def ftl_map(ftl: Ftl) -> dict:
+    """The FTL's full LPN -> PPN map, expanded from its runs.
+
+    Checks the run invariants on the way: runs are sorted, disjoint,
+    non-empty and maximal (no two runs touch in both LPN and PPN), and
+    the carried page count matches what they cover.
+    """
+    out = {}
+    prev = None
+    for start, n, ppn in zip(ftl._starts, ftl._lens, ftl._ppns):
+        assert n > 0
+        if prev is not None:
+            p_start, p_n, p_ppn = prev
+            assert p_start + p_n <= start
+            assert not (p_start + p_n == start and p_ppn + p_n == ppn)
+        out.update(zip(range(start, start + n), range(ppn, ppn + n)))
+        prev = (start, n, ppn)
+    assert ftl.state_digest()["mapped"] == len(out)
+    return out
 
 
 def small_device(env: Environment, peak_mb: float = 200.0,

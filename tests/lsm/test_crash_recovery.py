@@ -132,8 +132,10 @@ def test_manifest_replay_detects_consistency():
     db, _, _ = small_db(env)
     fill(env, db, 600)
     run(env, db.wait_for_quiesce())
-    # journal replay reproduces the live version exactly
+    # journal replay reproduces the live version exactly, record by record
     replayed = db.versions.rebuild_from_journal()
-    want = [[f.number for f in lvl] for lvl in db.versions.current.levels]
-    got = [[f.number for f in lvl] for lvl in replayed.levels]
+    want = [[(f.number, f.level, f.table.smallest, f.table.largest,
+              f.table.file_bytes) for f in lvl]
+            for lvl in db.versions.current.levels]
+    got = [[tuple(f) for f in lvl] for lvl in replayed.levels]
     assert got == want

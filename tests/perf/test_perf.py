@@ -49,3 +49,26 @@ class TestCli:
     def test_unknown_bench_exits_nonzero(self, capsys):
         rc = perf_main(["--bench", "nope", "--repeats", "1"])
         assert rc == 2
+
+    def test_cell_profile_reports_peak_rss(self, capsys, monkeypatch,
+                                           tmp_path):
+        """A cell target prints the process's peak RSS beside the event
+        count and writes it into the JSON document.  The cell itself is
+        stubbed: the runner's own tests cover what it simulates."""
+        import json
+        import types
+
+        from repro.bench import runner
+
+        def fake_run(spec, profile, kernel_profile):
+            return types.SimpleNamespace(extra={
+                "events_processed": 7,
+                "kernel_profile": {"events_by_class": {"Timeout": 7}}})
+        monkeypatch.setattr(runner, "run_workload", fake_run)
+        out_json = tmp_path / "p.json"
+        assert perf_main(["profile", "mini", "--json", str(out_json)]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert "(7 events in " in line and " MiB)" in line
+        doc = json.loads(out_json.read_text())
+        assert doc["peak_rss_mb"] > 0
+        assert f"peak RSS {doc['peak_rss_mb']:.1f} MiB" in line

@@ -175,7 +175,7 @@ def test_histogram_percentiles_bounded_and_monotone(samples):
 @given(st.lists(st.tuples(st.integers(0, 30), st.binary(min_size=1, max_size=4)),
                 min_size=1, max_size=300))
 def test_ftl_never_loses_live_data_and_never_double_maps(writes):
-    from helpers import make_ftl
+    from helpers import ftl_map, make_ftl
     from repro.device import NandGeometry
     g = NandGeometry(channels=1, ways=1, blocks_per_way=12, pages_per_block=4,
                      page_size=4096)
@@ -185,7 +185,7 @@ def test_ftl_never_loses_live_data_and_never_double_maps(writes):
         ftl.write(lpn, data=data)
         model[lpn] = data
     # no two logical pages share a physical page
-    ppns = list(ftl._l2p.values())
+    ppns = list(ftl_map(ftl).values())
     assert len(ppns) == len(set(ppns))
     for lpn, data in model.items():
         assert ftl.read(lpn) == data
