@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Generator, Iterator, Optional
 
+from ..lsm.iterator import newest_wins
 from ..sim import Environment
 from ..types import Entry, entry_size
 from .cpu import CpuModel
@@ -67,14 +68,10 @@ class DevLsmConfig:
 class Run:
     """One sorted run flushed into the KV region."""
 
-    entries: list  # sorted by (key, -seq)
+    entries: list  # key ascending, one entry per key
     smallest: bytes
     largest: bytes
     nbytes: int
-
-
-def _sort_key(e: Entry):
-    return (e[0], -e[1])
 
 
 _user_key = itemgetter(0)
@@ -205,7 +202,7 @@ class DevLsm:
         # flush had merely staged.
         snapshot = list(self._memtable.items())
         nbytes = self._memtable_bytes   # the snapshot is the whole memtable
-        entries = sorted((e for _k, e in snapshot), key=_sort_key)
+        entries = sorted(e for _k, e in snapshot)   # keys are unique
         run = Run(entries=entries, smallest=entries[0][0],
                   largest=entries[-1][0], nbytes=nbytes)
         # Map pages in the KV region and charge NAND program + ARM copy.
@@ -295,18 +292,10 @@ class DevLsm:
         DELETE tombstones are retained — the host must see them during
         rollback so deletions propagate into Main-LSM.
         """
-        best: dict[bytes, Entry] = {}
-        for run in reversed(self.runs):  # oldest first, newer overwrite
-            for e in run.entries:
-                cur = best.get(e[0])
-                if cur is None or e[1] > cur[1]:
-                    best[e[0]] = e
+        sources = [run.entries for run in self.runs]
         if include_memtable:
-            for key, e in self._memtable.items():
-                cur = best.get(key)
-                if cur is None or e[1] > cur[1]:
-                    best[key] = e
-        return sorted(best.values(), key=_sort_key)
+            sources.append(self._memtable.values())
+        return newest_wins(sources)
 
     def create_iterator(self) -> Generator:
         """Open a snapshot iterator.
@@ -377,5 +366,5 @@ def _binary_search_run(entries: list, key: bytes) -> Optional[Entry]:
     """Find the newest entry for ``key`` in a sorted run."""
     lo = bisect_left(entries, key, key=_user_key)
     if lo < len(entries) and entries[lo][0] == key:
-        return entries[lo]  # (key, -seq) sort puts newest first
+        return entries[lo]
     return None

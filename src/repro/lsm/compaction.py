@@ -11,7 +11,9 @@ Leveled compaction à la RocksDB/LevelDB:
 
 Merging is newest-wins by sequence number; tombstones are dropped only
 when the output level is the bottommost (no older data below can
-resurrect).
+resurrect).  When every input table's entries share one size
+(``SSTable.entry_bytes``), so do the output's, and the output is cut
+into files by count instead of by summed sizes.
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..types import KIND_DELETE, entry_size
-from .iterator import merging_iterator
+from .iterator import newest_wins
 from .options import LsmOptions
 from .version import FileMetadata, Version
 
-__all__ = ["CompactionJob", "CompactionPicker", "merge_for_compaction",
-           "split_into_files"]
+__all__ = ["CompactionJob", "CompactionPicker", "cut_by_count",
+           "merge_for_compaction", "split_into_files"]
 
 
 @dataclass
@@ -47,6 +49,15 @@ class CompactionJob:
     @property
     def input_bytes(self) -> int:
         return sum(meta.file_bytes for meta in self.all_inputs)
+
+    @property
+    def entry_bytes(self) -> Optional[int]:
+        """The one entry size every input table's entries share, or None.
+
+        The merged output is a subset of the inputs' entries, so it
+        shares that size too."""
+        sizes = {meta.table.entry_bytes for meta in self.all_inputs}
+        return sizes.pop() if len(sizes) == 1 else None
 
 
 class CompactionPicker:
@@ -108,16 +119,14 @@ class CompactionPicker:
 def merge_for_compaction(job: CompactionJob, num_levels: int) -> list:
     """Merged, deduplicated output entries for a compaction job.
 
-    Sources are ordered newest-first purely for documentation; correctness
-    comes from sequence numbers in the merge.  Tombstones survive unless
-    the output level is the bottommost.
+    One batch :func:`newest_wins` over the input tables; correctness
+    comes from sequence numbers, not from the order of the inputs.
+    Tombstones survive unless the output level is the bottommost.
     """
-    sources = [f.table.entries for f in job.all_inputs]
-    bottommost = job.output_level == num_levels - 1
-    merged = merging_iterator(sources, include_tombstones=True)
-    if bottommost:
+    merged = newest_wins(f.table.entries for f in job.all_inputs)
+    if job.output_level == num_levels - 1:
         return [e for e in merged if e[2] != KIND_DELETE]
-    return list(merged)
+    return merged
 
 
 def split_into_files(entries: list, target_bytes: int) -> list:
@@ -140,3 +149,14 @@ def split_into_files(entries: list, target_bytes: int) -> list:
     if entries:
         out.append((entries[start:], sizes[start:]))
     return out
+
+
+def cut_by_count(entries: list, entry_bytes: int, target_bytes: int) -> list:
+    """:func:`split_into_files`' cut for entries that all size
+    ``entry_bytes``: a file takes as many entries as fit in
+    ``target_bytes``, and at least one.  Returns the chunks alone; the
+    tables built from them carry ``entry_bytes`` instead of sizes."""
+    if target_bytes <= 0:
+        raise ValueError("target_bytes must be positive")
+    per = max(1, target_bytes // entry_bytes)
+    return [entries[i:i + per] for i in range(0, len(entries), per)]

@@ -23,7 +23,8 @@ from ..resil.errors import DeviceError
 from ..sim import Environment, Event, Interrupt, Store
 from ..types import KIND_DELETE, entry_size, make_entry
 from .bloom import key_hash
-from .compaction import CompactionJob, CompactionPicker, merge_for_compaction, split_into_files
+from .compaction import (CompactionJob, CompactionPicker, cut_by_count,
+                         merge_for_compaction, split_into_files)
 from .fs import FileSystem, FsError, PageCache
 from .iterator import merging_iterator
 from .memtable import DictMemTable, MemTable
@@ -393,7 +394,8 @@ class DbImpl:
                                              tag=f"{self.name}.flush")
             number = self.versions.new_file_number()
             table = SSTable(number, entries, block_size=opt.block_size,
-                            bloom_bits_per_key=opt.bloom_bits_per_key)
+                            bloom_bits_per_key=opt.bloom_bits_per_key,
+                            entry_bytes=mem.entry_bytes)
             f = self.fs.create(self._sst_name(number))
             self._inflight_flush_file = f
             remaining = table.file_bytes
@@ -498,10 +500,19 @@ class DbImpl:
                        "inputs": len(job.all_inputs)})
         yield from p.at("db.compact.start")
         merged = merge_for_compaction(job, opt.num_levels)
-        output_groups = split_into_files(merged, opt.target_file_size_base)
+        # Inputs whose entries share one size give output that shares it:
+        # cut it by count and size nothing.
+        entry_bytes = job.entry_bytes
+        if entry_bytes is not None:
+            output_groups = [(group, None) for group in cut_by_count(
+                merged, entry_bytes, opt.target_file_size_base)]
+            output_bytes = entry_bytes * len(merged)
+        else:
+            output_groups = split_into_files(merged,
+                                             opt.target_file_size_base)
+            output_bytes = sum(sum(sizes) for _group, sizes in output_groups)
 
         input_bytes = job.input_bytes
-        output_bytes = sum(sum(sizes) for _group, sizes in output_groups)
         self.stats.compaction_bytes_read += input_bytes
         self.stats.compaction_bytes_written += output_bytes
         p.add("lsm.compaction_bytes", input_bytes + output_bytes)
@@ -543,7 +554,7 @@ class DbImpl:
             number = self.versions.new_file_number()
             table = SSTable(number, group, block_size=opt.block_size,
                             bloom_bits_per_key=opt.bloom_bits_per_key,
-                            sizes=sizes)
+                            sizes=sizes, entry_bytes=entry_bytes)
             meta = FileMetadata(number=number, level=job.output_level,
                                 table=table)
             added.append(meta)

@@ -34,6 +34,10 @@ _key = itemgetter(0)
 class MemTable:
     """Interface: approximate size tracking + newest-wins point ops."""
 
+    # The one ``entry_size`` every entry added so far has, when an
+    # implementation tracks it; None when it does not or sizes differed.
+    entry_bytes: Optional[int] = None
+
     def add(self, entry: Entry) -> None:
         raise NotImplementedError
 
@@ -73,8 +77,13 @@ class DictMemTable(MemTable):
             if entry[1] < old[1]:
                 return  # stale write (rollback re-inserts); keep newest
             self._bytes -= entry_size(old)
+        size = entry_size(entry)
+        if size != self.entry_bytes:
+            # The first entry sets it; any other size clears it for good,
+            # even when an overwrite leaves the remaining sizes equal.
+            self.entry_bytes = None if self._map else size
         self._map[key] = entry
-        self._bytes += entry_size(entry)
+        self._bytes += size
         self._sorted = None
 
     def get(self, key: bytes) -> Optional[Entry]:

@@ -43,40 +43,59 @@ class SSTable:
 
     def __init__(self, file_number: int, entries: Sequence[Entry],
                  block_size: int = 16 * 1024, bloom_bits_per_key: int = 10,
-                 sizes: Optional[Sequence[int]] = None):
+                 sizes: Optional[Sequence[int]] = None,
+                 entry_bytes: Optional[int] = None):
         """``sizes`` are the entries' :func:`entry_size` s when the caller
-        already holds them (compaction sizes its output once to cut files)."""
+        already holds them (compaction sizes mixed-size output once to cut
+        files); ``entry_bytes`` is the one size all of them share, when the
+        caller knows it (a memtable of fixed-size entries, compaction of
+        such tables), and then no entry is sized."""
         if not entries:
             raise ValueError("SSTable cannot be empty")
         self.file_number = file_number
         self.entries = list(entries)
-        keys = [e[0] for e in self.entries]
+        keys = list(map(_key, self.entries))
         if not all(map(lt, keys, islice(keys, 1, None))):
             raise ValueError("entries must be sorted and key-unique")
         self.block_size = block_size
         self.smallest = keys[0]
         self.largest = keys[-1]
 
-        # Size every entry once, then partition into blocks by byte budget.
-        if sizes is None:
-            sizes = list(map(entry_size, self.entries))
+        if entry_bytes is None:
+            if sizes is None:
+                sizes = list(map(entry_size, self.entries))
+            if min(sizes) == max(sizes):
+                entry_bytes = sizes[0]
+        # The one size every entry has, or None when sizes differ.
+        self.entry_bytes = entry_bytes
         # Entry index where each block begins, and each block's bytes: int
-        # arrays, because 4 KB values in 4 KB blocks make one block per
-        # entry.  A block's first key is read from ``entries``.
-        starts = array("q", [0])
-        block_bytes = array("q")
-        cur = 0
-        for i, sz in enumerate(sizes):
-            if cur and cur + sz > block_size:
-                starts.append(i)
-                block_bytes.append(cur)
-                cur = 0
-            cur += sz
-        block_bytes.append(cur)
+        # arrays (a 16 KiB block holds three 4,108-byte entries, so a table
+        # has a third as many blocks as entries).  A block's first key is
+        # read from ``entries``.
+        if entry_bytes is not None:
+            # Equal sizes make the byte-budget cut below a count: each
+            # block takes ``per`` entries, the last one the rest.
+            n = len(keys)
+            per = max(1, block_size // entry_bytes)
+            starts = array("q", range(0, n, per))
+            block_bytes = array("q", [per * entry_bytes]) * (len(starts) - 1)
+            block_bytes.append((n - starts[-1]) * entry_bytes)
+            self.data_bytes = n * entry_bytes
+        else:
+            starts = array("q", [0])
+            block_bytes = array("q")
+            cur = 0
+            for i, sz in enumerate(sizes):
+                if cur and cur + sz > block_size:
+                    starts.append(i)
+                    block_bytes.append(cur)
+                    cur = 0
+                cur += sz
+            block_bytes.append(cur)
+            self.data_bytes = sum(block_bytes)
         self._block_starts = starts
         self._block_bytes = block_bytes
 
-        self.data_bytes = sum(self._block_bytes)
         # The filter's size depends on the key count alone; its bits are
         # filled on first use (see ``bloom``), so a table no read ever
         # probes hashes no keys.

@@ -9,6 +9,8 @@ false positives drive read I/O.
 
 import hashlib
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,8 @@ from repro.lsm import (
     key_hash,
     split_into_files,
 )
+from repro.lsm.compaction import cut_by_count
+from repro.sim import Environment
 from repro.types import (
     KIND_DELETE,
     ValueRef,
@@ -30,6 +34,9 @@ from repro.types import (
     make_entry,
     value_size,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from helpers import run, small_db  # noqa: E402
 
 values = st.one_of(
     st.binary(max_size=300),
@@ -42,6 +49,16 @@ entry_lists = st.dictionaries(st.integers(0, 4000), values,
     lambda d: [make_entry(encode_key(k), i + 1, d[k],
                           kind=KIND_DELETE if d[k] is None else None)
                for i, k in enumerate(sorted(d))])
+
+
+# Lists whose entries all have one size: a fixed key width and one value
+# size, as every benchmark cell writes (4-byte keys, 4 KiB values).
+uniform_lists = st.tuples(
+    st.integers(1, 8),                           # key width
+    st.integers(0, 20000),                       # value size
+    st.sets(st.integers(0, 255), min_size=1, max_size=120),
+).map(lambda t: [make_entry(encode_key(k, t[0]), i + 1, ValueRef(k, t[1]))
+                 for i, k in enumerate(sorted(t[2]))])
 
 
 # -- the replaced formulas ------------------------------------------------------
@@ -107,6 +124,65 @@ def test_sstable_sizes_equal_resummed_entry_sizes(entries, block_size, bits):
         assert t.probe(e[0]).entry == e
 
 
+def assert_general_path_layout(t, entries, block_size, bits):
+    """``t``'s blocks and sizes are the per-entry byte-budget cut's."""
+    starts, nbytes = old_blocks(entries, block_size)
+    assert t.num_blocks == len(starts)
+    assert [t.block_bytes(b) for b in range(t.num_blocks)] == nbytes
+    assert [t.block_of_entry(i) for i in range(len(entries))] == [
+        b for b, start in enumerate(starts)
+        for _ in range(start, (starts + [len(entries)])[b + 1])]
+    assert t.data_bytes == sum(old_entry_size(e) for e in entries)
+    assert t.file_bytes == (t.data_bytes
+                            + BloomFilter(len(entries), bits).size_bytes
+                            + 24 * len(starts) + 128)
+
+
+@settings(max_examples=120, deadline=None)
+@given(uniform_lists, st.sampled_from([64, 512, 4096, 16 * 1024, 5000]),
+       st.integers(1, 16))
+def test_one_entry_size_builds_the_per_entry_layout(entries, block_size, bits):
+    """The closed-form block index (``per`` entries a block) is the
+    byte-budget cut of equal sizes, whether the size is handed over
+    (flush, compaction) or found by sizing the entries."""
+    size = old_entry_size(entries[0])
+    carried = SSTable(1, entries, block_size=block_size,
+                      bloom_bits_per_key=bits, entry_bytes=size)
+    found = SSTable(1, entries, block_size=block_size,
+                    bloom_bits_per_key=bits)
+    assert carried.entry_bytes == found.entry_bytes == size
+    for t in (carried, found):
+        assert_general_path_layout(t, entries, block_size, bits)
+        for e in entries:
+            assert t.probe(e[0]).entry == e
+
+
+@pytest.mark.parametrize("value_size, block_size, count", [
+    (4096, 16 * 1024, 10),      # three 4,108-byte entries a block, 1 left
+    (20000, 16 * 1024, 5),      # an entry larger than a block: one a block
+    (100, 1000, 7),             # 112-byte entries, block not a multiple
+    (4096, 16 * 1024, 1),       # a single entry
+    (4096, 16 * 1024, 3),       # blocks exactly full
+    (4084, 4096, 4),            # an entry exactly a block
+])
+def test_one_entry_size_edge_cases(value_size, block_size, count):
+    entries = [make_entry(encode_key(k), k + 1, ValueRef(k, value_size))
+               for k in range(count)]
+    size = 4 + value_size + 8
+    t = SSTable(1, entries, block_size=block_size, entry_bytes=size)
+    assert_general_path_layout(t, entries, block_size, 10)
+    per = max(1, block_size // size)
+    assert t.num_blocks == -(-count // per)
+
+
+@settings(max_examples=60, deadline=None)
+@given(entry_lists)
+def test_mixed_sizes_carry_no_entry_size(entries):
+    sizes = {old_entry_size(e) for e in entries}
+    t = SSTable(1, entries, block_size=512)
+    assert t.entry_bytes == (sizes.pop() if len(sizes) == 1 else None)
+
+
 @settings(max_examples=60, deadline=None)
 @given(entry_lists, st.integers(1, 3000))
 def test_split_into_files_carries_the_sizes_it_cut_by(entries, target):
@@ -127,6 +203,68 @@ def test_split_into_files_carries_the_sizes_it_cut_by(entries, target):
     assert [group for group, _sizes in groups] == expect
 
 
+@settings(max_examples=80, deadline=None)
+@given(uniform_lists, st.integers(1, 60000))
+def test_count_cut_is_the_byte_cut_of_equal_sizes(entries, target):
+    """Targets below one entry included: a file always takes one."""
+    size = old_entry_size(entries[0])
+    chunks = cut_by_count(entries, size, target)
+    assert chunks == [group for group, _sizes in
+                      split_into_files(entries, target)]
+    if target < size:
+        assert chunks == [[e] for e in entries]
+    with pytest.raises(ValueError):
+        cut_by_count(entries, size, 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 40), values),
+                max_size=120))
+def test_dict_memtable_entry_bytes(ops):
+    """``entry_bytes`` is the size of every entry the memtable accepted
+    while they all had one size, and None from the first that differed
+    (a tombstone, a ``bytes`` value, an overwrite of another size)."""
+    mem = DictMemTable()
+    assert mem.entry_bytes is None and SkipListMemTable().entry_bytes is None
+    accepted, newest = set(), {}
+    for k, seq, v in ops:
+        e = make_entry(encode_key(k), seq, v,
+                       kind=KIND_DELETE if v is None else None)
+        mem.add(e)
+        if k not in newest or seq >= newest[k]:       # not a stale write
+            newest[k] = seq
+            accepted.add(old_entry_size(e))
+        assert mem.entry_bytes == (next(iter(accepted))
+                                   if len(accepted) == 1 else None)
+        if mem.entry_bytes is not None:
+            assert {old_entry_size(x) for x in mem.entries()} == {
+                mem.entry_bytes}
+
+
+def test_dict_memtable_entry_bytes_cases():
+    k = [encode_key(i) for i in range(3)]
+
+    def same(i, seq):
+        return make_entry(k[i], seq, ValueRef(i, 4096))
+
+    for odd in (make_entry(k[2], 9, None, kind=KIND_DELETE),   # tombstone
+                make_entry(k[2], 9, b"x" * 100),               # bytes value
+                make_entry(k[0], 9, ValueRef(0, 100))):        # overwrite
+        mem = DictMemTable()
+        mem.add(same(0, 1))
+        mem.add(same(1, 2))
+        assert mem.entry_bytes == 4 + 4096 + 8
+        mem.add(odd)
+        assert mem.entry_bytes is None
+        mem.add(same(2, 10))            # equal sizes again: stays None
+        assert mem.entry_bytes is None
+    mem = DictMemTable()
+    mem.add(same(0, 5))
+    mem.add(make_entry(k[0], 4, None, kind=KIND_DELETE))   # stale: ignored
+    mem.add(same(0, 6))                                    # same-size overwrite
+    assert mem.entry_bytes == 4 + 4096 + 8
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 60), values), max_size=120))
 def test_memtable_bytes_are_exact(ops):
@@ -137,6 +275,40 @@ def test_memtable_bytes_are_exact(ops):
                                kind=KIND_DELETE if v is None else None))
         assert mem.approximate_bytes == sum(old_entry_size(e)
                                             for e in mem.entries())
+
+
+def test_db_tables_carry_the_size_their_entries_share():
+    """Through flushes and compactions of equal-size writes, then of
+    tombstones mixed in, every live table's carried size and layout are
+    those of its entries, sized one by one."""
+    env = Environment()
+    db, _, _ = small_db(env)
+
+    def check():
+        tables = [f.table for level in db.versions.current.levels
+                  for f in level]
+        assert tables
+        for t in tables:
+            sizes = {old_entry_size(e) for e in t.entries}
+            assert t.entry_bytes == (sizes.pop() if len(sizes) == 1 else None)
+            assert_general_path_layout(t, t.entries, t.block_size, 10)
+        return {t.entry_bytes for t in tables}
+
+    def load(deletes):
+        for i in range(1500):
+            key = encode_key(i * 7919 % 1500)
+            if deletes and i % 3 == 0:
+                yield from db.delete(key)
+            else:
+                yield from db.put(key, ValueRef(i, 300))
+
+    run(env, load(False))
+    run(env, db.wait_for_quiesce())
+    compactions = db.stats.compactions
+    assert compactions > 1 and check() == {4 + 300 + 8}
+    run(env, load(True))
+    run(env, db.wait_for_quiesce())
+    assert db.stats.compactions > compactions and None in check()
 
 
 # -- bloom ---------------------------------------------------------------------
