@@ -7,7 +7,7 @@ Dev-LSM; KVACCEL uses no slowdown mechanism at all.
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from ..report import series_sparkline, shape_check
 from ..runner import RunSpec
@@ -20,13 +20,16 @@ PAPER = {
 
 
 def _low_decile_kops(result) -> float:
-    """Mean of the lowest 10% of per-bucket throughputs (the 'floor')."""
+    """Mean of the lowest 10% of per-bucket throughputs (the 'floor').
+
+    The sum is exactly rounded (``math.fsum``), so the floor does not
+    depend on the order of the additions or the Python version.
+    """
     period = result.extra["sample_period"]
-    vals = np.asarray(result.write_ops_series, dtype=float) / period / 1000
-    warm = len(vals) // 10
-    vals = np.sort(vals[warm:])
+    vals = [v / period / 1000 for v in result.write_ops_series]
+    vals = sorted(vals[len(vals) // 10:])      # past the warm-up tenth
     k = max(1, len(vals) // 10)
-    return float(vals[:k].mean())
+    return math.fsum(vals[:k]) / k
 
 
 def run(profile=None, quick: bool = False,

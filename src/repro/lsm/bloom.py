@@ -13,13 +13,17 @@ one :meth:`BloomFilter.add_all` pass the first time a read probes it.
 from __future__ import annotations
 
 import math
+import struct
 from hashlib import blake2b
 from typing import Iterable
 
-import numpy as np
-
 __all__ = ["BloomFilter", "key_hash"]
 
+# Every key is hashed by a copy of this state: copying a pre-sized state
+# costs less than constructing one per key.
+_BLAKE2B_16 = blake2b(digest_size=16)
+# A digest's two 64-bit halves ``(h1, h2)``, little-endian on every host.
+_HALVES = struct.Struct("<QQ")
 _from_bytes = int.from_bytes
 
 
@@ -27,9 +31,10 @@ def key_hash(key: bytes) -> tuple[int, int]:
     """The two 64-bit hashes ``(h1, h2)`` every filter derives a key's
     probes from.  They depend on the key alone, so one point lookup hashes
     once and probes every candidate file's filter with the same pair."""
-    digest = blake2b(key, digest_size=16).digest()
-    return (_from_bytes(digest[:8], "little"),
-            _from_bytes(digest[8:], "little") | 1)  # odd => good stride
+    h = _BLAKE2B_16.copy()
+    h.update(key)
+    h1, h2 = _HALVES.unpack(h.digest())
+    return h1, h2 | 1                       # odd => good stride
 
 
 class BloomFilter:
@@ -54,21 +59,42 @@ class BloomFilter:
         self.add_all((key,))
 
     def add_all(self, keys: Iterable[bytes]) -> None:
-        """Set every key's ``k`` bits: hashed key by key, placed as arrays."""
-        digests = [blake2b(key, digest_size=16).digest() for key in keys]
+        """Set every key's ``k`` bits; earlier adds stay set.
+
+        Probe ``i`` of a key is bit ``(p + i*s) mod n`` with ``p = h1 mod n``
+        and ``s = (h2 | 1) mod n``.  Below ``k*n`` the positions ``p + i*s``
+        need no modulo, so a key's probes are one strided slice of a scratch
+        of ``k`` rows of ``n`` ASCII digits; the rows are OR-ed into one,
+        which read in base 2 is the key set's bits.
+        """
+        copy = _BLAKE2B_16.copy
+        digests = []
+        append = digests.append
+        for key in keys:
+            h = copy()
+            h.update(key)
+            append(h.digest())
         if not digests:
             return
-        n = np.uint64(self.num_bits)
-        # One row per key: its :func:`key_hash` pair, before the ``| 1``.
-        h = np.frombuffer(b"".join(digests), dtype="<u8").reshape(-1, 2)
-        # Both terms below are < 30 * num_bits, far inside uint64.
-        first = h[:, :1] % n
-        stride = (h[:, 1:] | np.uint64(1)) % n
-        probes = (first + stride * np.arange(self.k, dtype=np.uint64)) % n
-        mask = np.zeros(len(self._bits) * 8, dtype=np.uint8)
-        mask[probes.ravel()] = 1
-        bits = np.frombuffer(self._bits, dtype=np.uint8)   # writable view
-        bits |= np.packbits(mask, bitorder="little")       # earlier adds stay
+        n, k = self.num_bits, self.k
+        # One spare row lets every slice stop at ``p + k*s``.
+        rows = bytearray(b"0") * ((k + 1) * n)
+        ones = bytearray(b"1" * k)    # a bytes value is copied per assignment
+        for h1, h2 in _HALVES.iter_unpack(b"".join(digests)):
+            p = h1 % n
+            s = (h2 | 1) % n
+            try:
+                rows[p:p + k * s:s] = ones
+            except ValueError:          # s == 0 (odd n only): every probe is p
+                rows[p] = ord("1")
+        view = memoryview(rows)
+        row = 0                         # '0' | '1' == '1' byte by byte
+        for start in range(0, k * n, n):
+            row |= _from_bytes(view[start:start + n], "little")
+        new = int(row.to_bytes(n, "big"), 2)    # written bit n-1 first
+        bits = self._bits
+        bits[:] = (_from_bytes(bits, "little") | new).to_bytes(len(bits),
+                                                                "little")
         self.num_added += len(digests)
 
     def may_contain(self, key: bytes) -> bool:

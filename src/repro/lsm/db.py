@@ -791,9 +791,15 @@ class DbImpl:
                 CPU_PUT * len(records) * 0.5,
                 tag=f"{self.name}.recover")
             for e in records:
-                self.mem.add(e)
                 self.note_external_seq(e[1])
-            replayed += len(records)
+                # A rollback's merge copy can go stale while its WAL group
+                # is written, and the newer value reach an SST meanwhile:
+                # replaying the copy would shadow that value.
+                held = yield from self._get_from_ssts(e[0])
+                if held is not None and held[1] > e[1]:
+                    continue
+                self.mem.add(e)
+                replayed += 1
 
         # restart a flush worker if the crash killed it
         if not self._flush_proc.is_alive:

@@ -110,7 +110,7 @@ class SSTable:
         """The per-file filter; its bit array materialises on first access."""
         bloom = self._bloom
         if not bloom.num_added:
-            bloom.add_all(e[0] for e in self.entries)
+            bloom.add_all(map(_key, self.entries))
         return bloom
 
     @property

@@ -10,10 +10,10 @@ controller's stall intervals, these functions compute:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, compress
 from typing import Sequence
-
-import numpy as np
 
 __all__ = ["StallPcieStats", "analyze_stall_pcie", "utilization_cdf",
            "zero_traffic_buckets"]
@@ -46,22 +46,28 @@ class StallPcieStats:
 
 
 def _stall_bucket_mask(times: Sequence[float], bucket: float,
-                       stall_intervals: Sequence[tuple]) -> np.ndarray:
-    """Boolean mask: bucket i (ending at times[i]) overlaps a stall.
+                       stall_intervals: Sequence[tuple]) -> list:
+    """Bucket i (ending at times[i]) overlaps a stall ``(s0, s1)`` when
+    ``t - bucket < s1 and t > s0``: one bool per bucket.
 
     Both inputs may be empty — a run that never stalls (any healthy
     KVACCEL cell) yields an all-False mask, never an error.
     """
-    t = np.asarray(times, dtype=float)
-    mask = np.zeros(len(t), dtype=bool)
-    if len(t) == 0 or len(stall_intervals) == 0:
-        return mask
-    starts = t - bucket
+    if len(times) == 0 or len(stall_intervals) == 0:
+        return [False] * len(times)
     for s0, s1 in stall_intervals:
         if s1 < s0:
             raise ValueError(f"stall interval ends before it starts: "
                              f"({s0}, {s1})")
-        mask |= (starts < s1) & (t > s0)
+    # The stalls that start before t overlap bucket t iff the latest end
+    # among them is after t - bucket.
+    ordered = sorted(stall_intervals)
+    starts = [float(s0) for s0, _s1 in ordered]
+    reach = list(accumulate((float(s1) for _s0, s1 in ordered), max))
+    mask = []
+    for t in map(float, times):
+        begun = bisect_left(starts, t)
+        mask.append(begun > 0 and t - bucket < reach[begun - 1])
     return mask
 
 
@@ -69,6 +75,15 @@ def _check_series(times: Sequence[float], traffic: Sequence[float]) -> None:
     if len(times) != len(traffic):
         raise ValueError(f"times and traffic length mismatch: "
                          f"{len(times)} vs {len(traffic)}")
+
+
+def _stall_traffic(times: Sequence[float], traffic: Sequence[float],
+                   stall_intervals: Sequence[tuple],
+                   bucket: float) -> list:
+    """The traffic of the buckets that overlap a stall, as floats."""
+    _check_series(times, traffic)
+    mask = _stall_bucket_mask(times, bucket, stall_intervals)
+    return list(map(float, compress(traffic, mask)))
 
 
 def analyze_stall_pcie(times: Sequence[float], traffic: Sequence[float],
@@ -81,34 +96,36 @@ def analyze_stall_pcie(times: Sequence[float], traffic: Sequence[float],
     """
     if capacity <= 0:
         raise ValueError("capacity must be positive")
-    _check_series(times, traffic)
-    mask = _stall_bucket_mask(times, bucket, stall_intervals)
-    vals = np.asarray(traffic, dtype=float)[mask] / (capacity * bucket)
-    zero = int(np.sum(vals <= ZERO_UTILIZATION))
-    hi = int(np.sum(vals >= 0.9))
+    scale = float(capacity * bucket)
+    vals = [x / scale for x in _stall_traffic(times, traffic,
+                                               stall_intervals, bucket)]
     return StallPcieStats(
-        stall_buckets=int(mask.sum()),
-        zero_buckets=zero,
-        above_90_buckets=hi,
-        utilizations=vals.tolist(),
+        stall_buckets=len(vals),
+        zero_buckets=sum(v <= ZERO_UTILIZATION for v in vals),
+        above_90_buckets=sum(v >= 0.9 for v in vals),
+        utilizations=vals,
     )
 
 
 def utilization_cdf(utilizations: Sequence[float]) -> tuple[list, list]:
-    """(x, F(x)) for utilisation in [0, 1] — the Fig 5 curve."""
-    xs = np.linspace(0.0, 1.0, CDF_POINTS)
+    """(x, F(x)) for utilisation in [0, 1] — the Fig 5 curve.
+
+    ``x[i]`` is ``i * (1 / (CDF_POINTS - 1))`` (``x[57]`` is
+    0.5700000000000001, not 0.57) and the last ``x`` is exactly 1.0;
+    ``F(x)`` counts the utilisations ``<= x``.
+    """
+    step = 1.0 / (CDF_POINTS - 1)
+    xs = [i * step for i in range(CDF_POINTS - 1)] + [1.0]
     if len(utilizations) == 0:
-        return xs.tolist(), [0.0] * CDF_POINTS
-    vals = np.sort(np.asarray(utilizations, dtype=float))
-    cdf = np.searchsorted(vals, xs, side="right") / len(vals)
-    return xs.tolist(), cdf.tolist()
+        return xs, [0.0] * CDF_POINTS
+    vals = sorted(map(float, utilizations))
+    return xs, [bisect_right(vals, x) / len(vals) for x in xs]
 
 
 def zero_traffic_buckets(times: Sequence[float], traffic: Sequence[float],
                          stall_intervals: Sequence[tuple],
                          bucket: float = 1.0) -> int:
     """Count stall-period buckets with (near-)zero link traffic."""
-    _check_series(times, traffic)
-    mask = _stall_bucket_mask(times, bucket, stall_intervals)
-    vals = np.asarray(traffic, dtype=float)[mask]
-    return int(np.sum(vals <= ZERO_TRAFFIC_BYTES))
+    return sum(x <= ZERO_TRAFFIC_BYTES
+               for x in _stall_traffic(times, traffic, stall_intervals,
+                                       bucket))

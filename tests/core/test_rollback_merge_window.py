@@ -11,8 +11,6 @@ value from a newer memtable) nor replayed from the WAL after a host crash
 import sys
 from pathlib import Path
 
-import pytest
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from helpers import run, small_kvaccel  # noqa: E402
@@ -87,9 +85,8 @@ def test_a_merge_entry_gone_stale_in_the_wal_flush_is_not_applied():
     assert live
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1, the WAL-flush window")
 def test_a_merge_entry_gone_stale_in_the_wal_flush_is_not_replayed():
     """The copy was logged before it went stale, into the segment opened
-    by the seal, so replay still applies it over the newer value's SST."""
+    by the seal; replay must not apply it over the newer value's SST."""
     _live, after_crash = _write_k_during_the_merge(_in_the_wal_flush)
     assert after_crash

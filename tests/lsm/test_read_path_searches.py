@@ -61,12 +61,25 @@ def test_get_hashes_its_key_once_however_many_files_it_probes(monkeypatch):
 
     calls = []
 
-    def counting_blake2b(*args, **kw):
-        calls.append(args[0])
-        return real(*args, **kw)
+    class CountingState:
+        """Every key is hashed by a copy of the module's state: record
+        what each copy is fed."""
 
-    real = bloom.blake2b
-    monkeypatch.setattr(bloom, "blake2b", counting_blake2b)
+        def __init__(self, state):
+            self.state = state
+
+        def copy(self):
+            return CountingState(self.state.copy())
+
+        def update(self, data):
+            calls.append(data)
+            self.state.update(data)
+
+        def digest(self):
+            return self.state.digest()
+
+    monkeypatch.setattr(bloom, "_BLAKE2B_16",
+                        CountingState(bloom._BLAKE2B_16))
 
     assert run(env, db.get(target)) == b"v300"
     assert calls == [target]                # six probes, one digest

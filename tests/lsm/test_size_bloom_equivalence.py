@@ -388,6 +388,38 @@ def test_array_fill_sets_the_bits_of_the_per_key_reference(count, bits_per_key,
     assert all(map(bloom.may_contain, keys + more))
 
 
+def test_a_zero_stride_sets_one_bit_per_key():
+    """With an odd bit count a key's stride ``(h2 | 1) mod n`` can be 0;
+    then all ``k`` probes are one bit."""
+    bloom = BloomFilter(13, 5)                    # n = 65, k = 3
+    n, k = bloom.num_bits, bloom.k
+    assert n % 2 == 1 and k > 1
+    zero = [key for key in map(encode_key, range(2000))
+            if key_hash(key)[1] % n == 0]
+    assert len(zero) >= 5
+    keys = zero[:5] + [encode_key(x) for x in range(3000, 3008)]
+    old_bits, _n, _k = old_bloom_bits(keys, 13, 5)
+    bloom.add_all(keys)
+    assert int.from_bytes(bloom._bits, "little") == old_bits
+    single = BloomFilter(13, 5)
+    single.add(zero[0])
+    assert int.from_bytes(single._bits, "little") == 1 << key_hash(zero[0])[0] % n
+
+
+def test_a_second_add_all_keeps_the_first_fill():
+    rng = random.Random(9)
+    first = [encode_key(x) for x in rng.sample(range(1 << 20), 300)]
+    second = [encode_key(x) for x in rng.sample(range(1 << 20), 300)]
+    bloom = BloomFilter(600)
+    bloom.add_all(first)
+    filled = int.from_bytes(bloom._bits, "little")
+    bloom.add_all(second + first[:50])            # overlaps the first fill
+    both = int.from_bytes(bloom._bits, "little")
+    assert both & filled == filled
+    assert both == old_bloom_bits(first + second, 600, 10)[0]
+    assert bloom.num_added == 650
+
+
 def test_probing_by_hash_is_probing_by_key():
     rng = random.Random(5)
     present = sorted(rng.sample(range(1 << 20), 2000))
