@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 from pathlib import PurePath
 from typing import Optional
@@ -46,6 +47,13 @@ def _run_cell(payload):
     """Run one cell and write its per-cell trace and journal files, named
     from the cell's position ``idx`` in its experiment's spec order."""
     idx, spec, profile, options = payload
+    # Free the world of the cell this process ran before.  A dropped world
+    # is cyclic (its daemons' suspended generators hold it) and only a
+    # full collection frees it, which may not come for many cells.  The
+    # first pass runs those generators' finalizers, which resurrect the
+    # world; the second frees it.  Not inside run_workload, which is timed.
+    gc.collect()
+    gc.collect()
     tracer = Tracer() if options.trace_path is not None else None
     journal = (Journal(period=profile.sample_period)
                if options.journal_path is not None else None)

@@ -17,7 +17,7 @@ All benchmarks are *simulated-workload* benchmarks: they drive the real
 :class:`~repro.sim.Environment`, so any kernel change shows up here first.
 Event counts come from ``Environment.events_scheduled`` (every scheduled
 event is processed when ``run()`` drains), which makes events/sec
-comparable across kernel versions regardless of internal pooling.
+comparable across kernel versions.
 
 The benchmarks run with the cyclic garbage collector on, as the kernel
 does outside ``repro.bench.run_workload``.  The kernel makes no reference
@@ -283,8 +283,8 @@ def format_kernel_profile(prof: dict) -> str:
     """The sorted hot-site table for one kernel profile dict.
 
     Event classes sorted by estimated wall-ns (from the coarse
-    ``sample_every`` timing), then process resume counts, then the heap /
-    timeout-pool / resource counters and the pending-event population.
+    ``sample_every`` timing), then process resume counts, then the heap
+    and resource counters and the pending-event population.
     """
     lines = []
     est = prof.get("estimated_wall_ns_by_class", {})
@@ -311,10 +311,6 @@ def format_kernel_profile(prof: dict) -> str:
     lines.append("")
     lines.append(f"  heap pushes/pops     {prof.get('heap_pushes', 0):>10,d} "
                  f"/ {prof.get('heap_pops', 0):,d}")
-    treq = prof.get("timeout_requests", 0)
-    lines.append(f"  timeout pool         {prof.get('timeout_pool_hits', 0):>10,d} "
-                 f"hits / {treq:,d} requests "
-                 f"({prof.get('timeout_pool_hit_rate', 0.0):.1%} hit rate)")
     rreq = prof.get("resource_requests", 0)
     if rreq:
         lines.append(f"  resource requests    {rreq:>10,d} "

@@ -43,7 +43,7 @@ def _profile_main(argv) -> int:
         prog="python -m repro.perf profile",
         description="Wall-clock self-profile of the DES kernel: events by "
                     "class, resume counts, peak pending events, macro-event "
-                    "coalescing, heap and timeout-pool traffic.")
+                    "coalescing and heap traffic.")
     parser.add_argument("target", choices=targets,
                         help="microbenchmark to profile, 'mini' for a real "
                              "experiment cell, or 'paper-smoke' for the "

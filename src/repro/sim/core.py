@@ -13,16 +13,15 @@ measurements.
 
 Scheduling runs on one :class:`~repro.sim.eventqueue.EventQueue` (a binary
 heap plus the now lane) and one dispatch loop, :meth:`Environment.run`;
-:meth:`Environment.step` is its cold reference.  Hot event classes —
-:class:`Timeout`, bare :class:`Event`, and the internal process-resume
-event — are recycled through per-environment freelists, gated by a
-refcount check so pooling can never resurrect an object something still
-references.
+:meth:`Environment.step` is its cold reference.  Every event is a fresh
+object that reference counting frees once it is processed: the kernel makes
+no reference cycles (``tests/sim/test_no_cycles.py``), so a world's
+dispatched events never wait for the cyclic collector.  The one reused
+event is each process's own resume event.
 """
 
 from __future__ import annotations
 
-import sys
 from heapq import heappop, heappush
 from time import perf_counter_ns
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -172,9 +171,9 @@ class Timeout(Event):
     """An event that fires after a fixed simulated delay.
 
     Timeouts are the kernel's dominant allocation (every driver loop,
-    sampler tick, and flush poll creates one), so ``Environment.timeout``
-    recycles processed instances through a freelist.  Construction here is
-    flattened (no ``super().__init__`` chain) for the cold path.
+    sampler tick, and flush poll creates one), so construction is
+    flattened: no ``super().__init__`` chain, and the event pushes itself
+    straight onto the heap.
     """
 
     __slots__ = ("delay",)
@@ -225,11 +224,10 @@ class Process(Event):
         self._resume_cb = self._resume          # cached: one resume per event
         self._target: Optional[Event] = None  # event the process waits on
         self.name = name or getattr(generator, "__name__", "process")
-        # One reusable resume event bootstraps the process and is recycled
+        # One reusable resume event bootstraps the process and is reused
         # for every immediate resume (already-fired yield targets).  It is
         # reusable whenever it is not sitting on the queue (_PROCESSED).
-        ppool = env._presume_pool
-        boot = ppool.pop() if ppool else _ProcessResume(env)
+        boot = _ProcessResume(env)
         boot._state = _TRIGGERED
         boot._proc = self
         self._resume_ev = boot
@@ -257,8 +255,7 @@ class Process(Event):
                     pass
             self._target = None
         env = self.env
-        ppool = env._presume_pool
-        interrupt_ev = ppool.pop() if ppool else _ProcessResume(env)
+        interrupt_ev = _ProcessResume(env)
         interrupt_ev._ok = False
         interrupt_ev._value = Interrupt(cause)
         interrupt_ev._defused = True
@@ -281,14 +278,13 @@ class Process(Event):
 
     def _resume_processed(self, next_target: Event) -> None:
         """Wait on an already-fired event: resume again at this timestamp,
-        recycling this process's resume event when it is off-queue."""
+        reusing this process's resume event when it is off-queue."""
         env = self.env
         resume = self._resume_ev
         if resume._state != _PROCESSED:
             # Still scheduled (e.g. detached by an interrupt at this
             # timestamp): it cannot carry a second resume.
-            ppool = env._presume_pool
-            resume = ppool.pop() if ppool else _ProcessResume(env)
+            resume = _ProcessResume(env)
             self._resume_ev = resume
         else:
             resume._defused = False
@@ -341,8 +337,8 @@ class Process(Event):
             # First, sole waiter: take the fast slot.  Failable events are
             # defused up front — the waiter receives any failure via
             # generator.throw, so the kernel must not re-raise it at
-            # dispatch time.  (Timeouts can never fail; skipping the store
-            # keeps their recycle path cheap.)
+            # dispatch time.  (Timeouts can never fail, so they skip the
+            # store.)
             if type(next_target) is not Timeout:
                 next_target._defused = True
             next_target._proc = self
@@ -485,30 +481,19 @@ class Probes:
         return _EXHAUSTED
 
 
-# Upper bound on recycled instances kept per freelist per Environment.
-# Sized to cover every concurrently-pending hot event in real experiments
-# (drivers + samplers + pollers is tens, not hundreds) while bounding idle
-# memory.
-_TIMEOUT_POOL_CAP = 256
-
-
 class Environment:
     """The simulation clock and event queue."""
 
     # Kernel-hot attributes live in slots (faster loads/stores on the
     # per-event path); __dict__ stays available for extension layers that
     # hang state off the env (faults, tracer, telemetry, ...).
-    __slots__ = ("_now", "_queue", "_seq", "_timeout_pool", "_event_pool",
-                 "_presume_pool", "_active_process", "_observer", "probes",
-                 "__dict__")
+    __slots__ = ("_now", "_queue", "_seq", "_active_process", "_observer",
+                 "probes", "__dict__")
 
     def __init__(self):
         self._now = 0.0
         self._queue = EventQueue()
         self._seq = 0
-        self._timeout_pool: list[Timeout] = []
-        self._event_pool: list[Event] = []
-        self._presume_pool: list[_ProcessResume] = []
         self._active_process: Optional[Process] = None
         # The dispatch loop's one per-event hook: None, the single
         # installed observer, or a fan-out over ``_observers``.
@@ -549,8 +534,7 @@ class Environment:
 
         Every scheduled event is eventually processed when ``run()`` drains
         the queue, so this doubles as the processed-event count for
-        events/sec reporting (``repro.perf``, bench baselines) and is
-        stable across kernel-internal changes like event pooling.
+        events/sec reporting (``repro.perf``, bench baselines).
         """
         return self._seq
 
@@ -585,42 +569,11 @@ class Environment:
 
     # -- factories --------------------------------------------------------
     def event(self) -> Event:
-        """Create (or recycle) a bare :class:`Event`.
-
-        Recycled instances are reset at recycle time (see the dispatch
-        loop) and only ever enter the freelist when nothing else
-        references them, so reuse is indistinguishable from construction.
-        """
-        pool = self._event_pool
-        if pool:
-            return pool.pop()
+        """Create a bare, pending :class:`Event`."""
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create (or recycle) a :class:`Timeout` firing ``delay`` from now.
-
-        Recycled instances behave identically to fresh ones: the freelist
-        only ever holds processed Timeouts that nothing else references
-        (checked by refcount in :meth:`run`), and scheduling order is
-        governed purely by the (time, priority, seq) key, so pooling
-        cannot perturb the determinism contract.
-        """
-        pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise ValueError(f"negative delay: {delay!r}")
-            ev = pool.pop()
-            ev.delay = delay
-            ev._value = value
-            # Neither _ok nor _defused is reset: a Timeout can never fail,
-            # so _ok stays True for the object's whole lifetime and
-            # _defused is never consulted (the failure re-raise is the
-            # only reader and requires _ok False).
-            ev._state = _TRIGGERED
-            seq = self._seq + 1
-            self._seq = seq
-            heappush(self._queue._heap, (self._now + delay, 1, seq, ev))
-            return ev
+        """Create a :class:`Timeout` firing ``delay`` from now."""
         return Timeout(self, delay, value)
 
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
@@ -631,30 +584,6 @@ class Environment:
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
-
-    # -- execution ----------------------------------------------------------
-    def _recycle(self, event: Event) -> None:
-        """Return a processed hot-class event to its freelist when nothing
-        else references it (cold-path mirror of the inline recycle block
-        in :meth:`run`)."""
-        # Refcount 3 == caller's local + our parameter + getrefcount's
-        # argument: nothing outside this call chain references the event.
-        cls = type(event)
-        if cls is Timeout:
-            pool = self._timeout_pool
-        elif cls is Event:
-            pool = self._event_pool
-        elif cls is _ProcessResume:
-            pool = self._presume_pool
-        else:
-            return
-        if len(pool) < _TIMEOUT_POOL_CAP and sys.getrefcount(event) == 3:
-            if cls is not Timeout:      # a Timeout is re-armed by timeout()
-                event._value = None
-                event._state = _PENDING
-                event._ok = True
-                event._defused = False
-            pool.append(event)
 
     # -- observers -----------------------------------------------------------
     def add_observer(self, observe: Callable[[float, Event], None]) -> None:
@@ -684,9 +613,9 @@ class Environment:
         """Process the single next event.
 
         The cold reference dispatch (``Event._run_callbacks`` →
-        ``Process._resume``, then :meth:`_recycle`): :meth:`run` inlines
-        exactly this, and ``tests/sim/test_lockstep.py`` holds the two to
-        the same event stream.
+        ``Process._resume``): :meth:`run` inlines exactly this, and
+        ``tests/sim/test_lockstep.py`` holds the two to the same event
+        stream.
         """
         q = self._queue
         if not len(q):
@@ -697,7 +626,6 @@ class Environment:
         if observe is not None:
             observe(when, event)
         event._run_callbacks()
-        self._recycle(event)
 
     def peek(self) -> float:
         """Time of the next event, or +inf if the queue is empty."""
@@ -718,8 +646,7 @@ class Environment:
         :meth:`step` and must stay semantically in lockstep with it: the
         dequeue reads the EventQueue's two lists directly (they are only
         ever mutated in place), the fast-slot waiter is resumed without
-        the ``Process._resume`` frame, dead hot-class events that nothing
-        else references are recycled.  Determinism (same-timestamp order,
+        the ``Process._resume`` frame.  Determinism (same-timestamp order,
         interrupt priority) lives entirely in the ``(time, priority,
         seq)`` entry key.
         """
@@ -744,20 +671,14 @@ class Environment:
         nowq = q._nowq
         pop = heappop
         observe = self._observer
-        pool = self._timeout_pool
-        epool = self._event_pool
-        ppool = self._presume_pool
-        pool_cap = _TIMEOUT_POOL_CAP
-        getrefcount = sys.getrefcount
         PENDING = _PENDING
         PROCESSED = _PROCESSED
         timeout_cls = Timeout
-        event_cls = Event
-        presume_cls = _ProcessResume
 
         # Events are unpacked straight out of the lane/heap (no entry
-        # local survives dispatch): a live entry tuple would hold a hidden
-        # reference and silently defeat every refcount-gated freelist.
+        # local survives dispatch), so the loop's ``event`` local is the
+        # last reference to a processed event nothing else holds, and
+        # rebinding it on the next iteration frees the event.
         # The dequeue head picks min(now-lane head, heap head) with at
         # most one tuple comparison; when only one side is occupied
         # (signalling or timer steady state) there is none.
@@ -848,19 +769,6 @@ class Environment:
                 if not event._ok and not event._defused:
                     # Nobody handled the failure: surface it.
                     raise event._value
-            cls = type(event)
-            if cls is timeout_cls:
-                if (len(pool) < pool_cap
-                        and getrefcount(event) == 2):  # local + arg only
-                    pool.append(event)
-            elif cls is event_cls or cls is presume_cls:
-                rpool = epool if cls is event_cls else ppool
-                if len(rpool) < pool_cap and getrefcount(event) == 2:
-                    event._value = None
-                    event._state = PENDING
-                    event._ok = True
-                    event._defused = False
-                    rpool.append(event)
 
         if isinstance(until, Event):
             if not stopped:
@@ -904,8 +812,6 @@ class KernelProfile:
         self.sampled_events_by_class: dict[str, int] = {}
         self.heap_pops = 0
         self.peak_pending = 0
-        self.timeout_requests = 0
-        self.timeout_pool_hits = 0
         self.resource_requests = 0
         self.resource_grants = 0
         self.resource_queued = 0
@@ -916,15 +822,9 @@ class KernelProfile:
     @property
     def heap_pushes(self) -> int:
         """Every ``_seq`` increment pairs with exactly one queue push (in
-        ``_schedule``, ``schedule_at``, ``timeout()``, ``succeed()`` and
+        ``_schedule``, ``schedule_at``, ``succeed()`` and
         ``Timeout.__init__``), so the push count is the ``_seq`` delta."""
         return self._env._seq - self._seq0
-
-    @property
-    def timeout_pool_hit_rate(self) -> float:
-        if self.timeout_requests == 0:
-            return 0.0
-        return self.timeout_pool_hits / self.timeout_requests
 
     def observe(self, when: float, event: Event) -> None:
         """Count one event about to be dispatched (the loop's observer)."""
@@ -974,9 +874,9 @@ class KernelProfile:
             "heap_pops": int(self.heap_pops),
             "events_by_class": dict(self.events_by_class),
             "resumes_by_process": dict(self.resumes_by_process),
-            "timeout_requests": int(self.timeout_requests),
-            "timeout_pool_hits": int(self.timeout_pool_hits),
-            "timeout_pool_hit_rate": float(self.timeout_pool_hit_rate),
+            # The kernel keeps no Timeout freelist; the key stays, at 0.0,
+            # because the e2e benchmark's counter table still reads it.
+            "timeout_pool_hit_rate": 0.0,
             "resource_requests": int(self.resource_requests),
             "resource_grants": int(self.resource_grants),
             "resource_queued": int(self.resource_queued),
@@ -998,23 +898,16 @@ class KernelProfile:
 def install_kernel_profiler(env: Environment) -> KernelProfile:
     """Attach a :class:`KernelProfile` to ``env`` as a loop observer.
 
-    ``env.timeout`` and ``env.run`` are shadowed with counting / timing
-    wrappers (instance dict shadows the class method) so pool hit rate
-    and wall time inside ``run`` are measured without touching the class;
-    :func:`uninstall_kernel_profiler` restores them.
+    ``env.run`` is shadowed with a timing wrapper (the instance dict
+    shadows the class method), so the wall time inside ``run`` is measured
+    without touching the class; :func:`uninstall_kernel_profiler` restores
+    it.
     """
     if env.kernel_profiler is not None:
         raise SimulationError("kernel profiler already installed")
     prof = env.kernel_profiler = KernelProfile(env)
     env.add_observer(prof.observe)
-    orig_timeout = env.timeout
     orig_run = env.run
-
-    def counting_timeout(delay: float, value: Any = None) -> Timeout:
-        prof.timeout_requests += 1
-        if env._timeout_pool:
-            prof.timeout_pool_hits += 1
-        return orig_timeout(delay, value)
 
     def timed_run(until: Optional[float | Event] = None) -> Any:
         t0 = perf_counter_ns()
@@ -1025,17 +918,15 @@ def install_kernel_profiler(env: Environment) -> KernelProfile:
                 prof._end_sample()
             prof.wall_ns += perf_counter_ns() - t0
 
-    env.timeout = counting_timeout
     env.run = timed_run
     return prof
 
 
 def uninstall_kernel_profiler(env: Environment) -> Optional[KernelProfile]:
-    """Detach the profiler and restore the un-shadowed methods."""
+    """Detach the profiler and restore the un-shadowed ``run``."""
     prof = env.kernel_profiler
     env.kernel_profiler = None
     if prof is not None:
         env.remove_observer(prof.observe)
-    env.__dict__.pop("timeout", None)
     env.__dict__.pop("run", None)
     return prof

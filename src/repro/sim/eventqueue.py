@@ -66,8 +66,8 @@ class EventQueue:
         heap = self._heap
         if nptr < len(nowq) and not (heap and heap[0] < nowq[nptr]):
             entry = nowq[nptr]
-            nowq[nptr] = None          # drop the ref: event pools check
-            self._nptr = nptr + 1      # refcounts after dispatch
+            nowq[nptr] = None          # drop the ref: the event is freed
+            self._nptr = nptr + 1      # as soon as its dispatch ends
             return entry
         if heap:
             return heappop(heap)

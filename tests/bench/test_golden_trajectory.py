@@ -1,9 +1,10 @@
 """Pin the exact simulated trajectory of one fig11 cell.
 
-The DES kernel's fast paths (timeout pooling, the inline process-resume
-loop in ``Environment.run``) are allowed to change how *fast* the
-simulator runs, never *what* it computes: same-timestamp scheduling order
-and interrupt priority are part of the determinism contract (MODEL.md).
+The DES kernel's fast paths (the single-waiter fast slot, the inline
+process-resume loop in ``Environment.run``) are allowed to change how
+*fast* the simulator runs, never *what* it computes: same-timestamp
+scheduling order and interrupt priority are part of the determinism
+contract (MODEL.md).
 This test locks one full KVAccel cell — every sampled series, latency
 percentile, and stall interval — against a JSON snapshot taken before the
 fast paths landed.  If it fails, a kernel change altered the trajectory,

@@ -8,8 +8,8 @@ contract: on the kernel's own shapes and on one cell of every system and
 workload shape the benchmarks run, ``gc.collect()`` must find nothing.
 
 Each count is taken while the world is still referenced, so it counts
-only garbage; a dropped Environment is itself cyclic (its freelists hold
-events that point back at it) and is left to the collector.
+only garbage; a dropped Environment is itself cyclic (its daemons'
+suspended generators hold it) and is left to the collector.
 """
 
 from __future__ import annotations

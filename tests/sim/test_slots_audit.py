@@ -1,10 +1,9 @@
 """Audit: every hot kernel class is fully ``__slots__``-ed.
 
-Event recycling and the inlined dispatch loop bank on instances having
-no ``__dict__`` — a single slotless class in the hierarchy silently
-re-grows per-instance dicts, costs ~56 bytes and a dict allocation per
-event, and defeats the freelists' refcount checks.  This audit fails the
-moment anyone adds an unslotted attribute or base class.
+The inlined dispatch loop banks on instances having no ``__dict__`` — a
+single slotless class in the hierarchy silently re-grows per-instance
+dicts and costs ~56 bytes and a dict allocation per event.  This audit
+fails the moment anyone adds an unslotted attribute or base class.
 """
 
 import pytest
@@ -44,8 +43,7 @@ def test_environment_hot_attributes_live_in_slots():
     # (faults, tracer, telemetry hang state off the env) — but the
     # kernel-hot attributes must stay in slots, not fall into it.
     env = core.Environment()
-    for attr in ("_now", "_queue", "_seq", "_timeout_pool", "_event_pool",
-                 "_presume_pool", "_active_process", "_observer"):
+    for attr in ("_now", "_queue", "_seq", "_active_process", "_observer"):
         assert attr not in env.__dict__, f"{attr} fell out of __slots__"
         assert hasattr(env, attr)
 
