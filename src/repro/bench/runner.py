@@ -358,6 +358,12 @@ def run_workload(
     if kprof is not None:
         uninstall_kernel_profiler(env)
         result.extra["kernel_profile"] = kprof.to_dict()
+    # The result keeps its planes, not the world: a plane held in
+    # ``extra`` would otherwise keep the Environment, and every table in
+    # it, alive for as long as the result lives.
+    for plane in (hub, tracer, journal):
+        if plane is not None:
+            plane.detach()
     wall = time.perf_counter() - wall_t0
     events = env.events_scheduled
     result.extra["wall_clock_s"] = wall

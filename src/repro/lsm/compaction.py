@@ -9,8 +9,9 @@ Leveled compaction à la RocksDB/LevelDB:
 * Ln -> Ln+1 (n >= 1): one input file chosen round-robin by key cursor,
   plus the overlapping files in the next level.
 
-Merging is newest-wins by sequence number; tombstones are dropped only
-when the output level is the bottommost (no older data below can
+Merging is newest-wins by sequence number, over the input tables'
+columns (one sorted permutation, no entry tuples); tombstones are dropped
+only when the output level is the bottommost (no older data below can
 resurrect).  When every input table's entries share one size
 (``SSTable.entry_bytes``), so do the output's, and the output is cut
 into files by count instead of by summed sizes.
@@ -18,12 +19,16 @@ into files by count instead of by summed sizes.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from itertools import compress, count, islice, repeat
+from operator import and_, eq, itemgetter, lt, ne
 from typing import Optional
 
-from ..types import KIND_DELETE, entry_size
-from .iterator import newest_wins
+from ..types import KIND_DELETE
 from .options import LsmOptions
+from .sstable import (Columns, concat_columns, entry_sizes, int64s, row_at,
+                      slice_columns)
 from .version import FileMetadata, Version
 
 __all__ = ["CompactionJob", "CompactionPicker", "cut_by_count",
@@ -116,47 +121,148 @@ class CompactionPicker:
                              inputs_low=list(l0), inputs_high=highs)
 
 
-def merge_for_compaction(job: CompactionJob, num_levels: int) -> list:
-    """Merged, deduplicated output entries for a compaction job.
+def merge_for_compaction(job: CompactionJob, num_levels: int) -> Columns:
+    """Merged, deduplicated output rows of a compaction job, as columns.
 
-    One batch :func:`newest_wins` over the input tables; correctness
-    comes from sequence numbers, not from the order of the inputs.
-    Tombstones survive unless the output level is the bottommost.
+    The inputs' columns are joined and a permutation of the rows is
+    sorted by key (stable, so a key's rows keep input order).  A Python
+    loop runs only over the rows whose key repeats, and keeps the one
+    with the highest sequence number; correctness comes from sequence
+    numbers, not from the order of the inputs.  Tombstones survive
+    unless the output level is the bottommost.  The output columns are
+    gathered through the permutation in C; no entry tuple is built.
+
+    Equal to :func:`~repro.lsm.iterator.newest_wins` over the inputs'
+    entries (the test reference) wherever that merge is defined.  Two
+    *distinct* rows under one key and sequence number are a bug upstream
+    (a sequence number names one write) and raise ``TypeError``, whatever
+    their values; copies of one write merge to one row.
     """
-    merged = newest_wins(f.table.entries for f in job.all_inputs)
-    if job.output_level == num_levels - 1:
-        return [e for e in merged if e[2] != KIND_DELETE]
-    return merged
+    parts = [meta.table.columns for meta in job.all_inputs]
+    bottommost = job.output_level == num_levels - 1
+    if len(parts) == 1 and not (bottommost and KIND_DELETE in parts[0][2]):
+        # One table's rows are sorted and key-unique: they are the output.
+        # Columns are never mutated, so the output shares them.
+        return parts[0]
+    columns = concat_columns(parts)
+    keys, seqs, kinds, seeds, sizes, other = columns
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    out_keys = list(_gather(order)(keys))
+    keep = None
+    if not all(map(lt, out_keys, islice(out_keys, 1, None))):
+        keep = _newest_of_each_key(columns, order, out_keys)
+    if bottommost and KIND_DELETE in kinds:
+        live = map(ne, _gather(order)(kinds), repeat(KIND_DELETE))
+        keep = bytes(live) if keep is None else bytes(map(and_, keep, live))
+    if keep is not None:
+        order = list(compress(order, keep))
+        out_keys = list(compress(out_keys, keep))
+    out_other = {}
+    if other:
+        hit = list(map(other.__contains__, order))
+        out_other = dict(zip(compress(count(), hit),
+                             map(other.__getitem__, compress(order, hit))))
+    n = len(order)
+    # A fixed-size cell's kinds and sizes are one value each: repeated,
+    # not gathered (a fifth of the merge's time).
+    return (out_keys, _take(seqs, order),
+            kinds[:1] * n if _uniform(kinds) else bytes(_gather(order)(kinds)),
+            _take(seeds, order),
+            sizes[:1] * n if _uniform(sizes) else _take(sizes, order),
+            out_other)
 
 
-def split_into_files(entries: list, target_bytes: int) -> list:
-    """Partition merged output into SST-sized chunks.
+# Rows an array gather takes at a time: its transient ints stay this few.
+_TAKE_BATCH = 1024
 
-    Returns ``(entries, sizes)`` per output file; ``sizes`` are the
-    per-entry :func:`entry_size` s, computed here once and handed to the
-    :class:`SSTable` built from the chunk.
-    """
-    if target_bytes <= 0:
-        raise ValueError("target_bytes must be positive")
-    sizes = list(map(entry_size, entries))
-    out: list[tuple[list, list]] = []
-    start = cur_bytes = 0
-    for i, sz in enumerate(sizes):
-        if cur_bytes and cur_bytes + sz > target_bytes:
-            out.append((entries[start:i], sizes[start:i]))
-            start, cur_bytes = i, 0
-        cur_bytes += sz
-    if entries:
-        out.append((entries[start:], sizes[start:]))
+
+def _take(column: array, order: list) -> array:
+    """The items of ``column`` at ``order`` as an ``array('q')``."""
+    out = array("q")
+    for i in range(0, len(order), _TAKE_BATCH):
+        out += int64s(_gather(order[i:i + _TAKE_BATCH])(column))
     return out
 
 
-def cut_by_count(entries: list, entry_bytes: int, target_bytes: int) -> list:
-    """:func:`split_into_files`' cut for entries that all size
-    ``entry_bytes``: a file takes as many entries as fit in
-    ``target_bytes``, and at least one.  Returns the chunks alone; the
-    tables built from them carry ``entry_bytes`` instead of sizes."""
+def _gather(order: list):
+    """A function taking a column to the tuple of its items at ``order``
+    (``itemgetter`` returns a bare item for one index)."""
+    if len(order) > 1:
+        return itemgetter(*order)
+    return lambda column: tuple(map(column.__getitem__, order))
+
+
+def _uniform(column) -> bool:
+    """Whether every item of an array or bytes column equals the first:
+    each item equals the next, compared in C without a copy."""
+    view = memoryview(column)
+    return view[1:] == view[:-1]
+
+
+def _newest_of_each_key(columns: Columns, order: list,
+                        sorted_keys: list) -> bytearray:
+    """Selectors over ``order`` that keep, of each run of one key, the row
+    with the highest sequence number; the loop visits only those runs.
+
+    Within a run, rows that share a sequence number must be equal (copies
+    of one write), else ``TypeError``.  That is stricter than
+    :func:`~repro.lsm.iterator.newest_wins`, which raises only when its
+    sort has to order two unorderable values (a ``ValueRef`` beside a
+    ``bytes`` or a different ``ValueRef``) and otherwise keeps one."""
+    seqs = columns[1]
+    keep = bytearray(b"\x01") * len(order)
+    runs: list = []                 # [first, last] sorted position of a run
+    # Sorted positions i whose next row has the same key.
+    for i in compress(count(), map(eq, sorted_keys,
+                                   islice(sorted_keys, 1, None))):
+        if runs and runs[-1][1] == i:
+            runs[-1][1] = i + 1
+        else:
+            runs.append([i, i + 1])
+    for first, last in runs:
+        # The run by sequence number, stable: equal seqs end up adjacent,
+        # and equality is transitive, so neighbours are all to compare.
+        run = sorted(range(first, last + 1),
+                     key=lambda p: seqs[order[p]])
+        for p, q in zip(run, islice(run, 1, None)):
+            keep[p] = 0
+            a, b = order[p], order[q]
+            if seqs[a] == seqs[b] and row_at(columns, a) != row_at(columns,
+                                                                 b):
+                raise TypeError(f"two distinct writes under key "
+                                f"{sorted_keys[first]!r}, seq {seqs[a]}")
+    return keep
+
+
+def split_into_files(columns: Columns, target_bytes: int) -> list:
+    """Partition merged output into SST-sized column slices: a file takes
+    rows while their summed :func:`~repro.types.entry_size` fits in
+    ``target_bytes``, and at least one."""
+    if target_bytes <= 0:
+        raise ValueError("target_bytes must be positive")
+    out: list = []
+    start = cur_bytes = 0
+    for i, sz in enumerate(entry_sizes(columns)):
+        if cur_bytes and cur_bytes + sz > target_bytes:
+            out.append(slice_columns(columns, start, i))
+            start, cur_bytes = i, 0
+        cur_bytes += sz
+    if start == 0 and columns[0]:
+        return [columns]            # one file holds every row
+    if columns[0]:
+        out.append(slice_columns(columns, start, len(columns[0])))
+    return out
+
+
+def cut_by_count(columns: Columns, entry_bytes: int,
+                 target_bytes: int) -> list:
+    """:func:`split_into_files`' cut for rows that all size
+    ``entry_bytes``: a file takes as many rows as fit in
+    ``target_bytes``, and at least one."""
     if target_bytes <= 0:
         raise ValueError("target_bytes must be positive")
     per = max(1, target_bytes // entry_bytes)
-    return [entries[i:i + per] for i in range(0, len(entries), per)]
+    n = len(columns[0])
+    if n <= per:
+        return [columns] if n else []
+    return [slice_columns(columns, i, i + per) for i in range(0, n, per)]

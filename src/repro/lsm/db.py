@@ -29,7 +29,7 @@ from .fs import FileSystem, FsError, PageCache
 from .iterator import merging_iterator
 from .memtable import DictMemTable, MemTable
 from .options import LsmOptions
-from .sstable import SSTable
+from .sstable import SSTable, columns_bytes
 from .version import FileMetadata, VersionEdit, VersionSet
 from .wal import Wal
 from .write_controller import WriteController, WriteState
@@ -504,13 +504,13 @@ class DbImpl:
         # cut it by count and size nothing.
         entry_bytes = job.entry_bytes
         if entry_bytes is not None:
-            output_groups = [(group, None) for group in cut_by_count(
-                merged, entry_bytes, opt.target_file_size_base)]
-            output_bytes = entry_bytes * len(merged)
+            outputs = cut_by_count(merged, entry_bytes,
+                                   opt.target_file_size_base)
+            output_bytes = entry_bytes * len(merged[0])
         else:
-            output_groups = split_into_files(merged,
-                                             opt.target_file_size_base)
-            output_bytes = sum(sum(sizes) for _group, sizes in output_groups)
+            outputs = split_into_files(merged, opt.target_file_size_base)
+            output_bytes = columns_bytes(merged)
+        del merged      # the outputs hold the rows the files need
 
         input_bytes = job.input_bytes
         self.stats.compaction_bytes_read += input_bytes
@@ -550,11 +550,12 @@ class DbImpl:
 
         # Phase 2: build and write the output files.
         added: list[FileMetadata] = []
-        for group, sizes in output_groups:
+        for columns in outputs:
             number = self.versions.new_file_number()
-            table = SSTable(number, group, block_size=opt.block_size,
-                            bloom_bits_per_key=opt.bloom_bits_per_key,
-                            sizes=sizes, entry_bytes=entry_bytes)
+            table = SSTable.from_columns(
+                number, columns, block_size=opt.block_size,
+                bloom_bits_per_key=opt.bloom_bits_per_key,
+                entry_bytes=entry_bytes)
             meta = FileMetadata(number=number, level=job.output_level,
                                 table=table)
             added.append(meta)

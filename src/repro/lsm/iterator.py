@@ -11,9 +11,11 @@ Two merges give that view:
   merge (:func:`k_way_merge`), so a scan that stops after N entries pays
   for about N.  It is also the reference the batch merge is tested
   against.
-* :func:`newest_wins` is the batch merge for callers that consume every
-  entry (compaction; the Dev-LSM's bulk scan, iterator and compaction):
-  one C-level sort and one C-level filter, no per-entry Python frame.
+* :func:`newest_wins` is the batch merge of entry tuples for callers that
+  consume every entry (the Dev-LSM's bulk scan, iterator and
+  compaction): one C-level sort and one C-level filter, no per-entry
+  Python frame.  Host compaction merges SSTable columns instead
+  (``compaction.merge_for_compaction``), and is tested against it.
 
 Both are *functional* — they yield exact entries; the DB layer charges
 device I/O for the SST blocks a scan crosses (see ``DbImpl.scan``),

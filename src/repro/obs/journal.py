@@ -125,6 +125,7 @@ class Journal:
         # event's timestamp against this before the event dispatches.
         self._next_ckpt = self.period
         self._sources: list[tuple[str, Callable[[], dict]]] = []
+        self.layer_names: list[str] = []
         self._env = None
 
     # -- wiring ------------------------------------------------------------
@@ -139,10 +140,19 @@ class Journal:
         self._env = env
         return self
 
+    def detach(self) -> None:
+        """Let go of the world once the run is over: the Environment and
+        the digest sources (their names stay in ``layer_names``, for the
+        file header).  The records stay readable; no checkpoint can be
+        taken any more."""
+        self._env = None
+        self._sources = None
+
     def add_digest_source(self, name: str, fn: Callable[[], dict]) -> None:
         """Register a layer digest; hashed at every checkpoint in
         registration order (so the digest stream is deterministic)."""
         self._sources.append((name, fn))
+        self.layer_names.append(name)
 
     # -- recording (called from the kernel / fault probes) ------------------
     def observe(self, when: float, event) -> None:
@@ -212,6 +222,9 @@ class Journal:
         self._digest_all(t)
 
     def _digest_all(self, ck_t: float) -> None:
+        if self._sources is None:
+            raise RuntimeError("the journal is detached from its run; "
+                               "it takes no more checkpoints")
         self.checkpoint_count += 1
         for name, fn in self._sources:
             idx = self._idx
@@ -316,7 +329,7 @@ def _serialize(journal: Journal, meta: Optional[dict] = None) -> bytes:
         "events": journal.event_count, "sites": journal.site_count,
         "checkpoints": journal.checkpoint_count,
         "dropped": journal.dropped,
-        "layers": [name for name, _ in journal._sources],
+        "layers": journal.layer_names,
     }
     if meta:
         header.update(meta)

@@ -187,6 +187,15 @@ class TelemetryHub:
         self._stopped = True
         self.flush()
 
+    def detach(self) -> None:
+        """Let go of the world once the run is over: the environment, the
+        sampling process, the gauges' callables and the sample
+        subscribers.  The recorded series stay readable."""
+        self.env = self.process = None
+        self._callbacks.clear()
+        for ch in self.channels.values():
+            ch.fn = None
+
     # -- reading -------------------------------------------------------------
     def series(self, name: str) -> list[float]:
         return list(self.channels[name].values)

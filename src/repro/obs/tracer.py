@@ -113,6 +113,11 @@ class Tracer:
         p.begin, p.end, p.instant = self.begin, self.end, self.instant
         return self
 
+    def detach(self) -> None:
+        """Let go of the Environment once the run is over; the recorded
+        events stay readable."""
+        self._env = None
+
     @property
     def now(self) -> float:
         if self._env is None:

@@ -29,6 +29,7 @@ __all__ = [
     "value_size",
     "materialize",
     "entry_size",
+    "ENTRY_OVERHEAD",
     "encode_key",
     "make_entry",
 ]
@@ -92,19 +93,23 @@ def materialize(value: Value) -> bytes:
     return bytes(out[: value.size])
 
 
-def entry_size(entry: Entry) -> int:
-    """On-media footprint of an entry: key + value + fixed metadata.
+# Fixed metadata of an entry's on-media footprint: RocksDB's internal key
+# suffix (sequence + type packed in 8 bytes).
+ENTRY_OVERHEAD = 8
 
-    The 8-byte overhead approximates RocksDB's internal key suffix
-    (sequence + type packed in 8 bytes).  Sized inline (the hottest call
-    in a cell); agrees with :func:`value_size` for every ``Value``.
+
+def entry_size(entry: Entry) -> int:
+    """On-media footprint of an entry: key + value + ``ENTRY_OVERHEAD``.
+
+    Sized inline (the hottest call in a cell); agrees with
+    :func:`value_size` for every ``Value``.
     """
     value = entry[3]
     if type(value) is ValueRef:
-        return len(entry[0]) + value.size + 8
+        return len(entry[0]) + value.size + ENTRY_OVERHEAD
     if value is None:
-        return len(entry[0]) + 8
-    return len(entry[0]) + len(value) + 8
+        return len(entry[0]) + ENTRY_OVERHEAD
+    return len(entry[0]) + len(value) + ENTRY_OVERHEAD
 
 
 def encode_key(n: int, width: int = 4) -> bytes:

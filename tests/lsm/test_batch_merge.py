@@ -19,6 +19,7 @@ from repro.lsm import (
     merging_iterator,
 )
 from repro.lsm.iterator import newest_wins
+from repro.lsm.sstable import iter_rows
 from repro.types import KIND_DELETE, ValueRef, encode_key, make_entry
 
 values = st.one_of(
@@ -78,7 +79,7 @@ def test_compaction_merge_equals_the_streaming_merge(specs, output_level):
                             number=n + 1, level=output_level - 1,
                             table=SSTable(n + 1, src, block_size=256))
                             for n, src in enumerate(sources)])
-    merged = merge_for_compaction(job, num_levels=7)
+    merged = list(iter_rows(merge_for_compaction(job, num_levels=7)))
     bottommost = output_level == 6
     assert merged == list(merging_iterator(
         sources, include_tombstones=not bottommost))

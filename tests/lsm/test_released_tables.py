@@ -23,14 +23,14 @@ from repro.types import encode_key  # noqa: E402
 def test_only_the_current_version_keeps_tables_alive(monkeypatch):
     built = weakref.WeakSet()
     count = [0]
-    init = SSTable.__init__
+    build = SSTable._build      # both constructors (entries, columns)
 
     def tracked(self, *args, **kwargs):
-        init(self, *args, **kwargs)
+        build(self, *args, **kwargs)
         built.add(self)
         count[0] += 1
 
-    monkeypatch.setattr(SSTable, "__init__", tracked)
+    monkeypatch.setattr(SSTable, "_build", tracked)
     env = Environment()
     db, _, _ = small_db(env)
 

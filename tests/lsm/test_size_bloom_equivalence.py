@@ -25,6 +25,7 @@ from repro.lsm import (
     split_into_files,
 )
 from repro.lsm.compaction import cut_by_count
+from repro.lsm.sstable import columns_bytes, entry_sizes, iter_rows, to_columns
 from repro.sim import Environment
 from repro.types import (
     KIND_DELETE,
@@ -115,11 +116,9 @@ def test_sstable_sizes_equal_resummed_entry_sizes(entries, block_size, bits):
     assert t.file_bytes == (t.data_bytes
                             + BloomFilter(len(entries), bits).size_bytes
                             + 24 * len(starts) + 128)
-    # sizes handed over by the caller build the same table
-    same = SSTable(1, entries, block_size=block_size, bloom_bits_per_key=bits,
-                   sizes=[old_entry_size(e) for e in entries])
-    assert (same.file_bytes, same.data_bytes, same.num_blocks) == (
-        t.file_bytes, t.data_bytes, t.num_blocks)
+    # the sizes summed from the columns are the entries' sizes
+    assert entry_sizes(t.columns) == [old_entry_size(e) for e in entries]
+    assert columns_bytes(t.columns) == t.data_bytes
     for e in entries:
         assert t.probe(e[0]).entry == e
 
@@ -186,10 +185,12 @@ def test_mixed_sizes_carry_no_entry_size(entries):
 @settings(max_examples=60, deadline=None)
 @given(entry_lists, st.integers(1, 3000))
 def test_split_into_files_carries_the_sizes_it_cut_by(entries, target):
-    groups = split_into_files(entries, target)
-    assert [e for group, _sizes in groups for e in group] == entries
-    for group, sizes in groups:
-        assert group and sizes == [old_entry_size(e) for e in group]
+    files = split_into_files(to_columns(entries), target)
+    groups = [list(iter_rows(columns)) for columns in files]
+    assert [e for group in groups for e in group] == entries
+    for columns, group in zip(files, groups):
+        assert group and entry_sizes(columns) == [old_entry_size(e)
+                                                  for e in group]
     # same cuts as accumulating entry by entry
     expect, cur, cur_bytes = [], [], 0
     for e in entries:
@@ -200,7 +201,7 @@ def test_split_into_files_carries_the_sizes_it_cut_by(entries, target):
         cur.append(e)
         cur_bytes += sz
     expect.append(cur)
-    assert [group for group, _sizes in groups] == expect
+    assert groups == expect
 
 
 @settings(max_examples=80, deadline=None)
@@ -208,13 +209,13 @@ def test_split_into_files_carries_the_sizes_it_cut_by(entries, target):
 def test_count_cut_is_the_byte_cut_of_equal_sizes(entries, target):
     """Targets below one entry included: a file always takes one."""
     size = old_entry_size(entries[0])
-    chunks = cut_by_count(entries, size, target)
-    assert chunks == [group for group, _sizes in
-                      split_into_files(entries, target)]
+    columns = to_columns(entries)
+    chunks = cut_by_count(columns, size, target)
+    assert chunks == split_into_files(columns, target)
     if target < size:
-        assert chunks == [[e] for e in entries]
+        assert [list(iter_rows(c)) for c in chunks] == [[e] for e in entries]
     with pytest.raises(ValueError):
-        cut_by_count(entries, size, 0)
+        cut_by_count(columns, size, 0)
 
 
 @settings(max_examples=80, deadline=None)

@@ -14,6 +14,7 @@ from repro.lsm import (
     merge_for_compaction,
     split_into_files,
 )
+from repro.lsm.sstable import iter_rows, to_columns
 from repro.types import KIND_DELETE, encode_key, make_entry
 
 
@@ -186,7 +187,7 @@ class TestMergeAndSplit:
         from repro.lsm import CompactionJob
         job = CompactionJob(level=0, output_level=1,
                             inputs_low=[new], inputs_high=[old])
-        merged = merge_for_compaction(job, num_levels=7)
+        merged = list(iter_rows(merge_for_compaction(job, num_levels=7)))
         assert len(merged) == 11
         assert all(e[1] >= 1000 for e in merged)
 
@@ -196,7 +197,7 @@ class TestMergeAndSplit:
                     block_size=4 * KiB)
         m = FileMetadata(number=1, level=0, table=t)
         job = CompactionJob(level=0, output_level=1, inputs_low=[m])
-        merged = merge_for_compaction(job, num_levels=7)
+        merged = list(iter_rows(merge_for_compaction(job, num_levels=7)))
         assert len(merged) == 1 and merged[0][2] == KIND_DELETE
 
     def test_tombstones_dropped_at_bottom(self):
@@ -206,20 +207,19 @@ class TestMergeAndSplit:
                     block_size=4 * KiB)
         m = FileMetadata(number=1, level=5, table=t)
         job = CompactionJob(level=5, output_level=6, inputs_low=[m])
-        merged = merge_for_compaction(job, num_levels=7)
+        merged = list(iter_rows(merge_for_compaction(job, num_levels=7)))
         assert [e[0] for e in merged] == [encode_key(2)]
 
     def test_split_into_files_respects_target(self):
         entries = [make_entry(encode_key(i), i, b"v" * 100) for i in range(100)]
         from repro.types import entry_size
-        groups = split_into_files(entries, target_bytes=1000)
-        assert [e for g, _sizes in groups for e in g] == entries
-        for g, sizes in groups:
-            assert sizes == [entry_size(e) for e in g]
-        for _g, sizes in groups[:-1]:
-            assert sum(sizes) <= 1000 + 120
+        groups = [list(iter_rows(g)) for g in
+                  split_into_files(to_columns(entries), target_bytes=1000)]
+        assert [e for g in groups for e in g] == entries
+        for g in groups[:-1]:
+            assert sum(map(entry_size, g)) <= 1000 + 120
 
     def test_split_empty(self):
-        assert split_into_files([], 100) == []
+        assert split_into_files(to_columns([]), 100) == []
         with pytest.raises(ValueError):
-            split_into_files([], 0)
+            split_into_files(to_columns([]), 0)

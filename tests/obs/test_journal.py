@@ -97,6 +97,17 @@ def test_histogram_and_checkpoint_records():
     assert len(digests[0]["digest"]) == 16
 
 
+def test_a_detached_journal_keeps_its_records_and_refuses_checkpoints():
+    j = Journal(period=1.0)
+    j.add_digest_source("toy", lambda: {"n": 1})
+    j.checkpoint_now(0.5)
+    j.detach()
+    assert j.layer_names == ["toy"]
+    assert [r["layer"] for r in j.tail()] == ["toy"]
+    with pytest.raises(RuntimeError, match="detached"):
+        j.checkpoint_now(1.5)
+
+
 # -- recording a real cell ----------------------------------------------------
 
 def _record(path: str, profile, perturb: bool = False) -> Journal:

@@ -1,0 +1,102 @@
+"""Reference model of the SSTable: a list of entry tuples.
+
+``ReferenceSSTable`` holds its entries as the list of ``(key, seq, kind,
+value)`` tuples it was built from, sizes them one by one and cuts blocks
+by summing those sizes.  ``repro.lsm.SSTable`` stores its entries as
+columns instead; the tests build both from the same entries and require
+every answer to agree.  ``reference_merge`` and ``reference_split`` are
+compaction's merge and mixed-size file cut over entry lists.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
+from itertools import islice
+from operator import itemgetter, lt
+
+from repro.lsm.bloom import BloomFilter, key_hash
+from repro.lsm.iterator import newest_wins
+from repro.types import KIND_DELETE, entry_size
+
+_key = itemgetter(0)
+
+
+class ReferenceSSTable:
+    """Sorted, key-unique entry tuples in byte-budget blocks."""
+
+    def __init__(self, file_number, entries, block_size=16 * 1024,
+                 bloom_bits_per_key=10):
+        if not entries:
+            raise ValueError("SSTable cannot be empty")
+        self.file_number = file_number
+        self.entries = list(entries)
+        keys = list(map(_key, self.entries))
+        if not all(map(lt, keys, islice(keys, 1, None))):
+            raise ValueError("entries must be sorted and key-unique")
+        self.smallest, self.largest = keys[0], keys[-1]
+        sizes = list(map(entry_size, self.entries))
+        self.entry_bytes = sizes[0] if min(sizes) == max(sizes) else None
+        self._block_starts, self._block_bytes, cur = [0], [], 0
+        for i, sz in enumerate(sizes):
+            if cur and cur + sz > block_size:
+                self._block_starts.append(i)
+                self._block_bytes.append(cur)
+                cur = 0
+            cur += sz
+        self._block_bytes.append(cur)
+        self.data_bytes = sum(sizes)
+        self.bloom = BloomFilter(len(keys), bloom_bits_per_key)
+        self.bloom.add_all(keys)
+        self.file_bytes = (self.data_bytes + self.bloom.size_bytes
+                           + 24 * len(self._block_starts) + 128)
+
+    @property
+    def num_blocks(self):
+        return len(self._block_starts)
+
+    def block_bytes(self, block_idx):
+        return self._block_bytes[block_idx]
+
+    def probe(self, key):
+        """(entry or None, bytes read, bloom negative)."""
+        if key < self.smallest or key > self.largest:
+            return None, 0, False
+        if not self.bloom.may_contain_hash(key_hash(key)):
+            return None, 0, True
+        i = bisect_right(self.entries, key, key=_key) - 1
+        cost = self._block_bytes[bisect_right(self._block_starts, i) - 1]
+        if self.entries[i][0] == key:
+            return self.entries[i], cost, False
+        return None, cost, False
+
+    def lower_bound(self, key):
+        return bisect_left(self.entries, key, key=_key)
+
+    def iter_from(self, key=None):
+        start = 0 if key is None else self.lower_bound(key)
+        return iter(self.entries[start:])
+
+
+def reference_merge(sources, bottommost):
+    """Compaction's output entries: newest-wins over the entry lists
+    ``sources``, tombstones dropped at the bottommost level."""
+    merged = newest_wins(sources)
+    if bottommost:
+        return [e for e in merged if e[2] != KIND_DELETE]
+    return merged
+
+
+def reference_split(entries, target_bytes):
+    """Compaction's mixed-size file cut: a file takes entries while their
+    summed ``entry_size`` fits in ``target_bytes``, and at least one."""
+    out, cur, cur_bytes = [], [], 0
+    for e in entries:
+        sz = entry_size(e)
+        if cur and cur_bytes + sz > target_bytes:
+            out.append(cur)
+            cur, cur_bytes = [], 0
+        cur.append(e)
+        cur_bytes += sz
+    if cur:
+        out.append(cur)
+    return out
