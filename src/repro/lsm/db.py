@@ -697,11 +697,19 @@ class DbImpl:
     def _level_source(self, files: list, start_key: bytes, cost_cell: list):
         """Entries of key-disjoint, ascending ``files`` from ``start_key``
         (one L0 file, or a slice of a deeper level), adding each entry's
-        size to ``cost_cell[0]``."""
+        size to ``cost_cell[0]``: the table's one entry size when its
+        entries share one, else each entry's own."""
         for meta in files:
-            for e in meta.table.iter_from(start_key):
-                cost_cell[0] += entry_size(e)
-                yield e
+            table = meta.table
+            size = table.entry_bytes
+            if size is None:
+                for e in table.iter_from(start_key):
+                    cost_cell[0] += entry_size(e)
+                    yield e
+            else:
+                for e in table.iter_from(start_key):
+                    cost_cell[0] += size
+                    yield e
 
     def _charge_scan_read(self, nbytes: int) -> Generator:
         """Charge a scan's data-block read against the device.

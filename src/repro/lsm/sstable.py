@@ -205,18 +205,17 @@ class SSTable:
                 entry_bytes = sizes[0]
         # The one size every entry has, or None when sizes differ.
         self.entry_bytes = entry_bytes
-        # Row where each block begins, and each block's bytes: int arrays
-        # (a 16 KiB block holds three 4,108-byte entries, so a table has a
-        # third as many blocks as entries).  A block's first key is read
-        # from ``keys``.
+        # Row where each block begins, and each block's bytes (a 16 KiB
+        # block holds three 4,108-byte entries, so a table has a third as
+        # many blocks as entries).  A block's first key is read from
+        # ``keys``.
         if entry_bytes is not None:
             # Equal sizes make the byte-budget cut below a count: each
-            # block takes ``per`` entries, the last one the rest.
+            # block takes ``per`` entries, the last one the rest, so the
+            # starts are a range and no block's bytes are stored.
             n = len(keys)
-            per = max(1, block_size // entry_bytes)
-            starts = array("q", range(0, n, per))
-            block_bytes = array("q", [per * entry_bytes]) * (len(starts) - 1)
-            block_bytes.append((n - starts[-1]) * entry_bytes)
+            starts = range(0, n, max(1, block_size // entry_bytes))
+            block_bytes = None
             self.data_bytes = n * entry_bytes
         else:
             starts = array("q", [0])
@@ -288,7 +287,7 @@ class SSTable:
         # hold it, since blocks are runs of consecutive rows.
         keys = self.columns[0]
         i = bisect_right(keys, key) - 1
-        cost = self._block_bytes[bisect_right(self._block_starts, i) - 1]
+        cost = self.block_bytes(bisect_right(self._block_starts, i) - 1)
         if keys[i] == key:
             return ProbeResult(row_at(self.columns, i), cost)
         return ProbeResult(None, cost)
@@ -306,7 +305,12 @@ class SSTable:
         return bisect_right(self._block_starts, idx) - 1
 
     def block_bytes(self, block_idx: int) -> int:
-        return self._block_bytes[block_idx]
+        if self._block_bytes is not None:
+            return self._block_bytes[block_idx]
+        starts = self._block_starts
+        start = starts[block_idx]
+        return (min(start + starts.step, len(self.columns[0])) - start
+                ) * self.entry_bytes
 
     # -- serialization (tests / durability example) --------------------------
     def to_bytes(self) -> bytes:

@@ -38,13 +38,16 @@ import gzip
 import hashlib
 import json
 import os
-from collections import deque
+from array import array
+from collections import Counter
 from functools import partial
+from itertools import compress
 from pathlib import Path
 from typing import Callable, Optional
 
 from ..faults.registry import fault_point, touch
 from ..sim.core import Process
+from .columns import ColumnStore, RowView
 
 __all__ = [
     "Journal",
@@ -60,10 +63,13 @@ __all__ = [
     "DIVERGENCE_DIR_ENV",
 ]
 
-# Record kinds (field 0 of every record tuple).
+# Record kinds (field 0 of every record tuple), and the byte that stands
+# for each in the kind column.
 EVENT = "event"
 SITE = "site"
 DIGEST = "digest"
+_KIND_NAMES = (EVENT, SITE, DIGEST)
+_EVENT, _SITE, _DIGEST = range(3)
 
 DIVERGENCE_DIR_ENV = "REPRO_DIVERGENCE_DIR"
 
@@ -85,10 +91,10 @@ def digest_state(state: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-class Journal:
+class Journal(ColumnStore):
     """The flight recorder attached to one Environment.
 
-    Records are plain tuples ``(kind, idx, t, proc, tag)``:
+    Records read as tuples ``(kind, idx, t, proc, tag)``:
 
     * ``("event", idx, t, proc_name, event_class)`` — one per dispatched
       kernel event (``proc_name`` is ``""`` when no Process owns it);
@@ -101,6 +107,14 @@ class Journal:
     counting even when ``ring`` evicts or ``window`` skips, so a crash
     tail or a suspect-window recording still reports absolute positions).
 
+    The journal stores them as columns (:mod:`repro.obs.columns`): the
+    kind, one byte; ``t``, a double; ``proc`` and ``tag`` as ids into one
+    name table that interns each string on first sight (it keeps every
+    name it has seen, each digest's among them, also under ``ring``).
+    ``idx`` is implied by the row's position and is stored only once
+    ``window`` has skipped a record.  That is 17 bytes a record;
+    :attr:`records` builds the tuples when they are read.
+
     ``ring=N`` keeps only the last N records (crash tails, bounded
     memory); ``window=(t0, t1)`` records only events/sites inside the
     closed sim-time interval (the ``replay-to`` mode).
@@ -112,11 +126,19 @@ class Journal:
             raise ValueError("period must be positive")
         if ring is not None and ring <= 0:
             raise ValueError("ring must be positive")
+        super().__init__(ring)
         self.period = float(period)
         self.ring = ring
         self.window = window
-        self.records: deque = deque(maxlen=ring)
-        self.dropped = 0
+        self._kind = bytearray()
+        self._t = array("d")
+        self._proc = array("I")
+        self._tag = array("I")
+        self._columns = (self._kind, self._t, self._proc, self._tag)
+        # ``idx`` of row 0 while every index is implied by position; the
+        # first record the window skips turns this into a column.
+        self._idx0 = 0
+        self._idxs: Optional[array] = None
         self.event_count = 0
         self.site_count = 0
         self.checkpoint_count = 0
@@ -175,28 +197,44 @@ class Journal:
                     break
         self.record_event(when, name, type(event).__name__)
 
-    def _append(self, record: tuple) -> None:
-        if self.ring is not None and len(self.records) == self.ring:
-            self.dropped += 1
-        self.records.append(record)
-
     def record_event(self, t: float, proc: str, cls: str) -> None:
         self.event_count += 1
-        self._record(EVENT, t, proc, cls)
+        self._record(_EVENT, t, proc, cls)
 
     def site(self, t: float, proc: str, site: str) -> None:
         self.site_count += 1
-        self._record(SITE, t, proc, site)
+        self._record(_SITE, t, proc, site)
 
-    def _record(self, kind: str, t: float, proc: str, tag: str) -> None:
-        """Take the next index; store the record unless ``t`` falls
-        outside the window."""
+    def _record(self, kind: int, t: float, proc: str, tag: str) -> None:
+        """Take the next index and store the record, unless it is an
+        event or a site and ``t`` falls outside the window."""
         idx = self._idx
         self._idx = idx + 1
         w = self.window
-        if w is not None and not (w[0] <= t <= w[1]):
+        if w is not None and kind != _DIGEST and not (w[0] <= t <= w[1]):
+            if self._idxs is None:
+                self._idxs = array("q", range(self._idx0,
+                                              self._idx0 + len(self._t)))
+                self._columns += (self._idxs,)
             return
-        self._append((kind, idx, t, proc, tag))
+        if self._bound is not None:
+            self._admit()
+        if self._idxs is not None:
+            self._idxs.append(idx)
+        ids = self._ids
+        try:
+            proc_id = ids[proc]
+            tag_id = ids[tag]
+        except KeyError:
+            proc_id = self._intern(proc)
+            tag_id = self._intern(tag)
+        self._kind.append(kind)
+        self._t.append(t)
+        self._proc.append(proc_id)
+        self._tag.append(tag_id)
+
+    def _trimmed(self, n: int) -> None:
+        self._idx0 += n
 
     def _checkpoint(self, t: float) -> None:
         """Take a digest checkpoint; called by ``observe`` when the popped
@@ -227,11 +265,29 @@ class Journal:
                                "it takes no more checkpoints")
         self.checkpoint_count += 1
         for name, fn in self._sources:
-            idx = self._idx
-            self._idx = idx + 1
-            self._append((DIGEST, idx, ck_t, name, digest_state(fn())))
+            self._record(_DIGEST, ck_t, name, digest_state(fn()))
 
     # -- views ---------------------------------------------------------------
+    @property
+    def records(self) -> RowView:
+        """The stored records, oldest first, as a read-only sequence of
+        ``(kind, idx, t, proc, tag)`` tuples built on access."""
+        return self._view(self._row, self._rows)
+
+    def _row(self, p: int) -> tuple:
+        idx = self._idxs[p] if self._idxs is not None else self._idx0 + p
+        table = self._table
+        return (_KIND_NAMES[self._kind[p]], idx, self._t[p],
+                table[self._proc[p]], table[self._tag[p]])
+
+    def _rows(self, head: int):
+        name = self._table.__getitem__
+        idxs = (self._idxs[head:] if self._idxs is not None
+                else range(self._idx0 + head, self._idx0 + len(self._t)))
+        return zip(map(_KIND_NAMES.__getitem__, self._kind[head:]), idxs,
+                   self._t[head:], map(name, self._proc[head:]),
+                   map(name, self._tag[head:]))
+
     @staticmethod
     def record_dict(rec: tuple) -> dict:
         kind = rec[0]
@@ -249,17 +305,13 @@ class Journal:
         return [self.record_dict(r) for r in records]
 
     def event_class_histogram(self) -> dict:
-        out: dict[str, int] = {}
-        for rec in self.records:
-            if rec[0] == EVENT:
-                out[rec[4]] = out.get(rec[4], 0) + 1
-        return out
-
-    def __len__(self) -> int:
-        return len(self.records)
+        head = self._head
+        counts = Counter(compress(self._tag[head:],
+                                  map(_EVENT.__eq__, self._kind[head:])))
+        return {self._table[tag]: n for tag, n in counts.items()}
 
     def __repr__(self) -> str:
-        return (f"Journal(records={len(self.records)}, "
+        return (f"Journal(records={len(self)}, "
                 f"events={self.event_count}, sites={self.site_count}, "
                 f"checkpoints={self.checkpoint_count}, "
                 f"period={self.period})")

@@ -196,13 +196,16 @@ class LineageProfiler:
         self.ops.append(rec)
         # Deterministic top-K: min-heap keyed (e2e, -op_id), so equal
         # latencies keep the earliest op id.  The heap copy carries the
-        # full span tree; evicted ops drop theirs.
-        item = (e2e, -ctx.op_id,
-                dict(rec, spans=[list(s) for s in ctx.spans]))
-        if len(self._exemplars) < TOP_K:
-            heappush(self._exemplars, item)
-        elif item[:2] > self._exemplars[0][:2]:
-            heappushpop(self._exemplars, item)
+        # full span tree, built only for an op that enters the heap;
+        # evicted ops drop theirs.
+        key = (e2e, -ctx.op_id)
+        heap = self._exemplars
+        if len(heap) < TOP_K or key > heap[0][:2]:
+            item = key + (dict(rec, spans=[list(s) for s in ctx.spans]),)
+            if len(heap) < TOP_K:
+                heappush(heap, item)
+            else:
+                heappushpop(heap, item)
         if ctx.trace_span is not None:
             args = {"e2e": e2e}
             for seg, v in segs.items():
@@ -251,13 +254,15 @@ class LineageProfiler:
 
     def to_dict(self) -> dict:
         """Plain-data export (picklable: survives the parallel cell
-        runner's fork boundary and JSON serialization)."""
+        runner's fork boundary and JSON serialization).  The op records
+        are handed over, not copied: nothing changes them once their op
+        has ended, and a copy would hold the run's lineage twice."""
         return {
             "schema": LINEAGE_SCHEMA,
             "version": LINEAGE_VERSION,
             "op_count": self.op_count,
             "top_k": TOP_K,
-            "ops": [dict(r, segs=dict(r["segs"])) for r in self.ops],
+            "ops": self.ops,
             "exemplars": self.exemplars(),
             "invariant_violations": self.invariant_violations,
             "violations": list(self.violations),

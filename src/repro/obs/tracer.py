@@ -17,10 +17,18 @@ after checking its ``begin`` returned a span.
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
+from itertools import compress
 from typing import Iterator, Optional
 
+from .columns import ColumnStore, RowView
+
 __all__ = ["SpanRecord", "InstantRecord", "CounterRecord", "Tracer"]
+
+# A row shape's kind, for each record type.
+_SPAN, _INSTANT, _COUNTER = range(3)
+
+_NOT_INSTALLED = "tracer not installed on an Environment"
 
 
 class SpanRecord:
@@ -84,20 +92,34 @@ class CounterRecord:
         return f"CounterRecord({self.name}={self.value} @ {self.t:.6f})"
 
 
-class Tracer:
+class Tracer(ColumnStore):
     """Collects spans/instants/counters from an instrumented simulation.
 
     ``max_events`` turns the tracer into a ring buffer keeping only the
     most recent records — the mode the fault harness uses to capture the
     trace *tail* leading up to an injected crash.
+
+    Closed spans, instants and counter samples are stored as one row each
+    in columns (:mod:`repro.obs.columns`): ``t0``/``t1`` as doubles (an
+    instant's time is its ``t0``, a counter's value its ``t1``), the args'
+    values as a tuple, and the id of the row's *shape* — its kind,
+    category, name, actor, depth and args keys, interned together, so a
+    row costs one id and one lookup for all six (a cell has a few dozen
+    shapes).  :meth:`begin` returns a :class:`SpanRecord` handle;
+    :meth:`end` writes it into the columns and keeps no reference to it.
+    :attr:`events` builds the record objects when they are read.
     """
 
     def __init__(self, max_events: Optional[int] = None):
         if max_events is not None and max_events <= 0:
             raise ValueError("max_events must be positive")
+        super().__init__(max_events)
         self.max_events = max_events
-        self.events: deque = deque(maxlen=max_events)
-        self.dropped = 0
+        self._shape = array("I")
+        self._t0 = array("d")
+        self._t1 = array("d")
+        self._argvals: list = []    # the args' values, a tuple, or None
+        self._columns = (self._shape, self._t0, self._t1, self._argvals)
         self.span_count = 0
         self.instant_count = 0
         self._open: list[SpanRecord] = []
@@ -121,31 +143,47 @@ class Tracer:
     @property
     def now(self) -> float:
         if self._env is None:
-            raise RuntimeError("tracer not installed on an Environment")
+            raise RuntimeError(_NOT_INSTALLED)
         return self._env.now
 
-    def _actor(self, actor: Optional[str]) -> str:
-        if actor is not None:
-            return actor
-        proc = self._env.active_process if self._env is not None else None
-        return proc.name if proc is not None else "main"
-
-    def _append(self, record) -> None:
-        if (self.max_events is not None
-                and len(self.events) == self.max_events):
-            self.dropped += 1
-        self.events.append(record)
+    def _append(self, kind: int, cat: str, name: str, actor: str,
+                t0: float, t1: float, depth: int,
+                args: Optional[dict]) -> None:
+        """Store one row."""
+        if self._bound is not None:
+            self._admit()
+        if args is None:
+            shape = (kind, cat, name, actor, depth, None)
+            values = None
+        else:
+            shape = (kind, cat, name, actor, depth, tuple(args))
+            values = tuple(args.values())
+        try:
+            shape_id = self._ids[shape]
+        except KeyError:
+            shape_id = self._intern(shape)
+        self._shape.append(shape_id)
+        self._t0.append(t0)
+        self._t1.append(t1)
+        self._argvals.append(values)
 
     # -- spans -------------------------------------------------------------
     def begin(self, cat: str, name: str, actor: Optional[str] = None,
               args: Optional[dict] = None) -> SpanRecord:
         """Open a span; pair with :meth:`end`.  Spans may stay open across
         DES generator yields — the pair is matched by identity, not by a
-        per-actor stack, so interleaved processes cannot corrupt it."""
-        actor = self._actor(actor)
+        per-actor stack, so interleaved processes cannot corrupt it.  The
+        actor defaults to the active process's name ("main" outside any
+        process)."""
+        env = self._env
+        if env is None:
+            raise RuntimeError(_NOT_INSTALLED)
+        if actor is None:
+            proc = env._active_process
+            actor = proc.name if proc is not None else "main"
         depth = self._depth.get(actor, 0)
         self._depth[actor] = depth + 1
-        span = SpanRecord(cat, name, actor, self.now, depth, args)
+        span = SpanRecord(cat, name, actor, env._now, depth, args)
         self._open.append(span)
         return span
 
@@ -158,16 +196,22 @@ class Tracer:
             return None
         if span.t1 is not None:
             raise RuntimeError(f"span already closed: {span!r}")
-        span.t1 = self.now
+        env = self._env
+        if env is None:
+            raise RuntimeError(_NOT_INSTALLED)
+        t1 = span.t1 = env._now
         if args:
             span.args = dict(span.args or {}, **args)
-        self._depth[span.actor] = max(0, self._depth.get(span.actor, 1) - 1)
+        actor = span.actor
+        depth = self._depth.get(actor, 1) - 1
+        self._depth[actor] = depth if depth > 0 else 0
         try:
             self._open.remove(span)
         except ValueError:
             pass
         self.span_count += 1
-        self._append(span)
+        self._append(_SPAN, span.cat, span.name, actor, span.t0, t1,
+                     span.depth, span.args)
         return span
 
     def close_open_spans(self) -> int:
@@ -181,23 +225,53 @@ class Tracer:
     # -- instants / counters -------------------------------------------------
     def instant(self, cat: str, name: str, actor: Optional[str] = None,
                 args: Optional[dict] = None) -> InstantRecord:
-        rec = InstantRecord(cat, name, self._actor(actor), self.now, args)
+        env = self._env
+        if env is None:
+            raise RuntimeError(_NOT_INSTALLED)
+        if actor is None:
+            proc = env._active_process
+            actor = proc.name if proc is not None else "main"
+        rec = InstantRecord(cat, name, actor, env._now, args)
         self.instant_count += 1
-        self._append(rec)
+        self._append(_INSTANT, cat, name, actor, rec.t, rec.t, 0, args)
         return rec
 
     def counter(self, name: str, value: float,
                 actor: str = "metrics") -> CounterRecord:
         rec = CounterRecord(name, actor, self.now, float(value))
-        self._append(rec)
+        self._append(_COUNTER, "", name, actor, rec.t, rec.value, 0, None)
         return rec
 
-    # -- queries -------------------------------------------------------------
+    # -- reads ---------------------------------------------------------------
+    @property
+    def events(self) -> RowView:
+        """The stored records, oldest first, as a read-only sequence of
+        :class:`SpanRecord`/:class:`InstantRecord`/:class:`CounterRecord`
+        objects built on access."""
+        return self._view(self._row, self._rows)
+
+    def _row(self, p: int):
+        kind, cat, name, actor, depth, keys = self._table[self._shape[p]]
+        if kind == _COUNTER:
+            return CounterRecord(name, actor, self._t0[p], self._t1[p])
+        args = None if keys is None else dict(zip(keys, self._argvals[p]))
+        if kind == _INSTANT:
+            return InstantRecord(cat, name, actor, self._t0[p], args)
+        span = SpanRecord(cat, name, actor, self._t0[p], depth, args)
+        span.t1 = self._t1[p]
+        return span
+
+    def _rows(self, head: int):
+        return map(self._row, range(head, len(self._shape)))
+
     def spans(self, cat: Optional[str] = None) -> Iterator[SpanRecord]:
         """Closed spans, optionally filtered by category."""
-        for rec in self.events:
-            if isinstance(rec, SpanRecord) and (cat is None or rec.cat == cat):
-                yield rec
+        shapes = {i for i, shape in enumerate(self._table)
+                  if shape[0] == _SPAN and (cat is None or shape[1] == cat)}
+        head = self._head
+        rows = compress(range(head, len(self._shape)),
+                        map(shapes.__contains__, self._shape[head:]))
+        return map(self._row, rows)
 
     def tail(self, n: Optional[int] = None) -> list:
         """The most recent records as plain dicts, oldest first — the
@@ -225,10 +299,7 @@ class Tracer:
             out = out[-n:]
         return out
 
-    def __len__(self) -> int:
-        return len(self.events)
-
     def __repr__(self) -> str:
-        return (f"Tracer(events={len(self.events)}, spans={self.span_count}, "
+        return (f"Tracer(events={len(self)}, spans={self.span_count}, "
                 f"instants={self.instant_count}, open={len(self._open)}, "
                 f"dropped={self.dropped})")
