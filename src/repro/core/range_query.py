@@ -68,8 +68,9 @@ class DualIterator:
             resets = kv.command_counts.get("reset", 0)
             yield from self._refill_main(key)
             if not kv.is_empty:
-                self._dev_it = yield from kv.create_iterator()
-                self._dev_entry = yield from kv.iter_seek(self._dev_it, key)
+                snapshot = yield from kv.create_iterator()
+                self._dev_it, self._dev_entry = yield from kv.iter_seek(
+                    snapshot, key)
             else:
                 self._dev_it = None
                 self._dev_entry = None

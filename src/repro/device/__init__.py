@@ -2,7 +2,7 @@
 
 from .block_dev import BlockDevice
 from .cpu import CpuModel
-from .devlsm import DevIterator, DevLsm, DevLsmConfig, Run
+from .devlsm import DevLsm, DevLsmConfig
 from .ftl import Ftl, FtlError, GcStats, Region
 from .geometry import GiB, KiB, MiB, NandGeometry, NandTiming
 from .hybrid import HybridSsd, HybridSsdConfig, MultiDeviceSetup, Namespace
@@ -14,10 +14,8 @@ from .pcie import BandwidthPipe, PcieLink, TrafficLedger
 __all__ = [
     "BlockDevice",
     "CpuModel",
-    "DevIterator",
     "DevLsm",
     "DevLsmConfig",
-    "Run",
     "Ftl",
     "FtlError",
     "GcStats",

@@ -7,13 +7,17 @@ It acts as the temporary write buffer during host write stalls.
 Model highlights mirroring the paper:
 
 * device-DRAM memtable, flushed as sorted *runs* into the KV region NAND
-  (runs may overlap in key range, like L0 of a host LSM);
+  (runs may overlap in key range, like L0 of a host LSM).  A run is a
+  host :class:`~repro.lsm.sstable.SSTable`, and runs merge with the host
+  compaction's column merge (``merge_columns``);
 * point GETs are slow — no read cache, so every run probed costs a NAND
   page read plus ARM CPU (this is the paper's explanation for Table V's
   range-query gap and for preferring eager rollback under reads);
-* an iterator with ``seek``/``next`` and the *bulky range scan*: the whole
-  Dev-LSM is serialized and shipped to the host in 512 KB DMA chunks
-  (Section V-E, step 5-6), which is what makes rollback fast;
+* an iterator (a merged snapshot's columns, read by the SEEK/NEXT
+  commands of :class:`~repro.device.KvDevice`) and the *bulky range
+  scan*: the whole Dev-LSM is serialized and shipped to the host in
+  512 KB DMA chunks (Section V-E, step 5-6), which is what makes
+  rollback fast;
 * ``reset`` clears everything after a rollback (step 8).
 
 In-device flush and (optional) compaction use NAND + ARM core only — no
@@ -22,12 +26,11 @@ PCIe — so they never contend with the host link.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Generator, Iterator, Optional
 
-from ..lsm.iterator import newest_wins
+from ..lsm.compaction import merge_columns
+from ..lsm.sstable import Columns, SSTable, columns_bytes, row_at, to_columns
 from ..sim import Environment
 from ..types import Entry, entry_size
 from .cpu import CpuModel
@@ -35,7 +38,7 @@ from .ftl import Ftl
 from .geometry import KiB, MiB
 from .nand import NandArray
 
-__all__ = ["DevLsm", "DevLsmConfig", "Run", "DevIterator"]
+__all__ = ["DevLsm", "DevLsmConfig"]
 
 # ARM CPU per point op (s): one ~1 GHz Cortex-A9 core.
 ARM_OP_COST = 15e-6
@@ -62,46 +65,6 @@ class DevLsmConfig:
     def __post_init__(self) -> None:
         if self.memtable_bytes <= 0:
             raise ValueError("memtable_bytes must be positive")
-
-
-@dataclass
-class Run:
-    """One sorted run flushed into the KV region."""
-
-    entries: list  # key ascending, one entry per key
-    smallest: bytes
-    largest: bytes
-    nbytes: int
-
-
-_user_key = itemgetter(0)
-
-
-class DevIterator:
-    """Snapshot iterator over the Dev-LSM (memtable + runs), newest-wins.
-
-    Built eagerly over a merged snapshot — device iterators in the paper
-    walk NAND with no cache, so the *cost* is charged by the owner; the
-    functional view here is exact.
-    """
-
-    def __init__(self, entries: list):
-        self._entries = entries  # deduped, key-ascending
-        self._pos = 0
-
-    def seek(self, key: bytes) -> None:
-        """Position at the first entry with key >= ``key``."""
-        self._pos = bisect_left(self._entries, key, key=_user_key)
-
-    @property
-    def valid(self) -> bool:
-        return self._pos < len(self._entries)
-
-    def entry(self) -> Entry:
-        return self._entries[self._pos]
-
-    def next(self) -> None:
-        self._pos += 1
 
 
 class DevLsm:
@@ -132,7 +95,7 @@ class DevLsm:
 
         self._memtable: dict[bytes, Entry] = {}
         self._memtable_bytes = 0
-        self.runs: list[Run] = []          # newest first
+        self.runs: list[SSTable] = []      # newest first
         self._lpns_allocated = 0           # since the last reset
         self.flush_count = 0
         self.compaction_count = 0
@@ -146,11 +109,11 @@ class DevLsm:
     @property
     def entry_count(self) -> int:
         """Upper bound: live memtable entries + run entries (may overlap)."""
-        return len(self._memtable) + sum(len(r.entries) for r in self.runs)
+        return len(self._memtable) + sum(r.num_entries for r in self.runs)
 
     @property
     def total_bytes(self) -> int:
-        return self._memtable_bytes + sum(r.nbytes for r in self.runs)
+        return self._memtable_bytes + sum(r.data_bytes for r in self.runs)
 
     @property
     def is_empty(self) -> bool:
@@ -162,7 +125,7 @@ class DevLsm:
         return {
             "memtable_entries": len(self._memtable),
             "memtable_bytes": self._memtable_bytes,
-            "runs": [[len(r.entries), r.nbytes] for r in self.runs],
+            "runs": [[r.num_entries, r.data_bytes] for r in self.runs],
             "flushes": self.flush_count,
             "compactions": self.compaction_count,
         }
@@ -202,9 +165,9 @@ class DevLsm:
         # flush had merely staged.
         snapshot = list(self._memtable.items())
         nbytes = self._memtable_bytes   # the snapshot is the whole memtable
-        entries = sorted(e for _k, e in snapshot)   # keys are unique
-        run = Run(entries=entries, smallest=entries[0][0],
-                  largest=entries[-1][0], nbytes=nbytes)
+        # Keys are unique, so the sort compares keys only.
+        run = SSTable.from_columns(
+            0, to_columns(sorted(e for _k, e in snapshot)))
         # Map pages in the KV region and charge NAND program + ARM copy.
         pages = max(1, -(-nbytes // self.page_size))
         for lpns in self._alloc_lpns(pages):
@@ -242,9 +205,9 @@ class DevLsm:
 
     def _compact(self) -> Generator:
         """Merge all runs into one (device-internal, NAND + ARM only)."""
-        merged = self._merged_entries(include_memtable=False)
-        nbytes = sum(entry_size(e) for e in merged)
-        old_bytes = sum(r.nbytes for r in self.runs)
+        merged = self._merged_columns(include_memtable=False)
+        nbytes = columns_bytes(merged)
+        old_bytes = sum(r.data_bytes for r in self.runs)
         p = self.env.probes
         _sp = p.begin("devlsm", "devlsm.compact", "devlsm",
                       {"runs": len(self.runs), "bytes": old_bytes})
@@ -255,11 +218,8 @@ class DevLsm:
         # PCIe), halving the kernel events per compaction.
         yield from self.nand.io_burst([("read", old_bytes),
                                        ("program", nbytes)])
-        if merged:
-            self.runs = [Run(entries=merged, smallest=merged[0][0],
-                             largest=merged[-1][0], nbytes=nbytes)]
-        else:
-            self.runs = []
+        # Runs hold no less than one row each, and tombstones are kept.
+        self.runs = [SSTable.from_columns(0, merged)]
         self.compaction_count += 1
         p.end(_sp)
 
@@ -280,36 +240,38 @@ class DevLsm:
             if run.smallest <= key <= run.largest:
                 if not cfg.read_cache_enabled:
                     yield from self.nand.io("read", READ_PAGE_BYTES)
-                e = _binary_search_run(run.entries, key)
-                if e is not None:
-                    return e
+                i = run.lower_bound(key)    # key <= largest: a row
+                if run.columns[0][i] == key:
+                    return row_at(run.columns, i)
         return None
 
     # -- iteration / bulk scan --------------------------------------------
-    def _merged_entries(self, include_memtable: bool = True) -> list:
-        """Newest-wins merge of memtable + runs, key ascending.
+    def _merged_columns(self, include_memtable: bool = True) -> Columns:
+        """Newest-wins merge of memtable + runs, key ascending, as columns
+        (empty when the Dev-LSM is).
 
         DELETE tombstones are retained — the host must see them during
         rollback so deletions propagate into Main-LSM.
         """
-        sources = [run.entries for run in self.runs]
-        if include_memtable:
-            sources.append(self._memtable.values())
-        return newest_wins(sources)
+        parts = [run.columns for run in self.runs]
+        if include_memtable and self._memtable:
+            parts.append(to_columns(sorted(self._memtable.values())))
+        return merge_columns(parts, bottommost=False)
 
     def create_iterator(self) -> Generator:
-        """Open a snapshot iterator.
+        """Open a snapshot iterator: the merged columns, which SEEK and
+        NEXT read (:meth:`KvDevice.iter_seek`).
 
         Opening reads one page per run to position run cursors; the real
         cost is paid per SEEK/NEXT (``iter_next_cost``) because there is no
         device read cache.
         """
         self.arm.charge(ARM_OP_COST, tag="devlsm.iter")
-        merged = self._merged_entries()
+        merged = self._merged_columns()
         if self.runs:
             yield from self.nand.io(
                 "read", READ_PAGE_BYTES * len(self.runs))
-        return DevIterator(merged)
+        return merged
 
     def iter_next_cost(self) -> Generator:
         """I/O+CPU cost of one Next() on a device iterator.
@@ -324,15 +286,15 @@ class DevLsm:
     def bulk_scan(self, pcie) -> Generator:
         """Serialize the whole Dev-LSM to the host in 512 KB DMA chunks.
 
-        Returns the full entry list (sorted, newest-wins, tombstones
+        Returns the merged columns (sorted, newest-wins, tombstones
         included).  Charges: one streaming NAND read of all run bytes, ARM
         serialisation, and one PCIe transfer per chunk.
         """
-        merged = self._merged_entries()
-        if not merged:
-            return []
-        total = sum(entry_size(e) for e in merged)
-        run_bytes = sum(r.nbytes for r in self.runs)
+        merged = self._merged_columns()
+        if not merged[0]:
+            return merged
+        total = columns_bytes(merged)
+        run_bytes = sum(r.data_bytes for r in self.runs)
         if run_bytes:
             yield from self.nand.io("read", run_bytes)
         yield from self.arm.consume(total * ARM_BYTE_COST,
@@ -360,11 +322,3 @@ class DevLsm:
         # of ``lpns``, or all of it once allocation wrapped.
         self.ftl.trim(self.lpns[:self._lpns_allocated])
         self._lpns_allocated = 0
-
-
-def _binary_search_run(entries: list, key: bytes) -> Optional[Entry]:
-    """Find the newest entry for ``key`` in a sorted run."""
-    lo = bisect_left(entries, key, key=_user_key)
-    if lo < len(entries) and entries[lo][0] == key:
-        return entries[lo]
-    return None

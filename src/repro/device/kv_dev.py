@@ -12,13 +12,15 @@ submission, modelled as :data:`HOST_SUBMIT_COST` seconds of host CPU.
 
 from __future__ import annotations
 
-from typing import Generator
+from bisect import bisect_left
+from typing import Generator, Iterator
 
 from ..faults.registry import DROP, DUPLICATE
+from ..lsm.sstable import Columns, columns_bytes, iter_rows
 from ..sim import Environment
 from ..types import KIND_DELETE, entry_size, make_entry, value_size
 from .cpu import CpuModel
-from .devlsm import DevIterator, DevLsm
+from .devlsm import DevLsm
 from .pcie import PcieLink
 
 __all__ = ["KvDevice"]
@@ -148,33 +150,35 @@ class KvDevice:
 
     # -- iterators ------------------------------------------------------------
     def create_iterator(self) -> Generator:
-        """Open a device iterator (SEEK/NEXT served per-command)."""
+        """Open a device iterator (SEEK/NEXT served per-command): the
+        Dev-LSM's merged snapshot, as columns.  They may be empty: a reset
+        can land during the command's transfer."""
         self._count("iter_open")
         yield from self.pcie.transfer(_CAPSULE_BYTES)
-        it = yield from self.devlsm.create_iterator()
-        return it
+        snapshot = yield from self.devlsm.create_iterator()
+        return snapshot
 
-    def iter_seek(self, it: DevIterator, key: bytes) -> Generator:
+    def iter_seek(self, snapshot: Columns, key: bytes) -> Generator:
+        """SEEK: returns ``(rows, entry)``, the snapshot's rows from the
+        first key >= ``key`` on and the first of them (None past the
+        end); NEXT reads ``rows``."""
         self._count("iter_seek")
         yield from self.pcie.transfer(_CAPSULE_BYTES + len(key))
-        it.seek(key)
-        if it.valid:
-            yield from self.pcie.transfer(entry_size(it.entry()),
-                                          direction="rx")
-            return it.entry()
-        return None
+        rows = iter_rows(snapshot, bisect_left(snapshot[0], key))
+        entry = next(rows, None)
+        if entry is not None:
+            yield from self.pcie.transfer(entry_size(entry), direction="rx")
+        return rows, entry
 
-    def iter_next(self, it: DevIterator) -> Generator:
+    def iter_next(self, rows: Iterator) -> Generator:
         """Advance and return the next entry (uncached — Table V's cost)."""
         self._count("iter_next")
         yield from self.pcie.transfer(_CAPSULE_BYTES)
         yield from self.devlsm.iter_next_cost()
-        it.next()
-        if it.valid:
-            yield from self.pcie.transfer(entry_size(it.entry()),
-                                          direction="rx")
-            return it.entry()
-        return None
+        entry = next(rows, None)
+        if entry is not None:
+            yield from self.pcie.transfer(entry_size(entry), direction="rx")
+        return entry
 
     # -- bulk ops --------------------------------------------------------------
     def bulk_scan(self) -> Generator:
@@ -187,12 +191,11 @@ class KvDevice:
         yield from p.at("kv.bulk_scan.start")
         _sp = p.begin("kv", "kv.bulk_scan")
         yield from self.pcie.transfer(_CAPSULE_BYTES)
-        entries = yield from self.devlsm.bulk_scan(self.pcie)
-        if _sp is not None:    # the byte total walks every entry
-            p.end(_sp, {"entries": len(entries),
-                        "bytes": sum(entry_size(e) for e in entries)})
+        merged = yield from self.devlsm.bulk_scan(self.pcie)
+        p.end(_sp, {"entries": len(merged[0]),
+                    "bytes": columns_bytes(merged)})
         yield from p.at("kv.bulk_scan.complete")
-        return entries
+        return list(iter_rows(merged))
 
     def reset(self) -> Generator:
         """Reset the Dev-LSM (rollback step 8)."""

@@ -12,9 +12,10 @@ Leveled compaction à la RocksDB/LevelDB:
 Merging is newest-wins by sequence number, over the input tables'
 columns (one sorted permutation, no entry tuples); tombstones are dropped
 only when the output level is the bottommost (no older data below can
-resurrect).  When every input table's entries share one size
-(``SSTable.entry_bytes``), so do the output's, and the output is cut
-into files by count instead of by summed sizes.
+resurrect).  The Dev-LSM merges its runs with the same function
+(:func:`merge_columns`), tombstones kept.  When every input table's
+entries share one size (``SSTable.entry_bytes``), so do the output's,
+and the output is cut into files by count instead of by summed sizes.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .sstable import (Columns, concat_columns, entry_sizes, int64s, row_at,
 from .version import FileMetadata, Version
 
 __all__ = ["CompactionJob", "CompactionPicker", "cut_by_count",
-           "merge_for_compaction", "split_into_files"]
+           "merge_columns", "merge_for_compaction", "split_into_files"]
 
 
 @dataclass
@@ -122,26 +123,34 @@ class CompactionPicker:
 
 
 def merge_for_compaction(job: CompactionJob, num_levels: int) -> Columns:
-    """Merged, deduplicated output rows of a compaction job, as columns.
+    """Merged, deduplicated output rows of a compaction job, as columns
+    (:func:`merge_columns` over the inputs' columns)."""
+    return merge_columns([meta.table.columns for meta in job.all_inputs],
+                         job.output_level == num_levels - 1)
 
-    The inputs' columns are joined and a permutation of the rows is
-    sorted by key (stable, so a key's rows keep input order).  A Python
+
+def merge_columns(parts: list, bottommost: bool) -> Columns:
+    """The rows of the column sets ``parts`` merged newest-wins, key
+    ascending.  Each part is sorted and key-unique; the host's input
+    tables and the Dev-LSM's runs and memtable all merge here.
+
+    The parts' columns are joined and a permutation of the rows is
+    sorted by key (stable, so a key's rows keep part order).  A Python
     loop runs only over the rows whose key repeats, and keeps the one
     with the highest sequence number; correctness comes from sequence
-    numbers, not from the order of the inputs.  Tombstones survive
-    unless the output level is the bottommost.  The output columns are
-    gathered through the permutation in C; no entry tuple is built.
+    numbers, not from the order of the parts.  Tombstones survive
+    unless ``bottommost``.  The output columns are gathered through the
+    permutation in C; no entry tuple is built.
 
-    Equal to :func:`~repro.lsm.iterator.newest_wins` over the inputs'
-    entries (the test reference) wherever that merge is defined.  Two
-    *distinct* rows under one key and sequence number are a bug upstream
-    (a sequence number names one write) and raise ``TypeError``, whatever
-    their values; copies of one write merge to one row.
+    Equal to the test reference ``newest_wins`` (in
+    ``tests/sstable_reference.py``) over the parts' entries wherever that
+    merge is defined.  Two *distinct* rows under one key and sequence
+    number are a bug upstream (a sequence number names one write) and
+    raise ``TypeError``, whatever their values; copies of one write merge
+    to one row.
     """
-    parts = [meta.table.columns for meta in job.all_inputs]
-    bottommost = job.output_level == num_levels - 1
     if len(parts) == 1 and not (bottommost and KIND_DELETE in parts[0][2]):
-        # One table's rows are sorted and key-unique: they are the output.
+        # One part's rows are sorted and key-unique: they are the output.
         # Columns are never mutated, so the output shares them.
         return parts[0]
     columns = concat_columns(parts)
@@ -205,10 +214,10 @@ def _newest_of_each_key(columns: Columns, order: list,
     with the highest sequence number; the loop visits only those runs.
 
     Within a run, rows that share a sequence number must be equal (copies
-    of one write), else ``TypeError``.  That is stricter than
-    :func:`~repro.lsm.iterator.newest_wins`, which raises only when its
-    sort has to order two unorderable values (a ``ValueRef`` beside a
-    ``bytes`` or a different ``ValueRef``) and otherwise keeps one."""
+    of one write), else ``TypeError``.  That is stricter than the test
+    reference ``newest_wins``, which raises only when its sort has to
+    order two unorderable values (a ``ValueRef`` beside a ``bytes`` or a
+    different ``ValueRef``) and otherwise keeps one."""
     seqs = columns[1]
     keep = bytearray(b"\x01") * len(order)
     runs: list = []                 # [first, last] sorted position of a run

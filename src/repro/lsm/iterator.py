@@ -1,23 +1,19 @@
-"""Newest-wins merges over memtables and SSTs.
+"""The scans' newest-wins merge over memtables and SSTs.
 
 A scan sees one ordered, deduplicated view across the active memtable,
 immutable memtables, L0 files (which may overlap) and the sorted levels.
 Newest-wins is resolved by sequence number: for a user key present in
 several sources, only the entry with the highest seq is emitted.
 
-Two merges give that view:
+:func:`merging_iterator` gives that view as a streaming merge: a lazy
+heap merge (:func:`k_way_merge`), so a scan that stops after N entries
+pays for about N.  Callers that consume every entry — host compaction
+and the Dev-LSM's compaction, bulk scan and iterator — merge SSTable
+columns instead (``compaction.merge_columns``); the tests hold that
+merge to a batch merge of entry tuples (``newest_wins`` in
+``tests/sstable_reference.py``), and that one to this iterator.
 
-* :func:`merging_iterator` is the scans' streaming merge: a lazy heap
-  merge (:func:`k_way_merge`), so a scan that stops after N entries pays
-  for about N.  It is also the reference the batch merge is tested
-  against.
-* :func:`newest_wins` is the batch merge of entry tuples for callers that
-  consume every entry (the Dev-LSM's bulk scan, iterator and
-  compaction): one C-level sort and one C-level filter, no per-entry
-  Python frame.  Host compaction merges SSTable columns instead
-  (``compaction.merge_for_compaction``), and is tested against it.
-
-Both are *functional* — they yield exact entries; the DB layer charges
+It is *functional* — it yields exact entries; the DB layer charges
 device I/O for the SST blocks a scan crosses (see ``DbImpl.scan``),
 keeping hot-loop cost low (guide idiom: keep the per-item work tiny,
 account in batches).
@@ -26,15 +22,11 @@ account in batches).
 from __future__ import annotations
 
 import heapq
-from itertools import chain, compress, islice
-from operator import itemgetter, ne
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from ..types import KIND_DELETE, Entry
 
-__all__ = ["merging_iterator", "k_way_merge", "newest_wins"]
-
-_key = itemgetter(0)
+__all__ = ["merging_iterator", "k_way_merge"]
 
 
 def k_way_merge(sources: list) -> Iterator[Entry]:
@@ -72,26 +64,3 @@ def merging_iterator(sources: list, include_tombstones: bool = False
         if not include_tombstones and entry[2] == KIND_DELETE:
             continue
         yield entry
-
-
-def newest_wins(sources: Iterable[Iterable[Entry]]) -> list:
-    """All of ``sources`` merged newest-wins, key ascending, tombstones kept.
-
-    Sorts every entry in natural tuple order, ``(key, seq, ...)`` ascending,
-    and keeps the last entry of each key's run: the one with the highest
-    sequence number.  Sources need not be sorted, and a key may repeat
-    within one.  Equal to ``list(merging_iterator(sources,
-    include_tombstones=True))`` for sorted, key-unique sources.
-
-    Natural order reaches past the sequence number only when two entries
-    share key and seq.  A sequence number names one write, so two such
-    entries are copies of that write (a rollback re-writes an entry under
-    its original seq), equal tuples whichever is kept.  Two *distinct*
-    entries with one key and seq would be a bug upstream; their order
-    would then fall to kind and value, and a ``ValueRef`` beside a
-    ``bytes`` or a different ``ValueRef`` raises ``TypeError`` here.
-    """
-    merged = sorted(chain.from_iterable(sources))
-    keys = list(map(_key, merged))
-    keys.append(None)       # the last entry ends its key's run
-    return list(compress(merged, map(ne, keys, islice(keys, 1, None))))

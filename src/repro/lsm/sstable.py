@@ -25,7 +25,8 @@ That is about 70 bytes an entry with 4-byte keys, where a list of entry
 tuples held about 217 (the tuple, its ``ValueRef`` and seed int, the
 sequence int).  Entry tuples are built only at the table's edge: a probe
 hit, :meth:`SSTable.iter_from` and :attr:`SSTable.entries`.  Compaction
-merges the columns themselves (``compaction.merge_for_compaction``).
+merges the columns themselves (``compaction.merge_columns``).  The
+Dev-LSM's runs are tables too, built and merged the same way.
 """
 
 from __future__ import annotations
@@ -180,8 +181,8 @@ class SSTable:
                      block_size: int = 16 * 1024,
                      bloom_bits_per_key: int = 10,
                      entry_bytes: Optional[int] = None) -> "SSTable":
-        """A table of the rows ``columns`` (compaction's output files);
-        the table keeps the columns as they are.  They must be sorted and
+        """A table of the rows ``columns`` (compaction's output files,
+        the Dev-LSM's runs); the table keeps the columns as they are.  They must be sorted and
         key-unique, as the merge makes them; this is not checked."""
         table = cls.__new__(cls)
         table._build(file_number, columns, block_size, bloom_bits_per_key,

@@ -190,7 +190,9 @@ class LineageProfiler:
             "nbytes": ctx.nbytes,
             "t0": ctx.t0,
             "e2e": e2e,
-            "segs": dict(segs),
+            # Kept, not copied: nothing writes ``segs`` once the ctx
+            # leaves ``_active`` below.
+            "segs": segs,
         }
         self.op_count += 1
         self.ops.append(rec)

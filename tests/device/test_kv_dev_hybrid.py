@@ -71,13 +71,16 @@ class TestKvDevice:
         ssd = small_ssd(env)
         for k in (1, 3, 5, 7):
             run(env, ssd.kv.put(encode_key(k), k, b"v%d" % k))
-        it = run(env, ssd.kv.create_iterator())
-        first = run(env, ssd.kv.iter_seek(it, encode_key(2)))
+        snapshot = run(env, ssd.kv.create_iterator())
+        rows, first = run(env, ssd.kv.iter_seek(snapshot, encode_key(2)))
         assert first[0] == encode_key(3)
-        nxt = run(env, ssd.kv.iter_next(it))
+        nxt = run(env, ssd.kv.iter_next(rows))
         assert nxt[0] == encode_key(5)
-        run(env, ssd.kv.iter_next(it))
-        assert run(env, ssd.kv.iter_next(it)) is None
+        run(env, ssd.kv.iter_next(rows))
+        assert run(env, ssd.kv.iter_next(rows)) is None
+        assert ssd.kv.command_counts["iter_next"] == 3
+        # A seek past the last key returns no entry.
+        assert run(env, ssd.kv.iter_seek(snapshot, encode_key(8)))[1] is None
 
     def test_bulk_scan_and_reset(self):
         env = Environment()

@@ -99,7 +99,7 @@ class TestKvNamespaces:
 
         def pages(ns):
             page = ssd.config.geometry.page_size
-            return sum(max(1, -(-r.nbytes // page))
+            return sum(max(1, -(-r.data_bytes // page))
                        for r in ns.kv.devlsm.runs)
 
         for ns, base in ((a, 0), (b, 10_000)):

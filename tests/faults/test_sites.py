@@ -123,8 +123,6 @@ PLANE_TESTS = {
     # which wraps the shard generator only under lineage (the wrap is an
     # extra frame on every resume).
     "cluster/cluster.py": 3,
-    # A span argument that walks every scanned entry.
-    "device/kv_dev.py": 1,
     # The scenario driver owns the journal it installs (a local variable).
     "cluster/scenario.py": 2,
 }
@@ -142,7 +140,7 @@ def test_stack_tests_no_plane_outside_the_listed_exceptions():
             if n:
                 found[path.relative_to(SRC).as_posix()] = n
     assert found == PLANE_TESTS
-    assert sum(found.values()) == 16
+    assert sum(found.values()) == 15
 
 
 def test_stack_reaches_sites_only_through_probes():

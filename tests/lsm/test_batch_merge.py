@@ -1,11 +1,15 @@
-"""The batch newest-wins merge equals the streaming merge it replaced.
+"""The batch newest-wins merges equal the streaming merge.
 
-Compaction (and the Dev-LSM) merge with one natural-order sort and a
-keep-the-last-of-each-key filter (:func:`newest_wins`); scans keep the
-lazy heap merge.  ``merging_iterator`` is the reference here, entry for
-entry — the merged entries become SSTables whose sizes and keys drive
-every simulated I/O.
+The test reference ``newest_wins`` (``tests/sstable_reference.py``) is
+one natural-order sort and a keep-the-last-of-each-key filter over entry
+tuples; compaction merges columns (``merge_for_compaction``); scans keep
+the lazy heap merge.  ``merging_iterator`` is the reference here, entry
+for entry — the merged entries become SSTables whose sizes and keys
+drive every simulated I/O.
 """
+
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,9 +22,11 @@ from repro.lsm import (
     merge_for_compaction,
     merging_iterator,
 )
-from repro.lsm.iterator import newest_wins
 from repro.lsm.sstable import iter_rows
 from repro.types import KIND_DELETE, ValueRef, encode_key, make_entry
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from sstable_reference import newest_wins  # noqa: E402
 
 values = st.one_of(
     st.binary(max_size=20),
@@ -111,7 +117,7 @@ def test_two_distinct_writes_under_one_seq_are_an_error(a, b):
 
 
 def test_unsorted_sources_and_repeated_keys():
-    """The Dev-LSM hands its memtable's values over unsorted."""
+    """Sources may be unsorted and repeat a key."""
     e = [make_entry(encode_key(k), s, b"%d" % s)
          for k, s in [(3, 1), (1, 2), (3, 4), (2, 3), (1, 5)]]
     assert newest_wins([e[:3], e[3:]]) == [e[4], e[3], e[2]]

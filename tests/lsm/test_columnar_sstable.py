@@ -27,13 +27,13 @@ from repro.lsm import (
     split_into_files,
 )
 from repro.lsm.compaction import cut_by_count
-from repro.lsm.iterator import newest_wins
 from repro.lsm.sstable import iter_rows, to_columns
 from repro.types import KIND_DELETE, ValueRef, encode_key, make_entry
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from sstable_reference import (  # noqa: E402
     ReferenceSSTable,
+    newest_wins,
     reference_merge,
     reference_split,
 )

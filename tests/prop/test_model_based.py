@@ -1,5 +1,6 @@
 """Model-based property tests: full DB stacks vs a dict reference model."""
 
+import random
 import sys
 from pathlib import Path
 
@@ -223,5 +224,54 @@ def test_kvaccel_with_its_daemons_matches_dict_model(ops, scheme):
                 yield from db.recover()
 
     run(env, gen())
+    _final_check(env, db, model)
+    db.close()
+
+
+def test_kvaccel_with_device_compaction_matches_dict_model():
+    """The daemons' cell with in-device compaction on: redirected batches
+    flush enough Dev-LSM runs to compact them between lazy rollbacks, and
+    every acknowledged write still reads back newest-wins (GET, the
+    SEEK/NEXT scan, and the Main-LSM alone after the final rollback)."""
+    env = Environment()
+    db, ssd, _ = small_kvaccel(
+        env, rollback=RollbackConfig(scheme="lazy", quiet_window=0.005))
+    ssd.devlsm.config.compaction_enabled = True
+    rng = random.Random(1)
+    ops = [(rng.choice(["batch"] * 4 + ["put", "delete", "delete", "get",
+                                        "scan"]),
+            rng.randrange(61)) for _ in range(200)]
+    model = {}
+
+    def gen():
+        for i, (kind, k) in enumerate(ops):
+            key = encode_key(k)
+            if kind == "batch":
+                pairs = [(encode_key((k + j) % 61),
+                          ValueRef(seed=i * BATCH + j, size=VALUE_SIZE))
+                         for j in range(BATCH)]
+                yield from db.put_batch(pairs)
+                model.update(pairs)
+            elif kind == "put":
+                v = ValueRef(seed=-i, size=VALUE_SIZE)
+                yield from db.put(key, v)
+                model[key] = v
+            elif kind == "delete":
+                yield from db.delete(key)
+                model.pop(key, None)
+            elif kind == "get":
+                got = yield from db.get(key)
+                assert got == model.get(key), (i, k)
+            else:
+                got = yield from db.scan(key, 8)
+                expected = [(mk, model[mk]) for mk in sorted(model)
+                            if mk >= key][:8]
+                assert got == expected, (i, k)
+
+    run(env, gen())
+    assert ssd.devlsm.compaction_count > 0
+    _final_check(env, db, model)
+    run(env, db.final_rollback())
+    assert ssd.kv.is_empty
     _final_check(env, db, model)
     db.close()

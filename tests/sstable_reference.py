@@ -4,18 +4,20 @@
 value)`` tuples it was built from, sizes them one by one and cuts blocks
 by summing those sizes.  ``repro.lsm.SSTable`` stores its entries as
 columns instead; the tests build both from the same entries and require
-every answer to agree.  ``reference_merge`` and ``reference_split`` are
-compaction's merge and mixed-size file cut over entry lists.
+every answer to agree.  ``newest_wins`` is the batch merge of entry
+tuples that the column merge (``compaction.merge_columns``, which host
+compaction and the Dev-LSM share) is held to; ``reference_merge`` and
+``reference_split`` are compaction's merge and mixed-size file cut over
+entry lists.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import islice
-from operator import itemgetter, lt
+from itertools import chain, compress, islice
+from operator import itemgetter, lt, ne
 
 from repro.lsm.bloom import BloomFilter, key_hash
-from repro.lsm.iterator import newest_wins
 from repro.types import KIND_DELETE, entry_size
 
 _key = itemgetter(0)
@@ -75,6 +77,29 @@ class ReferenceSSTable:
     def iter_from(self, key=None):
         start = 0 if key is None else self.lower_bound(key)
         return iter(self.entries[start:])
+
+
+def newest_wins(sources):
+    """All of ``sources`` merged newest-wins, key ascending, tombstones kept.
+
+    Sorts every entry in natural tuple order, ``(key, seq, ...)`` ascending,
+    and keeps the last entry of each key's run: the one with the highest
+    sequence number.  Sources need not be sorted, and a key may repeat
+    within one.  Equal to ``list(merging_iterator(sources,
+    include_tombstones=True))`` for sorted, key-unique sources.
+
+    Natural order reaches past the sequence number only when two entries
+    share key and seq.  A sequence number names one write, so two such
+    entries are copies of that write (a rollback re-writes an entry under
+    its original seq), equal tuples whichever is kept.  Two *distinct*
+    entries with one key and seq would be a bug upstream; their order
+    would then fall to kind and value, and a ``ValueRef`` beside a
+    ``bytes`` or a different ``ValueRef`` raises ``TypeError`` here.
+    """
+    merged = sorted(chain.from_iterable(sources))
+    keys = list(map(_key, merged))
+    keys.append(None)       # the last entry ends its key's run
+    return list(compress(merged, map(ne, keys, islice(keys, 1, None))))
 
 
 def reference_merge(sources, bottommost):
