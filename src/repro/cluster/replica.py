@@ -287,10 +287,10 @@ class ReplicaGroup:
                 yield from env.probes.at("repl.apply")
             if cfg.mode == INDEX_SHIP:
                 env.probes.touch("repl.ship.install")
-                from ..types import make_entry
+                from ..types import make_entries
                 main = b.db.main
-                entries = [make_entry(k, main.next_seq(), v)
-                           for _t, k, v in batch]
+                entries = make_entries([(k, v) for _t, k, v in batch],
+                                       main.next_seqs(len(batch)))
                 yield from main.write_entries(entries)
             else:
                 for _t, k, v in batch:

@@ -16,17 +16,20 @@ holds across both interfaces and rollback merges land in the right order.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Generator, Optional
 
 from ..device.kv_dev import KvDevice
 from ..lsm.db import DbImpl
 from ..resil.errors import DeviceError
 from ..sim import Environment, Event
-from ..types import KIND_DELETE, make_entry
+from ..types import KIND_DELETE, make_entries
 from .detector import WriteStallDetector
 from .metadata import MetadataManager
 
 __all__ = ["KvaccelController"]
+
+_key = itemgetter(0)
 
 # Per write verb: its (redirect, normal) site pair, built once.
 _SITES = {verb: (f"ctl.{verb}.redirect", f"ctl.{verb}.normal")
@@ -85,7 +88,8 @@ class KvaccelController:
                 and not self.rollback_in_progress
                 and (self.resil is None or self.resil.allows_redirect()))
 
-    def _fallback(self, triples: list, exc: DeviceError) -> Generator:
+    def _fallback(self, keys: list, entries: list,
+                  exc: DeviceError) -> Generator:
         """Serve a failed redirected batch from Main-LSM instead.
 
         The sequence numbers were already allocated, so the entries are
@@ -96,10 +100,7 @@ class KvaccelController:
         self.resil.record_error(exc)
         p = self.env.probes
         p.touch("resil.fallback")
-        for key, _seq, _value in triples:
-            if not self.metadata.is_empty and self.metadata.contains(key):
-                self.metadata.remove(key)
-        entries = [make_entry(k, s, v) for k, s, v in triples]
+        self.metadata.settle(keys)
         p.enter("degraded")
         try:
             yield from self.main.write_entries(entries)
@@ -138,13 +139,13 @@ class KvaccelController:
         """Route a delete: a tombstone on :meth:`put_batch`'s path, sent to
         the Dev-LSM as a KV DELETE command."""
         return self._write([(key, None)], _SITES["delete"],
-                           lambda triples: self.kv.delete(key, triples[0][1]))
+                           lambda entries: self.kv.delete(key, entries[0][1]))
 
     def _write(self, pairs: list, sites: tuple, to_dev) -> Generator:
         """The write path of Section V-C: while the detector's latched
         verdict (refreshed every 0.1 s, paper Section VI-A) reports a stall,
-        ``pairs`` get Main-LSM sequence numbers and go to the Dev-LSM as
-        ``to_dev(triples)``; otherwise they go to Main-LSM."""
+        ``pairs`` get a range of Main-LSM sequence numbers and go to the
+        Dev-LSM as ``to_dev(entries)``; otherwise they go to Main-LSM."""
         self.last_write_time = self.env.now
         p = self.env.probes
         redirect_site, normal_site = sites
@@ -152,40 +153,37 @@ class KvaccelController:
             self._route("dev")
             yield from p.at(redirect_site)
             t0 = self.env.now
-            triples = []
-            for key, value in pairs:
-                seq = self.main.next_seq()
-                self.metadata.insert(key)
-                triples.append((key, seq, value))
+            keys = list(map(_key, pairs))
+            entries = make_entries(pairs, self.main.next_seqs(len(pairs)))
+            self.metadata.insert_all(keys)
             self._redirecting += 1
             p.enter("redirect")
             try:
                 if self.resil is None:
-                    yield from to_dev(triples)
+                    yield from to_dev(entries)
                 else:
                     try:
-                        yield from to_dev(triples)
+                        yield from to_dev(entries)
                         self.resil.record_success()
                     except DeviceError as exc:
-                        yield from self._fallback(triples, exc)
+                        yield from self._fallback(keys, entries, exc)
             finally:
                 p.leave()
                 self._redirecting -= 1
                 if not self._redirecting and self._acked is not None:
                     self._acked.succeed()
                     self._acked = None
-            self.redirected_writes += len(triples)
-            p.add("ctl.redirected", len(triples))
+            self.redirected_writes += len(entries)
+            p.add("ctl.redirected", len(entries))
             # Redirected writes complete too — record their latency in the
             # same books as Main-LSM writes so P99 covers the whole system.
             self.main.stats.record_write_latency(self.env.now - t0,
-                                                 count=len(triples))
+                                                 count=len(entries))
         else:
             self._route("main")
             yield from p.at(normal_site)
-            for key, _value in pairs:
-                if not self.metadata.is_empty and self.metadata.contains(key):
-                    self.metadata.remove(key)  # Main-LSM copy becomes newest
+            # Main-LSM copies become the newest.
+            self.metadata.settle(map(_key, pairs))
             yield from self.main.put_batch(pairs)
             self.normal_writes += len(pairs)
             p.add("ctl.normal", len(pairs))

@@ -6,12 +6,15 @@ choosing an interface; entries are removed when a newer write lands in
 Main-LSM (write path step 3-1) and cleared wholesale after rollback.
 
 Costs follow Table VI: key insert 0.45 us, check 0.20 us, delete 0.28 us —
-charged to the host CPU per call.  The table is volatile: on crash it is
-lost, and recovery rebuilds it from the rollback's full Dev-LSM range scan
-(Section VI-D).
+charged to the host CPU per key, in order, also where a write batch hands
+its keys over in one call (``insert_all``, ``settle``).  The table is
+volatile: on crash it is lost, and recovery rebuilds it from the
+rollback's full Dev-LSM range scan (Section VI-D).
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 from ..device.cpu import CpuModel
 
@@ -34,19 +37,40 @@ class MetadataManager:
         self.deletes = 0
 
     def insert(self, key: bytes) -> None:
-        self.host_cpu.charge(INSERT_COST, tag="metadata")
-        self._keys.add(key)
-        self.inserts += 1
+        self.insert_all((key,))
+
+    def insert_all(self, keys) -> None:
+        """Mark ``keys`` as living in the Dev-LSM (a redirected batch)."""
+        self.host_cpu.charge_all(repeat(INSERT_COST, len(keys)),
+                                 tag="metadata")
+        self._keys.update(keys)
+        self.inserts += len(keys)
 
     def contains(self, key: bytes) -> bool:
         self.host_cpu.charge(CHECK_COST, tag="metadata")
         self.checks += 1
         return key in self._keys
 
-    def remove(self, key: bytes) -> None:
-        self.host_cpu.charge(DELETE_COST, tag="metadata")
-        self._keys.discard(key)
-        self.deletes += 1
+    def settle(self, keys) -> None:
+        """Write-path step 3-1 for a batch bound for Main-LSM: check each
+        key and delete it when present (its Main-LSM copy becomes the
+        newest), stopping once the table is empty."""
+        table = self._keys
+        if not table:
+            return
+        costs = []
+        before = len(table)
+        for key in keys:
+            costs.append(CHECK_COST)
+            if key in table:
+                table.discard(key)
+                costs.append(DELETE_COST)
+                if not table:
+                    break
+        deletes = before - len(table)
+        self.checks += len(costs) - deletes
+        self.deletes += deletes
+        self.host_cpu.charge_all(costs, tag="metadata")
 
     def clear(self) -> None:
         self._keys.clear()

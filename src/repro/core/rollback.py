@@ -23,9 +23,12 @@ metadata table was lost: ``rollback_once(after_crash=True)``.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import compress, count
 from typing import Generator
 
+from ..lsm.sstable import rows_at
 from ..resil.errors import DeviceError
 from ..sim import Environment, Interrupt
 from .controller import KvaccelController
@@ -178,18 +181,22 @@ class RollbackManager:
             t0 = self.env.now
             yield from p.at("rollback.start")
             yield from controller.redirects_acked()
-            entries = yield from controller.kv.bulk_scan()
+            scanned = yield from controller.kv.bulk_scan()
+            keys = scanned[0]
             if after_crash:
                 metadata.clear()
-                for e in entries:
-                    current = yield from controller.main.get_internal(e[0])
-                    if current is None or e[1] > current[1]:
-                        metadata.insert(e[0])
-            entries = [e for e in entries if e[0] in metadata]
+                for key, seq in zip(keys, scanned[1]):
+                    current = yield from controller.main.get_internal(key)
+                    if current is None or seq > current[1]:
+                        metadata.insert(key)
+            # The rows still marked; entry tuples are built for them only,
+            # one merge batch at a time.
+            live = array("q", compress(count(), map(metadata.__contains__,
+                                                    keys)))
             p.touch("rollback.scan.done")
             nbytes = 0
-            for i in range(0, len(entries), MERGE_BATCH):
-                chunk = entries[i:i + MERGE_BATCH]
+            for i in range(0, len(live), MERGE_BATCH):
+                chunk = rows_at(scanned, live[i:i + MERGE_BATCH])
                 chunk_bytes = yield from controller.main.write_entries(
                     chunk, keep=metadata.__contains__)
                 nbytes += chunk_bytes
@@ -205,9 +212,9 @@ class RollbackManager:
             if self.resil is not None:
                 self.resil.note_drained()
             record = RollbackRecord(start=t0, end=self.env.now,
-                                    entries=len(entries), bytes=nbytes)
+                                    entries=len(live), bytes=nbytes)
             self.records.append(record)
-            p.end(_sp, {"entries": len(entries), "bytes": nbytes})
+            p.end(_sp, {"entries": len(live), "bytes": nbytes})
             return record
         finally:
             # Aborted mid-flight (e.g. injected crash): the span is still

@@ -12,7 +12,7 @@ ledger so CPU% can be reported for any window.
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Generator, Iterable
 
 from ..sim import Environment
 from .pcie import TrafficLedger
@@ -74,6 +74,39 @@ class CpuModel:
             b = int(self.env.now / ledger.bucket)
             ledger._buckets[b] = ledger._buckets.get(b, 0.0) + seconds
         self.busy_by_tag[tag] = self.busy_by_tag.get(tag, 0.0) + seconds
+
+    def charge_all(self, costs: Iterable[float], tag: str = "anon") -> None:
+        """``charge(seconds, tag)`` for each of ``costs`` in order, in one
+        call: a batch's per-key costs (Table VI metadata ops, the Dev-LSM's
+        per-put ARM op).  Each cost is added to the same float accumulators
+        one at a time, as that loop would add it, never as ``n * cost``,
+        so every total is bit-identical to per-key charging.  ``charge``
+        stays the one-cost form: the read path charges once a Next
+        (44K calls a ``scan_kvaccel`` cell), where a one-element batch
+        would cost a call and a loop more."""
+        ledger = self.ledger
+        buckets = ledger._buckets
+        b = int(self.env.now / ledger.bucket)
+        total = ledger.total_bytes
+        busy = self.busy_by_tag.get(tag, 0.0)
+        in_bucket = buckets.get(b, 0.0)
+        charged = False
+        try:
+            for seconds in costs:
+                if seconds < 0:
+                    raise ValueError("seconds must be >= 0")
+                total += seconds
+                busy += seconds
+                in_bucket += seconds    # a zero cost leaves it as it is
+                charged = True
+        finally:
+            # As far as the loop got: where per-key charging stops at an
+            # invalid cost.
+            if charged:
+                ledger.total_bytes = total
+                self.busy_by_tag[tag] = busy
+                if in_bucket or b in buckets:   # zero costs open no bucket
+                    buckets[b] = in_bucket
 
     @property
     def total_busy(self) -> float:

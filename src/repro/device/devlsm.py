@@ -27,12 +27,13 @@ PCIe — so they never contend with the host link.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Generator, Iterator, Optional
 
 from ..lsm.compaction import merge_columns
-from ..lsm.sstable import Columns, SSTable, columns_bytes, row_at, to_columns
+from ..lsm.sstable import Columns, SSTable, columns_bytes, dict_columns, row_at
 from ..sim import Environment
-from ..types import Entry, entry_size
+from ..types import Entry, entry_size, entry_sizes_of
 from .cpu import CpuModel
 from .ftl import Ftl
 from .geometry import KiB, MiB
@@ -133,22 +134,45 @@ class DevLsm:
     # -- write path ---------------------------------------------------------
     def put(self, entry: Entry) -> Generator:
         """Insert a PUT or DELETE entry (blocking process generator)."""
-        cfg = self.config
-        nbytes = entry_size(entry)
+        return self.put_all((entry,))
+
+    def put_all(self, entries) -> Generator:
+        """Insert PUT or DELETE entries in order — a compound command's
+        records (blocking process generator).
+
+        Each entry is its own ``devlsm.put`` span and
+        ``devlsm.put.applied`` visit and costs one ``ARM_OP_COST``, and
+        the memtable flushes right after the entry that fills it.  The ARM
+        charges of the entries applied since the last flush are settled
+        in one ``charge_all`` before the next flush, or when the loop
+        leaves; nothing reads the ARM ledger in between.
+        """
+        limit = self.config.memtable_bytes
         p = self.env.probes
-        _sp = p.begin("devlsm", "devlsm.put", "devlsm", {"bytes": nbytes})
-        self.arm.charge(ARM_OP_COST, tag="devlsm.put")
-        key = entry[0]
-        old = self._memtable.get(key)
-        if old is not None:
-            self._memtable_bytes -= entry_size(old)
-        self._memtable[key] = entry
-        self._memtable_bytes += nbytes
-        p.touch("devlsm.put.applied")
-        if self._memtable_bytes >= cfg.memtable_bytes:
-            yield from self._flush()
-        p.end(_sp)
-        return None
+        unsettled = 0
+        try:
+            for entry, nbytes in zip(entries, entry_sizes_of(entries)):
+                _sp = p.begin("devlsm", "devlsm.put", "devlsm",
+                              {"bytes": nbytes})
+                unsettled += 1
+                memtable = self._memtable    # a reset replaces it
+                key = entry[0]
+                old = memtable.get(key)
+                if old is not None:
+                    self._memtable_bytes -= entry_size(old)
+                memtable[key] = entry
+                self._memtable_bytes += nbytes
+                p.touch("devlsm.put.applied")
+                if self._memtable_bytes >= limit:
+                    self.arm.charge_all(repeat(ARM_OP_COST, unsettled),
+                                        tag="devlsm.put")
+                    unsettled = 0
+                    yield from self._flush()
+                p.end(_sp)
+        finally:
+            if unsettled:
+                self.arm.charge_all(repeat(ARM_OP_COST, unsettled),
+                                    tag="devlsm.put")
 
     def _flush(self) -> Generator:
         """Flush the device memtable as one sorted run into KV NAND."""
@@ -165,9 +189,7 @@ class DevLsm:
         # flush had merely staged.
         snapshot = list(self._memtable.items())
         nbytes = self._memtable_bytes   # the snapshot is the whole memtable
-        # Keys are unique, so the sort compares keys only.
-        run = SSTable.from_columns(
-            0, to_columns(sorted(e for _k, e in snapshot)))
+        run = SSTable.from_columns(0, dict_columns(self._memtable))
         # Map pages in the KV region and charge NAND program + ARM copy.
         pages = max(1, -(-nbytes // self.page_size))
         for lpns in self._alloc_lpns(pages):
@@ -255,7 +277,7 @@ class DevLsm:
         """
         parts = [run.columns for run in self.runs]
         if include_memtable and self._memtable:
-            parts.append(to_columns(sorted(self._memtable.values())))
+            parts.append(dict_columns(self._memtable))
         return merge_columns(parts, bottommost=False)
 
     def create_iterator(self) -> Generator:

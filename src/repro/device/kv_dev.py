@@ -18,7 +18,8 @@ from typing import Generator, Iterator
 from ..faults.registry import DROP, DUPLICATE
 from ..lsm.sstable import Columns, columns_bytes, iter_rows
 from ..sim import Environment
-from ..types import KIND_DELETE, entry_size, make_entry, value_size
+from ..types import (ENTRY_OVERHEAD, KIND_DELETE, entry_size, entry_sizes_of,
+                     make_entry, value_size)
 from .cpu import CpuModel
 from .devlsm import DevLsm
 from .pcie import PcieLink
@@ -94,8 +95,7 @@ class KvDevice:
         yield from self.pcie.transfer(payload)
         duplicate = action is not None and action.kind == DUPLICATE
         for _ in range(2 if duplicate else 1):
-            for entry in entries:
-                yield from self.devlsm.put(entry)
+            yield from self.devlsm.put_all(entries)
         if duplicate:
             self.duplicated_commands += 1
         p.end(_sp)
@@ -108,18 +108,23 @@ class KvDevice:
             "put", _CAPSULE_BYTES + len(key) + value_size(value),
             [make_entry(key, seq, value)]), "kv.put")
 
-    def put_batch(self, triples: list) -> Generator:
+    def put_batch(self, entries: list) -> Generator:
         """Batched KV PUT via a compound command (HotStorage '19 style).
 
-        ``triples`` is a list of (key, seq, value|None).  One capsule + one
-        payload transfer covers the batch; the Dev-LSM still ingests each
-        record (per-op ARM cost, flush when the device memtable fills).
+        ``entries`` are internal entries ``(key, seq, kind, value)``.  One
+        capsule + one payload transfer (keys and values) covers the batch;
+        the Dev-LSM still ingests each record (per-op ARM cost, flush when
+        the device memtable fills).
         """
-        return self._call(lambda: self._write(
-            "put_batch",
-            _CAPSULE_BYTES + sum(len(k) + value_size(v) for k, _s, v in triples),
-            [make_entry(k, s, v) for k, s, v in triples]),
-            "kv.put_batch")
+        payload = (_CAPSULE_BYTES + sum(entry_sizes_of(entries))
+                   - ENTRY_OVERHEAD * len(entries))
+        if self.retry is None:
+            return self._write("put_batch", payload, entries)
+        # Every attempt ships fresh entry tuples, as a reissued command
+        # would: a Dev-LSM flush tells a record replaced mid-flush by
+        # identity.
+        return self.retry.call(lambda: self._write(
+            "put_batch", payload, [(*e,) for e in entries]), "kv.put_batch")
 
     def delete(self, key: bytes, seq: int) -> Generator:
         """KV DELETE: a tombstone entry in the Dev-LSM."""
@@ -182,7 +187,9 @@ class KvDevice:
 
     # -- bulk ops --------------------------------------------------------------
     def bulk_scan(self) -> Generator:
-        """Bulky range scan of the whole Dev-LSM (rollback step 3-6)."""
+        """Bulky range scan of the whole Dev-LSM (rollback step 3-6):
+        returns its merged columns (key ascending, newest-wins,
+        tombstones included)."""
         return self._call(self._bulk_scan, "kv.bulk_scan")
 
     def _bulk_scan(self) -> Generator:
@@ -195,7 +202,7 @@ class KvDevice:
         p.end(_sp, {"entries": len(merged[0]),
                     "bytes": columns_bytes(merged)})
         yield from p.at("kv.bulk_scan.complete")
-        return list(iter_rows(merged))
+        return merged
 
     def reset(self) -> Generator:
         """Reset the Dev-LSM (rollback step 8)."""

@@ -60,9 +60,19 @@ class TrafficLedger:
             return
         rate = nbytes / (t1 - t0)
         last = int(math.ceil(t1 / bucket)) - 1
-        # Most transfers end in the bucket they began in: ``(first,)``
-        # spares them the range object.
-        for b in (first,) if first == last else range(first, last + 1):
+        if first == last:
+            # Most transfers end in the bucket they began in: the loop
+            # below for one bucket, its max/min written out.
+            lo = first * bucket
+            if t0 >= lo:
+                lo = t0
+            hi = (first + 1) * bucket
+            if t1 <= hi:
+                hi = t1
+            if hi > lo:
+                buckets[first] = buckets.get(first, 0.0) + rate * (hi - lo)
+            return
+        for b in range(first, last + 1):
             lo = max(t0, b * bucket)
             hi = min(t1, (b + 1) * bucket)
             if hi > lo:

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Generator, Optional
 
 from ..core import KvaccelDb
+from ..lsm.sstable import iter_rows
 from ..obs import Journal, Tracer, write_divergence_artifact
 from ..resil import DeviceError, TRANSIENT
 from ..sim import Environment, Interrupt
@@ -134,7 +135,7 @@ def broken_recovery_skip_reset(db: KvaccelDb) -> Generator:
     controller.metadata.clear()
     scanned = yield from controller.kv.bulk_scan()
     merge = []
-    for e in scanned:
+    for e in iter_rows(scanned):
         current = yield from controller.main.get_internal(e[0])
         if current is None or e[1] > current[1]:
             merge.append(e)

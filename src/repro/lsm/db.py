@@ -21,7 +21,7 @@ from ..device.block_dev import BlockDevice
 from ..device.cpu import CpuModel
 from ..resil.errors import DeviceError
 from ..sim import Environment, Event, Interrupt, Store
-from ..types import KIND_DELETE, entry_size, make_entry
+from ..types import KIND_DELETE, entry_size, entry_sizes_of, make_entries
 from .bloom import key_hash
 from .compaction import (CompactionJob, CompactionPicker, cut_by_count,
                          merge_for_compaction, split_into_files)
@@ -179,9 +179,11 @@ class DbImpl:
     def immutable_count(self) -> int:
         return len(self.imm)
 
-    def next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
+    def next_seqs(self, n: int) -> range:
+        """Allocate the next ``n`` sequence numbers, one write batch's."""
+        first = self._seq + 1
+        self._seq += n
+        return range(first, first + n)
 
     def note_external_seq(self, seq: int) -> None:
         """Keep the global sequence monotonic when another component
@@ -249,8 +251,7 @@ class DbImpl:
         matching how group-committed writers observe completion.
         """
         t0 = self.env.now
-        entries = [make_entry(key, self.next_seq(), value)
-                   for key, value in pairs]
+        entries = make_entries(pairs, self.next_seqs(len(pairs)))
         yield from self._write_entries(entries)
         self.stats.record_write_latency(self.env.now - t0, count=len(entries))
 
@@ -264,8 +265,8 @@ class DbImpl:
         after the gate and CPU yields: an entry it rejects just before the
         WAL append is neither logged nor applied, and one it rejects at the
         memtable insert (stale during the append) is not applied."""
-        for e in entries:
-            self.note_external_seq(e[1])
+        if entries:
+            self.note_external_seq(max([e[1] for e in entries]))
         return (yield from self._write_entries(entries, keep))
 
     def _write_entries(self, entries: list, keep=None) -> Generator:
@@ -274,7 +275,7 @@ class DbImpl:
         if self.background_error is not None:
             raise self.background_error
         opt = self.options
-        nbytes = sum(map(entry_size, entries))
+        nbytes = sum(entry_sizes_of(entries))
         p = self.env.probes
         _sp = p.begin("write", "write", None,
                       {"entries": len(entries), "bytes": nbytes})
@@ -285,7 +286,7 @@ class DbImpl:
                                          tag=f"{self.name}.write")
         if keep is not None:
             entries = [e for e in entries if keep(e[0])]
-            nbytes = sum(map(entry_size, entries))
+            nbytes = sum(entry_sizes_of(entries))
         try:
             yield from self.wal.append(nbytes, records=entries)
         except DeviceError as exc:
@@ -294,9 +295,8 @@ class DbImpl:
             # into read-only state.
             self.set_background_error(exc)
             raise
-        for e in entries:
-            if keep is None or keep(e[0]):
-                self.mem.add(e)
+        self.mem.add_all(entries if keep is None
+                         else [e for e in entries if keep(e[0])])
         p.touch("db.write.applied")
         self.stats.user_writes += len(entries)
         self.stats.user_write_bytes += nbytes
@@ -386,16 +386,17 @@ class DbImpl:
         p = self.env.probes
         _sp = p.begin("flush", "flush", None, {"bytes": mem.approximate_bytes})
         yield from p.at("db.flush.start")
-        entries = mem.entries()
-        if entries:
+        if len(mem):
+            columns = mem.columns()
             # A sealed memtable's byte count is its entries' summed size.
             nbytes = mem.approximate_bytes
             yield from self.host_cpu.consume(nbytes * CPU_FLUSH_PER_BYTE,
                                              tag=f"{self.name}.flush")
             number = self.versions.new_file_number()
-            table = SSTable(number, entries, block_size=opt.block_size,
-                            bloom_bits_per_key=opt.bloom_bits_per_key,
-                            entry_bytes=mem.entry_bytes)
+            table = SSTable.from_columns(
+                number, columns, block_size=opt.block_size,
+                bloom_bits_per_key=opt.bloom_bits_per_key,
+                entry_bytes=mem.entry_bytes)
             f = self.fs.create(self._sst_name(number))
             self._inflight_flush_file = f
             remaining = table.file_bytes

@@ -102,6 +102,10 @@ class FileSystem:
         self._files: dict[str, SimFile] = {}
         self._cursor = 0
         self._free: list[tuple[int, int]] = []  # (offset, nbytes), first-fit
+        # Request size -> where its first-fit search resumes: every free
+        # extent before that index is smaller than the size.  Appends and
+        # shrinks keep that true; a pop shifts the indices past it.
+        self._resume: dict[int, int] = {}
         self.capacity = device.capacity_bytes
         self.page_cache = page_cache
 
@@ -142,13 +146,20 @@ class FileSystem:
 
     # -- allocation ----------------------------------------------------------
     def _allocate(self, nbytes: int) -> tuple[int, int]:
-        for i, (off, n) in enumerate(self._free):
+        free, resume = self._free, self._resume
+        for i in range(resume.get(nbytes, 0), len(free)):
+            off, n = free[i]
             if n >= nbytes:
+                resume[nbytes] = i
                 if n == nbytes:
-                    self._free.pop(i)
+                    free.pop(i)
+                    for size, at in resume.items():
+                        if at > i:
+                            resume[size] = at - 1
                 else:
-                    self._free[i] = (off + nbytes, n - nbytes)
+                    free[i] = (off + nbytes, n - nbytes)
                 return off, nbytes
+        resume[nbytes] = len(free)
         if self._cursor + nbytes > self.capacity:
             raise FsError(
                 f"device full: need {nbytes}, cursor {self._cursor}, "

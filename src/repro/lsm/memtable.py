@@ -24,7 +24,8 @@ from bisect import bisect_left
 from operator import itemgetter
 from typing import Iterator, Optional
 
-from ..types import Entry, entry_size
+from ..types import Entry, entry_size, entry_sizes_of
+from .sstable import Columns, dict_columns, to_columns
 
 __all__ = ["MemTable", "DictMemTable", "SkipListMemTable"]
 
@@ -39,6 +40,11 @@ class MemTable:
     entry_bytes: Optional[int] = None
 
     def add(self, entry: Entry) -> None:
+        self.add_all((entry,))
+
+    def add_all(self, entries) -> None:
+        """Insert ``entries`` in order; an entry older than the one its
+        key holds (a stale rollback re-insert) is ignored."""
         raise NotImplementedError
 
     def get(self, key: bytes) -> Optional[Entry]:
@@ -57,6 +63,10 @@ class MemTable:
         """All live entries sorted by key ascending."""
         raise NotImplementedError
 
+    def columns(self) -> Columns:
+        """``entries()`` as SSTable columns (what a flush builds)."""
+        return to_columns(self.entries())
+
     def iter_from(self, key: bytes) -> Iterator[Entry]:
         """Iterate entries with key >= ``key`` in ascending key order."""
         raise NotImplementedError
@@ -70,21 +80,30 @@ class DictMemTable(MemTable):
         self._bytes = 0
         self._sorted: Optional[list] = None
 
-    def add(self, entry: Entry) -> None:
-        key = entry[0]
-        old = self._map.get(key)
-        if old is not None:
-            if entry[1] < old[1]:
-                return  # stale write (rollback re-inserts); keep newest
-            self._bytes -= entry_size(old)
-        size = entry_size(entry)
-        if size != self.entry_bytes:
-            # The first entry sets it; any other size clears it for good,
-            # even when an overwrite leaves the remaining sizes equal.
-            self.entry_bytes = None if self._map else size
-        self._map[key] = entry
-        self._bytes += size
-        self._sorted = None
+    def add_all(self, entries) -> None:
+        table = self._map
+        total = self._bytes
+        same = self.entry_bytes
+        added = False
+        for entry, size in zip(entries, entry_sizes_of(entries)):
+            key = entry[0]
+            old = table.get(key)
+            if old is not None:
+                if entry[1] < old[1]:
+                    continue  # stale write (rollback re-inserts); keep newest
+                total -= entry_size(old)
+            if size != same:
+                # The first entry sets it; any other size clears it for
+                # good, even when an overwrite leaves the remaining sizes
+                # equal.
+                same = None if table else size
+            table[key] = entry
+            total += size
+            added = True
+        self._bytes = total
+        self.entry_bytes = same
+        if added:
+            self._sorted = None
 
     def get(self, key: bytes) -> Optional[Entry]:
         return self._map.get(key)
@@ -100,6 +119,9 @@ class DictMemTable(MemTable):
         if self._sorted is None:
             self._sorted = sorted(self._map.values(), key=_key)
         return self._sorted
+
+    def columns(self) -> Columns:
+        return dict_columns(self._map)
 
     def iter_from(self, key: bytes) -> Iterator[Entry]:
         ents = self.entries()
@@ -146,26 +168,27 @@ class SkipListMemTable(MemTable):
             update[i] = node
         return update
 
-    def add(self, entry: Entry) -> None:
-        key = entry[0]
-        update = self._find_prev(key)
-        candidate = update[0].forward[0]
-        if candidate is not None and candidate.key == key:
-            old = candidate.entry
-            if entry[1] < old[1]:
-                return
-            self._bytes += entry_size(entry) - entry_size(old)
-            candidate.entry = entry
-            return
-        lvl = self._random_level()
-        if lvl > self._level:
-            self._level = lvl
-        node = _Node(key, entry, lvl)
-        for i in range(lvl):
-            node.forward[i] = update[i].forward[i]
-            update[i].forward[i] = node
-        self._len += 1
-        self._bytes += entry_size(entry)
+    def add_all(self, entries) -> None:
+        for entry in entries:
+            key = entry[0]
+            update = self._find_prev(key)
+            candidate = update[0].forward[0]
+            if candidate is not None and candidate.key == key:
+                old = candidate.entry
+                if entry[1] < old[1]:
+                    continue
+                self._bytes += entry_size(entry) - entry_size(old)
+                candidate.entry = entry
+                continue
+            lvl = self._random_level()
+            if lvl > self._level:
+                self._level = lvl
+            node = _Node(key, entry, lvl)
+            for i in range(lvl):
+                node.forward[i] = update[i].forward[i]
+                update[i].forward[i] = node
+            self._len += 1
+            self._bytes += entry_size(entry)
 
     def get(self, key: bytes) -> Optional[Entry]:
         node = self._head

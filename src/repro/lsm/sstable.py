@@ -44,8 +44,8 @@ from .bloom import BloomFilter, key_hash
 from .codec import decode_block, encode_block
 
 __all__ = ["SSTable", "ProbeResult", "columns_bytes", "concat_columns",
-           "entry_sizes", "int64s", "iter_rows", "row_at", "slice_columns",
-           "to_columns"]
+           "dict_columns", "entry_sizes", "int64s", "iter_rows", "row_at",
+           "rows_at", "slice_columns", "to_columns"]
 
 _key, _seq, _kind, _value = map(itemgetter, range(4))
 _seed = attrgetter("seed")
@@ -69,7 +69,18 @@ def to_columns(entries: Sequence[Entry]) -> Columns:
     """Entry tuples as columns, in C-level passes; a Python loop runs only
     over the rows that go to ``other``, and over all rows only when a seed
     lies outside int64."""
-    keys = list(map(_key, entries))
+    return _columns(list(map(_key, entries)), entries)
+
+
+def dict_columns(table: dict) -> Columns:
+    """The entries of ``table`` (key -> entry tuple: a memtable) as
+    columns, key ascending.  Sorting the keys alone orders the rows."""
+    keys = sorted(table)
+    return _columns(keys, list(map(table.__getitem__, keys)))
+
+
+def _columns(keys: list, entries: Sequence[Entry]) -> Columns:
+    """Columns of ``entries``, whose keys ``keys`` already are."""
     seqs = int64s(list(map(_seq, entries)))
     kinds = bytes(map(_kind, entries))
     values = list(map(_value, entries))
@@ -108,6 +119,18 @@ def iter_rows(columns: Columns, start: int = 0) -> Iterator[Entry]:
         # other.get(row, ref): the row's own value, else its ValueRef.
         values = map(other.get, range(start, len(keys)), values)
     return zip(keys[start:], seqs[start:], kinds[start:], values)
+
+
+def rows_at(columns: Columns, rows: Sequence[int]) -> list:
+    """The rows ``rows`` (indices, ascending or not) as entry tuples, built
+    in C-level passes."""
+    keys, seqs, kinds, seeds, sizes, other = columns
+    values = map(ValueRef, map(seeds.__getitem__, rows),
+                 map(sizes.__getitem__, rows))
+    if other:
+        values = map(other.get, rows, values)
+    return list(zip(map(keys.__getitem__, rows), map(seqs.__getitem__, rows),
+                    map(kinds.__getitem__, rows), values))
 
 
 def slice_columns(columns: Columns, start: int, stop: int) -> Columns:
@@ -181,9 +204,10 @@ class SSTable:
                      block_size: int = 16 * 1024,
                      bloom_bits_per_key: int = 10,
                      entry_bytes: Optional[int] = None) -> "SSTable":
-        """A table of the rows ``columns`` (compaction's output files,
-        the Dev-LSM's runs); the table keeps the columns as they are.  They must be sorted and
-        key-unique, as the merge makes them; this is not checked."""
+        """A table of the rows ``columns`` (memtable flushes, compaction's
+        output files, the Dev-LSM's runs); the table keeps the columns as
+        they are.  They must be sorted and key-unique, as a memtable's
+        ``columns()`` and the merge make them; this is not checked."""
         table = cls.__new__(cls)
         table._build(file_number, columns, block_size, bloom_bits_per_key,
                      entry_bytes)

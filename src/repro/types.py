@@ -29,9 +29,11 @@ __all__ = [
     "value_size",
     "materialize",
     "entry_size",
+    "entry_sizes_of",
     "ENTRY_OVERHEAD",
     "encode_key",
     "make_entry",
+    "make_entries",
 ]
 
 KIND_DELETE = 0
@@ -112,6 +114,15 @@ def entry_size(entry: Entry) -> int:
     return len(entry[0]) + len(value) + ENTRY_OVERHEAD
 
 
+def entry_sizes_of(entries) -> list:
+    """Each entry's :func:`entry_size`, sized inline in one pass (a write
+    batch's entries)."""
+    return [len(key) + ENTRY_OVERHEAD + (
+                value.size if type(value) is ValueRef
+                else 0 if value is None else len(value))
+            for key, _seq, _kind, value in entries]
+
+
 def encode_key(n: int, width: int = 4) -> bytes:
     """Fixed-width big-endian key encoding (db_bench uses 4 B keys here).
 
@@ -128,3 +139,11 @@ def make_entry(key: bytes, seq: int, value: Value,
     if kind is None:
         kind = KIND_DELETE if value is None else KIND_PUT
     return (key, seq, kind, value)
+
+
+def make_entries(pairs, seqs) -> list:
+    """``make_entry(key, seq, value)`` of each ``(key, value)`` of
+    ``pairs`` with the matching sequence number of ``seqs`` (a write
+    batch's ``range``)."""
+    return [(key, seq, KIND_DELETE if value is None else KIND_PUT, value)
+            for (key, value), seq in zip(pairs, seqs)]

@@ -12,10 +12,12 @@ KVACCEL, which is what makes the cross-system figures apples-to-apples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 from ..sim import Environment, Process, RateMeter
-from .keygen import KeyGenerator, RandomKeys, value_for
+from ..types import ValueRef
+from .keygen import RandomKeys
 
 __all__ = ["DriverConfig", "FillRandomDriver", "ReadWhileWritingDriver",
            "SeekRandomDriver", "fill_database"]
@@ -27,6 +29,14 @@ VALUE_SIZE = 4096
 BATCH_SIZE = 32
 # Workload D: Nexts after each Seek.
 NEXTS_PER_SEEK = 1024
+
+
+def _make_batch(keys: RandomKeys, n: int) -> list:
+    """The next ``n`` keys as ``(key, value_for(key, VALUE_SIZE))`` pairs,
+    built from the key integers in C-level passes."""
+    ints = keys.next_ints(n)
+    return list(zip(map(int.to_bytes, ints, repeat(KEY_SIZE), repeat("big")),
+                    map(ValueRef, ints, repeat(VALUE_SIZE))))
 
 
 @dataclass
@@ -51,10 +61,6 @@ class _DriverBase:
     def start(self) -> Process:
         raise NotImplementedError
 
-    def _make_batch(self, keys: KeyGenerator, n: int) -> list:
-        return [(k := keys.next_key(), value_for(k, VALUE_SIZE))
-                for _ in range(n)]
-
     def _writer(self):
         """The unthrottled write thread: random-key batches until the
         deadline."""
@@ -64,7 +70,7 @@ class _DriverBase:
         per_entry = KEY_SIZE + VALUE_SIZE + 8
         p = self.env.probes
         while self.env.now < t_end:
-            batch = self._make_batch(keys, BATCH_SIZE)
+            batch = _make_batch(keys, BATCH_SIZE)
             ctx = p.op_begin("put_batch", len(batch), len(batch) * per_entry)
             try:
                 yield from self.db.put_batch(batch)
@@ -169,9 +175,7 @@ def fill_database(env: Environment, db, total_bytes: int,
         remaining = total_bytes
         while remaining > 0:
             n = min(BATCH_SIZE, max(1, remaining // per_entry))
-            batch = [(k := keys.next_key(), value_for(k, VALUE_SIZE))
-                     for _ in range(n)]
-            yield from db.put_batch(batch)
+            yield from db.put_batch(_make_batch(keys, n))
             remaining -= n * per_entry
         return total_bytes - remaining
 

@@ -99,15 +99,18 @@ class TestMetadata:
         md.insert(b"a")
         assert md.contains(b"a")
         assert not md.contains(b"b")
-        md.remove(b"a")
+        md.settle([b"a"])                  # check, then delete
         assert not md.contains(b"a")
-        assert md.inserts == 1 and md.checks == 3 and md.deletes == 1
+        assert md.inserts == 1 and md.checks == 4 and md.deletes == 1
 
     def test_remove_absent_is_safe(self):
         env = Environment()
         md = MetadataManager(CpuModel(env, cores=1))
-        md.remove(b"ghost")
+        md.settle([b"ghost"])
         assert len(md) == 0
+        md.insert(b"a")
+        md.settle([b"ghost"])
+        assert len(md) == 1 and md.deletes == 0
 
     def test_cpu_charges_match_table_vi(self):
         env = Environment()
@@ -115,8 +118,8 @@ class TestMetadata:
         md = MetadataManager(cpu)
         md.insert(b"k")
         md.contains(b"k")
-        md.remove(b"k")
-        assert cpu.busy_by_tag["metadata"] == pytest.approx(0.93e-6)
+        md.settle([b"k"])                  # check 0.20 + delete 0.28
+        assert cpu.busy_by_tag["metadata"] == pytest.approx(1.13e-6)
 
     def test_clear(self):
         env = Environment()

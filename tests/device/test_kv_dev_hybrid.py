@@ -87,8 +87,8 @@ class TestKvDevice:
         ssd = small_ssd(env)
         for k in range(20):
             run(env, ssd.kv.put(encode_key(k), k, b"b" * 64))
-        entries = run(env, ssd.kv.bulk_scan())
-        assert len(entries) == 20
+        columns = run(env, ssd.kv.bulk_scan())
+        assert len(columns[0]) == 20
         run(env, ssd.kv.reset())
         assert ssd.kv.is_empty
 
