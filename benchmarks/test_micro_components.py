@@ -1,17 +1,16 @@
 """Microbenchmarks of the core data structures (real pytest-benchmark
 multi-round timing — these are Python wall-clock numbers, not simulated).
 
-Covers DESIGN decision D1's performance claim: the Dict memtable is the
-fast default and the skiplist the reference implementation; plus the
-hot-path structures every simulated op touches (bloom probe, SST probe,
-merging iterator).
+Covers the memtable the host LSM builds (a dict with a lazily sorted view)
+and the hot-path structures every simulated op touches (bloom probe, SST
+probe, merging iterator).
 """
 
 import random
 
 import pytest
 
-from repro.lsm import BloomFilter, DictMemTable, SSTable, SkipListMemTable, merging_iterator
+from repro.lsm import BloomFilter, DictMemTable, SSTable, merging_iterator
 from repro.types import encode_key, make_entry
 
 N = 2000
@@ -33,11 +32,9 @@ def shuffled_entries(sorted_entries):
     return es
 
 
-@pytest.mark.parametrize("factory", [DictMemTable, SkipListMemTable],
-                         ids=["dict", "skiplist"])
-def test_memtable_insert_rate(benchmark, factory, shuffled_entries):
+def test_memtable_insert_rate(benchmark, shuffled_entries):
     def insert_all():
-        mt = factory()
+        mt = DictMemTable()
         for e in shuffled_entries:
             mt.add(e)
         return mt
@@ -46,10 +43,8 @@ def test_memtable_insert_rate(benchmark, factory, shuffled_entries):
     assert len(mt) == N
 
 
-@pytest.mark.parametrize("factory", [DictMemTable, SkipListMemTable],
-                         ids=["dict", "skiplist"])
-def test_memtable_get_rate(benchmark, factory, shuffled_entries):
-    mt = factory()
+def test_memtable_get_rate(benchmark, shuffled_entries):
+    mt = DictMemTable()
     for e in shuffled_entries:
         mt.add(e)
     keys = [e[0] for e in shuffled_entries[:500]]

@@ -28,7 +28,7 @@ from ..obs import (HealthMonitor, Journal, LineageProfiler, TelemetryHub,
                    Tracer, cluster_shard_rules, default_rules,
                    register_digest_sources)
 from ..obs.rules import DEVICE_PEAK_BW
-from ..sim import Environment, install_kernel_profiler, uninstall_kernel_profiler
+from ..sim import Environment
 from ..workload import (
     DriverConfig,
     FillRandomDriver,
@@ -201,6 +201,25 @@ def build_system(env: Environment, profile: ExperimentProfile, spec: RunSpec):
     return db, ssd, cpu
 
 
+def kernel_counters(env: Environment, run_ns: int) -> dict:
+    """A run's ``extra["kernel_profile"]``: counts the kernel keeps, read
+    after the run.  Every ``_seq`` increment pairs with one queue push, so
+    the pushes are ``_seq`` and the pops are the pushes no longer queued;
+    ``run_ns`` is the caller's host time inside ``env.run``.  The kernel
+    keeps no Timeout freelist: ``timeout_pool_hit_rate`` stays, at 0.0,
+    for the readers of that key."""
+    pushes = env._seq
+    return {
+        "heap_pushes": pushes,
+        "heap_pops": pushes - len(env._queue),
+        "wall_ns": run_ns,
+        "resource_requests": env.resource_requests,
+        "resource_queued": env.resource_queued,
+        "macro": env.macro.to_dict(),
+        "timeout_pool_hit_rate": 0.0,
+    }
+
+
 def _collector_paused(fn):
     """Run ``fn`` with the cyclic garbage collector disabled, restoring the
     caller's ``gc.isenabled()`` state on the way out (also on an error)."""
@@ -243,7 +262,8 @@ def run_workload(
 
     Every result carries ``events_processed`` (kernel events, pinned by
     the ``BENCH_<exp>.json`` documents) and the host wall-clock
-    :data:`WALL_EXTRA_KEYS` in ``extra``.
+    :data:`WALL_EXTRA_KEYS` in ``extra``; ``kernel_profile=True`` adds
+    :func:`kernel_counters` as ``extra["kernel_profile"]``.
 
     The cell runs with the cyclic garbage collector paused.  The kernel
     makes no reference cycles, so reference counting frees everything a
@@ -252,7 +272,7 @@ def run_workload(
     """
     wall_t0 = time.perf_counter()
     env = Environment()
-    kprof = install_kernel_profiler(env) if kernel_profile else None
+    run_ns = 0              # host time inside env.run
     if tracer is not None:
         tracer.install(env)
     if journal is not None:
@@ -286,8 +306,10 @@ def run_workload(
     # Workload D preloads the store before measuring.
     if wl.kind == "seekrandom" and profile.seekrandom_fill_bytes > 0:
         p = fill_database(env, db, profile.seekrandom_fill_bytes, cfg)
+        t0 = time.perf_counter_ns()
         env.run(until=p)
         env.run(until=env.process(db.wait_for_quiesce()))
+        run_ns += time.perf_counter_ns() - t0
 
     # Lineage installs after the preload so the fill phase does not
     # pollute the measured op population.
@@ -314,8 +336,10 @@ def run_workload(
     driver.read_meter = collector.read_meter
 
     proc = driver.start()
+    t0 = time.perf_counter_ns()
     env.run(until=proc)
     env.run(until=env.now + profile.sample_period)  # flush last bucket
+    run_ns += time.perf_counter_ns() - t0
     collector.stop()
     if hub is not None:
         hub.stop()
@@ -355,9 +379,8 @@ def run_workload(
         result.extra["journal"] = journal
     if lineage_prof is not None:
         result.extra["lineage"] = lineage_prof.to_dict()
-    if kprof is not None:
-        uninstall_kernel_profiler(env)
-        result.extra["kernel_profile"] = kprof.to_dict()
+    if kernel_profile:
+        result.extra["kernel_profile"] = kernel_counters(env, run_ns)
     # The result keeps its planes, not the world: a plane held in
     # ``extra`` would otherwise keep the Environment, and every table in
     # it, alive for as long as the result lives.

@@ -32,7 +32,7 @@ from typing import Callable, Generator, Optional
 
 from ..core import KvaccelDb
 from ..lsm.sstable import iter_rows
-from ..obs import Journal, Tracer, write_divergence_artifact
+from ..obs import Tracer, write_divergence_artifact
 from ..resil import DeviceError, TRANSIENT
 from ..sim import Environment, Interrupt
 from ..types import encode_key
@@ -87,10 +87,6 @@ class CrashReport:
     # harness was built with ``trace_tail > 0``.  Each item is a dict:
     # {"cat", "name", "actor", "t0", "t1"|None, "args"}.
     trace_tail: list = field(default_factory=list)
-    # Last N journal records before the crash (flight-recorder ring), when
-    # built with ``journal_tail > 0``.  Each item is a record dict:
-    # {"kind", "idx", "t", "proc"|"layer", "class"|"site"|"digest"}.
-    journal_tail: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -150,18 +146,14 @@ class KvaccelFaultHarness:
 
     def __init__(self, seed: int = DEFAULT_SEED, scale: int = 1,
                  recovery: Optional[Callable[[KvaccelDb], Generator]] = None,
-                 trace_tail: int = 0, resilience: bool = False,
-                 journal_tail: int = 0):
+                 trace_tail: int = 0, resilience: bool = False):
         if scale < 1:
             raise ValueError("scale must be >= 1")
         if trace_tail < 0:
             raise ValueError("trace_tail must be >= 0")
-        if journal_tail < 0:
-            raise ValueError("journal_tail must be >= 0")
         self.seed = seed
         self.scale = scale
         self.trace_tail = trace_tail   # ring-buffer span tail per crash run
-        self.journal_tail = journal_tail   # flight-recorder ring per run
         self._recovery = recovery   # None = the real db.recover()
         # With resilience on, the stack runs the repro.resil layer and the
         # workload gains two phases: a forced degraded episode (DEGRADED ->
@@ -181,10 +173,6 @@ class KvaccelFaultHarness:
             # memory stays bounded while every crash report carries the
             # spans leading up to its injected fault.
             Tracer(max_events=self.trace_tail).install(env)
-        if self.journal_tail > 0:
-            # Flight-recorder ring: the crash report carries the last N
-            # executed events / site visits leading up to the fault.
-            Journal(ring=self.journal_tail).install(env)
         db = scripted_stack(
             env, resilience=SMALL_RESILIENCE if self.resilience else None)
         return _Run(env, registry, db, OracleClient(db, seed=self.seed))
@@ -316,10 +304,6 @@ class KvaccelFaultHarness:
                 # t1=None — they are not closed here because surviving
                 # processes will end theirs normally during recovery.
                 report.trace_tail = run.env.tracer.tail(self.trace_tail)
-            if run.env.journal is not None:
-                # Same snapshot point as the trace tail: the records
-                # leading up to the crash, before recovery appends more.
-                report.journal_tail = run.env.journal.tail()
 
             # -- recovery ------------------------------------------------
             recovery = self._recovery or (lambda db: db.recover())
@@ -341,17 +325,14 @@ class KvaccelFaultHarness:
             report.violations = violations
             report.sim_time = run.env.now
             if violations:
-                # Oracle mismatch: emit a divergence artifact (report +
-                # the flight-recorder ring, when enabled) so the failing
-                # site points straight at the evidence.  No-op unless
-                # REPRO_DIVERGENCE_DIR is set.
+                # Oracle mismatch: emit a divergence artifact so the
+                # failing site points straight at the evidence.  No-op
+                # unless REPRO_DIVERGENCE_DIR is set.
                 safe = site.replace(".", "_")
                 write_divergence_artifact(
                     f"oracle_{safe}_{occurrence}",
                     {"divergent": True,
-                     "violations": [v.describe() for v in violations],
-                     "journal_tail": report.journal_tail},
-                    journal=run.env.journal,
+                     "violations": [v.describe() for v in violations]},
                     meta={"site": site, "occurrence": occurrence,
                           "seed": self.seed, "sim_time": run.env.now})
         except AssertionError as exc:

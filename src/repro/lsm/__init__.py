@@ -18,7 +18,7 @@ from .compaction import (
 from .db import DbImpl, DbStats
 from .fs import FileSystem, FsError, PageCache, SimFile
 from .iterator import k_way_merge, merging_iterator
-from .memtable import DictMemTable, MemTable, SkipListMemTable
+from .memtable import DictMemTable
 from .options import LsmOptions
 from .sstable import ProbeResult, SSTable
 from .version import FileMetadata, Version, VersionEdit, VersionSet
@@ -47,8 +47,6 @@ __all__ = [
     "k_way_merge",
     "merging_iterator",
     "DictMemTable",
-    "MemTable",
-    "SkipListMemTable",
     "LsmOptions",
     "ProbeResult",
     "SSTable",

@@ -27,7 +27,7 @@ from .compaction import (CompactionJob, CompactionPicker, cut_by_count,
                          merge_for_compaction, split_into_files)
 from .fs import FileSystem, FsError, PageCache
 from .iterator import merging_iterator
-from .memtable import DictMemTable, MemTable
+from .memtable import DictMemTable
 from .options import LsmOptions
 from .sstable import SSTable, columns_bytes
 from .version import FileMetadata, VersionEdit, VersionSet
@@ -95,14 +95,12 @@ class DbImpl:
         device: BlockDevice,
         host_cpu: CpuModel,
         name: str = "db",
-        memtable_factory=DictMemTable,
         page_cache_bytes: Optional[int] = None,
     ):
         self.env = env
         self.options = options
         self.host_cpu = host_cpu
         self.name = name
-        self._memtable_factory = memtable_factory
 
         cache_bytes = (page_cache_bytes if page_cache_bytes is not None
                        else 8 * options.write_buffer_size)
@@ -113,8 +111,9 @@ class DbImpl:
                        name_prefix=f"{name}.wal")
         self.wal.new_segment()
 
-        self.mem: MemTable = memtable_factory()
-        self.imm: list[tuple[MemTable, object]] = []  # (memtable, wal segment)
+        self.mem = DictMemTable()
+        # Sealed memtables awaiting flush, each with its WAL segment.
+        self.imm: list[tuple[DictMemTable, object]] = []
         self._seq = 0
         self.stats = DbStats()
 
@@ -338,7 +337,7 @@ class DbImpl:
         segment = self.wal.current_segment
         self.wal.new_segment()
         sealed = self.mem
-        self.mem = self._memtable_factory()
+        self.mem = DictMemTable()
         self.imm.append((sealed, segment))
         p = self.env.probes
         p.touch("db.memtable.seal")
@@ -381,7 +380,7 @@ class DbImpl:
                 self.background_error = exc
                 raise
 
-    def _flush_one(self, mem: MemTable, segment) -> Generator:
+    def _flush_one(self, mem: DictMemTable, segment) -> Generator:
         opt = self.options
         p = self.env.probes
         _sp = p.begin("flush", "flush", None, {"bytes": mem.approximate_bytes})
@@ -758,7 +757,7 @@ class DbImpl:
         # An interrupted worker's pending get() would otherwise swallow the
         # next queued flush silently: drop the stale waiter along with it.
         self._flush_queue._getters.clear()
-        self.mem = self._memtable_factory()
+        self.mem = DictMemTable()
         self.imm.clear()
         self.background_error = None      # the reopen starts clean
         self._paused_flushes.clear()

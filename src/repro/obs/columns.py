@@ -14,10 +14,10 @@ Readers still see records: :class:`RowView` is a read-only sequence that
 builds each row's record when it is indexed or iterated, as
 ``SSTable.iter_rows`` builds entry tuples from a table's columns.
 
-A bound (the journal's ``ring``, the tracer's ``max_events``) keeps only
-the newest rows: an evicted row only moves the head, and the columns drop
-their dead head once it is as long as the bound, so eviction costs
-amortised O(1) a row and memory at most twice the bound.
+A bound (the tracer's ``max_events``) keeps only the newest rows: an
+evicted row only moves the head, and the columns drop their dead head once
+it is as long as the bound, so eviction costs amortised O(1) a row and
+memory at most twice the bound.
 """
 
 from __future__ import annotations
@@ -104,10 +104,6 @@ class ColumnStore:
             for col in self._columns:
                 del col[:head]
             self._head = 0
-            self._trimmed(head)
-
-    def _trimmed(self, n: int) -> None:
-        """Hook: ``n`` rows were cut from the front of every column."""
 
     def __len__(self) -> int:
         return len(self._columns[0]) - self._head

@@ -104,40 +104,33 @@ class Journal(ColumnStore):
       layer at each checkpoint boundary.
 
     ``idx`` is a monotonic global index over *all* records (it keeps
-    counting even when ``ring`` evicts or ``window`` skips, so a crash
-    tail or a suspect-window recording still reports absolute positions).
+    counting when ``window`` skips, so a suspect-window recording still
+    reports absolute positions).
 
     The journal stores them as columns (:mod:`repro.obs.columns`): the
     kind, one byte; ``t``, a double; ``proc`` and ``tag`` as ids into one
-    name table that interns each string on first sight (it keeps every
-    name it has seen, each digest's among them, also under ``ring``).
-    ``idx`` is implied by the row's position and is stored only once
-    ``window`` has skipped a record.  That is 17 bytes a record;
-    :attr:`records` builds the tuples when they are read.
+    name table that interns each string on first sight.  ``idx`` is
+    implied by the row's position and is stored only once ``window`` has
+    skipped a record.  That is 17 bytes a record; :attr:`records` builds
+    the tuples when they are read.
 
-    ``ring=N`` keeps only the last N records (crash tails, bounded
-    memory); ``window=(t0, t1)`` records only events/sites inside the
-    closed sim-time interval (the ``replay-to`` mode).
+    ``window=(t0, t1)`` records only events/sites inside the closed
+    sim-time interval (the ``replay-to`` mode).
     """
 
-    def __init__(self, period: float = 1.0, ring: Optional[int] = None,
-                 window: Optional[tuple] = None):
+    def __init__(self, period: float = 1.0, window: Optional[tuple] = None):
         if period <= 0:
             raise ValueError("period must be positive")
-        if ring is not None and ring <= 0:
-            raise ValueError("ring must be positive")
-        super().__init__(ring)
+        super().__init__(None)
         self.period = float(period)
-        self.ring = ring
         self.window = window
         self._kind = bytearray()
         self._t = array("d")
         self._proc = array("I")
         self._tag = array("I")
         self._columns = (self._kind, self._t, self._proc, self._tag)
-        # ``idx`` of row 0 while every index is implied by position; the
-        # first record the window skips turns this into a column.
-        self._idx0 = 0
+        # The first record the window skips turns the indices, implied by
+        # position until then, into a column.
         self._idxs: Optional[array] = None
         self.event_count = 0
         self.site_count = 0
@@ -154,11 +147,12 @@ class Journal(ColumnStore):
     def install(self, env) -> "Journal":
         """Attach to an Environment: claim its site verbs (the same pair
         the fault registry installs — they record here and reach the
-        registry, whichever is present) and observe the dispatch loop."""
+        registry, whichever is present) and take the dispatch loop's
+        observer slot."""
         env.journal = self
         env.probes.touch = partial(touch, env)
         env.probes.at = partial(fault_point, env)
-        env.add_observer(self.observe)
+        env._observer = self.observe
         self._env = env
         return self
 
@@ -213,12 +207,9 @@ class Journal(ColumnStore):
         w = self.window
         if w is not None and kind != _DIGEST and not (w[0] <= t <= w[1]):
             if self._idxs is None:
-                self._idxs = array("q", range(self._idx0,
-                                              self._idx0 + len(self._t)))
+                self._idxs = array("q", range(len(self._t)))
                 self._columns += (self._idxs,)
             return
-        if self._bound is not None:
-            self._admit()
         if self._idxs is not None:
             self._idxs.append(idx)
         ids = self._ids
@@ -232,9 +223,6 @@ class Journal(ColumnStore):
         self._t.append(t)
         self._proc.append(proc_id)
         self._tag.append(tag_id)
-
-    def _trimmed(self, n: int) -> None:
-        self._idx0 += n
 
     def _checkpoint(self, t: float) -> None:
         """Take a digest checkpoint; called by ``observe`` when the popped
@@ -275,7 +263,7 @@ class Journal(ColumnStore):
         return self._view(self._row, self._rows)
 
     def _row(self, p: int) -> tuple:
-        idx = self._idxs[p] if self._idxs is not None else self._idx0 + p
+        idx = self._idxs[p] if self._idxs is not None else p
         table = self._table
         return (_KIND_NAMES[self._kind[p]], idx, self._t[p],
                 table[self._proc[p]], table[self._tag[p]])
@@ -283,7 +271,7 @@ class Journal(ColumnStore):
     def _rows(self, head: int):
         name = self._table.__getitem__
         idxs = (self._idxs[head:] if self._idxs is not None
-                else range(self._idx0 + head, self._idx0 + len(self._t)))
+                else range(head, len(self._t)))
         return zip(map(_KIND_NAMES.__getitem__, self._kind[head:]), idxs,
                    self._t[head:], map(name, self._proc[head:]),
                    map(name, self._tag[head:]))
@@ -296,18 +284,8 @@ class Journal(ColumnStore):
         return {"kind": kind, "idx": rec[1], "t": rec[2],
                 key: rec[3], tag_key: rec[4]}
 
-    def tail(self, n: Optional[int] = None) -> list:
-        """The most recent records as plain dicts, oldest first — the
-        crash-tail view the fault harness attaches to its reports."""
-        records = list(self.records)
-        if n is not None:
-            records = records[-n:]
-        return [self.record_dict(r) for r in records]
-
     def event_class_histogram(self) -> dict:
-        head = self._head
-        counts = Counter(compress(self._tag[head:],
-                                  map(_EVENT.__eq__, self._kind[head:])))
+        counts = Counter(compress(self._tag, map(_EVENT.__eq__, self._kind)))
         return {self._table[tag]: n for tag, n in counts.items()}
 
     def __repr__(self) -> str:

@@ -23,7 +23,7 @@ Everything here runs on the **simulation clock** and is purely passive:
 probes never yield and never touch the event heap, so a profiled run
 takes the exact same simulated trajectory as an unprofiled one.  The
 wall-clock counterpart (where does the *Python interpreter* spend time)
-is :class:`repro.sim.KernelProfile`.
+is the layer ledger of ``benchmarks/e2e/run.py --trace 1``.
 
 Top-K exemplars are selected deterministically: op ids are assigned in
 ``op_begin`` order (itself deterministic under a fixed seed) and ties on

@@ -6,14 +6,11 @@ from .core import (
     Environment,
     Event,
     Interrupt,
-    KernelProfile,
     MacroStats,
     Probes,
     Process,
     SimulationError,
     Timeout,
-    install_kernel_profiler,
-    uninstall_kernel_profiler,
 )
 from .eventqueue import EventQueue
 from .resources import PriorityResource, Request, Resource, Store
@@ -35,9 +32,6 @@ __all__ = [
     "PeriodicSampler",
     "RateMeter",
     "EventQueue",
-    "KernelProfile",
     "MacroStats",
     "Probes",
-    "install_kernel_profiler",
-    "uninstall_kernel_profiler",
 ]

@@ -23,7 +23,6 @@ event is each process's own resume event.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from time import perf_counter_ns
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from .eventqueue import _COMPACT_PTR, EventQueue
@@ -39,9 +38,6 @@ __all__ = [
     "MacroStats",
     "Probes",
     "SimulationError",
-    "KernelProfile",
-    "install_kernel_profiler",
-    "uninstall_kernel_profiler",
 ]
 
 
@@ -417,8 +413,8 @@ class MacroStats:
     kernel event — NAND channel bursts, chunked bulk-scan DMA — report
     here: ``ops`` physical operations were carried by ``events`` scheduled
     timeouts across ``bursts`` burst calls.  ``coalesce_factor``
-    (ops per scheduled event) is the macro-event payoff figure the kernel
-    self-profiler surfaces.
+    (ops per scheduled event) is the macro-event payoff figure a cell's
+    ``extra["kernel_profile"]`` reports.
     """
 
     __slots__ = ("ops", "events", "bursts")
@@ -488,17 +484,24 @@ class Environment:
     # per-event path); __dict__ stays available for extension layers that
     # hang state off the env (faults, tracer, telemetry, ...).
     __slots__ = ("_now", "_queue", "_seq", "_active_process", "_observer",
-                 "probes", "__dict__")
+                 "probes", "resource_requests", "resource_queued",
+                 "__dict__")
 
     def __init__(self):
         self._now = 0.0
         self._queue = EventQueue()
         self._seq = 0
         self._active_process: Optional[Process] = None
-        # The dispatch loop's one per-event hook: None, the single
-        # installed observer, or a fan-out over ``_observers``.
+        # The dispatch loop's one per-event hook: ``observe(when, event)``
+        # after the event is popped and the clock set, before it is
+        # dispatched.  ``Journal.install`` sets it (the journal is the one
+        # observer); it is passive, so an observed run follows the
+        # bit-identical trajectory.  ``run`` reads it once on entry.
         self._observer: Optional[Callable[[float, Event], None]] = None
-        self._observers: list = []
+        # Resource requests made, and how many of them had to queue
+        # (``Resource._do_request``).
+        self.resource_requests = 0
+        self.resource_queued = 0
         # The five planes an extension layer may install: the fault
         # registry, tracer, telemetry hub, lineage profiler and journal.
         # Each attribute is None until its plane's ``install()`` sets it and
@@ -513,9 +516,6 @@ class Environment:
         self.lineage = None
         self.journal = None
         self.probes = Probes()
-        # Optional KernelProfile (resource probes count into it); watches
-        # the dispatch loop as an observer, as the journal does.
-        self.kernel_profiler = None
         # Macro-event coalescing counters (always on: three int adds per
         # burst, no per-op cost).
         self.macro = MacroStats()
@@ -585,30 +585,7 @@ class Environment:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
-    # -- observers -----------------------------------------------------------
-    def add_observer(self, observe: Callable[[float, Event], None]) -> None:
-        """Have ``observe(when, event)`` called for every event, after it
-        is popped and the clock set, before it is dispatched.
-
-        Observers are passive (they must not schedule, trigger or retain
-        events), so an observed run follows the bit-identical trajectory.
-        ``run`` reads the slot once on entry.
-        """
-        self._set_observers(self._observers + [observe])
-
-    def remove_observer(self, observe: Callable[[float, Event], None]) -> None:
-        self._set_observers([o for o in self._observers if o != observe])
-
-    def _set_observers(self, observers: list) -> None:
-        self._observers = observers
-        if len(observers) > 1:
-            def fan_out(when: float, event: Event) -> None:
-                for observe in observers:
-                    observe(when, event)
-            self._observer = fan_out
-        else:
-            self._observer = observers[0] if observers else None
-
+    # -- dispatch ----------------------------------------------------------
     def step(self) -> None:
         """Process the single next event.
 
@@ -779,154 +756,3 @@ class Environment:
         if deadline != _INF and self._now < deadline:
             self._now = deadline
         return None
-
-
-# The kernel profiler times one dispatched event in this many.
-SAMPLE_EVERY = 16
-
-
-class KernelProfile:
-    """Wall-clock self-profile of one Environment's event loop.
-
-    An observer of the dispatch loop (:meth:`Environment.add_observer`),
-    attached by :func:`install_kernel_profiler`.  All counters are exact
-    except the wall-ns-per-class figures, which sample one event in
-    ``SAMPLE_EVERY`` (timing every dispatch would perturb the very loop
-    being measured) as the wall time from that event's notification to
-    the next one's; :meth:`to_dict` scales the samples back up to
-    estimated totals.
-
-    Everything here is wall-clock instrumentation — the simulated
-    trajectory of a profiled run is bit-identical to an unprofiled one.
-    ``to_dict`` additionally snapshots the pending-event population (now,
-    and its peak over the profiled events) and the macro-event coalescing
-    counters.
-    """
-
-    def __init__(self, env: Environment):
-        self._env = env
-        self._seq0 = env._seq
-        self.events_by_class: dict[str, int] = {}
-        self.resumes_by_process: dict[str, int] = {}
-        self.sampled_wall_ns_by_class: dict[str, int] = {}
-        self.sampled_events_by_class: dict[str, int] = {}
-        self.heap_pops = 0
-        self.peak_pending = 0
-        self.resource_requests = 0
-        self.resource_grants = 0
-        self.resource_queued = 0
-        self.wall_ns = 0
-        self._sample_cls: Optional[str] = None    # event class being timed
-        self._sample_t0 = 0
-
-    @property
-    def heap_pushes(self) -> int:
-        """Every ``_seq`` increment pairs with exactly one queue push (in
-        ``_schedule``, ``schedule_at``, ``succeed()`` and
-        ``Timeout.__init__``), so the push count is the ``_seq`` delta."""
-        return self._env._seq - self._seq0
-
-    def observe(self, when: float, event: Event) -> None:
-        """Count one event about to be dispatched (the loop's observer)."""
-        if self._sample_cls is not None:
-            self._end_sample()
-        self.heap_pops += 1
-        cls = type(event).__name__
-        by_class = self.events_by_class
-        by_class[cls] = by_class.get(cls, 0) + 1
-        resumes = self.resumes_by_process
-        proc = event._proc
-        if proc is not None:
-            resumes[proc.name] = resumes.get(proc.name, 0) + 1
-        for cb in event.callbacks:
-            # Further process waiters queue behind the fast slot.
-            owner = getattr(cb, "__self__", None)
-            if type(owner) is Process:
-                resumes[owner.name] = resumes.get(owner.name, 0) + 1
-        pending = len(self._env._queue) + 1         # + the one in hand
-        if pending > self.peak_pending:
-            self.peak_pending = pending
-        if self.heap_pops % SAMPLE_EVERY == 0:
-            self._sample_cls = cls
-            self._sample_t0 = perf_counter_ns()
-
-    def _end_sample(self) -> None:
-        dt = perf_counter_ns() - self._sample_t0
-        cls = self._sample_cls
-        self._sample_cls = None
-        ns, n = self.sampled_wall_ns_by_class, self.sampled_events_by_class
-        ns[cls] = ns.get(cls, 0) + dt
-        n[cls] = n.get(cls, 0) + 1
-
-    def estimated_wall_ns_by_class(self) -> dict[str, float]:
-        """Scale the sampled per-class wall time up to estimated totals."""
-        out: dict[str, float] = {}
-        for cls, total in self.events_by_class.items():
-            n = self.sampled_events_by_class.get(cls, 0)
-            if n:
-                out[cls] = self.sampled_wall_ns_by_class[cls] / n * total
-        return out
-
-    def to_dict(self) -> dict:
-        q = self._env._queue
-        return {
-            "heap_pushes": int(self.heap_pushes),
-            "heap_pops": int(self.heap_pops),
-            "events_by_class": dict(self.events_by_class),
-            "resumes_by_process": dict(self.resumes_by_process),
-            # The kernel keeps no Timeout freelist; the key stays, at 0.0,
-            # because the e2e benchmark's counter table still reads it.
-            "timeout_pool_hit_rate": 0.0,
-            "resource_requests": int(self.resource_requests),
-            "resource_grants": int(self.resource_grants),
-            "resource_queued": int(self.resource_queued),
-            "sample_every": SAMPLE_EVERY,
-            "sampled_events_by_class": dict(self.sampled_events_by_class),
-            "wall_ns": int(self.wall_ns),
-            "estimated_wall_ns_by_class": {
-                k: float(v)
-                for k, v in self.estimated_wall_ns_by_class().items()},
-            "queue": {
-                "pending": len(q),
-                "now_pending": len(q._nowq) - q._nptr,
-                "peak_pending": max(self.peak_pending, len(q)),
-            },
-            "macro": self._env.macro.to_dict(),
-        }
-
-
-def install_kernel_profiler(env: Environment) -> KernelProfile:
-    """Attach a :class:`KernelProfile` to ``env`` as a loop observer.
-
-    ``env.run`` is shadowed with a timing wrapper (the instance dict
-    shadows the class method), so the wall time inside ``run`` is measured
-    without touching the class; :func:`uninstall_kernel_profiler` restores
-    it.
-    """
-    if env.kernel_profiler is not None:
-        raise SimulationError("kernel profiler already installed")
-    prof = env.kernel_profiler = KernelProfile(env)
-    env.add_observer(prof.observe)
-    orig_run = env.run
-
-    def timed_run(until: Optional[float | Event] = None) -> Any:
-        t0 = perf_counter_ns()
-        try:
-            return orig_run(until)
-        finally:
-            if prof._sample_cls is not None:
-                prof._end_sample()
-            prof.wall_ns += perf_counter_ns() - t0
-
-    env.run = timed_run
-    return prof
-
-
-def uninstall_kernel_profiler(env: Environment) -> Optional[KernelProfile]:
-    """Detach the profiler and restore the un-shadowed ``run``."""
-    prof = env.kernel_profiler
-    env.kernel_profiler = None
-    if prof is not None:
-        env.remove_observer(prof.observe)
-    env.__dict__.pop("run", None)
-    return prof

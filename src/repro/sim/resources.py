@@ -79,18 +79,14 @@ class Resource:
 
     # -- internal -----------------------------------------------------
     def _do_request(self, request: Request) -> None:
-        prof = self.env.kernel_profiler
-        if prof is not None:
-            prof.resource_requests += 1
+        env = self.env
+        env.resource_requests += 1
         if len(self.users) < self._capacity:
             self.users.append(request)
             request.succeed(request)
-            if prof is not None:
-                prof.resource_grants += 1
         else:
             self.queue.append(request)
-            if prof is not None:
-                prof.resource_queued += 1
+            env.resource_queued += 1
 
     def _cancel(self, request: Request) -> None:
         try:
@@ -99,13 +95,10 @@ class Resource:
             pass
 
     def _grant(self) -> None:
-        prof = self.env.kernel_profiler
         while self.queue and len(self.users) < self._capacity:
             nxt = self.queue.popleft()
             self.users.append(nxt)
             nxt.succeed(nxt)
-            if prof is not None:
-                prof.resource_grants += 1
 
 
 class PriorityRequest(Request):
@@ -132,14 +125,11 @@ class PriorityResource(Resource):
         return PriorityRequest(self, priority)
 
     def _grant(self) -> None:
-        prof = self.env.kernel_profiler
         while self.queue and len(self.users) < self._capacity:
             nxt = min(self.queue, key=lambda r: (r.priority, r.order))
             self.queue.remove(nxt)
             self.users.append(nxt)
             nxt.succeed(nxt)
-            if prof is not None:
-                prof.resource_grants += 1
 
 
 class Store:

@@ -13,13 +13,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 import write_path_reference as ref  # noqa: E402
 from helpers import ftl_map, make_ftl  # noqa: E402
+from memtable_reference import SkipListMemTable  # noqa: E402
 
 from repro.bench import RunSpec, mini_profile, run_workload  # noqa: E402
 from repro.core import MetadataManager  # noqa: E402
 from repro.core.metadata import CHECK_COST, DELETE_COST, INSERT_COST  # noqa: E402
 from repro.device import (CpuModel, DevLsm, DevLsmConfig, MiB,  # noqa: E402
                           NandArray, NandGeometry)
-from repro.lsm import DictMemTable, SkipListMemTable  # noqa: E402
+from repro.lsm import DictMemTable  # noqa: E402
 from repro.obs import Journal, Tracer  # noqa: E402
 from repro.sim import Environment  # noqa: E402
 from repro.types import KIND_DELETE, ValueRef, encode_key, make_entry  # noqa: E402

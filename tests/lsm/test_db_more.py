@@ -9,7 +9,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from helpers import run, small_db, small_options  # noqa: E402
 
-from repro.lsm import LsmOptions, SkipListMemTable  # noqa: E402
+from repro.lsm import LsmOptions  # noqa: E402
 from repro.lsm.fs import FsError  # noqa: E402
 from repro.sim import Environment  # noqa: E402
 from repro.types import KIND_DELETE, encode_key, make_entry  # noqa: E402
@@ -20,18 +20,6 @@ def fill(env, db, n, start=0, vlen=48):
         for i in range(start, start + n):
             yield from db.put(encode_key(i), b"v-%d" % i + b"x" * vlen)
     run(env, gen())
-
-
-def test_skiplist_memtable_end_to_end():
-    env = Environment()
-    db, _, _ = small_db(env, memtable_factory=SkipListMemTable)
-    fill(env, db, 800)
-    run(env, db.wait_for_quiesce())
-    assert db.stats.flushes >= 1
-    for k in (0, 400, 799):
-        assert run(env, db.get(encode_key(k))) is not None
-    out = run(env, db.scan(encode_key(100), 10))
-    assert [k for k, _ in out] == [encode_key(k) for k in range(100, 110)]
 
 
 def test_scan_internal_exposes_tombstones():

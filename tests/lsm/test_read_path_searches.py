@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from helpers import run, small_db, small_options  # noqa: E402
+from memtable_reference import SkipListMemTable  # noqa: E402
 
 from repro.lsm import (  # noqa: E402
     DictMemTable,
     FileMetadata,
-    SkipListMemTable,
     SSTable,
     Version,
     VersionEdit,

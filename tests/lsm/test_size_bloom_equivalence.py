@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.lsm import (
     BloomFilter,
     DictMemTable,
-    SkipListMemTable,
     SSTable,
     key_hash,
     split_into_files,
@@ -38,6 +37,7 @@ from repro.types import (
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from helpers import run, small_db  # noqa: E402
+from memtable_reference import SkipListMemTable  # noqa: E402
 
 values = st.one_of(
     st.binary(max_size=300),
@@ -226,7 +226,7 @@ def test_dict_memtable_entry_bytes(ops):
     while they all had one size, and None from the first that differed
     (a tombstone, a ``bytes`` value, an overwrite of another size)."""
     mem = DictMemTable()
-    assert mem.entry_bytes is None and SkipListMemTable().entry_bytes is None
+    assert mem.entry_bytes is None
     accepted, newest = set(), {}
     for k, seq, v in ops:
         e = make_entry(encode_key(k), seq, v,

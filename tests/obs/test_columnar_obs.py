@@ -1,14 +1,15 @@
 """The columnar journal and tracer answer as the deque stores did.
 
 ``Journal`` and ``Tracer`` keep their records as columns with interned
-names.  The references in ``tests/obs_reference.py`` keep a deque of
+names.  The references in ``tests/obs_reference.py`` keep a list of
 record tuples and a deque of record objects; both are driven with the
 same seeded verb sequences — events, sites and digests; nested spans with
 and without begin/end args, spans left open; instants and counters; the
-``ring``/``window``/``max_events`` bounds below, at and across their
-limits — and every read must agree: the records, ``tail``, ``dropped``,
-``len``, the event-class histogram, the JSONL journal's bytes and the
-Chrome trace JSON.  A tracemalloc guard holds the bytes a record costs.
+journal's ``window`` and the tracer's ``max_events`` bound below, at and
+across their limits — and every read must agree: the records, the
+tracer's ``tail``, ``dropped``, ``len``, the event-class histogram, the
+JSONL journal's bytes and the Chrome trace JSON.  A tracemalloc guard
+holds the bytes a record costs.
 """
 
 import gc
@@ -55,19 +56,17 @@ journal_ops = st.lists(st.one_of(
               st.sampled_from(["wal.append", "ctl.put.normal", "nand.io"])),
     st.tuples(st.just("digest"), steps),
 ), max_size=60)
-rings = st.one_of(st.none(), st.integers(1, 12))
 windows = st.one_of(st.none(), st.tuples(
     st.sampled_from([0.0, 0.5, 1.0, 2.0]),
     st.sampled_from([0.0, 1.0, 2.5, 4.0, 100.0])).map(sorted).map(tuple))
 
 
-def drive_journals(ops, ring=None, window=None, each=None):
+def drive_journals(ops, window=None, each=None):
     """A ``Journal`` and a ``ReferenceJournal`` given the same ``ops``;
     ``each(journal, reference)`` runs after every op.  Their two digest
     layers report a state that changes with every op."""
     state = {"n": 0}
-    pair = (Journal(ring=ring, window=window),
-            ReferenceJournal(ring=ring, window=window))
+    pair = (Journal(window=window), ReferenceJournal(window=window))
     for j in pair:
         j.add_digest_source("lsm", lambda: dict(state))
         j.add_digest_source("ftl", lambda: {"n": state["n"] * 7})
@@ -99,8 +98,6 @@ def assert_same_journal(j, ref):
     assert j.records[::2] == rows[::2]
     with pytest.raises(IndexError):
         j.records[len(rows)]
-    for n in (None, 0, 1, 3, len(rows), len(rows) + 2):
-        assert j.tail(n) == ref.tail(n)
     hist = j.event_class_histogram()
     assert hist == ref.event_class_histogram()
     assert list(hist) == list(ref.event_class_histogram())
@@ -108,40 +105,21 @@ def assert_same_journal(j, ref):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(ops=journal_ops, ring=rings, window=windows)
-def test_journal_matches_reference(ops, ring, window):
-    assert_same_journal(*drive_journals(ops, ring, window))
+@given(ops=journal_ops, window=windows)
+def test_journal_matches_reference(ops, window):
+    assert_same_journal(*drive_journals(ops, window))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(ops=journal_ops, ring=rings, window=windows)
-def test_journal_matches_reference_after_every_record(ops, ring, window):
-    """Eviction and skipping happen record by record; the stores agree at
-    each step, not only at the end."""
+@given(ops=journal_ops, window=windows)
+def test_journal_matches_reference_after_every_record(ops, window):
+    """Skipping happens record by record; the stores agree at each step,
+    not only at the end."""
     def same(j, ref):
         assert list(j.records) == list(ref.records)
         assert (j.dropped, len(j)) == (ref.dropped, len(ref))
 
-    drive_journals(ops, ring, window, each=same)
-
-
-def test_journal_ring_at_and_across_its_bound():
-    for ring in (1, 2, 5):
-        for n in (ring - 1, ring, ring + 1, 3 * ring + 2):
-            ops = [("event", 0.5, "p", f"C{i % 3}") for i in range(n)]
-            j, ref = drive_journals(ops, ring)
-            assert_same_journal(j, ref)
-            assert j.dropped == max(0, n - ring)
-
-
-def test_journal_window_skips_then_ring_evicts():
-    """A window skip turns the implied indices into a column; the ring
-    then trims that column with the others."""
-    ops = ([("event", 0.25, "a", "Timeout")] * 6
-           + [("site", 0.25, "b", "wal.append")] * 10
-           + [("digest", 0.0)] + [("event", 0.25, "a", "Process")] * 9)
-    for ring in (None, 1, 3, 4):
-        assert_same_journal(*drive_journals(ops, ring, (1.0, 4.0)))
+    drive_journals(ops, window, each=same)
 
 
 # -- tracer ------------------------------------------------------------------

@@ -2,16 +2,16 @@
 
 Four layers:
 
-* unit — ring eviction, window filtering, tail/histogram views on a
-  synthetic journal (no simulation);
+* unit — window filtering, record and histogram views on a synthetic
+  journal (no simulation);
 * determinism — the same profile + seed recorded twice produces
   *byte*-identical journal files, and a single injected DELAY fault is
   pinpointed by the bisector down to the armed site;
 * no-op matrix — all four observability planes (trace + telemetry +
   lineage + journal) enabled simultaneously still reproduce the pinned
   golden fig11 trajectory bit-identically;
-* plumbing — CLI exit codes, cluster per-shard digest scopes, the crash
-  harness's journal tail, and windowed replay recordings.
+* plumbing — CLI exit codes, cluster per-shard digest scopes and windowed
+  replay recordings.
 """
 
 import gzip
@@ -33,7 +33,6 @@ from repro.faults import (  # noqa: E402
     DELAY,
     FaultAction,
     FaultRegistry,
-    KvaccelFaultHarness,
     NthOccurrencePlan,
 )
 from repro.obs import (  # noqa: E402
@@ -58,17 +57,8 @@ PERTURB_SITE = "wal.flush.start"
 
 # -- unit: record bookkeeping -------------------------------------------------
 
-def test_ring_bounds_memory_and_counts_drops():
-    j = Journal(ring=4)
-    for i in range(10):
-        j.record_event(float(i), "p", "Timeout")
-    assert len(j) == 4
-    assert j.dropped == 6
-    assert j.event_count == 10
-    # absolute indices survive eviction, oldest first
-    tail = j.tail()
-    assert [r["idx"] for r in tail] == [6, 7, 8, 9]
-    assert tail[-1]["class"] == "Timeout"
+def _dicts(journal: Journal) -> list:
+    return [Journal.record_dict(r) for r in journal.records]
 
 
 def test_window_skips_outside_but_keeps_absolute_indices():
@@ -77,7 +67,7 @@ def test_window_skips_outside_but_keeps_absolute_indices():
     j.site(1.5, "p", "wal.append")            # inside
     j.record_event(2.5, "p", "Process")       # after
     assert len(j) == 1
-    rec = j.tail()[0]
+    rec = _dicts(j)[0]
     assert rec["kind"] == "site" and rec["site"] == "wal.append"
     assert rec["idx"] == 1                    # position in the full stream
     assert j.event_count == 2 and j.site_count == 1
@@ -91,7 +81,7 @@ def test_histogram_and_checkpoint_records():
     j.record_event(0.3, "p", "Process")
     j.checkpoint_now(0.5)
     assert j.event_class_histogram() == {"Timeout": 2, "Process": 1}
-    digests = [r for r in j.tail() if r["kind"] == "digest"]
+    digests = [r for r in _dicts(j) if r["kind"] == "digest"]
     assert len(digests) == 1
     assert digests[0]["layer"] == "toy"
     assert len(digests[0]["digest"]) == 16
@@ -103,7 +93,7 @@ def test_a_detached_journal_keeps_its_records_and_refuses_checkpoints():
     j.checkpoint_now(0.5)
     j.detach()
     assert j.layer_names == ["toy"]
-    assert [r["layer"] for r in j.tail()] == ["toy"]
+    assert [r["layer"] for r in _dicts(j)] == ["toy"]
     with pytest.raises(RuntimeError, match="detached"):
         j.checkpoint_now(1.5)
 
@@ -272,7 +262,7 @@ def test_all_planes_enabled_run_matches_golden_fig11():
     assert len(result.extra["lineage"]["ops"]) > 0
 
 
-# -- plumbing: cluster scopes + crash tails -----------------------------------
+# -- plumbing: cluster scopes ------------------------------------------------
 
 def test_cluster_digest_sources_scoped_per_shard():
     env = Environment()
@@ -280,32 +270,8 @@ def test_cluster_digest_sources_scoped_per_shard():
     cluster, _ = make_cluster_system(env, shards=2)
     register_digest_sources(journal, cluster)
     journal.checkpoint_now(0.0)
-    layers = {r["layer"] for r in journal.tail() if r["kind"] == "digest"}
+    layers = {r["layer"] for r in _dicts(journal) if r["kind"] == "digest"}
     for sid in range(2):
         for name in ("lsm", "controller", "detector", "devlsm", "ftl"):
             assert f"cluster.shard{sid}.{name}" in layers
     cluster.close()
-
-
-def test_crash_report_carries_journal_tail():
-    tail_len = 64
-    harness = KvaccelFaultHarness(seed=fault_seed(), journal_tail=tail_len)
-    report = harness.crash_at("devlsm.flush.start")
-    assert report.crashed
-    assert report.ok, report.describe()
-    tail = report.journal_tail
-    assert 0 < len(tail) <= tail_len
-    # oldest-first dicts ending at the crash
-    times = [r["t"] for r in tail]
-    assert times == sorted(times)
-    assert {r["kind"] for r in tail} <= {"event", "site"}
-    # the armed site is what the recorder saw last
-    sites = [r["site"] for r in tail if r["kind"] == "site"]
-    assert "devlsm.flush.start" in sites
-
-
-def test_journal_tail_off_by_default():
-    harness = KvaccelFaultHarness(seed=fault_seed())
-    report = harness.crash_at("wal.append", occurrence=3)
-    assert report.crashed
-    assert report.journal_tail == []

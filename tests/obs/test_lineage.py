@@ -223,7 +223,7 @@ def test_disabled_profilers_leave_no_residue():
     assert "lineage" not in result.extra
     assert "kernel_profile" not in result.extra
     env = Environment()
-    assert env.lineage is None and env.kernel_profiler is None
+    assert env.lineage is None and env._observer is None
 
 
 def test_lineage_enabled_run_matches_golden_fig11():

@@ -1,9 +1,9 @@
 """Reference models of the journal's and the tracer's record stores.
 
-``ReferenceJournal`` keeps its records as a deque of ``(kind, idx, t,
+``ReferenceJournal`` keeps its records as a list of ``(kind, idx, t,
 proc, tag)`` tuples and ``ReferenceTracer`` keeps a deque of
-``SpanRecord``/``InstantRecord``/``CounterRecord`` objects, each bounded
-by the deque's ``maxlen``.  ``repro.obs.Journal`` and ``repro.obs.Tracer``
+``SpanRecord``/``InstantRecord``/``CounterRecord`` objects, bounded by the
+deque's ``maxlen``.  ``repro.obs.Journal`` and ``repro.obs.Tracer``
 store the same records as columns instead; the tests drive both with the
 same calls and require every read to agree, down to the bytes of the
 JSONL journal and the Chrome trace.
@@ -45,16 +45,12 @@ class FakeEnv:
 
 
 class ReferenceJournal:
-    """The journal's recording verbs over a deque of record tuples."""
+    """The journal's recording verbs over a list of record tuples."""
 
-    record_dict = staticmethod(Journal.record_dict)
-
-    def __init__(self, period: float = 1.0, ring: Optional[int] = None,
-                 window: Optional[tuple] = None):
+    def __init__(self, period: float = 1.0, window: Optional[tuple] = None):
         self.period = float(period)
-        self.ring = ring
         self.window = window
-        self.records: deque = deque(maxlen=ring)
+        self.records: list = []
         self.dropped = 0
         self.event_count = 0
         self.site_count = 0
@@ -66,11 +62,6 @@ class ReferenceJournal:
     def add_digest_source(self, name, fn) -> None:
         self._sources.append((name, fn))
         self.layer_names.append(name)
-
-    def _append(self, record: tuple) -> None:
-        if self.ring is not None and len(self.records) == self.ring:
-            self.dropped += 1
-        self.records.append(record)
 
     def record_event(self, t, proc, cls) -> None:
         self.event_count += 1
@@ -86,20 +77,14 @@ class ReferenceJournal:
         w = self.window
         if w is not None and not (w[0] <= t <= w[1]):
             return
-        self._append((kind, idx, t, proc, tag))
+        self.records.append((kind, idx, t, proc, tag))
 
     def checkpoint_now(self, t) -> None:
         self.checkpoint_count += 1
         for name, fn in self._sources:
             idx = self._idx
             self._idx = idx + 1
-            self._append((DIGEST, idx, t, name, digest_state(fn())))
-
-    def tail(self, n=None) -> list:
-        records = list(self.records)
-        if n is not None:
-            records = records[-n:]
-        return [self.record_dict(r) for r in records]
+            self.records.append((DIGEST, idx, t, name, digest_state(fn())))
 
     def event_class_histogram(self) -> dict:
         out: dict = {}

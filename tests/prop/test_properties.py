@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
+from memtable_reference import SkipListMemTable  # noqa: E402
 from repro.lsm import (
     BloomFilter,
     DictMemTable,
     SSTable,
-    SkipListMemTable,
     decode_block,
     decode_varint,
     encode_block,

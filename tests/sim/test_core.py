@@ -3,13 +3,7 @@
 import pytest
 
 from repro.obs import Journal
-from repro.sim import (
-    Environment,
-    Event,
-    Interrupt,
-    SimulationError,
-    install_kernel_profiler,
-)
+from repro.sim import Environment, Event, Interrupt, SimulationError
 
 
 def test_timeout_advances_clock():
@@ -89,7 +83,7 @@ def test_run_until_event_returns_value():
     assert env.now == 2
 
 
-@pytest.mark.parametrize("plane", ["plain", "journaled", "profiled"])
+@pytest.mark.parametrize("plane", ["plain", "journaled"])
 def test_run_until_processed_event_returns_at_once(plane):
     # The event already fired: return its value (or raise its failure)
     # without dispatching anything — a perpetual daemon must not turn the
@@ -97,8 +91,6 @@ def test_run_until_processed_event_returns_at_once(plane):
     env = Environment()
     if plane == "journaled":
         Journal().install(env)
-    elif plane == "profiled":
-        install_kernel_profiler(env)
 
     def ticker():
         while env.now < 50:         # bounded so a regression fails, not hangs

@@ -1,23 +1,20 @@
-"""DES kernel self-profiler: counters, install/uninstall, equivalence.
+"""A cell's kernel counters (``run_workload(kernel_profile=True)``).
 
-The profiler is an observer of ``Environment.run``'s dispatch loop (and of
-``step()``), so the tests pin both the counter semantics and — critically
-— that profiling never changes *what* the simulation computes, only
-observes how it runs.
+The seven keys of ``extra["kernel_profile"]`` come from counts the kernel
+keeps anyway: the ``_seq`` counter (one per queue push), the pending
+queue, two resource counts on the Environment and the macro-event stats.
+Nothing observes the dispatch loop for them, so the tests pin the counts
+against an observer that does (the journal) and against the values the
+dispatch-loop profiler they replace reported.
 """
 
-import pytest
+from repro.bench import RunSpec, mini_profile, run_workload
+from repro.bench.runner import kernel_counters
+from repro.obs import Journal
+from repro.sim import Environment, PriorityResource, Resource
 
-from repro.perf import (
-    format_kernel_profile,
-    profile_kernel_bench,
-)
-from repro.sim import (
-    Environment,
-    SimulationError,
-    install_kernel_profiler,
-    uninstall_kernel_profiler,
-)
+KEYS = {"heap_pushes", "heap_pops", "wall_ns", "resource_requests",
+        "resource_queued", "macro", "timeout_pool_hit_rate"}
 
 
 def _timeout_chain_env(procs=4, iters=100):
@@ -34,121 +31,86 @@ def _timeout_chain_env(procs=4, iters=100):
 
 def test_counters_on_timeout_chain():
     env = _timeout_chain_env()
-    prof = install_kernel_profiler(env)
     env.run()
-    d = prof.to_dict()
-    assert d["heap_pops"] > 0
-    assert d["heap_pushes"] > 0
-    assert d["events_by_class"]["Timeout"] == 400
-    assert d["wall_ns"] > 0
-    assert sum(d["resumes_by_process"].values()) >= 400
-    assert set(d["resumes_by_process"]) == {f"loop{i}" for i in range(4)}
+    d = kernel_counters(env, 5)
+    assert set(d) == KEYS
+    # Per looper: its boot, 100 timeouts and its finish.
+    assert d["heap_pushes"] == d["heap_pops"] == 4 * 102
+    assert d["wall_ns"] == 5
+    assert d["resource_requests"] == d["resource_queued"] == 0
+    assert d["macro"] == {"ops": 0, "events": 0, "bursts": 0,
+                          "coalesce_factor": 0.0}
+    assert d["timeout_pool_hit_rate"] == 0.0
 
 
-def test_profiled_run_matches_unprofiled_trajectory():
-    def trace(env):
-        """Record (time, value) of every process completion."""
-        out = []
+def test_queue_population_counters():
+    # A deadline leaves one Timeout per looper queued: pushed, not popped.
+    env = _timeout_chain_env(procs=4, iters=10)
+    journal = Journal().install(env)
+    env.run(until=5.5)
+    d = kernel_counters(env, 0)
+    assert len(env._queue) == 4
+    assert d["heap_pops"] == d["heap_pushes"] - 4 == journal.event_count
 
-        def worker(i):
-            yield env.timeout(0.5 * (i + 1))
-            with res.request() as req:
-                yield req
-                yield env.timeout(0.25)
-            out.append((env.now, i))
-            return i
 
-        from repro.sim import Resource
-        res = Resource(env, capacity=1)
-        for i in range(5):
-            env.process(worker(i), name=f"w{i}")
-        env.run()
-        return out
-
-    plain_env = Environment()
-    plain = trace(plain_env)
-    prof_env = Environment()
-    install_kernel_profiler(prof_env)
-    profiled = trace(prof_env)
-    assert profiled == plain
-    assert prof_env.now == plain_env.now
-    assert prof_env.events_scheduled == plain_env.events_scheduled
+def test_stepped_events_reach_the_same_observer():
+    stepped, ran = _timeout_chain_env(2, 3), _timeout_chain_env(2, 3)
+    js, jr = Journal().install(stepped), Journal().install(ran)
+    while stepped.peek() != float("inf"):
+        stepped.step()
+    ran.run()
+    assert js.event_count == stepped.events_scheduled == 2 * 5
+    assert list(js.records) == list(jr.records)
+    assert js.event_class_histogram()["Timeout"] == 6
 
 
 def test_resource_counters():
     env = Environment()
-    from repro.sim import Resource
-    res = Resource(env, capacity=1)
-    prof = install_kernel_profiler(env)
+    res, prio = Resource(env, capacity=1), PriorityResource(env)
 
-    def worker():
-        with res.request() as req:
+    def worker(r):
+        with r.request() as req:
             yield req
             yield env.timeout(1.0)
 
-    for i in range(3):
-        env.process(worker(), name=f"w{i}")
+    for r in (res, res, res, prio, prio):
+        env.process(worker(r))
     env.run()
-    d = prof.to_dict()
-    assert d["resource_requests"] == 3
-    assert d["resource_grants"] == 3
-    assert d["resource_queued"] == 2      # two waited behind the holder
+    assert env.resource_requests == 5
+    assert env.resource_queued == 3       # two waited at res, one at prio
 
 
-def test_queue_population_counters():
-    env = _timeout_chain_env(procs=4, iters=10)
-    prof = install_kernel_profiler(env)
-    env.run(until=5.5)
-    q = prof.to_dict()["queue"]
-    assert set(q) == {"pending", "now_pending", "peak_pending"}
-    assert q["pending"] == 4                     # one Timeout per looper
-    assert q["now_pending"] == 0
-    # All four boot events were pending when the first one dispatched.
-    assert q["peak_pending"] == 4
+def test_profiled_run_matches_unprofiled_trajectory():
+    spec = RunSpec("kvaccel", "A", 1, rollback="eager", duration=0.5)
+    plain = run_workload(spec, mini_profile(64))
+    counted = run_workload(spec, mini_profile(64), kernel_profile=True)
+    assert "kernel_profile" not in plain.extra
+    assert counted.to_json() == plain.to_json()
+    assert (counted.extra["events_processed"]
+            == plain.extra["events_processed"])
 
 
-def test_stepped_events_reach_the_same_observer():
-    env = _timeout_chain_env(procs=2, iters=3)
-    prof = install_kernel_profiler(env)
-    while env.peek() != float("inf"):
-        env.step()
-    assert prof.heap_pops == env.events_scheduled
-    assert prof.events_by_class["Timeout"] == 6
-
-
-def test_install_uninstall_restores_methods():
-    env = Environment()
-    before = set(env.__dict__)
-    install_kernel_profiler(env)
-    assert set(env.__dict__) - before == {"run"}     # only run is shadowed
-    with pytest.raises(SimulationError):
-        install_kernel_profiler(env)             # double install refused
-    uninstall_kernel_profiler(env)
-    assert env.kernel_profiler is None
-    assert env._observer is None
-    assert not {"timeout", "run"} & set(env.__dict__)   # methods restored
-
-
-def test_profile_bench_entry_point_and_table():
-    r = profile_kernel_bench("timeout_chain")
-    assert r.profile is not None
-    d = r.profile
-    assert d["heap_pops"] > 0 and d["heap_pushes"] > 0
-    table = format_kernel_profile(d)
-    assert "Timeout" in table
-    assert f"peak {d['queue']['peak_pending']:,d}" in table
-    with pytest.raises(ValueError):
-        profile_kernel_bench("no_such_bench")
-
-
-def test_estimated_wall_scales_samples():
-    env = _timeout_chain_env(procs=2, iters=500)
-    prof = install_kernel_profiler(env)
-    env.run()
-    d = prof.to_dict()
-    est = d["estimated_wall_ns_by_class"]
-    assert est.get("Timeout", 0) > 0
-    # Estimate = sampled mean x total events; must be >= the raw sampled
-    # time since only 1/SAMPLE_EVERY of events were timed.
-    assert est["Timeout"] >= prof.sampled_wall_ns_by_class["Timeout"]
-    assert d["sampled_events_by_class"]["Timeout"] > 0
+def test_kernel_counters_of_a_cell():
+    """One short kvaccel/A cell: the counts agree with the journal, the
+    one dispatch-loop observer, and equal what the loop profiler these
+    counts replace reported for the same cell."""
+    journal = Journal()
+    result = run_workload(
+        RunSpec("kvaccel", "A", 1, rollback="eager", duration=1.0),
+        mini_profile(128), kernel_profile=True, journal=journal)
+    kp = result.extra["kernel_profile"]
+    assert set(kp) == KEYS
+    assert kp["heap_pops"] == journal.event_count
+    assert kp["heap_pushes"] == result.extra["events_processed"]
+    assert 0 < kp["resource_queued"] <= kp["resource_requests"]
+    assert kp["wall_ns"] > 0
+    # The profiler's values for this cell (wall_ns is host time).
+    assert {k: v for k, v in kp.items() if k != "wall_ns"} == {
+        "heap_pushes": 12396,
+        "heap_pops": 12386,
+        "resource_requests": 2792,
+        "resource_queued": 1109,
+        "macro": {"ops": 48, "events": 5, "bursts": 3,
+                  "coalesce_factor": 9.6},
+        "timeout_pool_hit_rate": 0.0,
+    }

@@ -1,8 +1,8 @@
 """Lockstep equivalence of the kernel's dispatch loop and ``step()``.
 
 ``Environment.run`` is one inlined loop that serves three stop conditions
-(drain, deadline, stop event) and an optional observer slot (journal,
-kernel profiler, or both); ``step()`` is the cold reference dispatch.
+(drain, deadline, stop event) and an optional observer slot (the
+journal's); ``step()`` is the cold reference dispatch.
 Every combination must execute the *same events in the same order* on
 the same workload — the fast path is allowed to change how fast the
 simulator runs, never what it computes.  The journal's per-event records
@@ -13,13 +13,7 @@ unobserved loop (which cannot journal).
 import pytest
 
 from repro.obs import Journal
-from repro.sim import (
-    AllOf,
-    Environment,
-    Interrupt,
-    Resource,
-    install_kernel_profiler,
-)
+from repro.sim import AllOf, Environment, Interrupt, Resource
 
 
 def build_workload(env: Environment, trace: list):
@@ -87,7 +81,7 @@ def build_workload(env: Environment, trace: list):
 
 
 DEADLINE = 1.7            # mid-run, between two events
-OBSERVERS = ["none", "journal", "profiler", "journal+profiler"]
+OBSERVERS = ["none", "journal"]
 MODES = ["drain", "deadline", "stop-event"]
 
 
@@ -101,9 +95,7 @@ def _build(observers: str):
     # The stop event: a process that ends mid-run, while tickers, the
     # sleeper and the schedule_at waiter are all still pending.
     stop = env.process(_stopper(env))
-    jr = Journal(period=0.5).install(env) if "journal" in observers else None
-    if "profiler" in observers:
-        install_kernel_profiler(env)
+    jr = Journal(period=0.5).install(env) if observers == "journal" else None
     return env, trace, jr, stop
 
 

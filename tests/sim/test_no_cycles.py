@@ -50,7 +50,7 @@ def _drained_garbage(build) -> int:
 
 
 def _process_spawn() -> Environment:
-    # repro.perf's process_spawn world: short children joined one by one.
+    # Spawn churn: short children joined one by one (compaction jobs).
     env = Environment()
 
     def child():

@@ -55,7 +55,6 @@ KEEP = {
     "read_only": "the background-error tests assert the latch through it",
     "step": "the kernel's one-event reference for run()",
     "schedule_at": "drives tests/sim/test_lockstep.py, run()/step() lockstep",
-    "SkipListMemTable": "the memtable property tests' second reference",
     "arm_shard": "cluster chaos tests arm faults on one shard with it",
     "backoff_schedule": "retry property tests check the schedule with it",
     "begin_delete": "the differential oracle's delete half; its tests "
