@@ -101,16 +101,26 @@ class BloomFilter:
         return self.may_contain_hash(key_hash(key))
 
     def may_contain_hash(self, kh: tuple[int, int]) -> bool:
-        """:meth:`may_contain` for a key whose :func:`key_hash` is ``kh``."""
+        """:meth:`may_contain` for a key whose :func:`key_hash` is ``kh``.
+
+        Stops at the first clear bit.  About half the bits of a filled
+        filter are clear, so half the absent keys stop at the first probe,
+        which is tested before the stride is computed.  The loop counts
+        down with ``while``: a ``range`` would build an iterator a call.
+        """
         bits, n = self._bits, self.num_bits
         pos = kh[0] % n
+        if not bits[pos >> 3] >> (pos & 7) & 1:
+            return False
         step = kh[1] % n
-        for _ in range(self.k):
-            if not bits[pos >> 3] >> (pos & 7) & 1:
-                return False
+        left = self.k - 1
+        while left:
             pos += step
             if pos >= n:
                 pos -= n
+            if not bits[pos >> 3] >> (pos & 7) & 1:
+                return False
+            left -= 1
         return True
 
     @property

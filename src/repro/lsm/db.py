@@ -101,6 +101,13 @@ class DbImpl:
         self.options = options
         self.host_cpu = host_cpu
         self.name = name
+        # The host CPU ledger's tags, formatted once: reads charge one a
+        # Next of every scan.
+        self._write_tag = f"{name}.write"
+        self._flush_tag = f"{name}.flush"
+        self._compact_tag = f"{name}.compact"
+        self._read_tag = f"{name}.read"
+        self._recover_tag = f"{name}.recover"
 
         cache_bytes = (page_cache_bytes if page_cache_bytes is not None
                        else 8 * options.write_buffer_size)
@@ -282,7 +289,7 @@ class DbImpl:
         yield from p.at("db.write.gate")
         held = yield from self.write_controller.gate(nbytes)
         yield from self.host_cpu.consume(CPU_PUT * len(entries),
-                                         tag=f"{self.name}.write")
+                                         tag=self._write_tag)
         if keep is not None:
             entries = [e for e in entries if keep(e[0])]
             nbytes = sum(entry_sizes_of(entries))
@@ -390,7 +397,7 @@ class DbImpl:
             # A sealed memtable's byte count is its entries' summed size.
             nbytes = mem.approximate_bytes
             yield from self.host_cpu.consume(nbytes * CPU_FLUSH_PER_BYTE,
-                                             tag=f"{self.name}.flush")
+                                             tag=self._flush_tag)
             number = self.versions.new_file_number()
             table = SSTable.from_columns(
                 number, columns, block_size=opt.block_size,
@@ -539,7 +546,7 @@ class DbImpl:
                 # the device runs priority scheduling (SILK-style)
                 read_p = self.env.process(self.fs.read(f, pos, n, priority=1))
                 cpu_p = self.env.process(self.host_cpu.consume(
-                    n * CPU_COMPACT_PER_BYTE, tag=f"{self.name}.compact"))
+                    n * CPU_COMPACT_PER_BYTE, tag=self._compact_tag))
                 yield self.env.all_of([read_p, cpu_p])
 
         if chunks:
@@ -598,8 +605,7 @@ class DbImpl:
         user-visible value should go through :meth:`get`.
         """
         t0 = self.env.now
-        yield from self.host_cpu.consume(CPU_GET,
-                                         tag=f"{self.name}.read")
+        yield from self.host_cpu.consume(CPU_GET, tag=self._read_tag)
         entry = self.mem.get(key)
         if entry is None:
             for m, _seg in reversed(self.imm):
@@ -614,26 +620,34 @@ class DbImpl:
         return entry
 
     def _get_from_ssts(self, key: bytes) -> Generator:
-        kh = None
-        for meta in self.versions.current.files_for_key(key):
-            if kh is None:      # one hash per lookup, none if no file covers
-                kh = key_hash(key)
-            probe = meta.table.probe(key, kh)
-            if probe.bytes_read:
-                try:
-                    f = self.fs.open(self._sst_name(meta.number))
-                except FsError:
-                    # A compaction finished mid-lookup (between two charged
-                    # reads) and deleted this input file.  Real RocksDB pins
-                    # the version's files with refcounts, so the read still
-                    # succeeds; the in-memory table answers the probe here,
-                    # we just cannot charge I/O against the deleted file.
-                    f = None
-                if f is not None:
-                    yield from self.fs.read(f, 0,
-                                            min(probe.bytes_read, f.size))
-            if probe.entry is not None:
-                return probe.entry
+        """The newest entry of ``key`` in the current version's tables.
+
+        Each candidate's filter is asked in turn (filled on first reach,
+        so a lookup that stops early fills no filter past its hit); only
+        a filter-positive table reads its data block, charged as one read
+        of the file, false positives included.
+        """
+        candidates = self.versions.current.files_for_key(key)
+        if not candidates:
+            return None
+        kh = key_hash(key)      # one hash per lookup, none if no file covers
+        for meta in candidates:
+            if not meta.table.bloom.may_contain_hash(kh):
+                continue
+            entry, cost = meta.table.read_block(key)
+            try:
+                f = self.fs.open(self._sst_name(meta.number))
+            except FsError:
+                # A compaction finished mid-lookup (between two charged
+                # reads) and deleted this input file.  Real RocksDB pins
+                # the version's files with refcounts, so the read still
+                # succeeds; the in-memory table answers the probe here,
+                # we just cannot charge I/O against the deleted file.
+                f = None
+            if f is not None:
+                yield from self.fs.read(f, 0, min(cost, f.size))
+            if entry is not None:
+                return entry
         return None
 
     # ------------------------------------------------------------------ scan
@@ -655,7 +669,7 @@ class DbImpl:
         """
         opt = self.options
         t0 = self.env.now
-        yield from self.host_cpu.consume(CPU_SEEK, tag=f"{self.name}.read")
+        yield from self.host_cpu.consume(CPU_SEEK, tag=self._read_tag)
         self.stats.user_seeks += 1
 
         sst_cost = [0]  # mutable cell shared with the SST sources
@@ -681,7 +695,7 @@ class DbImpl:
                 break
             out.append(entry)
             self.stats.user_nexts += 1
-            self.host_cpu.charge(CPU_NEXT, tag=f"{self.name}.read")
+            self.host_cpu.charge(CPU_NEXT, tag=self._read_tag)
             # charge accumulated SST bytes in block-sized reads
             new_cost = sst_cost[0]
             pending_io += new_cost - cost_before
@@ -797,8 +811,7 @@ class DbImpl:
             if not records:
                 continue
             yield from self.host_cpu.consume(
-                CPU_PUT * len(records) * 0.5,
-                tag=f"{self.name}.recover")
+                CPU_PUT * len(records) * 0.5, tag=self._recover_tag)
             for e in records:
                 self.note_external_seq(e[1])
                 # A rollback's merge copy can go stale while its WAL group

@@ -4,8 +4,8 @@ An SST holds a sorted, key-unique run of entries partitioned into
 fixed-byte-budget data blocks, plus an index (first row per block) and a
 per-file bloom filter.  Point reads touch the bloom and index in memory
 (RocksDB pins them in block cache) and pay device I/O for exactly the data
-blocks fetched — :meth:`SSTable.probe` returns the byte count so the DB can
-charge the device model.
+blocks fetched — :meth:`SSTable.read_block` returns the byte count so the
+DB can charge the device model.
 
 A table stores its entries as *columns*, row ``i`` being entry ``i``.  The
 columns travel as one tuple ``(keys, seqs, kinds, seeds, sizes, other)``:
@@ -182,6 +182,20 @@ _OUT_OF_RANGE = ProbeResult(None, 0)
 _FILTERED = ProbeResult(None, 0, bloom_negative=True)
 
 
+class _FilledOnFirstRead:
+    """:attr:`SSTable.bloom`, the per-file filter: the first read fills the
+    table's filter and stores it on the table, so every later read is a
+    plain attribute load, with no call."""
+
+    def __get__(self, table, owner=None) -> BloomFilter:
+        if table is None:
+            return self
+        bloom = table._bloom
+        bloom.add_all(table.columns[0])
+        table.bloom = bloom
+        return bloom
+
+
 class SSTable:
     """Immutable sorted table."""
 
@@ -259,7 +273,7 @@ class SSTable:
 
         # The filter's size depends on the key count alone; its bits are
         # filled on first use (see ``bloom``), so a table no read ever
-        # probes hashes no keys.
+        # reaches hashes no keys.
         self._bloom = BloomFilter(len(keys), bloom_bits_per_key)
         # File footprint: data + filter + index approximation.
         self.file_bytes = (self.data_bytes + self._bloom.size_bytes
@@ -272,13 +286,7 @@ class SSTable:
         and the tests read tables this way)."""
         return list(iter_rows(self.columns))
 
-    @property
-    def bloom(self) -> BloomFilter:
-        """The per-file filter; its bit array materialises on first access."""
-        bloom = self._bloom
-        if not bloom.num_added:
-            bloom.add_all(self.columns[0])
-        return bloom
+    bloom = _FilledOnFirstRead()
 
     @property
     def num_entries(self) -> int:
@@ -294,28 +302,32 @@ class SSTable:
     # -- reads -----------------------------------------------------------
     def probe(self, key: bytes,
               kh: Optional[tuple[int, int]] = None) -> ProbeResult:
-        """Point lookup with cost accounting.
+        """Point lookup with cost accounting: the range test, the filter
+        test and :meth:`read_block`, the three steps
+        ``DbImpl._get_from_ssts`` takes for each table a lookup reaches.
 
         Bloom negative => zero I/O.  Otherwise one data block is read.
-        ``kh`` is ``key_hash(key)`` when the caller already holds it (a
-        lookup that probes several files hashes its key once).
+        ``kh`` is ``key_hash(key)`` when the caller already holds it.
         """
-        if key < self.smallest or key > self.largest:
+        if not self.smallest <= key <= self.largest:
             return _OUT_OF_RANGE
-        bloom = self._bloom
-        if not bloom.num_added:     # first probe of this table fills it
-            bloom = self.bloom
-        if not bloom.may_contain_hash(
+        if not self.bloom.may_contain_hash(
                 kh if kh is not None else key_hash(key)):
             return _FILTERED
+        return ProbeResult(*self.read_block(key))
+
+    def read_block(self, key: bytes) -> tuple[Optional[Entry], int]:
+        """``(entry or None, bytes)``: the row of ``key``, looked up in the
+        one data block that could hold it, and that block's bytes.  For
+        a key in the table's range whose filter answered positive."""
         # The last row at or before ``key`` lies in the block that could
         # hold it, since blocks are runs of consecutive rows.
         keys = self.columns[0]
         i = bisect_right(keys, key) - 1
         cost = self.block_bytes(bisect_right(self._block_starts, i) - 1)
         if keys[i] == key:
-            return ProbeResult(row_at(self.columns, i), cost)
-        return ProbeResult(None, cost)
+            return row_at(self.columns, i), cost
+        return None, cost
 
     def lower_bound(self, key: bytes) -> int:
         """Row index of the first key >= ``key``."""

@@ -103,6 +103,8 @@ class Version:
         # L0 files may overlap; newer file numbers hold newer data.
         self.l0_newest_first: list[FileMetadata] = sorted(
             self.levels[0], key=lambda f: -f.number)
+        # The non-empty L1+ levels, top down: what a point lookup bisects.
+        self._sorted_levels = [files for files in self.levels[1:] if files]
         self._summary: Optional[tuple] = None
 
     def apply(self, edit: VersionEdit) -> "Version":
@@ -175,21 +177,21 @@ class Version:
         files = self.levels[level]
         return files[bisect_left(files, key, key=_largest):]
 
-    def files_for_key(self, key: bytes) -> Generator:
-        """Yield candidate files newest-first: L0 by recency, then L1+.
+    def files_for_key(self, key: bytes) -> list:
+        """The files whose key range holds ``key``, newest data first: L0
+        by recency, then at most one file per L1+ level.
 
-        L0 files may overlap, so all covering files are candidates in file
-        number order (newer numbers are newer data).  L1+ are disjoint, so
-        at most one file per level matters.
+        L0 files may overlap, so every covering file is a candidate, in
+        file number order (newer numbers are newer data).  L1+ levels are
+        disjoint and sorted: one bisect per non-empty level.
         """
-        for f in self.l0_newest_first:
-            if f.smallest <= key <= f.largest:
-                yield f
-        for level in range(1, self.num_levels):
-            files = self.levels[level]
-            lo = bisect_left(files, key, key=_largest)
-            if lo < len(files) and files[lo].smallest <= key:
-                yield files[lo]
+        files = [f for f in self.l0_newest_first
+                 if f.smallest <= key <= f.largest]
+        for level_files in self._sorted_levels:
+            lo = bisect_left(level_files, key, key=_largest)
+            if lo < len(level_files) and level_files[lo].smallest <= key:
+                files.append(level_files[lo])
+        return files
 
     # -- stall statistics -----------------------------------------------------
     def _summarize(self, options: LsmOptions) -> tuple:

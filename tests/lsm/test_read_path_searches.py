@@ -54,7 +54,7 @@ def test_get_hashes_its_key_once_however_many_files_it_probes(monkeypatch):
     for offset in (2, 5, 8, 11):            # four overlapping L0 files
         install(0, range(offset, 600, 12))
     target = encode_key(300)
-    candidates = list(db.versions.current.files_for_key(target))
+    candidates = db.versions.current.files_for_key(target)
     assert [m.level for m in candidates] == [0, 0, 0, 0, 1, 2]
     for meta in candidates:
         meta.table.bloom                    # fill side done: it hashes too

@@ -402,6 +402,11 @@ def test_a_zero_stride_sets_one_bit_per_key():
     old_bits, _n, _k = old_bloom_bits(keys, 13, 5)
     bloom.add_all(keys)
     assert int.from_bytes(bloom._bits, "little") == old_bits
+    # The test probes one bit k times for such a key, as the fill set it.
+    probes = list(map(encode_key, range(4000)))
+    assert ([bloom.may_contain(p) for p in probes]
+            == [old_may_contain(old_bits, n, k, p) for p in probes])
+    assert sum(key_hash(p)[1] % n == 0 for p in probes) >= 20
     single = BloomFilter(13, 5)
     single.add(zero[0])
     assert int.from_bytes(single._bits, "little") == 1 << key_hash(zero[0])[0] % n

@@ -8,19 +8,34 @@ every answer to agree.  ``newest_wins`` is the batch merge of entry
 tuples that the column merge (``compaction.merge_columns``, which host
 compaction and the Dev-LSM share) is held to; ``reference_merge`` and
 ``reference_split`` are compaction's merge and mixed-size file cut over
-entry lists.
+entry lists.  ``reference_get_from_ssts`` is the host point lookup as a
+generator of candidate files and one ``probe`` per file.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from hashlib import blake2b
 from itertools import chain, compress, islice
-from operator import itemgetter, lt, ne
+from operator import attrgetter, itemgetter, lt, ne
 
-from repro.lsm.bloom import BloomFilter, key_hash
+from repro.lsm.bloom import BloomFilter
+from repro.lsm.fs import FsError
 from repro.types import KIND_DELETE, entry_size
 
 _key = itemgetter(0)
+
+
+def reference_may_contain(bloom, key):
+    """The filter's verdict by its definition: every probe ``i`` of
+    ``key``, bit ``(h1 + i * h2) mod num_bits`` of ``bloom``'s bits, is
+    set (``h1``, ``h2`` the halves of its 16-byte BLAKE2b digest, ``h2``
+    made odd)."""
+    digest = blake2b(key, digest_size=16).digest()
+    h1 = int.from_bytes(digest[:8], "little")
+    h2 = int.from_bytes(digest[8:], "little") | 1
+    bits, n = int.from_bytes(bloom._bits, "little"), bloom.num_bits
+    return all(bits >> (h1 + i * h2) % n & 1 for i in range(bloom.k))
 
 
 class ReferenceSSTable:
@@ -47,10 +62,16 @@ class ReferenceSSTable:
             cur += sz
         self._block_bytes.append(cur)
         self.data_bytes = sum(sizes)
-        self.bloom = BloomFilter(len(keys), bloom_bits_per_key)
-        self.bloom.add_all(keys)
-        self.file_bytes = (self.data_bytes + self.bloom.size_bytes
+        self._bloom = BloomFilter(len(keys), bloom_bits_per_key)
+        self.file_bytes = (self.data_bytes + self._bloom.size_bytes
                            + 24 * len(self._block_starts) + 128)
+
+    @property
+    def bloom(self):
+        """The filter, filled from the keys when first asked for."""
+        if not self._bloom.num_added:
+            self._bloom.add_all(list(map(_key, self.entries)))
+        return self._bloom
 
     @property
     def num_blocks(self):
@@ -63,7 +84,7 @@ class ReferenceSSTable:
         """(entry or None, bytes read, bloom negative)."""
         if key < self.smallest or key > self.largest:
             return None, 0, False
-        if not self.bloom.may_contain_hash(key_hash(key)):
+        if not reference_may_contain(self.bloom, key):
             return None, 0, True
         i = bisect_right(self.entries, key, key=_key) - 1
         cost = self._block_bytes[bisect_right(self._block_starts, i) - 1]
@@ -77,6 +98,38 @@ class ReferenceSSTable:
     def iter_from(self, key=None):
         start = 0 if key is None else self.lower_bound(key)
         return iter(self.entries[start:])
+
+
+def reference_files_for_key(version, key):
+    """The files whose range holds ``key``, newest data first, yielded one
+    at a time: overlapping L0 files by descending file number, then a
+    bisect per L1+ level."""
+    for f in sorted(version.levels[0], key=lambda f: -f.number):
+        if f.smallest <= key <= f.largest:
+            yield f
+    for level in range(1, version.num_levels):
+        files = version.levels[level]
+        lo = bisect_left(files, key, key=attrgetter("largest"))
+        if lo < len(files) and files[lo].smallest <= key:
+            yield files[lo]
+
+
+def reference_get_from_ssts(db, key):
+    """``DbImpl._get_from_ssts`` over a version of :class:`ReferenceSSTable`
+    s: ``probe`` each candidate in turn; a probe that read a block charges
+    it as one read of the file, hit or not; the first entry found wins."""
+    for meta in reference_files_for_key(db.versions.current, key):
+        entry, cost, _negative = meta.table.probe(key)
+        if cost:
+            try:
+                f = db.fs.open(db._sst_name(meta.number))
+            except FsError:
+                f = None
+            if f is not None:
+                yield from db.fs.read(f, 0, min(cost, f.size))
+        if entry is not None:
+            return entry
+    return None
 
 
 def newest_wins(sources):
