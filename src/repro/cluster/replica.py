@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Generator
 
-from ..device import BandwidthPipe, TrafficLedger
+from ..device import BandwidthPipe
 from ..faults.registry import DROP
 from ..resil import RetryPolicy
 from ..sim import Environment
@@ -171,13 +171,10 @@ class ReplicaGroup:
         self._applying = False          # replicator mid-apply (promotion barrier)
         # The host-to-host replication pipe.  Its per-frame fault site is
         # the dynamic "shard<N>.repl.transfer".
-        self.link = BandwidthPipe(
-            env, bandwidth=LINK_BANDWIDTH, latency=5e-6,
-            ledger=TrafficLedger(), name=f"shard{self.sid}.repl")
-        self._repl_proc = env.process(
-            self._replicate(), name=f"shard{self.sid}.repl")
-        self._hb_proc = env.process(
-            self._heartbeat(), name=f"shard{self.sid}.hb")
+        self.link = BandwidthPipe(env, bandwidth=LINK_BANDWIDTH, latency=5e-6,
+                                  name=f"shard{self.sid}.repl")
+        env.process(self._replicate(), name=f"shard{self.sid}.repl")
+        env.process(self._heartbeat(), name=f"shard{self.sid}.hb")
 
     def __repr__(self) -> str:
         return (f"ReplicaGroup(shard{self.sid}, {self.config.mode}, "

@@ -10,16 +10,15 @@ This FTL is functional: it tracks the logical->physical map, page
 validity, per-region free-block pools, and performs greedy garbage
 collection when a region runs out of free blocks.  Mapping is page-granular,
 but the map is stored as runs: one record per run of logical pages mapped to
-contiguous physical pages, which is what SST and WAL writes program.  Data
-payloads are optional (tests use them; the large simulations map metadata
-only).
+contiguous physical pages, which is what SST and WAL writes program.  The
+FTL maps metadata only: page contents live in the layers above it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Iterable
 
 from .geometry import NandGeometry
 
@@ -92,7 +91,6 @@ class Ftl:
         self._lens: list[int] = []
         self._ppns: list[int] = []
         self._mapped = 0                        # pages the runs cover
-        self._data: dict[int, Any] = {}         # payloads, by LPN
         self.gc_stats = {"block": GcStats(), "kv": GcStats()}
 
         # Wear / reliability bookkeeping for the NAND error model
@@ -229,17 +227,13 @@ class Ftl:
             tried_gc = True
 
     # -- public API ----------------------------------------------------------
-    def write(self, lpn: int, data: Any = None) -> int:
+    def write(self, lpn: int) -> int:
         """Map ``lpn`` to a fresh physical page; returns the PPN."""
         region = self.region_of(lpn)
         # Allocate before unmapping: a GC the allocation triggers may move
         # the very page being overwritten, and that copy must be unmapped.
         ppn = self._alloc_ppn(region)
         self._map(lpn, ppn, 1)
-        if data is not None:
-            self._data[lpn] = data
-        elif self._data:
-            self._data.pop(lpn, None)
         return ppn
 
     def write_batch(self, lpns: Iterable[int]) -> list[int]:
@@ -262,7 +256,6 @@ class Ftl:
         region = self.region_of(lpns.start)
         edge = min(lpns.stop, region.lpn_start + region.lpn_count)
         per_block = self.geometry.pages_per_block
-        data = self._data
         ppns: list[int] = []
         lpn = lpns.start
         while lpn < edge:
@@ -275,9 +268,6 @@ class Ftl:
             count = min(per_block - used, edge - lpn)
             first = blk * per_block + used
             self._map(lpn, first, count)
-            if data:
-                for l in range(lpn, lpn + count):
-                    data.pop(l, None)
             region.next_page_in_block = used + count
             self.program_counts[blk] = self.program_counts.get(blk, 0) + count
             self.last_programmed_block = blk
@@ -285,12 +275,6 @@ class Ftl:
             lpn += count
         ppns.extend(map(self.write, range(edge, lpns.stop)))
         return ppns
-
-    def read(self, lpn: int) -> Any:
-        """Return the payload at ``lpn`` (None if written without payload)."""
-        if self._lookup(lpn) == _INVALID:
-            raise FtlError(f"LPN {lpn} unmapped")
-        return self._data.get(lpn)
 
     def is_mapped(self, lpn: int) -> bool:
         return self._lookup(lpn) != _INVALID
@@ -301,9 +285,6 @@ class Ftl:
         if not lpns:
             return
         self._unmap(lpns.start, lpns.stop)
-        if self._data:
-            for lpn in lpns:
-                self._data.pop(lpn, None)
 
     def mapped_pages(self, region_name: str) -> int:
         region = self.region(region_name)

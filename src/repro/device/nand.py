@@ -17,7 +17,7 @@ from typing import Generator, Optional
 
 from ..sim import Environment, PriorityResource, Resource
 from .geometry import MiB, NandGeometry
-from .pcie import MACRO_MAX, TrafficLedger
+from .pcie import MACRO_MAX
 
 __all__ = ["NandArray"]
 
@@ -50,7 +50,7 @@ class NandArray:
         self.priority_scheduling = priority_scheduling
         self._res = (PriorityResource(env) if priority_scheduling
                      else Resource(env))
-        self.ledger = TrafficLedger(bucket=1.0)
+        self.total_bytes = 0.0      # bytes read, programmed and erased
         self.busy_time = 0.0
         # Optional repro.device.error_model.NandErrorModel; None keeps the
         # array perfect and the io() path zero-cost (one attribute read).
@@ -116,37 +116,38 @@ class NandArray:
             finally:
                 p.leave()
             self.busy_time += dt
-            self.ledger.record(t0, self.env.now, nbytes)
+            self.total_bytes += nbytes
         if err is not None:
             raise err
         p.end(_sp)
 
-    def io_burst(self, ops, priority: int = 0) -> Generator:
+    def io_burst(self, ops) -> Generator:
         """Serve a channel burst of NAND operations as macro events.
 
-        ``ops`` is a sequence of ``(op, nbytes)`` pairs served in order.
-        Groups of up to :data:`~repro.device.pcie.MACRO_MAX` operations
-        share one scheduled kernel event (one channel grant + one timeout
-        for the summed service time); the channel is re-requested between
-        groups so concurrent flush/compaction traffic interleaves at group
+        ``ops`` is a sequence of ``(op, nbytes)`` pairs served in order, at
+        the default priority.  Groups of up to
+        :data:`~repro.device.pcie.MACRO_MAX` operations share one scheduled
+        kernel event (one channel grant + one timeout for the summed
+        service time); the channel is re-requested between groups so
+        concurrent flush/compaction traffic interleaves at group
         granularity, like the scalar FIFO.  Per-op semantics are preserved:
-        every op hits its ``nand.<op>`` fault site, is ledgered over the
-        exact sub-interval it held the channel, and consults the error
-        model.  An op that errors truncates the burst — it occupies the
-        media for its (stretched) service time and then the burst completes
-        with the error status, exactly like :meth:`io`.
+        every op hits its ``nand.<op>`` fault site, counts its bytes once
+        its group has held the channel, and consults the error model.  An
+        op that errors truncates the burst — it occupies the media for its
+        (stretched) service time and then the burst completes with the
+        error status, exactly like :meth:`io`.
         """
         if not ops:
             return
         if len(ops) == 1:
             op, nbytes = ops[0]
-            yield from self.io(op, nbytes, priority=priority)
+            yield from self.io(op, nbytes)
             return
         env = self.env
         p = env.probes
         _sp = p.begin("nand", "nand.burst", None,
                       {"ops": len(ops), "bytes": sum(nb for _o, nb in ops),
-                       "priority": priority})
+                       "priority": 0})
         macro = env.macro
         macro.bursts += 1
         err = None
@@ -155,7 +156,9 @@ class NandArray:
         while i < n and err is None:
             group = ops[i:i + MACRO_MAX]
             i += len(group)
-            served = []          # (nbytes, dt) actually occupying the media
+            # Service time and bytes of the ops that occupy the media.
+            total_dt = 0.0
+            total_bytes = 0
             for op, nbytes in group:
                 if nbytes < 0:
                     raise ValueError("nbytes must be >= 0")
@@ -164,22 +167,17 @@ class NandArray:
                 if self.error_model is not None:
                     extra, err = self.error_model.on_io(op, nbytes)
                     dt += extra
-                served.append((nbytes, dt))
+                total_dt += dt
+                total_bytes += nbytes
                 macro.ops += 1
                 if err is not None:
                     break        # truncate: ops after the failure never ran
-            req = (self._res.request(priority=priority)
-                   if self.priority_scheduling else self._res.request())
-            with req:
+            with self._res.request() as req:
                 p.enter("queue")
                 try:
                     yield req
                 finally:
                     p.leave()
-                t0 = env.now
-                total_dt = 0.0
-                for _nb, dt in served:
-                    total_dt += dt
                 p.enter("nand")
                 try:
                     yield env.timeout(total_dt)
@@ -187,11 +185,7 @@ class NandArray:
                     p.leave()
                 macro.events += 1
                 self.busy_time += total_dt
-                a = t0
-                for nbytes, dt in served:
-                    b = a + dt
-                    self.ledger.record(a, b, nbytes)
-                    a = b
+                self.total_bytes += total_bytes
         if err is not None:
             raise err
         p.end(_sp)

@@ -6,8 +6,9 @@ transfer records its byte count spread over the simulated-time interval it
 occupied, so per-second buckets can be read back as a time series.
 
 :class:`BandwidthPipe` models a shared, FIFO link: a transfer of ``n`` bytes
-holds the pipe for ``latency + n / bandwidth`` seconds.  The PCIe pipe and
-the NAND backend pipe are both instances; the PCIe pipe also owns a ledger.
+holds the pipe for ``latency + n / bandwidth`` seconds and is recorded in
+the pipe's own ledger.  The PCIe link and each shard's replication link are
+the instances; the NAND array keeps its own timing and a byte total.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ class BandwidthPipe:
 
     ``transfer`` is a process generator: ``yield from pipe.transfer(n)``
     blocks the calling process for queueing + service time and records the
-    service interval in the ledger (if any).
+    service interval in :attr:`ledger` (``bucket``-second buckets).
     """
 
     def __init__(
@@ -116,8 +117,8 @@ class BandwidthPipe:
         env: Environment,
         bandwidth: float,
         latency: float = 0.0,
-        ledger: Optional[TrafficLedger] = None,
         name: str = "pipe",
+        bucket: float = 1.0,
     ):
         if bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
@@ -126,7 +127,7 @@ class BandwidthPipe:
         self.env = env
         self.bandwidth = bandwidth
         self.latency = latency
-        self.ledger = ledger
+        self.ledger = TrafficLedger(bucket)
         self.name = name
         # Probe names, built once: the fault site / span, the burst span
         # and the per-direction telemetry channels.
@@ -134,7 +135,6 @@ class BandwidthPipe:
         self._burst_span = f"{name}.transfer_burst"
         self._channels = {"tx": f"{name}.tx_bytes", "rx": f"{name}.rx_bytes"}
         self._res = Resource(env)
-        self.busy_time = 0.0
 
     def service_time(self, nbytes: float) -> float:
         return self.latency + nbytes / self.bandwidth
@@ -158,7 +158,7 @@ class BandwidthPipe:
                       {"bytes": nbytes, "dir": direction})
         # Fault site: e.g. "pcie.transfer" (modeled transfer drop/delay).
         # DELAY is folded into the service interval below — the slowed
-        # transfer holds the link and the ledger/busy-time/telemetry
+        # transfer holds the link and the ledger and telemetry
         # attribute its bytes across the stretched window, instead of
         # the extra latency vanishing between samples.
         action = p.touch(self._site)
@@ -177,9 +177,7 @@ class BandwidthPipe:
                 yield self.env.timeout(dt)
             finally:
                 p.leave()
-            self.busy_time += dt
-            if self.ledger is not None:
-                self.ledger.record(t0, self.env.now, nbytes)
+            self.ledger.record(t0, self.env.now, nbytes)
             p.add(self._channels[direction], nbytes)
         p.end(_sp)
 
@@ -241,15 +239,13 @@ class BandwidthPipe:
                 finally:
                     p.leave()
                 macro.events += 1
-                self.busy_time += total_dt
-                if self.ledger is not None:
-                    # Per-chunk attribution over the exact sub-interval
-                    # each chunk held the pipe within the macro event.
-                    a = t0
-                    for nbytes, dt in zip(group, dts):
-                        b = a + dt
-                        self.ledger.record(a, b, nbytes)
-                        a = b
+                # Per-chunk attribution over the exact sub-interval each
+                # chunk held the pipe within the macro event.
+                a = t0
+                for nbytes, dt in zip(group, dts):
+                    b = a + dt
+                    self.ledger.record(a, b, nbytes)
+                    a = b
                 p.add(self._channels[direction], sum(group))
         p.end(_sp)
 
@@ -275,8 +271,8 @@ class PcieLink(BandwidthPipe):
             env,
             bandwidth=bandwidth,
             latency=PCIE_LATENCY,
-            ledger=TrafficLedger(bucket=bucket),
             name="pcie",
+            bucket=bucket,
         )
         tel = env.telemetry
         if tel is not None:

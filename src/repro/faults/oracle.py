@@ -58,7 +58,6 @@ class DifferentialOracle:
         self.inflight: Optional[dict[bytes, Optional[bytes]]] = None
         self.acked_ops = 0
         self.aborted_ops = 0
-        self.checked_reads = 0
 
     # -- write tracking ----------------------------------------------------
     def begin_put(self, key: bytes, value: bytes) -> None:
@@ -94,7 +93,6 @@ class DifferentialOracle:
     def check_read(self, key: bytes, got: Optional[bytes]) -> None:
         """Inline differential check for a read during the workload."""
         want = self.committed.get(key)
-        self.checked_reads += 1
         assert got == want, (
             f"divergence at live read: key={key!r} got={got!r} want={want!r}"
             + (f" (seed={self.seed:#x})" if self.seed is not None else "")

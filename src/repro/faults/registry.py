@@ -149,7 +149,6 @@ class FaultRegistry:
         self.crash_event: Optional[Event] = None
         self.crashed_at: Optional[SiteHit] = None
         self._arms: list[_Arm] = []
-        self._env: Optional[Environment] = None
 
     def __repr__(self) -> str:
         return (f"FaultRegistry(seed={self.seed:#x}, sites={len(self.hits)}, "
@@ -161,7 +160,6 @@ class FaultRegistry:
         installs the same pair (each function serves either plane alone),
         so the two may be installed in either order."""
         env.faults = self
-        self._env = env
         env.probes.touch = partial(touch, env)
         env.probes.at = partial(fault_point, env)
         return self

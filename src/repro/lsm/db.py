@@ -62,16 +62,10 @@ class DbStats:
     """Cumulative counters exposed to the harness."""
 
     def __init__(self) -> None:
-        self.user_writes = 0
         self.user_write_bytes = 0
-        self.user_reads = 0
-        self.read_hits = 0
-        self.user_seeks = 0
-        self.user_nexts = 0
         self.flushes = 0
         self.flush_bytes_written = 0
         self.compactions = 0
-        self.compaction_bytes_read = 0
         self.compaction_bytes_written = 0
         self.write_latencies: Optional[object] = None   # histogram hook
         self.read_latencies: Optional[object] = None
@@ -140,8 +134,7 @@ class DbImpl:
         self._paused_flushes: list = []
 
         self._flush_proc = env.process(self._flush_worker(), name=f"{name}.flush")
-        self._sched_proc = env.process(self._compaction_scheduler(),
-                                       name=f"{name}.compact-sched")
+        env.process(self._compaction_scheduler(), name=f"{name}.compact-sched")
 
         tel = env.telemetry
         if tel is not None:
@@ -304,7 +297,6 @@ class DbImpl:
         self.mem.add_all(entries if keep is None
                          else [e for e in entries if keep(e[0])])
         p.touch("db.write.applied")
-        self.stats.user_writes += len(entries)
         self.stats.user_write_bytes += nbytes
         p.add("lsm.write_ops", len(entries))
         if self.mem.approximate_bytes >= opt.write_buffer_size:
@@ -520,7 +512,6 @@ class DbImpl:
         del merged      # the outputs hold the rows the files need
 
         input_bytes = job.input_bytes
-        self.stats.compaction_bytes_read += input_bytes
         self.stats.compaction_bytes_written += output_bytes
         p.add("lsm.compaction_bytes", input_bytes + output_bytes)
 
@@ -595,7 +586,6 @@ class DbImpl:
         entry = yield from self.get_internal(key)
         if entry is None or entry[2] == KIND_DELETE:
             return None
-        self.stats.read_hits += 1
         return entry[3]
 
     def get_internal(self, key: bytes) -> Generator:
@@ -614,7 +604,6 @@ class DbImpl:
                     break
         if entry is None:
             entry = yield from self._get_from_ssts(key)
-        self.stats.user_reads += 1
         self.stats.record_read_latency(self.env.now - t0)
         self.env.probes.add("lsm.read_ops")
         return entry
@@ -670,7 +659,6 @@ class DbImpl:
         opt = self.options
         t0 = self.env.now
         yield from self.host_cpu.consume(CPU_SEEK, tag=self._read_tag)
-        self.stats.user_seeks += 1
 
         sst_cost = [0]  # mutable cell shared with the SST sources
 
@@ -694,7 +682,6 @@ class DbImpl:
             if len(out) >= count:
                 break
             out.append(entry)
-            self.stats.user_nexts += 1
             self.host_cpu.charge(CPU_NEXT, tag=self._read_tag)
             # charge accumulated SST bytes in block-sized reads
             new_cost = sst_cost[0]

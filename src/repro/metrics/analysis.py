@@ -104,7 +104,7 @@ def device_byte_accounting(ssd) -> dict:
     """Where the device's NAND and PCIe bytes went (HybridSsd or setup)."""
     return {
         "pcie_bytes": ssd.pcie.ledger.total_bytes,
-        "nand_bytes": ssd.nand.ledger.total_bytes if hasattr(ssd, "nand")
+        "nand_bytes": ssd.nand.total_bytes if hasattr(ssd, "nand")
         else None,
         "block_written": ssd.block.bytes_written,
         "block_read": ssd.block.bytes_read,

@@ -33,23 +33,23 @@ class LatencyHistogram:
         self._min = math.inf
         self._max = 0.0
 
-    def _bucket(self, value: float) -> int:
-        if value <= MIN_VALUE:
-            return 0
-        idx = int(math.log(value / MIN_VALUE) / self._log_ratio) + 1
-        return min(idx, len(self._counts) - 1)
-
     def record(self, value: float, count: int = 1) -> None:
         if value < 0:
             raise ValueError("latency cannot be negative")
         if count < 1:
             raise ValueError("count must be >= 1")
-        v = max(value, MIN_VALUE)
-        self._counts[self._bucket(v)] += count
+        counts = self._counts
+        if value <= MIN_VALUE:
+            counts[0] += count
+        else:
+            i = int(math.log(value / MIN_VALUE) / self._log_ratio) + 1
+            counts[min(i, len(counts) - 1)] += count
         self.total_count += count
         self._sum += value * count
-        self._min = min(self._min, value)
-        self._max = max(self._max, value)
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
 
     def percentile(self, p: float) -> float:
         """Value at percentile ``p`` in [0, 100]."""

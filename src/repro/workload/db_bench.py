@@ -102,7 +102,6 @@ class ReadWhileWritingDriver(_DriverBase):
             raise ValueError("both ratios must be positive for readwhilewriting")
         self.write_ratio = write_ratio
         self.read_ratio = read_ratio
-        self.read_hits = 0
 
     def start(self) -> Process:
         self.env.process(self._reader(), name="rww-reader")
@@ -121,11 +120,9 @@ class ReadWhileWritingDriver(_DriverBase):
                 continue
             ctx = p.op_begin("get")
             try:
-                value = yield from self.db.get(keys.next_key())
+                yield from self.db.get(keys.next_key())
             finally:
                 p.op_end(ctx)
-            if value is not None:
-                self.read_hits += 1
             self.read_ops += 1
             self.read_meter.add()
         return self.read_ops

@@ -19,7 +19,7 @@ def test_write_maps_pages_and_charges_both_pipes():
     run(env, dev.write(0, 16 * 1024))
     assert dev.bytes_written == 16 * 1024
     assert dev.pcie.ledger.total_bytes >= 16 * 1024
-    assert dev.nand.ledger.total_bytes >= 16 * 1024
+    assert dev.nand.total_bytes >= 16 * 1024
     # pages mapped in the block region
     assert dev.ftl.mapped_pages("block") >= 4
 
@@ -28,10 +28,10 @@ def test_read_charges_nand_then_pcie():
     env = Environment()
     dev = small_device(env)
     run(env, dev.write(0, 8192))
-    nand0 = dev.nand.ledger.total_bytes
+    nand0 = dev.nand.total_bytes
     run(env, dev.read(0, 8192))
     assert dev.bytes_read == 8192
-    assert dev.nand.ledger.total_bytes == nand0 + 8192
+    assert dev.nand.total_bytes == nand0 + 8192
 
 
 def test_out_of_range_extent_rejected():

@@ -297,10 +297,10 @@ def test_get_from_run_charges_nand_read():
     for i in range(10):
         put(env, dl, i, i, b"r" * 40)
     assert dl.runs  # flushed at least once
-    nand_before = dl.nand.ledger.total_bytes
+    nand_before = dl.nand.total_bytes
     key = dl.runs[0].smallest
     run(env, dl.get(key))
-    assert dl.nand.ledger.total_bytes > nand_before
+    assert dl.nand.total_bytes > nand_before
 
 
 def old_merged_entries(dl, include_memtable=True):

@@ -33,24 +33,25 @@ def test_regions_partition_logical_space():
     assert ftl.total_logical_pages < ftl.geometry.total_pages
 
 
-def test_write_read_roundtrip_with_payload():
+def test_write_maps_a_fresh_page():
     ftl = Ftl(tiny_geometry())
-    ftl.write(0, data=b"hello")
-    assert ftl.read(0) == b"hello"
+    ppn = ftl.write(0)
+    assert ftl.is_mapped(0)
+    assert ftl_map(ftl) == {0: ppn}
 
 
 def test_overwrite_remaps_and_keeps_latest():
     ftl = Ftl(tiny_geometry())
-    p1 = ftl.write(3, data=b"v1")
-    p2 = ftl.write(3, data=b"v2")
+    p1 = ftl.write(3)
+    p2 = ftl.write(3)
     assert p1 != p2
-    assert ftl.read(3) == b"v2"
+    assert ftl_map(ftl) == {3: p2}
 
 
-def test_read_unmapped_raises():
+def test_unwritten_page_is_unmapped():
     ftl = Ftl(tiny_geometry())
-    with pytest.raises(FtlError):
-        ftl.read(1)
+    assert not ftl.is_mapped(1)
+    assert ftl_map(ftl) == {}
 
 
 def test_out_of_range_lpn_raises():
@@ -61,7 +62,7 @@ def test_out_of_range_lpn_raises():
 
 def test_trim_unmaps():
     ftl = Ftl(tiny_geometry())
-    ftl.write(5, data=b"x")
+    ftl.write(5)
     ftl.trim(range(5, 6))
     assert not ftl.is_mapped(5)
     ftl.trim(range(5, 6))  # idempotent
@@ -109,29 +110,29 @@ def test_gc_reclaims_overwritten_pages():
     # 1 channel/way, 8 blocks x 4 pages; split 0.5 -> 4 physical blocks for
     # the block region (minus OP). Overwrite one LPN repeatedly to force GC.
     ftl = make_ftl(tiny_geometry(), split_fraction=0.5, op_fraction=0.25)
-    writes = 0
     for _ in range(64):
-        ftl.write(0, data=b"latest%d" % writes)
-        writes += 1
-    assert ftl.read(0) == b"latest%d" % (writes - 1)
+        last = ftl.write(0)
+    assert ftl_map(ftl) == {0: last}
     stats = ftl.gc_stats["block"]
     assert stats.invocations > 0
     assert stats.blocks_erased > 0
 
 
 def test_gc_preserves_all_live_data():
-    ftl = make_ftl(tiny_geometry(), split_fraction=0.5, op_fraction=0.25)
-    live = {}
+    """Every page written stays mapped through GC, where the page-dict
+    reference maps it."""
+    ftl, ref = (make_ftl(tiny_geometry(), split_fraction=0.5,
+                         op_fraction=0.25, cls=cls)
+                for cls in (Ftl, ReferenceFtl))
     import random
     rng = random.Random(7)
     lpns = list(range(6))
-    for i in range(200):
+    for _ in range(200):
         lpn = rng.choice(lpns)
-        data = f"{lpn}:{i}".encode()
-        ftl.write(lpn, data=data)
-        live[lpn] = data
-    for lpn, data in live.items():
-        assert ftl.read(lpn) == data
+        assert ftl.write(lpn) == ref.write(lpn)
+    assert all(map(ftl.is_mapped, lpns))
+    assert ftl_map(ftl) == ref.l2p
+    assert ftl.gc_stats["block"].pages_moved > 0
 
 
 def test_full_region_sustains_overwrites_via_gc():
@@ -140,11 +141,10 @@ def test_full_region_sustains_overwrites_via_gc():
     ftl = make_ftl(tiny_geometry(), split_fraction=0.5, op_fraction=0.25)
     kv = ftl.region("kv")
     for lpn in range(kv.lpn_start, kv.lpn_start + kv.lpn_count):
-        ftl.write(lpn, data=b"init")
+        ftl.write(lpn)
     for i in range(300):
-        lpn = kv.lpn_start + (i % kv.lpn_count)
-        ftl.write(lpn, data=b"gen%d" % i)
-    # All logical pages still mapped and readable.
+        ftl.write(kv.lpn_start + (i % kv.lpn_count))
+    # All logical pages still mapped.
     assert ftl.mapped_pages("kv") == kv.lpn_count
     assert ftl.gc_stats["kv"].invocations > 0
 
@@ -157,14 +157,12 @@ def test_unknown_region_raises():
 
 # -- GC while overwriting ------------------------------------------------------
 def _check_ftl_invariants(ftl, live):
-    """One PPN per LPN and no PPN twice (the map has an inverse), only
-    live LPNs mapped, and every live LPN reads its latest."""
+    """One PPN per LPN and no PPN twice (the map has an inverse), and
+    exactly the live LPNs mapped."""
     mapping = ftl_map(ftl)
     assert len(set(mapping.values())) == len(mapping)
     assert set(mapping) == set(live)
-    assert set(ftl._data) <= set(mapping)
-    for lpn, data in live.items():
-        assert ftl.read(lpn) == data
+    assert all(map(ftl.is_mapped, live))
     for name, region in ftl.regions.items():
         assert ftl.mapped_pages(name) == sum(map(region.contains, live))
 
@@ -181,38 +179,29 @@ def test_overwrite_whose_allocation_gcs_the_overwritten_page(seed):
                 for cls in (Ftl, ReferenceFtl))
     rng = random.Random(seed)
     lpns = range(ftl.total_logical_pages)     # both regions
-    live = {}
-    for i in range(600):
+    live = set()
+    for _ in range(600):
         lpn = rng.choice(lpns)
         if rng.random() < 0.1:
             ftl.trim(range(lpn, lpn + 1))
             ref.trim(range(lpn, lpn + 1))
-            live.pop(lpn, None)
+            live.discard(lpn)
         else:
-            live[lpn] = (lpn, i)
-            assert ftl.write(lpn, data=live[lpn]) == ref.write(lpn, live[lpn])
+            live.add(lpn)
+            assert ftl.write(lpn) == ref.write(lpn)
         _check_ftl_invariants(ftl, live)
         assert ftl_map(ftl) == ref.l2p
     assert all(s.pages_moved > 0 for s in ftl.gc_stats.values())
 
 
 # -- the run map is the page-dict reference ----------------------------------
-def _assert_same(ftl, ref, intact=True):
-    """Every answer and all state of the FTL equal the reference's.
-    ``intact``: no operation has failed part-way (a failed GC move may
-    leave a payload behind an unmapped LPN, where no read can reach it)."""
+def _assert_same(ftl, ref):
+    """Every answer and all state of the FTL equal the reference's."""
     mapping = ftl_map(ftl)
     assert mapping == ref.l2p
     assert len(set(mapping.values())) == len(mapping)
-    if intact:
-        assert set(ftl._data) <= set(mapping)
     for lpn in range(ftl.total_logical_pages):
         assert ftl.is_mapped(lpn) == ref.is_mapped(lpn)
-        if ref.is_mapped(lpn):
-            assert ftl.read(lpn) == ref.read(lpn)
-        else:
-            with pytest.raises(FtlError):
-                ftl.read(lpn)
     for name in ftl.regions:
         assert ftl.mapped_pages(name) == ref.mapped_pages(name)
     assert ftl.state_digest() == ref.state_digest()
@@ -228,7 +217,7 @@ _batch_lpns = make_ftl(tiny_geometry(**_batch_geometry), split_fraction=0.5,
                        op_fraction=0.2).total_logical_pages
 _batch_ops = st.lists(
     st.tuples(st.sampled_from(["range"] * 3 + ["list", "generator",
-                                                "payload", "trim", "retire"]),
+                                                "scalar", "trim", "retire"]),
               st.integers(0, _batch_lpns - 1),      # start: any block offset
               st.integers(1, 12)),                  # 1..3x pages_per_block
     min_size=1, max_size=60)
@@ -241,8 +230,7 @@ def _drive_twins(ops):
     ftl, ref = (make_ftl(tiny_geometry(**_batch_geometry), split_fraction=0.5,
                          op_fraction=0.2, cls=cls)
                 for cls in (Ftl, ReferenceFtl))
-    intact = True
-    for i, (kind, start, length) in enumerate(ops):
+    for kind, start, length in ops:
         lpns = range(start, min(start + length, _batch_lpns))
         if kind == "trim":
             ftl.trim(lpns)
@@ -255,8 +243,8 @@ def _drive_twins(ops):
             outcome = []
             for twin in (ftl, ref):
                 try:
-                    if kind == "payload":
-                        got = [twin.write(lpn, data=(lpn, i)) for lpn in lpns]
+                    if kind == "scalar":
+                        got = [twin.write(lpn) for lpn in lpns]
                     else:
                         arg = {"range": lpns, "list": list(lpns),
                                "generator": (lpn for lpn in lpns)}[kind]
@@ -265,8 +253,7 @@ def _drive_twins(ops):
                     got = str(exc)
                 outcome.append(got)
             assert outcome[0] == outcome[1]
-            intact = intact and not isinstance(outcome[0], str)
-        _assert_same(ftl, ref, intact)
+        _assert_same(ftl, ref)
     return ftl
 
 
@@ -274,7 +261,7 @@ def _drive_twins(ops):
 @given(_batch_ops)
 def test_write_batch_equals_the_scalar_loop_on_a_twin(ops):
     """The reference model as the twin: runs of 1-3 blocks from any offset,
-    over mapped pages, over pages that carry payloads, across the
+    over mapped pages, over pages mapped one write at a time, across the
     disaggregation point, as a range, a list or a generator, between
     range trims and grown bad blocks."""
     _drive_twins(ops)
@@ -286,7 +273,7 @@ def test_write_batch_equals_the_scalar_loop_through_gc(seed):
     that both regions collect and relocate pages mid-batch."""
     import random
     rng = random.Random(seed)
-    kinds = ["range"] * 6 + ["list", "generator", "payload", "trim"]
+    kinds = ["range"] * 6 + ["list", "generator", "scalar", "trim"]
     ftl = _drive_twins([(rng.choice(kinds), rng.randrange(_batch_lpns),
                          rng.randint(1, 12)) for _ in range(250)])
     assert all(s.pages_moved > 0 for s in ftl.gc_stats.values())
@@ -301,11 +288,10 @@ def test_write_batch_crosses_blocks_regions_and_gc():
     assert ftl.write_batch(range(0, 2)) == [0, 1]
     assert ftl.write_batch(range(2, 11)) == list(range(2, 11))
     assert ftl.program_counts == {0: 4, 1: 4, 2: 3}
-    # a payload page loses its data when a batch overwrites it
-    ppn = ftl.write(20, data=b"old")
+    # a page a batch overwrites is remapped off its old physical page
+    ppn = ftl.write(20)
     ftl.write_batch(range(19, 22))
-    assert ftl.read(20) is None and ppn not in ftl_map(ftl).values()
-    assert 20 not in ftl._data
+    assert ftl.is_mapped(20) and ppn not in ftl_map(ftl).values()
     # across the disaggregation point: each side lands in its own pool
     ppns = ftl.write_batch(range(edge - 2, edge + 2))
     kv_first = ftl.geometry.pages_per_block * 8     # blocks 8.. are KV's

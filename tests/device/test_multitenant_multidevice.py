@@ -128,7 +128,7 @@ class TestKvNamespaces:
         pb = env.process(tenant(b, 10_000))
         env.run(until=env.all_of([pa, pb]))
         assert sum(ns.used_bytes for ns in iface.namespaces()) > 0
-        assert ssd.nand.ledger.total_bytes > 0
+        assert ssd.nand.total_bytes > 0
         assert len(iface.namespaces()) == 2
 
     def test_custom_memtable_budget(self):
@@ -176,7 +176,7 @@ class TestMultiDevice:
         # KV payloads cross device B's link; device A's NAND only holds the
         # (empty) Main-LSM artifacts.
         assert setup.kv_ssd.pcie.ledger.total_bytes >= 100 * 1024
-        assert setup.kv_ssd.nand.ledger.total_bytes >= 0
+        assert setup.kv_ssd.nand.total_bytes >= 0
         assert setup.block_ssd.devlsm.is_empty
         assert not setup.kv_ssd.devlsm.is_empty
         db.close()

@@ -56,7 +56,7 @@ def test_io_blocks_and_ledgers():
     env.process(proc())
     env.run()
     assert done[0] == pytest.approx(0.5, rel=0.01)
-    assert nand.ledger.total_bytes == MiB // 2
+    assert nand.total_bytes == MiB // 2
 
 
 def test_priority_scheduling_reorders_queue():

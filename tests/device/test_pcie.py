@@ -103,15 +103,14 @@ class TestBandwidthPipe:
 
     def test_ledger_records_transfers(self):
         env = Environment()
-        led = TrafficLedger()
-        pipe = BandwidthPipe(env, bandwidth=100, ledger=led)
+        pipe = BandwidthPipe(env, bandwidth=100)
 
         def proc():
             yield from pipe.transfer(250)
 
         env.process(proc())
         env.run()
-        assert led.total_bytes == 250
+        assert pipe.ledger.total_bytes == 250
 
     def test_invalid_args(self):
         env = Environment()
@@ -133,7 +132,10 @@ class TestBandwidthPipe:
 
         env.process(proc())
         env.run()
-        assert pipe.busy_time == pytest.approx(4.0)
+        # Busy for 1 + 3 s back to back: 100 bytes in each second.
+        assert env.now == pytest.approx(4.0)
+        _, values = pipe.ledger.series()
+        assert values == pytest.approx([100.0] * 4)
 
 
 class TestPcieLink:

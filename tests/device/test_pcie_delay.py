@@ -57,7 +57,9 @@ def test_injected_delay_stretches_the_transfer():
     reg.arm("pcie.transfer", AlwaysPlan(), FaultAction(DELAY, delay=0.5))
     link = make_link(env)
     assert run_transfer(env, link) == pytest.approx(1.5)
-    assert link.busy_time == pytest.approx(1.5)
+    # The link stays busy for the stretched 1.5 s: a third of the bytes
+    # land in the second bucket.
+    assert link.ledger.bytes_in(1.0, 2.0) == pytest.approx(NBYTES / 3)
 
 
 def test_delay_attributed_in_ledger_buckets():

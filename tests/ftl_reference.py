@@ -8,7 +8,7 @@ operations and require every answer and all state to agree.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Iterable
 
 from repro.device import FtlError, GcStats, NandGeometry, Region
 from repro.device import ftl as ftl_module
@@ -35,7 +35,6 @@ class ReferenceFtl:
         }
         self.l2p: dict[int, int] = {}
         self.p2l: dict[int, int] = {}      # insertion order is GC's order
-        self.data: dict[int, Any] = {}     # by PPN
         self.gc_stats = {"block": GcStats(), "kv": GcStats()}
         self.program_counts: dict[int, int] = {}
         self.erase_counts: dict[int, int] = {}
@@ -97,27 +96,18 @@ class ReferenceFtl:
             self._collect(region)
             tried_gc = True
 
-    def write(self, lpn: int, data: Any = None) -> int:
+    def write(self, lpn: int) -> int:
         region = self.region_of(lpn)
         ppn = self._alloc_ppn(region)
         old = self.l2p.get(lpn, _INVALID)
         if old != _INVALID:
             self.p2l.pop(old, None)
-            self.data.pop(old, None)
         self.l2p[lpn] = ppn
         self.p2l[ppn] = lpn
-        if data is not None:
-            self.data[ppn] = data
         return ppn
 
     def write_batch(self, lpns: Iterable[int]) -> list[int]:
         return [self.write(lpn) for lpn in lpns]
-
-    def read(self, lpn: int) -> Any:
-        ppn = self.l2p.get(lpn, _INVALID)
-        if ppn == _INVALID:
-            raise FtlError(f"LPN {lpn} unmapped")
-        return self.data.get(ppn)
 
     def is_mapped(self, lpn: int) -> bool:
         return lpn in self.l2p
@@ -127,7 +117,6 @@ class ReferenceFtl:
             ppn = self.l2p.pop(lpn, _INVALID)
             if ppn != _INVALID:
                 self.p2l.pop(ppn, None)
-                self.data.pop(ppn, None)
 
     def mapped_pages(self, region_name: str) -> int:
         region = self.regions[region_name]
@@ -169,14 +158,12 @@ class ReferenceFtl:
         moved = []
         for ppn in valid:
             lpn = self.p2l.pop(ppn)
-            moved.append((lpn, self.data.pop(ppn, None)))
+            moved.append(lpn)
             self.l2p.pop(lpn, None)
         if victim not in self.retired_blocks:
             region.free_blocks.append(victim)
-        for lpn, data in moved:
+        for lpn in moved:
             new_ppn = self._alloc_ppn(region)
             self.l2p[lpn] = new_ppn
             self.p2l[new_ppn] = lpn
-            if data is not None:
-                self.data[new_ppn] = data
             stats.pages_moved += 1

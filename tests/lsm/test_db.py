@@ -11,7 +11,7 @@ from helpers import run, small_db, small_options  # noqa: E402
 
 from repro.lsm import LsmOptions, WriteState  # noqa: E402
 from repro.sim import Environment  # noqa: E402
-from repro.types import encode_key  # noqa: E402
+from repro.types import ENTRY_OVERHEAD, encode_key  # noqa: E402
 
 
 def fill(env, db, n, vlen=64, start=0, prefix=b"v"):
@@ -128,7 +128,8 @@ def test_write_batch_counts_every_op():
     db, _, _ = small_db(env)
     pairs = [(encode_key(i), b"b" * 32) for i in range(50)]
     run(env, db.put_batch(pairs))
-    assert db.stats.user_writes == 50
+    assert db.stats.user_write_bytes == sum(
+        len(k) + len(v) + ENTRY_OVERHEAD for k, v in pairs)
     assert run(env, db.get(encode_key(49))) == b"b" * 32
 
 

@@ -98,17 +98,14 @@ def test_stats_counters_move():
     env = Environment()
     db, _, _ = small_db(env)
     fill(env, db, 600)
-    run(env, db.get(encode_key(1)))
-    run(env, db.scan(encode_key(0), 5))
+    assert run(env, db.get(encode_key(1))) is not None
+    assert len(run(env, db.scan(encode_key(0), 5))) == 5
     run(env, db.wait_for_quiesce())
     s = db.stats
-    assert s.user_writes == 600
-    assert s.user_reads >= 1
-    assert s.user_seeks == 1
-    assert s.user_nexts == 5
+    assert s.user_write_bytes > 0
     assert s.flush_bytes_written > 0
     if s.compactions:
-        assert s.compaction_bytes_read > 0
+        assert s.compaction_bytes_written > 0
 
 
 def test_wait_for_quiesce_idempotent():

@@ -172,20 +172,20 @@ def test_histogram_percentiles_bounded_and_monotone(samples):
 # ----------------------------------------------------------------- ftl
 @settings(suppress_health_check=[HealthCheck.too_slow], deadline=None,
           max_examples=30)
-@given(st.lists(st.tuples(st.integers(0, 30), st.binary(min_size=1, max_size=4)),
-                min_size=1, max_size=300))
+@given(st.lists(st.integers(0, 30), min_size=1, max_size=300))
 def test_ftl_never_loses_live_data_and_never_double_maps(writes):
+    from ftl_reference import ReferenceFtl
     from helpers import ftl_map, make_ftl
-    from repro.device import NandGeometry
+    from repro.device import Ftl, NandGeometry
     g = NandGeometry(channels=1, ways=1, blocks_per_way=12, pages_per_block=4,
                      page_size=4096)
-    ftl = make_ftl(g, split_fraction=0.5, op_fraction=0.2)
-    model = {}
-    for lpn, data in writes:
-        ftl.write(lpn, data=data)
-        model[lpn] = data
+    ftl, ref = (make_ftl(g, split_fraction=0.5, op_fraction=0.2, cls=cls)
+                for cls in (Ftl, ReferenceFtl))
+    for lpn in writes:
+        assert ftl.write(lpn) == ref.write(lpn)
     # no two logical pages share a physical page
     ppns = list(ftl_map(ftl).values())
     assert len(ppns) == len(set(ppns))
-    for lpn, data in model.items():
-        assert ftl.read(lpn) == data
+    # every page written is still mapped, where the reference maps it
+    assert all(map(ftl.is_mapped, writes))
+    assert ftl_map(ftl) == ref.l2p

@@ -28,6 +28,18 @@ field that shares its name with a setting code sets elsewhere
 (``key_size``, ``batch``) stays hidden; only recording the values each
 setting takes over the runs outside the tests finds it.  Fields kept on
 purpose sit in ``SETTINGS_KEEP``.
+
+And the same holds for state: an attribute a ``src/`` class stores
+through ``self.X`` (``self.n += 1`` included) is work done for no one
+unless code outside the tests reads it back.  A ``self.X`` load counts
+only in that class or in a ``src/`` class it inherits from or that
+inherits from it, so ``ColumnStore`` reading ``_columns`` covers
+``Tracer`` and ``Journal`` but an unrelated class's ``self.hits`` covers
+no other's; an ``obj.X`` load, a keyword name or a string constant
+(``getattr(obj, "X")``; not a docstring, ``__slots__`` or ``__all__``)
+counts anywhere, so this match errs the same way the others do.
+Attributes kept for a test to read sit in ``STORES_KEEP``, by
+``Class.attr``.
 """
 
 from __future__ import annotations
@@ -125,15 +137,21 @@ def _definitions() -> list[tuple[str, str]]:
     return defs
 
 
-def _corpus_words() -> set[str]:
-    words = set()
-    for d in CODE_DIRS:
-        for path in sorted(d.rglob("*.py")):
-            words |= _identifiers(path)
+def _ci_words() -> set[str]:
+    """Words of ``.github/`` outside ``#`` comments (shell, not Python)."""
+    words: set[str] = set()
     for path in sorted((ROOT / ".github").rglob("*")):
         if path.is_file():
             text = _HASH_COMMENT.sub("", path.read_text(encoding="utf-8"))
             words.update(re.findall(r"\w+", text))
+    return words
+
+
+def _corpus_words() -> set[str]:
+    words = _ci_words()
+    for d in CODE_DIRS:
+        for path in sorted(d.rglob("*.py")):
+            words |= _identifiers(path)
     return words
 
 
@@ -219,3 +237,157 @@ def test_settings_keep_names_are_fields():
     """Every SETTINGS_KEEP entry still names a defaulted dataclass field."""
     fields = {name for name, _ in _defaulted_fields()}
     assert sorted(set(SETTINGS_KEEP) - fields) == []
+
+
+# Attributes an object stores for a test to read, each with that role.
+STORES_KEEP = {
+    "Ftl.disaggregation_point": "the paper's region split (Section V-D); "
+                                "the FTL tests check both regions against it",
+    "Interrupt.cause": "the value an interrupter passes to the interrupted "
+                       "process, the kernel's API; kernel tests read it",
+    "KvDevice.duplicated_commands": "the fault-injection test proves a "
+                                    "DUPLICATE action ran the compound PUT "
+                                    "twice",
+    "PageCache.hits": "the fs and LSM tests prove a read was or was not "
+                      "served from the cache",
+    "ShardScopedPlan.foreign_hits": "the chaos tests prove healthy shards "
+                                    "reached the armed sites and were spared",
+}
+
+
+def _is_self_attr(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+
+def _base_name(node: ast.expr) -> str:
+    return node.attr if isinstance(node, ast.Attribute) else \
+        getattr(node, "id", "")
+
+
+def _own_nodes(cls: ast.ClassDef):
+    """The nodes of a class body, without those of classes nested in it."""
+    todo = list(ast.iter_child_nodes(cls))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, ast.ClassDef):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _src_classes() -> dict[str, list[dict]]:
+    """Class name -> one record per ``src/`` class of that name: its
+    bases, where it is, and the ``self.X`` it stores and loads in its own
+    body (an augmented assignment is a store: ``self.n += 1`` keeps ``n``
+    for no one)."""
+    classes: dict[str, list[dict]] = {}
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            stored: dict[str, int] = {}
+            loaded: set[str] = set()
+            for sub in _own_nodes(node):
+                if not _is_self_attr(sub):
+                    continue
+                if isinstance(sub.ctx, ast.Store):
+                    stored[sub.attr] = min(sub.lineno,
+                                           stored.get(sub.attr, sub.lineno))
+                else:
+                    loaded.add(sub.attr)
+            classes.setdefault(node.name, []).append({
+                "bases": {_base_name(b) for b in node.bases},
+                "path": path.relative_to(ROOT), "stored": stored,
+                "loaded": loaded})
+    return classes
+
+
+def _closure(start: str, step: dict) -> set[str]:
+    seen, todo = {start}, [start]
+    while todo:
+        for nxt in step.get(todo.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return seen
+
+
+def _families(classes: dict[str, list[dict]]) -> dict[str, set[str]]:
+    """Class name -> itself and the ``src/`` classes it inherits from or
+    that inherit from it, at any depth (siblings are not related)."""
+    up = {name: {b for c in recs for b in c["bases"] if b in classes}
+          for name, recs in classes.items()}
+    down: dict[str, set[str]] = {}
+    for name, bases in up.items():
+        for base in bases:
+            down.setdefault(base, set()).add(name)
+    return {name: _closure(name, up) | _closure(name, down)
+            for name in classes}
+
+
+def _docstring_ids(tree: ast.AST) -> set[int]:
+    ids = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and \
+                    isinstance(first.value, ast.Constant):
+                ids.add(id(first.value))
+    return ids
+
+
+def _other_loads(path: Path) -> set[str]:
+    """Names the file reads as attributes of something other than
+    ``self``, plus its keyword names and its string constants (not
+    docstrings, nor the names a ``__slots__`` or ``__all__`` lists)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    skip = _docstring_ids(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) in ("__slots__", "__all__")
+                for t in node.targets):
+            skip.update(id(c) for c in ast.walk(node.value))
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) \
+                and not _is_self_attr(node):
+            names.add(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg:
+            names.add(node.arg)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and id(node) not in skip:
+            names.add(node.value)
+    return names
+
+
+def test_every_stored_attribute_is_read():
+    """Every attribute a ``src/`` class stores through ``self.X`` is
+    loaded by code that is not a test: as ``self.X`` in that class or one
+    related to it by inheritance, or anywhere in the corpus as ``obj.X``,
+    a keyword name or a string constant (``getattr(obj, "X")``)."""
+    classes = _src_classes()
+    words = _ci_words().union(*(_other_loads(p) for d in CODE_DIRS
+                                for p in sorted(d.rglob("*.py"))))
+    families = _families(classes)
+    unread = []
+    for name, recs in sorted(classes.items()):
+        loads = words.union(*(c["loaded"] for n in families[name]
+                              for c in classes[n]))
+        for rec in recs:
+            unread.extend(
+                f"{name}.{attr} ({rec['path']}:{line})"
+                for attr, line in sorted(rec["stored"].items())
+                if attr not in loads and f"{name}.{attr}" not in STORES_KEEP)
+    assert not unread, (
+        "stored and never read outside the tests (delete, or add to "
+        "STORES_KEEP with a reason):\n  " + "\n  ".join(unread))
+
+
+def test_stores_keep_names_are_stored():
+    """Every STORES_KEEP entry is still an attribute its ``src/`` class
+    stores."""
+    stored = {f"{name}.{attr}" for name, recs in _src_classes().items()
+              for c in recs for attr in c["stored"]}
+    assert sorted(set(STORES_KEEP) - stored) == []
