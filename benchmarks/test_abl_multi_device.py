@@ -31,17 +31,15 @@ def _run_multi_device(profile):
                    rollback="disabled",
                    detector_config=copy.deepcopy(profile.detector),
                    page_cache_bytes=profile.page_cache_bytes)
-    collector = RunCollector(env, "KVAccel(1) two-device",
-                             sample_period=profile.sample_period)
-    collector.attach_db_stats(db.stats)
     cfg = DriverConfig(duration=profile.duration,
                        key_space=profile.key_space)
     driver = FillRandomDriver(env, db, cfg)
-    driver.write_meter = collector.write_meter
+    collector = RunCollector(env, "KVAccel(1) two-device", driver,
+                             sample_period=profile.sample_period)
+    collector.attach_db_stats(db.stats)
     env.run(until=driver.start())
     collector.stop()
-    result = collector.result(driver.write_ops, 0, driver.write_bytes,
-                              [(db, setup, cpu)])
+    result = collector.result([(db, setup, cpu)])
     result.extra["redirected_writes"] = db.controller.redirected_writes
     db.close()
     return result

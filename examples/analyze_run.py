@@ -179,19 +179,17 @@ for spec in [RunSpec("rocksdb", "A", 1, slowdown=True),
              RunSpec("kvaccel", "A", 1, rollback="disabled")]:
     env = Environment()
     db, ssd, cpu = build_system(env, profile, spec)
-    collector = RunCollector(env, spec.display,
-                             sample_period=profile.sample_period)
-    collector.attach_db_stats(db.stats)
     cfg = DriverConfig(duration=profile.duration,
                        key_space=profile.key_space)
     driver = FillRandomDriver(env, db, cfg)
-    driver.write_meter = collector.write_meter
+    collector = RunCollector(env, spec.display, driver,
+                             sample_period=profile.sample_period)
+    collector.attach_db_stats(db.stats)
     env.run(until=driver.start())
     collector.stop()
 
     redirect = ssd.devlsm.total_bytes
-    result = collector.result(driver.write_ops, 0, driver.write_bytes,
-                              [(db, ssd, cpu)])
+    result = collector.result([(db, ssd, cpu)])
 
     wa = write_amplification(db, user_bytes=driver.write_bytes,
                              redirect_bytes=redirect)

@@ -2,10 +2,10 @@
 """Multi-tenancy on the hybrid SSD (paper Section V-D).
 
 The dual-interface SSD supports paired namespaces: each tenant gets an
-isolated slice of the block region (for its Main-LSM) and a quota in the
-KV region.  This example carves namespaces for two tenants, runs a
-KVACCEL stack for each on its own slice of the same physical device, and
-shows that the tenants share NAND bandwidth but never data.
+isolated slice of the block region and a quota in the KV region.  This
+example carves namespaces for two tenants, prints the carve-up, runs one
+tenant's KVACCEL stack on the device and then deletes the other tenant's
+namespace.
 
 Run:  python examples/multi_tenant_namespaces.py
 """
@@ -36,10 +36,13 @@ for ns in ssd.namespaces():
           f"{ns.block_offset + ns.block_bytes}), kv quota "
           f"{ns.kv_quota_bytes // MiB} MiB")
 
-# Each tenant's Main-LSM lives on its namespace slice of the block region.
-# (The KV interface is shared through the controller in this prototype,
-# exactly like the single-Dev-LSM design of the paper; per-tenant Dev-LSM
-# isolation is the paper's cited follow-on work.)
+# Tenant A's stack is built on the whole device (``ssd``), not on ns_a's
+# slice: its Main-LSM file system allocates from the start of the whole
+# block region.  That start is ns_a's slice only because ns_a was carved
+# first; nothing confines the stack to it.  (The KV interface is
+# shared through the controller in this prototype, exactly like the
+# single-Dev-LSM design of the paper; per-tenant Dev-LSM isolation is the
+# paper's cited follow-on work.)
 opts = LsmOptions(write_buffer_size=256 * KiB,
                   max_bytes_for_level_base=1 * MiB,
                   target_file_size_base=256 * KiB)

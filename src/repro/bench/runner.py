@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..adoc import AdocDb, AdocTunerConfig
-from ..cluster import ROUTER_POLICIES, ClusterDb, make_router
+from ..cluster import ClusterDb, HashRouter
 from ..core import KvaccelDb, RollbackConfig
 from ..device import CpuModel, HybridSsd
 from ..lsm import DbImpl
@@ -99,7 +99,7 @@ class RunSpec:
     duration: Optional[float] = None  # override the profile horizon
     label: Optional[str] = None
     shards: int = 1                  # cluster: shard count
-    router: str = "hash"             # cluster: key-space routing policy
+    router: str = "hash"             # cluster: placement (hash only)
 
     def __post_init__(self) -> None:
         if self.system not in SYSTEMS:
@@ -108,8 +108,8 @@ class RunSpec:
             raise ValueError(f"workload must be one of {sorted(WORKLOADS)}")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
-        if self.router not in ROUTER_POLICIES:
-            raise ValueError(f"router must be one of {ROUTER_POLICIES}")
+        if self.router != "hash":
+            raise ValueError("router must be 'hash'")
 
     @property
     def display(self) -> str:
@@ -117,8 +117,6 @@ class RunSpec:
             return self.label
         if self.system == "cluster":
             name = f"Cluster({self.shards})"
-            if self.router != "hash":
-                name += f"/{self.router}"
             if self.rollback != "disabled":
                 name += {"lazy": "-L", "eager": "-E"}[self.rollback]
             return name
@@ -166,8 +164,7 @@ def _build_cluster(env: Environment, profile: ExperimentProfile,
         shards.append(_build_kvaccel_shard(
             env, profile, spec, name=f"shard{sid}",
             cpu_name=f"shard{sid}.host" if spec.shards > 1 else "host"))
-    router = make_router(spec.router, spec.shards, profile.key_space,
-                         seed=spec.seed)
+    router = HashRouter(spec.shards, seed=spec.seed)
     return ClusterDb(env, shards, router), None, None
 
 
@@ -315,14 +312,6 @@ def run_workload(
     # pollute the measured op population.
     lineage_prof = LineageProfiler(env).install() if lineage else None
 
-    collector = RunCollector(env, spec.display,
-                             sample_period=profile.sample_period)
-    # The run's hosts, shard-id order: what the collector reduces over.
-    stacks = ([(sh.db, sh.ssd, sh.cpu) for sh in db.shards]
-              if isinstance(db, ClusterDb) else [(db, ssd, cpu)])
-    for host, _ssd, _cpu in stacks:
-        collector.attach_db_stats(host.stats)
-
     if wl.kind == "fillrandom":
         driver = FillRandomDriver(env, db, cfg)
     elif wl.kind == "readwhilewriting":
@@ -331,9 +320,13 @@ def run_workload(
                                         read_ratio=wl.read_ratio)
     else:
         driver = SeekRandomDriver(env, db, cfg)
-    # Meters shared with the collector so per-bucket series line up.
-    driver.write_meter = collector.write_meter
-    driver.read_meter = collector.read_meter
+    collector = RunCollector(env, spec.display, driver,
+                             sample_period=profile.sample_period)
+    # The run's hosts, shard-id order: what the collector reduces over.
+    stacks = ([(sh.db, sh.ssd, sh.cpu) for sh in db.shards]
+              if isinstance(db, ClusterDb) else [(db, ssd, cpu)])
+    for host, _ssd, _cpu in stacks:
+        collector.attach_db_stats(host.stats)
 
     proc = driver.start()
     t0 = time.perf_counter_ns()
@@ -344,8 +337,7 @@ def run_workload(
     if hub is not None:
         hub.stop()
 
-    result = collector.result(driver.write_ops, driver.read_ops,
-                              driver.write_bytes, stacks)
+    result = collector.result(stacks)
     result.extra["snapshot"] = (db.snapshot() if hasattr(db, "snapshot")
                                 else db.property_snapshot())
     result.extra["spec"] = spec

@@ -1,7 +1,7 @@
 """repro.cluster: a sharded serving layer over KVACCEL.
 
 N independent KVACCEL shard instances in one DES world and a
-deterministic key-space router in front of them — the substrate every
+deterministic hash router in front of them — the substrate every
 cluster-level question (shard-count scaling, replication and failover,
 resharding, shard isolation under partial failure) is asked on.  See
 MODEL.md's "Cluster clock" note for the determinism contract.
@@ -23,23 +23,13 @@ from .scenario import (
     failover_sweep,
     run_failover_scenario,
 )
-from .router import (
-    ROUTER_POLICIES,
-    HashRouter,
-    RangeRouter,
-    Router,
-    make_router,
-)
+from .router import HashRouter
 
 __all__ = [
     "ClusterDb",
     "ClusterShard",
     "shard_process_name",
-    "Router",
     "HashRouter",
-    "RangeRouter",
-    "make_router",
-    "ROUTER_POLICIES",
     "ShardScopedPlan",
     "arm_shard",
     "ReplicationConfig",

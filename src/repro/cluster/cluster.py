@@ -4,7 +4,7 @@ Each shard is a complete, share-nothing KVACCEL stack — its own host CPU,
 its own hybrid SSD, its own Main-LSM, detector, controller and rollback
 daemon — all scheduled on one shared :class:`~repro.sim.Environment`, so a
 single simulated clock orders every event across the fleet.  A
-:class:`~repro.cluster.router.Router` decides key ownership; the facade
+:class:`~repro.cluster.router.HashRouter` decides key ownership; the facade
 mirrors the single-instance data plane (``put``/``put_batch``/``get``/
 ``delete``/``scan``) so every existing driver runs against a cluster
 unchanged.  It does not pass for one store beyond that: a run's
@@ -51,7 +51,7 @@ from ..sim import Environment
 from .replica import (ACTIVE, BACKUPS, BackupReplica, ReplicaGroup,
                       ReplicationConfig)
 from .reshard import MIGRATE_BATCH, SCAN_CHUNK, Migration
-from .router import HashRouter, Router
+from .router import HashRouter
 
 __all__ = ["ClusterDb", "ClusterShard", "shard_process_name"]
 
@@ -137,7 +137,7 @@ class ClusterShard:
 class ClusterDb:
     """The sharded serving layer: one facade over N KVACCEL shards."""
 
-    def __init__(self, env: Environment, shards: list, router: Router,
+    def __init__(self, env: Environment, shards: list, router: HashRouter,
                  name: str = "cluster",
                  replication: Optional[ReplicationConfig] = None,
                  backups: Optional[list] = None):
@@ -329,47 +329,35 @@ class ClusterDb:
     def scan(self, start_key: bytes, count: int) -> Generator:
         """Cluster range query: per-shard scans merged in key order.
 
-        With a range router only shards whose range can intersect
-        ``[start_key, ...)`` are visited; a hash router scatters keys, so
-        every shard is.  Shard scans run as concurrent named processes
-        (ascending sid) and the merge is by key — each key lives on
-        exactly one shard, so the merged stream has no duplicates; during
-        a migration a moved key may transiently exist on both its old and
-        new shard, and the merge prefers the owner's copy.  Each attempt
-        is admission-gated on the *targeted* replica groups only.
+        The hash router scatters keys, so every shard is visited.  Shard
+        scans run as concurrent named processes (ascending sid) and the
+        merge is by key — each key lives on exactly one shard, so the
+        merged stream has no duplicates; during a migration a moved key
+        may transiently exist on both its old and new shard, and the merge
+        prefers the owner's copy.  Each attempt is admission-gated on
+        every replica group.
         """
         return self._retrying(lambda: self._scan_once(start_key, count),
                               "cluster.scan")
 
-    def _scan_targets(self, start_key: bytes) -> list:
-        ranges = getattr(self.router, "ranges", None)
-        if ranges is None:
-            return self.shards
-        # A shard whose range ends at or below the scan start holds
-        # nothing to return; the last shard also owns [key_space, inf).
-        start = int.from_bytes(start_key, "big")
-        return [sh for sh, (_lo, hi) in zip(self.shards, ranges())
-                if hi > start or sh is self.shards[-1]]
-
     def _scan_once(self, start_key: bytes, count: int) -> Generator:
-        """One scan attempt: admit on every targeted shard, fan out, merge."""
-        single = self._single
-        targets = ([single] if single is not None
-                   else self._scan_targets(start_key))
-        for sh in targets:
+        """One scan attempt: admit on every shard, fan out, merge."""
+        shards = self.shards
+        for sh in shards:
             self._admit(sh.sid)
-        for sh in targets:
+        for sh in shards:
             self._count(sh, "read_ops", 1)
+        single = self._single
         if single is not None:
             return (yield from single.db.scan(start_key, count))
         procs = [self._spawn(sh, sh.db.scan(start_key, count), "scan",
-                             count or 0) for sh in targets]
+                             count or 0) for sh in shards]
         results = yield self.env.all_of(procs)
         mig = self._migration
         if mig is None:
             return list(heapq.merge(*(results[p] for p in procs)))[:count]
         best: dict = {}
-        for sh, p in zip(targets, procs):
+        for sh, p in zip(shards, procs):
             for k, v in results[p]:
                 owner = self.router.route(k)
                 if k in mig.fresh and sh.sid != owner:
@@ -390,8 +378,6 @@ class ClusterDb:
         """
         if self._migration is not None:
             raise RuntimeError("a rebalance is already in progress")
-        if not isinstance(self.router, HashRouter):
-            raise ValueError("seed-bump rebalance needs a HashRouter")
         router = HashRouter(self.router.shards, seed=self.router.seed + 1)
         self._ensure_reshard_telemetry()
         mig = Migration(self.env, self.router, router)

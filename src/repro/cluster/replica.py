@@ -171,7 +171,7 @@ class ReplicaGroup:
         self._applying = False          # replicator mid-apply (promotion barrier)
         # The host-to-host replication pipe.  Its per-frame fault site is
         # the dynamic "shard<N>.repl.transfer".
-        self.link = BandwidthPipe(env, bandwidth=LINK_BANDWIDTH, latency=5e-6,
+        self.link = BandwidthPipe(env, bandwidth=LINK_BANDWIDTH,
                                   name=f"shard{self.sid}.repl")
         env.process(self._replicate(), name=f"shard{self.sid}.repl")
         env.process(self._heartbeat(), name=f"shard{self.sid}.hb")

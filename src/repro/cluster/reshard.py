@@ -34,7 +34,7 @@ to a build of the tree without this module.
 
 from __future__ import annotations
 
-from .router import Router
+from .router import HashRouter
 
 __all__ = ["Migration"]
 
@@ -49,7 +49,8 @@ class Migration:
     """One in-flight rebalance: old placement, new placement, and the
     dual-read / fresh-write bookkeeping for the window in between."""
 
-    def __init__(self, env, old_router: Router, new_router: Router):
+    def __init__(self, env, old_router: HashRouter,
+                 new_router: HashRouter):
         self.env = env
         self.old_router = old_router
         self.new_router = new_router

@@ -1,37 +1,24 @@
-"""Deterministic key-space routers: which shard owns a key.
+"""Deterministic key placement: which shard owns a key.
 
-A router is a pure function of ``(key, configuration)`` — it never touches
-the :class:`~repro.sim.Environment`, consumes no randomness at routing
-time, and is therefore seed-stable across runs *and* across processes
-(unlike ``hash()``, which is salted per interpreter).  That purity is what
-lets the parallel cell runner fan cluster cells out over workers and still
-merge bit-identical results.
+The router is a pure function of ``(key, shards, seed)`` — it never
+touches the :class:`~repro.sim.Environment`, consumes no randomness at
+routing time, and is therefore seed-stable across runs *and* across
+processes (unlike ``hash()``, which is salted per interpreter).  That
+purity is what lets the parallel cell runner fan cluster cells out over
+workers and still merge bit-identical results.
 
-Two policies, mirroring the classic serving-layer split:
-
-* :class:`HashRouter` — a 64-bit mix (FNV-1a fold + splitmix64 finalizer)
-  of the key bytes and a placement seed, reduced mod N.  Spreads any key
-  distribution near-uniformly; the placement seed versions the layout, so
-  a reshard is "same router, new seed".
-* :class:`RangeRouter` — N contiguous, gap-free, non-overlapping ranges
-  over the integer key space (keys here are fixed-width big-endian ints,
-  so byte order == integer order).  Keys at or beyond ``key_space`` clamp
-  into the last shard: every representable key has exactly one owner.
-
-Both expose ``route`` (one key -> one shard id) and ``split_batch``
-(stable partition of a write batch, shard ids ascending, intra-shard
-order preserved) — the partition the cluster's spec-ordered merge
-contract is built on (MODEL.md).
+:class:`HashRouter` is a 64-bit mix (FNV-1a fold + splitmix64 finalizer)
+of the key bytes and a placement seed, reduced mod N.  It spreads any key
+distribution near-uniformly; the placement seed versions the layout, so a
+reshard is "same router, new seed".  It exposes ``route`` (one key -> one
+shard id) and ``split_batch`` (stable partition of a write batch, shard
+ids ascending, intra-shard order preserved) — the partition the cluster's
+spec-ordered merge contract is built on (MODEL.md).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
-__all__ = ["Router", "HashRouter", "RangeRouter", "make_router",
-           "ROUTER_POLICIES"]
-
-ROUTER_POLICIES = ("hash", "range")
+__all__ = ["HashRouter"]
 
 _M64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -47,31 +34,9 @@ def _mix64(h: int) -> int:
     return h ^ (h >> 31)
 
 
-class Router:
-    """Interface: a total, deterministic key -> shard-id map."""
-
-    shards: int
-
-    def route(self, key: bytes) -> int:
-        """Return the owning shard id in ``[0, shards)`` for ``key``."""
-        raise NotImplementedError
-
-    def split_batch(self, pairs: list) -> list:
-        """Partition ``[(key, value), ...]`` into ``[(sid, pairs), ...]``.
-
-        Shard ids ascend and each sub-list preserves the batch's original
-        relative order, so the split (and the cluster's AllOf merge over
-        it) is a pure function of the batch — no dict-iteration or
-        completion-order dependence.
-        """
-        parts: dict[int, list] = {}
-        for pair in pairs:
-            parts.setdefault(self.route(pair[0]), []).append(pair)
-        return [(sid, parts[sid]) for sid in sorted(parts)]
-
-
-class HashRouter(Router):
-    """Seed-stable hash placement over ``shards`` shards."""
+class HashRouter:
+    """Seed-stable hash placement over ``shards`` shards: a total,
+    deterministic key -> shard-id map."""
 
     def __init__(self, shards: int, seed: int = 0):
         if shards < 1:
@@ -86,48 +51,18 @@ class HashRouter(Router):
             h = ((h ^ b) * _FNV_PRIME) & _M64
         return _mix64(h) % self.shards
 
+    def split_batch(self, pairs: list) -> list:
+        """Partition ``[(key, value), ...]`` into ``[(sid, pairs), ...]``.
+
+        Shard ids ascend and each sub-list preserves the batch's original
+        relative order, so the split (and the cluster's AllOf merge over
+        it) is a pure function of the batch — no dict-iteration or
+        completion-order dependence.
+        """
+        parts: dict[int, list] = {}
+        for pair in pairs:
+            parts.setdefault(self.route(pair[0]), []).append(pair)
+        return [(sid, parts[sid]) for sid in sorted(parts)]
+
     def __repr__(self) -> str:
         return f"HashRouter(shards={self.shards}, seed={self.seed})"
-
-
-class RangeRouter(Router):
-    """Contiguous integer-range placement over ``shards`` shards.
-
-    ``key_space`` is split into N even ranges ``[b_i, b_{i+1})`` with
-    ``b_0 = 0``; the last shard additionally owns ``[key_space, inf)`` so
-    coverage is total even for keys outside the advertised space.  Ranges
-    never overlap and leave no gaps — the property tests pin this.
-    """
-
-    def __init__(self, shards: int, key_space: int):
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        if key_space < shards:
-            raise ValueError("key_space must be >= shards")
-        self.shards = shards
-        self.key_space = key_space
-        # b_i = i * key_space // shards: even to within one key, exact
-        # integer arithmetic (no float boundary jitter).
-        self.bounds = [i * key_space // shards for i in range(1, shards)]
-
-    def route(self, key: bytes) -> int:
-        return bisect_right(self.bounds, int.from_bytes(key, "big"))
-
-    def ranges(self) -> list:
-        """``[(lo, hi), ...]`` per shard, half-open, ascending; the final
-        ``hi`` is ``key_space`` (the last shard clamps everything above)."""
-        edges = [0] + self.bounds + [self.key_space]
-        return list(zip(edges[:-1], edges[1:]))
-
-    def __repr__(self) -> str:
-        return f"RangeRouter(shards={self.shards}, key_space={self.key_space})"
-
-
-def make_router(policy: str, shards: int, key_space: int,
-                seed: int = 0) -> Router:
-    """Build a router by policy name (the profile/CLI surface)."""
-    if policy == "hash":
-        return HashRouter(shards, seed=seed)
-    if policy == "range":
-        return RangeRouter(shards, key_space)
-    raise ValueError(f"router policy must be one of {ROUTER_POLICIES}")

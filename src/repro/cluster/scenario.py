@@ -48,7 +48,7 @@ from ..types import encode_key
 from .chaos import ShardScopedPlan
 from .cluster import ClusterDb
 from .replica import BACKUPS, HEARTBEAT_PERIOD, REPLAY, ReplicationConfig
-from .router import make_router
+from .router import HashRouter
 
 __all__ = ["build_replicated_cluster", "run_failover_scenario",
            "failover_sweep", "FailoverReport"]
@@ -56,7 +56,6 @@ __all__ = ["build_replicated_cluster", "run_failover_scenario",
 
 def build_replicated_cluster(env: Environment, shards: int = 2,
                              replication: Optional[ReplicationConfig] = None,
-                             router: str = "hash", key_space: int = 1 << 16,
                              seed: int = 0, detector_period: float = 0.002,
                              resilience=None, options=None) -> ClusterDb:
     """N small shards, each with ``BACKUPS`` standby stacks.
@@ -80,8 +79,7 @@ def build_replicated_cluster(env: Environment, shards: int = 2,
         parts.append(stack(f"shard{sid}"))
         backup_stacks.append([stack(f"shard{sid}b{j}")
                               for j in range(BACKUPS)])
-    return ClusterDb(env, parts,
-                     make_router(router, shards, key_space, seed=seed),
+    return ClusterDb(env, parts, HashRouter(shards, seed=seed),
                      replication=replication, backups=backup_stacks)
 
 

@@ -6,9 +6,9 @@ transfer records its byte count spread over the simulated-time interval it
 occupied, so per-second buckets can be read back as a time series.
 
 :class:`BandwidthPipe` models a shared, FIFO link: a transfer of ``n`` bytes
-holds the pipe for ``latency + n / bandwidth`` seconds and is recorded in
-the pipe's own ledger.  The PCIe link and each shard's replication link are
-the instances; the NAND array keeps its own timing and a byte total.
+holds the pipe for ``PCIE_LATENCY + n / bandwidth`` seconds and is recorded
+in the pipe's own ledger.  The PCIe link and each shard's replication link
+are the instances; the NAND array keeps its own timing and a byte total.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ __all__ = ["TrafficLedger", "BandwidthPipe", "PcieLink", "MACRO_MAX"]
 # releasing and re-requesting their channel between groups so a burst can
 # never starve concurrent traffic for more than one group's service time.
 MACRO_MAX = 16
-# Per-transfer setup latency of the host<->device link (seconds).
+# Per-transfer setup latency of every pipe (seconds): the host<->device
+# link and each shard's replication link.
 PCIE_LATENCY = 5e-6
 
 
@@ -105,7 +106,8 @@ class TrafficLedger:
 
 
 class BandwidthPipe:
-    """A FIFO bandwidth-limited channel with optional per-transfer latency.
+    """A FIFO bandwidth-limited channel with a per-transfer setup latency
+    (:data:`PCIE_LATENCY`).
 
     ``transfer`` is a process generator: ``yield from pipe.transfer(n)``
     blocks the calling process for queueing + service time and records the
@@ -116,17 +118,14 @@ class BandwidthPipe:
         self,
         env: Environment,
         bandwidth: float,
-        latency: float = 0.0,
         name: str = "pipe",
         bucket: float = 1.0,
     ):
         if bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
-        if latency < 0:
-            raise ValueError("latency must be >= 0")
         self.env = env
         self.bandwidth = bandwidth
-        self.latency = latency
+        self.latency = PCIE_LATENCY
         self.ledger = TrafficLedger(bucket)
         self.name = name
         # Probe names, built once: the fault site / span, the burst span
@@ -270,7 +269,6 @@ class PcieLink(BandwidthPipe):
         super().__init__(
             env,
             bandwidth=bandwidth,
-            latency=PCIE_LATENCY,
             name="pcie",
             bucket=bucket,
         )

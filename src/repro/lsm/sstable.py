@@ -200,18 +200,15 @@ class SSTable:
     """Immutable sorted table."""
 
     def __init__(self, file_number: int, entries: Sequence[Entry],
-                 block_size: int = 16 * 1024, bloom_bits_per_key: int = 10,
-                 entry_bytes: Optional[int] = None):
-        """A table of the entry tuples ``entries`` (sorted, key-unique).
-        ``entry_bytes`` is the one size all of them share, when the caller
-        knows it (a memtable of fixed-size entries), and then no entry is
-        sized."""
+                 block_size: int = 16 * 1024, bloom_bits_per_key: int = 10):
+        """A table of the entry tuples ``entries`` (sorted, key-unique);
+        it sizes every entry and finds whether they share one size."""
         columns = to_columns(entries)
         keys = columns[0]
         if not all(map(lt, keys, islice(keys, 1, None))):
             raise ValueError("entries must be sorted and key-unique")
         self._build(file_number, columns, block_size, bloom_bits_per_key,
-                    entry_bytes)
+                    None)
 
     @classmethod
     def from_columns(cls, file_number: int, columns: Columns,
@@ -221,7 +218,10 @@ class SSTable:
         """A table of the rows ``columns`` (memtable flushes, compaction's
         output files, the Dev-LSM's runs); the table keeps the columns as
         they are.  They must be sorted and key-unique, as a memtable's
-        ``columns()`` and the merge make them; this is not checked."""
+        ``columns()`` and the merge make them; this is not checked.
+        ``entry_bytes`` is the one size every row shares, when the caller
+        knows it (a memtable of fixed-size entries, a merge of tables that
+        share one), and then no row is sized."""
         table = cls.__new__(cls)
         table._build(file_number, columns, block_size, bloom_bits_per_key,
                      entry_bytes)

@@ -160,9 +160,6 @@ class Version:
     def l0_count(self) -> int:
         return len(self.levels[0])
 
-    def total_bytes(self) -> int:
-        return sum(self._level_bytes)
-
     def overlapping_files(self, level: int, smallest: bytes,
                           largest: bytes) -> list:
         files = self.levels[level]

@@ -1,9 +1,9 @@
 """Run-level metrics collection.
 
 One :class:`RunCollector` per experiment run wires per-second samplers onto
-a DB's counters and owns the latency histograms.  At the end of a run it
-produces a :class:`RunResult` — the object every benchmark prints and
-asserts against.
+the workload driver's op counts and owns the latency histograms.  At the
+end of a run it produces a :class:`RunResult` — the object every benchmark
+prints and asserts against.
 
 A run's hosts are a list of stacks, ``[(db, ssd, cpu), ...]`` in shard-id
 order — one entry for a single store, one per shard for a cluster.  Every
@@ -17,7 +17,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..sim import Environment, PeriodicSampler, RateMeter
+from ..sim import Environment, PeriodicSampler
 from .efficiency import efficiency
 from .histogram import LatencyHistogram, tee
 
@@ -117,31 +117,51 @@ class RunResult:
         return cls(**kwargs)
 
 
-class RunCollector:
-    """Wires samplers + histograms onto a run."""
+def _ops_per_bucket(driver, count: str):
+    """A sampler callback: the ops ``driver`` counted in its ``count``
+    attribute since the callback's previous call, as a float."""
+    last = 0
 
-    def __init__(self, env: Environment, name: str, sample_period: float = 1.0):
+    def take_delta() -> float:
+        nonlocal last
+        now = getattr(driver, count)
+        delta, last = now - last, now
+        return float(delta)
+
+    return take_delta
+
+
+class RunCollector:
+    """Wires samplers + histograms onto a run.
+
+    ``driver`` is the run's workload driver: the collector samples its
+    ``write_ops``/``read_ops`` counts once a period into the per-bucket
+    op series, and :meth:`result` reports its totals."""
+
+    def __init__(self, env: Environment, name: str, driver,
+                 sample_period: float = 1.0):
         self.env = env
         self.name = name
+        self.driver = driver
         self.sample_period = sample_period
-        self.write_meter = RateMeter()
-        self.read_meter = RateMeter()
         self.write_hist = LatencyHistogram()
         self.read_hist = LatencyHistogram()
         self._write_sampler = PeriodicSampler(
-            env, self.write_meter.take_delta, sample_period, name=f"{name}.wr")
+            env, _ops_per_bucket(driver, "write_ops"), sample_period,
+            name=f"{name}.wr")
         self._read_sampler = PeriodicSampler(
-            env, self.read_meter.take_delta, sample_period, name=f"{name}.rd")
+            env, _ops_per_bucket(driver, "read_ops"), sample_period,
+            name=f"{name}.rd")
         self._t0 = env.now
-        # A traced run streams both op counters into the Chrome trace as
+        # A traced run streams both op counts into the Chrome trace as
         # "C" events, one sample per period.
         self._trace_sampler = None
         if env.tracer is not None:
-            tracer, writes, reads = env.tracer, self.write_meter, self.read_meter
+            tracer = env.tracer
 
             def sample() -> None:
-                tracer.counter(f"{name}.write_ops", writes.total)
-                tracer.counter(f"{name}.read_ops", reads.total)
+                tracer.counter(f"{name}.write_ops", float(driver.write_ops))
+                tracer.counter(f"{name}.read_ops", float(driver.read_ops))
 
             self._trace_sampler = PeriodicSampler(
                 env, sample, sample_period, name=f"{name}.trace")
@@ -158,20 +178,21 @@ class RunCollector:
         if self._trace_sampler is not None:
             self._trace_sampler.stop()
 
-    def result(self, write_ops: int, read_ops: int, write_bytes: int,
-               stacks=()) -> RunResult:
-        """The run's RunResult; stall, CPU and PCIe fields are reduced over
-        ``stacks`` (``[(db, ssd, cpu), ...]``, shard-id order): counters and
-        the stall breakdown summed, stall intervals heap-merged, host CPU
-        the mean over the stacks, the PCIe series summed bucket by bucket."""
+    def result(self, stacks=()) -> RunResult:
+        """The run's RunResult: the driver's op and byte totals; stall, CPU
+        and PCIe fields are reduced over ``stacks`` (``[(db, ssd, cpu),
+        ...]``, shard-id order): counters and the stall breakdown summed,
+        stall intervals heap-merged, host CPU the mean over the stacks, the
+        PCIe series summed bucket by bucket."""
         now = self.env.now
         duration = now - self._t0
+        driver = self.driver
         res = RunResult(
             name=self.name,
             duration=duration,
-            write_ops=write_ops,
-            read_ops=read_ops,
-            write_bytes=write_bytes,
+            write_ops=driver.write_ops,
+            read_ops=driver.read_ops,
+            write_bytes=driver.write_bytes,
             times=list(self._write_sampler.times),
             write_ops_series=list(self._write_sampler.values),
             read_ops_series=list(self._read_sampler.values),

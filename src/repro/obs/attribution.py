@@ -7,27 +7,24 @@ for every stall span the report lists the latched
 entry (L0 count, immutable backlog, compaction debt), how much compaction
 ran concurrently with the stall window, and how many bytes the Dev-LSM
 absorbed through the KV interface while the main path was blocked.
+
+Every analysis here reads the span dicts that
+:func:`~repro.obs.export.spans_from_chrome` returns (``cat``, ``name``,
+``actor``, ``t0``, ``t1``, ``args``): the trace file is the input, whether
+the run that wrote it is still in memory or not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
-
-from .tracer import SpanRecord, Tracer
+from typing import Iterable, Optional
 
 __all__ = ["StallAttribution", "stall_attribution", "attribution_report",
            "top_spans"]
 
-SpanLike = Union[SpanRecord, dict]
 
-
-def _fields(span: SpanLike) -> tuple:
-    """(cat, name, actor, t0, t1, args) for SpanRecord or chrome dict."""
-    if isinstance(span, SpanRecord):
-        return (span.cat, span.name, span.actor, span.t0,
-                span.t1 if span.t1 is not None else span.t0,
-                span.args or {})
+def _fields(span: dict) -> tuple:
+    """(cat, name, actor, t0, t1, args) of a span dict."""
     return (span.get("cat", ""), span.get("name", ""),
             span.get("actor", ""), span["t0"], span["t1"],
             span.get("args") or {})
@@ -58,16 +55,9 @@ class StallAttribution:
         return self.end - self.start
 
 
-def _spans(source: Union[Tracer, Iterable[SpanLike]]) -> list[SpanLike]:
-    if isinstance(source, Tracer):
-        return list(source.spans())
-    return [s for s in source]
-
-
-def stall_attribution(source: Union[Tracer, Iterable[SpanLike]]
-                      ) -> list[StallAttribution]:
-    """Attribute every stall span in a tracer (or chrome span list)."""
-    spans = _spans(source)
+def stall_attribution(spans: Iterable[dict]) -> list[StallAttribution]:
+    """Attribute every stall span among ``spans``."""
+    spans = list(spans)
     out: list[StallAttribution] = []
     for span in spans:
         cat, _name, _actor, t0, t1, args = _fields(span)
@@ -98,10 +88,10 @@ def stall_attribution(source: Union[Tracer, Iterable[SpanLike]]
     return out
 
 
-def attribution_report(source: Union[Tracer, Iterable[SpanLike]],
+def attribution_report(spans: Iterable[dict],
                        title: str = "Stall attribution") -> str:
     """Human-readable per-stall table (the ``--report`` output)."""
-    atts = stall_attribution(source)
+    atts = stall_attribution(spans)
     lines = [title, "=" * len(title)]
     if not atts:
         lines.append("no stall spans in trace")
@@ -133,11 +123,11 @@ def attribution_report(source: Union[Tracer, Iterable[SpanLike]],
     return "\n".join(lines)
 
 
-def top_spans(source: Union[Tracer, Iterable[SpanLike]], n: int = 5
+def top_spans(spans: Iterable[dict], n: int = 5
               ) -> dict[str, list[tuple[float, str, float]]]:
     """Per category, the ``n`` longest spans as (duration, name, t0)."""
     by_cat: dict[str, list[tuple[float, str, float]]] = {}
-    for span in _spans(source):
+    for span in spans:
         cat, name, _actor, t0, t1, _args = _fields(span)
         by_cat.setdefault(cat, []).append((t1 - t0, name, t0))
     return {

@@ -148,8 +148,8 @@ def load_chrome_trace(path: str) -> dict:
 def spans_from_chrome(doc: dict) -> list[dict]:
     """Span-like dicts (cat/name/actor/t0/t1/args) from a Chrome doc.
 
-    The inverse of :func:`chrome_trace_events` for ``X`` events — what the
-    analysis CLI uses when it only has the JSON file, not the Tracer.
+    The inverse of :func:`chrome_trace_events` for ``X`` events, and the
+    one input the analyses of :mod:`repro.obs.attribution` read.
     """
     tid_names = {}
     for ev in doc.get("traceEvents", []):

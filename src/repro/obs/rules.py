@@ -175,6 +175,110 @@ class HealthMonitor:
                 f"events={len(self.events)}, active={sorted(self.active)})")
 
 
+# WriteController state encoding on the wc.state gauge channel.
+DELAYED, STOPPED = 1.0, 2.0
+
+
+def _instance(rule: str, shard: Optional[int]) -> str:
+    """A rule's name: the fleet rule's own, or ``rule.shard{k}``."""
+    return rule if shard is None else f"{rule}.shard{shard}"
+
+
+def _event_data(shard: Optional[int], data: dict) -> dict:
+    """An event's data: a per-shard instance names its shard first."""
+    return data if shard is None else {"shard": shard, **data}
+
+
+def _stall_storm(period: float, stall_time: str, state: Optional[str] = None,
+                 shard: Optional[int] = None) -> HealthRule:
+    """Write stalls in at least 30 % of a 10-bucket window.  A bucket is
+    stalled when over half of it was spent in ``stall_time`` or, where
+    the store publishes a write-controller ``state`` gauge, when it ends
+    STOPPED."""
+
+    def stall_storm(win):
+        stalled = sum(1 for s in win
+                      if (state is not None and _get(s, state) == STOPPED)
+                      or _get(s, stall_time) > 0.5 * period)
+        frac = stalled / len(win)
+        return frac >= 0.3, _event_data(shard,
+                                         {"stalled_frac": round(frac, 3)})
+
+    where = "" if shard is None else f" on shard {shard}"
+    return HealthRule(_instance("stall_storm", shard), "critical", 10,
+                      stall_storm,
+                      f"write stalls dominate a 10-bucket window{where}")
+
+
+def _degraded_mode_entered(state: str,
+                           shard: Optional[int] = None) -> HealthRule:
+    """The resilience ``state`` gauge (HEALTHY=0 / RECOVERING=1 /
+    DEGRADED=2) reads DEGRADED; a missing channel reads 0.0, so a store
+    without the resilience stack can never trip it."""
+
+    def degraded_mode_entered(win):
+        value = _get(win[-1], state)
+        return value >= 2.0, _event_data(shard, {"resil_state": value})
+
+    description = (
+        "resilience state machine entered DEGRADED: Dev-LSM admission "
+        "suspended, all writes on Main-LSM" if shard is None else
+        f"shard {shard} entered DEGRADED: Dev-LSM admission suspended")
+    return HealthRule(_instance("degraded_mode_entered", shard), "critical",
+                      1, degraded_mode_entered, description)
+
+
+def _retry_storm(rate: float, period: float, retries: str,
+                 shard: Optional[int] = None) -> HealthRule:
+    """At least ``rate`` device-command retries a second, averaged over a
+    3-bucket window.  Retries are recoverable by design, but a storm of
+    them means the device is flapping: this flags sustained retry
+    pressure before the degradation threshold turns it into an outage."""
+    storm_retries = rate * period
+
+    def retry_storm(win):
+        avg = sum(_get(s, retries) for s in win) / len(win)
+        return avg >= storm_retries, _event_data(
+            shard, {"retries_per_bucket": round(avg, 1)})
+
+    where = "" if shard is None else f" on shard {shard}"
+    return HealthRule(_instance("retry_storm", shard), "warning", 3,
+                      retry_storm,
+                      f"sustained device-command retry pressure{where}")
+
+
+def _shard_failover(failovers: str, shard: int) -> HealthRule:
+    """Replica-group promotion: the cluster bumps the per-shard
+    ``failovers`` rate channel exactly once per completed failover, so any
+    positive bucket is a promotion edge.  The channel only exists on
+    replicated clusters; elsewhere this reads 0 forever."""
+
+    def shard_failover(win):
+        n = _get(win[-1], failovers)
+        return n > 0, {"shard": shard, "failovers": n}
+
+    return HealthRule(_instance("shard_failover", shard), "critical", 1,
+                      shard_failover,
+                      f"shard {shard} failed over to a promoted backup")
+
+
+def _rebalance_stuck() -> HealthRule:
+    """A rebalance that stops making progress: the migration is active for
+    a whole window but the moved-keys gauge never advances (e.g. the
+    driver is starved or wedged behind a dead shard)."""
+
+    def rebalance_stuck(win):
+        active = all(_get(s, "cluster.reshard.active") > 0 for s in win)
+        moved0 = _get(win[0], "cluster.reshard.moved")
+        moved1 = _get(win[-1], "cluster.reshard.moved")
+        return (active and moved1 <= moved0,
+                {"moved_keys": moved1})
+
+    return HealthRule(
+        "rebalance_stuck", "warning", 5, rebalance_stuck,
+        "live resharding active for a full window with no key movement")
+
+
 def default_rules(period: float = 1.0,
                   delayed_write_rate: float = 16 * MiB,
                   retry_storm_rate: float = RETRY_STORM_RATE
@@ -184,15 +288,6 @@ def default_rules(period: float = 1.0,
     ``period`` scales byte-per-bucket thresholds; windows stay in buckets
     (1 paper-second == 1 bucket under the mini profiles).
     """
-    # WriteController state encoding on the wc.state gauge channel.
-    DELAYED, STOPPED = 1.0, 2.0
-
-    def stall_storm(win):
-        stalled = sum(1 for s in win if _get(s, "wc.state") == STOPPED
-                      or _get(s, "wc.stall_time") > 0.5 * period)
-        frac = stalled / len(win)
-        return frac >= 0.3, {"stalled_frac": round(frac, 3)}
-
     # "Idle" link: both directions together below 0.5% of what the device
     # could move in one bucket.
     idle_bytes = 0.005 * DEVICE_PEAK_BW * period
@@ -233,26 +328,8 @@ def default_rules(period: float = 1.0,
         return bad, {"floor_ops": floor_ops,
                      "write_ops": _get(win[-1], "lsm.write_ops")}
 
-    # Resilience layer (repro.resil): the resil.state gauge encodes
-    # HEALTHY=0 / RECOVERING=1 / DEGRADED=2; a missing channel reads 0.0,
-    # so systems without the resilience stack can never trip these.
-    def degraded_mode_entered(win):
-        state = _get(win[-1], "resil.state")
-        return state >= 2.0, {"resil_state": state}
-
-    # Retries are recoverable by design, but a storm of them means the
-    # device is flapping — flag sustained retry pressure before the
-    # degradation threshold turns it into an outage.
-    storm_retries = retry_storm_rate * period
-
-    def retry_storm(win):
-        total = sum(_get(s, "resil.retries") for s in win)
-        avg = total / len(win)
-        return avg >= storm_retries, {"retries_per_bucket": round(avg, 1)}
-
     return [
-        HealthRule("stall_storm", "critical", 10, stall_storm,
-                   "write stalls dominate a 10-bucket window"),
+        _stall_storm(period, "wc.stall_time", state="wc.state"),
         HealthRule("zero_traffic_while_stalled", "critical", 2,
                    zero_traffic_while_stalled,
                    "host blocked on stall while the PCIe link sits idle"),
@@ -261,12 +338,10 @@ def default_rules(period: float = 1.0,
                    "rollback active but Dev-LSM footprint not shrinking"),
         HealthRule("delayed_rate_floor", "warning", 5, delayed_rate_floor,
                    "slowdown throttled writes below the delayed-rate floor"),
-        HealthRule("degraded_mode_entered", "critical", 1,
-                   degraded_mode_entered,
-                   "resilience state machine entered DEGRADED: Dev-LSM "
-                   "admission suspended, all writes on Main-LSM"),
-        HealthRule("retry_storm", "warning", 3, retry_storm,
-                   "sustained device-command retry pressure"),
+        # Resilience layer (repro.resil): systems without it export
+        # neither channel and never trip these.
+        _degraded_mode_entered("resil.state"),
+        _retry_storm(retry_storm_rate, period, "resil.retries"),
     ]
 
 
@@ -274,72 +349,24 @@ def cluster_shard_rules(shards: int, period: float = 1.0) -> list[HealthRule]:
     """Per-shard instances of the cluster-relevant rules.
 
     One ``stall_storm`` + ``degraded_mode_entered`` + ``retry_storm``
-    triple per shard, reading the ``cluster.shard{k}.*`` channels the
-    cluster facade publishes, with the shard id carried in both the rule
-    name and the emitted event's ``data`` — so a fleet dashboard can
-    tell *which* shard is storming, not just that one is.  The retry
-    channel only exists on resilience-enabled shards; elsewhere the
-    rule reads 0 and stays quiet.
+    triple per shard — built by the fleet rules' own factories over the
+    ``cluster.shard{k}.*`` channels the cluster facade publishes — plus
+    a ``shard_failover`` rule per shard and one ``rebalance_stuck``.  The
+    shard id is carried in both the rule name and the emitted event's
+    ``data``, so a fleet dashboard can tell *which* shard is storming,
+    not just that one is.  The retry channel only exists on
+    resilience-enabled shards; elsewhere the rule reads 0 and stays
+    quiet.
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
-    storm_retries = RETRY_STORM_RATE * period
     rules: list[HealthRule] = []
     for k in range(shards):
-        stall_ch = f"cluster.shard{k}.stall_time"
-        resil_ch = f"cluster.shard{k}.resil_state"
-        retry_ch = f"cluster.shard{k}.retries"
-
-        def shard_stall_storm(win, _ch=stall_ch, _k=k):
-            stalled = sum(1 for s in win if _get(s, _ch) > 0.5 * period)
-            frac = stalled / len(win)
-            return frac >= 0.3, {"shard": _k,
-                                 "stalled_frac": round(frac, 3)}
-
-        def shard_degraded(win, _ch=resil_ch, _k=k):
-            state = _get(win[-1], _ch)
-            return state >= 2.0, {"shard": _k, "resil_state": state}
-
-        def shard_retry_storm(win, _ch=retry_ch, _k=k):
-            avg = sum(_get(s, _ch) for s in win) / len(win)
-            return avg >= storm_retries, {"shard": _k,
-                                          "retries_per_bucket": round(avg, 1)}
-
-        # Replica-group promotion: the cluster bumps the per-shard
-        # ``failovers`` rate channel exactly once per completed failover,
-        # so any positive bucket is a promotion edge.  The channel only
-        # exists on replicated clusters; elsewhere this reads 0 forever.
-        failover_ch = f"cluster.shard{k}.failovers"
-
-        def shard_failover(win, _ch=failover_ch, _k=k):
-            n = _get(win[-1], _ch)
-            return n > 0, {"shard": _k, "failovers": n}
-
-        rules.append(HealthRule(
-            f"stall_storm.shard{k}", "critical", 10, shard_stall_storm,
-            f"write stalls dominate a 10-bucket window on shard {k}"))
-        rules.append(HealthRule(
-            f"degraded_mode_entered.shard{k}", "critical", 1,
-            shard_degraded,
-            f"shard {k} entered DEGRADED: Dev-LSM admission suspended"))
-        rules.append(HealthRule(
-            f"retry_storm.shard{k}", "warning", 3, shard_retry_storm,
-            f"sustained device-command retry pressure on shard {k}"))
-        rules.append(HealthRule(
-            f"shard_failover.shard{k}", "critical", 1, shard_failover,
-            f"shard {k} failed over to a promoted backup"))
-
-    # A rebalance that stops making progress: the migration is active for
-    # a whole window but the moved-keys gauge never advances (e.g. the
-    # driver is starved or wedged behind a dead shard).
-    def rebalance_stuck(win):
-        active = all(_get(s, "cluster.reshard.active") > 0 for s in win)
-        moved0 = _get(win[0], "cluster.reshard.moved")
-        moved1 = _get(win[-1], "cluster.reshard.moved")
-        return (active and moved1 <= moved0,
-                {"moved_keys": moved1})
-
-    rules.append(HealthRule(
-        "rebalance_stuck", "warning", 5, rebalance_stuck,
-        "live resharding active for a full window with no key movement"))
+        ch = f"cluster.shard{k}"
+        rules.append(_stall_storm(period, f"{ch}.stall_time", shard=k))
+        rules.append(_degraded_mode_entered(f"{ch}.resil_state", shard=k))
+        rules.append(_retry_storm(RETRY_STORM_RATE, period, f"{ch}.retries",
+                                  shard=k))
+        rules.append(_shard_failover(f"{ch}.failovers", k))
+    rules.append(_rebalance_stuck())
     return rules

@@ -14,7 +14,7 @@ from .core import (
 )
 from .eventqueue import EventQueue
 from .resources import PriorityResource, Request, Resource, Store
-from .samplers import PeriodicSampler, RateMeter
+from .samplers import PeriodicSampler
 
 __all__ = [
     "AllOf",
@@ -30,7 +30,6 @@ __all__ = [
     "Resource",
     "Store",
     "PeriodicSampler",
-    "RateMeter",
     "EventQueue",
     "MacroStats",
     "Probes",

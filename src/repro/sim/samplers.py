@@ -12,27 +12,7 @@ from typing import Callable, Optional
 
 from .core import Environment, Process
 
-__all__ = ["PeriodicSampler", "RateMeter"]
-
-
-class RateMeter:
-    """Counts discrete occurrences and exposes deltas between samples.
-
-    Used for ops/s: the workload driver calls :meth:`add` per completed op,
-    and the sampler reads :meth:`take_delta` once per second.
-    """
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self._last = 0.0
-
-    def add(self, amount: float = 1.0) -> None:
-        self.total += amount
-
-    def take_delta(self) -> float:
-        delta = self.total - self._last
-        self._last = self.total
-        return delta
+__all__ = ["PeriodicSampler"]
 
 
 class PeriodicSampler:

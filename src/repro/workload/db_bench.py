@@ -1,9 +1,11 @@
 """db_bench-style workload drivers.
 
 Each driver is a simulation process generator that pushes operations at a
-DB facade (``put_batch``/``get``/``scan``) until a deadline, feeding
-:class:`~repro.sim.RateMeter` s so per-second throughput series come out
-exactly like db_bench's ``-stats_interval_seconds 1`` report.
+DB facade (``put_batch``/``get``/``scan``) until a deadline, counting its
+ops in ``write_ops``/``read_ops``; the run's
+:class:`~repro.metrics.RunCollector` samples those counts once a period,
+so per-second throughput series come out exactly like db_bench's
+``-stats_interval_seconds 1`` report.
 
 Drivers are system-agnostic: the same driver runs RocksDB-sim, ADOC, and
 KVACCEL, which is what makes the cross-system figures apples-to-apples.
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional
 
-from ..sim import Environment, Process, RateMeter
+from ..sim import Environment, Process
 from ..types import ValueRef
 from .keygen import RandomKeys
 
@@ -51,8 +53,6 @@ class _DriverBase:
         self.env = env
         self.db = db
         self.config = config
-        self.write_meter = RateMeter()
-        self.read_meter = RateMeter()
         self.write_ops = 0
         self.read_ops = 0
         self.write_bytes = 0
@@ -78,7 +78,6 @@ class _DriverBase:
                 p.op_end(ctx)
             n = len(batch)
             self.write_ops += n
-            self.write_meter.add(n)
             self.write_bytes += n * per_entry
         return self.write_ops
 
@@ -124,7 +123,6 @@ class ReadWhileWritingDriver(_DriverBase):
             finally:
                 p.op_end(ctx)
             self.read_ops += 1
-            self.read_meter.add()
         return self.read_ops
 
 
@@ -156,7 +154,6 @@ class SeekRandomDriver(_DriverBase):
             self.entries_scanned += got
             # db_bench counts each Seek+Next as ops; we count entries
             self.read_ops += got + 1
-            self.read_meter.add(got + 1)
         return self.seeks
 
 

@@ -22,7 +22,7 @@ import io
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..sim import Environment, Process, RateMeter
+from ..sim import Environment, Process
 from .db_bench import BATCH_SIZE
 from .keygen import value_for
 
@@ -175,7 +175,7 @@ class TraceRecorder:
 
 
 class TraceReplayDriver:
-    """Replay a trace against a DB, with metering like the other drivers.
+    """Replay a trace against a DB, counting ops like the other drivers.
 
     Operations replay back-to-back (the recorded think times are not
     waited out) — apples to apples for system comparisons — and puts go
@@ -186,8 +186,6 @@ class TraceReplayDriver:
         self.env = env
         self.db = db
         self.trace = trace
-        self.write_meter = RateMeter()
-        self.read_meter = RateMeter()
         self.write_ops = 0
         self.read_ops = 0
         self.write_bytes = 0
@@ -212,15 +210,12 @@ class TraceReplayDriver:
             if op.op == "get":
                 yield from self.db.get(op.key)
                 self.read_ops += 1
-                self.read_meter.add()
             elif op.op == "del":
                 yield from self.db.delete(op.key)
                 self.write_ops += 1
-                self.write_meter.add()
             elif op.op == "scan":
                 out = yield from self.db.scan(op.key, op.count)
                 self.read_ops += len(out) + 1
-                self.read_meter.add(len(out) + 1)
         if batch:
             yield from self._flush_batch(batch)
         return self.write_ops + self.read_ops
@@ -228,7 +223,5 @@ class TraceReplayDriver:
     def _flush_batch(self, batch: list):
         from ..types import value_size as vsize
         yield from self.db.put_batch(batch)
-        n = len(batch)
-        self.write_ops += n
-        self.write_meter.add(n)
+        self.write_ops += len(batch)
         self.write_bytes += sum(len(k) + vsize(v) + 8 for k, v in batch)

@@ -10,8 +10,8 @@ healthy device.  Two phases:
   differential oracle *per shard* tracking every op; after drain +
   final rollback, no shard may have lost or corrupted data (the faulty
   shard's failed redirects fall back to its Main-LSM).
-* **isolation** — an open-loop write load pinned to each shard's slice
-  of the range router; the healthy shards' write p99 must stay within
+* **isolation** — an open-loop write load pinned to each shard (keys
+  the router places there); the healthy shards' write p99 must stay within
   tolerance of a fault-free control run with the same seed, and the
   blast radius must be exactly shard 1 (the scoped plans'
   ``foreign_hits`` prove healthy shards reached the sites and were
@@ -46,15 +46,14 @@ from repro.types import encode_key  # noqa: E402
 
 SHARDS = 3
 FAULTY = 1
-KEY_SPACE = 1 << 16
 WRITE_SITES = ("kv.put.submit", "kv.put_batch.submit", "kv.delete.submit")
 
 
 
 def _make_cluster(env, seed, with_fault):
     cluster, registry = make_cluster_system(
-        env, shards=SHARDS, router="range", key_space=KEY_SPACE,
-        with_faults=True, seed=seed, resilience=SMALL_RESILIENCE)
+        env, shards=SHARDS, with_faults=True, seed=seed,
+        resilience=SMALL_RESILIENCE)
     scoped = []
     if with_fault:
         action = FaultAction(FAIL, note="persistent")

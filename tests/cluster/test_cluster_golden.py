@@ -90,15 +90,14 @@ def test_one_shard_cluster_matches_plain_kvaccel_reads():
 KEY_SPACE = 256
 
 
-def _facade_trajectory(shards, router, lineage):
+def _facade_trajectory(shards, lineage):
     """Drive every facade verb over an unreplicated cluster; return the
     per-phase ack times, a digest of every ack time and read result, the
     final clock and the kernel event count."""
     env = Environment()
     if lineage:
         LineageProfiler(env).install()
-    cluster, _ = make_cluster_system(env, shards=shards, router=router,
-                                     key_space=KEY_SPACE, rollback="eager")
+    cluster, _ = make_cluster_system(env, shards=shards, rollback="eager")
     keys = [encode_key(i * 37 % KEY_SPACE) for i in range(64)]
     owned = [k for k in keys if cluster.router.route(k) == 1][:6]
     acks, phases, reads = [], [], []
@@ -139,33 +138,24 @@ def _facade_trajectory(shards, router, lineage):
 
 
 FACADE_GOLDEN = {
-    (2, "hash"): (
+    2: (
         [0.015992860925674465, 0.015992860925674465, 0.016016860925674465,
          0.017011370406150843, 0.017035370406150847, 0.017100370406150867,
          0.01712437040615087, 0.01713637040615087, 0.017148370406150873],
         "e8fe799e17fb93a3", 0.017148370406150873, 375),
-    (2, "range"): (
-        [0.01599286092567446, 0.01599286092567446, 0.016016860925674458,
-         0.017013739559173607, 0.01703773955917361, 0.01710273955917363,
-         0.017126739559173633, 0.017138739559173635, 0.017150739559173636],
-        "36341ef5d6f481da", 0.017150739559173636, 372),
-    (4, "hash"): (
+    4: (
         [0.015191552455902127, 0.015191552455902127, 0.016065015160560636,
          0.016902323630332977, 0.01692632363033298, 0.016991323630333,
          0.017015323630333003, 0.017027323630333005, 0.017039323630333007],
         "01737d9019eec6c3", 0.017039323630333007, 445),
-    (4, "range"): (
-        [0.014390243986129774, 0.014390243986129774, 0.015225183302879346,
-         0.016133907701492322, 0.016157907701492325, 0.016222907701492345,
-         0.016246907701492348, 0.01625890770149235, 0.01627090770149235],
-        "f9ed38811e7ed066", 0.01627090770149235, 437),
 }
 
 
 @pytest.mark.parametrize("lineage", [False, True], ids=["plain", "lineage"])
-@pytest.mark.parametrize("shards,router", sorted(FACADE_GOLDEN))
-def test_unreplicated_facade_trajectory_is_pinned(shards, router, lineage):
-    got = _facade_trajectory(shards, router, lineage)
-    assert got == FACADE_GOLDEN[(shards, router)], (
+@pytest.mark.parametrize("shards", sorted(FACADE_GOLDEN),
+                         ids=lambda shards: f"{shards}-hash")
+def test_unreplicated_facade_trajectory_is_pinned(shards, lineage):
+    got = _facade_trajectory(shards, lineage)
+    assert got == FACADE_GOLDEN[shards], (
         "the unreplicated facade no longer replays the pinned trajectory "
         "- the single data path added, dropped or reordered an event")

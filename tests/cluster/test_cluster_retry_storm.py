@@ -41,7 +41,6 @@ from repro.sim import Environment  # noqa: E402
 
 SHARDS = 3
 FAULTY = 1
-KEY_SPACE = 1 << 16
 WRITE_SITES = ("kv.put.submit", "kv.put_batch.submit", "kv.delete.submit")
 PERIOD = 0.02          # telemetry bucket (s)
 STORM_RATE = 100.0     # retries/s that count as a storm (2 per bucket)
@@ -66,8 +65,7 @@ def _make_storm_cluster(env, seed, with_fault):
     """
     hub = TelemetryHub(env, period=PERIOD).install(env)
     cluster, registry = make_cluster_system(
-        env, shards=SHARDS, router="range", key_space=KEY_SPACE,
-        with_faults=True, seed=seed, resilience=RESIL)
+        env, shards=SHARDS, with_faults=True, seed=seed, resilience=RESIL)
     with mock.patch.object(rules_mod, "RETRY_STORM_RATE", STORM_RATE):
         monitor = HealthMonitor(hub, cluster_shard_rules(SHARDS,
                                                          period=PERIOD))

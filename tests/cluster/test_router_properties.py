@@ -1,4 +1,4 @@
-"""Property tests for the cluster key-space routers.
+"""Property tests for the cluster's hash router.
 
 Invariants the serving layer is built on:
 
@@ -7,9 +7,6 @@ Invariants the serving layer is built on:
 * seed stability — a hash router rebuilt with the same (shards, seed)
   routes identically (routing never consults interpreter state, unlike
   builtin ``hash``), and a different placement seed actually moves keys;
-* range coverage — range ranges tile ``[0, key_space)`` with no gaps and
-  no overlaps, boundary keys land in the upper range, and out-of-space
-  keys clamp into the last shard;
 * batch splitting — ``split_batch`` is a permutation-free partition:
   ascending shard ids, intra-shard order preserved, nothing lost or
   duplicated.
@@ -23,7 +20,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from repro.cluster import HashRouter, RangeRouter, make_router  # noqa: E402
+from repro.cluster import HashRouter  # noqa: E402
 from repro.types import encode_key  # noqa: E402
 
 keys_strategy = st.lists(st.binary(min_size=1, max_size=12),
@@ -62,59 +59,12 @@ def test_hash_router_seed_changes_placement(seed):
 
 
 @settings(max_examples=100, deadline=None)
-@given(shards=st.integers(1, 32), space_mult=st.integers(1, 1000))
-def test_range_router_covers_keyspace_no_gaps_no_overlaps(shards,
-                                                          space_mult):
-    key_space = shards * space_mult
-    r = RangeRouter(shards, key_space)
-    ranges = r.ranges()
-    assert len(ranges) == shards
-    # Tiling: starts at 0, ends at key_space, each range begins where the
-    # previous ended (no gap, no overlap), and no range is empty... except
-    # that even splits of tiny spaces may give width-0 ranges only when
-    # key_space == shards would force it — the constructor forbids
-    # key_space < shards, so every range has width >= 0 and the
-    # boundaries are monotone.
-    assert ranges[0][0] == 0
-    assert ranges[-1][1] == key_space
-    for (lo1, hi1), (lo2, hi2) in zip(ranges, ranges[1:]):
-        assert hi1 == lo2
-        assert lo1 <= hi1 and lo2 <= hi2
-
-
-@settings(max_examples=100, deadline=None)
-@given(shards=st.integers(1, 16), space_mult=st.integers(1, 64),
-       ks=st.lists(st.integers(0, 2**20), min_size=1, max_size=64))
-def test_range_router_routes_into_owning_range(shards, space_mult, ks):
-    key_space = shards * space_mult
-    r = RangeRouter(shards, key_space)
-    ranges = r.ranges()
-    for k in ks:
-        sid = r.route(encode_key(k, 4))
-        assert 0 <= sid < shards
-        lo, hi = ranges[sid]
-        if k >= key_space:
-            assert sid == shards - 1        # clamp rule
-        else:
-            assert lo <= k < hi
-
-
-def test_range_router_boundary_keys_go_up():
-    # A key exactly on an internal boundary b_i starts the upper range.
-    r = RangeRouter(4, 1000)
-    for sid, b in enumerate(r.bounds, start=1):
-        assert r.route(encode_key(b, 4)) == sid
-        assert r.route(encode_key(b - 1, 4)) == sid - 1
-
-
-@settings(max_examples=100, deadline=None)
-@given(policy=st.sampled_from(["hash", "range"]),
-       shards=st.integers(1, 16),
+@given(shards=st.integers(1, 16),
        pairs=st.lists(st.tuples(st.integers(0, 2**16 - 1),
                                 st.integers(0, 255)),
                       min_size=0, max_size=80))
-def test_split_batch_is_a_stable_partition(policy, shards, pairs):
-    r = make_router(policy, shards, 1 << 16, seed=7)
+def test_split_batch_is_a_stable_partition(shards, pairs):
+    r = HashRouter(shards, seed=7)
     batch = [(encode_key(k, 4), v) for k, v in pairs]
     parts = r.split_batch(batch)
     # ascending, unique shard ids; every sub-batch non-empty and owned

@@ -51,8 +51,7 @@ def test_transfer_burst_matches_scalar_timing_and_ledger():
 
     def scalar():
         env = Environment()
-        pipe = BandwidthPipe(env, 100 * MiB, latency=5e-6, name="p",
-                             bucket=0.01)
+        pipe = BandwidthPipe(env, 100 * MiB, name="p", bucket=0.01)
 
         def go():
             for nb in sizes:
@@ -63,8 +62,7 @@ def test_transfer_burst_matches_scalar_timing_and_ledger():
         return env, pipe
 
     env_b = Environment()
-    pipe_b = BandwidthPipe(env_b, 100 * MiB, latency=5e-6, name="p",
-                           bucket=0.01)
+    pipe_b = BandwidthPipe(env_b, 100 * MiB, name="p", bucket=0.01)
     env_b.process(pipe_b.transfer_burst(sizes, direction="rx"))
     env_b.run()
 

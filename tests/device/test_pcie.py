@@ -3,6 +3,7 @@
 import pytest
 
 from repro.device import BandwidthPipe, PcieLink, TrafficLedger, pcie
+from repro.device.pcie import PCIE_LATENCY
 from repro.sim import Environment
 
 
@@ -71,8 +72,8 @@ class TestTrafficLedger:
 class TestBandwidthPipe:
     def test_service_time(self):
         env = Environment()
-        pipe = BandwidthPipe(env, bandwidth=100, latency=0.5)
-        assert pipe.service_time(200) == pytest.approx(2.5)
+        pipe = BandwidthPipe(env, bandwidth=100)
+        assert pipe.service_time(200) == pytest.approx(2.0 + PCIE_LATENCY)
 
     def test_transfer_blocks_for_service_time(self):
         env = Environment()
@@ -85,7 +86,7 @@ class TestBandwidthPipe:
 
         env.process(proc())
         env.run()
-        assert done == [pytest.approx(0.5)]
+        assert done == [pytest.approx(0.5 + PCIE_LATENCY)]
 
     def test_fifo_serialization(self):
         env = Environment()
@@ -99,7 +100,8 @@ class TestBandwidthPipe:
         env.process(proc("a", 100))  # 1s
         env.process(proc("b", 200))  # next 2s
         env.run()
-        assert done == [("a", pytest.approx(1.0)), ("b", pytest.approx(3.0))]
+        assert done == [("a", pytest.approx(1.0 + PCIE_LATENCY)),
+                        ("b", pytest.approx(3.0 + 2 * PCIE_LATENCY))]
 
     def test_ledger_records_transfers(self):
         env = Environment()
@@ -116,8 +118,6 @@ class TestBandwidthPipe:
         env = Environment()
         with pytest.raises(ValueError):
             BandwidthPipe(env, bandwidth=0)
-        with pytest.raises(ValueError):
-            BandwidthPipe(env, bandwidth=10, latency=-1)
         pipe = BandwidthPipe(env, bandwidth=10)
         with pytest.raises(ValueError):
             list(pipe.transfer(-1))
@@ -132,10 +132,16 @@ class TestBandwidthPipe:
 
         env.process(proc())
         env.run()
-        # Busy for 1 + 3 s back to back: 100 bytes in each second.
-        assert env.now == pytest.approx(4.0)
+        # Busy for 1 + 3 s (plus the setup latency of each transfer) back
+        # to back: each transfer's bytes spread evenly over its interval.
+        end = 4.0 + 2 * PCIE_LATENCY
+        assert env.now == pytest.approx(end)
+        spans = [(0.0, 1.0 + PCIE_LATENCY, 100),
+                 (1.0 + PCIE_LATENCY, end, 300)]
         _, values = pipe.ledger.series()
-        assert values == pytest.approx([100.0] * 4)
+        assert values == pytest.approx(
+            [sum(n * max(0.0, min(t1, b + 1) - max(t0, b)) / (t1 - t0)
+                 for t0, t1, n in spans) for b in range(5)])
 
 
 class TestPcieLink:

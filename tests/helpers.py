@@ -97,7 +97,6 @@ def small_kvaccel(env: Environment, options: LsmOptions | None = None,
 
 
 def make_cluster_system(env: Environment, shards: int = 2,
-                        router: str = "hash", key_space: int = 1 << 16,
                         seed: int = 0, rollback: str = "disabled",
                         with_faults: bool = False, **kw):
     """N small share-nothing KVACCEL shards behind a ClusterDb.
@@ -110,23 +109,31 @@ def make_cluster_system(env: Environment, shards: int = 2,
     ``(cluster, registry)``; ``registry`` is a seeded FaultRegistry when
     ``with_faults=True``, else ``None``.
     """
-    from repro.cluster import ClusterDb, make_router
+    from repro.cluster import ClusterDb, HashRouter
 
     registry = None
     if with_faults:
         registry = FaultRegistry(fault_seed(seed)).install(env)
     parts = [small_stack(env, f"shard{sid}", rollback=rollback, **kw)
              for sid in range(shards)]
-    cluster = ClusterDb(
-        env, parts, make_router(router, shards, key_space, seed=seed))
+    cluster = ClusterDb(env, parts, HashRouter(shards, seed=seed))
     return cluster, registry
+
+
+def owned_key(router, sid: int, rng: random.Random) -> bytes:
+    """A uniform key of ``[0, 2**16)`` that ``router`` places on shard
+    ``sid``: keys are drawn until one routes there."""
+    while True:
+        key = encode_key(rng.randrange(1 << 16), 4)
+        if router.route(key) == sid:
+            return key
 
 
 def shard_pinned_load(env: Environment, cluster, duration: float,
                       rate: float, seed: int) -> list:
-    """Open-loop, write-only load pinned to the shards of a range-routed
-    cluster: one Poisson arrival stream of ``rate`` puts/s per shard, with
-    uniform keys in that shard's router slice.  Each put is spawned, not
+    """Open-loop, write-only load pinned to each shard of a cluster: one
+    Poisson arrival stream of ``rate`` puts/s per shard, with uniform keys
+    the router places on that shard.  Each put is spawned, not
     awaited, in a ``shard<N>.wl`` process (so a slow shard builds a queue
     instead of slowing its arrivals, and shard-scoped fault plans see the
     op as that shard's).  Runs for ``duration``, drains the in-flight puts
@@ -144,15 +151,14 @@ def shard_pinned_load(env: Environment, cluster, duration: float,
         hists[sid].record((env.now - t0) * 1e6)
         inflight[0] -= 1
 
-    def arrivals(sid, lo, hi):
+    def arrivals(sid):
         rng = random.Random(f"{seed}:wl:{sid}")
         t_end = env.now + duration
         while True:
             yield env.timeout(rng.expovariate(rate))
             if env.now >= t_end:
                 return
-            key = encode_key(rng.randrange(lo, hi), 4)
-            assert router.route(key) == sid, f"put left shard {sid}: {key!r}"
+            key = owned_key(router, sid, rng)
             inflight[0] += 1
             env.process(put(sid, key), name=shard_process_name(sid, "wl"))
 
@@ -160,9 +166,8 @@ def shard_pinned_load(env: Environment, cluster, duration: float,
         while inflight[0]:
             yield env.timeout(0.005)
 
-    env.run(until=env.all_of([env.process(arrivals(sid, lo, hi))
-                              for sid, (lo, hi)
-                              in enumerate(router.ranges())]))
+    env.run(until=env.all_of([env.process(arrivals(sid))
+                              for sid in range(cluster.shard_count)]))
     run(env, drain())
     return hists
 

@@ -259,7 +259,8 @@ def test_a_flushed_table_holds_few_bytes_per_entry():
             key = encode_key((i * 7919) % (1 << 30))
             mem.add(make_entry(key, 1_000_000 + i,
                                ValueRef(int.from_bytes(key, "big"), 4096)))
-        return SSTable(1, mem.entries(), entry_bytes=mem.entry_bytes)
+        return SSTable.from_columns(1, mem.columns(),
+                                    entry_bytes=mem.entry_bytes)
 
     gc.collect()
     tracemalloc.start()

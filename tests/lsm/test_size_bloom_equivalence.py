@@ -145,8 +145,9 @@ def test_one_entry_size_builds_the_per_entry_layout(entries, block_size, bits):
     byte-budget cut of equal sizes, whether the size is handed over
     (flush, compaction) or found by sizing the entries."""
     size = old_entry_size(entries[0])
-    carried = SSTable(1, entries, block_size=block_size,
-                      bloom_bits_per_key=bits, entry_bytes=size)
+    carried = SSTable.from_columns(1, to_columns(entries),
+                                   block_size=block_size,
+                                   bloom_bits_per_key=bits, entry_bytes=size)
     found = SSTable(1, entries, block_size=block_size,
                     bloom_bits_per_key=bits)
     assert carried.entry_bytes == found.entry_bytes == size
@@ -168,7 +169,8 @@ def test_one_entry_size_edge_cases(value_size, block_size, count):
     entries = [make_entry(encode_key(k), k + 1, ValueRef(k, value_size))
                for k in range(count)]
     size = 4 + value_size + 8
-    t = SSTable(1, entries, block_size=block_size, entry_bytes=size)
+    t = SSTable.from_columns(1, to_columns(entries), block_size=block_size,
+                             entry_bytes=size)
     assert_general_path_layout(t, entries, block_size, 10)
     per = max(1, block_size // size)
     assert t.num_blocks == -(-count // per)

@@ -117,8 +117,8 @@ def assert_matches_recompute(version, opt, source=None):
             == [[table_record(f) for f in lvl] for lvl in source.levels])
     assert ([version.level_bytes(l) for l in range(n)]
             == [level_bytes(source, l) for l in range(n)])
-    assert version.total_bytes() == sum(level_bytes(source, l)
-                                        for l in range(n))
+    assert (sum(version.level_bytes(l) for l in range(n))
+            == sum(level_bytes(source, l) for l in range(n)))
     assert version.l0_count == len(source.levels[0])
     assert ([record(f) for f in version.l0_newest_first]
             == [table_record(f) for f in sorted(source.levels[0],

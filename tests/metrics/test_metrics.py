@@ -1,5 +1,7 @@
 """Tests for histograms, efficiency, PCIe stall stats, and the collector."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.metrics import (
@@ -130,29 +132,63 @@ class TestPcieStats:
             analyze_stall_pcie([1.0], [1.0], [], capacity=0)
 
 
+@dataclass
+class Counts:
+    """The counts a RunCollector reads of a workload driver."""
+
+    write_ops: int = 0
+    read_ops: int = 0
+    write_bytes: int = 0
+
+
 class TestRunCollector:
     def test_series_and_result(self):
         env = Environment()
-        col = RunCollector(env, "test", sample_period=1.0)
+        driver = Counts()
+        col = RunCollector(env, "test", driver, sample_period=1.0)
 
         def workload():
             for i in range(40):
                 yield env.timeout(0.1)
-                col.write_meter.add()
+                driver.write_ops += 1
+                driver.write_bytes += 4096
 
         env.process(workload())
         env.run(until=5.0)
         col.stop()
-        res = col.result(write_ops=40, read_ops=0, write_bytes=40 * 4096)
+        res = col.result()
         assert res.write_ops == 40
         assert len(res.times) == 4
         assert sum(res.write_ops_series) <= 40
         assert res.write_throughput_ops == pytest.approx(8.0)
         assert res.write_throughput_bytes == pytest.approx(40 * 4096 / 5)
 
+    def test_op_series_hold_each_bucket_delta_as_a_float(self):
+        """Each bucket holds the ops the driver counted since the previous
+        sample, as a float, written and read series apart."""
+        env = Environment()
+        driver = Counts()
+        col = RunCollector(env, "t", driver, sample_period=1.0)
+
+        def workload():
+            driver.write_ops += 3            # bucket 1
+            driver.read_ops += 2
+            yield env.timeout(1.5)
+            driver.write_ops += 5            # bucket 2
+
+        env.process(workload())
+        env.run(until=3.5)
+        col.stop()
+        res = col.result()
+        assert res.write_ops_series == [3.0, 5.0, 0.0]
+        assert res.read_ops_series == [2.0, 0.0, 0.0]
+        assert {type(v) for v in res.write_ops_series
+                + res.read_ops_series} == {float}
+        assert (res.write_ops, res.read_ops) == (8, 2)
+
     def test_attaches_latency_hooks(self):
         env = Environment()
-        col = RunCollector(env, "t")
+        col = RunCollector(env, "t", Counts(write_ops=1, write_bytes=10))
 
         class FakeStats:
             write_latencies = None
@@ -163,7 +199,7 @@ class TestRunCollector:
         assert stats.write_latencies is col.write_hist
         stats.write_latencies.record(100.0)
         col.stop()
-        res = col.result(1, 0, 10)
+        res = col.result()
         assert res.write_latency["count"] == 1
         assert res.write_p99_us > 0
 
@@ -176,7 +212,7 @@ class TestRunCollector:
         env = Environment()
         cpu = CpuModel(env, cores=2)
         pcie = PcieLink(env, bandwidth=1000)
-        col = RunCollector(env, "t")
+        col = RunCollector(env, "t", Counts())
 
         def workload():
             yield from cpu.consume(1.0)
@@ -187,7 +223,7 @@ class TestRunCollector:
         col.stop()
         db = SimpleNamespace(write_controller=WriteController(
             env, LsmOptions(), lambda: None))
-        res = col.result(0, 0, 0, [(db, SimpleNamespace(pcie=pcie), cpu)])
+        res = col.result([(db, SimpleNamespace(pcie=pcie), cpu)])
         assert res.cpu_utilization == pytest.approx(1.0 / 8.0)
         assert sum(res.pcie_series) == pytest.approx(500)
 
@@ -202,6 +238,6 @@ class TestRunCollector:
         db = SimpleNamespace(write_controller=WriteController(
             env, LsmOptions(), lambda: None))
         ssd = SimpleNamespace(pcie=PcieLink(env))
-        res = RunCollector(env, "x").result(0, 0, 0,
-                                            [(db, ssd, CpuModel(env))])
+        res = RunCollector(env, "x", Counts()).result(
+            [(db, ssd, CpuModel(env))])
         assert res.pcie_times == [] and res.pcie_series == []

@@ -137,23 +137,22 @@ def test_validator_catches_corruption():
 
 
 def test_stall_attribution_from_tracer_and_chrome():
-    tr = sample_tracer()
-    for source in (tr, spans_from_chrome(to_chrome_trace(tr))):
-        atts = stall_attribution(source)
-        assert len(atts) == 1
-        att = atts[0]
-        assert att.reason == "l0"
-        assert att.l0_files == 7
-        assert att.immutable_memtables == 1
-        assert att.pending_compaction_bytes == 12345
-        assert att.duration == pytest.approx(0.4)
-        # the flush [0, 0.75] overlaps the stall [0.1, 0.5] for 0.4 s
-        assert att.concurrent_flush_time == pytest.approx(0.4)
-        # kv.put rode the stall window: its bytes count as redirect volume
-        assert att.redirect_bytes == 1000
-        assert att.redirect_ops == 1
-        report = attribution_report(source)
-        assert "l0" in report and "1 stall(s)" in report
+    spans = spans_from_chrome(to_chrome_trace(sample_tracer()))
+    atts = stall_attribution(spans)
+    assert len(atts) == 1
+    att = atts[0]
+    assert att.reason == "l0"
+    assert att.l0_files == 7
+    assert att.immutable_memtables == 1
+    assert att.pending_compaction_bytes == 12345
+    assert att.duration == pytest.approx(0.4)
+    # the flush [0, 0.75] overlaps the stall [0.1, 0.5] for 0.4 s
+    assert att.concurrent_flush_time == pytest.approx(0.4)
+    # kv.put rode the stall window: its bytes count as redirect volume
+    assert att.redirect_bytes == 1000
+    assert att.redirect_ops == 1
+    report = attribution_report(spans)
+    assert "l0" in report and "1 stall(s)" in report
 
 
 def test_attribution_report_empty():
@@ -161,8 +160,7 @@ def test_attribution_report_empty():
 
 
 def test_top_spans():
-    tr = sample_tracer()
-    top = top_spans(tr, n=5)
+    top = top_spans(spans_from_chrome(to_chrome_trace(sample_tracer())), n=5)
     assert set(top) == {"flush", "nand", "stall", "kv"}
     (dur, name, t0) = top["nand"][0]
     assert name == "nand.program"

@@ -1,11 +1,16 @@
 """Per-shard health/SLO rule instances over cluster channels."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench import RunSpec, mini_profile, run_workload
-from repro.obs import cluster_shard_rules
+from repro.obs import cluster_shard_rules, default_rules
 from repro.obs import rules as rules_mod
 from repro.obs.rules import HealthMonitor
+
+# The rules a shard instance shares with the fleet set.
+SHARED = ("stall_storm", "degraded_mode_entered", "retry_storm")
 
 
 def _sample(stalls=(), degraded=()):
@@ -31,6 +36,35 @@ def test_rule_instances_per_shard():
     assert len(rules) == 13  # 4 per shard + one fleet-wide rule
     with pytest.raises(ValueError):
         cluster_shard_rules(0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(buckets=st.lists(st.tuples(st.sampled_from([0.0, 0.4, 0.6, 1.0]),
+                                  st.sampled_from([0.0, 1.0, 2.0]),
+                                  st.sampled_from([0.0, 150.0, 250.0])),
+                        min_size=1, max_size=30))
+def test_a_shard_instance_is_the_fleet_rule_on_its_channels(buckets):
+    """Shard 1's stall_storm, degraded_mode_entered and retry_storm over
+    ``cluster.shard1.*`` fire exactly where the fleet rules do over the
+    store's own channels, with the same severity and event data, the
+    shard id first."""
+    fleet = [r for r in default_rules() if r.name in SHARED]
+    shard = [r for r in cluster_shard_rules(2)
+             if r.name in [f"{name}.shard1" for name in SHARED]]
+    assert [r.window for r in fleet] == [r.window for r in shard]
+    mon_fleet = HealthMonitor(None, fleet)
+    mon_shard = HealthMonitor(None, shard)
+    for t, (stall, state, retries) in enumerate(buckets):
+        mon_fleet.observe(float(t), {"wc.stall_time": stall,
+                                     "resil.state": state,
+                                     "resil.retries": retries})
+        mon_shard.observe(float(t), {"cluster.shard1.stall_time": stall,
+                                     "cluster.shard1.resil_state": state,
+                                     "cluster.shard1.retries": retries})
+    assert ([(f"{e.rule}.shard1", e.severity, e.t, e.phase,
+              [("shard", 1), *e.data.items()]) for e in mon_fleet.events]
+            == [(e.rule, e.severity, e.t, e.phase, list(e.data.items()))
+                for e in mon_shard.events])
 
 
 def test_retry_storm_fires_only_on_the_storming_shard(monkeypatch):

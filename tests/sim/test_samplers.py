@@ -1,37 +1,28 @@
-"""Tests for PeriodicSampler and RateMeter."""
+"""Tests for PeriodicSampler."""
 
 import pytest
 
-from repro.sim import Environment, PeriodicSampler, RateMeter
-
-
-def test_rate_meter_deltas():
-    m = RateMeter()
-    m.add()
-    m.add(2)
-    assert m.take_delta() == 3
-    assert m.take_delta() == 0
-    m.add(5)
-    assert m.take_delta() == 5
-    assert m.total == 8
+from repro.sim import Environment, PeriodicSampler
 
 
 def test_sampler_collects_once_per_period():
     env = Environment()
-    meter = RateMeter()
+    ops = [0]
 
     def workload():
         for _ in range(10):
             yield env.timeout(0.25)
-            meter.add()
+            ops[0] += 1
 
     env.process(workload())
-    sampler = PeriodicSampler(env, meter.take_delta, period=1.0)
+    sampler = PeriodicSampler(env, lambda: ops[0], period=1.0)
     env.run(until=3.0)
     assert sampler.times == [1.0, 2.0]
-    # 4 ops per second at 0.25s spacing; op at t=1.0 lands after the sample
-    # at t=1.0 depending on ordering — totals must still add up.
-    assert sum(sampler.values) + meter.take_delta() == 10
+    # 4 ops per second at 0.25s spacing; the op at a tick lands before or
+    # after that tick's sample depending on ordering, never further off.
+    for t, count in zip(sampler.times, sampler.values):
+        assert 4 * t - 1 <= count <= 4 * t
+    assert ops[0] == 10
 
 
 def test_sampler_stop():
@@ -57,20 +48,20 @@ def test_sampler_flush_records_partial_bucket():
     # A horizon that is not a period multiple leaves a partial bucket;
     # flush must record it at the current clock, not drop it.
     env = Environment()
-    meter = RateMeter()
+    ops = [0]
 
     def workload():
         for _ in range(5):
             yield env.timeout(0.5)
-            meter.add()
+            ops[0] += 1
 
     env.process(workload())
-    sampler = PeriodicSampler(env, meter.take_delta, period=1.0)
+    sampler = PeriodicSampler(env, lambda: ops[0], period=1.0)
     env.run(until=2.6)  # exclusive deadline: the op at t=2.5 still fires
     assert sampler.times == [1.0, 2.0]
     assert sampler.flush() is True
     assert sampler.times == [1.0, 2.0, 2.6]
-    assert sum(sampler.values) == 5
+    assert sampler.values[-1] == 5
 
 
 def test_sampler_flush_idempotent_and_noop_on_tick():

@@ -79,6 +79,8 @@ KEEP = {
                 "push in Event.succeed",
     "broken_recovery_skip_reset": "a planted recovery bug the crash-sweep "
                                   "tests must catch",
+    "spans": "tests read a tracer's closed spans by category through it "
+             "(the analyses read the spans of its Chrome trace)",
     "exist": "the NVMe-KV set's EXIST command (PAPER.md's Dev-LSM row "
              "lists PUT/GET/EXIST/DELETE/SEEK/NEXT)",
     # Needed by a planned check or kept as a feature decision.

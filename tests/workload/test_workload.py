@@ -90,7 +90,6 @@ class TestDrivers:
         env.run(until=p)
         assert drv.write_ops > 0
         assert drv.write_bytes == drv.write_ops * (4 + 64 + 8)
-        assert drv.write_meter.total == drv.write_ops
 
     def test_readwhilewriting_ratio(self):
         env = Environment()
