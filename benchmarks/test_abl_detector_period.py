@@ -7,8 +7,6 @@ throughput); an overly fast one buys little beyond the 0.1 s default.
 
 import copy
 
-import pytest
-
 from repro.bench.runner import RunSpec, run_workload
 
 

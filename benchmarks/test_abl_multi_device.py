@@ -10,7 +10,7 @@ redirect scenario against both deployments.
 import copy
 
 from repro.bench.profiles import HOST_CORES
-from repro.bench.runner import RunSpec, build_system, run_workload
+from repro.bench.runner import RunSpec, run_workload
 from repro.core import KvaccelDb
 from repro.device import CpuModel, MultiDeviceSetup
 from repro.metrics import RunCollector

@@ -28,7 +28,6 @@ would walk.
 """
 
 import argparse
-import copy
 
 from repro.bench.profiles import mini_profile
 from repro.bench.report import table

@@ -12,7 +12,6 @@ Run:  python examples/multi_tenant_namespaces.py
 
 from repro import CpuModel, Environment, KvaccelDb, LsmOptions
 from repro.device import (
-    BlockDevice,
     HybridSsd,
     HybridSsdConfig,
     KiB,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import compress, count
 from typing import Generator
 
-from ..lsm.sstable import rows_at
+from ..lsm.sstable import key_list, rows_at
 from ..resil.errors import DeviceError
 from ..sim import Environment, Interrupt
 from .controller import KvaccelController
@@ -182,10 +182,10 @@ class RollbackManager:
             yield from p.at("rollback.start")
             yield from controller.redirects_acked()
             scanned = yield from controller.kv.bulk_scan()
-            keys = scanned[0]
+            keys = key_list(scanned)
             if after_crash:
                 metadata.clear()
-                for key, seq in zip(keys, scanned[1]):
+                for key, seq in zip(keys, scanned[2]):
                     current = yield from controller.main.get_internal(key)
                     if current is None or seq > current[1]:
                         metadata.insert(key)

@@ -31,7 +31,7 @@ from itertools import repeat
 from typing import Generator, Iterator, Optional
 
 from ..lsm.compaction import merge_columns
-from ..lsm.sstable import Columns, SSTable, columns_bytes, dict_columns, row_at
+from ..lsm.sstable import Columns, SSTable, columns_bytes, dict_columns
 from ..sim import Environment
 from ..types import Entry, entry_size, entry_sizes_of
 from .cpu import CpuModel
@@ -262,9 +262,9 @@ class DevLsm:
             if run.smallest <= key <= run.largest:
                 if not cfg.read_cache_enabled:
                     yield from self.nand.io("read", READ_PAGE_BYTES)
-                i = run.lower_bound(key)    # key <= largest: a row
-                if run.columns[0][i] == key:
-                    return row_at(run.columns, i)
+                entry = run.read_block(key)[0]
+                if entry is not None:
+                    return entry
         return None
 
     # -- iteration / bulk scan --------------------------------------------

@@ -12,11 +12,10 @@ submission, modelled as :data:`HOST_SUBMIT_COST` seconds of host CPU.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Generator, Iterator
 
 from ..faults.registry import DROP, DUPLICATE
-from ..lsm.sstable import Columns, columns_bytes, iter_rows
+from ..lsm.sstable import Columns, columns_bytes, iter_rows, lower_bound
 from ..sim import Environment
 from ..types import (ENTRY_OVERHEAD, KIND_DELETE, entry_size, entry_sizes_of,
                      make_entry, value_size)
@@ -169,7 +168,7 @@ class KvDevice:
         end); NEXT reads ``rows``."""
         self._count("iter_seek")
         yield from self.pcie.transfer(_CAPSULE_BYTES + len(key))
-        rows = iter_rows(snapshot, bisect_left(snapshot[0], key))
+        rows = iter_rows(snapshot, lower_bound(snapshot, key))
         entry = next(rows, None)
         if entry is not None:
             yield from self.pcie.transfer(entry_size(entry), direction="rx")

@@ -28,9 +28,9 @@ from typing import Optional
 
 from ..types import KIND_DELETE
 from .options import LsmOptions
-from .sstable import (Columns, concat_columns, entry_sizes, int64s, row_at,
-                      slice_columns)
-from .version import FileMetadata, Version
+from .sstable import (Columns, concat_columns, entry_sizes, packed, row_at,
+                      size_column, slice_columns)
+from .version import Version
 
 __all__ = ["CompactionJob", "CompactionPicker", "cut_by_count",
            "merge_columns", "merge_for_compaction", "split_into_files"]
@@ -140,7 +140,9 @@ def merge_columns(parts: list, bottommost: bool) -> Columns:
     with the highest sequence number; correctness comes from sequence
     numbers, not from the order of the parts.  Tombstones survive
     unless ``bottommost``.  The output columns are gathered through the
-    permutation in C; no entry tuple is built.
+    permutation in C; no entry tuple is built, and no seed is gathered
+    (a row's seed is its key).  Parts whose keys share one width merge
+    their key integers; otherwise the keys merge as ``bytes``.
 
     Equal to the test reference ``newest_wins`` (in
     ``tests/sstable_reference.py``) over the parts' entries wherever that
@@ -149,14 +151,18 @@ def merge_columns(parts: list, bottommost: bool) -> Columns:
     raise ``TypeError``, whatever their values; copies of one write merge
     to one row.
     """
-    if len(parts) == 1 and not (bottommost and KIND_DELETE in parts[0][2]):
+    if len(parts) == 1 and not (bottommost and KIND_DELETE in parts[0][3]):
         # One part's rows are sorted and key-unique: they are the output.
         # Columns are never mutated, so the output shares them.
         return parts[0]
     columns = concat_columns(parts)
-    keys, seqs, kinds, seeds, sizes, other = columns
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    out_keys = list(_gather(order)(keys))
+    keys, width, seqs, kinds, sizes, other = columns
+    # The sort keys as one list, built in one C pass: a key function over
+    # the array would be a call a row.
+    sort_keys = keys if width is None else keys.tolist()
+    order = sorted(range(len(keys)), key=sort_keys.__getitem__)
+    del sort_keys
+    out_keys = _take(keys, order)
     keep = None
     if not all(map(lt, out_keys, islice(out_keys, 1, None))):
         keep = _newest_of_each_key(columns, order, out_keys)
@@ -165,31 +171,36 @@ def merge_columns(parts: list, bottommost: bool) -> Columns:
         keep = bytes(live) if keep is None else bytes(map(and_, keep, live))
     if keep is not None:
         order = list(compress(order, keep))
-        out_keys = list(compress(out_keys, keep))
+        out_keys = (list(compress(out_keys, keep)) if width is None
+                    else array(out_keys.typecode, compress(out_keys, keep)))
     out_other = {}
     if other:
         hit = list(map(other.__contains__, order))
         out_other = dict(zip(compress(count(), hit),
                              map(other.__getitem__, compress(order, hit))))
-    n = len(order)
-    # A fixed-size cell's kinds and sizes are one value each: repeated,
-    # not gathered (a fifth of the merge's time).
-    return (out_keys, _take(seqs, order),
-            kinds[:1] * n if _uniform(kinds) else bytes(_gather(order)(kinds)),
-            _take(seeds, order),
-            sizes[:1] * n if _uniform(sizes) else _take(sizes, order),
-            out_other)
+    # A fixed-size cell's kinds are one value: repeated, not gathered; its
+    # sizes are one int already.
+    if sizes.__class__ is not int:
+        sizes = size_column(_take(sizes, order))
+    return (out_keys, width, _take(seqs, order),
+            kinds[:1] * len(order) if _uniform(kinds)
+            else bytes(_gather(order)(kinds)),
+            sizes, out_other)
 
 
 # Rows an array gather takes at a time: its transient ints stay this few.
 _TAKE_BATCH = 1024
 
 
-def _take(column: array, order: list) -> array:
-    """The items of ``column`` at ``order`` as an ``array('q')``."""
-    out = array("q")
+def _take(column, order: list):
+    """The items of ``column`` (a list, or an array) at ``order``, as a
+    list or an array of the same typecode."""
+    if column.__class__ is list:
+        return list(_gather(order)(column))
+    code = column.typecode
+    out = array(code)
     for i in range(0, len(order), _TAKE_BATCH):
-        out += int64s(_gather(order[i:i + _TAKE_BATCH])(column))
+        out += packed(code, _gather(order[i:i + _TAKE_BATCH])(column))
     return out
 
 
@@ -218,7 +229,7 @@ def _newest_of_each_key(columns: Columns, order: list,
     reference ``newest_wins``, which raises only when its sort has to
     order two unorderable values (a ``ValueRef`` beside a ``bytes`` or a
     different ``ValueRef``) and otherwise keeps one."""
-    seqs = columns[1]
+    seqs = columns[2]
     keep = bytearray(b"\x01") * len(order)
     runs: list = []                 # [first, last] sorted position of a run
     # Sorted positions i whose next row has the same key.

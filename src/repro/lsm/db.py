@@ -393,8 +393,7 @@ class DbImpl:
             number = self.versions.new_file_number()
             table = SSTable.from_columns(
                 number, columns, block_size=opt.block_size,
-                bloom_bits_per_key=opt.bloom_bits_per_key,
-                entry_bytes=mem.entry_bytes)
+                bloom_bits_per_key=opt.bloom_bits_per_key)
             f = self.fs.create(self._sst_name(number))
             self._inflight_flush_file = f
             remaining = table.file_bytes
@@ -552,8 +551,7 @@ class DbImpl:
             number = self.versions.new_file_number()
             table = SSTable.from_columns(
                 number, columns, block_size=opt.block_size,
-                bloom_bits_per_key=opt.bloom_bits_per_key,
-                entry_bytes=entry_bytes)
+                bloom_bits_per_key=opt.bloom_bits_per_key)
             meta = FileMetadata(number=number, level=job.output_level,
                                 table=table)
             added.append(meta)

@@ -85,8 +85,9 @@ class DictMemTable:
         return self._sorted
 
     def columns(self) -> Columns:
-        """``entries()`` as SSTable columns (what a flush builds)."""
-        return dict_columns(self._map)
+        """``entries()`` as SSTable columns (what a flush builds); when every
+        entry has one size, no value is sized."""
+        return dict_columns(self._map, self.entry_bytes)
 
     def iter_from(self, key: bytes) -> Iterator[Entry]:
         """Iterate entries with key >= ``key`` in ascending key order."""

@@ -1,7 +1,5 @@
 """Tests for the experiment harness: profiles, runner, report."""
 
-import os
-
 import pytest
 
 from repro.bench import (

@@ -23,8 +23,6 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from helpers import run  # noqa: E402
-
 from repro.cluster import REPLAY, run_failover_scenario  # noqa: E402
 from repro.faults import (  # noqa: E402
     DELAY,

@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from helpers import run, small_db, small_kvaccel, small_options  # noqa: E402
+from helpers import run, small_db, small_kvaccel  # noqa: E402
 
 from repro.core import (  # noqa: E402
     DetectorConfig,

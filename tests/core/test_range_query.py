@@ -9,7 +9,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from helpers import run, small_kvaccel  # noqa: E402
 
-from repro.core import DualIterator, range_query  # noqa: E402
+from repro.core import DualIterator  # noqa: E402
 from repro.sim import Environment  # noqa: E402
 from repro.types import encode_key  # noqa: E402
 

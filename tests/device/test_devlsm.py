@@ -26,7 +26,7 @@ from repro.lsm.sstable import columns_bytes, iter_rows  # noqa: E402
 from repro.obs import Tracer  # noqa: E402
 from repro.sim import Environment  # noqa: E402
 from repro.types import (  # noqa: E402
-    KIND_DELETE, KIND_PUT, encode_key, entry_size, make_entry)
+    KIND_DELETE, encode_key, entry_size, make_entry)
 
 
 def make_devlsm(env, memtable_bytes=4096, **cfg_kw):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.device import KiB, MiB, NandGeometry, NandTiming
+from repro.device import MiB, NandGeometry, NandTiming
 from repro.device.geometry import CHANNEL_BW
 
 

@@ -10,8 +10,6 @@
 import sys
 from pathlib import Path
 
-import pytest
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from helpers import fault_seed  # noqa: E402

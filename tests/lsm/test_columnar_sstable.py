@@ -98,16 +98,18 @@ def test_columnar_table_equals_the_tuple_list(entries, absent, block_size,
 
 
 def test_values_that_do_not_fit_the_arrays_keep_their_identity():
+    """Only ``ValueRef(key integer, size)`` is implied by the columns;
+    every other value stays as it is, in ``other``."""
     big = ValueRef(1 << 63, 100)
     entries = [make_entry(encode_key(1), 3, big),
-               make_entry(encode_key(2), 4, ValueRef(-(1 << 63), 7)),
+               make_entry(encode_key(2), 4, ValueRef(2, 7)),
                make_entry(encode_key(3), 5, b"bytes"),
                make_entry(encode_key(4), 6, None, kind=KIND_DELETE),
                make_entry(encode_key(5), 7, ValueRef(-5, 0))]
     t = SSTable(1, entries)
     assert t.entries == entries
-    assert sorted(t.columns[5]) == [0, 2, 3]    # rows kept as values
-    assert list(t.columns[3]) == [0, -(1 << 63), 0, 0, -5]
+    assert sorted(t.columns[5]) == [0, 2, 3, 4]    # rows kept as values
+    assert (t.columns[0].tolist(), t.columns[1]) == ([1, 2, 3, 4, 5], 4)
     assert list(t.columns[4]) == [100, 7, 5, 0, 0]
     assert t.probe(encode_key(1)).entry[3] == big
     assert t.probe(encode_key(4)).entry == entries[3]
@@ -247,31 +249,43 @@ def test_copies_of_one_write_merge_to_one_row():
 
 
 # -- resident bytes -----------------------------------------------------------
-def test_a_flushed_table_holds_few_bytes_per_entry():
-    """A 4,096-entry table of ``ValueRef`` writes, built as flush builds
-    it, holds well under half the ~217 bytes an entry a list of entry
-    tuples held (tuple, ValueRef, seed int, sequence int, key)."""
-    n = 4096
-
-    def flushed_table():
-        mem = DictMemTable()
-        for i in range(n):
-            key = encode_key((i * 7919) % (1 << 30))
-            mem.add(make_entry(key, 1_000_000 + i,
-                               ValueRef(int.from_bytes(key, "big"), 4096)))
-        return SSTable.from_columns(1, mem.columns(),
-                                    entry_bytes=mem.entry_bytes)
-
+def traced_bytes(fill) -> int:
+    """Bytes still allocated after ``fill()`` ran, net of what it freed."""
     gc.collect()
     tracemalloc.start()
     try:
-        # A first table fills the interpreter's free lists (dropped entry
-        # tuples stay allocated there), so the second counts only itself.
-        flushed_table()
         before = tracemalloc.get_traced_memory()[0]
-        table = flushed_table()
-        per_entry = (tracemalloc.get_traced_memory()[0] - before) / n
+        keep = fill()
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert table.num_entries == n
-    assert per_entry < 100, f"{per_entry:.1f} bytes an entry"
+    del keep
+    return after - before
+
+
+def test_a_flushed_table_holds_few_bytes_per_entry():
+    """A table of 10,000 fixed-size writes with 4-byte keys, flushed from
+    a memtable as the DB flushes it, holds at most 16 bytes a row once
+    the memtable is gone: the key integer (4), the sequence number (8),
+    the kind (1) and the filter's 10 bits.  Seeds and sizes are implied.
+    With a key ``bytes`` list and seed and size arrays it held about 73."""
+    n = 10_000
+
+    def flushed_table(base):
+        mem = DictMemTable()
+        for i in range(n):
+            key = encode_key((base + i * 7919) % (1 << 30))
+            mem.add(make_entry(key, 1_000_000 + i,
+                               ValueRef(int.from_bytes(key, "big"), 4096)))
+        return SSTable.from_columns(1, mem.columns())
+
+    # A first table fills the interpreter's free lists (dropped entry
+    # tuples stay allocated there), so the second counts only itself.
+    flushed_table(1)
+    tables = []
+    per_row = traced_bytes(lambda: tables.append(flushed_table(2))) / n
+    table = tables[0]
+    assert table.num_entries == n and table.entry_bytes == 4 + 4096 + 8
+    assert table.columns[1] == 4 and not table.columns[5]
+    assert per_row <= 16, f"{per_row:.1f} bytes a row"

@@ -9,7 +9,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from helpers import run, small_db, small_options  # noqa: E402
 
-from repro.lsm import LsmOptions, WriteState  # noqa: E402
+from repro.lsm import LsmOptions  # noqa: E402
 from repro.sim import Environment  # noqa: E402
 from repro.types import ENTRY_OVERHEAD, encode_key  # noqa: E402
 

@@ -24,7 +24,13 @@ from repro.lsm import (
     split_into_files,
 )
 from repro.lsm.compaction import cut_by_count
-from repro.lsm.sstable import columns_bytes, entry_sizes, iter_rows, to_columns
+from repro.lsm.sstable import (
+    columns_bytes,
+    dict_columns,
+    entry_sizes,
+    iter_rows,
+    to_columns,
+)
 from repro.sim import Environment
 from repro.types import (
     KIND_DELETE,
@@ -145,9 +151,10 @@ def test_one_entry_size_builds_the_per_entry_layout(entries, block_size, bits):
     byte-budget cut of equal sizes, whether the size is handed over
     (flush, compaction) or found by sizing the entries."""
     size = old_entry_size(entries[0])
-    carried = SSTable.from_columns(1, to_columns(entries),
+    carried = SSTable.from_columns(1, dict_columns({e[0]: e for e in entries},
+                                                   size),
                                    block_size=block_size,
-                                   bloom_bits_per_key=bits, entry_bytes=size)
+                                   bloom_bits_per_key=bits)
     found = SSTable(1, entries, block_size=block_size,
                     bloom_bits_per_key=bits)
     assert carried.entry_bytes == found.entry_bytes == size
@@ -169,8 +176,7 @@ def test_one_entry_size_edge_cases(value_size, block_size, count):
     entries = [make_entry(encode_key(k), k + 1, ValueRef(k, value_size))
                for k in range(count)]
     size = 4 + value_size + 8
-    t = SSTable.from_columns(1, to_columns(entries), block_size=block_size,
-                             entry_bytes=size)
+    t = SSTable.from_columns(1, to_columns(entries), block_size=block_size)
     assert_general_path_layout(t, entries, block_size, 10)
     per = max(1, block_size // size)
     assert t.num_blocks == -(-count // per)

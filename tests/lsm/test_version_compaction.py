@@ -8,7 +8,6 @@ from repro.lsm import (
     FileMetadata,
     LsmOptions,
     SSTable,
-    Version,
     VersionEdit,
     VersionSet,
     merge_for_compaction,

@@ -14,7 +14,6 @@ Four layers:
   replay recordings.
 """
 
-import gzip
 import json
 import os
 import subprocess

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.obs.rules import (
-    HealthEvent,
     HealthMonitor,
     HealthRule,
     default_rules,

@@ -15,7 +15,7 @@ from collections import deque
 from types import SimpleNamespace
 from typing import Optional
 
-from repro.obs.journal import DIGEST, EVENT, SITE, Journal, digest_state
+from repro.obs.journal import DIGEST, EVENT, SITE, digest_state
 from repro.obs.tracer import CounterRecord, InstantRecord, SpanRecord
 
 

@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from helpers import run, small_device  # noqa: E402
 
-from repro.lsm import FileSystem, FsError  # noqa: E402
+from repro.lsm import FileSystem  # noqa: E402
 from repro.sim import Environment  # noqa: E402
 
 # op := ("create"|"append"|"delete", file-id, size)

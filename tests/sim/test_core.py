@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs import Journal
-from repro.sim import Environment, Event, Interrupt, SimulationError
+from repro.sim import Environment, Interrupt, SimulationError
 
 
 def test_timeout_advances_clock():

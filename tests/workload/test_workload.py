@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from helpers import run, small_db, small_options  # noqa: E402
+from helpers import small_db  # noqa: E402
 
 from repro.bench.profiles import paper_profile  # noqa: E402
 from repro.sim import Environment  # noqa: E402
