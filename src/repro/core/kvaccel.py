@@ -34,7 +34,12 @@ __all__ = ["KvaccelDb"]
 
 
 class KvaccelDb:
-    """The full KVACCEL stack over one hybrid dual-interface SSD."""
+    """The full KVACCEL stack over one hybrid dual-interface SSD.
+
+    ``ssd`` needs only the device's ``block``, ``kv`` and ``pcie``: the
+    whole :class:`HybridSsd`, one of its namespaces (the stack then stays
+    inside the namespace's pages), or a two-device setup.
+    """
 
     def __init__(
         self,
@@ -132,8 +137,8 @@ class KvaccelDb:
         snap.update({
             "redirected_writes": self.controller.redirected_writes,
             "normal_writes": self.controller.normal_writes,
-            "devlsm_entries": self.ssd.devlsm.entry_count,
-            "devlsm_bytes": self.ssd.devlsm.total_bytes,
+            "devlsm_entries": self.ssd.kv.devlsm.entry_count,
+            "devlsm_bytes": self.ssd.kv.devlsm.total_bytes,
             "metadata_keys": len(self.metadata),
             "rollbacks": self.rollback_manager.rollback_count,
             "detector_stall": self.detector.stall_condition,

@@ -6,7 +6,6 @@ from .devlsm import DevLsm, DevLsmConfig
 from .ftl import Ftl, FtlError, GcStats, Region
 from .geometry import GiB, KiB, MiB, NandGeometry, NandTiming
 from .hybrid import HybridSsd, HybridSsdConfig, MultiDeviceSetup, Namespace
-from .multitenant import KvNamespace, NamespacedKvInterface
 from .kv_dev import KvDevice
 from .nand import NandArray
 from .pcie import BandwidthPipe, PcieLink, TrafficLedger
@@ -29,8 +28,6 @@ __all__ = [
     "HybridSsdConfig",
     "MultiDeviceSetup",
     "Namespace",
-    "KvNamespace",
-    "NamespacedKvInterface",
     "KvDevice",
     "NandArray",
     "BandwidthPipe",

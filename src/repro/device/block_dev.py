@@ -9,7 +9,7 @@ merge phases.
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Generator, Optional
 
 from ..sim import Environment
 from .ftl import Ftl, FtlError
@@ -20,16 +20,24 @@ __all__ = ["BlockDevice"]
 
 
 class BlockDevice:
-    """Page-granular block device over the FTL's block region."""
+    """Page-granular block device over a run of the FTL's block region.
+
+    ``lpns`` is the logical-page run that byte offset 0 onwards maps to:
+    the whole block region by default, a namespace's own extent otherwise.
+    """
 
     def __init__(self, env: Environment, ftl: Ftl, nand: NandArray,
-                 pcie: PcieLink):
+                 pcie: PcieLink, lpns: Optional[range] = None):
         self.env = env
         self.ftl = ftl
         self.nand = nand
         self.pcie = pcie
-        self._region = ftl.region("block")
+        if lpns is None:
+            region = ftl.region("block")
+            lpns = range(region.lpn_start, region.lpn_start + region.lpn_count)
+        self.lpns = lpns
         self.page_size = ftl.geometry.page_size
+        self.capacity_bytes = len(lpns) * self.page_size
         self.bytes_written = 0
         self.bytes_read = 0
         # Optional repro.resil.RetryExecutor; None keeps I/O issue direct.
@@ -43,11 +51,8 @@ class BlockDevice:
             return factory()
         return self.retry.call(factory, site=site)
 
-    @property
-    def capacity_bytes(self) -> int:
-        return self._region.lpn_count * self.page_size
-
-    def _pages(self, offset: int, nbytes: int) -> range:
+    def pages(self, offset: int, nbytes: int) -> range:
+        """The LPNs that the extent of ``nbytes`` at byte ``offset`` covers."""
         if offset < 0 or nbytes < 0:
             raise ValueError("offset/nbytes must be >= 0")
         if offset + nbytes > self.capacity_bytes:
@@ -57,7 +62,7 @@ class BlockDevice:
             )
         first = offset // self.page_size
         last = (offset + max(nbytes, 1) - 1) // self.page_size
-        base = self._region.lpn_start
+        base = self.lpns.start
         return range(base + first, base + last + 1)
 
     def write(self, offset: int, nbytes: int, priority: int = 0) -> Generator:
@@ -72,7 +77,7 @@ class BlockDevice:
                           "block.write")
 
     def _write(self, offset: int, nbytes: int, priority: int = 0) -> Generator:
-        pages = self._pages(offset, nbytes)
+        pages = self.pages(offset, nbytes)
         self.ftl.write_batch(pages)
         self.bytes_written += nbytes
         yield from self.pcie.transfer(nbytes)
@@ -84,11 +89,11 @@ class BlockDevice:
                           "block.read")
 
     def _read(self, offset: int, nbytes: int, priority: int = 0) -> Generator:
-        self._pages(offset, nbytes)  # bounds check
+        self.pages(offset, nbytes)  # bounds check
         self.bytes_read += nbytes
         yield from self.nand.io("read", nbytes, priority=priority)
         yield from self.pcie.transfer(nbytes, direction="rx")
 
     def trim(self, offset: int, nbytes: int) -> None:
         """Discard an extent (file deletion punches holes here)."""
-        self.ftl.trim(self._pages(offset, nbytes))
+        self.ftl.trim(self.pages(offset, nbytes))

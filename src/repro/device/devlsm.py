@@ -72,9 +72,9 @@ class DevLsm:
     """The in-device LSM over (a slice of) the FTL's KV region.
 
     ``lpns`` is the logical-page range its runs are mapped into: the whole
-    KV region for the device's own Dev-LSM, a disjoint per-tenant slice
-    for a KV namespace, so one tenant's flush or reset never touches
-    another's pages.
+    KV region for the device's own Dev-LSM, the namespace's own run of KV
+    pages for a :class:`~repro.device.Namespace`'s, so one tenant's flush
+    or reset never touches another tenant's pages.
     """
 
     def __init__(

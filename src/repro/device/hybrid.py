@@ -8,10 +8,17 @@ One physical device, one NAND array, one FTL — two interfaces:
   :class:`DevLsm`.
 
 Both interfaces share the PCIe link and the NAND array, so traffic on one
-contends with the other exactly as on the real Cosmos+ prototype.  The
-class also models NVMe namespaces on both interfaces for multi-tenancy
-(Section V-D, "Multi-Tenancy and Multi-Device Support"): a tenant gets a
-paired block+KV namespace carved out of each region.
+contends with the other exactly as on the real Cosmos+ prototype.
+
+Tenants share the device through NVMe namespaces (Section V-D,
+"Multi-Tenancy and Multi-Device Support"): :meth:`HybridSsd.create_namespace`
+carves a :class:`Namespace` out of both regions, with its own ``block``
+over a run of block-region pages and its own ``kv`` over a private Dev-LSM
+on a run of KV-region pages.  A stack built on a namespace stays inside
+it, and deleting a namespace trims only its own pages; tenants are
+logically isolated but share the NAND array, the ARM core and the PCIe
+link.  A stack built on the whole device (``ssd.block``/``ssd.kv``) still
+spans both regions, whatever namespaces are carved.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from .block_dev import BlockDevice
 from .cpu import CpuModel
 from .devlsm import DevLsm, DevLsmConfig
 from .error_model import NandErrorConfig, NandErrorModel
-from .ftl import Ftl
+from .ftl import Ftl, Region
 from .geometry import MiB, NandGeometry
 from .kv_dev import KvDevice
 from .nand import NandArray
@@ -53,13 +60,48 @@ class HybridSsdConfig:
 
 @dataclass
 class Namespace:
-    """A paired (block, kv) namespace for one tenant."""
+    """One tenant's paired block+KV namespace, the surface a stack runs on.
+
+    ``block`` maps byte 0 onwards to the namespace's own run of whole
+    block-region pages, ``kv`` talks to its own Dev-LSM on its own run of
+    KV-region pages, and ``pcie`` is the device's link, so
+    ``KvaccelDb(env, options, ns, cpu)`` builds a stack confined to it.
+    """
 
     nsid: int
     name: str
-    block_offset: int
-    block_bytes: int
-    kv_quota_bytes: int
+    block: BlockDevice
+    kv: KvDevice
+    pcie: PcieLink
+
+    @property
+    def block_offset(self) -> int:
+        """Byte offset of the block extent within the block region."""
+        block = self.block
+        start = block.ftl.region("block").lpn_start
+        return (block.lpns.start - start) * block.page_size
+
+    @property
+    def block_bytes(self) -> int:
+        return self.block.capacity_bytes
+
+    @property
+    def kv_quota_bytes(self) -> int:
+        return len(self.kv.devlsm.lpns) * self.kv.devlsm.page_size
+
+
+def _first_fit(region: Region, pages: int, held: list[range]) -> range:
+    """The first run of ``pages`` LPNs of ``region`` that no range of
+    ``held`` (disjoint runs of that region) overlaps."""
+    start = region.lpn_start
+    for run in sorted(held, key=lambda r: r.start):
+        if run.start - start >= pages:
+            break
+        start = run.stop
+    if start + pages > region.lpn_start + region.lpn_count:
+        raise ValueError(
+            f"{region.name} region has no free run of {pages} pages")
+    return range(start, start + pages)
 
 
 class HybridSsd:
@@ -92,60 +134,46 @@ class HybridSsd:
 
         self._namespaces: dict[int, Namespace] = {}
         self._next_nsid = 1
-        self._ns_block_cursor = 0
-
-    # -- geometry-facing ---------------------------------------------------
-    @property
-    def block_capacity_bytes(self) -> int:
-        return self.block.capacity_bytes
-
-    @property
-    def kv_capacity_bytes(self) -> int:
-        return self.ftl.region("kv").lpn_count * self.config.geometry.page_size
 
     # -- namespaces ---------------------------------------------------------
     def create_namespace(self, name: str, block_bytes: int,
                          kv_quota_bytes: int) -> Namespace:
-        """Carve a paired block+KV namespace for a tenant."""
+        """Carve a tenant's paired block+KV namespace: the first free run
+        of whole pages in each region, sized up from the byte counts."""
         if block_bytes <= 0 or kv_quota_bytes <= 0:
             raise ValueError("namespace sizes must be positive")
-        if self._ns_block_cursor + block_bytes > self.block_capacity_bytes:
-            raise ValueError("block region exhausted for namespaces")
-        allocated_kv = sum(ns.kv_quota_bytes for ns in self._namespaces.values())
-        if allocated_kv + kv_quota_bytes > self.kv_capacity_bytes:
-            raise ValueError("kv region exhausted for namespaces")
+        page = self.config.geometry.page_size
+        held = self._namespaces.values()
+        block_lpns = _first_fit(self.ftl.region("block"),
+                                -(-block_bytes // page),
+                                [ns.block.lpns for ns in held])
+        kv_lpns = _first_fit(self.ftl.region("kv"), -(-kv_quota_bytes // page),
+                             [ns.kv.devlsm.lpns for ns in held])
+        env = self.env
+        devlsm = DevLsm(env, self.ftl, self.nand, self.arm, kv_lpns,
+                        config=self.config.devlsm)
         ns = Namespace(
             nsid=self._next_nsid,
             name=name,
-            block_offset=self._ns_block_cursor,
-            block_bytes=block_bytes,
-            kv_quota_bytes=kv_quota_bytes,
+            block=BlockDevice(env, self.ftl, self.nand, self.pcie, block_lpns),
+            kv=KvDevice(env, devlsm, self.pcie, self.kv.host_cpu),
+            pcie=self.pcie,
         )
         self._namespaces[ns.nsid] = ns
         self._next_nsid += 1
-        self._ns_block_cursor += block_bytes
         return ns
 
     def delete_namespace(self, nsid: int) -> None:
+        """Trim the namespace's block extent and reset its Dev-LSM; both
+        runs of pages are free for the next namespace."""
         ns = self._namespaces.pop(nsid, None)
         if ns is None:
             raise KeyError(f"no namespace {nsid}")
-        self.block.trim(ns.block_offset, ns.block_bytes)
+        self.ftl.trim(ns.block.lpns)
+        ns.kv.devlsm.reset()
 
     def namespaces(self) -> list[Namespace]:
         return sorted(self._namespaces.values(), key=lambda n: n.nsid)
-
-    def kv_namespaces(self, host_cpu: CpuModel):
-        """Per-tenant KV namespaces over this device's KV region.
-
-        Lazily constructed; see :mod:`repro.device.multitenant`.
-        """
-        if not hasattr(self, "_kv_ns"):
-            from .multitenant import NamespacedKvInterface
-            self._kv_ns = NamespacedKvInterface(
-                self.env, self.ftl, self.nand, self.arm, self.pcie,
-                host_cpu, devlsm_config=self.config.devlsm)
-        return self._kv_ns
 
 
 class MultiDeviceSetup:
@@ -158,7 +186,7 @@ class MultiDeviceSetup:
     no longer contend for the same NAND array (each keeps its own PCIe
     link and controller), at the cost of a second device.
 
-    Exposes the same ``block`` / ``kv`` / ``devlsm`` / ``pcie`` surface as
+    Exposes the same ``block`` / ``kv`` / ``pcie`` surface as
     :class:`HybridSsd`, so :class:`~repro.core.KvaccelDb` runs on either
     interchangeably.  ``pcie`` reports device A's link (where the
     PCM-style measurements of the paper were taken).
@@ -180,13 +208,5 @@ class MultiDeviceSetup:
         return self.kv_ssd.kv
 
     @property
-    def devlsm(self):
-        return self.kv_ssd.devlsm
-
-    @property
     def pcie(self):
         return self.block_ssd.pcie
-
-    @property
-    def config(self):
-        return self.block_ssd.config

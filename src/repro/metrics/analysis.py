@@ -108,6 +108,6 @@ def device_byte_accounting(ssd) -> dict:
         else None,
         "block_written": ssd.block.bytes_written,
         "block_read": ssd.block.bytes_read,
-        "devlsm_bytes": ssd.devlsm.total_bytes,
-        "devlsm_flushes": ssd.devlsm.flush_count,
+        "devlsm_bytes": ssd.kv.devlsm.total_bytes,
+        "devlsm_flushes": ssd.kv.devlsm.flush_count,
     }

@@ -123,8 +123,8 @@ class TestHybridSsd:
         env = Environment()
         ssd = small_ssd(env)
         assert 0 < ssd.ftl.disaggregation_point < ssd.ftl.total_logical_pages
-        assert ssd.block_capacity_bytes > 0
-        assert ssd.kv_capacity_bytes > 0
+        assert ssd.block.capacity_bytes > 0
+        assert len(ssd.devlsm.lpns) > 0
 
     def test_both_interfaces_share_pcie_ledger(self):
         env = Environment()
@@ -143,7 +143,7 @@ class TestHybridSsd:
         from repro.device import FtlError
 
         def proc():
-            yield from ssd.block.write(ssd.block_capacity_bytes, 4096)
+            yield from ssd.block.write(ssd.block.capacity_bytes, 4096)
 
         with pytest.raises(FtlError):
             env.run(until=env.process(proc()))
@@ -163,8 +163,9 @@ class TestHybridSsd:
         env = Environment()
         ssd = small_ssd(env)
         with pytest.raises(ValueError):
-            ssd.create_namespace("huge", ssd.block_capacity_bytes + 1, 1024)
+            ssd.create_namespace("huge", ssd.block.capacity_bytes + 1, 1024)
+        kv_bytes = len(ssd.devlsm.lpns) * ssd.devlsm.page_size
         with pytest.raises(ValueError):
-            ssd.create_namespace("hugekv", 1024, ssd.kv_capacity_bytes + 1)
+            ssd.create_namespace("hugekv", 1024, kv_bytes + 1)
         with pytest.raises(KeyError):
             ssd.delete_namespace(99)

@@ -54,7 +54,6 @@ CODE_DIRS = (SRC, ROOT / "benchmarks", ROOT / "examples")
 
 KEEP = {
     # Independent checks the tests use to assert on other behaviour.
-    "is_mapped": "FTL tests check mapping state through it",
     "total_logical_pages": "FTL tests check the region split through it",
     "mapped_pages": "FTL tests check page accounting through it",
     "block_of_entry": "SSTable tests check block layout through it",
@@ -83,10 +82,10 @@ KEEP = {
              "(the analyses read the spans of its Chrome trace)",
     "exist": "the NVMe-KV set's EXIST command (PAPER.md's Dev-LSM row "
              "lists PUT/GET/EXIST/DELETE/SEEK/NEXT)",
+    "used_bytes": "the fs tests check FileSystem and PageCache space "
+                  "accounting through it",
     # Needed by a planned check or kept as a feature decision.
     "drain_replication": "the replica-consistency oracle needs quiesce",
-    "over_quota": "the only reader of KvNamespace.quota_bytes",
-    "kv_namespaces": "the namespaced-KV module's only constructor path",
 }
 
 SETTINGS_KEEP = {
